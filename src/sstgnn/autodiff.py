@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 A deliberately small, closed op set: matmul, add (broadcasting), mul
-(broadcasting), scale, concat, basic slicing, gather, reshape, leaky_relu,
+(broadcasting), scale, concat, basic slicing, reshape, leaky_relu,
 masked_softmax, mean, cross_entropy. Each op records a backward rule on a
 per-forward tape; `backward()` walks the tape once in reverse topological
 order. Gradients are accumulated in a tape-local dict so forward/backward
@@ -29,7 +29,6 @@ __all__ = [
     "scale",
     "matmul",
     "concat",
-    "gather",
     "reshape",
     "leaky_relu",
     "masked_softmax",
@@ -255,27 +254,6 @@ def _getitem(t, key) -> Tensor:
             gi = np.zeros_like(t.data)
             gi[key] += g
             _accum(acc, t, gi)
-
-    out._backward = _backward
-    return out
-
-
-def gather(t, flat_index, out_shape) -> Tensor:
-    """Take ``t.flat[flat_index]`` reshaped to ``out_shape``.
-
-    The index array is a constant; backward scatter-adds. Used for
-    im2col-style rearrangement in the convolutional encoder.
-    """
-    t = as_tensor(t)
-    idx = np.asarray(flat_index, dtype=np.intp)
-    out = Tensor(t.data.reshape(-1)[idx].reshape(out_shape),
-                 requires_grad=t.requires_grad, parents=(t,))
-
-    def _backward(g, acc):
-        if t.requires_grad:
-            gi = np.zeros(t.data.size)
-            np.add.at(gi, idx.reshape(-1), g.reshape(-1))
-            _accum(acc, t, gi.reshape(t.data.shape))
 
     out._backward = _backward
     return out

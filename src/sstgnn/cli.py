@@ -29,7 +29,7 @@ from .rng import stream
 _CONFIG_FLAGS = {
     "patch_size": int, "tau_s": float, "tau_t": float, "tile": int,
     "dim": int, "filter_hidden": int, "lr": float, "batch_size": int,
-    "epochs": int, "seed": int, "encoder": str, "laplacian_scope": str,
+    "epochs": int, "seed": int,
 }
 
 

@@ -84,20 +84,7 @@ def gat_forward(x, adj: SignedAdjacency, params: GatParams, slope=0.2):
     return ad.leaky_relu(ad.matmul(signed, h), slope)
 
 
-def consistency_pass(x, graph: VideoGraph, params: GatParams, slope=0.2):
-    return gat_forward(x, consistency_adjacency(graph), params, slope)
-
-
-def inconsistency_pass(x, graph: VideoGraph, neg, params: GatParams, slope=0.2):
-    return gat_forward(x, inconsistency_adjacency(graph, neg), params, slope)
-
-
 def spatial_fuse(h_c, h_ic, weight, bias):
     """Concat both passes per node, affine-map to d, mean-pool the nodes."""
     fused = ad.add(ad.matmul(ad.concat([h_c, h_ic], axis=1), weight), bias)
     return ad.mean(fused, axis=0, keepdims=True)
-
-
-def spatial_fuse_nodes(h_c, h_ic, weight, bias):
-    """Fusion without the node pooling (per-node logit mode)."""
-    return ad.add(ad.matmul(ad.concat([h_c, h_ic], axis=1), weight), bias)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -32,9 +33,6 @@ from .synth import FrameSequence, LabeledClip
 from .utils import parallel_map
 
 CHECKPOINT_MAGIC = b"SSTG0001"
-ENCODERS = ("affine", "conv")
-_CONV_KERNEL = 3
-_CONV_STRIDE = 2
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,6 @@ class TrainConfig:
     tile: int = 2
     dim: int = 64
     filter_hidden: int = 16
-    conv_channels: int = 8
     channels: int = 1
     lr: float = 1e-4
     batch_size: int = 16
@@ -53,25 +50,17 @@ class TrainConfig:
     seed: int = 0
     eps: float = 1e-4
     leaky_slope: float = 0.2
-    laplacian_scope: str = "spatial_plus_positive_temporal"
-    encoder: str = "affine"
     use_spectral: bool = True
     use_differential: bool = True
     use_temporal_mlp: bool = True
-    tie_gat: bool = True        # share W and a across both passes
-    node_logits: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.tau_s <= 1.0 and 0.0 <= self.tau_t <= 1.0):
             raise ValueError("thresholds must lie in [0, 1]")
         for name in ("patch_size", "tile", "dim", "batch_size", "epochs",
-                     "filter_hidden", "conv_channels", "channels"):
+                     "filter_hidden", "channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.encoder not in ENCODERS:
-            raise ValueError(f"unknown encoder {self.encoder!r}")
-        if self.laplacian_scope not in spectral.LAPLACIAN_SCOPES:
-            raise ValueError(f"unknown laplacian scope {self.laplacian_scope!r}")
 
     def to_dict(self):
         return asdict(self)
@@ -135,18 +124,9 @@ class ModelParams:
     def gat(self):
         return gat.GatParams(self.tensors["gat.weight"], self.tensors["gat.attention"])
 
-    @property
-    def gat_second(self):
-        """Inconsistency-pass layer: its own weights when untied."""
-        if "gat2.weight" in self.tensors:
-            return gat.GatParams(self.tensors["gat2.weight"],
-                                 self.tensors["gat2.attention"])
-        return self.gat
-
 
 def _glorot(rng, shape):
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
-    return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
+    return rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
 
 
 # pixel-to-pixel deltas in [0,1] clips sit near 0.05, so unit-norm
@@ -213,7 +193,6 @@ def init_params(config: TrainConfig, seed=None, random_head=False) -> ModelParam
     """
     seed = config.seed if seed is None else seed
     d, h = config.dim, config.filter_hidden
-    p = config.patch_size * config.patch_size * config.channels
 
     def draw(name, shape):
         return ad.parameter(_glorot(stream(seed, "init", name), shape))
@@ -221,21 +200,11 @@ def init_params(config: TrainConfig, seed=None, random_head=False) -> ModelParam
     def zeros(shape):
         return ad.parameter(np.zeros(shape))
 
-    tensors = {}
-    if config.encoder == "affine":
-        tensors["encoder.weight"] = ad.parameter(_affine_encoder_init(
+    return ModelParams({
+        "encoder.weight": ad.parameter(_affine_encoder_init(
             stream(seed, "init", "encoder.weight"), config.patch_size,
-            config.channels, d))
-        tensors["encoder.bias"] = zeros((d,))
-    else:
-        k2 = _CONV_KERNEL * _CONV_KERNEL
-        c1 = config.conv_channels
-        tensors["encoder.conv1.weight"] = draw("encoder.conv1.weight",
-                                               (k2 * config.channels, c1))
-        tensors["encoder.conv1.bias"] = zeros((c1,))
-        tensors["encoder.conv2.weight"] = draw("encoder.conv2.weight", (k2 * c1, d))
-        tensors["encoder.conv2.bias"] = zeros((d,))
-    tensors.update({
+            config.channels, d)),
+        "encoder.bias": zeros((d,)),
         "temporal.weight": draw("temporal.weight", (2 * d, d)),
         "temporal.bias": zeros((d,)),
         # filter biases are drawn, not zeroed: the spectrum contains an
@@ -249,69 +218,25 @@ def init_params(config: TrainConfig, seed=None, random_head=False) -> ModelParam
         "filter.b3": ad.parameter(np.ones((1,))),  # start near all-pass
         "gat.weight": draw("gat.weight", (d, d)),
         "gat.attention": draw("gat.attention", (2 * d,)),
-    })
-    if not config.tie_gat:
-        tensors["gat2.weight"] = draw("gat2.weight", (d, d))
-        tensors["gat2.attention"] = draw("gat2.attention", (2 * d,))
-    tensors.update({
         "fusion.weight": draw("fusion.weight", (2 * d, d)),
         "fusion.bias": zeros((d,)),
         "head.weight": (draw("head.weight", (2 * d, 2)) if random_head
                         else zeros((2 * d, 2))),
         "head.bias": zeros((2,)),
     })
-    return ModelParams(tensors)
 
 
 # ---------------------------------------------------------------------------
 # encoder
 
 
-def _conv_out(size):
-    return (size - _CONV_KERNEL) // _CONV_STRIDE + 1
-
-
-def _im2col_indices(batch, height, width, channels):
-    """Flat indices gathering k x k patches (stride 2, valid) from a
-    (batch, height, width, channels) array."""
-    oh, ow = _conv_out(height), _conv_out(width)
-    if oh < 1 or ow < 1:
-        raise ValueError("spatial extent too small for the conv encoder")
-    b = np.arange(batch)[:, None, None, None, None, None]
-    i = np.arange(oh)[None, :, None, None, None, None] * _CONV_STRIDE
-    j = np.arange(ow)[None, None, :, None, None, None] * _CONV_STRIDE
-    di = np.arange(_CONV_KERNEL)[None, None, None, :, None, None]
-    dj = np.arange(_CONV_KERNEL)[None, None, None, None, :, None]
-    ch = np.arange(channels)[None, None, None, None, None, :]
-    flat = ((b * height + i + di) * width + j + dj) * channels + ch
-    return flat.reshape(batch * oh * ow, -1), oh, ow
-
-
 def encode_patches(patch_vectors, params: ModelParams, config: TrainConfig):
     """Map raw patch vectors (T, N, p) to an (M, d) embedding Tensor."""
     t, n, p = patch_vectors.shape
     flat = np.asarray(patch_vectors, dtype=np.float64).reshape(t * n, p)
-    if config.encoder == "affine":
-        out = ad.add(ad.matmul(ad.constant(flat), params["encoder.weight"]),
-                     params["encoder.bias"])
-        return ad.leaky_relu(out, config.leaky_slope)
-
-    l, c = config.patch_size, config.channels
-    m = t * n
-    idx1, oh1, ow1 = _im2col_indices(m, l, l, c)
-    cols = flat.reshape(-1)[idx1.reshape(-1)].reshape(idx1.shape)
-    h1 = ad.add(ad.matmul(ad.constant(cols), params["encoder.conv1.weight"]),
-                params["encoder.conv1.bias"])
-    h1 = ad.leaky_relu(h1, config.leaky_slope)
-
-    c1 = config.conv_channels
-    idx2, oh2, ow2 = _im2col_indices(m, oh1, ow1, c1)
-    cols2 = ad.gather(h1, idx2, (idx2.shape[0], idx2.shape[1]))
-    h2 = ad.add(ad.matmul(cols2, params["encoder.conv2.weight"]),
-                params["encoder.conv2.bias"])
-    h2 = ad.leaky_relu(h2, config.leaky_slope)
-    per_node = ad.reshape(h2, (m, oh2 * ow2, config.dim))
-    return ad.mean(per_node, axis=1)
+    out = ad.add(ad.matmul(ad.constant(flat), params["encoder.weight"]),
+                 params["encoder.bias"])
+    return ad.leaky_relu(out, config.leaky_slope)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +269,7 @@ def build_structure(clip: FrameSequence, params: ModelParams,
         graph = differential.add_temporal_negative(graph)
     basis = None
     if config.use_spectral:
-        lap = spectral.graph_laplacian(graph, config.laplacian_scope)
+        lap = spectral.graph_laplacian(graph)
         basis = spectral.eigendecompose(lap)
     return ClipStructure(
         patches=pt.vectors,
@@ -356,22 +281,19 @@ def build_structure(clip: FrameSequence, params: ModelParams,
     )
 
 
-def forward_with_structure(structure: ClipStructure, params: ModelParams,
-                           config: TrainConfig) -> ad.Tensor:
-    """Differentiable path only; the structure is a constant input."""
+def _pooled_features(structure: ClipStructure, params: ModelParams,
+                     config: TrainConfig) -> ad.Tensor:
+    """The (1, 2d) pre-head feature row Z = [spatial || spectral]."""
     slope = config.leaky_slope
     x = encode_patches(structure.patches, params, config)
-    m = x.data.shape[0]
 
     if config.use_spectral:
         gains = spectral.filter_gains(structure.basis.eigenvalues,
                                       params.filter_mlp, slope)
-        filtered = spectral.apply_filter(x, structure.basis, gains)
-        z_spectral = (filtered if config.node_logits
-                      else spectral.pool_spectral(filtered))
+        z_spectral = spectral.pool_spectral(
+            spectral.apply_filter(x, structure.basis, gains))
     else:
-        rows = m if config.node_logits else 1
-        z_spectral = ad.constant(np.zeros((rows, config.dim)))
+        z_spectral = ad.constant(np.zeros((1, config.dim)))
 
     if config.use_temporal_mlp:
         xp = differential.temporal_concat(x, structure.graph,
@@ -380,19 +302,17 @@ def forward_with_structure(structure: ClipStructure, params: ModelParams,
     else:
         xp = x
     h_c = gat.gat_forward(xp, structure.consistency, params.gat, slope)
-    h_ic = gat.gat_forward(xp, structure.inconsistency, params.gat_second, slope)
-    if config.node_logits:
-        z_spatial = gat.spatial_fuse_nodes(h_c, h_ic, params["fusion.weight"],
-                                           params["fusion.bias"])
-    else:
-        z_spatial = gat.spatial_fuse(h_c, h_ic, params["fusion.weight"],
-                                     params["fusion.bias"])
+    h_ic = gat.gat_forward(xp, structure.inconsistency, params.gat, slope)
+    z_spatial = gat.spatial_fuse(h_c, h_ic, params["fusion.weight"],
+                                 params["fusion.bias"])
+    return ad.concat([z_spatial, z_spectral], axis=1)
 
-    z = ad.concat([z_spatial, z_spectral], axis=1)
-    logits = ad.add(ad.matmul(z, params["head.weight"]), params["head.bias"])
-    if config.node_logits:
-        logits = ad.mean(logits, axis=0, keepdims=True)
-    return logits
+
+def forward_with_structure(structure: ClipStructure, params: ModelParams,
+                           config: TrainConfig) -> ad.Tensor:
+    """Differentiable path only; the structure is a constant input."""
+    z = _pooled_features(structure, params, config)
+    return ad.add(ad.matmul(z, params["head.weight"]), params["head.bias"])
 
 
 def forward(clip: FrameSequence, params: ModelParams, config: TrainConfig):
@@ -404,24 +324,7 @@ def forward(clip: FrameSequence, params: ModelParams, config: TrainConfig):
 def clip_embedding(clip, params, config) -> np.ndarray:
     """The pooled pre-head feature vector Z (for external analysis)."""
     structure = build_structure(clip, params, config)
-    slope = config.leaky_slope
-    x = encode_patches(structure.patches, params, config)
-    if config.use_spectral:
-        gains = spectral.filter_gains(structure.basis.eigenvalues,
-                                      params.filter_mlp, slope)
-        z_spec = spectral.pool_spectral(
-            spectral.apply_filter(x, structure.basis, gains))
-    else:
-        z_spec = ad.constant(np.zeros((1, config.dim)))
-    xp = (differential.temporal_concat(x, structure.graph,
-                                       params["temporal.weight"],
-                                       params["temporal.bias"])
-          if config.use_temporal_mlp else x)
-    h_c = gat.gat_forward(xp, structure.consistency, params.gat, slope)
-    h_ic = gat.gat_forward(xp, structure.inconsistency, params.gat_second, slope)
-    z_spat = gat.spatial_fuse(h_c, h_ic, params["fusion.weight"],
-                              params["fusion.bias"])
-    return ad.concat([z_spat, z_spec], axis=1).data[0].copy()
+    return _pooled_features(structure, params, config).data[0].copy()
 
 
 def predict(clip, params, config) -> float:
@@ -530,28 +433,40 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig):
 
 
 def load_checkpoint(path):
+    """Inverse of `save_checkpoint`; a truncated or extended file, or an
+    echoed config with unknown keys, raises ValueError."""
     blob = Path(path).read_bytes()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {blob[:8]!r}")
-    off = 8
-    (cfg_len,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    config = TrainConfig.from_dict(json.loads(blob[off:off + cfg_len]))
-    off += cfg_len
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    off = len(CHECKPOINT_MAGIC)
+
+    def take(size, what):
+        nonlocal off
+        if off + size > len(blob):
+            raise ValueError(f"{path}: checkpoint truncated in {what} "
+                             f"at byte {off}")
+        off += size
+        return off - size
+
+    def unpack(fmt, what):
+        return struct.unpack_from(fmt, blob, take(struct.calcsize(fmt), what))
+
+    (cfg_len,) = unpack("<I", "config length")
+    start = take(cfg_len, "config")
+    config = TrainConfig.from_dict(json.loads(blob[start:off]))
+    (count,) = unpack("<I", "tensor count")
     tensors = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + name_len].decode()
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, off) if ndim else ()
-        off += 4 * ndim
-        size = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(blob, dtype="<f8", count=size, offset=off)
-        off += 8 * size
+        (name_len,) = unpack("<H", "tensor name length")
+        start = take(name_len, "tensor name")
+        name = blob[start:off].decode()
+        (ndim,) = unpack("<B", f"rank of {name}")
+        shape = unpack(f"<{ndim}I", f"shape of {name}")
+        size = math.prod(shape)
+        start = take(8 * size, f"data of {name}")
+        data = np.frombuffer(blob, dtype="<f8", count=size, offset=start)
         tensors[name] = ad.parameter(data.reshape(shape).copy())
+    if off != len(blob):
+        raise ValueError(f"{path}: {len(blob) - off} trailing bytes "
+                         f"after the last tensor")
     return ModelParams(tensors), config

@@ -19,7 +19,6 @@ from . import autodiff as ad
 from .graphs import VideoGraph, intra_frame_adjacency, patchify, row_normalize, unpatchify
 
 PRESET_KINDS = ("all_pass", "low_pass", "high_pass", "band_pass", "band_reject", "comb")
-LAPLACIAN_SCOPES = ("spatial_only", "spatial_plus_positive_temporal")
 DEFAULT_EIGEN_CAP = 4096
 
 
@@ -106,13 +105,10 @@ def laplacian_from_adjacency(weights) -> np.ndarray:
     return (lap + lap.T) / 2
 
 
-def graph_laplacian(graph: VideoGraph, scope="spatial_plus_positive_temporal"):
-    if scope not in LAPLACIAN_SCOPES:
-        raise ValueError(f"unknown laplacian scope {scope!r}")
-    w = graph.spatial.copy()
-    if scope == "spatial_plus_positive_temporal":
-        w += graph.temporal_positive
-    return laplacian_from_adjacency(w)
+def graph_laplacian(graph: VideoGraph):
+    """Laplacian of the nonnegative clip graph: intra-frame edges plus
+    the positive temporal bridges."""
+    return laplacian_from_adjacency(graph.spatial + graph.temporal_positive)
 
 
 def eigendecompose(lap) -> SpectralBasis:

@@ -183,15 +183,6 @@ class TestElementwiseOps:
 
         assert ad.finite_diff_check(f, {"a": a, "b": b}) < 1e-8
 
-    def test_gather_backward(self):
-        x = ad.parameter(np.arange(6.0).reshape(2, 3))
-        idx = np.array([0, 0, 4])
-        grads = ad.mean(ad.gather(x, idx, (3,))).backward()
-        expected = np.zeros((2, 3))
-        expected[0, 0] = 2 / 3
-        expected[1, 1] = 1 / 3
-        np.testing.assert_allclose(grads[x], expected)
-
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             ad.constant([np.nan, 1.0])

@@ -1,10 +1,15 @@
 """CLI surface: subcommands, exit codes, artifacts on disk."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sstgnn
 from sstgnn import pgm, synth
 from sstgnn.cli import main, read_config_file
 
@@ -85,6 +90,17 @@ def test_eval_checkpoint(trained_run, tmp_path):
     assert (out / "embeddings.csv").exists()
 
 
+def test_eval_truncated_checkpoint_is_usage_error(trained_run, tmp_path, capsys):
+    blob = (trained_run / "checkpoint.sstg").read_bytes()
+    cut = tmp_path / "cut.sstg"
+    cut.write_bytes(blob[:len(blob) // 2])
+    code = main(["eval", "--checkpoint", str(cut), "--out", str(tmp_path / "e"),
+                 "--count", "1", "--frames", "2", "--height", "8",
+                 "--width", "8", "--threads", "1"])
+    assert code == 2
+    assert "truncated" in capsys.readouterr().err
+
+
 def test_eval_reports_reproduce_bytes(trained_run, tmp_path):
     args = ["eval", "--checkpoint", str(trained_run / "checkpoint.sstg"),
             "--protocol", "in_domain", "--families", "upsample_artifact",
@@ -155,3 +171,27 @@ def test_threads_env_fallback(monkeypatch, tmp_path):
     assert resolve_threads(ns) == 3
     ns.threads = 2
     assert resolve_threads(ns) == 2
+
+
+def test_training_bytes_independent_of_thread_counts(tmp_path):
+    """Checkpoints match byte for byte across --threads and BLAS threads."""
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--families",
+                 "real,upsample_artifact", "--count", "4", "--seed", "40",
+                 "--frames", "4", "--height", "32", "--width", "32"]) == 0
+    src = Path(sstgnn.__file__).resolve().parent.parent
+    blobs = {}
+    for blas in ("1", "2"):
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{blas}_threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                       PYTHONPATH=os.pathsep.join(
+                           [str(src), os.environ.get("PYTHONPATH", "")]))
+            subprocess.run(
+                [sys.executable, "-m", "sstgnn.cli", "train",
+                 "--manifest", str(corpus / "manifest.csv"), "--out", str(out),
+                 "--patch-size", "4", "--epochs", "2", "--batch-size", "4",
+                 "--threads", threads],
+                env=env, check=True, capture_output=True, timeout=300)
+            blobs[blas, threads] = (out / "checkpoint.sstg").read_bytes()
+    assert len(set(blobs.values())) == 1

@@ -164,7 +164,7 @@ class TestPasses:
         g = clip_graph(t=1)
         params = make_params(4, seed=17)
         x = ad.constant(np.random.default_rng(18).normal(size=(4, 4)))
-        out = gat.consistency_pass(x, g, params)
+        out = gat.gat_forward(x, gat.consistency_adjacency(g), params)
         direct = gat.gat_forward(
             x, gat.SignedAdjacency(g.spatial > 0,
                                    (g.spatial > 0).astype(float)).with_self_loops(),
@@ -177,7 +177,8 @@ class TestPasses:
         g = type(g)(g.frames, g.grid_h, g.grid_w, spatial, g.temporal, g.features)
         params = make_params(4, seed=19)
         x = np.random.default_rng(20).normal(size=(4, 4))
-        out = gat.consistency_pass(ad.constant(x), g, params)
+        out = gat.gat_forward(ad.constant(x), gat.consistency_adjacency(g),
+                              params)
         np.testing.assert_allclose(out.data, lrelu(x @ params.weight.data),
                                    rtol=1e-12)
 
@@ -187,7 +188,8 @@ class TestPasses:
         neg = diff.build_spatial_negative(g, 1)
         params = make_params(4, seed=21)
         x = np.random.default_rng(22).normal(size=(4, 4))
-        out = gat.inconsistency_pass(ad.constant(x), g, neg, params)
+        out = gat.gat_forward(ad.constant(x),
+                              gat.inconsistency_adjacency(g, neg), params)
         np.testing.assert_allclose(out.data, lrelu(x @ params.weight.data),
                                    rtol=1e-12)
 
@@ -197,7 +199,7 @@ class TestPasses:
         params = make_params(4, seed=23)
         row = np.random.default_rng(24).normal(size=4)
         x = ad.constant(np.tile(row, (4, 1)))
-        out = gat.inconsistency_pass(x, g, neg, params)
+        out = gat.gat_forward(x, gat.inconsistency_adjacency(g, neg), params)
         # non-anchor nodes see {self +1, anchor -1} with equal attention
         np.testing.assert_allclose(out.data[1:], np.zeros((3, 4)), atol=1e-12)
         h = row @ params.weight.data
@@ -205,13 +207,12 @@ class TestPasses:
 
     def test_inconsistency_matches_signed_oracle(self):
         g = clip_graph(t=2, grid=2, seed=25)
-        g = __import__("sstgnn.differential", fromlist=["add_temporal_negative"]) \
-            .add_temporal_negative(g)
+        g = diff.add_temporal_negative(g)
         neg = diff.build_spatial_negative(g, 2)
         params = make_params(4, seed=26)
         x = np.random.default_rng(27).normal(size=(8, 4))
-        out = gat.inconsistency_pass(ad.constant(x), g, neg, params)
         adj = gat.inconsistency_adjacency(g, neg)
+        out = gat.gat_forward(ad.constant(x), adj, params)
         expected = brute_force(x, adj.support, adj.sign, params.weight.data,
                                params.attention.data)
         np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)

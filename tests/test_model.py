@@ -1,6 +1,8 @@
 """Detector: encoder, forward contract, training loop, checkpoints."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -56,27 +58,6 @@ class TestEncoder:
         np.testing.assert_allclose(out.data, np.where(pre > 0, pre, 0.2 * pre),
                                    rtol=1e-12)
 
-    def test_conv_encoder_shapes_and_gradients(self):
-        cfg = model.TrainConfig(patch_size=8, dim=6, filter_hidden=4,
-                                conv_channels=3, encoder="conv")
-        params = model.init_params(cfg, random_head=True)
-        patches = np.random.default_rng(2).random((2, 4, 64))
-        out = model.encode_patches(patches, params, cfg)
-        assert out.data.shape == (8, 6)
-
-        wanted = {n: t for n, t in params.named().items() if "conv" in n}
-
-        def f():
-            return ad.mean(model.encode_patches(patches, params, cfg))
-
-        assert ad.finite_diff_check(f, wanted) < 1e-5
-
-    def test_conv_encoder_too_small_patch(self):
-        cfg = model.TrainConfig(patch_size=4, dim=6, encoder="conv")
-        params = model.init_params(cfg)
-        with pytest.raises(ValueError, match="too small"):
-            model.encode_patches(np.zeros((1, 4, 16)), params, cfg)
-
 
 class TestForward:
     def test_zero_head_uniform_logits(self):
@@ -101,11 +82,18 @@ class TestForward:
         again = model.forward_with_structure(structure, params, cfg)
         np.testing.assert_array_equal(logits.data, again.data)
 
-    def test_node_logit_mode(self):
-        cfg = toy_config(node_logits=True)
+    @pytest.mark.parametrize("cfg, clip", [
+        (toy_config(), toy_clip(seed=4)),
+        (model.TrainConfig(), synth.generate(synth.SynthSpec(
+            "spectral_noise", seed=4)).clip),
+    ], ids=["toy", "desk"])
+    def test_embedding_through_head_equals_logits(self, cfg, clip):
         params = model.init_params(cfg, random_head=True)
-        logits, _ = model.forward(toy_clip(seed=4), params, cfg)
-        assert logits.data.shape == (1, 2)
+        logits, _ = model.forward(clip, params, cfg)
+        z = model.clip_embedding(clip, params, cfg)
+        assert z.shape == (2 * cfg.dim,)
+        head = z[None, :] @ params["head.weight"].data + params["head.bias"].data
+        assert head.tobytes() == logits.data.tobytes()
 
     def test_spectral_toggle_cuts_filter_dependence(self):
         clip = toy_clip(seed=6)
@@ -131,16 +119,6 @@ class TestForward:
         np.testing.assert_array_equal(structure.inconsistency.support,
                                       np.eye(8, dtype=bool))
         assert not (structure.graph.temporal < 0).any()
-
-    def test_untied_gat_layers(self):
-        clip = toy_clip(seed=9)
-        cfg = toy_config(tie_gat=False)
-        params = model.init_params(cfg, random_head=True)
-        assert "gat2.weight" in params.named()
-        base, _ = model.forward(clip, params, cfg)
-        params["gat2.attention"].data[:] += 1.0
-        after, _ = model.forward(clip, params, cfg)
-        assert not np.array_equal(base.data, after.data)
 
     def test_temporal_mlp_toggle(self):
         clip = toy_clip(seed=8)
@@ -234,6 +212,34 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             model.load_checkpoint(path)
 
+    def test_every_truncation_and_extension_rejected(self, tmp_path):
+        cfg = model.preset_config("toy")
+        path = tmp_path / "model.sstg"
+        model.save_checkpoint(path, model.init_params(cfg, random_head=True), cfg)
+        blob = path.read_bytes()
+        bad = tmp_path / "bad.sstg"
+        for cut in range(len(blob)):
+            bad.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match="magic|truncated"):
+                model.load_checkpoint(bad)
+        bad.write_bytes(blob + b"j")
+        with pytest.raises(ValueError, match="1 trailing bytes"):
+            model.load_checkpoint(bad)
+
+    def test_unknown_config_echo_rejected(self, tmp_path):
+        # an echo carrying a field TrainConfig no longer has (tie_gat)
+        cfg = toy_config()
+        path = tmp_path / "model.sstg"
+        model.save_checkpoint(path, model.init_params(cfg), cfg)
+        old = json.dumps(cfg.to_dict(), sort_keys=True,
+                         separators=(",", ":")).encode()
+        params = path.read_bytes()[len(model.CHECKPOINT_MAGIC) + 4 + len(old):]
+        echo = old.replace(b'"tile":', b'"tie_gat":true,"tile":')
+        path.write_bytes(model.CHECKPOINT_MAGIC + struct.pack("<I", len(echo))
+                         + echo + params)
+        with pytest.raises(ValueError, match="unknown config keys.*tie_gat"):
+            model.load_checkpoint(path)
+
     def test_training_checkpoint_bytes_deterministic(self, tmp_path):
         clips = tiny_corpus(n=2)
         cfg = toy_config(epochs=2)
@@ -260,10 +266,6 @@ class TestConfig:
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match="thresholds"):
             model.TrainConfig(tau_s=1.5)
-
-    def test_unknown_encoder(self):
-        with pytest.raises(ValueError, match="encoder"):
-            model.TrainConfig(encoder="resnet")
 
     def test_hash_stability_and_sensitivity(self):
         a = model.TrainConfig()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sstgnn import autodiff as ad
-from sstgnn import graphs, spectral
+from sstgnn import differential, graphs, spectral
 from sstgnn.spectral import FilterPreset
 
 
@@ -38,14 +38,12 @@ class TestLaplacian:
             spectral.laplacian_from_adjacency([[0.0, -0.5], [-0.5, 0.0]])
 
     def test_graph_scope_selection(self):
-        g = random_video_graph(0)
-        lap_s = spectral.graph_laplacian(g, "spatial_only")
-        lap_st = spectral.graph_laplacian(g, "spatial_plus_positive_temporal")
-        assert lap_s.shape == lap_st.shape == (8, 8)
-        if g.temporal.any():
-            assert not np.array_equal(lap_s, lap_st)
-        with pytest.raises(ValueError, match="scope"):
-            spectral.graph_laplacian(g, "everything")
+        # the clip Laplacian spans the intra-frame edges and the positive
+        # temporal bridges, never the negative differential entries
+        g = differential.add_temporal_negative(random_video_graph(0))
+        np.testing.assert_array_equal(
+            spectral.graph_laplacian(g),
+            spectral.laplacian_from_adjacency(g.spatial + g.temporal_positive))
 
 
 class TestEigendecompose:
