@@ -63,21 +63,20 @@ def negative_spatial_matrix(frames, grid_h, grid_w, tile):
     Assignment order inside each block: zero, anchor row = -1, anchor
     column = -1, then diagonal = 1 (last, so the anchor diagonal is 1).
     """
-    n = grid_h * grid_w
-    m = frames * n
+    m = frames * grid_h * grid_w
+    t, ti, tj, a, b = np.ix_(np.arange(frames), np.arange(grid_h // tile),
+                             np.arange(grid_w // tile), np.arange(tile),
+                             np.arange(tile))
+    # one row per tile in (frame, tile row, tile column) order; the
+    # tile's nodes row-major, the anchor first
+    ids = ((t * grid_h + ti * tile + a) * grid_w + tj * tile + b).reshape(
+        -1, tile * tile)
+    anchors = ids[:, 0]
     mat = np.zeros((m, m))
-    anchors = []
-    for t in range(frames):
-        for ti in range(grid_h // tile):
-            for tj in range(grid_w // tile):
-                ids = [(t * grid_h + ti * tile + a) * grid_w + tj * tile + b
-                       for a in range(tile) for b in range(tile)]
-                anchor = ids[0]
-                mat[anchor, ids] = -1.0
-                mat[ids, anchor] = -1.0
-                mat[ids, ids] = 1.0
-                anchors.append(anchor)
-    return mat, np.array(anchors, dtype=np.intp)
+    mat[anchors[:, None], ids] = -1.0
+    mat[ids, anchors[:, None]] = -1.0
+    mat[ids, ids] = 1.0
+    return mat, anchors
 
 
 def build_spatial_negative(graph: VideoGraph, tile) -> NegativeSpatialAdjacency:
@@ -144,8 +143,7 @@ def add_temporal_negative(graph: VideoGraph) -> VideoGraph:
     """
     temporal = graph.temporal.copy()
     n = graph.patches_per_frame
-    for t in range(graph.frames - 1):
-        for v in range(n):
-            u1, u2 = t * n + v, (t + 1) * n + v
-            temporal[u1, u2] = temporal[u2, u1] = -1.0
+    u1 = np.arange((graph.frames - 1) * n)
+    temporal[u1, u1 + n] = -1.0
+    temporal[u1 + n, u1] = -1.0
     return graph.with_temporal(temporal)

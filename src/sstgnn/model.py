@@ -35,6 +35,11 @@ from .utils import parallel_map
 CHECKPOINT_MAGIC = b"SSTG0001"
 
 
+# accepted Python types per field annotation; bool, an int subclass,
+# passes only where the annotation says bool
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     patch_size: int = 32
@@ -55,6 +60,12 @@ class TrainConfig:
     use_temporal_mlp: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]) or (
+                    f.type != "bool" and isinstance(value, bool)):
+                raise ValueError(f"config field {f.name} must be {f.type}, "
+                                 f"got {type(value).__name__} {value!r}")
         if not (0.0 <= self.tau_s <= 1.0 and 0.0 <= self.tau_t <= 1.0):
             raise ValueError("thresholds must lie in [0, 1]")
         for name in ("patch_size", "tile", "dim", "batch_size", "epochs",
@@ -183,6 +194,35 @@ def _affine_encoder_init(rng, patch, channels, dim):
     return w
 
 
+def param_shapes(config: TrainConfig) -> dict:
+    """Name -> shape of every trainable tensor, in checkpoint order."""
+    d, h = config.dim, config.filter_hidden
+    return {
+        "encoder.weight": (config.patch_size ** 2 * config.channels, d),
+        "encoder.bias": (d,),
+        "temporal.weight": (2 * d, d),
+        "temporal.bias": (d,),
+        "filter.w1": (1, h),
+        "filter.b1": (h,),
+        "filter.w2": (h, h),
+        "filter.b2": (h,),
+        "filter.w3": (h, 1),
+        "filter.b3": (1,),
+        "gat.weight": (d, d),
+        "gat.attention": (2 * d,),
+        "fusion.weight": (2 * d, d),
+        "fusion.bias": (d,),
+        "head.weight": (2 * d, 2),
+        "head.bias": (2,),
+    }
+
+
+# filter biases are drawn, not zeroed: the spectrum contains an exact 0
+# eigenvalue, and a zero bias would pin the LeakyReLU input there right
+# on its kink
+_ZERO_INIT = ("encoder.bias", "temporal.bias", "fusion.bias", "head.bias")
+
+
 def init_params(config: TrainConfig, seed=None, random_head=False) -> ModelParams:
     """Seeded initialisation; the head starts at zero so an untrained
     model emits uniform logits (initial loss is exactly ln 2).
@@ -192,38 +232,20 @@ def init_params(config: TrainConfig, seed=None, random_head=False) -> ModelParam
     vacuous.
     """
     seed = config.seed if seed is None else seed
-    d, h = config.dim, config.filter_hidden
 
-    def draw(name, shape):
-        return ad.parameter(_glorot(stream(seed, "init", name), shape))
+    def init(name, shape):
+        if name == "encoder.weight":
+            return _affine_encoder_init(stream(seed, "init", name),
+                                        config.patch_size, config.channels,
+                                        config.dim)
+        if name == "filter.b3":
+            return np.ones(shape)  # start near all-pass
+        if name in _ZERO_INIT or (name == "head.weight" and not random_head):
+            return np.zeros(shape)
+        return _glorot(stream(seed, "init", name), shape)
 
-    def zeros(shape):
-        return ad.parameter(np.zeros(shape))
-
-    return ModelParams({
-        "encoder.weight": ad.parameter(_affine_encoder_init(
-            stream(seed, "init", "encoder.weight"), config.patch_size,
-            config.channels, d)),
-        "encoder.bias": zeros((d,)),
-        "temporal.weight": draw("temporal.weight", (2 * d, d)),
-        "temporal.bias": zeros((d,)),
-        # filter biases are drawn, not zeroed: the spectrum contains an
-        # exact 0 eigenvalue, and a zero bias would pin the LeakyReLU
-        # input there right on its kink
-        "filter.w1": draw("filter.w1", (1, h)),
-        "filter.b1": draw("filter.b1", (h,)),
-        "filter.w2": draw("filter.w2", (h, h)),
-        "filter.b2": draw("filter.b2", (h,)),
-        "filter.w3": draw("filter.w3", (h, 1)),
-        "filter.b3": ad.parameter(np.ones((1,))),  # start near all-pass
-        "gat.weight": draw("gat.weight", (d, d)),
-        "gat.attention": draw("gat.attention", (2 * d,)),
-        "fusion.weight": draw("fusion.weight", (2 * d, d)),
-        "fusion.bias": zeros((d,)),
-        "head.weight": (draw("head.weight", (2 * d, 2)) if random_head
-                        else zeros((2 * d, 2))),
-        "head.bias": zeros((2,)),
-    })
+    return ModelParams({name: ad.parameter(init(name, shape))
+                        for name, shape in param_shapes(config).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +455,10 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig):
 
 
 def load_checkpoint(path):
-    """Inverse of `save_checkpoint`; a truncated or extended file, or an
-    echoed config with unknown keys, raises ValueError."""
+    """Inverse of `save_checkpoint`. A truncated or extended file, an
+    echoed config with unknown keys or mistyped values, or tensors whose
+    names or shapes differ from `param_shapes` of that config raise
+    ValueError."""
     blob = Path(path).read_bytes()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {blob[:8]!r}")
@@ -469,4 +493,15 @@ def load_checkpoint(path):
     if off != len(blob):
         raise ValueError(f"{path}: {len(blob) - off} trailing bytes "
                          f"after the last tensor")
-    return ModelParams(tensors), config
+    expected = param_shapes(config)
+    missing = [name for name in expected if name not in tensors]
+    extra = [name for name in tensors if name not in expected]
+    if missing or extra:
+        raise ValueError(f"{path}: tensors do not match the config: "
+                         f"missing {missing}, unexpected {extra}")
+    for name, shape in expected.items():
+        if tensors[name].data.shape != shape:
+            raise ValueError(f"{path}: tensor {name} has shape "
+                             f"{tensors[name].data.shape}, the config "
+                             f"implies {shape}")
+    return ModelParams({name: tensors[name] for name in expected}), config

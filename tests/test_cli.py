@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 
 import sstgnn
-from sstgnn import pgm, synth
+from sstgnn import autodiff as ad
+from sstgnn import model, pgm, synth
 from sstgnn.cli import main, read_config_file
 
 
@@ -99,6 +102,48 @@ def test_eval_truncated_checkpoint_is_usage_error(trained_run, tmp_path, capsys)
                  "--width", "8", "--threads", "1"])
     assert code == 2
     assert "truncated" in capsys.readouterr().err
+
+
+def eval_exit_code(checkpoint, out):
+    return main(["eval", "--checkpoint", str(checkpoint), "--out", str(out),
+                 "--count", "1", "--frames", "2", "--height", "8",
+                 "--width", "8", "--threads", "1"])
+
+
+@pytest.mark.parametrize("echo_edit,message", [
+    ((b'"dim":8', b'"dim":"8"'), "dim must be int"),
+    ((b'"use_spectral":true', b'"use_spectral":1'), "use_spectral must be bool"),
+])
+def test_eval_mistyped_config_echo_is_usage_error(trained_run, tmp_path, capsys,
+                                                  echo_edit, message):
+    blob = (trained_run / "checkpoint.sstg").read_bytes()
+    start = len(model.CHECKPOINT_MAGIC)
+    (length,) = struct.unpack_from("<I", blob, start)
+    echo = blob[start + 4:start + 4 + length]
+    assert echo_edit[0] in echo
+    echo = echo.replace(*echo_edit)
+    bad = tmp_path / "bad.sstg"
+    bad.write_bytes(blob[:start] + struct.pack("<I", len(echo)) + echo
+                    + blob[start + 4 + length:])
+    assert eval_exit_code(bad, tmp_path / "e") == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda t: t.pop("head.bias"), r"missing \['head.bias'\]"),
+    (lambda t: t.update(extra=ad.parameter(np.zeros(2))),
+     r"unexpected \['extra'\]"),
+    (lambda t: t.update({"head.bias": ad.parameter(np.zeros(3))}),
+     r"head.bias has shape \(3,\)"),
+])
+def test_eval_checkpoint_tensors_must_fit_config(trained_run, tmp_path, capsys,
+                                                 edit, message):
+    params, config = model.load_checkpoint(trained_run / "checkpoint.sstg")
+    edit(params.tensors)
+    bad = tmp_path / "bad.sstg"
+    model.save_checkpoint(bad, params, config)
+    assert eval_exit_code(bad, tmp_path / "e") == 2
+    assert re.search(message, capsys.readouterr().err)
 
 
 def test_eval_reports_reproduce_bytes(trained_run, tmp_path):

@@ -210,3 +210,50 @@ class TestAddTemporalNegative:
         before = g.temporal.copy()
         diff.add_temporal_negative(g)
         np.testing.assert_array_equal(g.temporal, before)
+
+
+def loop_negative_spatial_matrix(frames, grid_h, grid_w, tile):
+    """Per-tile loop reference for `negative_spatial_matrix`."""
+    m = frames * grid_h * grid_w
+    mat = np.zeros((m, m))
+    anchors = []
+    for t in range(frames):
+        for ti in range(grid_h // tile):
+            for tj in range(grid_w // tile):
+                ids = [(t * grid_h + ti * tile + a) * grid_w + tj * tile + b
+                       for a in range(tile) for b in range(tile)]
+                mat[ids[0], ids] = -1.0
+                mat[ids, ids[0]] = -1.0
+                mat[ids, ids] = 1.0
+                anchors.append(ids[0])
+    return mat, np.array(anchors, dtype=np.intp)
+
+
+def loop_temporal_negative(graph):
+    """Per-node loop reference for `add_temporal_negative`."""
+    temporal = graph.temporal.copy()
+    n = graph.patches_per_frame
+    for t in range(graph.frames - 1):
+        for v in range(n):
+            u1, u2 = t * n + v, (t + 1) * n + v
+            temporal[u1, u2] = temporal[u2, u1] = -1.0
+    return temporal
+
+
+class TestMatchesLoopReference:
+    """T=3 frames on a 5x4 grid with tile 2: the last tile row is partial."""
+
+    def test_spatial_matrix_bit_identical(self):
+        for tile in (1, 2, 3, 5):
+            mat, anchors = diff.negative_spatial_matrix(3, 5, 4, tile)
+            ref_mat, ref_anchors = loop_negative_spatial_matrix(3, 5, 4, tile)
+            assert mat.tobytes() == ref_mat.tobytes()
+            assert anchors.dtype == ref_anchors.dtype
+            np.testing.assert_array_equal(anchors, ref_anchors)
+
+    def test_temporal_negative_bit_identical(self):
+        emb = np.random.default_rng(3).random((3, 20, 5))
+        g = graphs.unified_graph(emb, 5, 4, 0.3, 0.3)
+        assert (g.temporal > 0).any()  # some bridges to overwrite
+        out = diff.add_temporal_negative(g).temporal
+        assert out.tobytes() == loop_temporal_negative(g).tobytes()

@@ -142,6 +142,35 @@ class TestForward:
         np.testing.assert_array_equal(batch, single)
 
 
+class TestBridges:
+    """Characterisation: with the differential on, `add_temporal_negative`
+    writes -1 over every bridge slot, so no positive bridge reaches the
+    Laplacian or the consistency pass and tau_t has no effect."""
+
+    @staticmethod
+    def logits(use_differential):
+        clip = toy_clip(seed=2, frames=3, size=16)
+        out = []
+        for tau_t in (0.0, 0.6, 1.0):
+            cfg = toy_config(tau_t=tau_t, use_differential=use_differential)
+            params = model.init_params(cfg, random_head=True)
+            logits, structure = model.forward(clip, params, cfg)
+            out.append((logits.data, structure))
+        return out
+
+    def test_differential_on_removes_every_bridge(self):
+        runs = self.logits(True)
+        for logits, structure in runs:
+            assert not (structure.graph.temporal > 0).any()
+            np.testing.assert_array_equal(logits, runs[0][0])
+
+    def test_differential_off_keeps_bridges(self):
+        runs = self.logits(False)
+        assert (runs[0][1].graph.temporal > 0).any()
+        assert not np.array_equal(runs[0][0], runs[1][0])
+        assert not np.array_equal(runs[0][0], runs[2][0])
+
+
 class TestGoldenForward:
     def test_fixed_seed_logits_frozen(self):
         # regression pin: toy clip + seeded params -> these exact logits,
@@ -240,6 +269,26 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unknown config keys.*tie_gat"):
             model.load_checkpoint(path)
 
+    @pytest.mark.parametrize("cfg", [toy_config(), model.TrainConfig(),
+                                     model.preset_config("parity", channels=3)])
+    def test_init_follows_the_shape_table(self, cfg):
+        params = model.init_params(cfg, random_head=True)
+        assert {k: t.data.shape for k, t in params.named().items()} == \
+            model.param_shapes(cfg)
+        assert list(params.named()) == list(model.param_shapes(cfg))
+
+    def test_loader_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        cfg = toy_config()
+        path = tmp_path / "model.sstg"
+        model.save_checkpoint(path, model.init_params(cfg), cfg)
+
+        def no_stream(*key):
+            raise AssertionError(f"random stream {key} drawn while loading")
+
+        monkeypatch.setattr(model, "stream", no_stream)
+        loaded, _ = model.load_checkpoint(path)
+        assert list(loaded.named()) == list(model.param_shapes(cfg))
+
     def test_training_checkpoint_bytes_deterministic(self, tmp_path):
         clips = tiny_corpus(n=2)
         cfg = toy_config(epochs=2)
@@ -273,6 +322,17 @@ class TestConfig:
         c = model.TrainConfig(dim=32)
         assert model.config_hash(a) == model.config_hash(b)
         assert model.config_hash(a) != model.config_hash(c)
+
+    def test_field_types_checked(self):
+        with pytest.raises(ValueError, match="dim must be int"):
+            model.TrainConfig.from_dict({"dim": "8"})
+        with pytest.raises(ValueError, match="use_spectral must be bool"):
+            model.TrainConfig.from_dict({"use_spectral": 1})
+        with pytest.raises(ValueError, match="epochs must be int"):
+            model.TrainConfig(epochs=True)
+        with pytest.raises(ValueError, match="lr must be float"):
+            model.TrainConfig(lr="1e-4")
+        assert model.TrainConfig(tau_s=1, lr=1).tau_s == 1  # ints are floats
 
     def test_dict_roundtrip(self):
         cfg = model.TrainConfig(dim=16, use_spectral=False)

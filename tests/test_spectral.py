@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sstgnn import autodiff as ad
-from sstgnn import differential, graphs, spectral
+from sstgnn import differential, graphs, model, spectral, synth
 from sstgnn.spectral import FilterPreset
 
 
@@ -78,6 +78,177 @@ class TestEigendecompose:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             spectral.eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def block_diagonal(sizes, seed=0):
+    rng = np.random.default_rng(seed)
+    m = sum(sizes)
+    out = np.zeros((m, m))
+    start = 0
+    for n in sizes:
+        a = rng.normal(size=(n, n))
+        out[start:start + n, start:start + n] = (a + a.T) / 2
+        start += n
+    return out
+
+
+def clip_laplacian(patch_size, family, seed):
+    """Laplacian of a real 8x64x64 clip graph with the differential on:
+    every bridge slot holds -1, so the frames are its diagonal blocks."""
+    config = model.TrainConfig(patch_size=patch_size, seed=7,
+                               use_spectral=False)
+    clip = synth.generate(synth.SynthSpec(family, seed=seed)).clip
+    structure = model.build_structure(clip, model.init_params(config), config)
+    return spectral.graph_laplacian(structure.graph)
+
+
+class TestDiagonalBlocks:
+    def test_identity_splits_into_single_nodes(self):
+        np.testing.assert_array_equal(spectral.diagonal_blocks(np.eye(6)),
+                                      np.arange(7))
+
+    def test_full_matrix_is_one_block(self):
+        np.testing.assert_array_equal(
+            spectral.diagonal_blocks(np.ones((5, 5))), [0, 5])
+
+    @pytest.mark.parametrize("entry", [(0, 7), (7, 0)])
+    def test_single_corner_coupling_is_one_block(self, entry):
+        mat = np.eye(8)
+        mat[entry] = 1e-3
+        np.testing.assert_array_equal(spectral.diagonal_blocks(mat), [0, 8])
+
+    def test_unequal_blocks(self):
+        mat = block_diagonal([3, 1, 4, 2])
+        np.testing.assert_array_equal(spectral.diagonal_blocks(mat),
+                                      [0, 3, 4, 8, 10])
+
+    def test_clip_laplacian_splits_per_frame(self):
+        lap = clip_laplacian(16, "real", 0)
+        np.testing.assert_array_equal(spectral.diagonal_blocks(lap),
+                                      np.arange(0, 129, 16))
+
+
+class TestSymmetryCheck:
+    def test_matches_allclose_element_for_element(self):
+        rng = np.random.default_rng(11)
+        m = 300  # three tiles a side, the last one partial
+        base = rng.normal(size=(m, m))
+        base = (base + base.T) / 2
+        # perturbations straddling atol + rtol * |b|, in one orientation
+        for delta in (0.0, 5e-11, 2e-10, 1e-6, 1e-5, 1e-4, np.nan, np.inf):
+            for _ in range(3):
+                mat = base.copy()
+                i, j = rng.integers(0, m, size=2)
+                mat[i, j] += delta
+                expected = np.allclose(mat, mat.T, atol=1e-10)
+                try:
+                    spectral._check_symmetric(mat)
+                    got = True
+                except ValueError as err:
+                    assert "symmetric" in str(err)
+                    got = False
+                assert got == expected, (delta, i, j)
+
+    @pytest.mark.parametrize("i,j", [(5, 200), (200, 5)])
+    def test_relative_tolerance_read_in_both_orientations(self, i, j):
+        # |x - y| exceeds atol + rtol * |y| but not atol + rtol * |x|:
+        # allclose(lap, lap.T) fails at [i, j] alone, wherever it lies
+        mat = np.eye(300)
+        mat[j, i] = 1.0
+        mat[i, j] = 1.0 + 1e-5 + 1.5e-10
+        assert not np.allclose(mat, mat.T, atol=1e-10)
+        with pytest.raises(ValueError, match="symmetric"):
+            spectral._check_symmetric(mat)
+
+    def test_asymmetry_outside_the_blocks_rejected(self):
+        lap = block_diagonal([16] * 8)
+        lap[0, -1] = 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            spectral.eigendecompose(lap)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            spectral.eigendecompose(np.zeros((2, 3)))
+
+
+class TestBlockSolve:
+    def test_switch_below_and_above(self):
+        small = block_diagonal([8] * 7)  # 56 nodes: whole-matrix solve
+        assert small.shape[0] < spectral.BLOCK_SOLVE_MIN
+        basis = spectral.eigendecompose(small)
+        ref = spectral._solve_whole(small.copy())
+        np.testing.assert_array_equal(basis.eigenvalues, ref.eigenvalues)
+        np.testing.assert_array_equal(basis.vectors, ref.vectors)
+        large = block_diagonal([8] * 8)
+        assert large.shape[0] >= spectral.BLOCK_SOLVE_MIN
+        basis = spectral.eigendecompose(large)
+        ref = spectral._solve_blocks(large, spectral.diagonal_blocks(large))
+        np.testing.assert_array_equal(basis.vectors, ref.vectors)
+
+    def test_contract_on_unequal_blocks(self):
+        lap = block_diagonal([20, 7, 20, 1, 30], seed=3)
+        basis = spectral.eigendecompose(lap)
+        lam, vec = basis.eigenvalues, basis.vectors
+        assert np.all(np.diff(lam) >= 0)
+        np.testing.assert_allclose(lam, np.linalg.eigvalsh(lap), atol=1e-12)
+        assert np.abs(vec.T @ vec - np.eye(78)).max() <= 1e-12
+        assert np.abs(vec @ np.diag(lam) @ vec.T - lap).max() <= 1e-12
+        for k in range(78):
+            col = vec[:, k]
+            assert col[np.abs(col) > 1e-12][0] > 0
+
+    @pytest.mark.parametrize("patch_size,family,seed", [
+        (16, "real", 0), (16, "temporal_jitter", 1),
+        (8, "upsample_artifact", 0), (8, "spectral_noise", 1)])
+    def test_matches_whole_solve_on_clip_laplacians(self, patch_size, family,
+                                                    seed):
+        lap = clip_laplacian(patch_size, family, seed)
+        m = lap.shape[0]
+        assert m >= spectral.BLOCK_SOLVE_MIN
+        # every frame boundary is a cut (a frame may split further)
+        bounds = spectral.diagonal_blocks(lap)
+        assert set(range(0, m + 1, m // 8)) <= set(bounds.tolist())
+        blocks = spectral.eigendecompose(lap)
+        whole = spectral._solve_whole(lap.copy())
+        assert np.abs(blocks.eigenvalues - whole.eigenvalues).max() <= 1e-12
+
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(size=(m, 4))
+        h = 4
+        shapes = {"w1": (1, h), "b1": (h,), "w2": (h, h), "b2": (h,),
+                  "w3": (h, 1), "b3": (1,)}
+        mlp_values = {k: rng.normal(size=s) for k, s in shapes.items()}
+        x_value = rng.normal(size=(m, 4))
+
+        def run(basis):
+            x = ad.parameter(x_value.copy())
+            mlp = {k: ad.parameter(v.copy()) for k, v in mlp_values.items()}
+            gains = ad.parameter(
+                spectral.FilterMlp(**mlp).gains(basis.eigenvalues).data)
+            out = spectral.apply_filter(x, basis, gains)
+            grads = ad.mean(ad.mul(out, ad.constant(weights))).backward()
+            through_mlp = spectral.apply_filter(
+                x_value, basis, spectral.FilterMlp(**mlp).gains(basis.eigenvalues))
+            mlp_grads = ad.mean(ad.mul(through_mlp, ad.constant(weights))).backward()
+            return (out.data, grads[x], grads[gains],
+                    {k: mlp_grads[t] for k, t in mlp.items()})
+
+        out_b, gx_b, gg_b, gm_b = run(blocks)
+        out_w, gx_w, gg_w, gm_w = run(whole)
+        assert np.abs(out_b - out_w).max() <= 1e-12
+        assert np.abs(gx_b - gx_w).max() <= 1e-12
+        for k in shapes:
+            assert np.abs(gm_b[k] - gm_w[k]).max() <= 1e-12, k
+        # a single gain's gradient depends on the basis chosen inside a
+        # repeated eigenvalue (each frame has its own zero mode), and the
+        # whole-matrix solve mixes nearly equal eigenvalues of different
+        # frames (an error of about 1e-16 over their gap); summed over
+        # each cluster of eigenvalues closer than 1e-6 it does not
+        cluster = np.concatenate(
+            ([0], np.cumsum(np.diff(whole.eigenvalues) > 1e-6)))
+        np.testing.assert_allclose(np.bincount(cluster, gg_b),
+                                   np.bincount(cluster, gg_w),
+                                   rtol=0, atol=1e-12)
 
 
 class TestFilterGains:
