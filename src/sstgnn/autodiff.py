@@ -2,11 +2,13 @@
 
 A deliberately small, closed op set: matmul, add (broadcasting), mul
 (broadcasting), scale, concat, basic slicing, reshape, leaky_relu,
-masked_softmax, mean, cross_entropy. Each op records a backward rule on a
-per-forward tape; `backward()` walks the tape once in reverse topological
-order. Gradients are accumulated in a tape-local dict so forward/backward
-passes over shared (read-only) parameters can run on parallel threads; the
-returned dict is what the optimizer consumes.
+masked_softmax, mean, cross_entropy, plus frame_attention, one fused op
+for graph attention over a clip's frame layout. Each op records a
+backward rule on a per-forward tape; `backward()` walks the tape once in
+reverse topological order. Gradients are accumulated in a tape-local
+dict so forward/backward passes over shared (read-only) parameters can
+run on parallel threads; the returned dict is what the optimizer
+consumes.
 
 Float64 throughout: the finite-difference checker needs the headroom.
 """
@@ -32,6 +34,7 @@ __all__ = [
     "reshape",
     "leaky_relu",
     "masked_softmax",
+    "frame_attention",
     "mean",
     "cross_entropy",
     "AdamState",
@@ -311,6 +314,74 @@ def masked_softmax(scores, support) -> Tensor:
         if scores.requires_grad:
             dot = (g * soft).sum(axis=-1, keepdims=True)
             _accum(acc, scores, soft * (g - dot))
+
+    out._backward = _backward
+    return out
+
+
+def frame_attention(h, attention, support, sign, slope=0.2) -> Tensor:
+    """Signed attention aggregation over a (T, N, N + 2) frame layout.
+
+    ``h`` is (M, d) with M = T * N, ``attention`` is (2d,). Row (t, i)
+    of ``support`` / ``sign`` covers frame t's nodes, then the twins
+    (t - 1, i) and (t + 1, i). Scores e = LeakyReLU(a_self . h_i +
+    a_peer . h_j), softmax over each row's support, times the sign;
+    the output row is the signed, attention-weighted sum of neighbour
+    rows of h. Every row must have support. One tape node with a
+    hand-written backward replaces the scores, softmax, sign and
+    aggregation ops a dense composition would record.
+    """
+    h, attention = as_tensor(h), as_tensor(attention)
+    frames, n, _ = support.shape
+    m, d = h.data.shape
+    if m != frames * n or attention.data.shape != (2 * d,):
+        raise ValueError(f"frame_attention: h {h.data.shape} and attention "
+                         f"{attention.data.shape} do not fit a "
+                         f"{support.shape} layout")
+    a_self, a_peer = attention.data[:d, None], attention.data[d:, None]
+    hf = h.data.reshape(frames, n, d)
+    s_self = (h.data @ a_self).reshape(frames, n, 1)
+    s_peer = (h.data @ a_peer).reshape(frames, n)
+    raw = np.zeros(support.shape)
+    raw[:, :, :n] = s_peer[:, None, :]
+    raw[1:, :, n] = s_peer[:-1]
+    raw[:-1, :, n + 1] = s_peer[1:]
+    raw += s_self
+    gate = np.where(raw > 0, 1.0, slope)
+    scores = np.where(support, raw * gate, -np.inf)
+    expd = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    alpha = expd / expd.sum(axis=-1, keepdims=True)
+    weights = alpha * sign
+    out = weights[:, :, :n] @ hf
+    out[1:] += weights[1:, :, n, None] * hf[:-1]
+    out[:-1] += weights[:-1, :, n + 1, None] * hf[1:]
+    out = Tensor(out.reshape(m, d),
+                 requires_grad=h.requires_grad or attention.requires_grad,
+                 parents=(h, attention))
+
+    def _backward(g, acc):
+        gf = g.reshape(frames, n, d)
+        dw = np.zeros(support.shape)
+        dw[:, :, :n] = gf @ hf.transpose(0, 2, 1)
+        dw[1:, :, n] = (gf[1:] * hf[:-1]).sum(axis=-1)
+        dw[:-1, :, n + 1] = (gf[:-1] * hf[1:]).sum(axis=-1)
+        dalpha = dw * sign
+        de = alpha * (dalpha - (dalpha * alpha).sum(axis=-1, keepdims=True))
+        de *= gate
+        ds_self = de.sum(axis=-1)
+        ds_peer = de[:, :, :n].sum(axis=1)
+        ds_peer[:-1] += de[1:, :, n]
+        ds_peer[1:] += de[:-1, :, n + 1]
+        ds_self, ds_peer = ds_self.reshape(m, 1), ds_peer.reshape(m, 1)
+        if h.requires_grad:
+            dh = weights[:, :, :n].transpose(0, 2, 1) @ gf
+            dh[:-1] += weights[1:, :, n, None] * gf[1:]
+            dh[1:] += weights[:-1, :, n + 1, None] * gf[:-1]
+            dh = dh.reshape(m, d) + ds_self @ a_self.T + ds_peer @ a_peer.T
+            _accum(acc, h, dh)
+        if attention.requires_grad:
+            _accum(acc, attention, np.concatenate(
+                [(h.data.T @ ds_self)[:, 0], (h.data.T @ ds_peer)[:, 0]]))
 
     out._backward = _backward
     return out

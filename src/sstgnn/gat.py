@@ -7,6 +7,10 @@ magnitude support and each message is multiplied by the edge sign. The
 consistency pass uses the positive spatial + temporal edges (+1 signs);
 the inconsistency pass uses the tile blocks and the -1 temporal entries.
 Self-loops (+1) are always added so no softmax row is empty.
+
+Adjacency is held in the clip's frame layout (see `graphs.frame_layout`):
+node (t, i) attends over frame t's nodes and its twins in frames t - 1
+and t + 1, never over a dense M x M mask.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .differential import NegativeSpatialAdjacency
-from .graphs import VideoGraph
+from .graphs import VideoGraph, dense_from_layout, frame_layout
 
 
 @dataclass
@@ -28,35 +32,61 @@ class GatParams:
 
 @dataclass(frozen=True)
 class SignedAdjacency:
-    """Boolean edge support plus a {-1, 0, +1} sign per supported edge."""
+    """Boolean edge support plus a {-1, 0, +1} sign per supported edge.
+
+    Both are (T, N, N + 2) frame layouts. A 2-D (M, M) pair is taken as
+    one frame with no twins.
+    """
 
     support: np.ndarray
     sign: np.ndarray
 
     def __post_init__(self):
-        if ((self.sign != 0) != self.support).any():
+        support = np.asarray(self.support, dtype=bool)
+        sign = np.asarray(self.sign, dtype=float)
+        if support.ndim == 2 and support.shape[0] == support.shape[1]:
+            support = np.pad(support, ((0, 0), (0, 2)))[None]
+            sign = np.pad(sign, ((0, 0), (0, 2)))[None]
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "sign", sign)
+        if (support.ndim != 3 or support.shape[2] != support.shape[1] + 2
+                or sign.shape != support.shape):
+            raise ValueError(f"support {support.shape} and sign {sign.shape} "
+                             f"must share one (T, N, N + 2) frame layout")
+        if ((sign != 0) != support).any():
             raise ValueError("sign must be nonzero exactly on the support")
+        n = support.shape[1]
+        if support[0, :, n].any() or support[-1, :, n + 1].any():
+            raise ValueError("twin entry beyond the first or last frame")
+
+    def dense(self):
+        """The (M, M) support and sign this layout stands for."""
+        return dense_from_layout(self.support), dense_from_layout(self.sign)
 
     def with_self_loops(self):
+        diag = np.arange(self.support.shape[1])
+        missing = ~self.support[:, diag, diag]
+        if not missing.any():
+            return self
         support = self.support.copy()
         sign = self.sign.copy()
-        diag = np.arange(support.shape[0])
-        missing = ~support[diag, diag]
-        support[diag[missing], diag[missing]] = True
-        sign[diag[missing], diag[missing]] = 1.0
+        support[:, diag, diag] = True
+        sign[:, diag, diag] = np.where(missing, 1.0, sign[:, diag, diag])
         return SignedAdjacency(support, sign)
 
 
 def consistency_adjacency(graph: VideoGraph) -> SignedAdjacency:
-    support = (graph.spatial > 0) | (graph.temporal > 0)
+    support = ((frame_layout(graph.spatial, graph.frames) > 0)
+               | (frame_layout(graph.temporal, graph.frames) > 0))
     return SignedAdjacency(support, support.astype(float)).with_self_loops()
 
 
 def inconsistency_adjacency(graph: VideoGraph,
                             neg: NegativeSpatialAdjacency | None) -> SignedAdjacency:
-    combined = np.where(graph.temporal < 0, graph.temporal, 0.0)
+    temporal = frame_layout(graph.temporal, graph.frames)
+    combined = np.where(temporal < 0, temporal, 0.0)
     if neg is not None:
-        combined = combined + neg.matrix
+        combined = combined + frame_layout(neg.matrix, graph.frames)
     return SignedAdjacency(combined != 0, np.sign(combined)).with_self_loops()
 
 
@@ -74,14 +104,8 @@ def gat_forward(x, adj: SignedAdjacency, params: GatParams, slope=0.2):
     if x.data.shape[1] != d:
         raise ValueError(f"feature dim {x.data.shape[1]} != layer dim {d}")
     h = ad.matmul(x, params.weight)
-    a_self = ad.reshape(params.attention[:d], (d, 1))
-    a_peer = ad.reshape(params.attention[d:], (d, 1))
-    scores = ad.add(ad.matmul(h, a_self),
-                    ad.reshape(ad.matmul(h, a_peer), (1, -1)))
-    scores = ad.leaky_relu(scores, slope)
-    alpha = ad.masked_softmax(scores, adj.support)
-    signed = ad.mul(alpha, ad.constant(adj.sign))
-    return ad.leaky_relu(ad.matmul(signed, h), slope)
+    return ad.leaky_relu(ad.frame_attention(h, params.attention, adj.support,
+                                            adj.sign, slope), slope)
 
 
 def spatial_fuse(h_c, h_ic, weight, bias):

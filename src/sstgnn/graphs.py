@@ -182,21 +182,76 @@ def unified_graph(embeddings, grid_h, grid_w, tau_s, tau_t, eps=EPS_NORM) -> Vid
     return assemble(adjs, bridges, emb, grid_h, grid_w)
 
 
+def frame_layout(matrix, frames):
+    """Read an (M, M) clip matrix into the (T, N, N + 2) frame layout.
+
+    Row (t, i) holds frame t's own block in its first N columns, then
+    the entry to its twin in frame t - 1 and the entry to its twin in
+    frame t + 1 (zero where the frame does not exist). Every edge of the
+    clip graph fits: spatial edges stay inside a frame and temporal ones
+    join node v of frame t to node v of frame t +- 1. Any other nonzero
+    entry raises ValueError, so no edge is dropped silently.
+    """
+    matrix = np.asarray(matrix)
+    m = matrix.shape[0]
+    if matrix.shape != (m, m) or frames < 1 or m % frames:
+        raise ValueError(f"cannot split a {matrix.shape} matrix into "
+                         f"{frames} frames")
+    n = m // frames
+    t = np.arange(frames)
+    layout = np.zeros((frames, n, n + 2), dtype=matrix.dtype)
+    layout[:, :, :n] = matrix.reshape(frames, n, frames, n)[t, :, t, :]
+    layout[1:, :, n] = matrix.diagonal(-n).reshape(frames - 1, n)
+    layout[:-1, :, n + 1] = matrix.diagonal(n).reshape(frames - 1, n)
+    if np.count_nonzero(layout != 0) != np.count_nonzero(matrix != 0):
+        rest = matrix != 0
+        rest[dense_from_layout(layout) != 0] = False
+        u, v = np.argwhere(rest)[0]
+        raise ValueError(f"entry ({u}, {v}) joins frames {u // n} and "
+                         f"{v // n} off the twin diagonal; the frame "
+                         f"layout cannot hold it")
+    return layout
+
+
+def dense_from_layout(layout):
+    """The (M, M) matrix a (T, N, N + 2) frame layout stands for."""
+    frames, n, _ = layout.shape
+    m = frames * n
+    dense = np.zeros((m, m), dtype=layout.dtype)
+    t = np.arange(frames)
+    dense.reshape(frames, n, frames, n)[t, :, t, :] = layout[:, :, :n]
+    rows = np.arange(n, m)
+    dense[rows, rows - n] = layout[1:, :, n].reshape(-1)
+    dense[rows - n, rows] = layout[:-1, :, n + 1].reshape(-1)
+    return dense
+
+
+_EDGE_KINDS = ("spatial", "temporal", "neg_temporal", "neg_spatial")
+
+
 def dump_edges(path, graph: VideoGraph, negative_spatial=None):
-    """Write the edge list as `u v w kind` lines for inspection."""
+    """Write the edge list as `u v w kind` lines for inspection.
+
+    One line per nonzero entry with u <= v (u < v for neg_spatial), in
+    (u, v) order and, within a pair, in the order of ``_EDGE_KINDS``.
+    """
+    entries = [(graph.spatial, graph.spatial != 0, 0),
+               (graph.temporal, graph.temporal > 0, 0),
+               (graph.temporal, graph.temporal < 0, 0)]
+    if negative_spatial is not None:
+        entries.append((negative_spatial, negative_spatial != 0, 1))
+    us, vs, kinds, weights = [], [], [], []
+    for kind, (source, mask, offset) in enumerate(entries):
+        u, v = np.nonzero(mask)
+        keep = v - u >= offset
+        u, v = u[keep], v[keep]
+        us.append(u)
+        vs.append(v)
+        kinds.append(np.full(u.size, kind))
+        weights.append(source[u, v])
+    u, v, kind, w = (np.concatenate(a) for a in (us, vs, kinds, weights))
+    order = np.lexsort((kind, v, u))
     with open(path, "w") as fh:
-        m = graph.node_count
-        for u in range(m):
-            for v in range(u, m):
-                w = graph.spatial[u, v]
-                if w != 0:
-                    fh.write(f"{u} {v} {w:.6g} spatial\n")
-                tw = graph.temporal[u, v]
-                if tw > 0:
-                    fh.write(f"{u} {v} {tw:.6g} temporal\n")
-                elif tw < 0:
-                    fh.write(f"{u} {v} {tw:.6g} neg_temporal\n")
-                if negative_spatial is not None and u != v:
-                    nw = negative_spatial[u, v]
-                    if nw != 0:
-                        fh.write(f"{u} {v} {nw:.6g} neg_spatial\n")
+        fh.writelines(f"{a} {b} {c:.6g} {_EDGE_KINDS[k]}\n" for a, b, c, k in zip(
+            u[order].tolist(), v[order].tolist(), w[order].tolist(),
+            kind[order].tolist()))

@@ -26,6 +26,11 @@ def read_pgm(path) -> np.ndarray:
     if len(tokens) < 4 or tokens[0] not in (b"P5", b"P2"):
         raise ValueError(f"{path}: not an 8-bit PGM")
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: width and height must be >= 1, "
+                         f"got {width}x{height}")
+    if maxval < 1:
+        raise ValueError(f"{path}: maxval must be >= 1, got {maxval}")
     if maxval > 255:
         raise ValueError(f"{path}: only 8-bit PGM supported")
     if tokens[0] == b"P5":

@@ -270,12 +270,24 @@ def write_corpus(out_dir, families, seeds, **spec_kw):
     return manifest
 
 
+MANIFEST_COLUMNS = ("path", "label", "family")
+
+
 def load_manifest(manifest_path):
     """Load a corpus manifest into LabeledClips (paths relative to it)."""
     base = Path(manifest_path).parent
     clips = []
     with open(manifest_path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{manifest_path}: manifest lacks column(s) "
+                             f"{', '.join(missing)}")
+        for row in reader:
+            short = [c for c in MANIFEST_COLUMNS if row[c] is None]
+            if short:
+                raise ValueError(f"{manifest_path}:{reader.line_num}: row "
+                                 f"lacks {', '.join(short)}")
             clip = load_clip(base / row["path"])
             clips.append(LabeledClip(clip, int(row["label"]), row["family"]))
     return clips

@@ -174,6 +174,56 @@ def test_filter_image_all_pass_roundtrip(tmp_path):
     assert len(gains) == 101
 
 
+@pytest.mark.parametrize("header, message", [
+    (b"P5\n2 2\n0\n", "maxval must be >= 1"),
+    (b"P5\n0 2\n255\n", "width and height must be >= 1"),
+    (b"P5\n2 0\n255\n", "width and height must be >= 1"),
+], ids=["maxval_0", "width_0", "height_0"])
+def test_filter_image_bad_pgm_header_is_usage_error(tmp_path, capsys, header,
+                                                    message):
+    src = tmp_path / "in.pgm"
+    src.write_bytes(header + bytes(4))
+    code = main(["filter-image", "--in", str(src), "--preset", "all_pass",
+                 "--out", str(tmp_path / "out.pgm")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and str(src) in err
+    assert not (tmp_path / "out.pgm").exists()
+
+
+@pytest.mark.parametrize("dropped", ["path", "label", "family"])
+def test_train_manifest_missing_column_is_usage_error(tmp_path, capsys,
+                                                      dropped):
+    corpus = tmp_path / "corpus"
+    main(["synth", "--out", str(corpus), "--families", "real,spectral_noise",
+          "--count", "1", "--seed", "0", "--frames", "2", "--height", "8",
+          "--width", "8"])
+    manifest = corpus / "manifest.csv"
+    rows = [line.split(",") for line in manifest.read_text().splitlines()]
+    keep = [k for k, name in enumerate(rows[0]) if name != dropped]
+    manifest.write_text("".join(",".join(row[k] for k in keep) + "\n"
+                                for row in rows))
+    code = main(["train", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "train"), "--patch-size", "4",
+                 "--epochs", "1", "--threads", "1"])
+    assert code == 2
+    assert f"lacks column(s) {dropped}" in capsys.readouterr().err
+
+
+def test_train_manifest_short_row_is_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    main(["synth", "--out", str(corpus), "--families", "real",
+          "--count", "1", "--seed", "0", "--frames", "2", "--height", "8",
+          "--width", "8"])
+    manifest = corpus / "manifest.csv"
+    manifest.write_text("path,label,family,seed\nreal_0.vgf\n")
+    code = main(["train", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "train"), "--patch-size", "4",
+                 "--epochs", "1", "--threads", "1"])
+    assert code == 2
+    assert "manifest.csv:2: row lacks label, family" in capsys.readouterr().err
+
+
 def test_gradcheck_toy(capsys):
     assert main(["gradcheck", "--scale", "toy"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -5,7 +5,7 @@ import pytest
 
 from sstgnn import autodiff as ad
 from sstgnn import differential as diff
-from sstgnn import gat, graphs
+from sstgnn import gat, graphs, model, synth
 
 
 def lrelu(v, slope=0.2):
@@ -58,7 +58,8 @@ class TestGatForward:
         s_self = ad.matmul(h, ad.reshape(params.attention[:d], (d, 1)))
         s_peer = ad.matmul(h, ad.reshape(params.attention[d:], (d, 1)))
         scores = ad.leaky_relu(ad.add(s_self, ad.reshape(s_peer, (1, -1))), 0.2)
-        alpha = ad.masked_softmax(scores, adj.support)
+        support, _ = adj.dense()
+        alpha = ad.masked_softmax(scores, support)
         np.testing.assert_allclose(alpha.data, np.full((2, 2), 0.5), atol=1e-12)
 
     def test_line_graph_matches_brute_force(self):
@@ -104,9 +105,10 @@ class TestGatForward:
         s_self = ad.matmul(h, ad.reshape(params.attention[:5], (5, 1)))
         s_peer = ad.matmul(h, ad.reshape(params.attention[5:], (5, 1)))
         scores = ad.leaky_relu(ad.add(s_self, ad.reshape(s_peer, (1, -1))), 0.2)
-        alpha = ad.masked_softmax(scores, adj.support).data
+        support, _ = adj.dense()
+        alpha = ad.masked_softmax(scores, support).data
         np.testing.assert_allclose(alpha.sum(axis=1), np.ones(6), atol=1e-12)
-        assert np.all(alpha[~adj.support] == 0.0)
+        assert np.all(alpha[~support] == 0.0)
 
     def test_permutation_equivariance(self):
         params = make_params(4, seed=13)
@@ -213,7 +215,8 @@ class TestPasses:
         x = np.random.default_rng(27).normal(size=(8, 4))
         adj = gat.inconsistency_adjacency(g, neg)
         out = gat.gat_forward(ad.constant(x), adj, params)
-        expected = brute_force(x, adj.support, adj.sign, params.weight.data,
+        support, sign = adj.dense()
+        expected = brute_force(x, support, sign, params.weight.data,
                                params.attention.data)
         np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
 
@@ -242,3 +245,176 @@ class TestFusion:
                                ad.constant(w), ad.constant(b))
         expected = (np.hstack([hc, hic]) @ w + b).mean(axis=0)
         np.testing.assert_allclose(out.data[0], expected, rtol=1e-12)
+
+
+def dense_gat(x, support, sign, params, slope=0.2):
+    """The dense M x M composition the fused op replaced: scores over all
+    node pairs, masked softmax, signs, one (M, M) @ (M, d) product."""
+    d = params.weight.data.shape[0]
+    h = ad.matmul(x, params.weight)
+    a_self = ad.reshape(params.attention[:d], (d, 1))
+    a_peer = ad.reshape(params.attention[d:], (d, 1))
+    scores = ad.add(ad.matmul(h, a_self),
+                    ad.reshape(ad.matmul(h, a_peer), (1, -1)))
+    scores = ad.leaky_relu(scores, slope)
+    alpha = ad.masked_softmax(scores, support)
+    signed = ad.mul(alpha, ad.constant(sign))
+    return ad.leaky_relu(ad.matmul(signed, h), slope)
+
+
+def old_dense_adjacency(graph, neg):
+    """(M, M) consistency and inconsistency support/sign, built the way
+    they were before the frame layout."""
+    def loops(support, sign):
+        support, sign = support.copy(), sign.copy()
+        diag = np.arange(support.shape[0])
+        missing = ~support[diag, diag]
+        support[diag[missing], diag[missing]] = True
+        sign[diag[missing], diag[missing]] = 1.0
+        return support, sign
+
+    support = (graph.spatial > 0) | (graph.temporal > 0)
+    consistency = loops(support, support.astype(float))
+    combined = np.where(graph.temporal < 0, graph.temporal, 0.0)
+    if neg is not None:
+        combined = combined + neg.matrix
+    return consistency, loops(combined != 0, np.sign(combined))
+
+
+def clip_structure(patch, use_differential, seed=0, family="real"):
+    cfg = model.preset_config("desk", patch_size=patch,
+                              use_differential=use_differential)
+    params = model.init_params(cfg, random_head=True)
+    clip = synth.generate(synth.SynthSpec(family=family, seed=seed)).clip
+    return model.build_structure(clip, params, cfg), params, cfg
+
+
+def bridged_layout(seed=31):
+    """T=3 layout with positive bridges, then some twins and some
+    in-frame edges flipped to -1: every kind of cell carries a sign."""
+    g = graphs.unified_graph(
+        np.random.default_rng(seed).random((3, 4, 4)), 2, 2, 0.3, 0.1)
+    adj = gat.consistency_adjacency(g)
+    n = adj.support.shape[1]
+    assert adj.support[1:, :, n].any() and adj.support[:-1, :, n + 1].any()
+    sign = adj.sign.copy()
+    flip = np.random.default_rng(seed + 1).random(sign.shape) < 0.4
+    sign[flip & adj.support] *= -1.0
+    twins = sign[:, :, n:][adj.support[:, :, n:]]
+    assert (twins > 0).any() and (twins < 0).any()
+    return gat.SignedAdjacency(adj.support, sign)
+
+
+class TestFrameLayoutAttention:
+    def test_gradients_match_finite_differences(self):
+        adj = bridged_layout()
+        params = make_params(4, seed=33)
+        x = ad.parameter(np.random.default_rng(34).normal(size=(12, 4)) * 2.0)
+
+        def f():
+            return ad.mean(gat.gat_forward(x, adj, params))
+
+        grads = f().backward(write_grad=False)
+        assert min(np.abs(grads[t]).min()
+                   for t in (x, params.weight, params.attention)) > 1e-6
+        err = ad.finite_diff_check(
+            f, {"x": x, "w": params.weight, "a": params.attention})
+        assert err < 1e-4
+
+    def test_bridged_layout_matches_brute_force(self):
+        adj = bridged_layout()
+        params = make_params(4, seed=35)
+        x = np.random.default_rng(36).normal(size=(12, 4))
+        out = gat.gat_forward(ad.constant(x), adj, params)
+        support, sign = adj.dense()
+        expected = brute_force(x, support, sign, params.weight.data,
+                               params.attention.data)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("patch", [16, 8])
+    @pytest.mark.parametrize("use_differential", [True, False])
+    def test_agrees_with_dense_composition(self, patch, use_differential):
+        structure, params, cfg = clip_structure(patch, use_differential)
+        x = ad.parameter(model.encode_patches(structure.patches, params,
+                                              cfg).data)
+        m, d = x.data.shape
+        assert m == 8 * (64 // patch) ** 2
+        probe = ad.constant(np.random.default_rng(patch).normal(size=(m, d)))
+        for adj in (structure.consistency, structure.inconsistency):
+            runs = []
+            for run in (lambda: gat.gat_forward(x, adj, params.gat),
+                        lambda: dense_gat(x, *adj.dense(), params.gat)):
+                out = run()
+                # a summed probe keeps the gradients O(1) or larger, so
+                # the absolute bound below is a tight one
+                loss = ad.scale(ad.mean(ad.mul(out, probe)), m * d)
+                grads = loss.backward(write_grad=False)
+                runs.append([out.data] + [grads[t] for t in (
+                    x, params["gat.weight"], params["gat.attention"])])
+            for fused, dense in zip(*runs):
+                np.testing.assert_allclose(fused, dense, rtol=0, atol=1e-12)
+
+    def test_one_tape_node_for_attention(self):
+        adj = bridged_layout()
+        params = make_params(4, seed=37)
+        out = gat.gat_forward(ad.parameter(np.ones((12, 4))), adj, params)
+        nodes = ad._toposort(ad.mean(out))
+        # mean, leaky_relu, frame_attention, matmul and the three leaves
+        assert len(nodes) == 7
+
+
+class TestSignedAdjacencyLayout:
+    @pytest.mark.parametrize("use_differential", [True, False])
+    def test_dense_gives_back_the_old_matrices(self, use_differential):
+        structure, _, _ = clip_structure(16, use_differential, family="temporal_jitter")
+        old = old_dense_adjacency(structure.graph, structure.negative)
+        for adj, (support, sign) in zip(
+                (structure.consistency, structure.inconsistency), old):
+            dense_support, dense_sign = adj.dense()
+            assert dense_support.dtype == support.dtype
+            assert dense_support.tobytes() == support.tobytes()
+            assert dense_sign.tobytes() == sign.tobytes()
+
+    def test_two_dimensional_pair_is_one_frame(self):
+        support = np.array([[1, 1], [0, 1]], dtype=bool)
+        adj = adjacency(support)
+        assert adj.support.shape == (1, 2, 4)
+        dense_support, dense_sign = adj.dense()
+        np.testing.assert_array_equal(dense_support, support)
+        np.testing.assert_array_equal(dense_sign, support.astype(float))
+
+    def test_with_self_loops_returns_self_when_none_missing(self):
+        adj = adjacency(np.eye(3, dtype=bool))
+        assert adj.with_self_loops() is adj
+        partial = adjacency(np.diag([True, False, True]))
+        looped = partial.with_self_loops()
+        assert looped is not partial
+        np.testing.assert_array_equal(looped.dense()[0], np.eye(3, dtype=bool))
+
+    def test_twin_beyond_the_clip_rejected(self):
+        support = np.zeros((2, 2, 4), dtype=bool)
+        support[0, 0, 2] = True   # frame 0 has no previous frame
+        with pytest.raises(ValueError, match="twin"):
+            gat.SignedAdjacency(support, support.astype(float))
+
+    def test_layout_shape_checked(self):
+        with pytest.raises(ValueError, match="frame layout"):
+            gat.SignedAdjacency(np.ones((2, 2, 2), dtype=bool), np.ones((2, 2, 2)))
+
+    def test_cross_frame_spatial_entry_raises(self):
+        g = clip_graph(t=2, grid=2)
+        spatial = g.spatial.copy()
+        spatial[0, 5] = spatial[5, 0] = 0.9   # frame 0 node 0 to frame 1 node 1
+        g = type(g)(g.frames, g.grid_h, g.grid_w, spatial, g.temporal, g.features)
+        with pytest.raises(ValueError, match="off the twin diagonal"):
+            gat.consistency_adjacency(g)
+
+    def test_off_twin_temporal_entry_raises(self):
+        g = diff.add_temporal_negative(clip_graph(t=3, grid=2))
+        temporal = g.temporal.copy()
+        temporal[0, 8] = temporal[8, 0] = -1.0   # frame 0 to frame 2
+        g = g.with_temporal(temporal)
+        for build in (gat.consistency_adjacency,
+                      lambda g: gat.inconsistency_adjacency(g, None)):
+            with pytest.raises(ValueError, match="off the twin diagonal"):
+                build(g)

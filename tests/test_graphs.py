@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sstgnn import graphs
+from sstgnn import differential, graphs
 from sstgnn.synth import SynthSpec, generate
 
 
@@ -199,3 +199,117 @@ class TestAssemble:
         kinds = {line.split()[-1] for line in lines}
         assert kinds <= {"spatial", "temporal", "neg_spatial", "neg_temporal"}
         assert "spatial" in kinds
+
+
+def reference_dump_edges(path, graph, negative_spatial=None):
+    """The pair-by-pair loop `dump_edges` replaced, kept as its oracle."""
+    with open(path, "w") as fh:
+        m = graph.node_count
+        for u in range(m):
+            for v in range(u, m):
+                w = graph.spatial[u, v]
+                if w != 0:
+                    fh.write(f"{u} {v} {w:.6g} spatial\n")
+                tw = graph.temporal[u, v]
+                if tw > 0:
+                    fh.write(f"{u} {v} {tw:.6g} temporal\n")
+                elif tw < 0:
+                    fh.write(f"{u} {v} {tw:.6g} neg_temporal\n")
+                if negative_spatial is not None and u != v:
+                    nw = negative_spatial[u, v]
+                    if nw != 0:
+                        fh.write(f"{u} {v} {nw:.6g} neg_spatial\n")
+
+
+def clip_graph(seed, t=3, size=16, patch=2, tau=0.3):
+    clip = generate(SynthSpec("real", seed=seed, frames=t, height=size,
+                              width=size)).clip
+    pt = graphs.patchify(clip.pixels, patch)
+    return graphs.unified_graph(pt.vectors, pt.grid_h, pt.grid_w, tau, tau)
+
+
+class TestDumpEdges:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_bytes_as_loop_without_differential(self, tmp_path, seed):
+        g = clip_graph(seed)
+        assert (g.temporal > 0).any()
+        graphs.dump_edges(tmp_path / "new.txt", g)
+        reference_dump_edges(tmp_path / "ref.txt", g)
+        assert (tmp_path / "new.txt").read_bytes() == \
+            (tmp_path / "ref.txt").read_bytes()
+
+    @pytest.mark.parametrize("tile", [1, 2, 3])
+    def test_same_bytes_as_loop_with_differential(self, tmp_path, tile):
+        g = differential.add_temporal_negative(clip_graph(2))
+        neg = differential.build_spatial_negative(g, tile).matrix
+        graphs.dump_edges(tmp_path / "new.txt", g, neg)
+        reference_dump_edges(tmp_path / "ref.txt", g, neg)
+        new = (tmp_path / "new.txt").read_bytes()
+        assert new == (tmp_path / "ref.txt").read_bytes()
+        kinds = {line.split()[-1] for line in new.decode().splitlines()}
+        # a tile of one node has no off-diagonal entry
+        assert kinds == {"spatial", "neg_temporal"} | (
+            {"neg_spatial"} if tile > 1 else set())
+
+    def test_empty_graph_writes_nothing(self, tmp_path):
+        g = graphs.VideoGraph(2, 2, 2, np.zeros((8, 8)), np.zeros((8, 8)),
+                              np.zeros((8, 3)))
+        graphs.dump_edges(tmp_path / "e.txt", g)
+        assert (tmp_path / "e.txt").read_bytes() == b""
+
+
+class TestFrameLayout:
+    def test_cells_hold_block_and_twins(self):
+        t, n = 3, 2
+        m = t * n
+        dense = np.arange(1.0, m * m + 1).reshape(m, m)
+        keep = np.zeros((m, m), dtype=bool)
+        for f in range(t):
+            keep[f * n:(f + 1) * n, f * n:(f + 1) * n] = True
+        rows = np.arange(n, m)
+        keep[rows, rows - n] = keep[rows - n, rows] = True
+        dense[~keep] = 0.0
+        layout = graphs.frame_layout(dense, t)
+        assert layout.shape == (t, n, n + 2)
+        for f in range(t):
+            for i in range(n):
+                u = f * n + i
+                np.testing.assert_array_equal(layout[f, i, :n],
+                                              dense[u, f * n:(f + 1) * n])
+                assert layout[f, i, n] == (dense[u, u - n] if f else 0.0)
+                assert layout[f, i, n + 1] == (dense[u, u + n] if f < t - 1
+                                               else 0.0)
+        np.testing.assert_array_equal(graphs.dense_from_layout(layout), dense)
+
+    @pytest.mark.parametrize("differential_on", [False, True])
+    def test_clip_matrices_round_trip(self, differential_on):
+        g = clip_graph(3)
+        mats = [g.spatial, g.temporal]
+        if differential_on:
+            g = differential.add_temporal_negative(g)
+            mats = [g.temporal,
+                    differential.build_spatial_negative(g, 2).matrix]
+        for mat in mats:
+            back = graphs.dense_from_layout(graphs.frame_layout(mat, g.frames))
+            assert back.tobytes() == mat.tobytes()
+
+    def test_one_frame_is_the_matrix_plus_empty_twins(self):
+        a = np.random.default_rng(0).random((5, 5))
+        layout = graphs.frame_layout(a, 1)
+        np.testing.assert_array_equal(layout[0, :, :5], a)
+        assert not layout[0, :, 5:].any()
+
+    @pytest.mark.parametrize("u, v", [(0, 3), (3, 0), (1, 2), (0, 4), (5, 0)])
+    def test_entry_off_the_layout_raises(self, u, v):
+        # three frames of two nodes: (0, 3) and (1, 2) join frames 0 and 1
+        # off the twins, (0, 4) and (5, 0) skip a frame
+        a = np.zeros((6, 6))
+        a[u, v] = 0.5
+        with pytest.raises(ValueError, match=rf"entry \({u}, {v}\)"):
+            graphs.frame_layout(a, 3)
+
+    def test_frames_must_divide_nodes(self):
+        with pytest.raises(ValueError, match="frames"):
+            graphs.frame_layout(np.zeros((6, 6)), 4)
+        with pytest.raises(ValueError, match="frames"):
+            graphs.frame_layout(np.zeros((6, 4)), 2)

@@ -116,8 +116,8 @@ class TestForward:
         params = model.init_params(cfg)
         structure = model.build_structure(clip, params, cfg)
         assert structure.negative is None
-        np.testing.assert_array_equal(structure.inconsistency.support,
-                                      np.eye(8, dtype=bool))
+        support, _ = structure.inconsistency.dense()
+        np.testing.assert_array_equal(support, np.eye(8, dtype=bool))
         assert not (structure.graph.temporal < 0).any()
 
     def test_temporal_mlp_toggle(self):
