@@ -139,6 +139,12 @@ def cmd_train(args):
 
 def cmd_eval(args):
     params, config = model.load_checkpoint(args.checkpoint)
+    if (args.channels != config.channels
+            or min(args.height, args.width) < config.patch_size):
+        raise ValueError(
+            f"clips of {args.channels} channel(s) and {args.height}x"
+            f"{args.width} pixels do not fit the checkpoint, which takes "
+            f"{config.channels} channel(s) and patch size {config.patch_size}")
     threads = resolve_threads(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -209,9 +215,9 @@ def cmd_gradcheck(args):
         err = ad.finite_diff_check(loss, {name: tensor})
         worst = max(worst, err)
         print(f"{name:24s} max rel err {err:.3e}")
-    status = "PASS" if worst <= 1e-4 else "FAIL"
+    status = "PASS" if worst <= ad.FD_TOLERANCE else "FAIL"
     print(f"overall max rel err {worst:.3e}: {status}")
-    return 0 if worst <= 1e-4 else 1
+    return 0 if worst <= ad.FD_TOLERANCE else 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,20 +17,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .graphs import VideoGraph
+from .graphs import VideoGraph, dense_from_layout, to_layout
 
 
 @dataclass(frozen=True)
 class NegativeSpatialAdjacency:
-    """Per-tile +-1 blocks over all frames; zero outside complete tiles."""
+    """Per-tile +-1 blocks, the same in every frame; zero outside
+    complete tiles. ``matrix`` is the (M, M) form, built on demand."""
 
     tile: int
-    matrix: np.ndarray    # (M, M) entries in {-1, 0, 1}
-    anchors: np.ndarray   # flat node indices of tile anchors
+    block: np.ndarray     # (N, N) entries in {-1, 0, 1}
+    anchors: np.ndarray   # flat node indices of tile anchors, all frames
+    frames: int = 1
+
+    @property
+    def matrix(self):
+        n = self.block.shape[0]
+        return dense_from_layout(to_layout(
+            self.block, np.zeros((self.frames - 1, n))))
 
     @property
     def anchor_mask(self):
-        mask = np.zeros(self.matrix.shape[0], dtype=bool)
+        mask = np.zeros(self.frames * self.block.shape[0], dtype=bool)
         mask[self.anchors] = True
         return mask
 
@@ -82,9 +90,11 @@ def negative_spatial_matrix(frames, grid_h, grid_w, tile):
 def build_spatial_negative(graph: VideoGraph, tile) -> NegativeSpatialAdjacency:
     if tile < 1:
         raise ValueError("tile size must be >= 1")
-    mat, anchors = negative_spatial_matrix(
-        graph.frames, graph.grid_h, graph.grid_w, tile)
-    return NegativeSpatialAdjacency(tile, mat, anchors)
+    block, anchors = negative_spatial_matrix(1, graph.grid_h, graph.grid_w,
+                                             tile)
+    n = graph.patches_per_frame
+    anchors = (np.arange(graph.frames)[:, None] * n + anchors).reshape(-1)
+    return NegativeSpatialAdjacency(tile, block, anchors, graph.frames)
 
 
 def sgc_aggregate(x, neg: NegativeSpatialAdjacency) -> np.ndarray:
@@ -136,14 +146,9 @@ def temporal_concat(x, graph: VideoGraph, weight, bias):
 
 
 def add_temporal_negative(graph: VideoGraph) -> VideoGraph:
-    """Set the inter-frame slot of every coordinate pair to -1.
+    """Set the twin edge of every coordinate pair to -1.
 
     Overwrites coincident positive bridge edges; spatial entries are
     untouched. Returns a new graph.
     """
-    temporal = graph.temporal.copy()
-    n = graph.patches_per_frame
-    u1 = np.arange((graph.frames - 1) * n)
-    temporal[u1, u1 + n] = -1.0
-    temporal[u1 + n, u1] = -1.0
-    return graph.with_temporal(temporal)
+    return graph.with_twins(np.full(graph.twins.shape, -1.0))

@@ -8,9 +8,10 @@ consistency pass uses the positive spatial + temporal edges (+1 signs);
 the inconsistency pass uses the tile blocks and the -1 temporal entries.
 Self-loops (+1) are always added so no softmax row is empty.
 
-Adjacency is held in the clip's frame layout (see `graphs.frame_layout`):
-node (t, i) attends over frame t's nodes and its twins in frames t - 1
-and t + 1, never over a dense M x M mask.
+Adjacency is held in the clip's frame layout (see `graphs.to_layout`),
+built straight from the graph's frame blocks and twin edges: node (t, i)
+attends over frame t's nodes and its twins in frames t - 1 and t + 1,
+never over a dense M x M mask.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .differential import NegativeSpatialAdjacency
-from .graphs import VideoGraph, dense_from_layout, frame_layout
+from .graphs import VideoGraph, dense_from_layout, frame_layout, to_layout
 
 
 @dataclass
@@ -45,8 +46,7 @@ class SignedAdjacency:
         support = np.asarray(self.support, dtype=bool)
         sign = np.asarray(self.sign, dtype=float)
         if support.ndim == 2 and support.shape[0] == support.shape[1]:
-            support = np.pad(support, ((0, 0), (0, 2)))[None]
-            sign = np.pad(sign, ((0, 0), (0, 2)))[None]
+            support, sign = frame_layout(support, 1), frame_layout(sign, 1)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "sign", sign)
         if (support.ndim != 3 or support.shape[2] != support.shape[1] + 2
@@ -76,18 +76,15 @@ class SignedAdjacency:
 
 
 def consistency_adjacency(graph: VideoGraph) -> SignedAdjacency:
-    support = ((frame_layout(graph.spatial, graph.frames) > 0)
-               | (frame_layout(graph.temporal, graph.frames) > 0))
+    support = to_layout(graph.blocks > 0, graph.twins > 0)
     return SignedAdjacency(support, support.astype(float)).with_self_loops()
 
 
 def inconsistency_adjacency(graph: VideoGraph,
                             neg: NegativeSpatialAdjacency | None) -> SignedAdjacency:
-    temporal = frame_layout(graph.temporal, graph.frames)
-    combined = np.where(temporal < 0, temporal, 0.0)
-    if neg is not None:
-        combined = combined + frame_layout(neg.matrix, graph.frames)
-    return SignedAdjacency(combined != 0, np.sign(combined)).with_self_loops()
+    block = np.zeros(graph.blocks.shape[1:]) if neg is None else neg.block
+    sign = to_layout(np.sign(block), np.minimum(np.sign(graph.twins), 0.0))
+    return SignedAdjacency(sign != 0, sign).with_self_loops()
 
 
 def gat_forward(x, adj: SignedAdjacency, params: GatParams, slope=0.2):

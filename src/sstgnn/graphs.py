@@ -5,8 +5,9 @@ patch is one node. Intra-frame edges carry the cosine similarity of
 (epsilon-normalized) node embeddings, pruned below tau_s. Consecutive
 frames are bridged at matching coordinates when the sum of structural
 (adjacency-row) and feature similarity clears tau_t. The assembled
-VideoGraph is immutable; the differential module later layers negative
-edges on top of it.
+VideoGraph is immutable and keeps the frame layout: per-frame blocks and
+one twin edge per node and frame pair; the differential module later
+writes its negative edges into the same layout.
 """
 
 from __future__ import annotations
@@ -39,19 +40,29 @@ class PatchTensor:
 
 @dataclass(frozen=True)
 class VideoGraph:
-    """Spatial block-diagonal adjacency + temporal bridge matrix + features.
+    """The clip graph in its frame layout, plus the node features.
 
-    ``temporal`` holds positive bridge similarities; after the temporal
-    differential is applied it also carries the -1 inter-frame entries
-    (negatives overwrite coincident positives).
+    ``blocks`` holds each frame's intra-frame adjacency. ``twins[t, v]``
+    is the temporal edge between node v of frame t and node v of frame
+    t + 1: a positive bridge similarity, or -1 once the temporal
+    differential is applied (negatives overwrite coincident positives),
+    or 0. No edge of the clip graph lies elsewhere; the (M, M)
+    ``spatial`` and ``temporal`` matrices are built on demand.
     """
 
     frames: int
     grid_h: int
     grid_w: int
-    spatial: np.ndarray    # (M, M)
-    temporal: np.ndarray   # (M, M)
+    blocks: np.ndarray     # (T, N, N)
+    twins: np.ndarray      # (T - 1, N)
     features: np.ndarray   # (M, d) detached embeddings
+
+    def __post_init__(self):
+        t, n = self.frames, self.patches_per_frame
+        if self.blocks.shape != (t, n, n) or self.twins.shape != (t - 1, n):
+            raise ValueError(f"blocks {self.blocks.shape} and twins "
+                             f"{self.twins.shape} do not fit {t} frames of "
+                             f"{n} nodes")
 
     @property
     def patches_per_frame(self):
@@ -74,11 +85,23 @@ class VideoGraph:
         return t, p // self.grid_w, p % self.grid_w
 
     @property
-    def temporal_positive(self):
-        return np.where(self.temporal > 0, self.temporal, 0.0)
+    def spatial(self):
+        """(M, M) block-diagonal intra-frame adjacency."""
+        return dense_from_layout(to_layout(self.blocks, np.zeros(self.twins.shape)))
 
-    def with_temporal(self, temporal):
-        return replace(self, temporal=temporal)
+    @property
+    def temporal(self):
+        """(M, M) temporal edges: the twins on the +-N diagonals."""
+        return dense_from_layout(to_layout(np.zeros(self.blocks.shape[1:]),
+                                          self.twins))
+
+    @property
+    def temporal_positive(self):
+        temporal = self.temporal
+        return np.where(temporal > 0, temporal, 0.0)
+
+    def with_twins(self, twins):
+        return replace(self, twins=twins)
 
 
 def patchify(pixels, patch_size) -> PatchTensor:
@@ -118,68 +141,74 @@ def row_normalize(x, eps=EPS_NORM):
     return x / (norms + eps)
 
 
-def _cosine(u, v, eps=EPS_NORM):
-    return float(u @ v / ((np.linalg.norm(u) + eps) * (np.linalg.norm(v) + eps)))
-
-
 def intra_frame_adjacency(x_norm, tau_s):
     """Cosine-weighted frame adjacency, off-diagonal pruned below tau_s.
 
-    The diagonal keeps its self-similarity value; negative similarities
-    are pruned too so spatial weights are never negative.
+    ``x_norm`` is (N, d) or a (T, N, d) stack of frames. The diagonal
+    keeps its self-similarity value; negative similarities are pruned
+    too so spatial weights are never negative.
     """
-    a = x_norm @ x_norm.T
-    a = (a + a.T) / 2
-    off = ~np.eye(a.shape[0], dtype=bool)
+    a = x_norm @ x_norm.swapaxes(-1, -2)
+    a = (a + a.swapaxes(-1, -2)) / 2
+    off = ~np.eye(a.shape[-1], dtype=bool)
     a[off & ((a < tau_s) | (a <= 0))] = 0.0
     return a
+
+
+def _row_cosines(u, v, eps):
+    return (np.einsum("...i,...i->...", u, v)
+            / ((np.linalg.norm(u, axis=-1) + eps)
+               * (np.linalg.norm(v, axis=-1) + eps)))
 
 
 def temporal_bridge(a_t, a_next, x_t, x_next, tau_t, eps=EPS_NORM):
     """Per-coordinate bridge scores between consecutive frames.
 
-    Returns (scores, keep): scores are structural + feature similarity;
-    an edge is kept when the per-term average scores/2 >= tau_t.
+    Row v of each input belongs to node v; leading axes (a stack of
+    frame pairs) carry through. Returns (scores, keep): scores are
+    structural (adjacency-row) + feature cosine similarity; an edge is
+    kept when the per-term average scores/2 >= tau_t.
     """
-    n = a_t.shape[0]
-    if a_next.shape[0] != n or x_t.shape[0] != n or x_next.shape[0] != n:
+    shape = a_t.shape[:-1]
+    if a_next.shape[:-1] != shape or x_t.shape[:-1] != shape \
+            or x_next.shape[:-1] != shape:
         raise ValueError("frames must share the same node count")
-    scores = np.empty(n)
-    for v in range(n):
-        structural = _cosine(a_t[v], a_next[v], eps)
-        feature = _cosine(x_t[v], x_next[v], eps)
-        scores[v] = structural + feature
-    keep = scores / 2 >= tau_t
-    return scores, keep
+    scores = _row_cosines(a_t, a_next, eps) + _row_cosines(x_t, x_next, eps)
+    return scores, scores / 2 >= tau_t
 
 
-def assemble(frame_adjacencies, bridges, features, grid_h, grid_w) -> VideoGraph:
-    """Block-diagonal spatial matrix + temporal edges + stacked features."""
-    t = len(frame_adjacencies)
-    n = grid_h * grid_w
-    m = t * n
-    features = np.asarray(features, dtype=np.float64).reshape(m, -1)
-    spatial = np.zeros((m, m))
-    for k, a in enumerate(frame_adjacencies):
-        spatial[k * n:(k + 1) * n, k * n:(k + 1) * n] = a
-    temporal = np.zeros((m, m))
-    for k, (scores, keep) in enumerate(bridges):
-        for v in range(n):
-            if keep[v]:
-                u1, u2 = k * n + v, (k + 1) * n + v
-                temporal[u1, u2] = temporal[u2, u1] = scores[v]
-    return VideoGraph(t, grid_h, grid_w, spatial, temporal, features)
+def assemble(frame_adjacencies, scores, keep, features, grid_h, grid_w) -> VideoGraph:
+    """(T, N, N) frame adjacencies + kept (T - 1, N) bridges + features."""
+    blocks = np.asarray(frame_adjacencies, dtype=np.float64)
+    t = blocks.shape[0]
+    features = np.asarray(features, dtype=np.float64).reshape(
+        t * grid_h * grid_w, -1)
+    return VideoGraph(t, grid_h, grid_w, blocks, np.where(keep, scores, 0.0),
+                      features)
 
 
 def unified_graph(embeddings, grid_h, grid_w, tau_s, tau_t, eps=EPS_NORM) -> VideoGraph:
     """Full pipeline from per-frame embeddings (T, N, d) to a VideoGraph."""
     emb = np.asarray(embeddings, dtype=np.float64)
-    t = emb.shape[0]
-    normed = row_normalize(emb, eps)
-    adjs = [intra_frame_adjacency(normed[k], tau_s) for k in range(t)]
-    bridges = [temporal_bridge(adjs[k], adjs[k + 1], emb[k], emb[k + 1], tau_t, eps)
-               for k in range(t - 1)]
-    return assemble(adjs, bridges, emb, grid_h, grid_w)
+    adjs = intra_frame_adjacency(row_normalize(emb, eps), tau_s)
+    scores, keep = temporal_bridge(adjs[:-1], adjs[1:], emb[:-1], emb[1:],
+                                   tau_t, eps)
+    return assemble(adjs, scores, keep, emb, grid_h, grid_w)
+
+
+def to_layout(blocks, twins):
+    """The (T, N, N + 2) frame layout of per-frame blocks and twin edges.
+
+    ``blocks`` is (T, N, N), or one (N, N) block shared by every frame;
+    ``twins`` is (T - 1, N), the edge between node v of frames t and
+    t + 1, written into both of its rows.
+    """
+    frames, n = twins.shape[0] + 1, twins.shape[1]
+    layout = np.zeros((frames, n, n + 2), dtype=np.result_type(blocks, twins))
+    layout[:, :, :n] = blocks
+    layout[1:, :, n] = twins
+    layout[:-1, :, n + 1] = twins
+    return layout
 
 
 def frame_layout(matrix, frames):
@@ -235,9 +264,9 @@ def dump_edges(path, graph: VideoGraph, negative_spatial=None):
     One line per nonzero entry with u <= v (u < v for neg_spatial), in
     (u, v) order and, within a pair, in the order of ``_EDGE_KINDS``.
     """
-    entries = [(graph.spatial, graph.spatial != 0, 0),
-               (graph.temporal, graph.temporal > 0, 0),
-               (graph.temporal, graph.temporal < 0, 0)]
+    spatial, temporal = graph.spatial, graph.temporal
+    entries = [(spatial, spatial != 0, 0), (temporal, temporal > 0, 0),
+               (temporal, temporal < 0, 0)]
     if negative_spatial is not None:
         entries.append((negative_spatial, negative_spatial != 0, 1))
     us, vs, kinds, weights = [], [], [], []

@@ -33,11 +33,23 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError(f"{path}: maxval must be >= 1, got {maxval}")
     if maxval > 255:
         raise ValueError(f"{path}: only 8-bit PGM supported")
+    count = width * height
     if tokens[0] == b"P5":
-        data = np.frombuffer(blob, dtype=np.uint8, count=width * height,
-                             offset=i + 1)
+        data = np.frombuffer(blob[i + 1:i + 1 + count], dtype=np.uint8)
     else:
-        data = np.array(blob[i:].split()[:width * height], dtype=np.uint8)
+        fields = blob[i:].split()[:count]
+        try:
+            data = np.array([int(f) for f in fields], dtype=np.int64)
+        except ValueError:
+            raise ValueError(f"{path}: P2 samples must be integers") from None
+        except OverflowError:
+            raise ValueError(f"{path}: P2 sample outside 0..{maxval}") from None
+    if data.size < count:
+        raise ValueError(f"{path}: {data.size} samples for a {width}x{height} "
+                         f"image of {count}")
+    if not 0 <= data.min() <= data.max() <= maxval:
+        bad = data[(data < 0) | (data > maxval)][0]
+        raise ValueError(f"{path}: sample {bad} outside 0..{maxval}")
     return data.reshape(height, width).astype(np.float64) / maxval
 
 

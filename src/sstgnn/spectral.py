@@ -1,12 +1,14 @@
 """Graph-spectral filtering: Laplacian, eigenbasis, learnable gains.
 
 The symmetrized normalized Laplacian of the nonnegative clip graph is
-eigendecomposed, per diagonal block when it splits into several (the
-frames of a clip whose bridges all carry -1 differential edges); signals
-are filtered as U diag(g) U^T X. Gains come either from a fixed preset
-(low/high/band/reject/comb/all-pass on the [0, 2] eigenvalue axis) or
-from a small scalar-to-scalar MLP applied to each eigenvalue, which
-keeps the learned filter independent of graph size. The eigenbasis is
+eigendecomposed per frame when no positive bridge joins the frames (the
+default: the temporal differential turns every bridge into a -1 edge),
+as one stacked eigh over the (T, N, N) frame Laplacians; signals are
+filtered as U diag(g) U^T X, one diagonal block of U at a time. Gains
+come either from a fixed preset (low/high/band/reject/comb/all-pass on
+the [0, 2] eigenvalue axis) or from a small scalar-to-scalar MLP applied
+to each eigenvalue, which keeps the learned filter independent of graph
+size. The eigenbasis is
 a constant to backpropagation: gradients flow through the gains and the
 signal only.
 """
@@ -26,14 +28,19 @@ DEFAULT_EIGEN_CAP = 4096
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Ascending eigenvalues and orthonormal eigenvector columns."""
+    """Eigenvalues and orthonormal eigenvector columns, per diagonal block.
+
+    Shapes follow the solved matrix, as in ``np.linalg.eigh``: (M,) and
+    (M, M) for one whole matrix, (B, n) and (B, n, n) for a stack of B
+    diagonal blocks. Eigenvalues ascend within each block.
+    """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
     @property
     def size(self):
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.size
 
 
 @dataclass(frozen=True)
@@ -93,73 +100,43 @@ class FilterMlp:
 def laplacian_from_adjacency(weights) -> np.ndarray:
     """Symmetrized normalized Laplacian I - D^{-1/2} W D^{-1/2}.
 
-    Isolated nodes (zero degree) get a diagonal entry of exactly 1.
-    Raises on negative weights: callers select the nonnegative part.
+    ``weights`` is one (M, M) matrix or a (B, n, n) stack of diagonal
+    blocks, each taken on its own. Isolated nodes (zero degree) get a
+    diagonal entry of exactly 1. Raises on negative weights: callers
+    select the nonnegative part.
     """
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+    if w.ndim not in (2, 3) or w.shape[-1] != w.shape[-2]:
         raise ValueError("adjacency must be square")
     if (w < 0).any():
         raise ValueError("adjacency for the Laplacian must be nonnegative")
-    deg = w.sum(axis=1)
+    deg = w.sum(axis=-1)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    lap = np.eye(w.shape[0]) - inv_sqrt[:, None] * w * inv_sqrt[None, :]
-    return (lap + lap.T) / 2
+    lap = np.eye(w.shape[-1]) - inv_sqrt[..., :, None] * w * inv_sqrt[..., None, :]
+    return (lap + lap.swapaxes(-1, -2)) / 2
 
 
 def graph_laplacian(graph: VideoGraph):
     """Laplacian of the nonnegative clip graph: intra-frame edges plus
-    the positive temporal bridges."""
-    return laplacian_from_adjacency(graph.spatial + graph.temporal_positive)
+    the positive temporal bridges.
 
-
-# below this many nodes one whole-matrix eigh beats finding and stacking
-# the diagonal blocks: on per-frame clip Laplacians (single-threaded
-# OpenBLAS, 2-vCPU VM) the whole solve won at 56 nodes, 225 vs 240 us,
-# and lost at 64, 350-520 vs 250-400 us
-BLOCK_SOLVE_MIN = 64
-_SYMMETRY_TILE = 128
+    Without a positive bridge the frames are its diagonal blocks, and it
+    is returned as the (T, N, N) stack of frame Laplacians. Any positive
+    bridge couples the frames, and the whole (M, M) matrix is built.
+    """
+    if (graph.twins > 0).any():
+        return laplacian_from_adjacency(graph.spatial + graph.temporal_positive)
+    return laplacian_from_adjacency(graph.blocks)
 
 
 def _check_symmetric(lap):
-    """``np.allclose(lap, lap.T, atol=1e-10)``, element for element, one
-    pair of mirrored tiles at a time: exactly equal tiles pass at the cost
-    of one comparison, others get the allclose test in both orientations.
-    Tiles small enough for cache avoid the strided pass over a full
-    transposed copy."""
-    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
+    """``np.allclose(lap, lap.T, atol=1e-10)``, per block of a stack; an
+    exactly symmetric input passes after one comparison."""
+    if lap.ndim not in (2, 3) or lap.shape[-1] != lap.shape[-2]:
         raise ValueError("laplacian must be square")
-    m, step = lap.shape[0], _SYMMETRY_TILE
-    for i in range(0, m, step):
-        for j in range(i, m, step):
-            upper = lap[i:i + step, j:j + step]
-            lower = lap[j:j + step, i:i + step].T
-            if (upper == lower).all():
-                continue
-            if not (np.allclose(upper, lower, atol=1e-10)
-                    and np.allclose(lower, upper, atol=1e-10)):
-                raise ValueError("laplacian must be symmetric")
-
-
-def diagonal_blocks(mat) -> np.ndarray:
-    """Bounds of the finest split of a square matrix into contiguous
-    diagonal blocks with no nonzero entry outside them.
-
-    Returns ascending cut indices from 0 to M; block k spans
-    ``bounds[k]:bounds[k + 1]``. A cut after row i is allowed when no
-    row up to i reaches a column past i, and no later row reaches a
-    column up to i.
-    """
-    nz = np.asarray(mat) != 0
-    m = nz.shape[0]
-    rows = np.arange(m)
-    has = nz.any(axis=1)
-    last = np.where(has, m - 1 - np.argmax(nz[:, ::-1], axis=1), rows)
-    first = np.where(has, np.argmax(nz, axis=1), rows)
-    reach_down = np.maximum.accumulate(np.maximum(last, rows))
-    reach_up = np.minimum.accumulate(np.minimum(first, rows)[::-1])[::-1]
-    cut = (reach_down[:-1] <= rows[:-1]) & (reach_up[1:] > rows[:-1])
-    return np.concatenate(([0], rows[:-1][cut] + 1, [m]))
+    mirror = lap.swapaxes(-1, -2)
+    if not ((lap == mirror).all() or np.allclose(lap, mirror, atol=1e-10)):
+        raise ValueError("laplacian must be symmetric")
 
 
 def _fix_signs(vec):
@@ -172,59 +149,21 @@ def _fix_signs(vec):
     return vec
 
 
-def _eigh(mats):
-    try:
-        return np.linalg.eigh(mats)
-    except np.linalg.LinAlgError as err:
-        raise RuntimeError(f"eigendecomposition did not converge: {err}") from err
-
-
-def _solve_whole(lap) -> SpectralBasis:
-    """One eigh over the full matrix."""
-    lam, vec = _eigh(lap)
-    return SpectralBasis(lam, _fix_signs(vec))
-
-
-def _solve_blocks(lap, bounds) -> SpectralBasis:
-    """One stacked eigh per block size; every block's eigenvector columns
-    land at the ranks of their eigenvalues in the merged ascending order,
-    zero outside the block's rows."""
-    m = lap.shape[0]
-    sizes = np.diff(bounds)
-    groups = []
-    for size in np.unique(sizes):
-        idx = bounds[:-1][sizes == size, None] + np.arange(size)
-        lam, vec = _eigh(lap[idx[:, :, None], idx[:, None, :]])
-        groups.append((idx, lam, _fix_signs(vec)))
-    lam_all = np.concatenate([lam.ravel() for _, lam, _ in groups])
-    order = np.argsort(lam_all, kind="stable")
-    rank = np.empty(m, dtype=np.intp)
-    rank[order] = np.arange(m)
-    vectors = np.zeros((m, m))
-    offset = 0
-    for idx, lam, vec in groups:
-        pos = rank[offset:offset + lam.size].reshape(lam.shape)
-        vectors[idx[:, :, None], pos[:, None, :]] = vec
-        offset += lam.size
-    return SpectralBasis(lam_all[order], vectors)
-
-
 def eigendecompose(lap) -> SpectralBasis:
     """Symmetric eigensolve with a deterministic sign convention.
 
-    Eigenvalues ascend; each eigenvector's first component above 1e-12
-    in magnitude is made positive. From BLOCK_SOLVE_MIN nodes up, a
-    matrix that splits into contiguous diagonal blocks (a clip graph
-    whose frames share no positive bridge) is solved block by block;
-    the basis spans the same eigenspaces as the whole-matrix solve.
+    ``lap`` is one (M, M) matrix, solved whole, or a (B, n, n) stack of
+    diagonal blocks (the frames of a clip), solved with one stacked
+    eigh. Eigenvalues ascend within each block; each eigenvector's first
+    component above 1e-12 in magnitude is made positive.
     """
     lap = np.asarray(lap, dtype=np.float64)
     _check_symmetric(lap)
-    if lap.shape[0] >= BLOCK_SOLVE_MIN:
-        bounds = diagonal_blocks(lap)
-        if bounds.size > 2:
-            return _solve_blocks(lap, bounds)
-    return _solve_whole(lap)
+    try:
+        lam, vec = np.linalg.eigh(lap)
+    except np.linalg.LinAlgError as err:
+        raise RuntimeError(f"eigendecomposition did not converge: {err}") from err
+    return SpectralBasis(lam, _fix_signs(vec))
 
 
 def filter_gains(lam, filt, slope=0.2):
@@ -235,14 +174,18 @@ def filter_gains(lam, filt, slope=0.2):
 
 
 def apply_filter(x, basis: SpectralBasis, gains):
-    """U diag(gains) U^T x with the basis held constant under autodiff."""
+    """U diag(gains) U^T x, one diagonal block of U at a time, with the
+    basis held constant under autodiff. ``gains`` follow the flattened
+    eigenvalues, ``x`` the node order."""
     x = ad.as_tensor(x)
     gains = ad.as_tensor(gains)
     if x.data.shape[0] != basis.size:
         raise ValueError("signal row count must match the basis size")
-    coeffs = ad.matmul(ad.constant(basis.vectors.T), x)
+    n = basis.vectors.shape[-1]
+    blocks = basis.vectors.reshape(-1, n, n)
+    coeffs = ad.block_matmul(blocks.swapaxes(1, 2), x)
     scaled = ad.mul(ad.reshape(gains, (-1, 1)), coeffs)
-    return ad.matmul(ad.constant(basis.vectors), scaled)
+    return ad.block_matmul(blocks, scaled)
 
 
 def pool_spectral(x_spectral):

@@ -196,23 +196,34 @@ def test_a7_gat_properties():
     worst_perm = 0.0
     for k in range(20):
         n, d = int(rng.integers(3, 9)), 4
+        params = gat.GatParams(ad.parameter(rng.normal(size=(d, d))),
+                               ad.parameter(rng.normal(size=2 * d)))
+
+        # the attention the model runs, on a layout with twins: with
+        # every sign +1, an all-ones column of h comes out as each row's
+        # sum of weights, and one-hot columns as the weights themselves
+        # (the scores read neither: their attention entries are zero)
+        frames = int(rng.integers(2, 4))
+        m = frames * n
+        layout = rng.random((frames, n, n + 2)) < 0.5
+        layout[:, np.arange(n), np.arange(n)] = True
+        layout[0, :, n] = layout[-1, :, n + 1] = False
+        h = rng.normal(size=(m, d)) @ params.weight.data
+        zeros = np.zeros(1 + m)
+        a = params.attention.data
+        out = ad.frame_attention(
+            ad.constant(np.hstack([h, np.ones((m, 1)), np.eye(m)])),
+            ad.constant(np.concatenate([a[:d], zeros, a[d:], zeros])),
+            layout, layout.astype(float)).data
+        worst_row = max(worst_row, np.abs(out[:, d] - 1.0).max())
+        assert np.all(out[:, d + 1:][~graphs.dense_from_layout(layout)] == 0.0)
+
         x = rng.normal(size=(n, d))
         support = rng.random((n, n)) < 0.5
         support[np.arange(n), np.arange(n)] = True
         sign = np.where(support,
                         np.where(rng.random((n, n)) < 0.3, -1.0, 1.0), 0.0)
         adj = gat.SignedAdjacency(support, sign)
-        params = gat.GatParams(ad.parameter(rng.normal(size=(d, d))),
-                               ad.parameter(rng.normal(size=2 * d)))
-
-        h = ad.matmul(ad.constant(x), params.weight)
-        s_self = ad.matmul(h, ad.reshape(params.attention[:d], (d, 1)))
-        s_peer = ad.matmul(h, ad.reshape(params.attention[d:], (d, 1)))
-        scores = ad.leaky_relu(ad.add(s_self, ad.reshape(s_peer, (1, -1))), 0.2)
-        alpha = ad.masked_softmax(scores, support).data
-        worst_row = max(worst_row, np.abs(alpha.sum(axis=1) - 1.0).max())
-        assert np.all(alpha[~support] == 0.0)
-
         perm = rng.permutation(n)
         base = gat.gat_forward(ad.constant(x), adj, params).data
         permuted = gat.gat_forward(

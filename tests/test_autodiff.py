@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sstgnn import autodiff as ad
+from sstgnn import graphs
 
 
 def naive_matmul(a, b):
@@ -65,61 +66,122 @@ class TestMatmul:
         np.testing.assert_allclose(left.data, right.data, rtol=1e-10, atol=1e-12)
 
 
+def attention_weights(support, peer_scores, sign=None, slope=1.0):
+    """The (M, M) weights `frame_attention` gives over a (T, N, N + 2)
+    layout when the score of every edge into node j is peer_scores[j]
+    (slope 1 makes the LeakyReLU the identity). Column 0 of h carries
+    the scores; one-hot columns, which the scores ignore, read row i's
+    weight on node j."""
+    m = support.shape[0] * support.shape[1]
+    sign = support.astype(float) if sign is None else sign
+    h = np.hstack([np.asarray(peer_scores, dtype=float)[:, None], np.eye(m)])
+    a = np.zeros(2 * (m + 1))
+    a[m + 1] = 1.0
+    out = ad.frame_attention(ad.constant(h), ad.constant(a), support, sign,
+                             slope)
+    return out.data[:, 1:]
+
+
+def one_frame(support):
+    """A single frame's (N, N) support as a layout with empty twins."""
+    support = np.asarray(support, dtype=bool)
+    return np.pad(support, ((0, 0), (0, 2)))[None]
+
+
+def random_layout(rng, frames=3, n=4, density=0.6):
+    support = rng.random((frames, n, n + 2)) < density
+    support[:, np.arange(n), np.arange(n)] = True  # keep rows non-empty
+    support[0, :, n] = support[-1, :, n + 1] = False
+    return support
+
+
 class TestMaskedSoftmax:
+    """The masked row softmax inside `autodiff.frame_attention`, the
+    attention the model runs; weights read through `attention_weights`."""
+
     def test_symmetric_row(self):
-        out = ad.masked_softmax(ad.constant([[1.0, 1.0]]),
-                                np.array([[True, True]]))
-        np.testing.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-15)
+        alpha = attention_weights(one_frame(np.ones((2, 2))), [1.0, 1.0])
+        np.testing.assert_allclose(alpha, np.full((2, 2), 0.5), atol=1e-15)
 
     def test_single_neighbor(self):
-        out = ad.masked_softmax(ad.constant([[3.0, -2.0]]),
-                                np.array([[True, False]]))
-        np.testing.assert_array_equal(out.data, [[1.0, 0.0]])
+        alpha = attention_weights(one_frame([[1, 0], [1, 1]]), [3.0, -2.0])
+        np.testing.assert_array_equal(alpha[0], [1.0, 0.0])
 
     def test_partial_support(self):
-        scores = np.array([[1.0, 2.0, 3.0]])
-        mask = np.array([[True, False, True]])
-        out = ad.masked_softmax(ad.constant(scores), mask)
+        alpha = attention_weights(one_frame([[1, 0, 1], [1, 1, 1], [1, 1, 1]]),
+                                  [1.0, 2.0, 3.0])
         z = math.exp(1.0) + math.exp(3.0)
         np.testing.assert_allclose(
-            out.data, [[math.exp(1.0) / z, 0.0, math.exp(3.0) / z]], rtol=1e-14)
+            alpha[0], [math.exp(1.0) / z, 0.0, math.exp(3.0) / z], rtol=1e-14)
 
-    def test_empty_row_warns_and_zeroes(self):
-        mask = np.array([[True, True], [False, False]])
-        with pytest.warns(RuntimeWarning, match="empty support"):
-            out = ad.masked_softmax(ad.constant(np.ones((2, 2))), mask)
-        np.testing.assert_array_equal(out.data[1], [0.0, 0.0])
-        np.testing.assert_allclose(out.data[0].sum(), 1.0, atol=1e-12)
+    def test_empty_row_rejected(self):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite"):
+            attention_weights(one_frame([[1, 1], [0, 0]]), [1.0, 1.0])
 
     def test_stability_at_large_scores(self):
-        out = ad.masked_softmax(ad.constant([[1000.0, 999.0]]),
-                                np.array([[True, True]]))
-        assert np.all(np.isfinite(out.data))
-        np.testing.assert_allclose(out.data.sum(), 1.0, atol=1e-12)
+        alpha = attention_weights(one_frame(np.ones((2, 2))), [1000.0, 999.0])
+        assert np.all(np.isfinite(alpha))
+        np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_rows_sum_to_one(self, seed):
         rng = np.random.default_rng(seed)
-        scores = rng.normal(size=(5, 5))
-        mask = rng.random((5, 5)) < 0.6
-        mask[np.arange(5), np.arange(5)] = True  # keep rows non-empty
-        out = ad.masked_softmax(ad.constant(scores), mask)
-        np.testing.assert_allclose(out.data.sum(axis=1), np.ones(5), atol=1e-12)
-        assert np.all(out.data[~mask] == 0.0)
+        support = random_layout(rng)
+        alpha = attention_weights(support, rng.normal(size=12), slope=0.2)
+        dense = graphs.dense_from_layout(support)
+        np.testing.assert_allclose(alpha.sum(axis=1), np.ones(12), atol=1e-12)
+        assert np.all(alpha[~dense] == 0.0)
 
     def test_backward_fd(self):
         rng = np.random.default_rng(2)
-        scores = ad.parameter(rng.normal(size=(3, 3)))
-        mask = np.array([[True, True, False],
-                         [True, True, True],
-                         [False, True, True]])
+        support = random_layout(rng, frames=2, n=3)
+        sign = np.where(rng.random(support.shape) < 0.3, -1.0, 1.0) * support
+        h = ad.parameter(rng.normal(size=(6, 3)))
+        a = ad.parameter(rng.normal(size=6))
         w = ad.constant(rng.normal(size=(3, 1)))
 
         def f():
-            return ad.mean(ad.matmul(ad.masked_softmax(scores, mask), w))
+            return ad.mean(ad.matmul(ad.frame_attention(h, a, support, sign), w))
 
-        assert ad.finite_diff_check(f, {"s": scores}) < 1e-7
+        assert ad.finite_diff_check(f, {"h": h, "a": a}) < 1e-7
+
+
+def dense_blocks(blocks):
+    b, n, k = blocks.shape
+    out = np.zeros((b * n, b * k))
+    for i in range(b):
+        out[i * n:(i + 1) * n, i * k:(i + 1) * k] = blocks[i]
+    return out
+
+
+class TestBlockMatmul:
+    def test_matches_dense_block_diagonal(self):
+        rng = np.random.default_rng(3)
+        blocks, x = rng.normal(size=(3, 2, 4)), rng.normal(size=(12, 5))
+        out = ad.block_matmul(blocks, ad.constant(x))
+        assert out.shape == (6, 5)
+        np.testing.assert_allclose(out.data, dense_blocks(blocks) @ x,
+                                   rtol=1e-14, atol=1e-14)
+
+    def test_backward_fd(self):
+        rng = np.random.default_rng(4)
+        blocks = rng.normal(size=(2, 3, 3))
+        x = ad.parameter(rng.normal(size=(6, 2)))
+        w = ad.constant(rng.normal(size=(6, 2)))
+
+        def f():
+            return ad.mean(ad.mul(ad.block_matmul(blocks, x), w))
+
+        grads = f().backward()
+        np.testing.assert_allclose(
+            grads[x], dense_blocks(blocks).T @ w.data / 12, rtol=1e-14)
+        assert ad.finite_diff_check(f, {"x": x}) < 1e-8
+
+    def test_row_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="block_matmul"):
+            ad.block_matmul(np.ones((2, 3, 3)), ad.constant(np.ones((5, 1))))
 
 
 class TestCrossEntropy:
@@ -258,6 +320,37 @@ class TestFiniteDiff:
             return ad.cross_entropy(ad.add(ad.matmul(feats, w), b), [0, 1, 0])
 
         assert ad.finite_diff_check(f, {"w": w, "b": b}) < 1e-6
+
+    def test_one_percent_error_above_the_floor_fails(self):
+        h = 1e-5
+        x = ad.parameter(np.full(8, 0.5))
+        scales = np.array([1.0, 1e-2, 1e-4, 1e-6, 0.0, 0.0, 0.0, 0.0])
+        loss = float(np.mean(scales * 0.25))
+        floor = (ad.FD_ROUNDING_ULPS * np.spacing(loss) / (2 * h)
+                 / ad.FD_TOLERANCE)
+        # gradients s / 8 (x = 0.5) just above and below the floor
+        scales[4:] = 8 * floor * np.array([1.2, 3.0, 0.5, 1e-3])
+        grads = scales / 8
+
+        def check(wrong):
+            def f():
+                y = ad.Tensor(x.data, requires_grad=True, parents=(x,))
+
+                def _backward(g, acc):
+                    g = g.copy()
+                    if wrong is not None:
+                        g[wrong] *= 1.01
+                    ad._accum(acc, x, g)
+
+                y._backward = _backward
+                return ad.mean(ad.mul(ad.mul(y, y), ad.constant(scales)))
+            return ad.finite_diff_check(f, {"x": x}, h=h)
+
+        assert check(None) <= ad.FD_TOLERANCE
+        above = np.nonzero(grads > floor)[0]
+        assert len(above) == 6
+        for k in above:
+            assert check(k) > 50 * ad.FD_TOLERANCE, k
 
     def test_step_size_bounds(self):
         x = ad.parameter(np.array([1.0]))

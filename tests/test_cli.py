@@ -146,6 +146,22 @@ def test_eval_checkpoint_tensors_must_fit_config(trained_run, tmp_path, capsys,
     assert re.search(message, capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("geometry", [
+    ["--channels", "3"], ["--height", "2"], ["--width", "3"]],
+    ids=["channels", "height", "width"])
+def test_eval_clip_geometry_must_fit_checkpoint(trained_run, tmp_path, capsys,
+                                                geometry):
+    code = main(["eval", "--checkpoint", str(trained_run / "checkpoint.sstg"),
+                 "--out", str(tmp_path / "e"), "--count", "1", "--frames", "2",
+                 "--height", "8", "--width", "8", "--threads", "1"] + geometry)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "do not fit the checkpoint" in err
+    assert "1 channel(s) and patch size 4" in err
+    assert f"clips of {3 if geometry[0] == '--channels' else 1} channel(s)" in err
+    assert not (tmp_path / "e" / "report.csv").exists()
+
+
 def test_eval_reports_reproduce_bytes(trained_run, tmp_path):
     args = ["eval", "--checkpoint", str(trained_run / "checkpoint.sstg"),
             "--protocol", "in_domain", "--families", "upsample_artifact",
@@ -191,6 +207,39 @@ def test_filter_image_bad_pgm_header_is_usage_error(tmp_path, capsys, header,
     assert not (tmp_path / "out.pgm").exists()
 
 
+@pytest.mark.parametrize("body, message", [
+    (b"P2\n2 2\n255\n1 2 300 4\n", "sample 300 outside 0..255"),
+    (b"P2\n2 2\n255\n1 -3 2 4\n", "sample -3 outside 0..255"),
+    (b"P2\n2 2\n255\n1 2 3 99999999999999999999999\n", "outside 0..255"),
+    (b"P2\n2 2\n100\n1 2 101 4\n", "sample 101 outside 0..100"),
+    (b"P5\n2 2\n100\n\x01\x02\xc8\x04", "sample 200 outside 0..100"),
+    (b"P2\n2 2\n255\n1 2 x 4\n", "P2 samples must be integers"),
+    (b"P2\n2 2\n255\n1 2 3\n", "3 samples for a 2x2 image of 4"),
+    (b"P5\n2 2\n255\n\x01\x02\x03", "3 samples for a 2x2 image of 4"),
+    (b"P5\n2 2\n255", "0 samples for a 2x2 image of 4"),
+], ids=["p2_300", "p2_negative", "p2_huge", "p2_above_maxval",
+        "p5_above_maxval", "p2_not_integer", "p2_short", "p5_short",
+        "p5_no_data"])
+def test_filter_image_bad_pgm_samples_are_usage_errors(tmp_path, capsys, body,
+                                                       message):
+    src = tmp_path / "in.pgm"
+    src.write_bytes(body)
+    code = main(["filter-image", "--in", str(src), "--preset", "all_pass",
+                 "--out", str(tmp_path / "out.pgm")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and str(src) in err
+    assert not (tmp_path / "out.pgm").exists()
+
+
+def test_pgm_samples_read_against_maxval(tmp_path):
+    src = tmp_path / "in.pgm"
+    src.write_bytes(b"P2\n2 1\n100\n0 100\n")
+    np.testing.assert_array_equal(pgm.read_pgm(src), [[0.0, 1.0]])
+    src.write_bytes(b"P5\n2 1\n255\n\x00\xff")
+    np.testing.assert_array_equal(pgm.read_pgm(src), [[0.0, 1.0]])
+
+
 @pytest.mark.parametrize("dropped", ["path", "label", "family"])
 def test_train_manifest_missing_column_is_usage_error(tmp_path, capsys,
                                                       dropped):
@@ -226,6 +275,14 @@ def test_train_manifest_short_row_is_usage_error(tmp_path, capsys):
 
 def test_gradcheck_toy(capsys):
     assert main(["gradcheck", "--scale", "toy"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", range(1, 8))
+def test_gradcheck_toy_seeds(capsys, seed):
+    # seeds 2 and 4 have filter.w1 gradients of 4e-10 to 6e-9, below
+    # what the central difference resolves at the 1e-4 tolerance
+    assert main(["gradcheck", "--scale", "toy", "--seed", str(seed)]) == 0
     assert "PASS" in capsys.readouterr().out
 
 

@@ -199,9 +199,10 @@ class TestAddTemporalNegative:
 
     def test_overwrites_positive_edge(self):
         g = small_graph(t=2, grid=2, seed=13)
-        pos = g.temporal.copy()
-        pos[0, 4] = pos[4, 0] = 1.8
-        g = g.with_temporal(pos)
+        pos = g.twins.copy()
+        pos[0, 0] = 1.8
+        g = g.with_twins(pos)
+        assert g.temporal[0, 4] == 1.8 and g.temporal[4, 0] == 1.8
         g2 = diff.add_temporal_negative(g)
         assert g2.temporal[0, 4] == -1.0 and g2.temporal[4, 0] == -1.0
 

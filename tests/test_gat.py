@@ -1,5 +1,7 @@
 """Attention layer semantics over signed adjacency."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,18 @@ def adjacency(support, sign=None):
     if sign is None:
         sign = support.astype(float)
     return gat.SignedAdjacency(support, np.asarray(sign, dtype=float))
+
+
+def attention_weights(h, attention, adj):
+    """The (M, M) signed attention weights `autodiff.frame_attention`
+    applies, read through probe columns of h that the scores ignore:
+    one-hot column j of the output is row i's weight on node j."""
+    m, d = h.shape
+    probe = np.hstack([h, np.eye(m)])
+    a = np.concatenate([attention[:d], np.zeros(m), attention[d:], np.zeros(m)])
+    out = ad.frame_attention(ad.constant(probe), ad.constant(a), adj.support,
+                             adj.sign).data
+    return out[:, d:]
 
 
 def brute_force(x, support, sign, w, a, slope=0.2):
@@ -51,16 +65,10 @@ class TestGatForward:
     def test_identical_nodes_split_attention_evenly(self):
         params = make_params(3, seed=3)
         row = np.random.default_rng(4).normal(size=3)
-        x = ad.constant(np.vstack([row, row]))
-        adj = adjacency(np.ones((2, 2), dtype=bool))
-        h = ad.matmul(x, params.weight)
-        d = 3
-        s_self = ad.matmul(h, ad.reshape(params.attention[:d], (d, 1)))
-        s_peer = ad.matmul(h, ad.reshape(params.attention[d:], (d, 1)))
-        scores = ad.leaky_relu(ad.add(s_self, ad.reshape(s_peer, (1, -1))), 0.2)
-        support, _ = adj.dense()
-        alpha = ad.masked_softmax(scores, support)
-        np.testing.assert_allclose(alpha.data, np.full((2, 2), 0.5), atol=1e-12)
+        h = np.vstack([row, row]) @ params.weight.data
+        alpha = attention_weights(h, params.attention.data,
+                                  adjacency(np.ones((2, 2), dtype=bool)))
+        np.testing.assert_allclose(alpha, np.full((2, 2), 0.5), atol=1e-12)
 
     def test_line_graph_matches_brute_force(self):
         params = make_params(4, seed=5)
@@ -101,12 +109,9 @@ class TestGatForward:
         x = rng.normal(size=(6, 5))
         support = rng.random((6, 6)) < 0.4
         adj = adjacency(support).with_self_loops()
-        h = ad.matmul(ad.constant(x), params.weight)
-        s_self = ad.matmul(h, ad.reshape(params.attention[:5], (5, 1)))
-        s_peer = ad.matmul(h, ad.reshape(params.attention[5:], (5, 1)))
-        scores = ad.leaky_relu(ad.add(s_self, ad.reshape(s_peer, (1, -1))), 0.2)
+        alpha = attention_weights(x @ params.weight.data,
+                                  params.attention.data, adj)
         support, _ = adj.dense()
-        alpha = ad.masked_softmax(scores, support).data
         np.testing.assert_allclose(alpha.sum(axis=1), np.ones(6), atol=1e-12)
         assert np.all(alpha[~support] == 0.0)
 
@@ -174,9 +179,7 @@ class TestPasses:
         np.testing.assert_array_equal(out.data, direct.data)
 
     def test_disconnected_node_keeps_self_message(self):
-        g = clip_graph(t=1)
-        spatial = np.zeros_like(g.spatial)
-        g = type(g)(g.frames, g.grid_h, g.grid_w, spatial, g.temporal, g.features)
+        g = replace(clip_graph(t=1), blocks=np.zeros((1, 4, 4)))
         params = make_params(4, seed=19)
         x = np.random.default_rng(20).normal(size=(4, 4))
         out = gat.gat_forward(ad.constant(x), gat.consistency_adjacency(g),
@@ -247,6 +250,23 @@ class TestFusion:
         np.testing.assert_allclose(out.data[0], expected, rtol=1e-12)
 
 
+def masked_softmax(scores, support):
+    """Row softmax over the supported entries of an (M, M) score Tensor,
+    zero elsewhere: the op the dense composition used."""
+    mask = np.asarray(support, dtype=bool)
+    neg = np.where(mask, scores.data, -np.inf)
+    expd = np.where(mask, np.exp(neg - neg.max(axis=-1, keepdims=True)), 0.0)
+    soft = expd / expd.sum(axis=-1, keepdims=True)
+    out = ad.Tensor(soft, requires_grad=scores.requires_grad, parents=(scores,))
+
+    def _backward(g, acc):
+        dot = (g * soft).sum(axis=-1, keepdims=True)
+        ad._accum(acc, scores, soft * (g - dot))
+
+    out._backward = _backward
+    return out
+
+
 def dense_gat(x, support, sign, params, slope=0.2):
     """The dense M x M composition the fused op replaced: scores over all
     node pairs, masked softmax, signs, one (M, M) @ (M, d) product."""
@@ -257,7 +277,7 @@ def dense_gat(x, support, sign, params, slope=0.2):
     scores = ad.add(ad.matmul(h, a_self),
                     ad.reshape(ad.matmul(h, a_peer), (1, -1)))
     scores = ad.leaky_relu(scores, slope)
-    alpha = ad.masked_softmax(scores, support)
+    alpha = masked_softmax(scores, support)
     signed = ad.mul(alpha, ad.constant(sign))
     return ad.leaky_relu(ad.matmul(signed, h), slope)
 
@@ -401,20 +421,23 @@ class TestSignedAdjacencyLayout:
         with pytest.raises(ValueError, match="frame layout"):
             gat.SignedAdjacency(np.ones((2, 2, 2), dtype=bool), np.ones((2, 2, 2)))
 
+    # a graph holds only frame blocks and twins, so such entries cannot
+    # reach the adjacency builders: reading one into the layout raises,
+    # and so does a graph given (M, M) arrays in place of the layout
     def test_cross_frame_spatial_entry_raises(self):
         g = clip_graph(t=2, grid=2)
         spatial = g.spatial.copy()
         spatial[0, 5] = spatial[5, 0] = 0.9   # frame 0 node 0 to frame 1 node 1
-        g = type(g)(g.frames, g.grid_h, g.grid_w, spatial, g.temporal, g.features)
         with pytest.raises(ValueError, match="off the twin diagonal"):
-            gat.consistency_adjacency(g)
+            graphs.frame_layout(spatial, g.frames)
+        with pytest.raises(ValueError, match="do not fit"):
+            replace(g, blocks=spatial)
 
     def test_off_twin_temporal_entry_raises(self):
         g = diff.add_temporal_negative(clip_graph(t=3, grid=2))
         temporal = g.temporal.copy()
         temporal[0, 8] = temporal[8, 0] = -1.0   # frame 0 to frame 2
-        g = g.with_temporal(temporal)
-        for build in (gat.consistency_adjacency,
-                      lambda g: gat.inconsistency_adjacency(g, None)):
-            with pytest.raises(ValueError, match="off the twin diagonal"):
-                build(g)
+        with pytest.raises(ValueError, match="off the twin diagonal"):
+            graphs.frame_layout(temporal, g.frames)
+        with pytest.raises(ValueError, match="do not fit"):
+            g.with_twins(temporal)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sstgnn import autodiff as ad
-from sstgnn import model, synth
+from sstgnn import differential, gat, graphs, model, synth
 
 
 def toy_clip(seed=0, family="real", frames=2, size=8):
@@ -169,6 +169,32 @@ class TestBridges:
         assert (runs[0][1].graph.temporal > 0).any()
         assert not np.array_equal(runs[0][0], runs[1][0])
         assert not np.array_equal(runs[0][0], runs[2][0])
+
+
+class TestFrameLayoutPath:
+    def test_model_path_never_densifies(self, monkeypatch):
+        # at M=512 with the differential on, building the structure and
+        # the forward pass read the graph, the tile pattern and the
+        # attention supports only in their frame layouts
+        def dense(*_):
+            raise AssertionError("an (M, M) array was built on the model path")
+
+        for owner, name in ((graphs.VideoGraph, "spatial"),
+                            (graphs.VideoGraph, "temporal"),
+                            (graphs.VideoGraph, "temporal_positive"),
+                            (differential.NegativeSpatialAdjacency, "matrix"),
+                            (gat.SignedAdjacency, "dense")):
+            monkeypatch.setattr(owner, name, property(dense))
+        for module in (graphs, gat, differential):
+            monkeypatch.setattr(module, "dense_from_layout", dense)
+        cfg = model.preset_config("desk", patch_size=8)
+        params = model.init_params(cfg, random_head=True)
+        clip = synth.generate(synth.SynthSpec("spectral_noise", seed=3)).clip
+        structure = model.build_structure(clip, params, cfg)
+        assert structure.graph.node_count == 512
+        assert structure.basis.vectors.shape == (8, 64, 64)
+        logits = model.forward_with_structure(structure, params, cfg)
+        ad.cross_entropy(logits, [1]).backward()
 
 
 class TestGoldenForward:

@@ -41,9 +41,28 @@ class TestLaplacian:
         # the clip Laplacian spans the intra-frame edges and the positive
         # temporal bridges, never the negative differential entries
         g = differential.add_temporal_negative(random_video_graph(0))
+        stack = spectral.graph_laplacian(g)
+        assert stack.shape == (2, 4, 4)
+        # a frame's degrees sum the same entries as the dense row sums
+        # less the zeros of the other frames, grouped differently by
+        # numpy's pairwise summation: equal to rounding, not bitwise
+        np.testing.assert_allclose(
+            block_diagonal_of(stack),
+            spectral.laplacian_from_adjacency(g.spatial + g.temporal_positive),
+            rtol=0, atol=1e-15)
+        # positive bridges couple the frames: the dense formula itself
+        g = random_video_graph(0)
+        assert (g.twins > 0).any()
         np.testing.assert_array_equal(
             spectral.graph_laplacian(g),
             spectral.laplacian_from_adjacency(g.spatial + g.temporal_positive))
+
+    def test_stack_is_per_block_formula(self):
+        g = differential.add_temporal_negative(random_video_graph(1, t=3))
+        stack = spectral.graph_laplacian(g)
+        for k in range(3):
+            np.testing.assert_array_equal(
+                stack[k], spectral.laplacian_from_adjacency(g.blocks[k]))
 
 
 class TestEigendecompose:
@@ -80,6 +99,13 @@ class TestEigendecompose:
             spectral.eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def block_diagonal_of(stack):
+    """The (M, M) matrix whose diagonal blocks are ``stack``."""
+    frames, n, _ = stack.shape
+    return graphs.dense_from_layout(
+        graphs.to_layout(stack, np.zeros((frames - 1, n))))
+
+
 def block_diagonal(sizes, seed=0):
     rng = np.random.default_rng(seed)
     m = sum(sizes)
@@ -94,7 +120,7 @@ def block_diagonal(sizes, seed=0):
 
 def clip_laplacian(patch_size, family, seed):
     """Laplacian of a real 8x64x64 clip graph with the differential on:
-    every bridge slot holds -1, so the frames are its diagonal blocks."""
+    every bridge slot holds -1, so it is the stack of frame Laplacians."""
     config = model.TrainConfig(patch_size=patch_size, seed=7,
                                use_spectral=False)
     clip = synth.generate(synth.SynthSpec(family, seed=seed)).clip
@@ -102,30 +128,41 @@ def clip_laplacian(patch_size, family, seed):
     return spectral.graph_laplacian(structure.graph)
 
 
+def bridged_graph(twins, t=3, grid=2):
+    """A clip graph whose twin vector is ``twins`` (one frame pair per
+    row); the frames' own edges come from random embeddings."""
+    g = random_video_graph(5, t=t, grid=grid)
+    return g.with_twins(np.asarray(twins, dtype=float))
+
+
 class TestDiagonalBlocks:
-    def test_identity_splits_into_single_nodes(self):
-        np.testing.assert_array_equal(spectral.diagonal_blocks(np.eye(6)),
-                                      np.arange(7))
-
-    def test_full_matrix_is_one_block(self):
-        np.testing.assert_array_equal(
-            spectral.diagonal_blocks(np.ones((5, 5))), [0, 5])
-
-    @pytest.mark.parametrize("entry", [(0, 7), (7, 0)])
-    def test_single_corner_coupling_is_one_block(self, entry):
-        mat = np.eye(8)
-        mat[entry] = 1e-3
-        np.testing.assert_array_equal(spectral.diagonal_blocks(mat), [0, 8])
-
-    def test_unequal_blocks(self):
-        mat = block_diagonal([3, 1, 4, 2])
-        np.testing.assert_array_equal(spectral.diagonal_blocks(mat),
-                                      [0, 3, 4, 8, 10])
+    """The diagonal blocks `graph_laplacian` hands to the eigensolve:
+    the frames while no positive bridge joins them, else one block."""
 
     def test_clip_laplacian_splits_per_frame(self):
         lap = clip_laplacian(16, "real", 0)
-        np.testing.assert_array_equal(spectral.diagonal_blocks(lap),
-                                      np.arange(0, 129, 16))
+        assert lap.shape == (8, 16, 16)
+        basis = spectral.eigendecompose(lap)
+        assert basis.vectors.shape == (8, 16, 16)
+
+    def test_full_matrix_is_one_block(self):
+        g = bridged_graph(np.full((2, 4), 1.5))
+        lap = spectral.graph_laplacian(g)
+        assert lap.shape == (12, 12)
+        np.testing.assert_array_equal(lap, spectral.laplacian_from_adjacency(
+            g.spatial + g.temporal_positive))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 3)])
+    def test_single_corner_coupling_is_one_block(self, entry):
+        twins = -np.ones((2, 4))
+        twins[entry] = 1e-3
+        g = bridged_graph(twins)
+        lap = spectral.graph_laplacian(g)
+        assert lap.shape == (12, 12)
+        u = entry[0] * 4 + entry[1]
+        assert lap[u, u + 4] < 0 and lap[u + 4, u] < 0
+        np.testing.assert_array_equal(lap, spectral.laplacian_from_adjacency(
+            g.spatial + g.temporal_positive))
 
 
 class TestSymmetryCheck:
@@ -172,18 +209,41 @@ class TestSymmetryCheck:
 
 
 class TestBlockSolve:
-    def test_switch_below_and_above(self):
-        small = block_diagonal([8] * 7)  # 56 nodes: whole-matrix solve
-        assert small.shape[0] < spectral.BLOCK_SOLVE_MIN
-        basis = spectral.eigendecompose(small)
-        ref = spectral._solve_whole(small.copy())
-        np.testing.assert_array_equal(basis.eigenvalues, ref.eigenvalues)
-        np.testing.assert_array_equal(basis.vectors, ref.vectors)
-        large = block_diagonal([8] * 8)
-        assert large.shape[0] >= spectral.BLOCK_SOLVE_MIN
-        basis = spectral.eigendecompose(large)
-        ref = spectral._solve_blocks(large, spectral.diagonal_blocks(large))
-        np.testing.assert_array_equal(basis.vectors, ref.vectors)
+    def test_stack_contract_per_block(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(5, 12, 12))
+        stack = (a + a.swapaxes(1, 2)) / 2
+        stack[2] = np.eye(12)   # a repeated eigenvalue
+        basis = spectral.eigendecompose(stack)
+        lam, vec = basis.eigenvalues, basis.vectors
+        assert lam.shape == (5, 12) and vec.shape == (5, 12, 12)
+        assert basis.size == 60
+        assert np.all(np.diff(lam, axis=1) >= 0)
+        for k in range(5):
+            assert np.abs(vec[k].T @ vec[k] - np.eye(12)).max() <= 1e-12
+            assert np.abs(vec[k] @ np.diag(lam[k]) @ vec[k].T
+                          - stack[k]).max() <= 1e-12
+            for col in vec[k].T:
+                assert col[np.abs(col) > 1e-12][0] > 0
+            # one stacked eigh solves each block as a solve of its own would
+            alone = spectral.eigendecompose(stack[k])
+            np.testing.assert_array_equal(lam[k], alone.eigenvalues)
+            np.testing.assert_array_equal(vec[k], alone.vectors)
+
+    def test_asymmetric_block_rejected(self):
+        stack = np.stack([np.eye(4)] * 3)
+        stack[1, 0, 3] = 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            spectral.eigendecompose(stack)
+        with pytest.raises(ValueError, match="square"):
+            spectral.eigendecompose(np.zeros((2, 3, 4)))
+
+    def test_unconverged_solve_is_runtime_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("no convergence")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            spectral.eigendecompose(np.stack([np.eye(3)] * 2))
 
     def test_contract_on_unequal_blocks(self):
         lap = block_diagonal([20, 7, 20, 1, 30], seed=3)
@@ -202,15 +262,14 @@ class TestBlockSolve:
         (8, "upsample_artifact", 0), (8, "spectral_noise", 1)])
     def test_matches_whole_solve_on_clip_laplacians(self, patch_size, family,
                                                     seed):
-        lap = clip_laplacian(patch_size, family, seed)
-        m = lap.shape[0]
-        assert m >= spectral.BLOCK_SOLVE_MIN
-        # every frame boundary is a cut (a frame may split further)
-        bounds = spectral.diagonal_blocks(lap)
-        assert set(range(0, m + 1, m // 8)) <= set(bounds.tolist())
-        blocks = spectral.eigendecompose(lap)
-        whole = spectral._solve_whole(lap.copy())
-        assert np.abs(blocks.eigenvalues - whole.eigenvalues).max() <= 1e-12
+        stack = clip_laplacian(patch_size, family, seed)
+        m = stack.shape[0] * stack.shape[1]
+        assert stack.shape == (8, m // 8, m // 8)
+        blocks = spectral.eigendecompose(stack)
+        whole = spectral.eigendecompose(block_diagonal_of(stack))
+        order = np.argsort(blocks.eigenvalues.ravel(), kind="stable")
+        assert np.abs(blocks.eigenvalues.ravel()[order]
+                      - whole.eigenvalues).max() <= 1e-12
 
         rng = np.random.default_rng(seed)
         weights = rng.normal(size=(m, 4))
@@ -246,7 +305,7 @@ class TestBlockSolve:
         # each cluster of eigenvalues closer than 1e-6 it does not
         cluster = np.concatenate(
             ([0], np.cumsum(np.diff(whole.eigenvalues) > 1e-6)))
-        np.testing.assert_allclose(np.bincount(cluster, gg_b),
+        np.testing.assert_allclose(np.bincount(cluster, gg_b[order]),
                                    np.bincount(cluster, gg_w),
                                    rtol=0, atol=1e-12)
 
