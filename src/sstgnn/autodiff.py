@@ -1,10 +1,11 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 A deliberately small, closed op set: matmul, block_matmul (a constant
-block-diagonal matrix), add (broadcasting), mul (broadcasting), scale,
-concat, basic slicing, reshape, leaky_relu, mean, cross_entropy, plus
-frame_attention, one fused op for graph attention over a clip's frame
-layout. Each op records a backward rule on a per-forward tape;
+block-diagonal matrix: the spectral pool w^T x applies it to one column
+w and never forms the filtered signal), add, mul (both broadcasting),
+scale, concat, basic slicing, reshape, leaky_relu, mean, cross_entropy,
+plus frame_attention, one fused op for graph attention over a clip's
+frame layout. Each op records a backward rule on a per-forward tape;
 `backward()` walks the tape once in reverse topological order. Gradients
 are accumulated in a tape-local dict so forward/backward passes over
 shared (read-only) parameters can run on parallel threads; the returned

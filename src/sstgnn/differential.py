@@ -132,17 +132,12 @@ def temporal_concat(x, graph: VideoGraph, weight, bias):
     """Affine map over [x_t ; x_{t+1}] per node; last frame self-pairs.
 
     ``x`` is an (M, d) Tensor; output has the same shape. Only frames t
-    and t+1 feed node t.
+    and t+1 feed node t: the next-frame half is x shifted up one frame,
+    with the last frame repeated.
     """
     n = graph.patches_per_frame
-    frames = []
-    for t in range(graph.frames):
-        cur = x[t * n:(t + 1) * n]
-        nxt_t = min(t + 1, graph.frames - 1)
-        nxt = x[nxt_t * n:(nxt_t + 1) * n]
-        frames.append(ad.concat([cur, nxt], axis=1))
-    stacked = ad.concat(frames, axis=0)
-    return ad.add(ad.matmul(stacked, weight), bias)
+    nxt = ad.concat([x[n:], x[-n:]], axis=0)
+    return ad.add(ad.matmul(ad.concat([x, nxt], axis=1), weight), bias)
 
 
 def add_temporal_negative(graph: VideoGraph) -> VideoGraph:

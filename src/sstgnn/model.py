@@ -3,9 +3,10 @@
 A forward pass patchifies the clip, encodes patches to d-dim embeddings,
 builds the clip graph from the detached embeddings, adds the negative
 differential edges, and runs two branches: spectral (eigenbasis of the
-nonnegative graph, learned per-eigenvalue gains, filter, mean-pool) and
-spatial (temporal concat, consistency + inconsistency GAT, fusion). The
-pooled branch outputs concatenate into Z and a head maps Z to 2 logits.
+nonnegative graph, learned per-eigenvalue gains, the filtered signal's
+node mean taken as one row w^T x, never forming the signal) and spatial
+(temporal concat, consistency + inconsistency GAT, fusion). The pooled
+branch outputs concatenate into Z and a head maps Z to 2 logits.
 
 Graph topology and the eigenbasis are recomputed per clip per forward
 but excluded from gradients; `build_structure` / `forward_with_structure`
@@ -310,10 +311,9 @@ def _pooled_features(structure: ClipStructure, params: ModelParams,
     x = encode_patches(structure.patches, params, config)
 
     if config.use_spectral:
-        gains = spectral.filter_gains(structure.basis.eigenvalues,
-                                      params.filter_mlp, slope)
+        basis = structure.basis
         z_spectral = spectral.pool_spectral(
-            spectral.apply_filter(x, structure.basis, gains))
+            x, basis, params.filter_mlp.gains(basis.eigenvalues, slope))
     else:
         z_spectral = ad.constant(np.zeros((1, config.dim)))
 

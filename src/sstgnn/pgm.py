@@ -25,7 +25,14 @@ def read_pgm(path) -> np.ndarray:
             i = j
     if len(tokens) < 4 or tokens[0] not in (b"P5", b"P2"):
         raise ValueError(f"{path}: not an 8-bit PGM")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    header = {}
+    for name, token in zip(("width", "height", "maxval"), tokens[1:]):
+        try:
+            header[name] = int(token)
+        except ValueError:
+            raise ValueError(f"{path}: {name} must be an integer, "
+                             f"got {token.decode('latin-1')!r}") from None
+    width, height, maxval = header.values()
     if width < 1 or height < 1:
         raise ValueError(f"{path}: width and height must be >= 1, "
                          f"got {width}x{height}")

@@ -3,14 +3,14 @@
 The symmetrized normalized Laplacian of the nonnegative clip graph is
 eigendecomposed per frame when no positive bridge joins the frames (the
 default: the temporal differential turns every bridge into a -1 edge),
-as one stacked eigh over the (T, N, N) frame Laplacians; signals are
-filtered as U diag(g) U^T X, one diagonal block of U at a time. Gains
-come either from a fixed preset (low/high/band/reject/comb/all-pass on
-the [0, 2] eigenvalue axis) or from a small scalar-to-scalar MLP applied
-to each eigenvalue, which keeps the learned filter independent of graph
-size. The eigenbasis is
-a constant to backpropagation: gradients flow through the gains and the
-signal only.
+as one stacked eigh over the (T, N, N) frame Laplacians. A small
+scalar-to-scalar MLP maps each eigenvalue to a gain g, which keeps the
+learned filter independent of graph size. The detector only mean-pools
+the filtered signal U diag(g) U^T X, so `pool_spectral` computes the
+pooled row as w^T X with w = U (g * U^T 1) / M, one diagonal block of U
+at a time, and never forms the filtered signal; the eigenbasis is a
+constant to backpropagation. `apply_filter` forms the signal in numpy,
+with fixed preset gains for the image demo.
 """
 
 from __future__ import annotations
@@ -65,17 +65,9 @@ class FilterPreset:
         low = (lam <= self.low_edge).astype(float)
         band = ((lam > self.low_edge) & (lam <= self.high_edge)).astype(float)
         high = (lam > self.high_edge).astype(float)
-        if self.kind == "all_pass":
-            return np.ones_like(lam)
-        if self.kind == "low_pass":
-            return low
-        if self.kind == "high_pass":
-            return high
-        if self.kind == "band_pass":
-            return band
-        if self.kind == "band_reject":
-            return 1.0 - band
-        return low + band + high
+        return {"all_pass": np.ones_like(lam), "low_pass": low,
+                "high_pass": high, "band_pass": band,
+                "band_reject": 1.0 - band, "comb": low + band + high}[self.kind]
 
 
 @dataclass
@@ -166,31 +158,31 @@ def eigendecompose(lap) -> SpectralBasis:
     return SpectralBasis(lam, _fix_signs(vec))
 
 
-def filter_gains(lam, filt, slope=0.2):
-    """Evaluate per-eigenvalue gains; returns a Tensor either way."""
-    if isinstance(filt, FilterPreset):
-        return ad.constant(filt.gains(lam))
-    return filt.gains(lam, slope)
-
-
-def apply_filter(x, basis: SpectralBasis, gains):
-    """U diag(gains) U^T x, one diagonal block of U at a time, with the
-    basis held constant under autodiff. ``gains`` follow the flattened
-    eigenvalues, ``x`` the node order."""
-    x = ad.as_tensor(x)
-    gains = ad.as_tensor(gains)
-    if x.data.shape[0] != basis.size:
+def apply_filter(x, basis: SpectralBasis, gains) -> np.ndarray:
+    """U diag(gains) U^T x in plain numpy, one diagonal block of U at a
+    time; a whole (M, M) basis is one block. ``gains`` follow the
+    flattened eigenvalues, ``x`` (M, d) the node order."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[0] != basis.size:
         raise ValueError("signal row count must match the basis size")
     n = basis.vectors.shape[-1]
     blocks = basis.vectors.reshape(-1, n, n)
-    coeffs = ad.block_matmul(blocks.swapaxes(1, 2), x)
-    scaled = ad.mul(ad.reshape(gains, (-1, 1)), coeffs)
-    return ad.block_matmul(blocks, scaled)
+    coeffs = blocks.swapaxes(1, 2) @ x.reshape(-1, n, x.shape[1])
+    scaled = np.asarray(gains, dtype=np.float64).reshape(-1, n, 1) * coeffs
+    return (blocks @ scaled).reshape(x.shape)
 
 
-def pool_spectral(x_spectral):
-    """Mean over the node axis, kept as a (1, d) row."""
-    return ad.mean(ad.as_tensor(x_spectral), axis=0, keepdims=True)
+def pool_spectral(x, basis: SpectralBasis, gains):
+    """(1/M) 1^T U diag(gains) U^T x, the node mean of the filtered
+    signal, as the (1, d) row w^T x with w = U (gains * U^T 1) / M per
+    diagonal block of U. ``gains`` follow the flattened eigenvalues,
+    ``x`` the node order; the basis is constant under autodiff."""
+    n = basis.vectors.shape[-1]
+    blocks = basis.vectors.reshape(-1, n, n)
+    ones_coeffs = blocks.sum(axis=1).reshape(-1, 1) / basis.size
+    scaled = ad.mul(ad.reshape(gains, (-1, 1)), ones_coeffs)
+    w = ad.block_matmul(blocks, scaled)
+    return ad.matmul(ad.reshape(w, (1, -1)), x)
 
 
 def dirichlet_energy(x, lap):
@@ -220,6 +212,6 @@ def filter_image_demo(image, preset: FilterPreset, patch_size=1, tau_s=0.6,
     adj = intra_frame_adjacency(row_normalize(nodes, eps), tau_s)
     basis = eigendecompose(laplacian_from_adjacency(adj))
     gains = preset.gains(basis.eigenvalues)
-    filtered = basis.vectors @ (gains[:, None] * (basis.vectors.T @ nodes))
+    filtered = apply_filter(nodes, basis, gains)
     out = unpatchify(replace(pt, vectors=filtered[None]))
     return out[0, :, :, 0], basis.eigenvalues, gains

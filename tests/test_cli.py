@@ -194,7 +194,10 @@ def test_filter_image_all_pass_roundtrip(tmp_path):
     (b"P5\n2 2\n0\n", "maxval must be >= 1"),
     (b"P5\n0 2\n255\n", "width and height must be >= 1"),
     (b"P5\n2 0\n255\n", "width and height must be >= 1"),
-], ids=["maxval_0", "width_0", "height_0"])
+    (b"P2\nabc 2\n255", "width must be an integer, got 'abc'"),
+    (b"P5\n2 2\n25x", "maxval must be an integer"),
+], ids=["maxval_0", "width_0", "height_0", "width_not_integer",
+        "maxval_not_integer"])
 def test_filter_image_bad_pgm_header_is_usage_error(tmp_path, capsys, header,
                                                     message):
     src = tmp_path / "in.pgm"

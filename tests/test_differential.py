@@ -157,10 +157,12 @@ class TestTemporalConcat:
                                            rtol=1e-12)
 
     def test_last_frame_self_concatenates(self):
-        g, x = self.make(t=2)
         w = np.vstack([np.zeros((3, 3)), np.eye(3)])  # read the second half
-        out = diff.temporal_concat(x, g, ad.constant(w), ad.constant(np.zeros(3)))
-        np.testing.assert_allclose(out.data[4:], x.data[4:], rtol=1e-15)
+        for t in (2, 1):
+            g, x = self.make(t=t)
+            out = diff.temporal_concat(x, g, ad.constant(w),
+                                       ad.constant(np.zeros(3)))
+            np.testing.assert_allclose(out.data[-4:], x.data[-4:], rtol=1e-15)
 
     def test_locality_under_future_frame_permutation(self):
         # node t sees only frames t and t+1

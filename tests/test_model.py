@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sstgnn import autodiff as ad
-from sstgnn import differential, gat, graphs, model, synth
+from sstgnn import differential, gat, graphs, model, spectral, synth
 
 
 def toy_clip(seed=0, family="real", frames=2, size=8):
@@ -142,6 +142,24 @@ class TestForward:
         np.testing.assert_array_equal(batch, single)
 
 
+class TestTape:
+    def test_desk_tape_node_count(self):
+        # nodes a backward pass from the loss visits: the root and every
+        # ancestor that needs a gradient; no op is recorded per frame
+        cfg = model.preset_config("desk")
+        params = model.init_params(cfg, random_head=True)
+        clip = synth.generate(synth.SynthSpec("real", seed=0)).clip
+        logits, _ = model.forward(clip, params, cfg)
+        root = ad.cross_entropy(logits, [0])
+        seen, stack = {id(root)}, [root]
+        while stack:
+            for parent in stack.pop().parents:
+                if parent.requires_grad and id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert len(seen) == 53
+
+
 class TestBridges:
     """Characterisation: with the differential on, `add_temporal_negative`
     writes -1 over every bridge slot, so no positive bridge reaches the
@@ -175,9 +193,15 @@ class TestFrameLayoutPath:
     def test_model_path_never_densifies(self, monkeypatch):
         # at M=512 with the differential on, building the structure and
         # the forward pass read the graph, the tile pattern and the
-        # attention supports only in their frame layouts
+        # attention supports only in their frame layouts, and the
+        # spectral branch pools without forming the filtered signal
         def dense(*_):
             raise AssertionError("an (M, M) array was built on the model path")
+
+        def filtered(*_):
+            raise AssertionError("the filtered (M, d) signal was formed")
+
+        monkeypatch.setattr(spectral, "apply_filter", filtered)
 
         for owner, name in ((graphs.VideoGraph, "spatial"),
                             (graphs.VideoGraph, "temporal"),

@@ -1,5 +1,7 @@
 """Spectral engine: Laplacian, eigenbasis, gains, filtering, demo."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,27 @@ from sstgnn.spectral import FilterPreset
 def random_video_graph(seed, t=2, grid=2, d=6, tau=0.3):
     emb = np.random.default_rng(seed).random((t, grid * grid, d))
     return graphs.unified_graph(emb, grid, grid, tau, tau)
+
+
+def dense_filter(x, basis, gains):
+    """Reference for `pool_spectral`: U diag(gains) U^T x as an autodiff
+    composition of two constant block products, forming the filtered
+    (M, d) signal."""
+    n = basis.vectors.shape[-1]
+    blocks = basis.vectors.reshape(-1, n, n)
+    coeffs = ad.block_matmul(blocks.swapaxes(1, 2), x)
+    scaled = ad.mul(ad.reshape(gains, (-1, 1)), coeffs)
+    return ad.block_matmul(blocks, scaled)
+
+
+def dense_pool(x, basis, gains):
+    return ad.mean(dense_filter(x, basis, gains), axis=0, keepdims=True)
+
+
+def mlp_values(rng, h):
+    shapes = {"w1": (1, h), "b1": (h,), "w2": (h, h), "b2": (h,),
+              "w3": (h, 1), "b3": (1,)}
+    return {k: rng.normal(size=s) for k, s in shapes.items()}
 
 
 class TestLaplacian:
@@ -118,11 +141,13 @@ def block_diagonal(sizes, seed=0):
     return out
 
 
-def clip_laplacian(patch_size, family, seed):
-    """Laplacian of a real 8x64x64 clip graph with the differential on:
-    every bridge slot holds -1, so it is the stack of frame Laplacians."""
+def clip_laplacian(patch_size, family, seed, use_differential=True):
+    """Laplacian of a real 8x64x64 clip graph. With the differential on,
+    every bridge slot holds -1, so it is the stack of frame Laplacians;
+    with it off, positive bridges make it one (M, M) matrix."""
     config = model.TrainConfig(patch_size=patch_size, seed=7,
-                               use_spectral=False)
+                               use_spectral=False,
+                               use_differential=use_differential)
     clip = synth.generate(synth.SynthSpec(family, seed=seed)).clip
     structure = model.build_structure(clip, model.init_params(config), config)
     return spectral.graph_laplacian(structure.graph)
@@ -272,21 +297,18 @@ class TestBlockSolve:
                       - whole.eigenvalues).max() <= 1e-12
 
         rng = np.random.default_rng(seed)
-        weights = rng.normal(size=(m, 4))
-        h = 4
-        shapes = {"w1": (1, h), "b1": (h,), "w2": (h, h), "b2": (h,),
-                  "w3": (h, 1), "b3": (1,)}
-        mlp_values = {k: rng.normal(size=s) for k, s in shapes.items()}
+        weights = rng.normal(size=(1, 4))
+        mlp_init = mlp_values(rng, 4)
         x_value = rng.normal(size=(m, 4))
 
         def run(basis):
             x = ad.parameter(x_value.copy())
-            mlp = {k: ad.parameter(v.copy()) for k, v in mlp_values.items()}
+            mlp = {k: ad.parameter(v.copy()) for k, v in mlp_init.items()}
             gains = ad.parameter(
                 spectral.FilterMlp(**mlp).gains(basis.eigenvalues).data)
-            out = spectral.apply_filter(x, basis, gains)
+            out = spectral.pool_spectral(x, basis, gains)
             grads = ad.mean(ad.mul(out, ad.constant(weights))).backward()
-            through_mlp = spectral.apply_filter(
+            through_mlp = spectral.pool_spectral(
                 x_value, basis, spectral.FilterMlp(**mlp).gains(basis.eigenvalues))
             mlp_grads = ad.mean(ad.mul(through_mlp, ad.constant(weights))).backward()
             return (out.data, grads[x], grads[gains],
@@ -296,7 +318,7 @@ class TestBlockSolve:
         out_w, gx_w, gg_w, gm_w = run(whole)
         assert np.abs(out_b - out_w).max() <= 1e-12
         assert np.abs(gx_b - gx_w).max() <= 1e-12
-        for k in shapes:
+        for k in mlp_init:
             assert np.abs(gm_b[k] - gm_w[k]).max() <= 1e-12, k
         # a single gain's gradient depends on the basis chosen inside a
         # repeated eigenvalue (each frame has its own zero mode), and the
@@ -373,11 +395,11 @@ class TestApplyFilter:
 
     def test_identity_filter(self):
         out = spectral.apply_filter(self.x, self.basis, np.ones(8))
-        np.testing.assert_allclose(out.data, self.x, atol=1e-10)
+        np.testing.assert_allclose(out, self.x, atol=1e-10)
 
     def test_zero_filter(self):
         out = spectral.apply_filter(self.x, self.basis, np.zeros(8))
-        np.testing.assert_allclose(out.data, np.zeros((8, 5)), atol=1e-15)
+        np.testing.assert_allclose(out, np.zeros((8, 5)), atol=1e-15)
 
     def test_bottom_eigenvector_projector(self):
         gains = (self.basis.eigenvalues ==
@@ -385,7 +407,7 @@ class TestApplyFilter:
         assert gains.sum() == 1.0
         out = spectral.apply_filter(self.x, self.basis, gains)
         u0 = self.basis.vectors[:, [0]]
-        np.testing.assert_allclose(out.data, u0 @ (u0.T @ self.x), atol=1e-12)
+        np.testing.assert_allclose(out, u0 @ (u0.T @ self.x), atol=1e-12)
 
     def test_parseval(self):
         coeffs = self.basis.vectors.T @ self.x
@@ -396,67 +418,183 @@ class TestApplyFilter:
         rng = np.random.default_rng(5)
         y = rng.normal(size=self.x.shape)
         gains = rng.random(8)
-        lhs = spectral.apply_filter(2.0 * self.x + 3.0 * y, self.basis, gains).data
-        rhs = (2.0 * spectral.apply_filter(self.x, self.basis, gains).data
-               + 3.0 * spectral.apply_filter(y, self.basis, gains).data)
+        lhs = spectral.apply_filter(2.0 * self.x + 3.0 * y, self.basis, gains)
+        rhs = (2.0 * spectral.apply_filter(self.x, self.basis, gains)
+               + 3.0 * spectral.apply_filter(y, self.basis, gains))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
 
     def test_low_pass_never_raises_dirichlet_energy(self):
         gains = FilterPreset("low_pass").gains(self.basis.eigenvalues)
-        out = spectral.apply_filter(self.x, self.basis, gains).data
+        out = spectral.apply_filter(self.x, self.basis, gains)
         before = spectral.dirichlet_energy(self.x, self.lap)
         after = spectral.dirichlet_energy(out, self.lap)
         assert np.all(after <= before + 1e-9)
-
-    def test_gradient_through_gains(self):
-        mlp_params = {}
-        rng = np.random.default_rng(6)
-        h = 3
-        shapes = {"w1": (1, h), "b1": (h,), "w2": (h, h), "b2": (h,),
-                  "w3": (h, 1), "b3": (1,)}
-        for name, shape in shapes.items():
-            mlp_params[name] = ad.parameter(rng.normal(size=shape))
-        mlp = spectral.FilterMlp(**mlp_params)
-        x = ad.constant(self.x)
-
-        def f():
-            gains = mlp.gains(self.basis.eigenvalues)
-            return ad.mean(spectral.apply_filter(x, self.basis, gains))
-
-        assert ad.finite_diff_check(f, mlp_params) < 1e-4
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="row count"):
             spectral.apply_filter(np.ones((3, 2)), self.basis, np.ones(8))
 
-    def test_eigenvector_gauge_invariance(self):
-        # column sign flips are valid alternative eigensolver outputs and
-        # must not leak into the filtered signal or its gradients
-        flipped = spectral.SpectralBasis(self.basis.eigenvalues,
-                                         self.basis.vectors * -1.0)
-        x = ad.parameter(self.x.copy())
-        gains = np.linspace(0.0, 1.0, 8)
-        a = ad.mean(spectral.apply_filter(x, self.basis, gains))
-        b = ad.mean(spectral.apply_filter(x, flipped, gains))
-        np.testing.assert_allclose(b.data, a.data, rtol=1e-12)
-        np.testing.assert_allclose(b.backward()[x], a.backward()[x],
-                                   rtol=1e-12)
+    def test_stacked_basis_filters_each_frame(self):
+        stack = clip_laplacian(16, "real", 0)
+        basis = spectral.eigendecompose(stack)
+        rng = np.random.default_rng(6)
+        x, gains = rng.normal(size=(basis.size, 3)), rng.random(basis.size)
+        out = spectral.apply_filter(x, basis, gains)
+        n = stack.shape[1]
+        for t in range(stack.shape[0]):
+            u, rows = basis.vectors[t], slice(t * n, (t + 1) * n)
+            np.testing.assert_allclose(
+                out[rows], u @ (gains[rows, None] * (u.T @ x[rows])),
+                rtol=0, atol=1e-12)
 
 
 class TestPool:
+    """`pool_spectral` against the mean of the filtered signal."""
+
+    def setup_method(self):
+        g = random_video_graph(3)
+        self.basis = spectral.eigendecompose(spectral.graph_laplacian(g))
+        self.x = np.random.default_rng(4).normal(size=(8, 5))
+
     def test_single_node(self):
-        out = spectral.pool_spectral(np.array([[1.0, 2.0, 3.0]]))
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]])
+        basis = spectral.SpectralBasis(np.zeros(1), np.ones((1, 1)))
+        out = spectral.pool_spectral(np.array([[1.0, 2.0, 3.0]]), basis,
+                                     np.array([0.5]))
+        np.testing.assert_array_equal(out.data, [[0.5, 1.0, 1.5]])
 
     def test_opposite_rows_cancel(self):
+        basis = spectral.eigendecompose(
+            spectral.laplacian_from_adjacency([[0.0, 1.0], [1.0, 0.0]]))
         r = np.array([1.0, -2.0, 0.5])
-        out = spectral.pool_spectral(np.vstack([r, -r]))
+        out = spectral.pool_spectral(np.vstack([r, -r]), basis, np.ones(2))
         np.testing.assert_allclose(out.data, np.zeros((1, 3)), atol=1e-15)
 
     def test_matches_column_mean(self):
-        x = np.random.default_rng(7).normal(size=(5, 3))
-        out = spectral.pool_spectral(x)
-        np.testing.assert_allclose(out.data[0], x.mean(axis=0), rtol=1e-15)
+        # all-pass: the pooled row is the plain node mean
+        out = spectral.pool_spectral(self.x, self.basis, np.ones(8))
+        np.testing.assert_allclose(out.data[0], self.x.mean(axis=0),
+                                   rtol=0, atol=1e-15)
+
+    def test_zero_gains_give_zero(self):
+        out = spectral.pool_spectral(self.x, self.basis, np.zeros(8))
+        np.testing.assert_array_equal(out.data, np.zeros((1, 5)))
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_equals_mean_of_filtered_signal(self, stacked):
+        basis = self.basis
+        if stacked:
+            basis = spectral.eigendecompose(clip_laplacian(16, "real", 0))
+        rng = np.random.default_rng(5)
+        x, gains = rng.normal(size=(basis.size, 5)), rng.random(basis.size)
+        out = spectral.pool_spectral(x, basis, gains)
+        np.testing.assert_allclose(
+            out.data[0], spectral.apply_filter(x, basis, gains).mean(axis=0),
+            rtol=0, atol=1e-15)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            spectral.pool_spectral(np.ones((3, 2)), self.basis, np.ones(8))
+        with pytest.raises(ValueError):
+            spectral.pool_spectral(self.x, self.basis, np.ones(7))
+
+    def test_gradient_through_gains(self):
+        rng = np.random.default_rng(6)
+        mlp_params = {k: ad.parameter(v) for k, v in mlp_values(rng, 3).items()}
+        mlp = spectral.FilterMlp(**mlp_params)
+        x = ad.parameter(self.x.copy())
+        weights = ad.constant(rng.normal(size=(1, 5)))
+
+        def f(pool):
+            gains = mlp.gains(self.basis.eigenvalues)
+            return ad.mean(ad.mul(pool(x, self.basis, gains), weights))
+
+        assert ad.finite_diff_check(lambda: f(spectral.pool_spectral),
+                                    {**mlp_params, "x": x}) < 1e-4
+        got = f(spectral.pool_spectral).backward(write_grad=False)
+        ref = f(dense_pool).backward(write_grad=False)
+        for t in [x, *mlp_params.values()]:
+            np.testing.assert_allclose(got[t], ref[t], rtol=0, atol=1e-15)
+
+    def test_eigenvector_gauge_invariance(self):
+        # column sign flips are valid alternative eigensolver outputs and
+        # must not leak into the pooled row or its gradients
+        signs = np.where(np.random.default_rng(7).random(8) < 0.5, -1.0, 1.0)
+        flipped = spectral.SpectralBasis(self.basis.eigenvalues,
+                                         self.basis.vectors * signs)
+        x = ad.parameter(self.x.copy())
+        gains = np.linspace(0.0, 1.0, 8)
+        a = ad.mean(spectral.pool_spectral(x, self.basis, gains))
+        b = ad.mean(spectral.pool_spectral(x, flipped, gains))
+        ref = ad.mean(dense_pool(x, self.basis, gains))
+        np.testing.assert_allclose(b.data, a.data, rtol=1e-12)
+        np.testing.assert_allclose(a.data, ref.data, rtol=1e-12)
+        np.testing.assert_allclose(b.backward()[x], a.backward()[x],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(a.backward()[x], ref.backward()[x],
+                                   rtol=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def clip_basis(patch_size, use_differential):
+    """Eigenbasis of a real clip: a (T, N, N) stack of frame bases with
+    the differential on, one whole (M, M) basis with it off."""
+    return spectral.eigendecompose(
+        clip_laplacian(patch_size, "upsample_artifact", 2, use_differential))
+
+
+class TestPooledMatchesDenseFilter:
+    """On real clip bases, `pool_spectral` equals the mean of the dense
+    autodiff filter `dense_filter` within 1e-12, in value and in the
+    gradients of the signal and of every gain-MLP parameter."""
+
+    @pytest.mark.parametrize("use_differential", [True, False],
+                             ids=["stacked", "whole"])
+    @pytest.mark.parametrize("patch_size", [16, 8], ids=["m128", "m512"])
+    def test_value_and_gradients(self, patch_size, use_differential):
+        basis = clip_basis(patch_size, use_differential)
+        m = (64 // patch_size) ** 2 * 8
+        assert basis.size == m
+        assert basis.vectors.ndim == (3 if use_differential else 2)
+        rng = np.random.default_rng(patch_size)
+        init = mlp_values(rng, 4)
+        x_value = rng.normal(size=(m, 6))
+        weights = ad.constant(rng.normal(size=(1, 6)))
+
+        def run(pool):
+            x = ad.parameter(x_value.copy())
+            mlp = {k: ad.parameter(v.copy()) for k, v in init.items()}
+            gains = spectral.FilterMlp(**mlp).gains(basis.eigenvalues)
+            out = pool(x, basis, gains)
+            grads = ad.mean(ad.mul(out, weights)).backward(write_grad=False)
+            return out.data, grads[x], {k: grads[t] for k, t in mlp.items()}
+
+        def close(got, ref):
+            return np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+        out, gx, gm = run(spectral.pool_spectral)
+        ref_out, ref_gx, ref_gm = run(dense_pool)
+        assert close(out, ref_out)
+        assert close(gx, ref_gx)
+        for k in init:
+            assert close(gm[k], ref_gm[k]), k
+
+    @pytest.mark.parametrize("use_differential", [True, False],
+                             ids=["stacked", "whole"])
+    def test_finite_differences(self, use_differential):
+        basis = clip_basis(16, use_differential)
+        rng = np.random.default_rng(9)
+        params = {k: ad.parameter(v) for k, v in mlp_values(rng, 3).items()}
+        params["x"] = ad.parameter(rng.normal(size=(basis.size, 2)))
+        weights = ad.constant(rng.normal(size=(1, 2)))
+        mlp = spectral.FilterMlp(*(params[k] for k in
+                                   ("w1", "b1", "w2", "b2", "w3", "b3")))
+
+        def f():
+            gains = mlp.gains(basis.eigenvalues)
+            out = spectral.pool_spectral(params["x"], basis, gains)
+            return ad.mean(ad.mul(out, weights))
+
+        assert ad.finite_diff_check(f, params) < 1e-4
 
 
 class TestImageDemo:
