@@ -204,10 +204,11 @@ def cmd_gradcheck(args):
         "real", seed=args.seed, frames=2, height=4, width=4)).clip
     config = model.preset_config("toy")
     params = model.init_params(config, seed=args.seed, random_head=True)
-    structure = model.build_structure(clip, params, config)
+    _, structure = model.forward(clip, params, config)
 
     def loss():
-        logits = model.forward_with_structure(structure, params, config)
+        x = model.encode_patches(structure.patches, params, config)
+        logits = model.forward_with_structure(structure, x, params, config)
         return ad.cross_entropy(logits, [1])
 
     worst = 0.0

@@ -6,7 +6,8 @@ The softmax is undefined over negative weights, so attention runs on the
 magnitude support and each message is multiplied by the edge sign. The
 consistency pass uses the positive spatial + temporal edges (+1 signs);
 the inconsistency pass uses the tile blocks and the -1 temporal entries.
-Self-loops (+1) are always added so no softmax row is empty.
+`SignedAdjacency` adds any missing self-loop (+1), so no softmax row
+is empty.
 
 Adjacency is held in the clip's frame layout (see `graphs.to_layout`),
 built straight from the graph's frame blocks and twin edges: node (t, i)
@@ -36,7 +37,8 @@ class SignedAdjacency:
     """Boolean edge support plus a {-1, 0, +1} sign per supported edge.
 
     Both are (T, N, N + 2) frame layouts. A 2-D (M, M) pair is taken as
-    one frame with no twins.
+    one frame with no twins. Every node gets a self-loop: a missing one
+    is added with sign +1, an existing one keeps its sign.
     """
 
     support: np.ndarray
@@ -47,8 +49,6 @@ class SignedAdjacency:
         sign = np.asarray(self.sign, dtype=float)
         if support.ndim == 2 and support.shape[0] == support.shape[1]:
             support, sign = frame_layout(support, 1), frame_layout(sign, 1)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "sign", sign)
         if (support.ndim != 3 or support.shape[2] != support.shape[1] + 2
                 or sign.shape != support.shape):
             raise ValueError(f"support {support.shape} and sign {sign.shape} "
@@ -58,33 +58,30 @@ class SignedAdjacency:
         n = support.shape[1]
         if support[0, :, n].any() or support[-1, :, n + 1].any():
             raise ValueError("twin entry beyond the first or last frame")
+        diag = np.arange(n)
+        missing = ~support[:, diag, diag]
+        if missing.any():
+            support, sign = support.copy(), sign.copy()
+            support[:, diag, diag] = True
+            sign[:, diag, diag] += missing   # an absent loop's sign is 0
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "sign", sign)
 
     def dense(self):
         """The (M, M) support and sign this layout stands for."""
         return dense_from_layout(self.support), dense_from_layout(self.sign)
 
-    def with_self_loops(self):
-        diag = np.arange(self.support.shape[1])
-        missing = ~self.support[:, diag, diag]
-        if not missing.any():
-            return self
-        support = self.support.copy()
-        sign = self.sign.copy()
-        support[:, diag, diag] = True
-        sign[:, diag, diag] = np.where(missing, 1.0, sign[:, diag, diag])
-        return SignedAdjacency(support, sign)
-
 
 def consistency_adjacency(graph: VideoGraph) -> SignedAdjacency:
     support = to_layout(graph.blocks > 0, graph.twins > 0)
-    return SignedAdjacency(support, support.astype(float)).with_self_loops()
+    return SignedAdjacency(support, support.astype(float))
 
 
 def inconsistency_adjacency(graph: VideoGraph,
                             neg: NegativeSpatialAdjacency | None) -> SignedAdjacency:
     block = np.zeros(graph.blocks.shape[1:]) if neg is None else neg.block
     sign = to_layout(np.sign(block), np.minimum(np.sign(graph.twins), 0.0))
-    return SignedAdjacency(sign != 0, sign).with_self_loops()
+    return SignedAdjacency(sign != 0, sign)
 
 
 def gat_forward(x, adj: SignedAdjacency, params: GatParams, slope=0.2):
@@ -92,10 +89,9 @@ def gat_forward(x, adj: SignedAdjacency, params: GatParams, slope=0.2):
 
     e_ij = LeakyReLU(a . [h_i || h_j]) over the magnitude support; alpha
     is the masked softmax; node i aggregates sum_j alpha_ij s_ij h_j and
-    passes through LeakyReLU. Missing self-loops are added (+1) so every
-    softmax row has support.
+    passes through LeakyReLU. `SignedAdjacency` holds every self-loop,
+    so every softmax row has support.
     """
-    adj = adj.with_self_loops()
     x = ad.as_tensor(x)
     d = params.weight.data.shape[0]
     if x.data.shape[1] != d:

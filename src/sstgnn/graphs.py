@@ -40,7 +40,7 @@ class PatchTensor:
 
 @dataclass(frozen=True)
 class VideoGraph:
-    """The clip graph in its frame layout, plus the node features.
+    """The clip graph in its frame layout.
 
     ``blocks`` holds each frame's intra-frame adjacency. ``twins[t, v]``
     is the temporal edge between node v of frame t and node v of frame
@@ -55,7 +55,6 @@ class VideoGraph:
     grid_w: int
     blocks: np.ndarray     # (T, N, N)
     twins: np.ndarray      # (T - 1, N)
-    features: np.ndarray   # (M, d) detached embeddings
 
     def __post_init__(self):
         t, n = self.frames, self.patches_per_frame
@@ -177,14 +176,11 @@ def temporal_bridge(a_t, a_next, x_t, x_next, tau_t, eps=EPS_NORM):
     return scores, scores / 2 >= tau_t
 
 
-def assemble(frame_adjacencies, scores, keep, features, grid_h, grid_w) -> VideoGraph:
-    """(T, N, N) frame adjacencies + kept (T - 1, N) bridges + features."""
+def assemble(frame_adjacencies, scores, keep, grid_h, grid_w) -> VideoGraph:
+    """(T, N, N) frame adjacencies + kept (T - 1, N) bridges."""
     blocks = np.asarray(frame_adjacencies, dtype=np.float64)
-    t = blocks.shape[0]
-    features = np.asarray(features, dtype=np.float64).reshape(
-        t * grid_h * grid_w, -1)
-    return VideoGraph(t, grid_h, grid_w, blocks, np.where(keep, scores, 0.0),
-                      features)
+    return VideoGraph(blocks.shape[0], grid_h, grid_w, blocks,
+                      np.where(keep, scores, 0.0))
 
 
 def unified_graph(embeddings, grid_h, grid_w, tau_s, tau_t, eps=EPS_NORM) -> VideoGraph:
@@ -193,7 +189,7 @@ def unified_graph(embeddings, grid_h, grid_w, tau_s, tau_t, eps=EPS_NORM) -> Vid
     adjs = intra_frame_adjacency(row_normalize(emb, eps), tau_s)
     scores, keep = temporal_bridge(adjs[:-1], adjs[1:], emb[:-1], emb[1:],
                                    tau_t, eps)
-    return assemble(adjs, scores, keep, emb, grid_h, grid_w)
+    return assemble(adjs, scores, keep, grid_h, grid_w)
 
 
 def to_layout(blocks, twins):

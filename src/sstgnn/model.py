@@ -1,17 +1,17 @@
 """End-to-end detector: encoder, graph assembly, both branches, training.
 
-A forward pass patchifies the clip, encodes patches to d-dim embeddings,
-builds the clip graph from the detached embeddings, adds the negative
-differential edges, and runs two branches: spectral (eigenbasis of the
-nonnegative graph, learned per-eigenvalue gains, the filtered signal's
-node mean taken as one row w^T x, never forming the signal) and spatial
-(temporal concat, consistency + inconsistency GAT, fusion). The pooled
-branch outputs concatenate into Z and a head maps Z to 2 logits.
+A forward pass patchifies the clip, encodes the patches once to d-dim
+embeddings, builds the clip graph from their detached values, adds the
+negative differential edges, and runs two branches on that embedding:
+spectral (eigenbasis of the nonnegative graph, learned per-eigenvalue
+gains, pooled as one row w^T x without forming the filtered signal) and
+spatial (temporal concat, consistency + inconsistency GAT, fusion).
+Their pooled outputs concatenate into Z; a head maps Z to 2 logits.
 
 Graph topology and the eigenbasis are recomputed per clip per forward
-but excluded from gradients; `build_structure` / `forward_with_structure`
-split exposes that boundary, which is also what the end-to-end finite
-difference check exercises.
+but excluded from gradients: `build_structure` is a pure function of the
+patches, their detached embedding and the config. The finite difference
+check holds it constant and re-encodes `structure.patches` in its loss.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import differential, gat, spectral
-from .graphs import VideoGraph, patchify, unified_graph
+from .graphs import PatchTensor, VideoGraph, patchify, unified_graph
 from .rng import stream
 from .synth import FrameSequence, LabeledClip
 from .utils import parallel_map
@@ -279,11 +279,10 @@ class ClipStructure:
     inconsistency: gat.SignedAdjacency
 
 
-def build_structure(clip: FrameSequence, params: ModelParams,
+def build_structure(pt: PatchTensor, embedding: np.ndarray,
                     config: TrainConfig) -> ClipStructure:
-    pt = patchify(clip.pixels, config.patch_size)
-    x = encode_patches(pt.vectors, params, config)
-    emb = x.data.reshape(pt.frames, pt.patches_per_frame, -1)
+    """The constant part of a forward: patches + their detached embedding."""
+    emb = embedding.reshape(pt.frames, pt.patches_per_frame, -1)
     graph = unified_graph(emb, pt.grid_h, pt.grid_w,
                           config.tau_s, config.tau_t, config.eps)
     neg = None
@@ -304,11 +303,10 @@ def build_structure(clip: FrameSequence, params: ModelParams,
     )
 
 
-def _pooled_features(structure: ClipStructure, params: ModelParams,
-                     config: TrainConfig) -> ad.Tensor:
+def _pooled_features(structure: ClipStructure, x: ad.Tensor,
+                     params: ModelParams, config: TrainConfig) -> ad.Tensor:
     """The (1, 2d) pre-head feature row Z = [spatial || spectral]."""
     slope = config.leaky_slope
-    x = encode_patches(structure.patches, params, config)
 
     if config.use_spectral:
         basis = structure.basis
@@ -330,23 +328,27 @@ def _pooled_features(structure: ClipStructure, params: ModelParams,
     return ad.concat([z_spatial, z_spectral], axis=1)
 
 
-def forward_with_structure(structure: ClipStructure, params: ModelParams,
-                           config: TrainConfig) -> ad.Tensor:
-    """Differentiable path only; the structure is a constant input."""
-    z = _pooled_features(structure, params, config)
+def forward_with_structure(structure: ClipStructure, x: ad.Tensor,
+                           params: ModelParams, config: TrainConfig) -> ad.Tensor:
+    """Differentiable path; ``x`` is the embedding of structure.patches."""
+    z = _pooled_features(structure, x, params, config)
     return ad.add(ad.matmul(z, params["head.weight"]), params["head.bias"])
 
 
 def forward(clip: FrameSequence, params: ModelParams, config: TrainConfig):
     """Clip -> (1, 2) logits Tensor; returns the structure for reuse."""
-    structure = build_structure(clip, params, config)
-    return forward_with_structure(structure, params, config), structure
+    pt = patchify(clip.pixels, config.patch_size)
+    x = encode_patches(pt.vectors, params, config)
+    structure = build_structure(pt, x.data, config)
+    return forward_with_structure(structure, x, params, config), structure
 
 
 def clip_embedding(clip, params, config) -> np.ndarray:
     """The pooled pre-head feature vector Z (for external analysis)."""
-    structure = build_structure(clip, params, config)
-    return _pooled_features(structure, params, config).data[0].copy()
+    pt = patchify(clip.pixels, config.patch_size)
+    x = encode_patches(pt.vectors, params, config)
+    structure = build_structure(pt, x.data, config)
+    return _pooled_features(structure, x, params, config).data[0].copy()
 
 
 def predict(clip, params, config) -> float:

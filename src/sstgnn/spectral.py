@@ -72,7 +72,7 @@ class FilterPreset:
 
 @dataclass
 class FilterMlp:
-    """Scalar -> scalar gain network, evaluated elementwise on eigenvalues."""
+    """Scalar -> scalar gain network: K eigenvalues to a (K, 1) gain column."""
 
     w1: ad.Tensor
     b1: ad.Tensor
@@ -85,8 +85,7 @@ class FilterMlp:
         col = ad.constant(np.asarray(lam, dtype=np.float64).reshape(-1, 1))
         h = ad.leaky_relu(ad.add(ad.matmul(col, self.w1), self.b1), slope)
         h = ad.leaky_relu(ad.add(ad.matmul(h, self.w2), self.b2), slope)
-        out = ad.add(ad.matmul(h, self.w3), self.b3)
-        return ad.reshape(out, (-1,))
+        return ad.add(ad.matmul(h, self.w3), self.b3)
 
 
 def laplacian_from_adjacency(weights) -> np.ndarray:
@@ -175,12 +174,14 @@ def apply_filter(x, basis: SpectralBasis, gains) -> np.ndarray:
 def pool_spectral(x, basis: SpectralBasis, gains):
     """(1/M) 1^T U diag(gains) U^T x, the node mean of the filtered
     signal, as the (1, d) row w^T x with w = U (gains * U^T 1) / M per
-    diagonal block of U. ``gains`` follow the flattened eigenvalues,
-    ``x`` the node order; the basis is constant under autodiff."""
+    diagonal block of U. ``gains`` is an (M, 1) column over the flattened
+    eigenvalues, ``x`` in node order; the basis is constant to autodiff."""
+    if np.shape(gains) != (basis.size, 1):
+        raise ValueError(f"gains {np.shape(gains)} must be a ({basis.size}, 1) column")
     n = basis.vectors.shape[-1]
     blocks = basis.vectors.reshape(-1, n, n)
     ones_coeffs = blocks.sum(axis=1).reshape(-1, 1) / basis.size
-    scaled = ad.mul(ad.reshape(gains, (-1, 1)), ones_coeffs)
+    scaled = ad.mul(gains, ones_coeffs)
     w = ad.block_matmul(blocks, scaled)
     return ad.matmul(ad.reshape(w, (1, -1)), x)
 

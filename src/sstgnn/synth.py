@@ -109,8 +109,9 @@ class LabeledClip:
     family: str
 
     def __post_init__(self):
-        if (self.label == 0) != (self.family == "real"):
-            raise ValueError("label 0 iff family == real")
+        if self.label != int(self.family != "real"):
+            raise ValueError(f"label 0 iff family == real, else 1: got "
+                             f"{self.label!r} for {self.family}")
 
 
 def _texture(spec: SynthSpec, height, width, coarse=1):
@@ -288,6 +289,9 @@ def load_manifest(manifest_path):
             if short:
                 raise ValueError(f"{manifest_path}:{reader.line_num}: row "
                                  f"lacks {', '.join(short)}")
+            if row["label"].strip() not in ("0", "1"):
+                raise ValueError(f"{manifest_path}:{reader.line_num}: label "
+                                 f"{row['label']!r} is not 0 or 1")
             clip = load_clip(base / row["path"])
             clips.append(LabeledClip(clip, int(row["label"]), row["family"]))
     return clips

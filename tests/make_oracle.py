@@ -2,11 +2,11 @@
 
 For 2 clips of each of the 4 families, at the toy (M=8), desk (M=32),
 M=128 and M=512 configurations, with and without the differential, it
-records the logits of `forward_with_structure` and, per parameter, the
-norm of the cross-entropy gradient and its dot product with a fixed
-seeded direction. `tests/test_oracle.py` checks the current code against
-the stored values, so a change that claims "same behaviour" is measured
-against the code that wrote the file.
+records the logits of `model.forward`, the path the detector runs, and,
+per parameter, the norm of the cross-entropy gradient and its dot
+product with a fixed seeded direction. `tests/test_oracle.py` checks the
+current code against the stored values, so a change that claims "same
+behaviour" is measured against the code that wrote the file.
 
 Regenerate only on purpose (the file is the reference):
 
@@ -56,8 +56,7 @@ def compute_case(scale, differential, family, seed):
                                  **overrides)
     params = model.init_params(config, seed=PARAM_SEED, random_head=True)
     labeled = synth.generate(synth.SynthSpec(family, seed=seed, **geometry))
-    structure = model.build_structure(labeled.clip, params, config)
-    logits = model.forward_with_structure(structure, params, config)
+    logits, _ = model.forward(labeled.clip, params, config)
     grads = ad.cross_entropy(logits, [labeled.label]).backward(write_grad=False)
     norms, dots = {}, {}
     for name, tensor in params.named().items():

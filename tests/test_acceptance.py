@@ -127,10 +127,11 @@ def test_a4_end_to_end_gradients():
                                           height=4, width=4)).clip
     config = model.preset_config("toy")
     params = model.init_params(config, seed=0, random_head=True)
-    structure = model.build_structure(clip, params, config)
+    _, structure = model.forward(clip, params, config)
 
     def loss():
-        logits = model.forward_with_structure(structure, params, config)
+        x = model.encode_patches(structure.patches, params, config)
+        logits = model.forward_with_structure(structure, x, params, config)
         return ad.cross_entropy(logits, [1])
 
     worst_name, worst = "", 0.0

@@ -276,6 +276,23 @@ def test_train_manifest_short_row_is_usage_error(tmp_path, capsys):
     assert "manifest.csv:2: row lacks label, family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ["2", "x"])
+def test_train_manifest_bad_label_is_usage_error(tmp_path, capsys, label):
+    corpus = tmp_path / "corpus"
+    main(["synth", "--out", str(corpus), "--families", "real,spectral_noise",
+          "--count", "1", "--seed", "0", "--frames", "2", "--height", "8",
+          "--width", "8"])
+    manifest = corpus / "manifest.csv"
+    manifest.write_text(manifest.read_text().replace(
+        ",1,spectral_noise,", f",{label},spectral_noise,"))
+    code = main(["train", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "train"), "--patch-size", "4",
+                 "--epochs", "1", "--threads", "1"])
+    assert code == 2
+    assert (f"{manifest}:3: label '{label}' is not 0 or 1"
+            in capsys.readouterr().err)
+
+
 def test_gradcheck_toy(capsys):
     assert main(["gradcheck", "--scale", "toy"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -108,7 +108,7 @@ class TestGatForward:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(6, 5))
         support = rng.random((6, 6)) < 0.4
-        adj = adjacency(support).with_self_loops()
+        adj = adjacency(support)
         alpha = attention_weights(x @ params.weight.data,
                                   params.attention.data, adj)
         support, _ = adj.dense()
@@ -173,8 +173,7 @@ class TestPasses:
         x = ad.constant(np.random.default_rng(18).normal(size=(4, 4)))
         out = gat.gat_forward(x, gat.consistency_adjacency(g), params)
         direct = gat.gat_forward(
-            x, gat.SignedAdjacency(g.spatial > 0,
-                                   (g.spatial > 0).astype(float)).with_self_loops(),
+            x, gat.SignedAdjacency(g.spatial > 0, (g.spatial > 0).astype(float)),
             params)
         np.testing.assert_array_equal(out.data, direct.data)
 
@@ -306,7 +305,9 @@ def clip_structure(patch, use_differential, seed=0, family="real"):
                               use_differential=use_differential)
     params = model.init_params(cfg, random_head=True)
     clip = synth.generate(synth.SynthSpec(family=family, seed=seed)).clip
-    return model.build_structure(clip, params, cfg), params, cfg
+    pt = graphs.patchify(clip.pixels, cfg.patch_size)
+    emb = model.encode_patches(pt.vectors, params, cfg)
+    return model.build_structure(pt, emb.data, cfg), params, cfg
 
 
 def bridged_layout(seed=31):
@@ -403,13 +404,17 @@ class TestSignedAdjacencyLayout:
         np.testing.assert_array_equal(dense_support, support)
         np.testing.assert_array_equal(dense_sign, support.astype(float))
 
-    def test_with_self_loops_returns_self_when_none_missing(self):
-        adj = adjacency(np.eye(3, dtype=bool))
-        assert adj.with_self_loops() is adj
-        partial = adjacency(np.diag([True, False, True]))
-        looped = partial.with_self_loops()
-        assert looped is not partial
-        np.testing.assert_array_equal(looped.dense()[0], np.eye(3, dtype=bool))
+    def test_construction_adds_missing_self_loops(self):
+        support = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 0]], dtype=bool)
+        layout = graphs.frame_layout(support, 1)
+        sign = graphs.frame_layout(np.where(support, -1.0, 0.0), 1)
+        dense_support, dense_sign = gat.SignedAdjacency(layout, sign).dense()
+        np.testing.assert_array_equal(dense_support, support | np.eye(3, dtype=bool))
+        # the absent loops of nodes 0 and 2 come back +1; node 1's -1 stays
+        np.testing.assert_array_equal(dense_sign.diagonal(), [1.0, -1.0, 1.0])
+        assert dense_sign[0, 1] == dense_sign[1, 0] == -1.0
+        # the caller's arrays are left as they were
+        assert not layout[0, 0, 0] and sign[0, 0, 0] == 0.0
 
     def test_twin_beyond_the_clip_rejected(self):
         support = np.zeros((2, 2, 4), dtype=bool)

@@ -252,8 +252,7 @@ class TestDumpEdges:
             {"neg_spatial"} if tile > 1 else set())
 
     def test_empty_graph_writes_nothing(self, tmp_path):
-        g = graphs.VideoGraph(2, 2, 2, np.zeros((2, 4, 4)), np.zeros((1, 4)),
-                              np.zeros((8, 3)))
+        g = graphs.VideoGraph(2, 2, 2, np.zeros((2, 4, 4)), np.zeros((1, 4)))
         graphs.dump_edges(tmp_path / "e.txt", g)
         assert (tmp_path / "e.txt").read_bytes() == b""
 

@@ -79,8 +79,25 @@ class TestForward:
         params = model.init_params(cfg, random_head=True)
         clip = toy_clip(seed=3)
         logits, structure = model.forward(clip, params, cfg)
-        again = model.forward_with_structure(structure, params, cfg)
+        x = model.encode_patches(structure.patches, params, cfg)
+        again = model.forward_with_structure(structure, x, params, cfg)
         np.testing.assert_array_equal(logits.data, again.data)
+
+    def test_each_entry_point_encodes_once(self, monkeypatch):
+        calls = []
+        encode = model.encode_patches
+
+        def counted(*args):
+            calls.append(1)
+            return encode(*args)
+
+        monkeypatch.setattr(model, "encode_patches", counted)
+        cfg = toy_config()
+        params = model.init_params(cfg, random_head=True)
+        for entry in (model.forward, model.predict, model.clip_embedding):
+            calls.clear()
+            entry(toy_clip(seed=3), params, cfg)
+            assert len(calls) == 1, entry.__name__
 
     @pytest.mark.parametrize("cfg, clip", [
         (toy_config(), toy_clip(seed=4)),
@@ -114,7 +131,7 @@ class TestForward:
         clip = toy_clip(seed=7)
         cfg = toy_config(use_differential=False)
         params = model.init_params(cfg)
-        structure = model.build_structure(clip, params, cfg)
+        _, structure = model.forward(clip, params, cfg)
         assert structure.negative is None
         support, _ = structure.inconsistency.dense()
         np.testing.assert_array_equal(support, np.eye(8, dtype=bool))
@@ -157,7 +174,7 @@ class TestTape:
                 if parent.requires_grad and id(parent) not in seen:
                     seen.add(id(parent))
                     stack.append(parent)
-        assert len(seen) == 53
+        assert len(seen) == 51
 
 
 class TestBridges:
@@ -214,10 +231,12 @@ class TestFrameLayoutPath:
         cfg = model.preset_config("desk", patch_size=8)
         params = model.init_params(cfg, random_head=True)
         clip = synth.generate(synth.SynthSpec("spectral_noise", seed=3)).clip
-        structure = model.build_structure(clip, params, cfg)
+        pt = graphs.patchify(clip.pixels, cfg.patch_size)
+        x = model.encode_patches(pt.vectors, params, cfg)
+        structure = model.build_structure(pt, x.data, cfg)
         assert structure.graph.node_count == 512
         assert structure.basis.vectors.shape == (8, 64, 64)
-        logits = model.forward_with_structure(structure, params, cfg)
+        logits = model.forward_with_structure(structure, x, params, cfg)
         ad.cross_entropy(logits, [1]).backward()
 
 

@@ -149,7 +149,9 @@ def clip_laplacian(patch_size, family, seed, use_differential=True):
                                use_spectral=False,
                                use_differential=use_differential)
     clip = synth.generate(synth.SynthSpec(family, seed=seed)).clip
-    structure = model.build_structure(clip, model.init_params(config), config)
+    pt = graphs.patchify(clip.pixels, config.patch_size)
+    emb = model.encode_patches(pt.vectors, model.init_params(config), config)
+    structure = model.build_structure(pt, emb.data, config)
     return spectral.graph_laplacian(structure.graph)
 
 
@@ -327,8 +329,8 @@ class TestBlockSolve:
         # each cluster of eigenvalues closer than 1e-6 it does not
         cluster = np.concatenate(
             ([0], np.cumsum(np.diff(whole.eigenvalues) > 1e-6)))
-        np.testing.assert_allclose(np.bincount(cluster, gg_b[order]),
-                                   np.bincount(cluster, gg_w),
+        np.testing.assert_allclose(np.bincount(cluster, gg_b[order, 0]),
+                                   np.bincount(cluster, gg_w[:, 0]),
                                    rtol=0, atol=1e-12)
 
 
@@ -366,7 +368,7 @@ class TestFilterGains:
             ad.constant(np.zeros((h, h))), ad.constant(np.full(h, -0.2)),
             ad.constant(np.zeros((h, 1))), ad.constant(np.array([0.7])))
         gains = mlp.gains(np.array([0.0, 1.0, 2.0]))
-        np.testing.assert_allclose(gains.data, np.full(3, 0.7), rtol=1e-15)
+        np.testing.assert_allclose(gains.data, np.full((3, 1), 0.7), rtol=1e-15)
 
     def test_mlp_matches_scalar_forward_oracle(self):
         rng = np.random.default_rng(2)
@@ -383,7 +385,7 @@ class TestFilterGains:
             h1 = lrelu(v * ws[0][0] + ws[1])
             h2 = lrelu(h1 @ ws[2] + ws[3])
             expected = h2 @ ws[4][:, 0] + ws[5][0]
-            assert gains.data[k] == pytest.approx(expected, rel=1e-12)
+            assert gains.data[k, 0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestApplyFilter:
@@ -459,24 +461,24 @@ class TestPool:
     def test_single_node(self):
         basis = spectral.SpectralBasis(np.zeros(1), np.ones((1, 1)))
         out = spectral.pool_spectral(np.array([[1.0, 2.0, 3.0]]), basis,
-                                     np.array([0.5]))
+                                     np.array([[0.5]]))
         np.testing.assert_array_equal(out.data, [[0.5, 1.0, 1.5]])
 
     def test_opposite_rows_cancel(self):
         basis = spectral.eigendecompose(
             spectral.laplacian_from_adjacency([[0.0, 1.0], [1.0, 0.0]]))
         r = np.array([1.0, -2.0, 0.5])
-        out = spectral.pool_spectral(np.vstack([r, -r]), basis, np.ones(2))
+        out = spectral.pool_spectral(np.vstack([r, -r]), basis, np.ones((2, 1)))
         np.testing.assert_allclose(out.data, np.zeros((1, 3)), atol=1e-15)
 
     def test_matches_column_mean(self):
         # all-pass: the pooled row is the plain node mean
-        out = spectral.pool_spectral(self.x, self.basis, np.ones(8))
+        out = spectral.pool_spectral(self.x, self.basis, np.ones((8, 1)))
         np.testing.assert_allclose(out.data[0], self.x.mean(axis=0),
                                    rtol=0, atol=1e-15)
 
     def test_zero_gains_give_zero(self):
-        out = spectral.pool_spectral(self.x, self.basis, np.zeros(8))
+        out = spectral.pool_spectral(self.x, self.basis, np.zeros((8, 1)))
         np.testing.assert_array_equal(out.data, np.zeros((1, 5)))
 
     @pytest.mark.parametrize("stacked", [False, True])
@@ -485,7 +487,7 @@ class TestPool:
         if stacked:
             basis = spectral.eigendecompose(clip_laplacian(16, "real", 0))
         rng = np.random.default_rng(5)
-        x, gains = rng.normal(size=(basis.size, 5)), rng.random(basis.size)
+        x, gains = rng.normal(size=(basis.size, 5)), rng.random((basis.size, 1))
         out = spectral.pool_spectral(x, basis, gains)
         np.testing.assert_allclose(
             out.data[0], spectral.apply_filter(x, basis, gains).mean(axis=0),
@@ -493,9 +495,19 @@ class TestPool:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            spectral.pool_spectral(np.ones((3, 2)), self.basis, np.ones(8))
-        with pytest.raises(ValueError):
-            spectral.pool_spectral(self.x, self.basis, np.ones(7))
+            spectral.pool_spectral(np.ones((3, 2)), self.basis, np.ones((8, 1)))
+        with pytest.raises(ValueError, match="column"):
+            spectral.pool_spectral(self.x, self.basis, np.ones((7, 1)))
+
+    def test_gain_vector_rejected(self):
+        # a (K,) vector would broadcast against the (K, 1) coefficients
+        # into a (K, K) product without an error
+        init = mlp_values(np.random.default_rng(8), 3)
+        mlp = spectral.FilterMlp(**{k: ad.constant(v) for k, v in init.items()})
+        flat = ad.reshape(mlp.gains(self.basis.eigenvalues), (-1,))
+        for gains in (np.ones(8), flat):
+            with pytest.raises(ValueError, match=r"gains \(8,\) must be a"):
+                spectral.pool_spectral(self.x, self.basis, gains)
 
     def test_gradient_through_gains(self):
         rng = np.random.default_rng(6)
@@ -522,7 +534,7 @@ class TestPool:
         flipped = spectral.SpectralBasis(self.basis.eigenvalues,
                                          self.basis.vectors * signs)
         x = ad.parameter(self.x.copy())
-        gains = np.linspace(0.0, 1.0, 8)
+        gains = np.linspace(0.0, 1.0, 8)[:, None]
         a = ad.mean(spectral.pool_spectral(x, self.basis, gains))
         b = ad.mean(spectral.pool_spectral(x, flipped, gains))
         ref = ad.mean(dense_pool(x, self.basis, gains))

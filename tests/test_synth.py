@@ -75,6 +75,8 @@ class TestSpecValidation:
         clip = synth.generate(synth.SynthSpec("real", seed=0)).clip
         with pytest.raises(ValueError, match="label 0 iff"):
             synth.LabeledClip(clip, 1, "real")
+        with pytest.raises(ValueError, match="got 2 for spectral_noise"):
+            synth.LabeledClip(clip, 2, "spectral_noise")
 
 
 class TestDeterminism:
@@ -153,3 +155,16 @@ class TestCorpus:
         assert len(clips) == 4
         assert {c.family for c in clips} == {"real", "temporal_jitter"}
         assert all((c.label == 1) == (c.family != "real") for c in clips)
+
+    @pytest.mark.parametrize("label", ["2", "x"])
+    def test_manifest_bad_label_names_the_line(self, tmp_path, label):
+        manifest = synth.write_corpus(tmp_path, ["real", "temporal_jitter"],
+                                      range(1), frames=2, height=8, width=8)
+        lines = manifest.read_text().splitlines()
+        row = lines[2].split(",")
+        assert row[2] == "temporal_jitter"
+        row[1] = label
+        manifest.write_text("\n".join(lines[:2] + [",".join(row)]) + "\n")
+        with pytest.raises(ValueError, match=f"manifest.csv:3: label '{label}' "
+                                             f"is not 0 or 1"):
+            synth.load_manifest(manifest)
