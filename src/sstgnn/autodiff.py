@@ -6,10 +6,10 @@ w and never forms the filtered signal), add, mul (both broadcasting),
 scale, concat, basic slicing, reshape, leaky_relu, mean, cross_entropy,
 plus frame_attention, one fused op for graph attention over a clip's
 frame layout. Each op records a backward rule on a per-forward tape;
-`backward()` walks the tape once in reverse topological order. Gradients
-are accumulated in a tape-local dict so forward/backward passes over
-shared (read-only) parameters can run on parallel threads; the returned
-dict is what the optimizer consumes.
+`backward()` walks the tape once in reverse topological order and
+returns the gradient of every leaf parameter, the dict the optimizer
+consumes. A minibatch is one tape: its clips share one graph, so the
+batch mean of the loss is the only gradient reduction.
 
 Float64 throughout: the finite-difference checker needs the headroom.
 """
@@ -26,7 +26,6 @@ __all__ = [
     "parameter",
     "as_tensor",
     "add",
-    "sub",
     "mul",
     "scale",
     "matmul",
@@ -44,20 +43,19 @@ __all__ = [
 
 
 class Tensor:
-    """A value plus its tape node: data, gradient slot, and parent links.
+    """A value plus its tape node: data and parent links.
 
     Tensors are immutable after construction (the optimizer mutates
     parameter `.data` in place between tapes, never during one).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "parents", "_backward")
+    __slots__ = ("data", "requires_grad", "parents", "_backward")
 
     def __init__(self, data, requires_grad=False, parents=()):
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor holds non-finite values (NaN/Inf)")
         self.data = arr
-        self.grad = None
         self.requires_grad = bool(requires_grad)
         self.parents = tuple(parents)
         self._backward = None
@@ -69,28 +67,17 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return _getitem(self, key)
 
     def item(self) -> float:
         return float(self.data)
 
-    def backward(self, write_grad=True):
+    def backward(self):
         """Reverse-mode pass from this scalar tensor.
 
         Returns a dict mapping every reachable leaf with requires_grad to
-        its gradient array. When ``write_grad`` each visited tensor also
-        gets `.grad` set (single-threaded convenience); pass False when
-        running tapes concurrently over shared parameters.
+        its gradient array.
         """
         if self.data.size != 1:
             raise ValueError("backward() expects a scalar tensor")
@@ -101,8 +88,6 @@ class Tensor:
             g = acc.pop(id(node), None)
             if g is None:
                 continue
-            if write_grad:
-                node.grad = g
             if node._backward is not None:
                 node._backward(g, acc)
             elif node.requires_grad:
@@ -176,10 +161,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def sub(a, b) -> Tensor:
-    return add(a, scale(as_tensor(b), -1.0))
-
-
 def mul(a, b) -> Tensor:
     """Elementwise (broadcasting) product; either side may be a constant."""
     a, b = as_tensor(a), as_tensor(b)
@@ -248,14 +229,22 @@ def concat(parts, axis=0) -> Tensor:
     return out
 
 
+_BASIC_KEYS = (int, np.integer, slice, type(Ellipsis), type(None))
+
+
 def _getitem(t, key) -> Tensor:
+    """Basic slicing only (array and bool keys raise), so no element is
+    read twice and the backward can write its gradient in place."""
     t = as_tensor(t)
+    if any(isinstance(k, (bool, np.bool_)) or not isinstance(k, _BASIC_KEYS)
+           for k in (key if isinstance(key, tuple) else (key,))):
+        raise ValueError(f"Tensor indexing supports basic slicing only, got {key!r}")
     out = Tensor(t.data[key], requires_grad=t.requires_grad, parents=(t,))
 
     def _backward(g, acc):
         if t.requires_grad:
             gi = np.zeros_like(t.data)
-            gi[key] += g
+            gi[key] = g
             _accum(acc, t, gi)
 
     out._backward = _backward
@@ -454,19 +443,19 @@ class AdamState:
 def adam_step(params: dict, grads: dict, state: AdamState) -> None:
     """One Adam update with bias correction, in place on ``params`` data.
 
-    ``params`` maps name -> Tensor, ``grads`` name -> array (missing names
-    are treated as zero gradient). Any NaN/Inf gradient rejects the whole
-    step before touching state.
+    ``params`` maps name -> Tensor, ``grads`` Tensor -> array as
+    `Tensor.backward` returns it (a parameter it lacks has zero gradient).
+    Any NaN/Inf gradient rejects the whole step before touching state.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+    for name, p in params.items():
+        if p in grads and not np.all(np.isfinite(grads[p])):
             raise ValueError(f"non-finite gradient for parameter {name!r}; step rejected")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, p in params.items():
-        g = grads.get(name)
+        g = grads.get(p)
         if g is None:
             g = np.zeros_like(p.data)
         m = state.m.get(name)
@@ -510,7 +499,7 @@ def finite_diff_check(f, params, h=1e-5):
     out = f()
     if not np.all(np.isfinite(out.data)):
         raise ValueError("objective returned a non-finite value")
-    grads = out.backward(write_grad=False)
+    grads = out.backward()
     by_name = {name: grads.get(p, np.zeros_like(p.data)) for name, p in params.items()}
     worst = 0.0
     for name, p in params.items():

@@ -120,17 +120,16 @@ def cmd_synth(args):
 
 def cmd_train(args):
     config = build_train_config(args)
-    threads = resolve_threads(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     clips = synth.load_manifest(args.manifest)
-    params, history = model.train_clips(clips, config, threads=threads,
+    params, history = model.train_clips(clips, config,
                                         log=print if args.verbose else None)
     ckpt = out / "checkpoint.sstg"
     model.save_checkpoint(ckpt, params, config)
     model.write_history(out / "history.csv", history)
     write_run_record(out, "train", config,
-                     {"manifest": str(args.manifest), "threads": threads,
+                     {"manifest": str(args.manifest),
                       "final_loss": history[-1][2], "checkpoint": ckpt.name})
     print(f"config_hash {model.config_hash(config)}; "
           f"final loss {history[-1][2]:.4f}; checkpoint {ckpt}")
@@ -204,7 +203,7 @@ def cmd_gradcheck(args):
         "real", seed=args.seed, frames=2, height=4, width=4)).clip
     config = model.preset_config("toy")
     params = model.init_params(config, seed=args.seed, random_head=True)
-    _, structure = model.forward(clip, params, config)
+    _, structure = model.forward([clip], params, config)
 
     def loss():
         x = model.encode_patches(structure.patches, params, config)
@@ -253,7 +252,6 @@ def build_parser():
     p.add_argument("--no-spectral", action="store_true")
     p.add_argument("--no-differential", action="store_true")
     p.add_argument("--no-temporal-mlp", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_train)
 
@@ -270,7 +268,7 @@ def build_parser():
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--channels", type=int, default=1)
     p.add_argument("--dump-embeddings", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help="eval workers")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("filter-image", help="graph-spectral filter demo")

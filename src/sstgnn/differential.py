@@ -27,7 +27,7 @@ class NegativeSpatialAdjacency:
 
     tile: int
     block: np.ndarray     # (N, N) entries in {-1, 0, 1}
-    anchors: np.ndarray   # flat node indices of tile anchors, all frames
+    anchors: np.ndarray   # node indices of the tile anchors in one frame
     frames: int = 1
 
     @property
@@ -38,9 +38,9 @@ class NegativeSpatialAdjacency:
 
     @property
     def anchor_mask(self):
-        mask = np.zeros(self.frames * self.block.shape[0], dtype=bool)
+        mask = np.zeros(self.block.shape[0], dtype=bool)
         mask[self.anchors] = True
-        return mask
+        return np.tile(mask, self.frames)
 
 
 def npr_reference(grid, tile) -> np.ndarray:
@@ -92,8 +92,6 @@ def build_spatial_negative(graph: VideoGraph, tile) -> NegativeSpatialAdjacency:
         raise ValueError("tile size must be >= 1")
     block, anchors = negative_spatial_matrix(1, graph.grid_h, graph.grid_w,
                                              tile)
-    n = graph.patches_per_frame
-    anchors = (np.arange(graph.frames)[:, None] * n + anchors).reshape(-1)
     return NegativeSpatialAdjacency(tile, block, anchors, graph.frames)
 
 
@@ -128,15 +126,18 @@ def theorem1_check(image, tile):
     return non_anchor_dev == 0.0, non_anchor_dev, anchor_dev
 
 
-def temporal_concat(x, graph: VideoGraph, weight, bias):
+def temporal_concat(x, graph: VideoGraph, weight, bias, clips=1):
     """Affine map over [x_t ; x_{t+1}] per node; last frame self-pairs.
 
-    ``x`` is an (M, d) Tensor; output has the same shape. Only frames t
-    and t+1 feed node t: the next-frame half is x shifted up one frame,
-    with the last frame repeated.
+    ``x`` is an (M, d) Tensor over ``clips`` equal clips stacked along
+    the frame axis; output has the same shape. Only frames t and t+1 of
+    one clip feed node t: the next-frame half is each clip shifted up
+    one frame, with that clip's own last frame repeated.
     """
-    n = graph.patches_per_frame
-    nxt = ad.concat([x[n:], x[-n:]], axis=0)
+    n, d = graph.patches_per_frame, x.shape[1]
+    frames = ad.reshape(x, (clips, -1, n * d))
+    nxt = ad.concat([frames[:, 1:], frames[:, -1:]], axis=1)
+    nxt = ad.reshape(nxt, x.shape)
     return ad.add(ad.matmul(ad.concat([x, nxt], axis=1), weight), bias)
 
 

@@ -101,7 +101,8 @@ def gat_forward(x, adj: SignedAdjacency, params: GatParams, slope=0.2):
                                             adj.sign, slope), slope)
 
 
-def spatial_fuse(h_c, h_ic, weight, bias):
-    """Concat both passes per node, affine-map to d, mean-pool the nodes."""
+def spatial_fuse(h_c, h_ic, weight, bias, clips=1):
+    """Concat both passes per node, affine-map to d, mean-pool the nodes
+    of each of ``clips`` equal clips: one (clips, d) row per clip."""
     fused = ad.add(ad.matmul(ad.concat([h_c, h_ic], axis=1), weight), bias)
-    return ad.mean(fused, axis=0, keepdims=True)
+    return ad.mean(ad.reshape(fused, (clips, -1, fused.shape[1])), axis=1)

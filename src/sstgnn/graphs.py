@@ -176,20 +176,13 @@ def temporal_bridge(a_t, a_next, x_t, x_next, tau_t, eps=EPS_NORM):
     return scores, scores / 2 >= tau_t
 
 
-def assemble(frame_adjacencies, scores, keep, grid_h, grid_w) -> VideoGraph:
-    """(T, N, N) frame adjacencies + kept (T - 1, N) bridges."""
-    blocks = np.asarray(frame_adjacencies, dtype=np.float64)
-    return VideoGraph(blocks.shape[0], grid_h, grid_w, blocks,
-                      np.where(keep, scores, 0.0))
-
-
 def unified_graph(embeddings, grid_h, grid_w, tau_s, tau_t, eps=EPS_NORM) -> VideoGraph:
     """Full pipeline from per-frame embeddings (T, N, d) to a VideoGraph."""
     emb = np.asarray(embeddings, dtype=np.float64)
     adjs = intra_frame_adjacency(row_normalize(emb, eps), tau_s)
     scores, keep = temporal_bridge(adjs[:-1], adjs[1:], emb[:-1], emb[1:],
                                    tau_t, eps)
-    return assemble(adjs, scores, keep, grid_h, grid_w)
+    return VideoGraph(len(adjs), grid_h, grid_w, adjs, np.where(keep, scores, 0.0))
 
 
 def to_layout(blocks, twins):

@@ -27,20 +27,16 @@ def auc(scores, labels) -> float:
     y = np.asarray(labels, dtype=np.intp)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be equal-length vectors")
+    if not np.isfinite(s).all():
+        raise ValueError("AUC undefined: scores must be finite")
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined: both classes must be present")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s))
-    sorted_scores = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2 + 1
-        i = j + 1
+    # a tie group's average rank: its last 1-based rank less half its
+    # width (half-integers, exact in float64)
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[group]
     u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2
     return float(u / (n_pos * n_neg))
 
@@ -71,9 +67,6 @@ class MetricReport:
 
     def mean_auc(self):
         return float(np.mean([r.auc for r in self.rows]))
-
-    def mean_accuracy(self):
-        return float(np.mean([r.accuracy for r in self.rows]))
 
     def to_csv_string(self):
         buf = io.StringIO()
@@ -109,7 +102,7 @@ class ProtocolConfig:
     height: int = 64
     width: int = 64
     channels: int = 1
-    threads: int = 1
+    threads: int = 1     # eval workers; training runs one tape per minibatch
 
     def train_seeds(self):
         return range(self.seed, self.seed + self.n_train)
@@ -143,7 +136,7 @@ def train_on_families(pcfg: ProtocolConfig, fake_families):
     """Train one model on real + the given fake families."""
     _check_disjoint(pcfg.train_seeds(), pcfg.test_seeds())
     corpus = pcfg.corpus(("real",) + tuple(fake_families), pcfg.train_seeds())
-    return train_clips(corpus, pcfg.train, threads=pcfg.threads)
+    return train_clips(corpus, pcfg.train)
 
 
 def test_cell(pcfg: ProtocolConfig, params, family):

@@ -1,17 +1,19 @@
 """End-to-end detector: encoder, graph assembly, both branches, training.
 
-A forward pass patchifies the clip, encodes the patches once to d-dim
-embeddings, builds the clip graph from their detached values, adds the
-negative differential edges, and runs two branches on that embedding:
-spectral (eigenbasis of the nonnegative graph, learned per-eigenvalue
-gains, pooled as one row w^T x without forming the filtered signal) and
-spatial (temporal concat, consistency + inconsistency GAT, fusion).
-Their pooled outputs concatenate into Z; a head maps Z to 2 logits.
+A forward pass takes clips of one shape, encodes their stacked patches
+once to d-dim embeddings, builds each clip's graph from its detached
+values, adds the negative differential edges, and joins the clips along
+the frame axis into one graph with no edge between two clips. Two
+branches run on that embedding: spectral (eigenbasis of the nonnegative
+graph, learned per-eigenvalue gains, pooled without forming the filtered
+signal) and spatial (temporal concat, consistency + inconsistency GAT,
+fusion). Each pools per clip; the pooled rows concatenate into Z, and a
+head maps Z to 2 logits per clip. A training step records one tape.
 
-Graph topology and the eigenbasis are recomputed per clip per forward
-but excluded from gradients: `build_structure` is a pure function of the
-patches, their detached embedding and the config. The finite difference
-check holds it constant and re-encodes `structure.patches` in its loss.
+Graph topology and the eigenbasis are constant to backpropagation:
+`build_structure` is a pure function of a clip's patches, their detached
+embedding and the config. The finite difference check holds it constant
+and re-encodes `structure.patches` in its loss.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,7 @@ from . import autodiff as ad
 from . import differential, gat, spectral
 from .graphs import PatchTensor, VideoGraph, patchify, unified_graph
 from .rng import stream
-from .synth import FrameSequence, LabeledClip
+from .synth import LabeledClip
 from .utils import parallel_map
 
 CHECKPOINT_MAGIC = b"SSTG0001"
@@ -121,10 +123,6 @@ class ModelParams:
 
     def count(self):
         return sum(t.data.size for t in self.tensors.values())
-
-    def copy(self):
-        return ModelParams({k: ad.parameter(v.data.copy())
-                            for k, v in self.tensors.items()})
 
     @property
     def filter_mlp(self):
@@ -269,7 +267,8 @@ def encode_patches(patch_vectors, params: ModelParams, config: TrainConfig):
 @dataclass
 class ClipStructure:
     """Everything a forward pass treats as constant: the raw patches,
-    the graph (with differential edges), and the spectral basis."""
+    the graph (with differential edges), and the spectral basis, of
+    ``clips`` equal clips stacked along the frame axis."""
 
     patches: np.ndarray
     graph: VideoGraph
@@ -277,11 +276,12 @@ class ClipStructure:
     basis: spectral.SpectralBasis | None
     consistency: gat.SignedAdjacency
     inconsistency: gat.SignedAdjacency
+    clips: int = 1
 
 
 def build_structure(pt: PatchTensor, embedding: np.ndarray,
                     config: TrainConfig) -> ClipStructure:
-    """The constant part of a forward: patches + their detached embedding."""
+    """The constant part of one clip's forward: patches + their detached embedding."""
     emb = embedding.reshape(pt.frames, pt.patches_per_frame, -1)
     graph = unified_graph(emb, pt.grid_h, pt.grid_w,
                           config.tau_s, config.tau_t, config.eps)
@@ -303,57 +303,103 @@ def build_structure(pt: PatchTensor, embedding: np.ndarray,
     )
 
 
+def _block_diagonal(basis: spectral.SpectralBasis) -> spectral.SpectralBasis:
+    """A per-frame basis as the whole (M, M) one it stands for."""
+    t, n, _ = basis.vectors.shape
+    vectors = np.zeros((t, n, t, n))
+    vectors[np.arange(t), :, np.arange(t), :] = basis.vectors
+    return spectral.SpectralBasis(basis.eigenvalues.reshape(-1),
+                                  vectors.reshape(t * n, t * n))
+
+
+def _prepare(clips, params: ModelParams, config: TrainConfig):
+    """Encode clips of one shape in one matmul, build each clip's
+    structure, and join them along the frame axis with no twin edge
+    between two clips. One clip's structure is used as it is."""
+    pts = [patchify(clip.pixels, config.patch_size) for clip in clips]
+    if len({pt.vectors.shape for pt in pts}) > 1:
+        raise ValueError("clips of one forward must share one shape")
+    patches = (pts[0].vectors if len(pts) == 1
+               else np.concatenate([pt.vectors for pt in pts]))
+    x = encode_patches(patches, params, config)
+    m = x.data.shape[0] // len(pts)
+    parts = [build_structure(pt, x.data[k * m:(k + 1) * m], config)
+             for k, pt in enumerate(pts)]
+    if len(parts) == 1:
+        return parts[0], x
+    cat, g = np.concatenate, parts[0].graph
+    gap = np.zeros((1, g.patches_per_frame))
+    graph = VideoGraph(len(parts) * g.frames, g.grid_h, g.grid_w,
+                       cat([s.graph.blocks for s in parts]),
+                       cat([r for s in parts for r in (gap, s.graph.twins)][1:]))
+    neg = None if parts[0].negative is None else replace(parts[0].negative,
+                                                          frames=graph.frames)
+    basis = None
+    if config.use_spectral:
+        bases = [s.basis for s in parts]
+        if len({b.vectors.shape for b in bases}) > 1:  # coupled clips: solved whole
+            bases = [b if b.vectors.ndim == 2 else _block_diagonal(b)
+                     for b in bases]
+        n = bases[0].vectors.shape[-1]
+        basis = spectral.SpectralBasis(
+            cat([b.eigenvalues.reshape(-1, n) for b in bases]),
+            cat([b.vectors.reshape(-1, n, n) for b in bases]))
+    adjacencies = [gat.SignedAdjacency(
+        cat([getattr(s, kind).support for s in parts]),
+        cat([getattr(s, kind).sign for s in parts]))
+        for kind in ("consistency", "inconsistency")]
+    return ClipStructure(patches, graph, neg, basis, *adjacencies, len(parts)), x
+
+
 def _pooled_features(structure: ClipStructure, x: ad.Tensor,
                      params: ModelParams, config: TrainConfig) -> ad.Tensor:
-    """The (1, 2d) pre-head feature row Z = [spatial || spectral]."""
-    slope = config.leaky_slope
+    """The (B, 2d) pre-head feature rows Z = [spatial || spectral]."""
+    slope, clips = config.leaky_slope, structure.clips
 
     if config.use_spectral:
         basis = structure.basis
         z_spectral = spectral.pool_spectral(
-            x, basis, params.filter_mlp.gains(basis.eigenvalues, slope))
+            x, basis, params.filter_mlp.gains(basis.eigenvalues, slope), clips)
     else:
-        z_spectral = ad.constant(np.zeros((1, config.dim)))
+        z_spectral = ad.constant(np.zeros((clips, config.dim)))
 
     if config.use_temporal_mlp:
         xp = differential.temporal_concat(x, structure.graph,
                                           params["temporal.weight"],
-                                          params["temporal.bias"])
+                                          params["temporal.bias"], clips)
     else:
         xp = x
     h_c = gat.gat_forward(xp, structure.consistency, params.gat, slope)
     h_ic = gat.gat_forward(xp, structure.inconsistency, params.gat, slope)
     z_spatial = gat.spatial_fuse(h_c, h_ic, params["fusion.weight"],
-                                 params["fusion.bias"])
+                                 params["fusion.bias"], clips)
     return ad.concat([z_spatial, z_spectral], axis=1)
 
 
 def forward_with_structure(structure: ClipStructure, x: ad.Tensor,
                            params: ModelParams, config: TrainConfig) -> ad.Tensor:
-    """Differentiable path; ``x`` is the embedding of structure.patches."""
+    """Differentiable path; ``x`` is the embedding of structure.patches.
+    Returns (B, 2) logits, one row per clip."""
     z = _pooled_features(structure, x, params, config)
     return ad.add(ad.matmul(z, params["head.weight"]), params["head.bias"])
 
 
-def forward(clip: FrameSequence, params: ModelParams, config: TrainConfig):
-    """Clip -> (1, 2) logits Tensor; returns the structure for reuse."""
-    pt = patchify(clip.pixels, config.patch_size)
-    x = encode_patches(pt.vectors, params, config)
-    structure = build_structure(pt, x.data, config)
+def forward(clips, params: ModelParams, config: TrainConfig):
+    """Clips of one shape -> (B, 2) logits Tensor; returns the joined
+    structure for reuse."""
+    structure, x = _prepare(clips, params, config)
     return forward_with_structure(structure, x, params, config), structure
 
 
 def clip_embedding(clip, params, config) -> np.ndarray:
     """The pooled pre-head feature vector Z (for external analysis)."""
-    pt = patchify(clip.pixels, config.patch_size)
-    x = encode_patches(pt.vectors, params, config)
-    structure = build_structure(pt, x.data, config)
+    structure, x = _prepare([clip], params, config)
     return _pooled_features(structure, x, params, config).data[0].copy()
 
 
 def predict(clip, params, config) -> float:
     """Probability the clip is fake (softmax of the second logit)."""
-    logits, _ = forward(clip, params, config)
+    logits, _ = forward([clip], params, config)
     return float(ad.softmax_probs(logits.data)[0, 1])
 
 
@@ -368,57 +414,42 @@ def score_clips(clips, params, config, threads=1):
 # training
 
 
-def _clip_loss_and_grads(clip, label, params, config, name_of):
-    logits, _ = forward(clip, params, config)
-    loss = ad.cross_entropy(logits, [label])
-    leaves = loss.backward(write_grad=False)
-    grads = {name_of[id(t)]: g for t, g in leaves.items()}
-    return float(loss.data), float(ad.softmax_probs(logits.data)[0, 1]), grads
-
-
 def train_clips(clips, config: TrainConfig, threads=1, log=None):
-    """Mini-batch Adam over labeled clips; returns (params, history).
+    """Mini-batch Adam over labeled clips of one shape; returns (params,
+    history). A minibatch is one forward, loss, backward and Adam step.
 
-    History rows: (epoch, split, loss, accuracy). Deterministic given
-    (seed, config, corpus): shuffling comes from a named stream and
-    gradient reduction keeps clip order.
+    History rows: (epoch, split, mean per-clip loss, accuracy).
+    Deterministic given (seed, config, corpus): shuffling comes from a
+    named stream. ``threads`` is unused, kept because perfbench passes it.
     """
     labels = np.array([c.label for c in clips], dtype=np.intp)
     if len(set(labels.tolist())) < 2:
         raise ValueError("training corpus must contain both classes")
+    shapes = [item.clip.pixels.shape for item in clips]
+    odd = next((k for k, shape in enumerate(shapes) if shape != shapes[0]), 0)
+    if odd:
+        raise ValueError(f"training clips must share one shape: clip {odd} "
+                         f"({clips[odd].family}) is {shapes[odd]}, clip 0 "
+                         f"({clips[0].family}) is {shapes[0]}")
     params = init_params(config)
-    name_of = {id(t): n for n, t in params.named().items()}
     state = ad.AdamState(lr=config.lr)
     history = []
     n = len(clips)
     for epoch in range(config.epochs):
         order = stream(config.seed, "train", "shuffle", epoch).permutation(n)
-        losses, scores, seen = [], np.empty(n), np.empty(n, dtype=np.intp)
-        pos = 0
+        loss_sum, scores = 0.0, np.empty(n)
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            results = parallel_map(
-                lambda k: _clip_loss_and_grads(clips[k].clip, int(labels[k]),
-                                               params, config, name_of),
-                batch, threads)
-            grads = {}
-            for loss_k, score_k, g in results:
-                if not np.isfinite(loss_k):
-                    raise RuntimeError(
-                        f"non-finite loss at epoch {epoch}, batch start {start}")
-                losses.append(loss_k)
-                for name, arr in g.items():
-                    if name in grads:
-                        grads[name] = grads[name] + arr
-                    else:
-                        grads[name] = arr
-            grads = {k: v / len(batch) for k, v in grads.items()}
-            ad.adam_step(params.named(), grads, state)
-            for k, (_, score_k, _) in zip(batch, results):
-                scores[pos], seen[pos] = score_k, k
-                pos += 1
-        acc = float(np.mean((scores >= 0.5) == (labels[seen] == 1)))
-        mean_loss = float(np.mean(losses))
+            logits, _ = forward([clips[k].clip for k in batch], params, config)
+            loss = ad.cross_entropy(logits, labels[batch])
+            if not np.isfinite(loss.data):
+                raise RuntimeError(
+                    f"non-finite loss at epoch {epoch}, batch start {start}")
+            ad.adam_step(params.named(), loss.backward(), state)
+            loss_sum += float(loss.data) * len(batch)
+            scores[start:start + len(batch)] = ad.softmax_probs(logits.data)[:, 1]
+        acc = float(np.mean((scores >= 0.5) == (labels[order] == 1)))
+        mean_loss = loss_sum / n
         history.append((epoch, "train", mean_loss, acc))
         if log:
             log(f"epoch {epoch}: loss {mean_loss:.4f} acc {acc:.3f}")

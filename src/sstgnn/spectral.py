@@ -6,11 +6,11 @@ default: the temporal differential turns every bridge into a -1 edge),
 as one stacked eigh over the (T, N, N) frame Laplacians. A small
 scalar-to-scalar MLP maps each eigenvalue to a gain g, which keeps the
 learned filter independent of graph size. The detector only mean-pools
-the filtered signal U diag(g) U^T X, so `pool_spectral` computes the
-pooled row as w^T X with w = U (g * U^T 1) / M, one diagonal block of U
-at a time, and never forms the filtered signal; the eigenbasis is a
-constant to backpropagation. `apply_filter` forms the signal in numpy,
-with fixed preset gains for the image demo.
+the filtered signal U diag(g) U^T X, so `pool_spectral` computes each
+clip's pooled row as w^T X with w = U (g * U^T 1) / M, one diagonal
+block of U at a time, and never forms the filtered signal; the
+eigenbasis is a constant to backpropagation. `apply_filter` forms the
+signal in numpy, with fixed preset gains for the image demo.
 """
 
 from __future__ import annotations
@@ -171,19 +171,21 @@ def apply_filter(x, basis: SpectralBasis, gains) -> np.ndarray:
     return (blocks @ scaled).reshape(x.shape)
 
 
-def pool_spectral(x, basis: SpectralBasis, gains):
+def pool_spectral(x, basis: SpectralBasis, gains, clips=1):
     """(1/M) 1^T U diag(gains) U^T x, the node mean of the filtered
-    signal, as the (1, d) row w^T x with w = U (gains * U^T 1) / M per
-    diagonal block of U. ``gains`` is an (M, 1) column over the flattened
-    eigenvalues, ``x`` in node order; the basis is constant to autodiff."""
+    signal of each of ``clips`` equal clips of M nodes, as the (clips, d)
+    rows w^T x with w = U (gains * U^T 1) / M per diagonal block of U.
+    ``gains`` is a column over the flattened eigenvalues, ``x`` in node
+    order; the basis is constant to autodiff."""
     if np.shape(gains) != (basis.size, 1):
         raise ValueError(f"gains {np.shape(gains)} must be a ({basis.size}, 1) column")
-    n = basis.vectors.shape[-1]
+    n, m = basis.vectors.shape[-1], basis.size // clips
     blocks = basis.vectors.reshape(-1, n, n)
-    ones_coeffs = blocks.sum(axis=1).reshape(-1, 1) / basis.size
-    scaled = ad.mul(gains, ones_coeffs)
-    w = ad.block_matmul(blocks, scaled)
-    return ad.matmul(ad.reshape(w, (1, -1)), x)
+    ones_coeffs = blocks.sum(axis=1).reshape(-1, 1) / m
+    w = ad.block_matmul(blocks, ad.mul(gains, ones_coeffs))
+    # row k of the selector keeps clip k's nodes, so w^T x pools per clip
+    select = np.repeat(np.eye(clips), m, axis=1)
+    return ad.matmul(ad.mul(ad.reshape(w, (1, -1)), select), x)
 
 
 def dirichlet_energy(x, lap):

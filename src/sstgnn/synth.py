@@ -60,22 +60,6 @@ class FrameSequence:
         if not np.all(np.isfinite(p)) or p.min() < 0.0 or p.max() > 1.0:
             raise ValueError("pixels must be finite and lie in [0, 1]")
 
-    @property
-    def frames(self):
-        return self.pixels.shape[0]
-
-    @property
-    def height(self):
-        return self.pixels.shape[1]
-
-    @property
-    def width(self):
-        return self.pixels.shape[2]
-
-    @property
-    def channels(self):
-        return self.pixels.shape[3]
-
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -205,13 +189,14 @@ def save_clip(path, clip: FrameSequence, label=None):
     """Write the VGF1 container; appends a 1-byte label trailer if given."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(_HEADER.pack(clip.frames, clip.height, clip.width, clip.channels))
+        fh.write(_HEADER.pack(*clip.pixels.shape))
         fh.write(np.ascontiguousarray(clip.pixels, dtype="<f4").tobytes())
         if label is not None:
             fh.write(bytes([int(label)]))
 
 
-def _read_container(path):
+def load_labeled_clip(path):
+    """Return (FrameSequence, label-or-None)."""
     blob = Path(path).read_bytes()
     if blob[:8] != _MAGIC:
         raise ClipFormatError(f"{path}: bad magic {blob[:8]!r}")
@@ -231,12 +216,7 @@ def _read_container(path):
 
 
 def load_clip(path) -> FrameSequence:
-    return _read_container(path)[0]
-
-
-def load_labeled_clip(path):
-    """Return (FrameSequence, label-or-None)."""
-    return _read_container(path)
+    return load_labeled_clip(path)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +265,16 @@ def load_manifest(manifest_path):
             raise ValueError(f"{manifest_path}: manifest lacks column(s) "
                              f"{', '.join(missing)}")
         for row in reader:
+            where = f"{manifest_path}:{reader.line_num}"
             short = [c for c in MANIFEST_COLUMNS if row[c] is None]
             if short:
-                raise ValueError(f"{manifest_path}:{reader.line_num}: row "
-                                 f"lacks {', '.join(short)}")
+                raise ValueError(f"{where}: row lacks {', '.join(short)}")
             if row["label"].strip() not in ("0", "1"):
-                raise ValueError(f"{manifest_path}:{reader.line_num}: label "
-                                 f"{row['label']!r} is not 0 or 1")
+                raise ValueError(f"{where}: label {row['label']!r} is not 0 or 1")
+            label = int(row["label"])
+            if label != int(row["family"] != "real"):
+                raise ValueError(f"{where}: label {label} does not fit family "
+                                 f"{row['family']!r} (0 iff real, else 1)")
             clip = load_clip(base / row["path"])
-            clips.append(LabeledClip(clip, int(row["label"]), row["family"]))
+            clips.append(LabeledClip(clip, label, row["family"]))
     return clips

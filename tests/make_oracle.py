@@ -56,8 +56,8 @@ def compute_case(scale, differential, family, seed):
                                  **overrides)
     params = model.init_params(config, seed=PARAM_SEED, random_head=True)
     labeled = synth.generate(synth.SynthSpec(family, seed=seed, **geometry))
-    logits, _ = model.forward(labeled.clip, params, config)
-    grads = ad.cross_entropy(logits, [labeled.label]).backward(write_grad=False)
+    logits, _ = model.forward([labeled.clip], params, config)
+    grads = ad.cross_entropy(logits, [labeled.label]).backward()
     norms, dots = {}, {}
     for name, tensor in params.named().items():
         g = grads.get(tensor, np.zeros_like(tensor.data))

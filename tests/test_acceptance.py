@@ -127,7 +127,7 @@ def test_a4_end_to_end_gradients():
                                           height=4, width=4)).clip
     config = model.preset_config("toy")
     params = model.init_params(config, seed=0, random_head=True)
-    _, structure = model.forward(clip, params, config)
+    _, structure = model.forward([clip], params, config)
 
     def loss():
         x = model.encode_patches(structure.patches, params, config)
@@ -251,7 +251,7 @@ def test_a8_train_determinism(tmp_path):
         out = tmp_path / run
         code = cli_main(["train", "--manifest", str(corpus / "manifest.csv"),
                          "--out", str(out), "--epochs", "3", "--batch-size", "4",
-                         "--seed", "7", "--threads", "2"])
+                         "--seed", "7"])
         assert code == 0
         code = cli_main(["eval", "--checkpoint", str(out / "checkpoint.sstg"),
                          "--protocol", "in_domain", "--out", str(out / "eval"),

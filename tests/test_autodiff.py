@@ -249,6 +249,24 @@ class TestElementwiseOps:
         with pytest.raises(ValueError, match="non-finite"):
             ad.constant([np.nan, 1.0])
 
+    @pytest.mark.parametrize("key", [
+        [0, 0, 2], np.array([0, 0, 2]), np.array([True, False, True]),
+        (slice(None), [0, 1]), True], ids=["list", "array", "mask", "tuple", "bool"])
+    def test_advanced_index_rejected(self, key):
+        # a repeated index must not drop gradient: x[[0, 0, 2]] once gave
+        # x[0] a gradient of 1/3 from mean() instead of 2/3
+        x = ad.parameter(np.arange(6.0).reshape(3, 2))
+        with pytest.raises(ValueError, match="basic slicing only"):
+            x[key]
+
+    def test_basic_slices_keep_gradients(self):
+        x = ad.parameter(np.arange(6.0).reshape(3, 2))
+        for key in (1, np.int64(-1), slice(0, 2), (slice(None), 1),
+                    (Ellipsis, None), (1, slice(None, None, -1))):
+            want = np.zeros((3, 2))
+            want[key] = 1.0 / np.size(x.data[key])
+            np.testing.assert_array_equal(ad.mean(x[key]).backward()[x], want)
+
     def test_shared_subexpression_gradient(self):
         # x used twice: gradient contributions must accumulate once each
         x = ad.parameter(np.array([[2.0]]))
@@ -263,7 +281,7 @@ class TestAdam:
         state = ad.AdamState(lr=1e-2)
         before = p.data.copy()
         for _ in range(3):
-            ad.adam_step({"p": p}, {"p": np.zeros(2)}, state)
+            ad.adam_step({"p": p}, {p: np.zeros(2)}, state)
         np.testing.assert_array_equal(p.data, before)
         np.testing.assert_array_equal(state.m["p"], np.zeros(2))
 
@@ -273,7 +291,7 @@ class TestAdam:
         g = 0.37
         p = ad.parameter(np.array([1.0]))
         state = ad.AdamState(lr=1e-4)
-        ad.adam_step({"p": p}, {"p": np.array([g])}, state)
+        ad.adam_step({"p": p}, {p: np.array([g])}, state)
         expected = 1.0 - 1e-4 * g / (abs(g) + 1e-8)
         assert p.data[0] == pytest.approx(expected, rel=1e-12)
 
@@ -281,8 +299,8 @@ class TestAdam:
         g = np.array([0.5])
         p = ad.parameter(np.array([2.0]))
         state = ad.AdamState(lr=1e-3)
-        ad.adam_step({"p": p}, {"p": g}, state)
-        ad.adam_step({"p": p}, {"p": g}, state)
+        ad.adam_step({"p": p}, {p: g}, state)
+        ad.adam_step({"p": p}, {p: g}, state)
 
         b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-3
         m = v = 0.0
@@ -297,7 +315,7 @@ class TestAdam:
         p = ad.parameter(np.array([1.0]))
         state = ad.AdamState()
         with pytest.raises(ValueError, match="non-finite gradient"):
-            ad.adam_step({"p": p}, {"p": np.array([np.nan])}, state)
+            ad.adam_step({"p": p}, {p: np.array([np.nan])}, state)
         assert state.t == 0 and p.data[0] == 1.0
 
 

@@ -63,8 +63,7 @@ def trained_run(tmp_path_factory):
     out = root / "train"
     code = main(["train", "--manifest", str(corpus / "manifest.csv"),
                  "--out", str(out), "--patch-size", "4", "--dim", "8",
-                 "--filter-hidden", "4", "--epochs", "2", "--batch-size", "4",
-                 "--threads", "1"])
+                 "--filter-hidden", "4", "--epochs", "2", "--batch-size", "4"])
     assert code == 0
     return out
 
@@ -257,7 +256,7 @@ def test_train_manifest_missing_column_is_usage_error(tmp_path, capsys,
                                 for row in rows))
     code = main(["train", "--manifest", str(manifest),
                  "--out", str(tmp_path / "train"), "--patch-size", "4",
-                 "--epochs", "1", "--threads", "1"])
+                 "--epochs", "1"])
     assert code == 2
     assert f"lacks column(s) {dropped}" in capsys.readouterr().err
 
@@ -271,26 +270,61 @@ def test_train_manifest_short_row_is_usage_error(tmp_path, capsys):
     manifest.write_text("path,label,family,seed\nreal_0.vgf\n")
     code = main(["train", "--manifest", str(manifest),
                  "--out", str(tmp_path / "train"), "--patch-size", "4",
-                 "--epochs", "1", "--threads", "1"])
+                 "--epochs", "1"])
     assert code == 2
     assert "manifest.csv:2: row lacks label, family" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("label", ["2", "x"])
-def test_train_manifest_bad_label_is_usage_error(tmp_path, capsys, label):
+@pytest.mark.parametrize("row, bad_row, error", [
+    pytest.param(",1,spectral_noise,", ",2,spectral_noise,",
+                 "3: label '2' is not 0 or 1", id="2"),
+    pytest.param(",1,spectral_noise,", ",x,spectral_noise,",
+                 "3: label 'x' is not 0 or 1", id="x"),
+    pytest.param(",0,real,", ",1,real,",
+                 "2: label 1 does not fit family 'real' (0 iff real, else 1)",
+                 id="real-1"),
+])
+def test_train_manifest_bad_label_is_usage_error(tmp_path, capsys, row,
+                                                 bad_row, error):
     corpus = tmp_path / "corpus"
     main(["synth", "--out", str(corpus), "--families", "real,spectral_noise",
           "--count", "1", "--seed", "0", "--frames", "2", "--height", "8",
           "--width", "8"])
     manifest = corpus / "manifest.csv"
-    manifest.write_text(manifest.read_text().replace(
-        ",1,spectral_noise,", f",{label},spectral_noise,"))
+    text = manifest.read_text()
+    assert text.count(row) == 1
+    manifest.write_text(text.replace(row, bad_row))
     code = main(["train", "--manifest", str(manifest),
                  "--out", str(tmp_path / "train"), "--patch-size", "4",
-                 "--epochs", "1", "--threads", "1"])
+                 "--epochs", "1"])
     assert code == 2
-    assert (f"{manifest}:3: label '{label}' is not 0 or 1"
-            in capsys.readouterr().err)
+    assert f"{manifest}:{error}" in capsys.readouterr().err
+
+
+def test_train_mixed_clip_shapes_is_usage_error(tmp_path, capsys):
+    # a minibatch is one stacked graph, so a training corpus has one shape
+    corpus = tmp_path / "corpus"
+    for sub, size in (("", "8"), ("big", "16")):
+        main(["synth", "--out", str(corpus / sub), "--families",
+              "real,spectral_noise", "--count", "1", "--seed", "0",
+              "--frames", "2", "--height", size, "--width", size])
+    manifest = corpus / "manifest.csv"
+    big = (corpus / "big" / "manifest.csv").read_text().splitlines()[1:]
+    manifest.write_text(manifest.read_text()
+                        + "".join(f"big/{row}\n" for row in big))
+    code = main(["train", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "train"), "--patch-size", "4",
+                 "--epochs", "1"])
+    assert code == 2
+    assert "clip 2 (real) is (2, 16, 16, 1)" in capsys.readouterr().err
+
+
+def test_train_has_no_threads_flag(trained_run, tmp_path):
+    # training runs one tape per minibatch; --threads sets eval's pool only
+    assert main(["train", "--manifest",
+                 str(trained_run.parent / "corpus" / "manifest.csv"),
+                 "--out", str(tmp_path / "t"), "--patch-size", "4",
+                 "--epochs", "1", "--threads", "2"]) == 2
 
 
 def test_gradcheck_toy(capsys):
@@ -327,8 +361,7 @@ def test_flags_override_config_file(tmp_path):
                    "epochs = 5\nbatch_size = 4\n")
     out = tmp_path / "train"
     code = main(["train", "--manifest", str(corpus / "manifest.csv"),
-                 "--out", str(out), "--config", str(cfg), "--epochs", "1",
-                 "--threads", "1"])
+                 "--out", str(out), "--config", str(cfg), "--epochs", "1"])
     assert code == 0
     record = json.loads((out / "run.json").read_text())
     assert record["config"]["epochs"] == 1      # flag wins
@@ -346,7 +379,7 @@ def test_threads_env_fallback(monkeypatch, tmp_path):
 
 
 def test_training_bytes_independent_of_thread_counts(tmp_path):
-    """Checkpoints match byte for byte across --threads and BLAS threads."""
+    """Checkpoints match byte for byte across BLAS thread counts."""
     corpus = tmp_path / "corpus"
     assert main(["synth", "--out", str(corpus), "--families",
                  "real,upsample_artifact", "--count", "4", "--seed", "40",
@@ -354,16 +387,14 @@ def test_training_bytes_independent_of_thread_counts(tmp_path):
     src = Path(sstgnn.__file__).resolve().parent.parent
     blobs = {}
     for blas in ("1", "2"):
-        for threads in ("1", "2"):
-            out = tmp_path / f"blas{blas}_threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
-                       PYTHONPATH=os.pathsep.join(
-                           [str(src), os.environ.get("PYTHONPATH", "")]))
-            subprocess.run(
-                [sys.executable, "-m", "sstgnn.cli", "train",
-                 "--manifest", str(corpus / "manifest.csv"), "--out", str(out),
-                 "--patch-size", "4", "--epochs", "2", "--batch-size", "4",
-                 "--threads", threads],
-                env=env, check=True, capture_output=True, timeout=300)
-            blobs[blas, threads] = (out / "checkpoint.sstg").read_bytes()
-    assert len(set(blobs.values())) == 1
+        out = tmp_path / f"blas{blas}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src), os.environ.get("PYTHONPATH", "")]))
+        subprocess.run(
+            [sys.executable, "-m", "sstgnn.cli", "train",
+             "--manifest", str(corpus / "manifest.csv"), "--out", str(out),
+             "--patch-size", "4", "--epochs", "2", "--batch-size", "4"],
+            env=env, check=True, capture_output=True, timeout=300)
+        blobs[blas] = (out / "checkpoint.sstg").read_bytes()
+    assert blobs["1"] == blobs["2"]

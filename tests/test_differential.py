@@ -176,6 +176,18 @@ class TestTemporalConcat:
         out_b = diff.temporal_concat(ad.constant(swapped), g, w, b)
         np.testing.assert_array_equal(out_a.data[:8], out_b.data[:8])
 
+    def test_batched_clips_shift_within_each_clip(self):
+        # three clips stacked on the frame axis: each clip's last frame
+        # pairs with itself, never with the next clip's first frame
+        g = small_graph(t=3, grid=2)
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(3 * 12, 3))
+        w, b = ad.constant(rng.normal(size=(6, 3))), ad.constant(rng.normal(size=3))
+        out = diff.temporal_concat(ad.constant(x), g, w, b, clips=3)
+        alone = [diff.temporal_concat(ad.constant(x[12 * k:12 * (k + 1)]), g, w, b)
+                 for k in range(3)]
+        np.testing.assert_array_equal(out.data, np.vstack([a.data for a in alone]))
+
     def test_gradients_flow(self):
         g, x = self.make()
         w = ad.parameter(np.random.default_rng(12).normal(size=(6, 3)))

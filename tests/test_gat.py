@@ -144,7 +144,7 @@ class TestGatForward:
         def f():
             return ad.mean(gat.gat_forward(x, adjacency(support), params))
 
-        grads = f().backward(write_grad=False)
+        grads = f().backward()
         assert min(np.abs(g).min() for g in grads.values()) > 1e-6
         err = ad.finite_diff_check(
             f, {"w": params.weight, "a": params.attention})
@@ -248,6 +248,16 @@ class TestFusion:
         expected = (np.hstack([hc, hic]) @ w + b).mean(axis=0)
         np.testing.assert_allclose(out.data[0], expected, rtol=1e-12)
 
+    def test_one_row_per_clip(self):
+        rng = np.random.default_rng(31)
+        hc, hic = rng.normal(size=(12, 3)), rng.normal(size=(12, 3))
+        w, b = ad.constant(rng.normal(size=(6, 3))), ad.constant(rng.normal(size=3))
+        out = gat.spatial_fuse(ad.constant(hc), ad.constant(hic), w, b, clips=3)
+        alone = [gat.spatial_fuse(ad.constant(hc[4 * k:4 * k + 4]),
+                                  ad.constant(hic[4 * k:4 * k + 4]), w, b)
+                 for k in range(3)]
+        np.testing.assert_array_equal(out.data, np.vstack([a.data for a in alone]))
+
 
 def masked_softmax(scores, support):
     """Row softmax over the supported entries of an (M, M) score Tensor,
@@ -335,7 +345,7 @@ class TestFrameLayoutAttention:
         def f():
             return ad.mean(gat.gat_forward(x, adj, params))
 
-        grads = f().backward(write_grad=False)
+        grads = f().backward()
         assert min(np.abs(grads[t]).min()
                    for t in (x, params.weight, params.attention)) > 1e-6
         err = ad.finite_diff_check(
@@ -369,7 +379,7 @@ class TestFrameLayoutAttention:
                 # a summed probe keeps the gradients O(1) or larger, so
                 # the absolute bound below is a tight one
                 loss = ad.scale(ad.mean(ad.mul(out, probe)), m * d)
-                grads = loss.backward(write_grad=False)
+                grads = loss.backward()
                 runs.append([out.data] + [grads[t] for t in (
                     x, params["gat.weight"], params["gat.attention"])])
             for fused, dense in zip(*runs):

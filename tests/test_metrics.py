@@ -33,9 +33,31 @@ class TestAuc:
     def test_all_tied_is_half(self):
         assert metrics.auc([0.5, 0.5, 0.5, 0.5], [0, 1, 0, 1]) == 0.5
 
+    def test_all_tied_any_labels(self):
+        labels = (np.random.default_rng(3).random(1001) < 0.3).astype(int)
+        assert metrics.auc(np.full(1001, 0.25), labels) == 0.5
+
+    def test_large_tied_input_matches_counting_oracle(self):
+        # 12 000 scores on 50 levels; the oracle counts, for each positive,
+        # the negatives below it and half those level with it
+        rng = np.random.default_rng(4)
+        scores = rng.integers(0, 50, size=12_000) / 49
+        labels = (rng.random(12_000) < 0.4).astype(int)
+        neg = np.sort(scores[labels == 0])
+        pos = scores[labels == 1]
+        below = np.searchsorted(neg, pos, side="left")
+        level = np.searchsorted(neg, pos, side="right") - below
+        expected = (below.sum() + level.sum() / 2) / (len(pos) * len(neg))
+        assert metrics.auc(scores, labels) == expected
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
             metrics.auc([0.1, 0.9], [1, 1])
+
+    def test_non_finite_scores_rejected(self):
+        # NaNs have no rank; one tie group for all of them would be arbitrary
+        with pytest.raises(ValueError, match="finite"):
+            metrics.auc([np.nan, 0.2, np.nan], [1, 0, 0])
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)

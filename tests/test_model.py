@@ -63,22 +63,22 @@ class TestForward:
     def test_zero_head_uniform_logits(self):
         cfg = toy_config()
         params = model.init_params(cfg)
-        logits, _ = model.forward(toy_clip(), params, cfg)
+        logits, _ = model.forward([toy_clip()], params, cfg)
         np.testing.assert_array_equal(logits.data, [[0.0, 0.0]])
         assert model.predict(toy_clip(), params, cfg) == 0.5
 
     def test_deterministic_for_duplicate_clips(self):
         cfg = toy_config()
         params = model.init_params(cfg, random_head=True)
-        a, _ = model.forward(toy_clip(seed=5), params, cfg)
-        b, _ = model.forward(toy_clip(seed=5), params, cfg)
+        a, _ = model.forward([toy_clip(seed=5)], params, cfg)
+        b, _ = model.forward([toy_clip(seed=5)], params, cfg)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_structure_reuse_matches_fresh_forward(self):
         cfg = toy_config()
         params = model.init_params(cfg, random_head=True)
         clip = toy_clip(seed=3)
-        logits, structure = model.forward(clip, params, cfg)
+        logits, structure = model.forward([clip], params, cfg)
         x = model.encode_patches(structure.patches, params, cfg)
         again = model.forward_with_structure(structure, x, params, cfg)
         np.testing.assert_array_equal(logits.data, again.data)
@@ -94,10 +94,15 @@ class TestForward:
         monkeypatch.setattr(model, "encode_patches", counted)
         cfg = toy_config()
         params = model.init_params(cfg, random_head=True)
-        for entry in (model.forward, model.predict, model.clip_embedding):
+        clip = toy_clip(seed=3)
+        for name, entry in (
+                ("forward", lambda: model.forward([clip], params, cfg)),
+                ("forward of 16", lambda: model.forward([clip] * 16, params, cfg)),
+                ("predict", lambda: model.predict(clip, params, cfg)),
+                ("clip_embedding", lambda: model.clip_embedding(clip, params, cfg))):
             calls.clear()
-            entry(toy_clip(seed=3), params, cfg)
-            assert len(calls) == 1, entry.__name__
+            entry()
+            assert len(calls) == 1, name
 
     @pytest.mark.parametrize("cfg, clip", [
         (toy_config(), toy_clip(seed=4)),
@@ -106,7 +111,7 @@ class TestForward:
     ], ids=["toy", "desk"])
     def test_embedding_through_head_equals_logits(self, cfg, clip):
         params = model.init_params(cfg, random_head=True)
-        logits, _ = model.forward(clip, params, cfg)
+        logits, _ = model.forward([clip], params, cfg)
         z = model.clip_embedding(clip, params, cfg)
         assert z.shape == (2 * cfg.dim,)
         head = z[None, :] @ params["head.weight"].data + params["head.bias"].data
@@ -116,22 +121,22 @@ class TestForward:
         clip = toy_clip(seed=6)
         cfg_off = toy_config(use_spectral=False)
         params = model.init_params(cfg_off, random_head=True)
-        base, _ = model.forward(clip, params, cfg_off)
+        base, _ = model.forward([clip], params, cfg_off)
         params["filter.w3"].data[:] += 10.0
-        after, _ = model.forward(clip, params, cfg_off)
+        after, _ = model.forward([clip], params, cfg_off)
         np.testing.assert_array_equal(base.data, after.data)
 
         cfg_on = toy_config()
-        on_a, _ = model.forward(clip, params, cfg_on)
+        on_a, _ = model.forward([clip], params, cfg_on)
         params["filter.w3"].data[:] -= 10.0
-        on_b, _ = model.forward(clip, params, cfg_on)
+        on_b, _ = model.forward([clip], params, cfg_on)
         assert not np.array_equal(on_a.data, on_b.data)
 
     def test_differential_toggle_empties_inconsistency_graph(self):
         clip = toy_clip(seed=7)
         cfg = toy_config(use_differential=False)
         params = model.init_params(cfg)
-        _, structure = model.forward(clip, params, cfg)
+        _, structure = model.forward([clip], params, cfg)
         assert structure.negative is None
         support, _ = structure.inconsistency.dense()
         np.testing.assert_array_equal(support, np.eye(8, dtype=bool))
@@ -141,9 +146,9 @@ class TestForward:
         clip = toy_clip(seed=8)
         cfg = toy_config(use_temporal_mlp=False)
         params = model.init_params(cfg, random_head=True)
-        base, _ = model.forward(clip, params, cfg)
+        base, _ = model.forward([clip], params, cfg)
         params["temporal.weight"].data[:] += 5.0
-        after, _ = model.forward(clip, params, cfg)
+        after, _ = model.forward([clip], params, cfg)
         np.testing.assert_array_equal(base.data, after.data)
 
     def test_predict_confident_logits(self):
@@ -159,22 +164,110 @@ class TestForward:
         np.testing.assert_array_equal(batch, single)
 
 
-class TestTape:
-    def test_desk_tape_node_count(self):
-        # nodes a backward pass from the loss visits: the root and every
-        # ancestor that needs a gradient; no op is recorded per frame
-        cfg = model.preset_config("desk")
+@pytest.fixture(scope="module")
+def desk_batch():
+    """16 desk clips, four of each family."""
+    return [synth.generate(synth.SynthSpec(family, seed=seed))
+            for family in synth.FAMILIES for seed in range(4)]
+
+
+class TestBatch:
+    """A minibatch is one graph: its clips stacked along the frame axis."""
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"use_differential": False}, {"use_spectral": False},
+        {"use_temporal_mlp": False},
+        # some clips keep a positive bridge (a whole-clip basis), others
+        # none (per-frame blocks)
+        {"use_differential": False, "tau_t": 0.95},
+    ], ids=["default", "no-differential", "no-spectral", "no-temporal-mlp",
+            "mixed-bases"])
+    def test_logits_match_each_clip_alone(self, desk_batch, overrides):
+        cfg = model.TrainConfig(**overrides)
         params = model.init_params(cfg, random_head=True)
-        clip = synth.generate(synth.SynthSpec("real", seed=0)).clip
-        logits, _ = model.forward(clip, params, cfg)
-        root = ad.cross_entropy(logits, [0])
-        seen, stack = {id(root)}, [root]
-        while stack:
-            for parent in stack.pop().parents:
-                if parent.requires_grad and id(parent) not in seen:
-                    seen.add(id(parent))
-                    stack.append(parent)
-        assert len(seen) == 51
+        clips = [item.clip for item in desk_batch]
+        logits, structure = model.forward(clips, params, cfg)
+        alone = [model.forward([clip], params, cfg) for clip in clips]
+        assert structure.clips == 16 and logits.shape == (16, 2)
+        np.testing.assert_allclose(
+            logits.data, np.vstack([out.data for out, _ in alone]),
+            rtol=0, atol=1e-12)
+        if "tau_t" in overrides:
+            assert {s.basis.vectors.ndim for _, s in alone} == {2, 3}
+
+    def test_twins_cut_between_clips(self, desk_batch):
+        cfg = model.TrainConfig()
+        params = model.init_params(cfg)
+        _, structure = model.forward([item.clip for item in desk_batch],
+                                     params, cfg)
+        twins = structure.graph.twins
+        frames, n = structure.graph.frames // 16, structure.graph.patches_per_frame
+        assert twins.shape == (16 * frames - 1, n)
+        boundary = twins[frames - 1::frames]
+        assert boundary.shape[0] == 15 and not boundary.any()
+        assert (twins == -1).sum() == 16 * (frames - 1) * n
+        for adjacency in (structure.consistency, structure.inconsistency):
+            assert not adjacency.support[frames::frames, :, n].any()
+            assert not adjacency.support[frames - 1::frames, :, n + 1].any()
+
+    def test_batch_of_one_is_the_clip_structure(self, monkeypatch):
+        built = []
+        build = model.build_structure
+
+        def recorded(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(model, "build_structure", recorded)
+        cfg = toy_config()
+        _, structure = model.forward([toy_clip()], model.init_params(cfg), cfg)
+        assert len(built) == 1 and structure is built[0]
+
+    def test_gradient_is_mean_of_clip_gradients(self, desk_batch):
+        cfg = model.TrainConfig()
+        params = model.init_params(cfg, random_head=True)
+        labels = [item.label for item in desk_batch]
+        logits, _ = model.forward([item.clip for item in desk_batch], params, cfg)
+        batch = ad.cross_entropy(logits, labels).backward()
+        per_clip = []
+        for item in desk_batch:
+            logits, _ = model.forward([item.clip], params, cfg)
+            per_clip.append(ad.cross_entropy(logits, [item.label]).backward())
+        for name, tensor in params.named().items():
+            mean = sum(g[tensor] for g in per_clip) / len(per_clip)
+            assert np.abs(batch[tensor] - mean).max() <= 1e-12 * np.abs(mean).max(), name
+
+    def test_clips_must_share_one_shape(self):
+        cfg = toy_config()
+        with pytest.raises(ValueError, match="one shape"):
+            model.forward([toy_clip(size=8), toy_clip(size=16)],
+                          model.init_params(cfg), cfg)
+
+
+def tape_nodes(clips):
+    """Nodes a backward pass from the desk loss visits: the root and
+    every ancestor that needs a gradient."""
+    cfg = model.preset_config("desk")
+    params = model.init_params(cfg, random_head=True)
+    logits, _ = model.forward([item.clip for item in clips], params, cfg)
+    root = ad.cross_entropy(logits, [item.label for item in clips])
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent in stack.pop().parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+class TestTape:
+    def test_desk_tape_node_count(self, desk_batch):
+        # no op is recorded per frame
+        assert tape_nodes(desk_batch[:1]) == 55
+
+    def test_tape_size_independent_of_batch(self, desk_batch):
+        # nor per clip
+        assert tape_nodes(desk_batch) == tape_nodes(desk_batch[:1])
 
 
 class TestBridges:
@@ -189,7 +282,7 @@ class TestBridges:
         for tau_t in (0.0, 0.6, 1.0):
             cfg = toy_config(tau_t=tau_t, use_differential=use_differential)
             params = model.init_params(cfg, random_head=True)
-            logits, structure = model.forward(clip, params, cfg)
+            logits, structure = model.forward([clip], params, cfg)
             out.append((logits.data, structure))
         return out
 
@@ -246,7 +339,7 @@ class TestGoldenForward:
         # frozen from a validated run
         cfg = toy_config()
         params = model.init_params(cfg, seed=123, random_head=True)
-        logits, _ = model.forward(toy_clip(seed=42), params, cfg)
+        logits, _ = model.forward([toy_clip(seed=42)], params, cfg)
         np.testing.assert_allclose(
             logits.data, [[0.2135088795, 0.0047150562]], rtol=1e-7)
 
@@ -265,7 +358,7 @@ class TestTraining:
         cfg = toy_config(epochs=6, lr=1e-2)
         # symmetric (zero-head) init: the untrained loss is exactly ln 2
         fresh = model.init_params(cfg)
-        logits, _ = model.forward(clips[0].clip, fresh, cfg)
+        logits, _ = model.forward([clips[0].clip], fresh, cfg)
         start = ad.cross_entropy(logits, [clips[0].label]).item()
         assert start == pytest.approx(math.log(2), abs=1e-12)
         _, history = model.train_clips(clips, cfg)
@@ -278,14 +371,56 @@ class TestTraining:
         _, h2 = model.train_clips(clips, cfg)
         assert h1 == h2
 
-    def test_threads_do_not_change_results(self):
-        clips = tiny_corpus(n=2)
-        cfg = toy_config(epochs=2, lr=1e-3)
-        p1, h1 = model.train_clips(clips, cfg, threads=1)
-        p2, h2 = model.train_clips(clips, cfg, threads=3)
-        assert h1 == h2
-        for name in p1.named():
-            np.testing.assert_array_equal(p1[name].data, p2[name].data)
+    def test_one_tape_per_minibatch(self, monkeypatch):
+        calls = {"backward": 0, "adam_step": 0}
+        backward, adam_step = ad.Tensor.backward, ad.adam_step
+
+        def counted_backward(self):
+            calls["backward"] += 1
+            return backward(self)
+
+        def counted_adam_step(*args):
+            calls["adam_step"] += 1
+            return adam_step(*args)
+
+        def no_pool(*_):
+            raise AssertionError("training ran a thread pool")
+
+        monkeypatch.setattr(ad.Tensor, "backward", counted_backward)
+        monkeypatch.setattr(ad, "adam_step", counted_adam_step)
+        monkeypatch.setattr(model, "parallel_map", no_pool)
+        # 6 clips in batches of 4: two minibatches per epoch
+        model.train_clips(tiny_corpus(n=3), toy_config(epochs=2))
+        assert calls == {"backward": 4, "adam_step": 4}
+
+    def test_history_holds_mean_per_clip_loss(self, monkeypatch):
+        steps = []
+        cross_entropy = ad.cross_entropy
+
+        def recorded(logits, labels):
+            rows = [cross_entropy(ad.constant(logits.data[k:k + 1]),
+                                  [labels[k]]).item() for k in range(len(labels))]
+            hits = (ad.softmax_probs(logits.data)[:, 1] >= 0.5) == (
+                np.asarray(labels) == 1)
+            steps.append((rows, hits.tolist()))
+            return cross_entropy(logits, labels)
+
+        monkeypatch.setattr(ad, "cross_entropy", recorded)
+        _, history = model.train_clips(tiny_corpus(n=3),
+                                       toy_config(epochs=3, lr=1e-2))
+        for epoch, (_, split, loss, acc) in enumerate(history):
+            batches = steps[2 * epoch:2 * epoch + 2]
+            rows = [r for losses, _ in batches for r in losses]
+            hits = [h for _, batch_hits in batches for h in batch_hits]
+            assert split == "train" and len(rows) == 6
+            assert loss == pytest.approx(np.mean(rows), rel=1e-12, abs=0)
+            assert acc == np.mean(hits)
+
+    def test_mixed_clip_shapes_rejected(self):
+        clips = tiny_corpus(n=2) + tiny_corpus(n=1, size=16)
+        with pytest.raises(ValueError, match=r"clip 4 \(real\) is \(2, 16, 16, 1\), "
+                                             r"clip 0 \(real\) is \(2, 8, 8, 1\)"):
+            model.train_clips(clips, toy_config())
 
     def test_single_class_rejected(self):
         clips = [c for c in tiny_corpus() if c.label == 0]

@@ -156,15 +156,22 @@ class TestCorpus:
         assert {c.family for c in clips} == {"real", "temporal_jitter"}
         assert all((c.label == 1) == (c.family != "real") for c in clips)
 
-    @pytest.mark.parametrize("label", ["2", "x"])
-    def test_manifest_bad_label_names_the_line(self, tmp_path, label):
+    @pytest.mark.parametrize("line, label, error", [
+        pytest.param(3, "2", "label '2' is not 0 or 1", id="2"),
+        pytest.param(3, "x", "label 'x' is not 0 or 1", id="x"),
+        # a label that contradicts its family: a real clip labelled fake
+        pytest.param(2, "1", r"label 1 does not fit family 'real' "
+                             r"\(0 iff real, else 1\)", id="real-1"),
+    ])
+    def test_manifest_bad_label_names_the_line(self, tmp_path, line, label,
+                                               error):
         manifest = synth.write_corpus(tmp_path, ["real", "temporal_jitter"],
                                       range(1), frames=2, height=8, width=8)
         lines = manifest.read_text().splitlines()
-        row = lines[2].split(",")
-        assert row[2] == "temporal_jitter"
+        assert [r.split(",")[2] for r in lines[1:]] == ["real", "temporal_jitter"]
+        row = lines[line - 1].split(",")
         row[1] = label
-        manifest.write_text("\n".join(lines[:2] + [",".join(row)]) + "\n")
-        with pytest.raises(ValueError, match=f"manifest.csv:3: label '{label}' "
-                                             f"is not 0 or 1"):
+        lines[line - 1] = ",".join(row)
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"manifest.csv:{line}: {error}"):
             synth.load_manifest(manifest)
