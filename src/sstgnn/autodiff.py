@@ -445,30 +445,41 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
 
     ``params`` maps name -> Tensor, ``grads`` Tensor -> array as
     `Tensor.backward` returns it (a parameter it lacks has zero gradient).
-    Any NaN/Inf gradient rejects the whole step before touching state.
+    A NaN/Inf gradient, or a moment or parameter the update would make
+    non-finite, rejects the whole step: ValueError, and neither the
+    parameters nor ``state`` change.
     """
     for name, p in params.items():
         if p in grads and not np.all(np.isfinite(grads[p])):
             raise ValueError(f"non-finite gradient for parameter {name!r}; step rejected")
-    state.t += 1
+    t = state.t + 1
     b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
-    for name, p in params.items():
-        g = grads.get(p)
-        if g is None:
-            g = np.zeros_like(p.data)
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            state.m[name] = m
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    updates = {}
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below
+        for name, p in params.items():
+            g = grads.get(p)
+            if g is None:
+                g = np.zeros_like(p.data)
+            m = state.m.get(name, 0.0) * b1
+            m += (1 - b1) * g
+            v = state.v.get(name, 0.0) * b2
+            v += (1 - b2) * g * g
+            # p - lr * (m / bc1) / (sqrt(v / bc2) + eps), in one buffer
+            data = m / bc1
+            data *= state.lr
+            data /= np.sqrt(v / bc2) + state.eps
+            np.subtract(p.data, data, out=data)
+            # m mixes finite values convexly; g * g and a huge lr can overflow
+            if not (np.isfinite(v).all() and np.isfinite(data).all()):
+                raise ValueError(f"Adam step {t} makes parameter {name!r} or "
+                                 f"its moments non-finite; step rejected")
+            updates[name] = (m, v, data)
+    state.t = t
+    for name, (m, v, data) in updates.items():
+        state.m[name], state.v[name] = m, v
+        params[name].data[...] = data
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -78,15 +77,6 @@ def build_train_config(args) -> model.TrainConfig:
     return model.TrainConfig(**merged)
 
 
-def resolve_threads(args):
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("SSTGNN_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
-
-
 def write_run_record(out_dir, command, config, extra=None):
     record = {"command": command, "config": config.to_dict(),
               "config_hash": model.config_hash(config)}
@@ -144,7 +134,6 @@ def cmd_eval(args):
             f"clips of {args.channels} channel(s) and {args.height}x"
             f"{args.width} pixels do not fit the checkpoint, which takes "
             f"{config.channels} channel(s) and patch size {config.patch_size}")
-    threads = resolve_threads(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     families = args.families.split(",")
@@ -156,7 +145,7 @@ def cmd_eval(args):
         clips = synth.make_corpus(("real", fam), seeds, frames=args.frames,
                                   height=args.height, width=args.width,
                                   channels=args.channels)
-        acc, area, _ = metrics.evaluate_model(params, config, clips, threads)
+        acc, area, _ = metrics.evaluate_model(params, config, clips)
         report.rows.append(metrics.ReportRow(
             args.protocol, "checkpoint", fam, len(clips), acc, area,
             args.seed, chash))
@@ -164,7 +153,7 @@ def cmd_eval(args):
     report.write_csv(out / "report.csv")
     if args.dump_embeddings:
         metrics.dump_embeddings(out / "embeddings.csv", all_clips, params,
-                                config, threads)
+                                config)
     write_run_record(out, "eval", config,
                      {"protocol": args.protocol, "checkpoint": str(args.checkpoint),
                       "families": families, "mean_auc": report.mean_auc()})
@@ -268,7 +257,6 @@ def build_parser():
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--channels", type=int, default=1)
     p.add_argument("--dump-embeddings", action="store_true")
-    p.add_argument("--threads", type=int, default=None, help="eval workers")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("filter-image", help="graph-spectral filter demo")

@@ -7,7 +7,8 @@ to graph nodes: within every l0 x l0 tile of the patch grid, the anchor
 pixel-level NPR exactly on non-anchor nodes, which `theorem1_check`
 verifies. The temporal differential concatenates each node with its
 next-frame twin through an affine map and adds -1 edges between the
-pair, overwriting any positive bridge edge at the same slot.
+pair, overwriting any positive bridge edge at the same slot. Both stay
+inside one clip when a minibatch's clips share one frame-stacked graph.
 """
 
 from __future__ import annotations
@@ -142,9 +143,12 @@ def temporal_concat(x, graph: VideoGraph, weight, bias, clips=1):
 
 
 def add_temporal_negative(graph: VideoGraph) -> VideoGraph:
-    """Set the twin edge of every coordinate pair to -1.
+    """Set the twin edge of every coordinate pair inside a clip to -1.
 
-    Overwrites coincident positive bridge edges; spatial entries are
-    untouched. Returns a new graph.
+    Overwrites coincident positive bridge edges; spatial entries and the
+    rows between two clips of a batch graph are untouched. Returns a new
+    graph.
     """
-    return graph.with_twins(np.full(graph.twins.shape, -1.0))
+    twins = np.full(graph.twins.shape, -1.0)
+    twins[graph.clip_boundaries] = 0.0
+    return graph.with_twins(twins)

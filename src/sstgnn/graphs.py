@@ -7,7 +7,9 @@ frames are bridged at matching coordinates when the sum of structural
 (adjacency-row) and feature similarity clears tau_t. The assembled
 VideoGraph is immutable and keeps the frame layout: per-frame blocks and
 one twin edge per node and frame pair; the differential module later
-writes its negative edges into the same layout.
+writes its negative edges into the same layout. A minibatch of equal
+clips is one graph of their stacked frames (a disjoint union): no twin
+edge joins the last frame of one clip to the first of the next.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ class VideoGraph:
     differential is applied (negatives overwrite coincident positives),
     or 0. No edge of the clip graph lies elsewhere; the (M, M)
     ``spatial`` and ``temporal`` matrices are built on demand.
+
+    ``clips`` equal clips may share the graph, stacked along the frame
+    axis; the twin rows at their boundaries (``clip_boundaries``) are 0.
     """
 
     frames: int
@@ -55,6 +60,7 @@ class VideoGraph:
     grid_w: int
     blocks: np.ndarray     # (T, N, N)
     twins: np.ndarray      # (T - 1, N)
+    clips: int = 1
 
     def __post_init__(self):
         t, n = self.frames, self.patches_per_frame
@@ -62,6 +68,10 @@ class VideoGraph:
             raise ValueError(f"blocks {self.blocks.shape} and twins "
                              f"{self.twins.shape} do not fit {t} frames of "
                              f"{n} nodes")
+        if self.clips < 1 or t % self.clips:
+            raise ValueError(f"{t} frames do not split into {self.clips} clips")
+        if self.twins[self.clip_boundaries].any():
+            raise ValueError("a twin edge joins two clips")
 
     @property
     def patches_per_frame(self):
@@ -70,6 +80,10 @@ class VideoGraph:
     @property
     def node_count(self):
         return self.frames * self.patches_per_frame
+
+    @property
+    def clip_boundaries(self):
+        return clip_boundaries(self.frames, self.clips)
 
     def node_index(self, t, i, j):
         if not (0 <= t < self.frames and 0 <= i < self.grid_h and 0 <= j < self.grid_w):
@@ -176,13 +190,25 @@ def temporal_bridge(a_t, a_next, x_t, x_next, tau_t, eps=EPS_NORM):
     return scores, scores / 2 >= tau_t
 
 
-def unified_graph(embeddings, grid_h, grid_w, tau_s, tau_t, eps=EPS_NORM) -> VideoGraph:
-    """Full pipeline from per-frame embeddings (T, N, d) to a VideoGraph."""
+def clip_boundaries(frames, clips):
+    """The rows of a (frames - 1, N) twin array that would join the last
+    frame of one of ``clips`` equal clips to the first of the next; an
+    empty slice for one clip."""
+    per_clip = frames // clips
+    return slice(per_clip - 1, None, per_clip)
+
+
+def unified_graph(embeddings, grid_h, grid_w, tau_s, tau_t, eps=EPS_NORM,
+                  clips=1) -> VideoGraph:
+    """Full pipeline from per-frame embeddings (T, N, d) to a VideoGraph;
+    ``clips`` equal clips stacked along T get no bridge between them."""
     emb = np.asarray(embeddings, dtype=np.float64)
     adjs = intra_frame_adjacency(row_normalize(emb, eps), tau_s)
     scores, keep = temporal_bridge(adjs[:-1], adjs[1:], emb[:-1], emb[1:],
                                    tau_t, eps)
-    return VideoGraph(len(adjs), grid_h, grid_w, adjs, np.where(keep, scores, 0.0))
+    twins = np.where(keep, scores, 0.0)
+    twins[clip_boundaries(len(adjs), clips)] = 0.0
+    return VideoGraph(len(adjs), grid_h, grid_w, adjs, twins, clips)
 
 
 def to_layout(blocks, twins):

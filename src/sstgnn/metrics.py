@@ -18,7 +18,6 @@ import numpy as np
 from . import model as model_mod
 from .model import TrainConfig, config_hash, train_clips
 from .synth import FAKE_FAMILIES, make_corpus
-from .utils import parallel_map
 
 
 def auc(scores, labels) -> float:
@@ -102,7 +101,6 @@ class ProtocolConfig:
     height: int = 64
     width: int = 64
     channels: int = 1
-    threads: int = 1     # eval workers; training runs one tape per minibatch
 
     def train_seeds(self):
         return range(self.seed, self.seed + self.n_train)
@@ -126,8 +124,9 @@ def _check_disjoint(train_seeds, test_seeds):
 
 
 def evaluate_model(params, config, clips, threads=1):
-    """Score labeled clips; returns (accuracy, auc, scores)."""
-    scores = model_mod.score_clips(clips, params, config, threads)
+    """Score labeled clips; returns (accuracy, auc, scores). ``threads``
+    is unused, kept because perfbench passes it."""
+    scores = model_mod.score_clips(clips, params, config)
     labels = np.array([c.label for c in clips])
     return accuracy(scores, labels), auc(scores, labels), scores
 
@@ -142,7 +141,7 @@ def train_on_families(pcfg: ProtocolConfig, fake_families):
 def test_cell(pcfg: ProtocolConfig, params, family):
     """Evaluate on held-out real + held-out clips of one fake family."""
     clips = pcfg.corpus(("real", family), pcfg.test_seeds())
-    acc, area, _ = evaluate_model(params, pcfg.train, clips, pcfg.threads)
+    acc, area, _ = evaluate_model(params, pcfg.train, clips)
     return acc, area, len(clips)
 
 
@@ -186,11 +185,9 @@ def run_protocol(kind, pcfg: ProtocolConfig, train_families=None,
     return report
 
 
-def dump_embeddings(path, clips, params, config, threads=1):
+def dump_embeddings(path, clips, params, config):
     """Write per-clip pooled features to CSV for external analysis."""
-    feats = parallel_map(
-        lambda c: model_mod.clip_embedding(c.clip, params, config),
-        clips, threads)
+    feats = [model_mod.clip_embedding(c.clip, params, config) for c in clips]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         dim = len(feats[0])

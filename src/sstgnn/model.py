@@ -1,9 +1,9 @@
 """End-to-end detector: encoder, graph assembly, both branches, training.
 
-A forward pass takes clips of one shape, encodes their stacked patches
-once to d-dim embeddings, builds each clip's graph from its detached
-values, adds the negative differential edges, and joins the clips along
-the frame axis into one graph with no edge between two clips. Two
+A forward pass takes clips of one shape, stacks their patches along the
+frame axis, encodes them once to d-dim embeddings, and builds one graph
+of all their frames from the detached values in a single pass, with no
+edge between two clips, then adds the negative differential edges. Two
 branches run on that embedding: spectral (eigenbasis of the nonnegative
 graph, learned per-eigenvalue gains, pooled without forming the filtered
 signal) and spatial (temporal concat, consistency + inconsistency GAT,
@@ -11,9 +11,9 @@ fusion). Each pools per clip; the pooled rows concatenate into Z, and a
 head maps Z to 2 logits per clip. A training step records one tape.
 
 Graph topology and the eigenbasis are constant to backpropagation:
-`build_structure` is a pure function of a clip's patches, their detached
-embedding and the config. The finite difference check holds it constant
-and re-encodes `structure.patches` in its loss.
+`build_structure` is a pure function of the clips' patches, their
+detached embedding, the config and the clip count. The finite difference
+check holds it constant and re-encodes `structure.patches` in its loss.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from . import differential, gat, spectral
 from .graphs import PatchTensor, VideoGraph, patchify, unified_graph
 from .rng import stream
 from .synth import LabeledClip
-from .utils import parallel_map
 
 CHECKPOINT_MAGIC = b"SSTG0001"
 
@@ -276,15 +275,19 @@ class ClipStructure:
     basis: spectral.SpectralBasis | None
     consistency: gat.SignedAdjacency
     inconsistency: gat.SignedAdjacency
-    clips: int = 1
+
+    @property
+    def clips(self):
+        return self.graph.clips
 
 
 def build_structure(pt: PatchTensor, embedding: np.ndarray,
-                    config: TrainConfig) -> ClipStructure:
-    """The constant part of one clip's forward: patches + their detached embedding."""
+                    config: TrainConfig, clips=1) -> ClipStructure:
+    """The constant part of a forward over ``clips`` equal clips whose
+    frames ``pt`` stacks: patches + their detached embedding."""
     emb = embedding.reshape(pt.frames, pt.patches_per_frame, -1)
     graph = unified_graph(emb, pt.grid_h, pt.grid_w,
-                          config.tau_s, config.tau_t, config.eps)
+                          config.tau_s, config.tau_t, config.eps, clips)
     neg = None
     if config.use_differential:
         neg = differential.build_spatial_negative(graph, config.tile)
@@ -303,52 +306,15 @@ def build_structure(pt: PatchTensor, embedding: np.ndarray,
     )
 
 
-def _block_diagonal(basis: spectral.SpectralBasis) -> spectral.SpectralBasis:
-    """A per-frame basis as the whole (M, M) one it stands for."""
-    t, n, _ = basis.vectors.shape
-    vectors = np.zeros((t, n, t, n))
-    vectors[np.arange(t), :, np.arange(t), :] = basis.vectors
-    return spectral.SpectralBasis(basis.eigenvalues.reshape(-1),
-                                  vectors.reshape(t * n, t * n))
-
-
 def _prepare(clips, params: ModelParams, config: TrainConfig):
-    """Encode clips of one shape in one matmul, build each clip's
-    structure, and join them along the frame axis with no twin edge
-    between two clips. One clip's structure is used as it is."""
+    """Stack the patches of clips of one shape along the frame axis,
+    encode them in one matmul and build their structure in one pass."""
     pts = [patchify(clip.pixels, config.patch_size) for clip in clips]
     if len({pt.vectors.shape for pt in pts}) > 1:
         raise ValueError("clips of one forward must share one shape")
-    patches = (pts[0].vectors if len(pts) == 1
-               else np.concatenate([pt.vectors for pt in pts]))
-    x = encode_patches(patches, params, config)
-    m = x.data.shape[0] // len(pts)
-    parts = [build_structure(pt, x.data[k * m:(k + 1) * m], config)
-             for k, pt in enumerate(pts)]
-    if len(parts) == 1:
-        return parts[0], x
-    cat, g = np.concatenate, parts[0].graph
-    gap = np.zeros((1, g.patches_per_frame))
-    graph = VideoGraph(len(parts) * g.frames, g.grid_h, g.grid_w,
-                       cat([s.graph.blocks for s in parts]),
-                       cat([r for s in parts for r in (gap, s.graph.twins)][1:]))
-    neg = None if parts[0].negative is None else replace(parts[0].negative,
-                                                          frames=graph.frames)
-    basis = None
-    if config.use_spectral:
-        bases = [s.basis for s in parts]
-        if len({b.vectors.shape for b in bases}) > 1:  # coupled clips: solved whole
-            bases = [b if b.vectors.ndim == 2 else _block_diagonal(b)
-                     for b in bases]
-        n = bases[0].vectors.shape[-1]
-        basis = spectral.SpectralBasis(
-            cat([b.eigenvalues.reshape(-1, n) for b in bases]),
-            cat([b.vectors.reshape(-1, n, n) for b in bases]))
-    adjacencies = [gat.SignedAdjacency(
-        cat([getattr(s, kind).support for s in parts]),
-        cat([getattr(s, kind).sign for s in parts]))
-        for kind in ("consistency", "inconsistency")]
-    return ClipStructure(patches, graph, neg, basis, *adjacencies, len(parts)), x
+    pt = replace(pts[0], vectors=np.concatenate([p.vectors for p in pts]))
+    x = encode_patches(pt.vectors, params, config)
+    return build_structure(pt, x.data, config, len(pts)), x
 
 
 def _pooled_features(structure: ClipStructure, x: ad.Tensor,
@@ -404,10 +370,10 @@ def predict(clip, params, config) -> float:
 
 
 def score_clips(clips, params, config, threads=1):
-    def one(item):
-        clip = item.clip if isinstance(item, LabeledClip) else item
-        return predict(clip, params, config)
-    return np.array(parallel_map(one, clips, threads))
+    """`predict` for each clip or LabeledClip. ``threads`` is unused,
+    kept because perfbench passes it."""
+    return np.array([predict(item.clip if isinstance(item, LabeledClip)
+                             else item, params, config) for item in clips])
 
 
 # ---------------------------------------------------------------------------

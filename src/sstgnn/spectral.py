@@ -3,7 +3,9 @@
 The symmetrized normalized Laplacian of the nonnegative clip graph is
 eigendecomposed per frame when no positive bridge joins the frames (the
 default: the temporal differential turns every bridge into a -1 edge),
-as one stacked eigh over the (T, N, N) frame Laplacians. A small
+as one stacked eigh over the (T, N, N) frame Laplacians, and otherwise
+per clip, as one stacked eigh over the (B, M, M) clip Laplacians of a
+minibatch. A small
 scalar-to-scalar MLP maps each eigenvalue to a gain g, which keeps the
 learned filter independent of graph size. The detector only mean-pools
 the filtered signal U diag(g) U^T X, so `pool_spectral` computes each
@@ -20,7 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .graphs import VideoGraph, intra_frame_adjacency, patchify, row_normalize, unpatchify
+from .graphs import (VideoGraph, dense_from_layout, intra_frame_adjacency, patchify,
+                     row_normalize, to_layout, unpatchify)
 
 PRESET_KINDS = ("all_pass", "low_pass", "high_pass", "band_pass", "band_reject", "comb")
 DEFAULT_EIGEN_CAP = 4096
@@ -32,7 +35,8 @@ class SpectralBasis:
 
     Shapes follow the solved matrix, as in ``np.linalg.eigh``: (M,) and
     (M, M) for one whole matrix, (B, n) and (B, n, n) for a stack of B
-    diagonal blocks. Eigenvalues ascend within each block.
+    diagonal blocks: the frames of a graph, or its clips when bridges
+    couple their frames. Eigenvalues ascend within each block.
     """
 
     eigenvalues: np.ndarray
@@ -113,11 +117,22 @@ def graph_laplacian(graph: VideoGraph):
 
     Without a positive bridge the frames are its diagonal blocks, and it
     is returned as the (T, N, N) stack of frame Laplacians. Any positive
-    bridge couples the frames, and the whole (M, M) matrix is built.
+    bridge couples the frames, but never two clips: the clips are then
+    its diagonal blocks, each read from its own frame layout, and it is
+    returned as the (B, M, M) stack of clip Laplacians, or the one
+    (M, M) matrix of a single clip.
     """
-    if (graph.twins > 0).any():
-        return laplacian_from_adjacency(graph.spatial + graph.temporal_positive)
-    return laplacian_from_adjacency(graph.blocks)
+    if not (graph.twins > 0).any():
+        return laplacian_from_adjacency(graph.blocks)
+    n = graph.patches_per_frame
+    blocks = graph.blocks.reshape(graph.clips, -1, n, n)
+    # pad one row so each clip owns T rows, the last its boundary row
+    bridges = np.where(graph.twins > 0, graph.twins, 0.0)
+    bridges = np.concatenate([bridges, np.zeros((1, n))])
+    bridges = bridges.reshape(graph.clips, -1, n)[:, :-1]
+    laps = laplacian_from_adjacency(np.stack([
+        dense_from_layout(to_layout(b, t)) for b, t in zip(blocks, bridges)]))
+    return laps if graph.clips > 1 else laps[0]
 
 
 def _check_symmetric(lap):

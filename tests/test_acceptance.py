@@ -149,7 +149,7 @@ def test_a4_end_to_end_gradients():
 def trained_detector():
     pcfg = metrics.ProtocolConfig(
         train=model.TrainConfig(seed=7), families=("upsample_artifact",),
-        n_train=64, n_test=32, seed=1000, threads=4)
+        n_train=64, n_test=32, seed=1000)
     t0 = time.perf_counter()
     params, history = metrics.train_on_families(pcfg, ["upsample_artifact"])
     elapsed = time.perf_counter() - t0
@@ -176,7 +176,7 @@ def test_a6_cross_domain_and_spectral_ablation(trained_detector):
     ablated_cfg = metrics.ProtocolConfig(
         train=model.TrainConfig(seed=7, use_spectral=False),
         families=pcfg.families, n_train=pcfg.n_train, n_test=pcfg.n_test,
-        seed=pcfg.seed, threads=pcfg.threads)
+        seed=pcfg.seed)
     abl_params, _ = metrics.train_on_families(ablated_cfg, ["upsample_artifact"])
     ablated = {}
     for fam in CROSS_FAMILIES:
@@ -256,7 +256,7 @@ def test_a8_train_determinism(tmp_path):
         code = cli_main(["eval", "--checkpoint", str(out / "checkpoint.sstg"),
                          "--protocol", "in_domain", "--out", str(out / "eval"),
                          "--families", "upsample_artifact", "--count", "4",
-                         "--seed", "300", "--frames", "4", "--threads", "2"])
+                         "--seed", "300", "--frames", "4"])
         assert code == 0
         outs.append(out)
     ckpt_same = (outs[0] / "checkpoint.sstg").read_bytes() == \

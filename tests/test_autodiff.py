@@ -318,6 +318,18 @@ class TestAdam:
             ad.adam_step({"p": p}, {p: np.array([np.nan])}, state)
         assert state.t == 0 and p.data[0] == 1.0
 
+    def test_overflowing_update_rejected_whole(self):
+        # both gradients are finite, but g * g overflows v for q; p,
+        # listed first, must not move either
+        p = ad.parameter(np.array([1.0]))
+        q = ad.parameter(np.array([2.0]))
+        state = ad.AdamState()
+        with pytest.raises(ValueError, match="parameter 'q'"):
+            ad.adam_step({"p": p, "q": q},
+                         {p: np.array([0.5]), q: np.array([1e300])}, state)
+        assert state.t == 0 and state.m == {} and state.v == {}
+        assert p.data[0] == 1.0 and q.data[0] == 2.0
+
 
 class TestFiniteDiff:
     def test_quadratic_exact(self):

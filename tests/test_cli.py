@@ -84,7 +84,7 @@ def test_eval_checkpoint(trained_run, tmp_path):
                  "--protocol", "one_to_many", "--out", str(out),
                  "--families", "upsample_artifact,spectral_noise",
                  "--count", "2", "--seed", "900", "--frames", "2",
-                 "--height", "8", "--width", "8", "--threads", "1",
+                 "--height", "8", "--width", "8",
                  "--dump-embeddings"])
     assert code == 0
     report = (out / "report.csv").read_text().splitlines()
@@ -98,7 +98,7 @@ def test_eval_truncated_checkpoint_is_usage_error(trained_run, tmp_path, capsys)
     cut.write_bytes(blob[:len(blob) // 2])
     code = main(["eval", "--checkpoint", str(cut), "--out", str(tmp_path / "e"),
                  "--count", "1", "--frames", "2", "--height", "8",
-                 "--width", "8", "--threads", "1"])
+                 "--width", "8"])
     assert code == 2
     assert "truncated" in capsys.readouterr().err
 
@@ -106,7 +106,7 @@ def test_eval_truncated_checkpoint_is_usage_error(trained_run, tmp_path, capsys)
 def eval_exit_code(checkpoint, out):
     return main(["eval", "--checkpoint", str(checkpoint), "--out", str(out),
                  "--count", "1", "--frames", "2", "--height", "8",
-                 "--width", "8", "--threads", "1"])
+                 "--width", "8"])
 
 
 @pytest.mark.parametrize("echo_edit,message", [
@@ -152,7 +152,7 @@ def test_eval_clip_geometry_must_fit_checkpoint(trained_run, tmp_path, capsys,
                                                 geometry):
     code = main(["eval", "--checkpoint", str(trained_run / "checkpoint.sstg"),
                  "--out", str(tmp_path / "e"), "--count", "1", "--frames", "2",
-                 "--height", "8", "--width", "8", "--threads", "1"] + geometry)
+                 "--height", "8", "--width", "8"] + geometry)
     assert code == 2
     err = capsys.readouterr().err
     assert "do not fit the checkpoint" in err
@@ -165,7 +165,7 @@ def test_eval_reports_reproduce_bytes(trained_run, tmp_path):
     args = ["eval", "--checkpoint", str(trained_run / "checkpoint.sstg"),
             "--protocol", "in_domain", "--families", "upsample_artifact",
             "--count", "2", "--seed", "901", "--frames", "2",
-            "--height", "8", "--width", "8", "--threads", "1"]
+            "--height", "8", "--width", "8"]
     main(args + ["--out", str(tmp_path / "e1")])
     main(args + ["--out", str(tmp_path / "e2")])
     assert (tmp_path / "e1" / "report.csv").read_bytes() == \
@@ -319,12 +319,18 @@ def test_train_mixed_clip_shapes_is_usage_error(tmp_path, capsys):
     assert "clip 2 (real) is (2, 16, 16, 1)" in capsys.readouterr().err
 
 
-def test_train_has_no_threads_flag(trained_run, tmp_path):
-    # training runs one tape per minibatch; --threads sets eval's pool only
-    assert main(["train", "--manifest",
-                 str(trained_run.parent / "corpus" / "manifest.csv"),
-                 "--out", str(tmp_path / "t"), "--patch-size", "4",
-                 "--epochs", "1", "--threads", "2"]) == 2
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_train_has_no_threads_flag(trained_run, tmp_path, command):
+    # training runs one tape per minibatch and eval one clip per forward;
+    # neither has a worker pool
+    args = {"train": ["--manifest",
+                      str(trained_run.parent / "corpus" / "manifest.csv"),
+                      "--patch-size", "4", "--epochs", "1"],
+            "eval": ["--checkpoint", str(trained_run / "checkpoint.sstg"),
+                     "--count", "1", "--frames", "2", "--height", "8",
+                     "--width", "8"]}[command]
+    assert main([command, "--out", str(tmp_path / "t"), "--threads", "2"]
+                + args) == 2
 
 
 def test_gradcheck_toy(capsys):
@@ -366,16 +372,6 @@ def test_flags_override_config_file(tmp_path):
     record = json.loads((out / "run.json").read_text())
     assert record["config"]["epochs"] == 1      # flag wins
     assert record["config"]["patch_size"] == 4  # file beats default
-
-
-def test_threads_env_fallback(monkeypatch, tmp_path):
-    from sstgnn.cli import resolve_threads
-    import argparse
-    ns = argparse.Namespace(threads=None)
-    monkeypatch.setenv("SSTGNN_THREADS", "3")
-    assert resolve_threads(ns) == 3
-    ns.threads = 2
-    assert resolve_threads(ns) == 2
 
 
 def test_training_bytes_independent_of_thread_counts(tmp_path):

@@ -191,6 +191,25 @@ class TestAssemble:
             (tu, iu, ju), (tv, iv, jv) = g.node_coords(u), g.node_coords(v)
             assert abs(tu - tv) == 1 and (iu, ju) == (iv, jv)
 
+    def test_stacked_clips_share_no_bridge(self):
+        # tau_t = 0 keeps bridges, so the cut boundary row is not empty
+        # by chance
+        emb = np.random.default_rng(8).random((2, 3, 4, 5))
+        alone = [graphs.unified_graph(e, 2, 2, 0.3, 0.0) for e in emb]
+        g = graphs.unified_graph(emb.reshape(6, 4, 5), 2, 2, 0.3, 0.0, clips=2)
+        assert g.clips == 2 and alone[0].twins.all()
+        np.testing.assert_array_equal(g.blocks, np.concatenate(
+            [a.blocks for a in alone]))
+        np.testing.assert_array_equal(g.twins, np.concatenate(
+            [alone[0].twins, np.zeros((1, 4)), alone[1].twins]))
+
+    def test_clip_count_must_fit_the_frames(self):
+        blocks = np.zeros((4, 4, 4))
+        with pytest.raises(ValueError, match="do not split into 3 clips"):
+            graphs.VideoGraph(4, 2, 2, blocks, np.zeros((3, 4)), clips=3)
+        with pytest.raises(ValueError, match="joins two clips"):
+            graphs.VideoGraph(4, 2, 2, blocks, np.ones((3, 4)), clips=2)
+
     def test_dump_edges(self, tmp_path):
         g = self.build(seed=4, t=2)
         path = tmp_path / "edges.txt"

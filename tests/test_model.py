@@ -159,7 +159,7 @@ class TestForward:
         cfg = toy_config()
         params = model.init_params(cfg, random_head=True)
         clips = tiny_corpus(n=2)
-        batch = model.score_clips(clips, params, cfg, threads=2)
+        batch = model.score_clips(clips, params, cfg)
         single = [model.predict(c.clip, params, cfg) for c in clips]
         np.testing.assert_array_equal(batch, single)
 
@@ -177,8 +177,9 @@ class TestBatch:
     @pytest.mark.parametrize("overrides", [
         {}, {"use_differential": False}, {"use_spectral": False},
         {"use_temporal_mlp": False},
-        # some clips keep a positive bridge (a whole-clip basis), others
-        # none (per-frame blocks)
+        # some clips keep a positive bridge (a whole-clip basis alone),
+        # others none (per-frame blocks alone); batched, every clip is
+        # solved whole
         {"use_differential": False, "tau_t": 0.95},
     ], ids=["default", "no-differential", "no-spectral", "no-temporal-mlp",
             "mixed-bases"])
@@ -193,7 +194,10 @@ class TestBatch:
             logits.data, np.vstack([out.data for out, _ in alone]),
             rtol=0, atol=1e-12)
         if "tau_t" in overrides:
-            assert {s.basis.vectors.ndim for _, s in alone} == {2, 3}
+            m, n = structure.graph.node_count // 16, structure.graph.patches_per_frame
+            assert {s.basis.vectors.shape for _, s in alone} == {
+                (m, m), (m // n, n, n)}
+            assert structure.basis.vectors.shape == (16, m, m)
 
     def test_twins_cut_between_clips(self, desk_batch):
         cfg = model.TrainConfig()
@@ -210,7 +214,29 @@ class TestBatch:
             assert not adjacency.support[frames::frames, :, n].any()
             assert not adjacency.support[frames - 1::frames, :, n + 1].any()
 
-    def test_batch_of_one_is_the_clip_structure(self, monkeypatch):
+    def test_bridges_cut_between_clips(self, desk_batch):
+        # differential off, tau_t = 0: the B - 1 rows between two clips
+        # score bridges that clear the threshold, and must be masked
+        cfg = model.TrainConfig(use_differential=False, tau_t=0.0)
+        params = model.init_params(cfg)
+        clips = [item.clip for item in desk_batch]
+        structure, x = model._prepare(clips, params, cfg)
+        graph = structure.graph
+        frames, n = graph.frames // 16, graph.patches_per_frame
+        last = np.arange(frames - 1, graph.frames - 1, frames)
+        emb = x.data.reshape(graph.frames, n, -1)
+        _, keep = graphs.temporal_bridge(graph.blocks[last], graph.blocks[last + 1],
+                                         emb[last], emb[last + 1], cfg.tau_t)
+        assert keep.any() and not graph.twins[last].any()
+        inside = np.delete(graph.twins, last, axis=0)
+        alone = [model.forward([clip], params, cfg)[1].graph.twins
+                 for clip in clips]
+        assert (inside > 0).any()
+        np.testing.assert_array_equal(inside, np.concatenate(alone))
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_build_structure_once_per_forward(self, desk_batch, monkeypatch,
+                                              batch):
         built = []
         build = model.build_structure
 
@@ -219,9 +245,11 @@ class TestBatch:
             return built[-1]
 
         monkeypatch.setattr(model, "build_structure", recorded)
-        cfg = toy_config()
-        _, structure = model.forward([toy_clip()], model.init_params(cfg), cfg)
+        cfg = model.TrainConfig()
+        _, structure = model.forward([item.clip for item in desk_batch[:batch]],
+                                     model.init_params(cfg), cfg)
         assert len(built) == 1 and structure is built[0]
+        assert structure.clips == batch
 
     def test_gradient_is_mean_of_clip_gradients(self, desk_batch):
         cfg = model.TrainConfig()
@@ -332,6 +360,32 @@ class TestFrameLayoutPath:
         logits = model.forward_with_structure(structure, x, params, cfg)
         ad.cross_entropy(logits, [1]).backward()
 
+    def test_coupled_batch_stays_per_clip(self, desk_batch, monkeypatch):
+        # differential off: bridges couple each clip's frames, so each clip
+        # is one (M, M) Laplacian, but no array spans two clips
+        shapes = []
+
+        def recorded(fn):
+            def wrapper(arg, *rest):
+                out = fn(arg, *rest)
+                shapes.append(np.shape(out)[-2:])
+                return out
+            return wrapper
+
+        for module in (graphs, spectral):
+            monkeypatch.setattr(module, "dense_from_layout",
+                                recorded(graphs.dense_from_layout))
+        monkeypatch.setattr(spectral, "laplacian_from_adjacency",
+                            recorded(spectral.laplacian_from_adjacency))
+        cfg = model.TrainConfig(use_differential=False)
+        params = model.init_params(cfg, random_head=True)
+        logits, structure = model.forward([item.clip for item in desk_batch],
+                                          params, cfg)
+        ad.cross_entropy(logits, [item.label for item in desk_batch]).backward()
+        m = structure.graph.node_count // 16
+        assert structure.basis.vectors.shape == (16, m, m)
+        assert shapes and max(shapes) == (m, m)
+
 
 class TestGoldenForward:
     def test_fixed_seed_logits_frozen(self):
@@ -383,15 +437,36 @@ class TestTraining:
             calls["adam_step"] += 1
             return adam_step(*args)
 
-        def no_pool(*_):
-            raise AssertionError("training ran a thread pool")
-
         monkeypatch.setattr(ad.Tensor, "backward", counted_backward)
         monkeypatch.setattr(ad, "adam_step", counted_adam_step)
-        monkeypatch.setattr(model, "parallel_map", no_pool)
         # 6 clips in batches of 4: two minibatches per epoch
         model.train_clips(tiny_corpus(n=3), toy_config(epochs=2))
         assert calls == {"backward": 4, "adam_step": 4}
+
+    def test_overflowing_adam_step_changes_nothing(self, monkeypatch):
+        # toy preset at lr=1e300: step 2's gradients (about 1e300) are
+        # finite, but v overflows; the rejected step must leave every
+        # parameter and the Adam state byte for byte as before it
+        seen = []
+        adam_step = ad.adam_step
+
+        def snapshot(params, state):
+            return ({name: p.data.tobytes() for name, p in params.items()},
+                    state.t,
+                    {name: a.tobytes() for name, a in state.m.items()},
+                    {name: a.tobytes() for name, a in state.v.items()})
+
+        def recorded(params, grads, state):
+            seen.append((params, state, snapshot(params, state)))
+            return adam_step(params, grads, state)
+
+        monkeypatch.setattr(ad, "adam_step", recorded)
+        with pytest.raises(ValueError, match="non-finite"):
+            model.train_clips(tiny_corpus(n=3),
+                              model.preset_config("toy", lr=1e300))
+        params, state, before = seen[-1]
+        assert len(seen) == 2 and before[1] == 1
+        assert snapshot(params, state) == before
 
     def test_history_holds_mean_per_clip_loss(self, monkeypatch):
         steps = []
