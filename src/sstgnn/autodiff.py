@@ -4,12 +4,13 @@ A deliberately small, closed op set: matmul, block_matmul (a constant
 block-diagonal matrix: the spectral pool w^T x applies it to one column
 w and never forms the filtered signal), add, mul (both broadcasting),
 scale, concat, basic slicing, reshape, leaky_relu, mean, cross_entropy,
-plus frame_attention, one fused op for graph attention over a clip's
-frame layout. Each op records a backward rule on a per-forward tape;
-`backward()` walks the tape once in reverse topological order and
-returns the gradient of every leaf parameter, the dict the optimizer
-consumes. A minibatch is one tape: its clips share one graph, so the
-batch mean of the loss is the only gradient reduction.
+plus frame_attention, one fused op for every pass of graph attention
+over a clip's frame layout. Each op records a backward rule on a
+per-forward tape; `backward()` walks the tape once in reverse
+topological order and returns the gradient of every leaf parameter, the
+dict the optimizer consumes. A minibatch is one tape: its clips share
+one graph, so the batch mean of the loss is the only gradient
+reduction.
 
 Float64 throughout: the finite-difference checker needs the headroom.
 """
@@ -300,64 +301,110 @@ def block_matmul(blocks, x) -> Tensor:
     return out
 
 
-def frame_attention(h, attention, support, sign, slope=0.2) -> Tensor:
-    """Signed attention aggregation over a (T, N, N + 2) frame layout.
+# an additive mask: off-support slots sink below any finite score, so a
+# row's max is over its support, and no -inf reaches np.exp
+_OFF_SUPPORT = np.finfo(np.float64).max
 
-    ``h`` is (M, d) with M = T * N, ``attention`` is (2d,). Row (t, i)
-    of ``support`` / ``sign`` covers frame t's nodes, then the twins
-    (t - 1, i) and (t + 1, i). Scores e = LeakyReLU(a_self . h_i +
-    a_peer . h_j), softmax over each row's support, times the sign;
-    the output row is the signed, attention-weighted sum of neighbour
-    rows of h. Every row must have support. One tape node with a
-    hand-written backward replaces the scores, softmax, sign and
-    aggregation ops a dense composition would record.
+
+def frame_attention(h, attention, support, sign, slope=0.2) -> Tensor:
+    """Signed attention aggregation of P passes over one (T, N, N + 2)
+    frame layout.
+
+    ``h`` is (M, d) with M = T * N, ``attention`` is (2d,). ``support``
+    and ``sign`` hold one layout per pass, as a (P, T, N, N + 2) array
+    or a sequence of P (T, N, N + 2) arrays (read in place, never
+    stacked). Row (t, i) of a layout covers frame t's nodes, then the
+    twins (t - 1, i) and (t + 1, i). Scores e = LeakyReLU(a_self . h_i
+    + a_peer . h_j), computed once for all passes; each pass takes the
+    softmax over its row's support, times its sign, and sums the
+    neighbour rows of h with those weights. Returns (M, P d): row
+    (t, i) is the P passes' outputs side by side. A row with no support
+    raises ValueError. One tape node with a hand-written backward
+    replaces the scores, softmax, sign, aggregation and concat ops a
+    dense composition would record.
     """
     h, attention = as_tensor(h), as_tensor(attention)
-    frames, n, _ = support.shape
+    passes = len(support)
     m, d = h.data.shape
+    layout = np.shape(support[0]) if passes else ()
+    if (len(layout) != 3 or layout[2] != layout[1] + 2
+            or any(np.shape(s) != layout for s in (*support, *sign))
+            or len(sign) != passes):
+        raise ValueError(f"frame_attention: support and sign must hold the "
+                         f"same P >= 1 (T, N, N + 2) layouts, got "
+                         f"{[np.shape(s) for s in support]} and "
+                         f"{[np.shape(s) for s in sign]}")
+    frames, n, _ = layout
     if m != frames * n or attention.data.shape != (2 * d,):
         raise ValueError(f"frame_attention: h {h.data.shape} and attention "
                          f"{attention.data.shape} do not fit a "
-                         f"{support.shape} layout")
+                         f"{layout} layout")
     a_self, a_peer = attention.data[:d, None], attention.data[d:, None]
     hf = h.data.reshape(frames, n, d)
     s_self = (h.data @ a_self).reshape(frames, n, 1)
     s_peer = (h.data @ a_peer).reshape(frames, n)
-    raw = np.zeros(support.shape)
-    raw[:, :, :n] = s_peer[:, None, :]
-    raw[1:, :, n] = s_peer[:-1]
-    raw[:-1, :, n + 1] = s_peer[1:]
-    raw += s_self
-    gate = np.where(raw > 0, 1.0, slope)
-    scores = np.where(support, raw * gate, -np.inf)
-    expd = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    alpha = expd / expd.sum(axis=-1, keepdims=True)
-    weights = alpha * sign
-    out = weights[:, :, :n] @ hf
-    out[1:] += weights[1:, :, n, None] * hf[:-1]
-    out[:-1] += weights[:-1, :, n + 1, None] * hf[1:]
-    out = Tensor(out.reshape(m, d),
+    raw = np.empty(layout)
+    np.add(s_self, s_peer[:, None, :], out=raw[:, :, :n])
+    raw[:, :, n:] = s_self    # frames 0 and T - 1 lack one twin each
+    raw[1:, :, n] += s_peer[:-1]
+    raw[:-1, :, n + 1] += s_peer[1:]
+    # LeakyReLU as the max (the min for a slope above 1) of raw and
+    # slope * raw: the same values as raw * gate, with no branch
+    scores = np.multiply(raw, slope)
+    (np.maximum if slope <= 1 else np.minimum)(raw, scores, out=scores)
+    alpha = np.empty((passes, *layout))
+    for p in range(passes):
+        np.multiply(support[p], _OFF_SUPPORT, out=alpha[p])
+        alpha[p] -= _OFF_SUPPORT
+        alpha[p] += scores
+    rowmax = alpha.max(axis=-1, keepdims=True)
+    empty = rowmax[..., 0] < -_OFF_SUPPORT / 2
+    if empty.any():
+        p, t, i = np.argwhere(empty)[0]
+        raise ValueError(f"frame_attention: pass {p}, frame {t}, node {i} "
+                         f"has no support, so its softmax is 0/0, non-finite")
+    np.subtract(scores, rowmax, out=alpha)
+    # an off-support slot may score above its row's max; clipped to 0
+    # and then zeroed, it neither overflows nor leaves the fast exp path
+    np.minimum(alpha, 0.0, out=alpha)
+    np.exp(alpha, out=alpha)
+    weights = np.empty_like(alpha)
+    for p in range(passes):
+        alpha[p] *= support[p]
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+    for p in range(passes):
+        np.multiply(alpha[p], sign[p], out=weights[p])
+    out = np.empty((frames, n, passes, d))
+    per_pass = out.transpose(2, 0, 1, 3)
+    np.matmul(weights[..., :n], hf, out=per_pass)
+    per_pass[:, 1:] += weights[:, 1:, :, n, None] * hf[:-1]
+    per_pass[:, :-1] += weights[:, :-1, :, n + 1, None] * hf[1:]
+    out = Tensor(out.reshape(m, passes * d),
                  requires_grad=h.requires_grad or attention.requires_grad,
                  parents=(h, attention))
 
     def _backward(g, acc):
-        gf = g.reshape(frames, n, d)
-        dw = np.zeros(support.shape)
-        dw[:, :, :n] = gf @ hf.transpose(0, 2, 1)
-        dw[1:, :, n] = (gf[1:] * hf[:-1]).sum(axis=-1)
-        dw[:-1, :, n + 1] = (gf[:-1] * hf[1:]).sum(axis=-1)
-        dalpha = dw * sign
-        de = alpha * (dalpha - (dalpha * alpha).sum(axis=-1, keepdims=True))
-        de *= gate
+        gp = g.reshape(frames, n, passes, d).transpose(2, 0, 1, 3)
+        dalpha = np.zeros(alpha.shape)
+        dalpha[..., :n] = gp @ hf.transpose(0, 2, 1)
+        dalpha[:, 1:, :, n] = (gp[:, 1:] * hf[:-1]).sum(axis=-1)
+        dalpha[:, :-1, :, n + 1] = (gp[:, :-1] * hf[1:]).sum(axis=-1)
+        for p in range(passes):
+            dalpha[p] *= sign[p]
+        dalpha -= (dalpha * alpha).sum(axis=-1, keepdims=True)
+        dalpha *= alpha
+        # the passes share their scores: one gate and one score gradient
+        de = dalpha.sum(axis=0)
+        de *= np.where(raw > 0, 1.0, slope)
         ds_self = de.sum(axis=-1)
         ds_peer = de[:, :, :n].sum(axis=1)
         ds_peer[:-1] += de[1:, :, n]
         ds_peer[1:] += de[:-1, :, n + 1]
         ds_self, ds_peer = ds_self.reshape(m, 1), ds_peer.reshape(m, 1)
         if h.requires_grad:
-            dh = weights[:, :, :n].transpose(0, 2, 1) @ gf
-            dh[:-1] += weights[1:, :, n, None] * gf[1:]
-            dh[1:] += weights[:-1, :, n + 1, None] * gf[:-1]
+            dh = (weights[..., :n].transpose(0, 1, 3, 2) @ gp).sum(axis=0)
+            dh[:-1] += (weights[:, 1:, :, n, None] * gp[:, 1:]).sum(axis=0)
+            dh[1:] += (weights[:, :-1, :, n + 1, None] * gp[:, :-1]).sum(axis=0)
             dh = dh.reshape(m, d) + ds_self @ a_self.T + ds_peer @ a_peer.T
             _accum(acc, h, dh)
         if attention.requires_grad:

@@ -1,13 +1,15 @@
 """Graph attention over signed adjacency: consistency and inconsistency.
 
-One single-head GAT layer, shared by both passes: h = Wx, concatenation
-attention scores masked to the edge support, softmax, then aggregation.
-The softmax is undefined over negative weights, so attention runs on the
-magnitude support and each message is multiplied by the edge sign. The
-consistency pass uses the positive spatial + temporal edges (+1 signs);
-the inconsistency pass uses the tile blocks and the -1 temporal entries.
-`SignedAdjacency` adds any missing self-loop (+1), so no softmax row
-is empty.
+One single-head GAT layer, shared by both passes and run as one fused
+op: h = Wx and the concatenation attention scores are computed once,
+then each pass masks them to its edge support, takes the softmax and
+aggregates. The softmax is undefined over negative weights, so attention
+runs on the magnitude support and each message is multiplied by the edge
+sign. The consistency pass uses the positive spatial + temporal edges
+(+1 signs); the inconsistency pass uses the tile blocks and the -1
+temporal entries. `SignedAdjacency` adds any missing self-loop (+1), so
+no softmax row is empty. The layer returns both passes' rows side by
+side, [h_c || h_ic], which `spatial_fuse` maps without a concat.
 
 Adjacency is held in the clip's frame layout (see `graphs.to_layout`),
 built straight from the graph's frame blocks and twin edges: node (t, i)
@@ -84,25 +86,30 @@ def inconsistency_adjacency(graph: VideoGraph,
     return SignedAdjacency(sign != 0, sign)
 
 
-def gat_forward(x, adj: SignedAdjacency, params: GatParams, slope=0.2):
-    """Signed single-head attention layer.
+def gat_forward(x, adjacencies, params: GatParams, slope=0.2):
+    """Signed single-head attention layer, one pass per adjacency.
 
-    e_ij = LeakyReLU(a . [h_i || h_j]) over the magnitude support; alpha
-    is the masked softmax; node i aggregates sum_j alpha_ij s_ij h_j and
-    passes through LeakyReLU. `SignedAdjacency` holds every self-loop,
-    so every softmax row has support.
+    h = xW and the scores e_ij = LeakyReLU(a . [h_i || h_j]) are
+    computed once for every pass (`autodiff.frame_attention`); each
+    pass takes the masked softmax over its own magnitude support, node
+    i aggregates sum_j alpha_ij s_ij h_j, and the result passes through
+    LeakyReLU. Returns (M, P d): row i holds the P passes' outputs side
+    by side, in the order of ``adjacencies``. `SignedAdjacency` holds
+    every self-loop, so every softmax row has support.
     """
     x = ad.as_tensor(x)
     d = params.weight.data.shape[0]
     if x.data.shape[1] != d:
         raise ValueError(f"feature dim {x.data.shape[1]} != layer dim {d}")
     h = ad.matmul(x, params.weight)
-    return ad.leaky_relu(ad.frame_attention(h, params.attention, adj.support,
-                                            adj.sign, slope), slope)
+    return ad.leaky_relu(ad.frame_attention(
+        h, params.attention, [adj.support for adj in adjacencies],
+        [adj.sign for adj in adjacencies], slope), slope)
 
 
-def spatial_fuse(h_c, h_ic, weight, bias, clips=1):
-    """Concat both passes per node, affine-map to d, mean-pool the nodes
-    of each of ``clips`` equal clips: one (clips, d) row per clip."""
-    fused = ad.add(ad.matmul(ad.concat([h_c, h_ic], axis=1), weight), bias)
+def spatial_fuse(h, weight, bias, clips=1):
+    """Affine-map each node's fused row [h_c || h_ic] to d and mean-pool
+    the nodes of each of ``clips`` equal clips: one (clips, d) row per
+    clip."""
+    fused = ad.add(ad.matmul(h, weight), bias)
     return ad.mean(ad.reshape(fused, (clips, -1, fused.shape[1])), axis=1)

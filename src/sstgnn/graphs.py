@@ -163,8 +163,9 @@ def intra_frame_adjacency(x_norm, tau_s):
     """
     a = x_norm @ x_norm.swapaxes(-1, -2)
     a = (a + a.swapaxes(-1, -2)) / 2
-    off = ~np.eye(a.shape[-1], dtype=bool)
-    a[off & ((a < tau_s) | (a <= 0))] = 0.0
+    keep = (a >= tau_s) & (a > 0)
+    keep |= np.eye(a.shape[-1], dtype=bool)
+    a *= keep
     return a
 
 
@@ -199,15 +200,19 @@ def clip_boundaries(frames, clips):
 
 
 def unified_graph(embeddings, grid_h, grid_w, tau_s, tau_t, eps=EPS_NORM,
-                  clips=1) -> VideoGraph:
+                  clips=1, bridges=True) -> VideoGraph:
     """Full pipeline from per-frame embeddings (T, N, d) to a VideoGraph;
-    ``clips`` equal clips stacked along T get no bridge between them."""
+    ``clips`` equal clips stacked along T get no bridge between them.
+    ``bridges=False`` scores none and leaves every twin 0, for a caller
+    that overwrites them all (the temporal differential)."""
     emb = np.asarray(embeddings, dtype=np.float64)
     adjs = intra_frame_adjacency(row_normalize(emb, eps), tau_s)
-    scores, keep = temporal_bridge(adjs[:-1], adjs[1:], emb[:-1], emb[1:],
-                                   tau_t, eps)
-    twins = np.where(keep, scores, 0.0)
-    twins[clip_boundaries(len(adjs), clips)] = 0.0
+    twins = np.zeros((len(emb) - 1, emb.shape[1]))
+    if bridges:
+        scores, keep = temporal_bridge(adjs[:-1], adjs[1:], emb[:-1], emb[1:],
+                                       tau_t, eps)
+        twins = np.where(keep, scores, 0.0)
+        twins[clip_boundaries(len(adjs), clips)] = 0.0
     return VideoGraph(len(adjs), grid_h, grid_w, adjs, twins, clips)
 
 

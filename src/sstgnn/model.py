@@ -286,8 +286,10 @@ def build_structure(pt: PatchTensor, embedding: np.ndarray,
     """The constant part of a forward over ``clips`` equal clips whose
     frames ``pt`` stacks: patches + their detached embedding."""
     emb = embedding.reshape(pt.frames, pt.patches_per_frame, -1)
-    graph = unified_graph(emb, pt.grid_h, pt.grid_w,
-                          config.tau_s, config.tau_t, config.eps, clips)
+    # the temporal differential overwrites every bridge: score none
+    graph = unified_graph(emb, pt.grid_h, pt.grid_w, config.tau_s,
+                          config.tau_t, config.eps, clips,
+                          bridges=not config.use_differential)
     neg = None
     if config.use_differential:
         neg = differential.build_spatial_negative(graph, config.tile)
@@ -335,9 +337,9 @@ def _pooled_features(structure: ClipStructure, x: ad.Tensor,
                                           params["temporal.bias"], clips)
     else:
         xp = x
-    h_c = gat.gat_forward(xp, structure.consistency, params.gat, slope)
-    h_ic = gat.gat_forward(xp, structure.inconsistency, params.gat, slope)
-    z_spatial = gat.spatial_fuse(h_c, h_ic, params["fusion.weight"],
+    h = gat.gat_forward(xp, (structure.consistency, structure.inconsistency),
+                        params.gat, slope)
+    z_spatial = gat.spatial_fuse(h, params["fusion.weight"],
                                  params["fusion.bias"], clips)
     return ad.concat([z_spatial, z_spectral], axis=1)
 

@@ -93,10 +93,12 @@ class FilterMlp:
 
 
 def laplacian_from_adjacency(weights) -> np.ndarray:
-    """Symmetrized normalized Laplacian I - D^{-1/2} W D^{-1/2}.
+    """Normalized Laplacian I - D^{-1/2} W D^{-1/2} of a symmetric W.
 
     ``weights`` is one (M, M) matrix or a (B, n, n) stack of diagonal
-    blocks, each taken on its own. Isolated nodes (zero degree) get a
+    blocks, each taken on its own. W is scaled by the outer product of
+    D^{-1/2} with itself, w_ij * (s_i * s_j), so a symmetric W gives an
+    exactly symmetric Laplacian. Isolated nodes (zero degree) get a
     diagonal entry of exactly 1. Raises on negative weights: callers
     select the nonnegative part.
     """
@@ -107,8 +109,9 @@ def laplacian_from_adjacency(weights) -> np.ndarray:
         raise ValueError("adjacency for the Laplacian must be nonnegative")
     deg = w.sum(axis=-1)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    lap = np.eye(w.shape[-1]) - inv_sqrt[..., :, None] * w * inv_sqrt[..., None, :]
-    return (lap + lap.swapaxes(-1, -2)) / 2
+    lap = inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+    lap *= w
+    return np.subtract(np.eye(w.shape[-1]), lap, out=lap)
 
 
 def graph_laplacian(graph: VideoGraph):

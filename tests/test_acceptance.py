@@ -215,7 +215,7 @@ def test_a7_gat_properties():
         out = ad.frame_attention(
             ad.constant(np.hstack([h, np.ones((m, 1)), np.eye(m)])),
             ad.constant(np.concatenate([a[:d], zeros, a[d:], zeros])),
-            layout, layout.astype(float)).data
+            [layout], [layout.astype(float)]).data
         worst_row = max(worst_row, np.abs(out[:, d] - 1.0).max())
         assert np.all(out[:, d + 1:][~graphs.dense_from_layout(layout)] == 0.0)
 
@@ -226,11 +226,11 @@ def test_a7_gat_properties():
                         np.where(rng.random((n, n)) < 0.3, -1.0, 1.0), 0.0)
         adj = gat.SignedAdjacency(support, sign)
         perm = rng.permutation(n)
-        base = gat.gat_forward(ad.constant(x), adj, params).data
+        base = gat.gat_forward(ad.constant(x), [adj], params).data
         permuted = gat.gat_forward(
             ad.constant(x[perm]),
-            gat.SignedAdjacency(support[np.ix_(perm, perm)],
-                                sign[np.ix_(perm, perm)]),
+            [gat.SignedAdjacency(support[np.ix_(perm, perm)],
+                                 sign[np.ix_(perm, perm)])],
             params).data
         denom = max(np.abs(base).max(), 1.0)
         worst_perm = max(worst_perm, np.abs(permuted - base[perm]).max() / denom)

@@ -77,7 +77,7 @@ def attention_weights(support, peer_scores, sign=None, slope=1.0):
     h = np.hstack([np.asarray(peer_scores, dtype=float)[:, None], np.eye(m)])
     a = np.zeros(2 * (m + 1))
     a[m + 1] = 1.0
-    out = ad.frame_attention(ad.constant(h), ad.constant(a), support, sign,
+    out = ad.frame_attention(ad.constant(h), ad.constant(a), [support], [sign],
                              slope)
     return out.data[:, 1:]
 
@@ -143,9 +143,76 @@ class TestMaskedSoftmax:
         w = ad.constant(rng.normal(size=(3, 1)))
 
         def f():
-            return ad.mean(ad.matmul(ad.frame_attention(h, a, support, sign), w))
+            return ad.mean(ad.matmul(ad.frame_attention(h, a, [support], [sign]), w))
 
         assert ad.finite_diff_check(f, {"h": h, "a": a}) < 1e-7
+
+
+def signed(rng, support):
+    return np.where(rng.random(support.shape) < 0.4, -1.0, 1.0) * support
+
+
+class TestAttentionPasses:
+    """P passes in one `frame_attention` call: one shared score layout,
+    one softmax per pass, the outputs side by side."""
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_two_passes_equal_two_single_passes(self, seed):
+        rng = np.random.default_rng(seed)
+        frames, n, d = (int(rng.integers(2, 5)), int(rng.integers(1, 6)),
+                        int(rng.integers(1, 5)))
+        # a dense and a sparse pass, both with twin slots and -1 signs
+        support = [random_layout(rng, frames, n, density)
+                   for density in (0.8, 0.15)]
+        sign = [signed(rng, s) for s in support]
+        h = ad.parameter(rng.normal(size=(frames * n, d)) * 2.0)
+        a = ad.parameter(rng.normal(size=2 * d))
+        probe = ad.constant(rng.normal(size=(frames * n, 2 * d)))
+        both = ad.frame_attention(h, a, support, sign)
+        stacked = ad.frame_attention(h, a, np.stack(support), np.stack(sign))
+        single = [ad.frame_attention(h, a, [s], [g])
+                  for s, g in zip(support, sign)]
+        joined = np.hstack([out.data for out in single])
+        assert both.data.tobytes() == joined.tobytes() == stacked.data.tobytes()
+        fused = ad.mean(ad.mul(both, probe)).backward()
+        apart = ad.mean(ad.mul(ad.concat(single, axis=1), probe)).backward()
+        for t in (h, a):
+            scale = max(1.0, np.abs(apart[t]).max())
+            np.testing.assert_allclose(fused[t], apart[t], rtol=0,
+                                       atol=1e-12 * scale)
+
+    def test_two_pass_backward_fd(self):
+        rng = np.random.default_rng(5)
+        support = [random_layout(rng, frames=3, n=3, density=density)
+                   for density in (0.7, 0.2)]
+        sign = [signed(rng, s) for s in support]
+        h = ad.parameter(rng.normal(size=(9, 3)) * 2.0)
+        a = ad.parameter(rng.normal(size=6))
+        w = ad.constant(rng.normal(size=(6, 1)))
+
+        def f():
+            return ad.mean(ad.matmul(ad.frame_attention(h, a, support, sign), w))
+
+        grads = f().backward()
+        assert min(np.abs(grads[t]).min() for t in (h, a)) > 1e-6
+        assert ad.finite_diff_check(f, {"h": h, "a": a}) < 1e-7
+
+    def test_empty_row_names_pass_frame_and_node(self):
+        rng = np.random.default_rng(6)
+        support = [random_layout(rng, frames=3, n=4) for _ in range(2)]
+        support[1][1, 2] = False
+        sign = [s.astype(float) for s in support]
+        with pytest.raises(ValueError, match="pass 1, frame 1, node 2 has no support"):
+            ad.frame_attention(ad.constant(np.ones((12, 2))),
+                               ad.constant(np.ones(4)), support, sign)
+
+    def test_layout_without_pass_axis_rejected(self):
+        support = random_layout(np.random.default_rng(7), frames=3, n=4)
+        with pytest.raises(ValueError, match="layouts"):
+            ad.frame_attention(ad.constant(np.ones((12, 2))),
+                               ad.constant(np.ones(4)), support,
+                               support.astype(float))
 
 
 def dense_blocks(blocks):

@@ -35,8 +35,8 @@ def attention_weights(h, attention, adj):
     m, d = h.shape
     probe = np.hstack([h, np.eye(m)])
     a = np.concatenate([attention[:d], np.zeros(m), attention[d:], np.zeros(m)])
-    out = ad.frame_attention(ad.constant(probe), ad.constant(a), adj.support,
-                             adj.sign).data
+    out = ad.frame_attention(ad.constant(probe), ad.constant(a), [adj.support],
+                             [adj.sign]).data
     return out[:, d:]
 
 
@@ -58,7 +58,7 @@ class TestGatForward:
     def test_single_node_self_loop(self):
         params = make_params(3, seed=1)
         x = np.random.default_rng(2).normal(size=(1, 3))
-        out = gat.gat_forward(ad.constant(x), adjacency([[True]]), params)
+        out = gat.gat_forward(ad.constant(x), [adjacency([[True]])], params)
         np.testing.assert_allclose(out.data, lrelu(x @ params.weight.data),
                                    rtol=1e-12)
 
@@ -74,7 +74,7 @@ class TestGatForward:
         params = make_params(4, seed=5)
         x = np.random.default_rng(6).normal(size=(3, 4))
         support = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)
-        out = gat.gat_forward(ad.constant(x), adjacency(support), params)
+        out = gat.gat_forward(ad.constant(x), [adjacency(support)], params)
         expected = brute_force(x, support, support.astype(float),
                                params.weight.data, params.attention.data)
         np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
@@ -86,7 +86,7 @@ class TestGatForward:
         support = rng.random((5, 5)) < 0.5
         support[np.arange(5), np.arange(5)] = True
         sign = np.where(support, np.where(rng.random((5, 5)) < 0.4, -1.0, 1.0), 0.0)
-        out = gat.gat_forward(ad.constant(x), adjacency(support, sign), params)
+        out = gat.gat_forward(ad.constant(x), [adjacency(support, sign)], params)
         expected = brute_force(x, support, sign, params.weight.data,
                                params.attention.data)
         np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
@@ -97,7 +97,7 @@ class TestGatForward:
         x = rng.normal(size=(4, 4))
         support = rng.random((4, 4)) < 0.6
         support[np.arange(4), np.arange(4)] = True
-        out = gat.gat_forward(ad.constant(x), adjacency(support), params)
+        out = gat.gat_forward(ad.constant(x), [adjacency(support)], params)
         h = x @ params.weight.data
         expected = lrelu(np.vstack([
             h[support[i]].mean(axis=0) for i in range(4)]))
@@ -123,10 +123,10 @@ class TestGatForward:
         support[np.arange(6), np.arange(6)] = True
         sign = np.where(support, np.where(rng.random((6, 6)) < 0.3, -1.0, 1.0), 0.0)
         perm = rng.permutation(6)
-        base = gat.gat_forward(ad.constant(x), adjacency(support, sign), params)
+        base = gat.gat_forward(ad.constant(x), [adjacency(support, sign)], params)
         permuted = gat.gat_forward(
             ad.constant(x[perm]),
-            adjacency(support[np.ix_(perm, perm)], sign[np.ix_(perm, perm)]),
+            [adjacency(support[np.ix_(perm, perm)], sign[np.ix_(perm, perm)])],
             params)
         # summation order inside the row reductions shifts, so agreement
         # is to rounding, not bitwise
@@ -142,7 +142,7 @@ class TestGatForward:
         support = np.ones((4, 4), dtype=bool)
 
         def f():
-            return ad.mean(gat.gat_forward(x, adjacency(support), params))
+            return ad.mean(gat.gat_forward(x, [adjacency(support)], params))
 
         grads = f().backward()
         assert min(np.abs(g).min() for g in grads.values()) > 1e-6
@@ -154,7 +154,7 @@ class TestGatForward:
         params = make_params(3)
         with pytest.raises(ValueError, match="dim"):
             gat.gat_forward(ad.constant(np.ones((2, 4))),
-                            adjacency(np.ones((2, 2), dtype=bool)), params)
+                            [adjacency(np.ones((2, 2), dtype=bool))], params)
 
     def test_sign_support_consistency_enforced(self):
         with pytest.raises(ValueError, match="sign"):
@@ -171,9 +171,9 @@ class TestPasses:
         g = clip_graph(t=1)
         params = make_params(4, seed=17)
         x = ad.constant(np.random.default_rng(18).normal(size=(4, 4)))
-        out = gat.gat_forward(x, gat.consistency_adjacency(g), params)
+        out = gat.gat_forward(x, [gat.consistency_adjacency(g)], params)
         direct = gat.gat_forward(
-            x, gat.SignedAdjacency(g.spatial > 0, (g.spatial > 0).astype(float)),
+            x, [gat.SignedAdjacency(g.spatial > 0, (g.spatial > 0).astype(float))],
             params)
         np.testing.assert_array_equal(out.data, direct.data)
 
@@ -181,7 +181,7 @@ class TestPasses:
         g = replace(clip_graph(t=1), blocks=np.zeros((1, 4, 4)))
         params = make_params(4, seed=19)
         x = np.random.default_rng(20).normal(size=(4, 4))
-        out = gat.gat_forward(ad.constant(x), gat.consistency_adjacency(g),
+        out = gat.gat_forward(ad.constant(x), [gat.consistency_adjacency(g)],
                               params)
         np.testing.assert_allclose(out.data, lrelu(x @ params.weight.data),
                                    rtol=1e-12)
@@ -193,7 +193,7 @@ class TestPasses:
         params = make_params(4, seed=21)
         x = np.random.default_rng(22).normal(size=(4, 4))
         out = gat.gat_forward(ad.constant(x),
-                              gat.inconsistency_adjacency(g, neg), params)
+                              [gat.inconsistency_adjacency(g, neg)], params)
         np.testing.assert_allclose(out.data, lrelu(x @ params.weight.data),
                                    rtol=1e-12)
 
@@ -203,7 +203,7 @@ class TestPasses:
         params = make_params(4, seed=23)
         row = np.random.default_rng(24).normal(size=4)
         x = ad.constant(np.tile(row, (4, 1)))
-        out = gat.gat_forward(x, gat.inconsistency_adjacency(g, neg), params)
+        out = gat.gat_forward(x, [gat.inconsistency_adjacency(g, neg)], params)
         # non-anchor nodes see {self +1, anchor -1} with equal attention
         np.testing.assert_allclose(out.data[1:], np.zeros((3, 4)), atol=1e-12)
         h = row @ params.weight.data
@@ -216,7 +216,7 @@ class TestPasses:
         params = make_params(4, seed=26)
         x = np.random.default_rng(27).normal(size=(8, 4))
         adj = gat.inconsistency_adjacency(g, neg)
-        out = gat.gat_forward(ad.constant(x), adj, params)
+        out = gat.gat_forward(ad.constant(x), [adj], params)
         support, sign = adj.dense()
         expected = brute_force(x, support, sign, params.weight.data,
                                params.attention.data)
@@ -228,14 +228,14 @@ class TestFusion:
         rng = np.random.default_rng(28)
         hc, hic = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
         w = np.vstack([np.eye(3), np.zeros((3, 3))])
-        out = gat.spatial_fuse(ad.constant(hc), ad.constant(hic),
+        out = gat.spatial_fuse(ad.constant(np.hstack([hc, hic])),
                                ad.constant(w), ad.constant(np.zeros(3)))
         np.testing.assert_allclose(out.data[0], hc.mean(axis=0), rtol=1e-12)
 
     def test_equal_passes_cancel_under_difference(self):
         h = np.random.default_rng(29).normal(size=(5, 3))
         w = np.vstack([np.eye(3), -np.eye(3)])
-        out = gat.spatial_fuse(ad.constant(h), ad.constant(h),
+        out = gat.spatial_fuse(ad.constant(np.hstack([h, h])),
                                ad.constant(w), ad.constant(np.zeros(3)))
         np.testing.assert_allclose(out.data, np.zeros((1, 3)), atol=1e-14)
 
@@ -243,18 +243,17 @@ class TestFusion:
         rng = np.random.default_rng(30)
         hc, hic = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         w, b = rng.normal(size=(6, 3)), rng.normal(size=3)
-        out = gat.spatial_fuse(ad.constant(hc), ad.constant(hic),
+        out = gat.spatial_fuse(ad.constant(np.hstack([hc, hic])),
                                ad.constant(w), ad.constant(b))
         expected = (np.hstack([hc, hic]) @ w + b).mean(axis=0)
         np.testing.assert_allclose(out.data[0], expected, rtol=1e-12)
 
     def test_one_row_per_clip(self):
         rng = np.random.default_rng(31)
-        hc, hic = rng.normal(size=(12, 3)), rng.normal(size=(12, 3))
+        h = rng.normal(size=(12, 6))
         w, b = ad.constant(rng.normal(size=(6, 3))), ad.constant(rng.normal(size=3))
-        out = gat.spatial_fuse(ad.constant(hc), ad.constant(hic), w, b, clips=3)
-        alone = [gat.spatial_fuse(ad.constant(hc[4 * k:4 * k + 4]),
-                                  ad.constant(hic[4 * k:4 * k + 4]), w, b)
+        out = gat.spatial_fuse(ad.constant(h), w, b, clips=3)
+        alone = [gat.spatial_fuse(ad.constant(h[4 * k:4 * k + 4]), w, b)
                  for k in range(3)]
         np.testing.assert_array_equal(out.data, np.vstack([a.data for a in alone]))
 
@@ -343,7 +342,7 @@ class TestFrameLayoutAttention:
         x = ad.parameter(np.random.default_rng(34).normal(size=(12, 4)) * 2.0)
 
         def f():
-            return ad.mean(gat.gat_forward(x, adj, params))
+            return ad.mean(gat.gat_forward(x, [adj], params))
 
         grads = f().backward()
         assert min(np.abs(grads[t]).min()
@@ -356,7 +355,7 @@ class TestFrameLayoutAttention:
         adj = bridged_layout()
         params = make_params(4, seed=35)
         x = np.random.default_rng(36).normal(size=(12, 4))
-        out = gat.gat_forward(ad.constant(x), adj, params)
+        out = gat.gat_forward(ad.constant(x), [adj], params)
         support, sign = adj.dense()
         expected = brute_force(x, support, sign, params.weight.data,
                                params.attention.data)
@@ -373,7 +372,7 @@ class TestFrameLayoutAttention:
         probe = ad.constant(np.random.default_rng(patch).normal(size=(m, d)))
         for adj in (structure.consistency, structure.inconsistency):
             runs = []
-            for run in (lambda: gat.gat_forward(x, adj, params.gat),
+            for run in (lambda: gat.gat_forward(x, [adj], params.gat),
                         lambda: dense_gat(x, *adj.dense(), params.gat)):
                 out = run()
                 # a summed probe keeps the gradients O(1) or larger, so
@@ -388,9 +387,12 @@ class TestFrameLayoutAttention:
     def test_one_tape_node_for_attention(self):
         adj = bridged_layout()
         params = make_params(4, seed=37)
-        out = gat.gat_forward(ad.parameter(np.ones((12, 4))), adj, params)
+        out = gat.gat_forward(ad.parameter(np.ones((12, 4))), [adj, adj],
+                              params)
+        assert out.shape == (12, 8)
         nodes = ad._toposort(ad.mean(out))
-        # mean, leaky_relu, frame_attention, matmul and the three leaves
+        # mean, leaky_relu, frame_attention, matmul and the three leaves:
+        # both passes share one of each
         assert len(nodes) == 7
 
 

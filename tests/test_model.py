@@ -291,7 +291,7 @@ def tape_nodes(clips):
 class TestTape:
     def test_desk_tape_node_count(self, desk_batch):
         # no op is recorded per frame
-        assert tape_nodes(desk_batch[:1]) == 55
+        assert tape_nodes(desk_batch[:1]) == 51
 
     def test_tape_size_independent_of_batch(self, desk_batch):
         # nor per clip
@@ -319,6 +319,22 @@ class TestBridges:
         for logits, structure in runs:
             assert not (structure.graph.temporal > 0).any()
             np.testing.assert_array_equal(logits, runs[0][0])
+
+    @pytest.mark.parametrize("use_differential", [True, False])
+    def test_bridges_scored_only_without_differential(self, monkeypatch,
+                                                      use_differential):
+        scored = []
+        bridge = graphs.temporal_bridge
+
+        def recorded(*args):
+            scored.append(args)
+            return bridge(*args)
+
+        monkeypatch.setattr(graphs, "temporal_bridge", recorded)
+        cfg = toy_config(use_differential=use_differential)
+        params = model.init_params(cfg)
+        model.forward([toy_clip(seed=2, frames=3, size=16)], params, cfg)
+        assert bool(scored) == (not use_differential)
 
     def test_differential_off_keeps_bridges(self):
         runs = self.logits(False)
