@@ -266,12 +266,15 @@ def reshape(t, shape) -> Tensor:
 
 def leaky_relu(t, slope=0.2) -> Tensor:
     t = as_tensor(t)
-    gate = np.where(t.data > 0, 1.0, slope)
-    out = Tensor(t.data * gate, requires_grad=t.requires_grad, parents=(t,))
+    # the max (the min for a slope above 1) of x and slope * x: the same
+    # values as x * gate, and the gate is formed only for a backward pass
+    value = np.multiply(t.data, slope)
+    (np.maximum if slope <= 1 else np.minimum)(t.data, value, out=value)
+    out = Tensor(value, requires_grad=t.requires_grad, parents=(t,))
 
     def _backward(g, acc):
         if t.requires_grad:
-            _accum(acc, t, g * gate)
+            _accum(acc, t, g * np.where(t.data > 0, 1.0, slope))
 
     out._backward = _backward
     return out

@@ -4,16 +4,19 @@ A forward pass takes clips of one shape, stacks their patches along the
 frame axis, encodes them once to d-dim embeddings, and builds one graph
 of all their frames from the detached values in a single pass, with no
 edge between two clips, then adds the negative differential edges. Two
-branches run on that embedding: spectral (eigenbasis of the nonnegative
-graph, learned per-eigenvalue gains, pooled without forming the filtered
-signal) and spatial (temporal concat, consistency + inconsistency GAT,
-fusion). Each pools per clip; the pooled rows concatenate into Z, and a
-head maps Z to 2 logits per clip. A training step records one tape.
+branches run on that embedding: spectral (Lanczos Ritz basis of the
+nonnegative graph's Laplacian from the all-ones vector, learned
+per-eigenvalue gains, pooled without forming the filtered signal) and
+spatial (temporal concat, consistency + inconsistency GAT, fusion). Each
+pools per clip; the pooled rows concatenate into Z, and a head maps Z to
+2 logits per clip. A training step records one tape.
 
-Graph topology and the eigenbasis are constant to backpropagation:
+Graph topology and the Ritz basis are constant to backpropagation:
 `build_structure` is a pure function of the clips' patches, their
-detached embedding, the config and the clip count. The finite difference
-check holds it constant and re-encodes `structure.patches` in its loss.
+detached embedding, the filter MLP's current values (they only decide
+when each Lanczos run has converged), the config and the clip count.
+The finite difference check holds it constant and re-encodes
+`structure.patches` in its loss.
 """
 
 from __future__ import annotations
@@ -266,7 +269,7 @@ def encode_patches(patch_vectors, params: ModelParams, config: TrainConfig):
 @dataclass
 class ClipStructure:
     """Everything a forward pass treats as constant: the raw patches,
-    the graph (with differential edges), and the spectral basis, of
+    the graph (with differential edges), and the Ritz basis, of
     ``clips`` equal clips stacked along the frame axis."""
 
     patches: np.ndarray
@@ -282,9 +285,12 @@ class ClipStructure:
 
 
 def build_structure(pt: PatchTensor, embedding: np.ndarray,
-                    config: TrainConfig, clips=1) -> ClipStructure:
+                    filter_mlp: spectral.FilterMlp, config: TrainConfig,
+                    clips=1) -> ClipStructure:
     """The constant part of a forward over ``clips`` equal clips whose
-    frames ``pt`` stacks: patches + their detached embedding."""
+    frames ``pt`` stacks: patches + their detached embedding. The gains
+    of ``filter_mlp``, read as plain values, tell the Lanczos run of each
+    block when its pooling direction has converged."""
     emb = embedding.reshape(pt.frames, pt.patches_per_frame, -1)
     # the temporal differential overwrites every bridge: score none
     graph = unified_graph(emb, pt.grid_h, pt.grid_w, config.tau_s,
@@ -296,8 +302,8 @@ def build_structure(pt: PatchTensor, embedding: np.ndarray,
         graph = differential.add_temporal_negative(graph)
     basis = None
     if config.use_spectral:
-        lap = spectral.graph_laplacian(graph)
-        basis = spectral.eigendecompose(lap)
+        basis = spectral.lanczos_basis(graph, lambda lam: filter_mlp.gains(
+            lam, config.leaky_slope).data)
     return ClipStructure(
         patches=pt.vectors,
         graph=graph,
@@ -316,7 +322,7 @@ def _prepare(clips, params: ModelParams, config: TrainConfig):
         raise ValueError("clips of one forward must share one shape")
     pt = replace(pts[0], vectors=np.concatenate([p.vectors for p in pts]))
     x = encode_patches(pt.vectors, params, config)
-    return build_structure(pt, x.data, config, len(pts)), x
+    return build_structure(pt, x.data, params.filter_mlp, config, len(pts)), x
 
 
 def _pooled_features(structure: ClipStructure, x: ad.Tensor,

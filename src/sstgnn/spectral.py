@@ -1,18 +1,22 @@
-"""Graph-spectral filtering: Laplacian, eigenbasis, learnable gains.
+"""Graph-spectral filtering: Lanczos Ritz basis, learnable gains.
 
-The symmetrized normalized Laplacian of the nonnegative clip graph is
-eigendecomposed per frame when no positive bridge joins the frames (the
-default: the temporal differential turns every bridge into a -1 edge),
-as one stacked eigh over the (T, N, N) frame Laplacians, and otherwise
-per clip, as one stacked eigh over the (B, M, M) clip Laplacians of a
-minibatch. A small
-scalar-to-scalar MLP maps each eigenvalue to a gain g, which keeps the
+A small scalar-to-scalar MLP maps each eigenvalue of the normalized
+Laplacian L of the nonnegative clip graph to a gain g, which keeps the
 learned filter independent of graph size. The detector only mean-pools
-the filtered signal U diag(g) U^T X, so `pool_spectral` computes each
-clip's pooled row as w^T X with w = U (g * U^T 1) / M, one diagonal
-block of U at a time, and never forms the filtered signal; the
-eigenbasis is a constant to backpropagation. `apply_filter` forms the
-signal in numpy, with fixed preset gains for the image demo.
+the filtered signal g(L) X, so it needs w = g(L) 1 per diagonal block of
+L: a frame when no positive bridge joins the frames (the default: the
+temporal differential turns every bridge into a -1 edge), else a clip.
+`lanczos_basis` runs one batched Lanczos iteration from the all-ones
+vector over those blocks, applying L straight from the frame layout,
+and returns Ritz pairs from which w follows to rounding; `pool_spectral`
+computes each clip's pooled row as w^T X with w = U (g * U^T 1) / M,
+one diagonal block of U at a time, and never forms the filtered signal.
+The basis is a constant to backpropagation.
+
+The dense path stays for the identities and the image demo:
+`graph_laplacian` forms the blocks of L, `eigendecompose` solves them
+with a stacked eigh, and `apply_filter` forms the filtered signal in
+numpy, with fixed preset gains for the demo.
 """
 
 from __future__ import annotations
@@ -31,20 +35,35 @@ DEFAULT_EIGEN_CAP = 4096
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Eigenvalues and orthonormal eigenvector columns, per diagonal block.
+    """Eigen- or Ritz values and orthonormal vector columns, per diagonal
+    block.
 
-    Shapes follow the solved matrix, as in ``np.linalg.eigh``: (M,) and
+    `eigendecompose` shapes them as ``np.linalg.eigh`` does: (M,) and
     (M, M) for one whole matrix, (B, n) and (B, n, n) for a stack of B
-    diagonal blocks: the frames of a graph, or its clips when bridges
-    couple their frames. Eigenvalues ascend within each block.
+    diagonal blocks, eigenvalues ascending within each block.
+    `lanczos_basis` gives (B, k) Ritz values and (B, n, k) Ritz vectors
+    for B blocks of n nodes: the frames of a graph, or its clips when
+    bridges couple their frames. Block b fills its first ``steps[b]``
+    columns (values ascending); the rest are zero vectors with value 0,
+    which every pooled row ignores. ``breakdowns[b]`` says that block
+    b's run stopped because its Krylov space of 1 was invariant before
+    k reached n. Both are None for an eigensolve.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
+    steps: np.ndarray | None = None
+    breakdowns: np.ndarray | None = None
 
     @property
     def size(self):
+        """The number of values (and vector columns)."""
         return self.eigenvalues.size
+
+    @property
+    def nodes(self):
+        """The number of graph nodes the vectors span."""
+        return self.vectors.size // self.vectors.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -92,6 +111,11 @@ class FilterMlp:
         return ad.add(ad.matmul(h, self.w3), self.b3)
 
 
+def _inv_sqrt(deg):
+    """D^{-1/2} of the degrees ``deg``; 0 for an isolated node."""
+    return np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+
+
 def laplacian_from_adjacency(weights) -> np.ndarray:
     """Normalized Laplacian I - D^{-1/2} W D^{-1/2} of a symmetric W.
 
@@ -107,16 +131,15 @@ def laplacian_from_adjacency(weights) -> np.ndarray:
         raise ValueError("adjacency must be square")
     if (w < 0).any():
         raise ValueError("adjacency for the Laplacian must be nonnegative")
-    deg = w.sum(axis=-1)
-    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    inv_sqrt = _inv_sqrt(w.sum(axis=-1))
     lap = inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
     lap *= w
     return np.subtract(np.eye(w.shape[-1]), lap, out=lap)
 
 
 def graph_laplacian(graph: VideoGraph):
-    """Laplacian of the nonnegative clip graph: intra-frame edges plus
-    the positive temporal bridges.
+    """Laplacian of the nonnegative clip graph as dense blocks, for
+    `eigendecompose` (the model path runs `lanczos_basis` instead).
 
     Without a positive bridge the frames are its diagonal blocks, and it
     is returned as the (T, N, N) stack of frame Laplacians. Any positive
@@ -129,13 +152,161 @@ def graph_laplacian(graph: VideoGraph):
         return laplacian_from_adjacency(graph.blocks)
     n = graph.patches_per_frame
     blocks = graph.blocks.reshape(graph.clips, -1, n, n)
-    # pad one row so each clip owns T rows, the last its boundary row
+    laps = laplacian_from_adjacency(np.stack([
+        dense_from_layout(to_layout(b, t))
+        for b, t in zip(blocks, _positive_twins(graph))]))
+    return laps if graph.clips > 1 else laps[0]
+
+
+def _positive_twins(graph: VideoGraph):
+    """The positive bridges as (B, F - 1, N), one row per frame pair of
+    each of the graph's B clips of F frames (clips never share one)."""
+    n = graph.patches_per_frame
+    # pad one row so each clip owns F rows, the last its boundary row
     bridges = np.where(graph.twins > 0, graph.twins, 0.0)
     bridges = np.concatenate([bridges, np.zeros((1, n))])
-    bridges = bridges.reshape(graph.clips, -1, n)[:, :-1]
-    laps = laplacian_from_adjacency(np.stack([
-        dense_from_layout(to_layout(b, t)) for b, t in zip(blocks, bridges)]))
-    return laps if graph.clips > 1 else laps[0]
+    return bridges.reshape(graph.clips, -1, n)[:, :-1]
+
+
+# The Lanczos stop rule, per block. A residual norm below BREAKDOWN
+# means the Krylov space of 1 is invariant under L: its Ritz pairs are
+# exact. Otherwise, every CHECK_EVERY steps from 2 * CHECK_EVERY on,
+# the pooling direction w = g(L) 1 is compared with its value
+# CHECK_EVERY steps back, and the block stops once the two agree to
+# CONVERGED relative to |w|.
+BREAKDOWN = 1e-12
+CHECK_EVERY = 8
+CONVERGED = 1e-13
+
+
+def _ritz(alpha, beta):
+    """Eigenpairs of the (b, k, k) Lanczos tridiagonals with diagonals
+    ``alpha`` (b, k) and off-diagonals ``beta`` (b, k - 1)."""
+    b, k = alpha.shape
+    tri = np.zeros((b, k, k))
+    flat = tri.reshape(b, k * k)
+    flat[:, ::k + 1] = alpha
+    flat[:, 1::k + 1] = beta    # entries (i, i + 1)
+    flat[:, k::k + 1] = beta    # entries (i + 1, i)
+    try:
+        return np.linalg.eigh(tri)
+    except np.linalg.LinAlgError as err:
+        raise RuntimeError(f"eigendecomposition did not converge: {err}") from err
+
+
+def lanczos_basis(graph: VideoGraph, gains) -> SpectralBasis:
+    """Ritz pairs of the Laplacian of the nonnegative clip graph
+    (intra-frame edges plus the positive bridges), per diagonal block,
+    from a Lanczos run started at the all-ones vector.
+
+    The blocks are the frames while no positive bridge joins them, else
+    the clips. The run only ever applies L q = q - s * (W (s * q)),
+    s = D^{-1/2}, to the (F, N) frames of a block: W is the block's own
+    frame adjacencies plus, when its F > 1 frames are coupled, the
+    bridges between twins; no Laplacian or (M, M) array is formed. Each
+    step is orthogonalized twice against every earlier Lanczos vector.
+
+    ``gains`` maps an array of Ritz values to the filter's gains at them
+    (as many entries, any shape); the stop rule reads w = g(L) 1 under
+    it. A block stops at the first of: k = n steps, a residual norm below
+    ``BREAKDOWN``, or w converged (see ``CONVERGED``). Its k Ritz values
+    Θ and Ritz vectors V_k S, S the eigenvectors of the tridiagonal
+    T_k = S Θ S^T, form the first k columns of its block; the rest are
+    zero padding. Then V_k S g(Θ) S^T V_k^T 1 = |1| V_k S g(Θ) S^T e_1
+    approximates g(L) 1 to the stop rule's tolerance, for any gauge of S.
+    """
+    n_frame = graph.patches_per_frame
+    frames = graph.frames // graph.clips if (graph.twins > 0).any() else 1
+    weights = graph.blocks.reshape(-1, frames, n_frame, n_frame)
+    if weights.min() < 0:
+        raise ValueError("adjacency for the Laplacian must be nonnegative")
+    twins = _positive_twins(graph) if frames > 1 else None
+    deg = weights.sum(axis=-1)
+    if twins is not None:
+        deg[:, 1:] += twins
+        deg[:, :-1] += twins
+    scale = _inv_sqrt(deg)
+    blocks, n = len(weights), frames * n_frame
+
+    def apply(q):
+        """L q for the active blocks, q (b, n)."""
+        u = scale * q.reshape(scale.shape)
+        y = np.matvec(weights, u)
+        if twins is not None:
+            y[:, 1:] += twins * u[:, :-1]
+            y[:, :-1] += twins * u[:, 1:]
+        y *= scale
+        return q - y.reshape(q.shape)
+
+    # the working set: arrays of the blocks still running, row b of each
+    # belonging to block ids[b]
+    ids = np.arange(blocks)
+    vecs = np.empty((blocks, min(n, 8 * CHECK_EVERY), n))
+    vecs[:, 0] = 1.0 / np.sqrt(n)
+    alpha, beta = np.zeros((blocks, n)), np.zeros((blocks, n))
+    previous = None
+    steps = np.zeros(blocks, dtype=np.intp)
+    breakdowns = np.zeros(blocks, dtype=bool)
+    done = []       # (block ids, Ritz values, Ritz vectors) per stop
+    for j in range(n):
+        k = j + 1
+        z = apply(vecs[:, j])
+        krylov = vecs[:, :k]
+        h = np.matvec(krylov, z)
+        z -= np.vecmat(h, krylov)
+        again = np.matvec(krylov, z)
+        z -= np.vecmat(again, krylov)
+        alpha[:, j] = h[:, j] + again[:, j]
+        beta[:, j] = np.sqrt(np.vecdot(z, z))
+        ritz = None
+        if k == n:
+            stop = np.ones(len(ids), dtype=bool)
+            broke = ~stop
+        else:
+            stop = broke = beta[:, j] < BREAKDOWN
+            if k % CHECK_EVERY == 0 and not broke.all():
+                lam, vec = ritz = _ritz(alpha[:, :k], beta[:, :k - 1])
+                # w in the Lanczos basis: S g(Θ) S^T e_1, up to |1| / M
+                g = np.reshape(gains(lam), lam.shape)
+                w = np.matvec(vec, vec[:, 0] * g)
+                if previous is not None:
+                    change = w.copy()
+                    change[:, :k - CHECK_EVERY] -= previous
+                    stop = broke | (np.vecdot(change, change)
+                                    <= CONVERGED ** 2 * np.vecdot(w, w))
+                previous = w
+        if stop.any():
+            keep = ~stop
+            last = not keep.any()
+            # every block stopping at once is the common case: copy nothing
+            rows = slice(None) if last else stop
+            lam, vec = (ritz[0][rows], ritz[1][rows]) if ritz else _ritz(
+                alpha[rows, :k], beta[rows, :k - 1])
+            ritz_vectors = np.matmul(krylov[rows].swapaxes(1, 2), vec)
+            done.append((ids[rows], lam, ritz_vectors))
+            steps[ids[rows]] = k
+            breakdowns[ids[rows]] = broke[rows]
+            if last:
+                break
+            ids, z, vecs, alpha, beta, weights, scale = (a[keep] for a in (
+                ids, z, vecs, alpha, beta, weights, scale))
+            if twins is not None:
+                twins = twins[keep]
+            if previous is not None:
+                previous = previous[keep]
+        if k == vecs.shape[1]:
+            vecs = np.concatenate(
+                [vecs, np.empty((len(ids), min(k, n - k), n))], axis=1)
+        np.divide(z, beta[:, j, None], out=vecs[:, k])
+
+    if len(done) == 1:
+        return SpectralBasis(done[0][1], done[0][2], steps, breakdowns)
+    width = steps.max()
+    values, vectors = np.zeros((blocks, width)), np.zeros((blocks, n, width))
+    for rows, lam, vec in done:
+        values[rows, :lam.shape[1]] = lam
+        vectors[rows, :, :lam.shape[1]] = vec
+    return SpectralBasis(values, vectors, steps, breakdowns)
 
 
 def _check_symmetric(lap):
@@ -193,12 +364,13 @@ def pool_spectral(x, basis: SpectralBasis, gains, clips=1):
     """(1/M) 1^T U diag(gains) U^T x, the node mean of the filtered
     signal of each of ``clips`` equal clips of M nodes, as the (clips, d)
     rows w^T x with w = U (gains * U^T 1) / M per diagonal block of U.
-    ``gains`` is a column over the flattened eigenvalues, ``x`` in node
+    ``gains`` is a column over the flattened values, ``x`` in node
     order; the basis is constant to autodiff."""
     if np.shape(gains) != (basis.size, 1):
         raise ValueError(f"gains {np.shape(gains)} must be a ({basis.size}, 1) column")
-    n, m = basis.vectors.shape[-1], basis.size // clips
-    blocks = basis.vectors.reshape(-1, n, n)
+    n, k = basis.vectors.shape[-2:]
+    m = basis.nodes // clips
+    blocks = basis.vectors.reshape(-1, n, k)
     ones_coeffs = blocks.sum(axis=1).reshape(-1, 1) / m
     w = ad.block_matmul(blocks, ad.mul(gains, ones_coeffs))
     # row k of the selector keeps clip k's nodes, so w^T x pools per clip

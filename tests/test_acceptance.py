@@ -2,14 +2,13 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete. The training-based criteria share one trained
-model (module-scoped fixture); everything is deterministic, so the
+model (`trained_detector` in conftest.py); everything is deterministic, so the
 numbers printed here reproduce bit-for-bit across runs.
 """
 
 import time
 
 import numpy as np
-import pytest
 
 from sstgnn import autodiff as ad
 from sstgnn import differential, gat, graphs, metrics, model, spectral, synth
@@ -143,17 +142,6 @@ def test_a4_end_to_end_gradients():
     report("A4", worst <= 1e-4 and elapsed < 60.0,
            f"max rel err {worst:.2e} ({worst_name}) over all parameters "
            f"in {elapsed:.1f}s (< 60s)")
-
-
-@pytest.fixture(scope="module")
-def trained_detector():
-    pcfg = metrics.ProtocolConfig(
-        train=model.TrainConfig(seed=7), families=("upsample_artifact",),
-        n_train=64, n_test=32, seed=1000)
-    t0 = time.perf_counter()
-    params, history = metrics.train_on_families(pcfg, ["upsample_artifact"])
-    elapsed = time.perf_counter() - t0
-    return pcfg, params, history, elapsed
 
 
 def test_a5_in_domain_detection(trained_detector):

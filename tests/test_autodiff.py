@@ -294,6 +294,24 @@ class TestElementwiseOps:
         out = ad.leaky_relu(ad.constant([-1.0, 0.0, 2.0]), 0.2)
         np.testing.assert_allclose(out.data, [-0.2, 0.0, 2.0])
 
+    @pytest.mark.parametrize("slope", [0.2, 0.0, -0.5, 1.0, 1.5])
+    def test_leaky_relu_matches_gate_product_bitwise(self, slope):
+        # the forward is a max (a min above slope 1); values and the
+        # gradient gate equal x * where(x > 0, 1, slope) bit for bit,
+        # signed zeros included
+        rng = np.random.default_rng(3)
+        x_value = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(
+            -300, 300, size=40), [0.0, -0.0, 1e-310, -1e-310]])
+        gate = np.where(x_value > 0, 1.0, slope)
+        x = ad.parameter(x_value.copy())
+        out = ad.leaky_relu(x, slope)
+        assert out.data.tobytes() == (x_value * gate).tobytes()
+        weights = rng.normal(size=x_value.shape)
+        # the upstream gradient of a dot product is ``weights`` exactly
+        loss = ad.matmul(ad.reshape(out, (1, -1)), ad.constant(weights[:, None]))
+        grad = loss.backward()[x]
+        assert grad.tobytes() == (weights * gate).tobytes()
+
     def test_broadcast_add_backward(self):
         a = ad.parameter(np.ones((3, 2)))
         b = ad.parameter(np.array([1.0, 2.0]))

@@ -316,7 +316,7 @@ def clip_structure(patch, use_differential, seed=0, family="real"):
     clip = synth.generate(synth.SynthSpec(family=family, seed=seed)).clip
     pt = graphs.patchify(clip.pixels, cfg.patch_size)
     emb = model.encode_patches(pt.vectors, params, cfg)
-    return model.build_structure(pt, emb.data, cfg), params, cfg
+    return model.build_structure(pt, emb.data, params.filter_mlp, cfg), params, cfg
 
 
 def bridged_layout(seed=31):

@@ -177,9 +177,9 @@ class TestBatch:
     @pytest.mark.parametrize("overrides", [
         {}, {"use_differential": False}, {"use_spectral": False},
         {"use_temporal_mlp": False},
-        # some clips keep a positive bridge (a whole-clip basis alone),
+        # some clips keep a positive bridge (one whole-clip block alone),
         # others none (per-frame blocks alone); batched, every clip is
-        # solved whole
+        # one block
         {"use_differential": False, "tau_t": 0.95},
     ], ids=["default", "no-differential", "no-spectral", "no-temporal-mlp",
             "mixed-bases"])
@@ -195,9 +195,9 @@ class TestBatch:
             rtol=0, atol=1e-12)
         if "tau_t" in overrides:
             m, n = structure.graph.node_count // 16, structure.graph.patches_per_frame
-            assert {s.basis.vectors.shape for _, s in alone} == {
-                (m, m), (m // n, n, n)}
-            assert structure.basis.vectors.shape == (16, m, m)
+            assert {s.basis.vectors.shape[:2] for _, s in alone} == {
+                (1, m), (m // n, n)}
+            assert structure.basis.vectors.shape[:2] == (16, m)
 
     def test_twins_cut_between_clips(self, desk_batch):
         cfg = model.TrainConfig()
@@ -345,47 +345,57 @@ class TestBridges:
 
 class TestFrameLayoutPath:
     def test_model_path_never_densifies(self, monkeypatch):
-        # at M=512 with the differential on, building the structure and
-        # the forward pass read the graph, the tile pattern and the
-        # attention supports only in their frame layouts, and the
-        # spectral branch pools without forming the filtered signal
+        # at M=512, with the differential on (frame blocks) and off (one
+        # coupled block per clip), building the structure and the
+        # forward pass read the graph, the tile pattern and the attention
+        # supports only in their frame layouts; the spectral branch runs
+        # Lanczos on the layout, forms no Laplacian and pools without
+        # forming the filtered signal
         def dense(*_):
             raise AssertionError("an (M, M) array was built on the model path")
 
         def filtered(*_):
             raise AssertionError("the filtered (M, d) signal was formed")
 
-        monkeypatch.setattr(spectral, "apply_filter", filtered)
+        def dense_solve(*_):
+            raise AssertionError("a dense Laplacian was formed or solved")
 
+        monkeypatch.setattr(spectral, "apply_filter", filtered)
+        for name in ("graph_laplacian", "laplacian_from_adjacency",
+                     "eigendecompose"):
+            monkeypatch.setattr(spectral, name, dense_solve)
         for owner, name in ((graphs.VideoGraph, "spatial"),
                             (graphs.VideoGraph, "temporal"),
                             (graphs.VideoGraph, "temporal_positive"),
                             (differential.NegativeSpatialAdjacency, "matrix"),
                             (gat.SignedAdjacency, "dense")):
             monkeypatch.setattr(owner, name, property(dense))
-        for module in (graphs, gat, differential):
+        for module in (graphs, gat, differential, spectral):
             monkeypatch.setattr(module, "dense_from_layout", dense)
-        cfg = model.preset_config("desk", patch_size=8)
-        params = model.init_params(cfg, random_head=True)
         clip = synth.generate(synth.SynthSpec("spectral_noise", seed=3)).clip
-        pt = graphs.patchify(clip.pixels, cfg.patch_size)
-        x = model.encode_patches(pt.vectors, params, cfg)
-        structure = model.build_structure(pt, x.data, cfg)
-        assert structure.graph.node_count == 512
-        assert structure.basis.vectors.shape == (8, 64, 64)
-        logits = model.forward_with_structure(structure, x, params, cfg)
-        ad.cross_entropy(logits, [1]).backward()
+        for use_differential, blocks in ((True, 8), (False, 1)):
+            cfg = model.preset_config("desk", patch_size=8,
+                                      use_differential=use_differential)
+            params = model.init_params(cfg, random_head=True)
+            pt = graphs.patchify(clip.pixels, cfg.patch_size)
+            x = model.encode_patches(pt.vectors, params, cfg)
+            structure = model.build_structure(pt, x.data, params.filter_mlp, cfg)
+            assert structure.graph.node_count == 512
+            b, n, k = structure.basis.vectors.shape
+            assert (b, n) == (blocks, 512 // blocks) and k <= n
+            logits = model.forward_with_structure(structure, x, params, cfg)
+            ad.cross_entropy(logits, [1]).backward()
 
     def test_coupled_batch_stays_per_clip(self, desk_batch, monkeypatch):
         # differential off: bridges couple each clip's frames, so each clip
-        # is one (M, M) Laplacian, but no array spans two clips
-        shapes = []
+        # is one Lanczos block of M nodes, but no array spans two clips
+        # and none is (M, M)
+        calls = []
 
         def recorded(fn):
-            def wrapper(arg, *rest):
-                out = fn(arg, *rest)
-                shapes.append(np.shape(out)[-2:])
-                return out
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
             return wrapper
 
         for module in (graphs, spectral):
@@ -399,8 +409,10 @@ class TestFrameLayoutPath:
                                           params, cfg)
         ad.cross_entropy(logits, [item.label for item in desk_batch]).backward()
         m = structure.graph.node_count // 16
-        assert structure.basis.vectors.shape == (16, m, m)
-        assert shapes and max(shapes) == (m, m)
+        b, n, k = structure.basis.vectors.shape
+        assert (b, n) == (16, m) and k <= m
+        assert structure.basis.steps.shape == (16,)
+        assert not calls
 
 
 class TestGoldenForward:

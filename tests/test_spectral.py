@@ -1,9 +1,12 @@
-"""Spectral engine: Laplacian, eigenbasis, gains, filtering, demo."""
+"""Spectral engine: Laplacian, eigenbasis, Lanczos basis, gains, filters, demo."""
 
 import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from make_oracle import CLIP_SEEDS, PARAM_SEED, SCALES
 
 from sstgnn import autodiff as ad
 from sstgnn import differential, graphs, model, spectral, synth
@@ -141,18 +144,26 @@ def block_diagonal(sizes, seed=0):
     return out
 
 
-def clip_laplacian(patch_size, family, seed, use_differential=True):
-    """Laplacian of a real 8x64x64 clip graph. With the differential on,
-    every bridge slot holds -1, so it is the stack of frame Laplacians;
-    with it off, positive bridges make it one (M, M) matrix."""
+@functools.lru_cache(maxsize=None)
+def clip_graph(patch_size, family, seed, use_differential=True):
+    """The nonnegative-part graph of a real 8x64x64 clip, as the model
+    builds it."""
     config = model.TrainConfig(patch_size=patch_size, seed=7,
                                use_spectral=False,
                                use_differential=use_differential)
     clip = synth.generate(synth.SynthSpec(family, seed=seed)).clip
     pt = graphs.patchify(clip.pixels, config.patch_size)
-    emb = model.encode_patches(pt.vectors, model.init_params(config), config)
-    structure = model.build_structure(pt, emb.data, config)
-    return spectral.graph_laplacian(structure.graph)
+    params = model.init_params(config)
+    emb = model.encode_patches(pt.vectors, params, config)
+    return model.build_structure(pt, emb.data, params.filter_mlp, config).graph
+
+
+def clip_laplacian(patch_size, family, seed, use_differential=True):
+    """Laplacian of a real 8x64x64 clip graph. With the differential on,
+    every bridge slot holds -1, so it is the stack of frame Laplacians;
+    with it off, positive bridges make it one (M, M) matrix."""
+    return spectral.graph_laplacian(
+        clip_graph(patch_size, family, seed, use_differential))
 
 
 def bridged_graph(twins, t=3, grid=2):
@@ -622,6 +633,252 @@ class TestPooledMatchesDenseFilter:
             return ad.mean(ad.mul(out, weights))
 
         assert ad.finite_diff_check(f, params) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Lanczos from the all-ones vector: the model path's basis
+
+
+def numpy_gains(mlp, slope=0.2):
+    """The plain gain values the stop rule reads, as the model passes them."""
+    return lambda lam: mlp.gains(lam, slope).data
+
+
+def block_graph(rng, coupled, clips, frames, grid, isolated=0.2):
+    """``clips`` clips of ``frames`` grid x grid frames: random nonnegative
+    symmetric frame blocks, and twins that are positive bridges (some 0)
+    when ``coupled``, else -1 or 0 like the differential's. A share
+    ``isolated`` of node positions has no edge at all."""
+    n, t = grid * grid, clips * frames
+    blocks = rng.random((t, n, n)) * (rng.random((t, n, n)) < 0.5)
+    blocks = (blocks + blocks.swapaxes(1, 2)) / 2
+    cut = rng.random(n) < isolated
+    blocks[:, cut] = 0.0
+    blocks[:, :, cut] = 0.0
+    keep = rng.random((t - 1, n)) < 0.7
+    twins = rng.random((t - 1, n)) * keep if coupled else -1.0 * keep
+    twins[:, cut] = 0.0
+    twins[graphs.clip_boundaries(t, clips)] = 0.0
+    return graphs.VideoGraph(t, grid, grid, blocks, twins, clips)
+
+
+def eigh_basis(graph):
+    return spectral.eigendecompose(spectral.graph_laplacian(graph))
+
+
+def pool_per_clip(x, basis, gains, clips):
+    """The `dense_filter` reference pooled per clip: each clip's node
+    mean of U diag(gains) U^T x."""
+    m = basis.nodes // clips
+    select = np.repeat(np.eye(clips), m, axis=1) / m
+    return ad.matmul(ad.constant(select), dense_filter(x, basis, gains))
+
+
+def pooled_with_grads(pool, basis, mlp, encoder, patches, weights, clips):
+    """Pooled rows of an encoded signal x = patches @ encoder and the
+    gradients of a fixed projection of them."""
+    x = ad.matmul(ad.constant(patches), encoder)
+    out = pool(x, basis, spectral.FilterMlp(**mlp).gains(basis.eigenvalues),
+               clips)
+    grads = ad.mean(ad.mul(out, ad.constant(weights))).backward()
+    return [out.data, grads[encoder], *(grads[t] for t in mlp.values())]
+
+
+def assert_matches_eigh(graph, mlp_init, seed=0, d=3, slope=0.2):
+    """Lanczos pooled rows and encoder and filter-MLP gradients equal the
+    eigh reference within 1e-12 x max(1, |ref|), entry by entry."""
+    rng = np.random.default_rng(seed)
+    patches = rng.normal(size=(graph.node_count, 4))
+    encoder_init = rng.normal(size=(4, d))
+    weights = rng.normal(size=(graph.clips, d))
+
+    def run(basis_of, pool):
+        mlp = {k: ad.parameter(np.array(v, dtype=float))
+               for k, v in mlp_init.items()}
+        encoder = ad.parameter(encoder_init.copy())
+        basis = basis_of(mlp)
+        return pooled_with_grads(pool, basis, mlp, encoder, patches, weights,
+                                 graph.clips)
+
+    got = run(lambda mlp: spectral.lanczos_basis(
+        graph, numpy_gains(spectral.FilterMlp(**mlp), slope)),
+        spectral.pool_spectral)
+    ref = run(lambda _: eigh_basis(graph), pool_per_clip)
+    for name, a, b in zip(["pooled", "encoder", *mlp_init], got, ref):
+        err = np.abs(a - b) / np.maximum(1.0, np.abs(b))
+        assert err.max() <= 1e-12, (name, err.max())
+
+
+class TestLanczosMatchesEigh:
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(1, 4),
+           st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_random_blocks(self, seed, coupled, blocks, grid):
+        # B <= 4 blocks of n <= 64 nodes: frames when uncoupled, else
+        # clips of F >= 2 frames with F * grid^2 <= 64
+        rng = np.random.default_rng(seed)
+        if coupled:
+            grid = min(grid, 5)
+            frames = int(rng.integers(2, 64 // grid ** 2 + 1))
+            clips = blocks
+        else:
+            clips = int(rng.choice([c for c in (1, 2, 4) if blocks % c == 0]))
+            frames = blocks // clips
+        graph = block_graph(rng, coupled, clips, frames, grid)
+        assert_matches_eigh(graph, mlp_values(rng, int(rng.integers(1, 9))),
+                            seed)
+
+    @pytest.mark.parametrize("patch_size,family,use_differential", [
+        *((8, family, diff) for family in synth.FAMILIES
+          for diff in (True, False)),
+        (4, "spectral_noise", True)])
+    def test_trained_gains(self, trained_detector, patch_size, family,
+                           use_differential):
+        # the A5 detector's gains, which training may have roughened, on
+        # M=512 clip graphs and on the M=2048 frames that need the most
+        # steps
+        _, params, _, _ = trained_detector
+        mlp = {k.split(".")[1]: params[k].data for k in params.named()
+               if k.startswith("filter.")}
+        graph = clip_graph(patch_size, family, 1, use_differential)
+        assert_matches_eigh(graph, mlp)
+
+
+class TestLanczosBreakdown:
+    """Blocks whose all-ones vector is an eigenvector of L stop after one
+    step with the exact pooled rows; padded columns weigh nothing."""
+
+    @staticmethod
+    def frames_graph(blocks):
+        t, n, _ = blocks.shape
+        grid = int(np.sqrt(n))
+        return graphs.VideoGraph(t, grid, grid, blocks, -np.ones((t - 1, n)))
+
+    @staticmethod
+    def regular_frame(n):
+        """A ring with self loops: every degree 2, so L 1 = 0."""
+        frame = np.eye(n)
+        ring = np.arange(n)
+        frame[ring, (ring + 1) % n] = frame[(ring + 1) % n, ring] = 0.5
+        return frame
+
+    def one_step(self, graph, value):
+        rng = np.random.default_rng(1)
+        mlp = spectral.FilterMlp(**{k: ad.constant(v) for k, v in
+                                    mlp_values(rng, 4).items()})
+        basis = spectral.lanczos_basis(graph, numpy_gains(mlp))
+        x = rng.normal(size=(graph.node_count, 3))
+        got = spectral.pool_spectral(x, basis, mlp.gains(basis.eigenvalues)).data
+        # L 1 = value * 1 on every block: w = g(value) 1 / M
+        exact = mlp.gains(np.array([value])).data[0, 0] * x.mean(axis=0)
+        np.testing.assert_allclose(got[0], exact, rtol=1e-15, atol=1e-15)
+        return basis
+
+    def test_isolated_nodes(self):
+        # no edge at all: L = I on every frame
+        basis = self.one_step(self.frames_graph(np.zeros((3, 4, 4))), 1.0)
+        np.testing.assert_array_equal(basis.steps, [1, 1, 1])
+        assert basis.breakdowns.all()
+        np.testing.assert_allclose(basis.eigenvalues, np.ones((3, 1)), rtol=1e-15)
+
+    def test_regular_frames(self):
+        basis = self.one_step(self.frames_graph(
+            np.stack([self.regular_frame(9)] * 2)), 0.0)
+        np.testing.assert_array_equal(basis.steps, [1, 1])
+        assert basis.breakdowns.all()
+        assert np.abs(basis.eigenvalues).max() <= 1e-15
+
+    def test_repeated_jitter_frames(self):
+        # temporal_jitter seed 0 repeats a frame its brightness jump
+        # clipped to black: zero patches, so every node of both is isolated
+        clip = synth.generate(synth.SynthSpec("temporal_jitter", seed=0)).clip
+        repeated = [t for t in range(1, 8)
+                    if np.array_equal(clip.pixels[t], clip.pixels[t - 1])]
+        assert repeated == [2]
+        basis = spectral.lanczos_basis(clip_graph(8, "temporal_jitter", 0),
+                                       lambda lam: np.ones(np.shape(lam)))
+        for t in (1, 2):
+            assert basis.steps[t] == 1 and basis.breakdowns[t]
+            assert basis.eigenvalues[t, 0] == pytest.approx(1.0, abs=1e-15)
+        assert (basis.steps[[0, *range(3, 8)]] > 1).all()
+
+    def test_padded_columns_weigh_nothing(self):
+        # blocks that stop at k = 1 sit beside blocks run to k = n, so
+        # their columns 1.. are padding: moving the padded values (and
+        # with them the padded gains) leaves the pooled row and every
+        # gradient bit for bit the same
+        rng = np.random.default_rng(2)
+        random = rng.random((2, 9, 9))
+        blocks = np.stack([np.zeros((9, 9)), self.regular_frame(9),
+                           *(random + random.swapaxes(1, 2))])
+        graph = self.frames_graph(blocks)
+        mlp_init = mlp_values(rng, 4)
+        mlp = spectral.FilterMlp(**{k: ad.constant(v) for k, v in mlp_init.items()})
+        basis = spectral.lanczos_basis(graph, numpy_gains(mlp))
+        np.testing.assert_array_equal(basis.steps, [1, 1, 9, 9])
+        np.testing.assert_array_equal(basis.breakdowns, [True, True, False, False])
+        assert basis.vectors.shape == (4, 9, 9)
+        pad = np.arange(9) >= basis.steps[:, None]
+        assert not basis.vectors.swapaxes(1, 2)[pad].any()
+        assert not basis.eigenvalues[pad].any()
+        moved = spectral.SpectralBasis(np.where(pad, rng.random(pad.shape), 0.0)
+                                       + np.where(pad, 0.0, basis.eigenvalues),
+                                       basis.vectors)
+        x_value, weights = rng.normal(size=(36, 3)), rng.normal(size=(1, 3))
+        results = []
+        for b in (basis, moved):
+            params = {k: ad.parameter(v.copy()) for k, v in mlp_init.items()}
+            x = ad.parameter(x_value.copy())
+            out = spectral.pool_spectral(
+                x, b, spectral.FilterMlp(**params).gains(b.eigenvalues))
+            grads = ad.mean(ad.mul(out, ad.constant(weights))).backward()
+            results.append([out.data, grads[x], *(grads[params[k]] for k in mlp_init)])
+        for a, b in zip(*results):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestLanczosTrace:
+    # k per block, '*' where the block broke down, for the oracle's clips
+    # (seeds 0 and 1) at init parameters
+    PINNED = {
+        "desk/diff/real": ("4 4 4 4 4 4 4 4", "4 4 4 4 3* 4 4 4"),
+        "desk/diff/upsample_artifact": ("4 4 4 4 4 4 4 4", "4 4 4 4 4 4 4 4"),
+        "desk/diff/temporal_jitter": ("4 1* 1* 4 4 4 4 4", "4 4 1* 1* 3* 4 4 4"),
+        "desk/diff/spectral_noise": ("4 4 4 4 4 4 4 4", "4 4 4 4 4 4 4 4"),
+        "desk/nodiff/real": ("32", "32"),
+        "desk/nodiff/upsample_artifact": ("32", "32"),
+        "desk/nodiff/temporal_jitter": ("25*", "29*"),
+        "desk/nodiff/spectral_noise": ("32", "32"),
+        "m512/diff/real": ("24 24 24 24 24 24 24 24", "24 24 24 24 24 24 24 24"),
+        "m512/diff/upsample_artifact": ("16 16 16 16 16 16 16 16",
+                                        "16 16 16 16 16 16 16 16"),
+        "m512/diff/temporal_jitter": ("24 1* 1* 24 24 24 24 24",
+                                      "24 24 1* 1* 24 24 24 24"),
+        "m512/diff/spectral_noise": ("16 16 16 16 16 16 16 16",
+                                     "16 16 16 16 16 16 16 16"),
+        "m512/nodiff/real": ("48", "48"),
+        "m512/nodiff/upsample_artifact": ("40", "32"),
+        "m512/nodiff/temporal_jitter": ("48", "48"),
+        "m512/nodiff/spectral_noise": ("32", "32"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_steps_and_breakdowns_pinned(self, case):
+        scale, differential, family = case.split("/")
+        (preset, overrides), geometry = SCALES[scale]
+        config = model.preset_config(
+            preset, use_differential=differential == "diff", **overrides)
+        params = model.init_params(config, seed=PARAM_SEED, random_head=True)
+        for seed, pinned in zip(CLIP_SEEDS, self.PINNED[case]):
+            clip = synth.generate(synth.SynthSpec(family, seed=seed, **geometry))
+            _, structure = model.forward([clip.clip], params, config)
+            basis = structure.basis
+            assert isinstance(basis.steps, np.ndarray)
+            assert isinstance(basis.breakdowns, np.ndarray)
+            got = " ".join(f"{k}{'*' if broke else ''}"
+                           for k, broke in zip(basis.steps, basis.breakdowns))
+            assert got == pinned, seed
+            assert basis.vectors.shape[-1] == basis.steps.max()
 
 
 class TestImageDemo:
