@@ -3,9 +3,9 @@
 A deliberately small, closed op set: matmul, block_matmul (a constant
 block-diagonal matrix: the spectral pool w^T x applies it to one column
 w and never forms the filtered signal), add, mul (both broadcasting),
-scale, concat, basic slicing, reshape, leaky_relu, mean, cross_entropy,
-plus frame_attention, one fused op for every pass of graph attention
-over a clip's frame layout. Each op records a backward rule on a
+concat, basic slicing, reshape, leaky_relu, mean, cross_entropy, plus
+frame_attention, one fused op for every pass of graph attention over a
+clip's signed frame layout. Each op records a backward rule on a
 per-forward tape; `backward()` walks the tape once in reverse
 topological order and returns the gradient of every leaf parameter, the
 dict the optimizer consumes. A minibatch is one tape: its clips share
@@ -28,7 +28,6 @@ __all__ = [
     "as_tensor",
     "add",
     "mul",
-    "scale",
     "matmul",
     "block_matmul",
     "concat",
@@ -178,19 +177,6 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def scale(t, s: float) -> Tensor:
-    t = as_tensor(t)
-    s = float(s)
-    out = Tensor(t.data * s, requires_grad=t.requires_grad, parents=(t,))
-
-    def _backward(g, acc):
-        if t.requires_grad:
-            _accum(acc, t, g * s)
-
-    out._backward = _backward
-    return out
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -309,33 +295,31 @@ def block_matmul(blocks, x) -> Tensor:
 _OFF_SUPPORT = np.finfo(np.float64).max
 
 
-def frame_attention(h, attention, support, sign, slope=0.2) -> Tensor:
+def frame_attention(h, attention, sign, slope=0.2) -> Tensor:
     """Signed attention aggregation of P passes over one (T, N, N + 2)
     frame layout.
 
-    ``h`` is (M, d) with M = T * N, ``attention`` is (2d,). ``support``
-    and ``sign`` hold one layout per pass, as a (P, T, N, N + 2) array
-    or a sequence of P (T, N, N + 2) arrays (read in place, never
-    stacked). Row (t, i) of a layout covers frame t's nodes, then the
-    twins (t - 1, i) and (t + 1, i). Scores e = LeakyReLU(a_self . h_i
-    + a_peer . h_j), computed once for all passes; each pass takes the
-    softmax over its row's support, times its sign, and sums the
-    neighbour rows of h with those weights. Returns (M, P d): row
-    (t, i) is the P passes' outputs side by side. A row with no support
-    raises ValueError. One tape node with a hand-written backward
-    replaces the scores, softmax, sign, aggregation and concat ops a
-    dense composition would record.
+    ``h`` is (M, d) with M = T * N, ``attention`` is (2d,). ``sign``
+    holds one signed layout per pass, as a (P, T, N, N + 2) array or a
+    sequence of P (T, N, N + 2) arrays (read in place, never stacked);
+    a pass's support is where its sign is nonzero. Row (t, i) of a
+    layout covers frame t's nodes, then the twins (t - 1, i) and
+    (t + 1, i). Scores e = LeakyReLU(a_self . h_i + a_peer . h_j),
+    computed once for all passes; each pass takes the softmax over its
+    row's support, times its sign, and sums the neighbour rows of h with
+    those weights. Returns (M, P d): row (t, i) is the P passes' outputs
+    side by side. A row with no support raises ValueError. One tape
+    node with a hand-written backward replaces the scores, softmax,
+    sign, aggregation and concat ops a dense composition would record.
     """
     h, attention = as_tensor(h), as_tensor(attention)
-    passes = len(support)
+    passes = len(sign)
     m, d = h.data.shape
-    layout = np.shape(support[0]) if passes else ()
+    layout = np.shape(sign[0]) if passes else ()
     if (len(layout) != 3 or layout[2] != layout[1] + 2
-            or any(np.shape(s) != layout for s in (*support, *sign))
-            or len(sign) != passes):
-        raise ValueError(f"frame_attention: support and sign must hold the "
-                         f"same P >= 1 (T, N, N + 2) layouts, got "
-                         f"{[np.shape(s) for s in support]} and "
+            or any(np.shape(s) != layout for s in sign)):
+        raise ValueError(f"frame_attention: sign must hold P >= 1 equal "
+                         f"(T, N, N + 2) layouts, got "
                          f"{[np.shape(s) for s in sign]}")
     frames, n, _ = layout
     if m != frames * n or attention.data.shape != (2 * d,):
@@ -355,6 +339,7 @@ def frame_attention(h, attention, support, sign, slope=0.2) -> Tensor:
     # slope * raw: the same values as raw * gate, with no branch
     scores = np.multiply(raw, slope)
     (np.maximum if slope <= 1 else np.minimum)(raw, scores, out=scores)
+    support = [s != 0 for s in sign]
     alpha = np.empty((passes, *layout))
     for p in range(passes):
         np.multiply(support[p], _OFF_SUPPORT, out=alpha[p])

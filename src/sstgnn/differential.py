@@ -3,12 +3,14 @@
 The spatial differential generalizes per-tile anchor subtraction (NPR)
 to graph nodes: within every l0 x l0 tile of the patch grid, the anchor
 (top-left) node gets -1 edges to the rest of the tile and every node a
-+1 self edge. One linear propagation over that matrix reproduces the
-pixel-level NPR exactly on non-anchor nodes, which `theorem1_check`
-verifies. The temporal differential concatenates each node with its
-next-frame twin through an affine map and adds -1 edges between the
-pair, overwriting any positive bridge edge at the same slot. Both stay
-inside one clip when a minibatch's clips share one frame-stacked graph.
++1 self edge. That pattern is one (N, N) block, the same in every
+frame and never widened to the (M, M) clip matrix. One linear
+propagation over it reproduces the pixel-level NPR exactly on
+non-anchor nodes, which `theorem1_check` verifies. The temporal
+differential concatenates each node with its next-frame twin through an
+affine map and adds -1 edges between the pair, overwriting any positive
+bridge edge at the same slot. Both stay inside one clip when a
+minibatch's clips share one frame-stacked graph.
 """
 
 from __future__ import annotations
@@ -18,24 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .graphs import VideoGraph, dense_from_layout, to_layout
+from .graphs import VideoGraph
 
 
 @dataclass(frozen=True)
 class NegativeSpatialAdjacency:
-    """Per-tile +-1 blocks, the same in every frame; zero outside
-    complete tiles. ``matrix`` is the (M, M) form, built on demand."""
+    """Per-tile +-1 blocks: one (N, N) ``block``, the same in each of
+    ``frames`` frames; zero outside complete tiles."""
 
     tile: int
     block: np.ndarray     # (N, N) entries in {-1, 0, 1}
     anchors: np.ndarray   # node indices of the tile anchors in one frame
     frames: int = 1
-
-    @property
-    def matrix(self):
-        n = self.block.shape[0]
-        return dense_from_layout(to_layout(
-            self.block, np.zeros((self.frames - 1, n))))
 
     @property
     def anchor_mask(self):
@@ -66,22 +62,21 @@ def npr_reference(grid, tile) -> np.ndarray:
     return (blocks - anchors).reshape(gh * tile, gw * tile)
 
 
-def negative_spatial_matrix(frames, grid_h, grid_w, tile):
-    """The raw (M, M) tile-block matrix; trailing partial tiles skipped.
+def negative_spatial_matrix(grid_h, grid_w, tile):
+    """One frame's (N, N) tile-block matrix and its anchors; trailing
+    partial tiles skipped.
 
     Assignment order inside each block: zero, anchor row = -1, anchor
     column = -1, then diagonal = 1 (last, so the anchor diagonal is 1).
     """
-    m = frames * grid_h * grid_w
-    t, ti, tj, a, b = np.ix_(np.arange(frames), np.arange(grid_h // tile),
-                             np.arange(grid_w // tile), np.arange(tile),
-                             np.arange(tile))
-    # one row per tile in (frame, tile row, tile column) order; the
-    # tile's nodes row-major, the anchor first
-    ids = ((t * grid_h + ti * tile + a) * grid_w + tj * tile + b).reshape(
-        -1, tile * tile)
+    n = grid_h * grid_w
+    ti, tj, a, b = np.ix_(np.arange(grid_h // tile), np.arange(grid_w // tile),
+                          np.arange(tile), np.arange(tile))
+    # one row per tile in (tile row, tile column) order; the tile's
+    # nodes row-major, the anchor first
+    ids = ((ti * tile + a) * grid_w + tj * tile + b).reshape(-1, tile * tile)
     anchors = ids[:, 0]
-    mat = np.zeros((m, m))
+    mat = np.zeros((n, n))
     mat[anchors[:, None], ids] = -1.0
     mat[ids, anchors[:, None]] = -1.0
     mat[ids, ids] = 1.0
@@ -91,15 +86,16 @@ def negative_spatial_matrix(frames, grid_h, grid_w, tile):
 def build_spatial_negative(graph: VideoGraph, tile) -> NegativeSpatialAdjacency:
     if tile < 1:
         raise ValueError("tile size must be >= 1")
-    block, anchors = negative_spatial_matrix(1, graph.grid_h, graph.grid_w,
-                                             tile)
+    block, anchors = negative_spatial_matrix(graph.grid_h, graph.grid_w, tile)
     return NegativeSpatialAdjacency(tile, block, anchors, graph.frames)
 
 
 def sgc_aggregate(x, neg: NegativeSpatialAdjacency) -> np.ndarray:
-    """Single linear propagation X' = A_ns X (no attention, no activation)."""
+    """Single linear propagation X' = A_ns X (no attention, no
+    activation), applied as the tile block to each frame's rows."""
     x = np.asarray(x, dtype=np.float64)
-    return neg.matrix @ x
+    frames = x.reshape(neg.frames, neg.block.shape[0], -1)
+    return (neg.block @ frames).reshape(x.shape)
 
 
 def theorem1_check(image, tile):
@@ -116,8 +112,7 @@ def theorem1_check(image, tile):
     h, w = image.shape
     if h % tile or w % tile:
         raise ValueError("image dims must be divisible by the tile size")
-    neg = NegativeSpatialAdjacency(
-        tile, *negative_spatial_matrix(1, h, w, tile))
+    neg = NegativeSpatialAdjacency(tile, *negative_spatial_matrix(h, w, tile))
     propagated = sgc_aggregate(image.reshape(-1, 1), neg).reshape(h, w)
     reference = npr_reference(image, tile)
     dev = np.abs(propagated - reference)

@@ -4,17 +4,18 @@ One single-head GAT layer, shared by both passes and run as one fused
 op: h = Wx and the concatenation attention scores are computed once,
 then each pass masks them to its edge support, takes the softmax and
 aggregates. The softmax is undefined over negative weights, so attention
-runs on the magnitude support and each message is multiplied by the edge
-sign. The consistency pass uses the positive spatial + temporal edges
-(+1 signs); the inconsistency pass uses the tile blocks and the -1
-temporal entries. `SignedAdjacency` adds any missing self-loop (+1), so
-no softmax row is empty. The layer returns both passes' rows side by
-side, [h_c || h_ic], which `spatial_fuse` maps without a concat.
+runs on the support (the nonzero signs) and each message is multiplied
+by the edge sign. The consistency pass uses the positive spatial +
+temporal edges (+1 signs); the inconsistency pass uses the tile blocks
+and the -1 temporal entries. `SignedAdjacency` adds any missing
+self-loop (+1), so no softmax row is empty. The layer returns both
+passes' rows side by side, [h_c || h_ic], which `spatial_fuse` maps
+without a concat.
 
-Adjacency is held in the clip's frame layout (see `graphs.to_layout`),
-built straight from the graph's frame blocks and twin edges: node (t, i)
-attends over frame t's nodes and its twins in frames t - 1 and t + 1,
-never over a dense M x M mask.
+Each adjacency is one signed (T, N, N + 2) frame layout (see
+`graphs.to_layout`), built straight from the graph's frame blocks, twin
+edges and tile block: node (t, i) attends over frame t's nodes and its
+twins in frames t - 1 and t + 1, never over a dense M x M mask.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .differential import NegativeSpatialAdjacency
-from .graphs import VideoGraph, dense_from_layout, frame_layout, to_layout
+from .graphs import VideoGraph, to_layout
 
 
 @dataclass
@@ -36,54 +37,43 @@ class GatParams:
 
 @dataclass(frozen=True)
 class SignedAdjacency:
-    """Boolean edge support plus a {-1, 0, +1} sign per supported edge.
-
-    Both are (T, N, N + 2) frame layouts. A 2-D (M, M) pair is taken as
-    one frame with no twins. Every node gets a self-loop: a missing one
-    is added with sign +1, an existing one keeps its sign.
+    """A {-1, 0, +1} sign per edge, held as one (T, N, N + 2) frame
+    layout; the edge support is where the sign is nonzero. Every node
+    gets a self-loop: a missing one is added with sign +1, an existing
+    one keeps its sign.
     """
 
-    support: np.ndarray
     sign: np.ndarray
 
     def __post_init__(self):
-        support = np.asarray(self.support, dtype=bool)
         sign = np.asarray(self.sign, dtype=float)
-        if support.ndim == 2 and support.shape[0] == support.shape[1]:
-            support, sign = frame_layout(support, 1), frame_layout(sign, 1)
-        if (support.ndim != 3 or support.shape[2] != support.shape[1] + 2
-                or sign.shape != support.shape):
-            raise ValueError(f"support {support.shape} and sign {sign.shape} "
-                             f"must share one (T, N, N + 2) frame layout")
-        if ((sign != 0) != support).any():
-            raise ValueError("sign must be nonzero exactly on the support")
-        n = support.shape[1]
-        if support[0, :, n].any() or support[-1, :, n + 1].any():
+        if sign.ndim != 3 or sign.shape[2] != sign.shape[1] + 2:
+            raise ValueError(f"sign {sign.shape} is not a (T, N, N + 2) "
+                             f"frame layout")
+        n = sign.shape[1]
+        if sign[0, :, n].any() or sign[-1, :, n + 1].any():
             raise ValueError("twin entry beyond the first or last frame")
         diag = np.arange(n)
-        missing = ~support[:, diag, diag]
+        missing = sign[:, diag, diag] == 0
         if missing.any():
-            support, sign = support.copy(), sign.copy()
-            support[:, diag, diag] = True
+            sign = sign.copy()
             sign[:, diag, diag] += missing   # an absent loop's sign is 0
-        object.__setattr__(self, "support", support)
         object.__setattr__(self, "sign", sign)
 
-    def dense(self):
-        """The (M, M) support and sign this layout stands for."""
-        return dense_from_layout(self.support), dense_from_layout(self.sign)
+    @property
+    def support(self):
+        return self.sign != 0
 
 
 def consistency_adjacency(graph: VideoGraph) -> SignedAdjacency:
-    support = to_layout(graph.blocks > 0, graph.twins > 0)
-    return SignedAdjacency(support, support.astype(float))
+    return SignedAdjacency(to_layout(graph.blocks > 0, graph.twins > 0))
 
 
 def inconsistency_adjacency(graph: VideoGraph,
                             neg: NegativeSpatialAdjacency | None) -> SignedAdjacency:
     block = np.zeros(graph.blocks.shape[1:]) if neg is None else neg.block
-    sign = to_layout(np.sign(block), np.minimum(np.sign(graph.twins), 0.0))
-    return SignedAdjacency(sign != 0, sign)
+    return SignedAdjacency(to_layout(np.sign(block),
+                                     np.minimum(np.sign(graph.twins), 0.0)))
 
 
 def gat_forward(x, adjacencies, params: GatParams, slope=0.2):
@@ -91,7 +81,7 @@ def gat_forward(x, adjacencies, params: GatParams, slope=0.2):
 
     h = xW and the scores e_ij = LeakyReLU(a . [h_i || h_j]) are
     computed once for every pass (`autodiff.frame_attention`); each
-    pass takes the masked softmax over its own magnitude support, node
+    pass takes the masked softmax over its own support (sign != 0), node
     i aggregates sum_j alpha_ij s_ij h_j, and the result passes through
     LeakyReLU. Returns (M, P d): row i holds the P passes' outputs side
     by side, in the order of ``adjacencies``. `SignedAdjacency` holds
@@ -103,8 +93,7 @@ def gat_forward(x, adjacencies, params: GatParams, slope=0.2):
         raise ValueError(f"feature dim {x.data.shape[1]} != layer dim {d}")
     h = ad.matmul(x, params.weight)
     return ad.leaky_relu(ad.frame_attention(
-        h, params.attention, [adj.support for adj in adjacencies],
-        [adj.sign for adj in adjacencies], slope), slope)
+        h, params.attention, [adj.sign for adj in adjacencies], slope), slope)
 
 
 def spatial_fuse(h, weight, bias, clips=1):

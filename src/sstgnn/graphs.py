@@ -7,9 +7,16 @@ frames are bridged at matching coordinates when the sum of structural
 (adjacency-row) and feature similarity clears tau_t. The assembled
 VideoGraph is immutable and keeps the frame layout: per-frame blocks and
 one twin edge per node and frame pair; the differential module later
-writes its negative edges into the same layout. A minibatch of equal
-clips is one graph of their stacked frames (a disjoint union): no twin
-edge joins the last frame of one clip to the first of the next.
+writes its -1 temporal edges into the twins and holds its tile pattern
+as one block for every frame. A minibatch of equal clips is one graph
+of their stacked frames (a disjoint union): no twin edge joins the last
+frame of one clip to the first of the next.
+
+The frame layout is the only graph format: `to_layout` packs blocks
+and twins into the (T, N, N + 2) rows attention and the Lanczos matvec
+read, and `dump_edges` writes straight from it. `dense_from_layout` and
+the (M, M) `VideoGraph.spatial`/`.temporal` it builds remain only for
+the benchmark's graph counts and the dense Laplacian reference.
 """
 
 from __future__ import annotations
@@ -49,7 +56,8 @@ class VideoGraph:
     t + 1: a positive bridge similarity, or -1 once the temporal
     differential is applied (negatives overwrite coincident positives),
     or 0. No edge of the clip graph lies elsewhere; the (M, M)
-    ``spatial`` and ``temporal`` matrices are built on demand.
+    ``spatial`` and ``temporal`` matrices are built on demand, off the
+    model path.
 
     ``clips`` equal clips may share the graph, stacked along the frame
     axis; the twin rows at their boundaries (``clip_boundaries``) are 0.
@@ -85,18 +93,6 @@ class VideoGraph:
     def clip_boundaries(self):
         return clip_boundaries(self.frames, self.clips)
 
-    def node_index(self, t, i, j):
-        if not (0 <= t < self.frames and 0 <= i < self.grid_h and 0 <= j < self.grid_w):
-            raise IndexError(f"node ({t},{i},{j}) out of range")
-        return (t * self.grid_h + i) * self.grid_w + j
-
-    def node_coords(self, k):
-        n = self.patches_per_frame
-        t, p = divmod(int(k), n)
-        if not 0 <= t < self.frames:
-            raise IndexError(f"node {k} out of range")
-        return t, p // self.grid_w, p % self.grid_w
-
     @property
     def spatial(self):
         """(M, M) block-diagonal intra-frame adjacency."""
@@ -107,11 +103,6 @@ class VideoGraph:
         """(M, M) temporal edges: the twins on the +-N diagonals."""
         return dense_from_layout(to_layout(np.zeros(self.blocks.shape[1:]),
                                           self.twins))
-
-    @property
-    def temporal_positive(self):
-        temporal = self.temporal
-        return np.where(temporal > 0, temporal, 0.0)
 
     def with_twins(self, twins):
         return replace(self, twins=twins)
@@ -231,37 +222,6 @@ def to_layout(blocks, twins):
     return layout
 
 
-def frame_layout(matrix, frames):
-    """Read an (M, M) clip matrix into the (T, N, N + 2) frame layout.
-
-    Row (t, i) holds frame t's own block in its first N columns, then
-    the entry to its twin in frame t - 1 and the entry to its twin in
-    frame t + 1 (zero where the frame does not exist). Every edge of the
-    clip graph fits: spatial edges stay inside a frame and temporal ones
-    join node v of frame t to node v of frame t +- 1. Any other nonzero
-    entry raises ValueError, so no edge is dropped silently.
-    """
-    matrix = np.asarray(matrix)
-    m = matrix.shape[0]
-    if matrix.shape != (m, m) or frames < 1 or m % frames:
-        raise ValueError(f"cannot split a {matrix.shape} matrix into "
-                         f"{frames} frames")
-    n = m // frames
-    t = np.arange(frames)
-    layout = np.zeros((frames, n, n + 2), dtype=matrix.dtype)
-    layout[:, :, :n] = matrix.reshape(frames, n, frames, n)[t, :, t, :]
-    layout[1:, :, n] = matrix.diagonal(-n).reshape(frames - 1, n)
-    layout[:-1, :, n + 1] = matrix.diagonal(n).reshape(frames - 1, n)
-    if np.count_nonzero(layout != 0) != np.count_nonzero(matrix != 0):
-        rest = matrix != 0
-        rest[dense_from_layout(layout) != 0] = False
-        u, v = np.argwhere(rest)[0]
-        raise ValueError(f"entry ({u}, {v}) joins frames {u // n} and "
-                         f"{v // n} off the twin diagonal; the frame "
-                         f"layout cannot hold it")
-    return layout
-
-
 def dense_from_layout(layout):
     """The (M, M) matrix a (T, N, N + 2) frame layout stands for."""
     frames, n, _ = layout.shape
@@ -278,27 +238,29 @@ def dense_from_layout(layout):
 _EDGE_KINDS = ("spatial", "temporal", "neg_temporal", "neg_spatial")
 
 
-def dump_edges(path, graph: VideoGraph, negative_spatial=None):
+def dump_edges(path, graph: VideoGraph, negative=None):
     """Write the edge list as `u v w kind` lines for inspection.
 
-    One line per nonzero entry with u <= v (u < v for neg_spatial), in
-    (u, v) order and, within a pair, in the order of ``_EDGE_KINDS``.
+    One line per edge of the clip graph, read from its frame layout: the
+    upper triangle of each frame block, each nonzero twin (temporal when
+    positive, else neg_temporal) and, given a `NegativeSpatialAdjacency`,
+    the strict upper triangle of its tile ``block`` in every frame. Lines
+    run in (u, v) order and, within a pair, in the order of
+    ``_EDGE_KINDS``.
     """
-    spatial, temporal = graph.spatial, graph.temporal
-    entries = [(spatial, spatial != 0, 0), (temporal, temporal > 0, 0),
-               (temporal, temporal < 0, 0)]
-    if negative_spatial is not None:
-        entries.append((negative_spatial, negative_spatial != 0, 1))
-    us, vs, kinds, weights = [], [], [], []
-    for kind, (source, mask, offset) in enumerate(entries):
-        u, v = np.nonzero(mask)
-        keep = v - u >= offset
-        u, v = u[keep], v[keep]
-        us.append(u)
-        vs.append(v)
-        kinds.append(np.full(u.size, kind))
-        weights.append(source[u, v])
-    u, v, kind, w = (np.concatenate(a) for a in (us, vs, kinds, weights))
+    n = graph.patches_per_frame
+    t, i, j = np.nonzero(np.triu(graph.blocks))
+    edges = [(t * n + i, t * n + j, graph.blocks[t, i, j], 0)]
+    t, v = np.nonzero(graph.twins)
+    w = graph.twins[t, v]
+    edges.append((t * n + v, (t + 1) * n + v, w, np.where(w > 0, 1, 2)))
+    if negative is not None:
+        i, j = np.nonzero(np.triu(negative.block, 1))
+        base = np.arange(graph.frames)[:, None] * n
+        edges.append(((base + i).ravel(), (base + j).ravel(),
+                      np.tile(negative.block[i, j], graph.frames), 3))
+    u, v, w = (np.concatenate([e[k] for e in edges]) for k in range(3))
+    kind = np.concatenate([np.broadcast_to(e[3], e[0].shape) for e in edges])
     order = np.lexsort((kind, v, u))
     with open(path, "w") as fh:
         fh.writelines(f"{a} {b} {c:.6g} {_EDGE_KINDS[k]}\n" for a, b, c, k in zip(

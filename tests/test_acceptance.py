@@ -87,7 +87,7 @@ def test_a2_spectral_identities():
             np.linalg.norm(rebuilt - x) / np.linalg.norm(x))
         checks["lam_low"] = min(checks["lam_low"], basis.eigenvalues.min())
         checks["lam_high"] = max(checks["lam_high"], basis.eigenvalues.max())
-        support = (g.spatial + g.temporal_positive) > 0
+        support = (g.spatial + np.maximum(g.temporal, 0)) > 0
         n_comp = connected_components(support)
         checks["component"] = max(checks["component"],
                                   basis.eigenvalues[n_comp - 1])
@@ -203,7 +203,7 @@ def test_a7_gat_properties():
         out = ad.frame_attention(
             ad.constant(np.hstack([h, np.ones((m, 1)), np.eye(m)])),
             ad.constant(np.concatenate([a[:d], zeros, a[d:], zeros])),
-            [layout], [layout.astype(float)]).data
+            [layout.astype(float)]).data
         worst_row = max(worst_row, np.abs(out[:, d] - 1.0).max())
         assert np.all(out[:, d + 1:][~graphs.dense_from_layout(layout)] == 0.0)
 
@@ -212,13 +212,14 @@ def test_a7_gat_properties():
         support[np.arange(n), np.arange(n)] = True
         sign = np.where(support,
                         np.where(rng.random((n, n)) < 0.3, -1.0, 1.0), 0.0)
-        adj = gat.SignedAdjacency(support, sign)
+        no_twins = np.zeros((0, n))
+        adj = gat.SignedAdjacency(graphs.to_layout(sign, no_twins))
         perm = rng.permutation(n)
         base = gat.gat_forward(ad.constant(x), [adj], params).data
         permuted = gat.gat_forward(
             ad.constant(x[perm]),
-            [gat.SignedAdjacency(support[np.ix_(perm, perm)],
-                                 sign[np.ix_(perm, perm)])],
+            [gat.SignedAdjacency(graphs.to_layout(sign[np.ix_(perm, perm)],
+                                                  no_twins))],
             params).data
         denom = max(np.abs(base).max(), 1.0)
         worst_perm = max(worst_perm, np.abs(permuted - base[perm]).max() / denom)

@@ -77,8 +77,7 @@ def attention_weights(support, peer_scores, sign=None, slope=1.0):
     h = np.hstack([np.asarray(peer_scores, dtype=float)[:, None], np.eye(m)])
     a = np.zeros(2 * (m + 1))
     a[m + 1] = 1.0
-    out = ad.frame_attention(ad.constant(h), ad.constant(a), [support], [sign],
-                             slope)
+    out = ad.frame_attention(ad.constant(h), ad.constant(a), [sign], slope)
     return out.data[:, 1:]
 
 
@@ -143,7 +142,7 @@ class TestMaskedSoftmax:
         w = ad.constant(rng.normal(size=(3, 1)))
 
         def f():
-            return ad.mean(ad.matmul(ad.frame_attention(h, a, [support], [sign]), w))
+            return ad.mean(ad.matmul(ad.frame_attention(h, a, [sign]), w))
 
         assert ad.finite_diff_check(f, {"h": h, "a": a}) < 1e-7
 
@@ -169,10 +168,9 @@ class TestAttentionPasses:
         h = ad.parameter(rng.normal(size=(frames * n, d)) * 2.0)
         a = ad.parameter(rng.normal(size=2 * d))
         probe = ad.constant(rng.normal(size=(frames * n, 2 * d)))
-        both = ad.frame_attention(h, a, support, sign)
-        stacked = ad.frame_attention(h, a, np.stack(support), np.stack(sign))
-        single = [ad.frame_attention(h, a, [s], [g])
-                  for s, g in zip(support, sign)]
+        both = ad.frame_attention(h, a, sign)
+        stacked = ad.frame_attention(h, a, np.stack(sign))
+        single = [ad.frame_attention(h, a, [g]) for g in sign]
         joined = np.hstack([out.data for out in single])
         assert both.data.tobytes() == joined.tobytes() == stacked.data.tobytes()
         fused = ad.mean(ad.mul(both, probe)).backward()
@@ -192,7 +190,7 @@ class TestAttentionPasses:
         w = ad.constant(rng.normal(size=(6, 1)))
 
         def f():
-            return ad.mean(ad.matmul(ad.frame_attention(h, a, support, sign), w))
+            return ad.mean(ad.matmul(ad.frame_attention(h, a, sign), w))
 
         grads = f().backward()
         assert min(np.abs(grads[t]).min() for t in (h, a)) > 1e-6
@@ -205,14 +203,13 @@ class TestAttentionPasses:
         sign = [s.astype(float) for s in support]
         with pytest.raises(ValueError, match="pass 1, frame 1, node 2 has no support"):
             ad.frame_attention(ad.constant(np.ones((12, 2))),
-                               ad.constant(np.ones(4)), support, sign)
+                               ad.constant(np.ones(4)), sign)
 
     def test_layout_without_pass_axis_rejected(self):
         support = random_layout(np.random.default_rng(7), frames=3, n=4)
         with pytest.raises(ValueError, match="layouts"):
             ad.frame_attention(ad.constant(np.ones((12, 2))),
-                               ad.constant(np.ones(4)), support,
-                               support.astype(float))
+                               ad.constant(np.ones(4)), support.astype(float))
 
 
 def dense_blocks(blocks):

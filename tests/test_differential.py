@@ -44,7 +44,7 @@ class TestNprReference:
 class TestSpatialNegative:
     def test_hand_built_tile_block(self):
         # 2x2 grid, one frame, tile 2: nodes a(anchor), b, c, d
-        mat, anchors = diff.negative_spatial_matrix(1, 2, 2, 2)
+        mat, anchors = diff.negative_spatial_matrix(2, 2, 2)
         np.testing.assert_array_equal(mat, [
             [1, -1, -1, -1],
             [-1, 1, 0, 0],
@@ -56,17 +56,24 @@ class TestSpatialNegative:
     def test_tile1_is_identity(self):
         g = small_graph()
         neg = diff.build_spatial_negative(g, 1)
-        np.testing.assert_array_equal(neg.matrix, np.eye(g.node_count))
+        np.testing.assert_array_equal(neg.block, np.eye(g.patches_per_frame))
+        x = np.random.default_rng(1).random((g.node_count, 3))
+        np.testing.assert_array_equal(diff.sgc_aggregate(x, neg), x)
 
     def test_no_cross_frame_coupling(self):
         g = small_graph(t=2, grid=4)
         neg = diff.build_spatial_negative(g, 2)
         n = g.patches_per_frame
-        assert np.all(neg.matrix[:n, n:] == 0.0)
-        assert np.all(neg.matrix[n:, :n] == 0.0)
+        x = np.zeros((g.node_count, 2))
+        x[:n] = np.random.default_rng(2).random((n, 2))
+        out = diff.sgc_aggregate(x, neg)
+        # frame 0's features reach no node of frame 1, and back
+        assert np.all(out[n:] == 0.0)
+        np.testing.assert_array_equal(out[:n], diff.sgc_aggregate(
+            x[:n], diff.NegativeSpatialAdjacency(2, neg.block, neg.anchors)))
 
     def test_partial_tiles_skipped(self):
-        mat, anchors = diff.negative_spatial_matrix(1, 3, 3, 2)
+        mat, anchors = diff.negative_spatial_matrix(3, 3, 2)
         # only the top-left 2x2 tile is complete on a 3x3 grid
         assert len(anchors) == 1
         covered = np.nonzero(mat.any(axis=1))[0]
@@ -75,7 +82,7 @@ class TestSpatialNegative:
     def test_row_sums(self):
         g = small_graph(grid=4)
         neg = diff.build_spatial_negative(g, 2)
-        sums = neg.matrix.sum(axis=1)
+        sums = diff.sgc_aggregate(np.ones(g.node_count), neg)
         anchor = neg.anchor_mask
         assert np.all(sums[anchor] == 1 - (2 * 2 - 1))
         assert np.all(sums[~anchor] == 0)
@@ -228,7 +235,9 @@ class TestAddTemporalNegative:
 
 
 def loop_negative_spatial_matrix(frames, grid_h, grid_w, tile):
-    """Per-tile loop reference for `negative_spatial_matrix`."""
+    """Per-tile loop reference for the (M, M) tile matrix of ``frames``
+    frames: `negative_spatial_matrix` at one frame, the block per frame
+    beyond."""
     m = frames * grid_h * grid_w
     mat = np.zeros((m, m))
     anchors = []
@@ -259,12 +268,20 @@ class TestMatchesLoopReference:
     """T=3 frames on a 5x4 grid with tile 2: the last tile row is partial."""
 
     def test_spatial_matrix_bit_identical(self):
+        g = graphs.VideoGraph(3, 5, 4, np.zeros((3, 20, 20)), np.zeros((2, 20)))
         for tile in (1, 2, 3, 5):
-            mat, anchors = diff.negative_spatial_matrix(3, 5, 4, tile)
-            ref_mat, ref_anchors = loop_negative_spatial_matrix(3, 5, 4, tile)
+            mat, anchors = diff.negative_spatial_matrix(5, 4, tile)
+            ref_mat, ref_anchors = loop_negative_spatial_matrix(1, 5, 4, tile)
             assert mat.tobytes() == ref_mat.tobytes()
             assert anchors.dtype == ref_anchors.dtype
             np.testing.assert_array_equal(anchors, ref_anchors)
+            # the block in every frame is the clip's (M, M) tile matrix
+            neg = diff.build_spatial_negative(g, tile)
+            clip_mat, clip_anchors = loop_negative_spatial_matrix(3, 5, 4, tile)
+            np.testing.assert_array_equal(diff.sgc_aggregate(np.eye(60), neg),
+                                          clip_mat)
+            np.testing.assert_array_equal(np.nonzero(neg.anchor_mask)[0],
+                                          clip_anchors)
 
     def test_temporal_negative_bit_identical(self):
         emb = np.random.default_rng(3).random((3, 20, 5))

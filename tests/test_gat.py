@@ -22,10 +22,15 @@ def make_params(d, seed=0, zero_attention=False):
 
 
 def adjacency(support, sign=None):
-    support = np.asarray(support, dtype=bool)
-    if sign is None:
-        sign = support.astype(float)
-    return gat.SignedAdjacency(support, np.asarray(sign, dtype=float))
+    """One frame with no twins: an (n, n) sign, +1 on the support when
+    not given."""
+    sign = np.asarray(support if sign is None else sign, dtype=float)
+    return gat.SignedAdjacency(graphs.to_layout(sign, np.zeros((0, len(sign)))))
+
+
+def dense_pair(adj):
+    """The (M, M) support and sign an adjacency's layout stands for."""
+    return graphs.dense_from_layout(adj.support), graphs.dense_from_layout(adj.sign)
 
 
 def attention_weights(h, attention, adj):
@@ -35,8 +40,7 @@ def attention_weights(h, attention, adj):
     m, d = h.shape
     probe = np.hstack([h, np.eye(m)])
     a = np.concatenate([attention[:d], np.zeros(m), attention[d:], np.zeros(m)])
-    out = ad.frame_attention(ad.constant(probe), ad.constant(a), [adj.support],
-                             [adj.sign]).data
+    out = ad.frame_attention(ad.constant(probe), ad.constant(a), [adj.sign]).data
     return out[:, d:]
 
 
@@ -111,7 +115,7 @@ class TestGatForward:
         adj = adjacency(support)
         alpha = attention_weights(x @ params.weight.data,
                                   params.attention.data, adj)
-        support, _ = adj.dense()
+        support, _ = dense_pair(adj)
         np.testing.assert_allclose(alpha.sum(axis=1), np.ones(6), atol=1e-12)
         assert np.all(alpha[~support] == 0.0)
 
@@ -156,10 +160,6 @@ class TestGatForward:
             gat.gat_forward(ad.constant(np.ones((2, 4))),
                             [adjacency(np.ones((2, 2), dtype=bool))], params)
 
-    def test_sign_support_consistency_enforced(self):
-        with pytest.raises(ValueError, match="sign"):
-            gat.SignedAdjacency(np.array([[True]]), np.array([[0.0]]))
-
 
 def clip_graph(t=2, grid=2, d=4, seed=0, tau=0.3):
     emb = np.random.default_rng(seed).random((t, grid * grid, d))
@@ -172,9 +172,7 @@ class TestPasses:
         params = make_params(4, seed=17)
         x = ad.constant(np.random.default_rng(18).normal(size=(4, 4)))
         out = gat.gat_forward(x, [gat.consistency_adjacency(g)], params)
-        direct = gat.gat_forward(
-            x, [gat.SignedAdjacency(g.spatial > 0, (g.spatial > 0).astype(float))],
-            params)
+        direct = gat.gat_forward(x, [adjacency(g.spatial > 0)], params)
         np.testing.assert_array_equal(out.data, direct.data)
 
     def test_disconnected_node_keeps_self_message(self):
@@ -217,7 +215,7 @@ class TestPasses:
         x = np.random.default_rng(27).normal(size=(8, 4))
         adj = gat.inconsistency_adjacency(g, neg)
         out = gat.gat_forward(ad.constant(x), [adj], params)
-        support, sign = adj.dense()
+        support, sign = dense_pair(adj)
         expected = brute_force(x, support, sign, params.weight.data,
                                params.attention.data)
         np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
@@ -305,7 +303,8 @@ def old_dense_adjacency(graph, neg):
     consistency = loops(support, support.astype(float))
     combined = np.where(graph.temporal < 0, graph.temporal, 0.0)
     if neg is not None:
-        combined = combined + neg.matrix
+        combined = combined + graphs.dense_from_layout(graphs.to_layout(
+            neg.block, np.zeros(graph.twins.shape)))
     return consistency, loops(combined != 0, np.sign(combined))
 
 
@@ -329,10 +328,10 @@ def bridged_layout(seed=31):
     assert adj.support[1:, :, n].any() and adj.support[:-1, :, n + 1].any()
     sign = adj.sign.copy()
     flip = np.random.default_rng(seed + 1).random(sign.shape) < 0.4
-    sign[flip & adj.support] *= -1.0
+    sign[flip] *= -1.0
     twins = sign[:, :, n:][adj.support[:, :, n:]]
     assert (twins > 0).any() and (twins < 0).any()
-    return gat.SignedAdjacency(adj.support, sign)
+    return gat.SignedAdjacency(sign)
 
 
 class TestFrameLayoutAttention:
@@ -356,7 +355,7 @@ class TestFrameLayoutAttention:
         params = make_params(4, seed=35)
         x = np.random.default_rng(36).normal(size=(12, 4))
         out = gat.gat_forward(ad.constant(x), [adj], params)
-        support, sign = adj.dense()
+        support, sign = dense_pair(adj)
         expected = brute_force(x, support, sign, params.weight.data,
                                params.attention.data)
         np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
@@ -373,11 +372,11 @@ class TestFrameLayoutAttention:
         for adj in (structure.consistency, structure.inconsistency):
             runs = []
             for run in (lambda: gat.gat_forward(x, [adj], params.gat),
-                        lambda: dense_gat(x, *adj.dense(), params.gat)):
+                        lambda: dense_gat(x, *dense_pair(adj), params.gat)):
                 out = run()
                 # a summed probe keeps the gradients O(1) or larger, so
                 # the absolute bound below is a tight one
-                loss = ad.scale(ad.mean(ad.mul(out, probe)), m * d)
+                loss = ad.mul(ad.mean(ad.mul(out, probe)), float(m * d))
                 grads = loss.backward()
                 runs.append([out.data] + [grads[t] for t in (
                     x, params["gat.weight"], params["gat.attention"])])
@@ -403,7 +402,7 @@ class TestSignedAdjacencyLayout:
         old = old_dense_adjacency(structure.graph, structure.negative)
         for adj, (support, sign) in zip(
                 (structure.consistency, structure.inconsistency), old):
-            dense_support, dense_sign = adj.dense()
+            dense_support, dense_sign = dense_pair(adj)
             assert dense_support.dtype == support.dtype
             assert dense_support.tobytes() == support.tobytes()
             assert dense_sign.tobytes() == sign.tobytes()
@@ -412,41 +411,45 @@ class TestSignedAdjacencyLayout:
         support = np.array([[1, 1], [0, 1]], dtype=bool)
         adj = adjacency(support)
         assert adj.support.shape == (1, 2, 4)
-        dense_support, dense_sign = adj.dense()
+        dense_support, dense_sign = dense_pair(adj)
         np.testing.assert_array_equal(dense_support, support)
         np.testing.assert_array_equal(dense_sign, support.astype(float))
 
     def test_construction_adds_missing_self_loops(self):
         support = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 0]], dtype=bool)
-        layout = graphs.frame_layout(support, 1)
-        sign = graphs.frame_layout(np.where(support, -1.0, 0.0), 1)
-        dense_support, dense_sign = gat.SignedAdjacency(layout, sign).dense()
+        sign = graphs.to_layout(np.where(support, -1.0, 0.0), np.zeros((0, 3)))
+        adj = gat.SignedAdjacency(sign)
+        np.testing.assert_array_equal(adj.support, adj.sign != 0)
+        dense_support, dense_sign = dense_pair(adj)
         np.testing.assert_array_equal(dense_support, support | np.eye(3, dtype=bool))
         # the absent loops of nodes 0 and 2 come back +1; node 1's -1 stays
         np.testing.assert_array_equal(dense_sign.diagonal(), [1.0, -1.0, 1.0])
         assert dense_sign[0, 1] == dense_sign[1, 0] == -1.0
-        # the caller's arrays are left as they were
-        assert not layout[0, 0, 0] and sign[0, 0, 0] == 0.0
+        # the caller's array is left as it was
+        assert sign[0, 0, 0] == 0.0 and sign[0, 1, 1] == -1.0
 
     def test_twin_beyond_the_clip_rejected(self):
-        support = np.zeros((2, 2, 4), dtype=bool)
-        support[0, 0, 2] = True   # frame 0 has no previous frame
+        sign = np.zeros((2, 2, 4))
+        sign[0, 0, 2] = 1.0   # frame 0 has no previous frame
         with pytest.raises(ValueError, match="twin"):
-            gat.SignedAdjacency(support, support.astype(float))
+            gat.SignedAdjacency(sign)
+        sign[0, 0, 2], sign[1, 1, 3] = 0.0, -1.0   # nor frame 1 a next one
+        with pytest.raises(ValueError, match="twin"):
+            gat.SignedAdjacency(sign)
 
     def test_layout_shape_checked(self):
         with pytest.raises(ValueError, match="frame layout"):
-            gat.SignedAdjacency(np.ones((2, 2, 2), dtype=bool), np.ones((2, 2, 2)))
+            gat.SignedAdjacency(np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="frame layout"):
+            gat.SignedAdjacency(np.ones((4, 4)))
 
     # a graph holds only frame blocks and twins, so such entries cannot
-    # reach the adjacency builders: reading one into the layout raises,
-    # and so does a graph given (M, M) arrays in place of the layout
+    # reach the adjacency builders: a graph given (M, M) arrays in place
+    # of the layout raises
     def test_cross_frame_spatial_entry_raises(self):
         g = clip_graph(t=2, grid=2)
         spatial = g.spatial.copy()
         spatial[0, 5] = spatial[5, 0] = 0.9   # frame 0 node 0 to frame 1 node 1
-        with pytest.raises(ValueError, match="off the twin diagonal"):
-            graphs.frame_layout(spatial, g.frames)
         with pytest.raises(ValueError, match="do not fit"):
             replace(g, blocks=spatial)
 
@@ -454,7 +457,5 @@ class TestSignedAdjacencyLayout:
         g = diff.add_temporal_negative(clip_graph(t=3, grid=2))
         temporal = g.temporal.copy()
         temporal[0, 8] = temporal[8, 0] = -1.0   # frame 0 to frame 2
-        with pytest.raises(ValueError, match="off the twin diagonal"):
-            graphs.frame_layout(temporal, g.frames)
         with pytest.raises(ValueError, match="do not fit"):
             g.with_twins(temporal)

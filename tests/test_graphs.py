@@ -170,12 +170,6 @@ class TestAssemble:
         assert np.all(g.spatial[:4, 4:] == 0.0)
         assert np.all(g.spatial[4:, :4] == 0.0)
 
-    def test_index_roundtrip_exhaustive(self):
-        g = self.build(t=3)
-        for k in range(g.node_count):
-            t, i, j = g.node_coords(k)
-            assert g.node_index(t, i, j) == k
-
     def test_spatial_symmetric_nonnegative_thresholded(self):
         g = self.build(seed=2)
         np.testing.assert_array_equal(g.spatial, g.spatial.T)
@@ -188,8 +182,8 @@ class TestAssemble:
         n = g.patches_per_frame
         us, vs = np.nonzero(g.temporal)
         for u, v in zip(us, vs):
-            (tu, iu, ju), (tv, iv, jv) = g.node_coords(u), g.node_coords(v)
-            assert abs(tu - tv) == 1 and (iu, ju) == (iv, jv)
+            (tu, pu), (tv, pv) = divmod(u, n), divmod(v, n)
+            assert abs(tu - tv) == 1 and pu == pv
 
     def test_stacked_clips_share_no_bridge(self):
         # tau_t = 0 keeps bridges, so the cut boundary row is not empty
@@ -220,22 +214,28 @@ class TestAssemble:
         assert "spatial" in kinds
 
 
-def reference_dump_edges(path, graph, negative_spatial=None):
-    """The pair-by-pair loop `dump_edges` replaced, kept as its oracle."""
+def reference_dump_edges(path, graph, negative=None):
+    """The pair-by-pair loop `dump_edges` replaced, kept as its oracle:
+    it reads the (M, M) matrices, the tile block repeated down the
+    diagonal for the negative spatial edges."""
+    spatial, temporal = graph.spatial, graph.temporal
+    tiles = None if negative is None else graphs.dense_from_layout(
+        graphs.to_layout(negative.block,
+                         np.zeros((graph.frames - 1, graph.patches_per_frame))))
     with open(path, "w") as fh:
         m = graph.node_count
         for u in range(m):
             for v in range(u, m):
-                w = graph.spatial[u, v]
+                w = spatial[u, v]
                 if w != 0:
                     fh.write(f"{u} {v} {w:.6g} spatial\n")
-                tw = graph.temporal[u, v]
+                tw = temporal[u, v]
                 if tw > 0:
                     fh.write(f"{u} {v} {tw:.6g} temporal\n")
                 elif tw < 0:
                     fh.write(f"{u} {v} {tw:.6g} neg_temporal\n")
-                if negative_spatial is not None and u != v:
-                    nw = negative_spatial[u, v]
+                if tiles is not None and u != v:
+                    nw = tiles[u, v]
                     if nw != 0:
                         fh.write(f"{u} {v} {nw:.6g} neg_spatial\n")
 
@@ -260,7 +260,7 @@ class TestDumpEdges:
     @pytest.mark.parametrize("tile", [1, 2, 3])
     def test_same_bytes_as_loop_with_differential(self, tmp_path, tile):
         g = differential.add_temporal_negative(clip_graph(2))
-        neg = differential.build_spatial_negative(g, tile).matrix
+        neg = differential.build_spatial_negative(g, tile)
         graphs.dump_edges(tmp_path / "new.txt", g, neg)
         reference_dump_edges(tmp_path / "ref.txt", g, neg)
         new = (tmp_path / "new.txt").read_bytes()
@@ -269,6 +269,24 @@ class TestDumpEdges:
         # a tile of one node has no off-diagonal entry
         assert kinds == {"spatial", "neg_temporal"} | (
             {"neg_spatial"} if tile > 1 else set())
+
+    def test_batch_graph_repeats_the_tile_block_per_frame(self, tmp_path):
+        # two stacked clips: the tile block of every frame of both clips,
+        # and no twin line between the clips
+        clips = [differential.add_temporal_negative(clip_graph(s))
+                 for s in (4, 5)]
+        g = graphs.VideoGraph(6, 8, 8, np.concatenate([c.blocks for c in clips]),
+                              np.concatenate([clips[0].twins, np.zeros((1, 64)),
+                                              clips[1].twins]), clips=2)
+        neg = differential.build_spatial_negative(g, 2)
+        graphs.dump_edges(tmp_path / "new.txt", g, neg)
+        reference_dump_edges(tmp_path / "ref.txt", g, neg)
+        new = (tmp_path / "new.txt").read_text()
+        assert new == (tmp_path / "ref.txt").read_text()
+        kinds = [line.split()[-1] for line in new.splitlines()]
+        # 16 tiles of 4 nodes, 3 pairs above the diagonal each, 6 frames
+        assert kinds.count("neg_spatial") == 6 * 16 * 3
+        assert kinds.count("neg_temporal") == 2 * 2 * 64
 
     def test_empty_graph_writes_nothing(self, tmp_path):
         g = graphs.VideoGraph(2, 2, 2, np.zeros((2, 4, 4)), np.zeros((1, 4)))
@@ -280,54 +298,32 @@ class TestFrameLayout:
     def test_cells_hold_block_and_twins(self):
         t, n = 3, 2
         m = t * n
-        dense = np.arange(1.0, m * m + 1).reshape(m, m)
-        keep = np.zeros((m, m), dtype=bool)
-        for f in range(t):
-            keep[f * n:(f + 1) * n, f * n:(f + 1) * n] = True
-        rows = np.arange(n, m)
-        keep[rows, rows - n] = keep[rows - n, rows] = True
-        dense[~keep] = 0.0
-        layout = graphs.frame_layout(dense, t)
+        rng = np.random.default_rng(0)
+        blocks, twins = rng.random((t, n, n)), rng.random((t - 1, n))
+        layout = graphs.to_layout(blocks, twins)
         assert layout.shape == (t, n, n + 2)
+        dense = graphs.dense_from_layout(layout)
         for f in range(t):
+            np.testing.assert_array_equal(layout[f, :, :n], blocks[f])
             for i in range(n):
                 u = f * n + i
-                np.testing.assert_array_equal(layout[f, i, :n],
-                                              dense[u, f * n:(f + 1) * n])
-                assert layout[f, i, n] == (dense[u, u - n] if f else 0.0)
-                assert layout[f, i, n + 1] == (dense[u, u + n] if f < t - 1
+                np.testing.assert_array_equal(dense[u, f * n:(f + 1) * n],
+                                              blocks[f, i])
+                assert layout[f, i, n] == (twins[f - 1, i] if f else 0.0)
+                assert layout[f, i, n + 1] == (twins[f, i] if f < t - 1
                                                else 0.0)
-        np.testing.assert_array_equal(graphs.dense_from_layout(layout), dense)
-
-    @pytest.mark.parametrize("differential_on", [False, True])
-    def test_clip_matrices_round_trip(self, differential_on):
-        g = clip_graph(3)
-        mats = [g.spatial, g.temporal]
-        if differential_on:
-            g = differential.add_temporal_negative(g)
-            mats = [g.temporal,
-                    differential.build_spatial_negative(g, 2).matrix]
-        for mat in mats:
-            back = graphs.dense_from_layout(graphs.frame_layout(mat, g.frames))
-            assert back.tobytes() == mat.tobytes()
+                if f:
+                    assert dense[u, u - n] == twins[f - 1, i]
+                if f < t - 1:
+                    assert dense[u, u + n] == twins[f, i]
+        # nothing lands off the frame blocks and the twin diagonals
+        assert dense.shape == (m, m)
+        assert np.count_nonzero(dense) == blocks.size + 2 * twins.size
 
     def test_one_frame_is_the_matrix_plus_empty_twins(self):
         a = np.random.default_rng(0).random((5, 5))
-        layout = graphs.frame_layout(a, 1)
+        layout = graphs.to_layout(a, np.zeros((0, 5)))
+        assert layout.shape == (1, 5, 7)
         np.testing.assert_array_equal(layout[0, :, :5], a)
         assert not layout[0, :, 5:].any()
-
-    @pytest.mark.parametrize("u, v", [(0, 3), (3, 0), (1, 2), (0, 4), (5, 0)])
-    def test_entry_off_the_layout_raises(self, u, v):
-        # three frames of two nodes: (0, 3) and (1, 2) join frames 0 and 1
-        # off the twins, (0, 4) and (5, 0) skip a frame
-        a = np.zeros((6, 6))
-        a[u, v] = 0.5
-        with pytest.raises(ValueError, match=rf"entry \({u}, {v}\)"):
-            graphs.frame_layout(a, 3)
-
-    def test_frames_must_divide_nodes(self):
-        with pytest.raises(ValueError, match="frames"):
-            graphs.frame_layout(np.zeros((6, 6)), 4)
-        with pytest.raises(ValueError, match="frames"):
-            graphs.frame_layout(np.zeros((6, 4)), 2)
+        np.testing.assert_array_equal(graphs.dense_from_layout(layout), a)

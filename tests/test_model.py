@@ -138,7 +138,7 @@ class TestForward:
         params = model.init_params(cfg)
         _, structure = model.forward([clip], params, cfg)
         assert structure.negative is None
-        support, _ = structure.inconsistency.dense()
+        support = graphs.dense_from_layout(structure.inconsistency.support)
         np.testing.assert_array_equal(support, np.eye(8, dtype=bool))
         assert not (structure.graph.temporal < 0).any()
 
@@ -364,13 +364,12 @@ class TestFrameLayoutPath:
         for name in ("graph_laplacian", "laplacian_from_adjacency",
                      "eigendecompose"):
             monkeypatch.setattr(spectral, name, dense_solve)
-        for owner, name in ((graphs.VideoGraph, "spatial"),
-                            (graphs.VideoGraph, "temporal"),
-                            (graphs.VideoGraph, "temporal_positive"),
-                            (differential.NegativeSpatialAdjacency, "matrix"),
-                            (gat.SignedAdjacency, "dense")):
-            monkeypatch.setattr(owner, name, property(dense))
-        for module in (graphs, gat, differential, spectral):
+        for name in ("spatial", "temporal"):
+            monkeypatch.setattr(graphs.VideoGraph, name, property(dense))
+        # graphs and spectral are the only modules that hold the converter
+        assert [module for module in (graphs, differential, gat, model, spectral)
+                if hasattr(module, "dense_from_layout")] == [graphs, spectral]
+        for module in (graphs, spectral):
             monkeypatch.setattr(module, "dense_from_layout", dense)
         clip = synth.generate(synth.SynthSpec("spectral_noise", seed=3)).clip
         for use_differential, blocks in ((True, 8), (False, 1)):
@@ -401,8 +400,9 @@ class TestFrameLayoutPath:
         for module in (graphs, spectral):
             monkeypatch.setattr(module, "dense_from_layout",
                                 recorded(graphs.dense_from_layout))
-        monkeypatch.setattr(spectral, "laplacian_from_adjacency",
-                            recorded(spectral.laplacian_from_adjacency))
+        for name in ("graph_laplacian", "laplacian_from_adjacency",
+                     "eigendecompose"):
+            monkeypatch.setattr(spectral, name, recorded(getattr(spectral, name)))
         cfg = model.TrainConfig(use_differential=False)
         params = model.init_params(cfg, random_head=True)
         logits, structure = model.forward([item.clip for item in desk_batch],

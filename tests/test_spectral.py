@@ -74,14 +74,14 @@ class TestLaplacian:
         # numpy's pairwise summation: equal to rounding, not bitwise
         np.testing.assert_allclose(
             block_diagonal_of(stack),
-            spectral.laplacian_from_adjacency(g.spatial + g.temporal_positive),
+            spectral.laplacian_from_adjacency(g.spatial + np.maximum(g.temporal, 0)),
             rtol=0, atol=1e-15)
         # positive bridges couple the frames: the dense formula itself
         g = random_video_graph(0)
         assert (g.twins > 0).any()
         np.testing.assert_array_equal(
             spectral.graph_laplacian(g),
-            spectral.laplacian_from_adjacency(g.spatial + g.temporal_positive))
+            spectral.laplacian_from_adjacency(g.spatial + np.maximum(g.temporal, 0)))
 
     def test_stack_is_per_block_formula(self):
         g = differential.add_temporal_negative(random_video_graph(1, t=3))
@@ -188,7 +188,7 @@ class TestDiagonalBlocks:
         lap = spectral.graph_laplacian(g)
         assert lap.shape == (12, 12)
         np.testing.assert_array_equal(lap, spectral.laplacian_from_adjacency(
-            g.spatial + g.temporal_positive))
+            g.spatial + np.maximum(g.temporal, 0)))
 
     @pytest.mark.parametrize("entry", [(0, 0), (1, 3)])
     def test_single_corner_coupling_is_one_block(self, entry):
@@ -200,7 +200,7 @@ class TestDiagonalBlocks:
         u = entry[0] * 4 + entry[1]
         assert lap[u, u + 4] < 0 and lap[u + 4, u] < 0
         np.testing.assert_array_equal(lap, spectral.laplacian_from_adjacency(
-            g.spatial + g.temporal_positive))
+            g.spatial + np.maximum(g.temporal, 0)))
 
 
 class TestSymmetryCheck:
