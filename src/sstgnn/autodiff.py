@@ -46,16 +46,14 @@ class Tensor:
     """A value plus its tape node: data and parent links.
 
     Tensors are immutable after construction (the optimizer mutates
-    parameter `.data` in place between tapes, never during one).
+    parameter `.data` in place between tapes, never during one). Data is
+    not scanned for NaN/Inf: `model.train_clips` checks each step's loss.
     """
 
     __slots__ = ("data", "requires_grad", "parents", "_backward")
 
     def __init__(self, data, requires_grad=False, parents=()):
-        arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor holds non-finite values (NaN/Inf)")
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.parents = tuple(parents)
         self._backward = None
@@ -250,17 +248,21 @@ def reshape(t, shape) -> Tensor:
     return out
 
 
-def leaky_relu(t, slope=0.2) -> Tensor:
+# the negative-side slope of every LeakyReLU in the detector
+LEAKY_SLOPE = 0.2
+
+
+def leaky_relu(t) -> Tensor:
     t = as_tensor(t)
-    # the max (the min for a slope above 1) of x and slope * x: the same
-    # values as x * gate, and the gate is formed only for a backward pass
-    value = np.multiply(t.data, slope)
-    (np.maximum if slope <= 1 else np.minimum)(t.data, value, out=value)
+    # the max of x and LEAKY_SLOPE * x: the same values as x * gate, and
+    # the gate is formed only for a backward pass
+    value = np.multiply(t.data, LEAKY_SLOPE)
+    np.maximum(t.data, value, out=value)
     out = Tensor(value, requires_grad=t.requires_grad, parents=(t,))
 
     def _backward(g, acc):
         if t.requires_grad:
-            _accum(acc, t, g * np.where(t.data > 0, 1.0, slope))
+            _accum(acc, t, g * np.where(t.data > 0, 1.0, LEAKY_SLOPE))
 
     out._backward = _backward
     return out
@@ -295,7 +297,7 @@ def block_matmul(blocks, x) -> Tensor:
 _OFF_SUPPORT = np.finfo(np.float64).max
 
 
-def frame_attention(h, attention, sign, slope=0.2) -> Tensor:
+def frame_attention(h, attention, sign) -> Tensor:
     """Signed attention aggregation of P passes over one (T, N, N + 2)
     frame layout.
 
@@ -335,10 +337,10 @@ def frame_attention(h, attention, sign, slope=0.2) -> Tensor:
     raw[:, :, n:] = s_self    # frames 0 and T - 1 lack one twin each
     raw[1:, :, n] += s_peer[:-1]
     raw[:-1, :, n + 1] += s_peer[1:]
-    # LeakyReLU as the max (the min for a slope above 1) of raw and
-    # slope * raw: the same values as raw * gate, with no branch
-    scores = np.multiply(raw, slope)
-    (np.maximum if slope <= 1 else np.minimum)(raw, scores, out=scores)
+    # LeakyReLU as the max of raw and LEAKY_SLOPE * raw: the same values
+    # as raw * gate, with no branch
+    scores = np.multiply(raw, LEAKY_SLOPE)
+    np.maximum(raw, scores, out=scores)
     support = [s != 0 for s in sign]
     alpha = np.empty((passes, *layout))
     for p in range(passes):
@@ -383,7 +385,7 @@ def frame_attention(h, attention, sign, slope=0.2) -> Tensor:
         dalpha *= alpha
         # the passes share their scores: one gate and one score gradient
         de = dalpha.sum(axis=0)
-        de *= np.where(raw > 0, 1.0, slope)
+        de *= np.where(raw > 0, 1.0, LEAKY_SLOPE)
         ds_self = de.sum(axis=-1)
         ds_peer = de[:, :, :n].sum(axis=1)
         ds_peer[:-1] += de[1:, :, n]
@@ -462,14 +464,17 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
 # Adam
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter first/second moments plus the shared step counter."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -488,23 +493,22 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> None:
         if p in grads and not np.all(np.isfinite(grads[p])):
             raise ValueError(f"non-finite gradient for parameter {name!r}; step rejected")
     t = state.t + 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     updates = {}
     with np.errstate(over="ignore", invalid="ignore"):  # caught below
         for name, p in params.items():
             g = grads.get(p)
             if g is None:
                 g = np.zeros_like(p.data)
-            m = state.m.get(name, 0.0) * b1
-            m += (1 - b1) * g
-            v = state.v.get(name, 0.0) * b2
-            v += (1 - b2) * g * g
-            # p - lr * (m / bc1) / (sqrt(v / bc2) + eps), in one buffer
+            m = state.m.get(name, 0.0) * ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v = state.v.get(name, 0.0) * ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            # p - lr * (m / bc1) / (sqrt(v / bc2) + ADAM_EPS), in one buffer
             data = m / bc1
             data *= state.lr
-            data /= np.sqrt(v / bc2) + state.eps
+            data /= np.sqrt(v / bc2) + ADAM_EPS
             np.subtract(p.data, data, out=data)
             # m mixes finite values convexly; g * g and a huge lr can overflow
             if not (np.isfinite(v).all() and np.isfinite(data).all()):

@@ -186,8 +186,6 @@ def cmd_npr_check(args):
 
 
 def cmd_gradcheck(args):
-    if args.scale != "toy":
-        raise ValueError("only --scale toy is supported")
     clip = synth.generate(synth.SynthSpec(
         "real", seed=args.seed, frames=2, height=4, width=4)).clip
     config = model.preset_config("toy")
@@ -275,8 +273,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_npr_check)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    p.add_argument("--scale", default="toy", choices=["toy"])
+    p = sub.add_parser("gradcheck", help="finite-difference gradient audit, toy scale")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
     return parser

@@ -76,7 +76,7 @@ def inconsistency_adjacency(graph: VideoGraph,
                                      np.minimum(np.sign(graph.twins), 0.0)))
 
 
-def gat_forward(x, adjacencies, params: GatParams, slope=0.2):
+def gat_forward(x, adjacencies, params: GatParams):
     """Signed single-head attention layer, one pass per adjacency.
 
     h = xW and the scores e_ij = LeakyReLU(a . [h_i || h_j]) are
@@ -93,7 +93,7 @@ def gat_forward(x, adjacencies, params: GatParams, slope=0.2):
         raise ValueError(f"feature dim {x.data.shape[1]} != layer dim {d}")
     h = ad.matmul(x, params.weight)
     return ad.leaky_relu(ad.frame_attention(
-        h, params.attention, [adj.sign for adj in adjacencies], slope), slope)
+        h, params.attention, [adj.sign for adj in adjacencies]))
 
 
 def spatial_fuse(h, weight, bias, clips=1):

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# added to every L2 norm a cosine similarity divides by: zero rows stay 0
 EPS_NORM = 1e-4
 
 
@@ -136,13 +137,11 @@ def unpatchify(pt: PatchTensor) -> np.ndarray:
     return tiles.reshape(t, pt.grid_h * l, pt.grid_w * l, c)
 
 
-def row_normalize(x, eps=EPS_NORM):
-    """Divide each row by (its L2 norm + eps); zero rows stay zero."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+def row_normalize(x):
+    """Divide each row by (its L2 norm + EPS_NORM); zero rows stay zero."""
     x = np.asarray(x, dtype=np.float64)
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    return x / (norms + eps)
+    return x / (norms + EPS_NORM)
 
 
 def intra_frame_adjacency(x_norm, tau_s):
@@ -160,13 +159,13 @@ def intra_frame_adjacency(x_norm, tau_s):
     return a
 
 
-def _row_cosines(u, v, eps):
+def _row_cosines(u, v):
     return (np.einsum("...i,...i->...", u, v)
-            / ((np.linalg.norm(u, axis=-1) + eps)
-               * (np.linalg.norm(v, axis=-1) + eps)))
+            / ((np.linalg.norm(u, axis=-1) + EPS_NORM)
+               * (np.linalg.norm(v, axis=-1) + EPS_NORM)))
 
 
-def temporal_bridge(a_t, a_next, x_t, x_next, tau_t, eps=EPS_NORM):
+def temporal_bridge(a_t, a_next, x_t, x_next, tau_t):
     """Per-coordinate bridge scores between consecutive frames.
 
     Row v of each input belongs to node v; leading axes (a stack of
@@ -178,7 +177,7 @@ def temporal_bridge(a_t, a_next, x_t, x_next, tau_t, eps=EPS_NORM):
     if a_next.shape[:-1] != shape or x_t.shape[:-1] != shape \
             or x_next.shape[:-1] != shape:
         raise ValueError("frames must share the same node count")
-    scores = _row_cosines(a_t, a_next, eps) + _row_cosines(x_t, x_next, eps)
+    scores = _row_cosines(a_t, a_next) + _row_cosines(x_t, x_next)
     return scores, scores / 2 >= tau_t
 
 
@@ -190,18 +189,18 @@ def clip_boundaries(frames, clips):
     return slice(per_clip - 1, None, per_clip)
 
 
-def unified_graph(embeddings, grid_h, grid_w, tau_s, tau_t, eps=EPS_NORM,
-                  clips=1, bridges=True) -> VideoGraph:
+def unified_graph(embeddings, grid_h, grid_w, tau_s, tau_t, clips=1,
+                  bridges=True) -> VideoGraph:
     """Full pipeline from per-frame embeddings (T, N, d) to a VideoGraph;
     ``clips`` equal clips stacked along T get no bridge between them.
     ``bridges=False`` scores none and leaves every twin 0, for a caller
     that overwrites them all (the temporal differential)."""
     emb = np.asarray(embeddings, dtype=np.float64)
-    adjs = intra_frame_adjacency(row_normalize(emb, eps), tau_s)
+    adjs = intra_frame_adjacency(row_normalize(emb), tau_s)
     twins = np.zeros((len(emb) - 1, emb.shape[1]))
     if bridges:
         scores, keep = temporal_bridge(adjs[:-1], adjs[1:], emb[:-1], emb[1:],
-                                       tau_t, eps)
+                                       tau_t)
         twins = np.where(keep, scores, 0.0)
         twins[clip_boundaries(len(adjs), clips)] = 0.0
     return VideoGraph(len(adjs), grid_h, grid_w, adjs, twins, clips)

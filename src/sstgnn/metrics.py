@@ -19,6 +19,8 @@ from . import model as model_mod
 from .model import TrainConfig, config_hash, train_clips
 from .synth import FAKE_FAMILIES, make_corpus
 
+THRESHOLD = 0.5
+
 
 def auc(scores, labels) -> float:
     """Mann-Whitney AUC via average ranks; needs both classes present."""
@@ -40,12 +42,12 @@ def auc(scores, labels) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def accuracy(scores, labels, threshold=0.5) -> float:
+def accuracy(scores, labels) -> float:
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.intp)
     if len(s) == 0:
         raise ValueError("accuracy needs at least one sample")
-    return float(np.mean((s >= threshold) == (y == 1)))
+    return float(np.mean((s >= THRESHOLD) == (y == 1)))
 
 
 @dataclass(frozen=True)

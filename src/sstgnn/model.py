@@ -58,8 +58,6 @@ class TrainConfig:
     batch_size: int = 16
     epochs: int = 30
     seed: int = 0
-    eps: float = 1e-4
-    leaky_slope: float = 0.2
     use_spectral: bool = True
     use_differential: bool = True
     use_temporal_mlp: bool = True
@@ -73,6 +71,8 @@ class TrainConfig:
                                  f"got {type(value).__name__} {value!r}")
         if not (0.0 <= self.tau_s <= 1.0 and 0.0 <= self.tau_t <= 1.0):
             raise ValueError("thresholds must lie in [0, 1]")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
         for name in ("patch_size", "tile", "dim", "batch_size", "epochs",
                      "filter_hidden", "channels"):
             if getattr(self, name) < 1:
@@ -168,30 +168,22 @@ def _affine_encoder_init(rng, patch, channels, dim):
     w = rng.normal(0.0, 1.0 / np.sqrt(p), size=(p, dim))
     if patch < 2:
         return w
-
-    def place(col, kern, a, b, ch, scale=1.0):
-        for i in range(2):
-            for j in range(2):
-                col[((a + i) * patch + (b + j)) * channels + ch] += \
-                    scale * kern[i, j]
-
-    local = range(dim // 2, dim - dim // 4)
-    tiled = range(dim - dim // 4, dim)
-    for k in local:
-        col = np.zeros(p)
-        place(col, _difference_kernel(rng),
-              int(rng.integers(0, patch - 1)), int(rng.integers(0, patch - 1)),
-              int(rng.integers(0, channels)))
-        w[:, k] = col
-    n_windows = (patch // 2) ** 2
-    for k in tiled:
-        col = np.zeros(p)
+    w[:, dim // 2:] = 0.0
+    # a view of w by pixel row, pixel column, channel and feature
+    pixels = w.reshape(patch, patch, channels, dim)
+    for k in range(dim // 2, dim - dim // 4):
+        kern = _difference_kernel(rng)
+        a, b = int(rng.integers(0, patch - 1)), int(rng.integers(0, patch - 1))
+        ch = int(rng.integers(0, channels))
+        pixels[a:a + 2, b:b + 2, ch, k] = kern
+    # the aligned 2x2 windows cover the top-left span x span square
+    windows = patch // 2
+    span = 2 * windows
+    for k in range(dim - dim // 4, dim):
         kern = _difference_kernel(rng)
         ch = int(rng.integers(0, channels))
-        for a in range(0, patch - 1, 2):
-            for b in range(0, patch - 1, 2):
-                place(col, kern, a, b, ch, scale=1.0 / np.sqrt(n_windows))
-        w[:, k] = col
+        pixels[:span, :span, ch, k] = (np.tile(kern, (windows, windows))
+                                       * (1.0 / np.sqrt(windows ** 2)))
     return w
 
 
@@ -259,7 +251,7 @@ def encode_patches(patch_vectors, params: ModelParams, config: TrainConfig):
     flat = np.asarray(patch_vectors, dtype=np.float64).reshape(t * n, p)
     out = ad.add(ad.matmul(ad.constant(flat), params["encoder.weight"]),
                  params["encoder.bias"])
-    return ad.leaky_relu(out, config.leaky_slope)
+    return ad.leaky_relu(out)
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +283,19 @@ def build_structure(pt: PatchTensor, embedding: np.ndarray,
     frames ``pt`` stacks: patches + their detached embedding. The gains
     of ``filter_mlp``, read as plain values, tell the Lanczos run of each
     block when its pooling direction has converged."""
+    if not np.isfinite(embedding).all():
+        raise ValueError("the embedding holds non-finite values")
     emb = embedding.reshape(pt.frames, pt.patches_per_frame, -1)
     # the temporal differential overwrites every bridge: score none
     graph = unified_graph(emb, pt.grid_h, pt.grid_w, config.tau_s,
-                          config.tau_t, config.eps, clips,
-                          bridges=not config.use_differential)
+                          config.tau_t, clips, bridges=not config.use_differential)
     neg = None
     if config.use_differential:
         neg = differential.build_spatial_negative(graph, config.tile)
         graph = differential.add_temporal_negative(graph)
     basis = None
     if config.use_spectral:
-        basis = spectral.lanczos_basis(graph, lambda lam: filter_mlp.gains(
-            lam, config.leaky_slope).data)
+        basis = spectral.lanczos_basis(graph, lambda lam: filter_mlp.gains(lam).data)
     return ClipStructure(
         patches=pt.vectors,
         graph=graph,
@@ -328,12 +320,12 @@ def _prepare(clips, params: ModelParams, config: TrainConfig):
 def _pooled_features(structure: ClipStructure, x: ad.Tensor,
                      params: ModelParams, config: TrainConfig) -> ad.Tensor:
     """The (B, 2d) pre-head feature rows Z = [spatial || spectral]."""
-    slope, clips = config.leaky_slope, structure.clips
+    clips = structure.clips
 
     if config.use_spectral:
         basis = structure.basis
         z_spectral = spectral.pool_spectral(
-            x, basis, params.filter_mlp.gains(basis.eigenvalues, slope), clips)
+            x, basis, params.filter_mlp.gains(basis.eigenvalues), clips)
     else:
         z_spectral = ad.constant(np.zeros((clips, config.dim)))
 
@@ -344,7 +336,7 @@ def _pooled_features(structure: ClipStructure, x: ad.Tensor,
     else:
         xp = x
     h = gat.gat_forward(xp, (structure.consistency, structure.inconsistency),
-                        params.gat, slope)
+                        params.gat)
     z_spatial = gat.spatial_fuse(h, params["fusion.weight"],
                                  params["fusion.bias"], clips)
     return ad.concat([z_spatial, z_spectral], axis=1)
@@ -395,6 +387,8 @@ def train_clips(clips, config: TrainConfig, threads=1, log=None):
     History rows: (epoch, split, mean per-clip loss, accuracy).
     Deterministic given (seed, config, corpus): shuffling comes from a
     named stream. ``threads`` is unused, kept because perfbench passes it.
+    A step that meets a non-finite embedding, loss, gradient or update
+    raises ValueError naming its epoch and batch, and Adam moves nothing.
     """
     labels = np.array([c.label for c in clips], dtype=np.intp)
     if len(set(labels.tolist())) < 2:
@@ -414,12 +408,14 @@ def train_clips(clips, config: TrainConfig, threads=1, log=None):
         loss_sum, scores = 0.0, np.empty(n)
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            logits, _ = forward([clips[k].clip for k in batch], params, config)
-            loss = ad.cross_entropy(logits, labels[batch])
-            if not np.isfinite(loss.data):
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, batch start {start}")
-            ad.adam_step(params.named(), loss.backward(), state)
+            try:
+                logits, _ = forward([clips[k].clip for k in batch], params, config)
+                loss = ad.cross_entropy(logits, labels[batch])
+                if not np.isfinite(loss.data):
+                    raise ValueError("non-finite loss")
+                ad.adam_step(params.named(), loss.backward(), state)
+            except ValueError as err:
+                raise ValueError(f"epoch {epoch}, batch start {start}: {err}") from err
             loss_sum += float(loss.data) * len(batch)
             scores[start:start + len(batch)] = ad.softmax_probs(logits.data)[:, 1]
         acc = float(np.mean((scores >= 0.5) == (labels[order] == 1)))
@@ -463,9 +459,9 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig):
 
 def load_checkpoint(path):
     """Inverse of `save_checkpoint`. A truncated or extended file, an
-    echoed config with unknown keys or mistyped values, or tensors whose
-    names or shapes differ from `param_shapes` of that config raise
-    ValueError."""
+    echoed config with unknown keys or mistyped values, tensors whose
+    names or shapes differ from `param_shapes` of that config, or a
+    NaN/Inf in a tensor raise ValueError."""
     blob = Path(path).read_bytes()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {blob[:8]!r}")
@@ -496,6 +492,8 @@ def load_checkpoint(path):
         size = math.prod(shape)
         start = take(8 * size, f"data of {name}")
         data = np.frombuffer(blob, dtype="<f8", count=size, offset=start)
+        if not np.isfinite(data).all():
+            raise ValueError(f"{path}: tensor {name} holds non-finite values")
         tensors[name] = ad.parameter(data.reshape(shape).copy())
     if off != len(blob):
         raise ValueError(f"{path}: {len(blob) - off} trailing bytes "

@@ -30,7 +30,9 @@ from .graphs import (VideoGraph, dense_from_layout, intra_frame_adjacency, patch
                      row_normalize, to_layout, unpatchify)
 
 PRESET_KINDS = ("all_pass", "low_pass", "high_pass", "band_pass", "band_reject", "comb")
-DEFAULT_EIGEN_CAP = 4096
+LOW_EDGE = 0.7
+HIGH_EDGE = 1.3
+EIGEN_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -70,14 +72,12 @@ class SpectralBasis:
 class FilterPreset:
     """Fixed gain profile with band edges on the [0, 2] eigenvalue axis.
 
-    low_pass passes lambda <= low_edge, high_pass lambda > high_edge,
+    low_pass passes lambda <= LOW_EDGE, high_pass lambda > HIGH_EDGE,
     band_pass the half-open interval between them; the three bands
     partition the axis, so `comb` (their sum) equals all_pass.
     """
 
     kind: str
-    low_edge: float = 0.7
-    high_edge: float = 1.3
 
     def __post_init__(self):
         if self.kind not in PRESET_KINDS:
@@ -85,9 +85,9 @@ class FilterPreset:
 
     def gains(self, lam):
         lam = np.asarray(lam, dtype=np.float64)
-        low = (lam <= self.low_edge).astype(float)
-        band = ((lam > self.low_edge) & (lam <= self.high_edge)).astype(float)
-        high = (lam > self.high_edge).astype(float)
+        low = (lam <= LOW_EDGE).astype(float)
+        band = ((lam > LOW_EDGE) & (lam <= HIGH_EDGE)).astype(float)
+        high = (lam > HIGH_EDGE).astype(float)
         return {"all_pass": np.ones_like(lam), "low_pass": low,
                 "high_pass": high, "band_pass": band,
                 "band_reject": 1.0 - band, "comb": low + band + high}[self.kind]
@@ -104,10 +104,10 @@ class FilterMlp:
     w3: ad.Tensor
     b3: ad.Tensor
 
-    def gains(self, lam, slope=0.2):
+    def gains(self, lam):
         col = ad.constant(np.asarray(lam, dtype=np.float64).reshape(-1, 1))
-        h = ad.leaky_relu(ad.add(ad.matmul(col, self.w1), self.b1), slope)
-        h = ad.leaky_relu(ad.add(ad.matmul(h, self.w2), self.b2), slope)
+        h = ad.leaky_relu(ad.add(ad.matmul(col, self.w1), self.b1))
+        h = ad.leaky_relu(ad.add(ad.matmul(h, self.w2), self.b2))
         return ad.add(ad.matmul(h, self.w3), self.b3)
 
 
@@ -386,8 +386,7 @@ def dirichlet_energy(x, lap):
     return np.einsum("id,ij,jd->d", x, lap, x)
 
 
-def filter_image_demo(image, preset: FilterPreset, patch_size=1, tau_s=0.6,
-                      eps=1e-4, cap=DEFAULT_EIGEN_CAP):
+def filter_image_demo(image, preset: FilterPreset, patch_size=1, tau_s=0.6):
     """Filter a single grayscale image through its own patch graph.
 
     Nodes are patches (pixels when patch_size is 1); the raw intensities
@@ -399,10 +398,10 @@ def filter_image_demo(image, preset: FilterPreset, patch_size=1, tau_s=0.6,
         raise ValueError("expected a single-channel 2-D image")
     pt = patchify(image[None, :, :, None], patch_size)
     nodes = pt.vectors[0]
-    if nodes.shape[0] > cap:
+    if nodes.shape[0] > EIGEN_CAP:
         raise ValueError(
-            f"{nodes.shape[0]} nodes exceed the dense eigensolve cap ({cap})")
-    adj = intra_frame_adjacency(row_normalize(nodes, eps), tau_s)
+            f"{nodes.shape[0]} nodes exceed the dense eigensolve cap ({EIGEN_CAP})")
+    adj = intra_frame_adjacency(row_normalize(nodes), tau_s)
     basis = eigendecompose(laplacian_from_adjacency(adj))
     gains = preset.gains(basis.eigenvalues)
     filtered = apply_filter(nodes, basis, gains)

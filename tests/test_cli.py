@@ -145,6 +145,32 @@ def test_eval_checkpoint_tensors_must_fit_config(trained_run, tmp_path, capsys,
     assert re.search(message, capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_eval_non_finite_checkpoint_tensor_is_usage_error(trained_run, tmp_path,
+                                                         capsys, value):
+    params, config = model.load_checkpoint(trained_run / "checkpoint.sstg")
+    params["gat.attention"].data[3] = value
+    bad = tmp_path / "bad.sstg"
+    model.save_checkpoint(bad, params, config)
+    assert eval_exit_code(bad, tmp_path / "e") == 2
+    assert "tensor gat.attention holds non-finite values" in capsys.readouterr().err
+
+
+def test_eval_removed_config_keys_are_usage_error(trained_run, tmp_path, capsys):
+    # eps and leaky_slope were config fields; they are module constants now
+    blob = (trained_run / "checkpoint.sstg").read_bytes()
+    start = len(model.CHECKPOINT_MAGIC)
+    (length,) = struct.unpack_from("<I", blob, start)
+    echo = json.loads(blob[start + 4:start + 4 + length])
+    old = json.dumps({**echo, "eps": 1e-4, "leaky_slope": 0.2}, sort_keys=True,
+                     separators=(",", ":")).encode()
+    bad = tmp_path / "old.sstg"
+    bad.write_bytes(blob[:start] + struct.pack("<I", len(old)) + old
+                    + blob[start + 4 + length:])
+    assert eval_exit_code(bad, tmp_path / "e") == 2
+    assert "unknown config keys: ['eps', 'leaky_slope']" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("geometry", [
     ["--channels", "3"], ["--height", "2"], ["--width", "3"]],
     ids=["channels", "height", "width"])
@@ -334,7 +360,7 @@ def test_train_has_no_threads_flag(trained_run, tmp_path, command):
 
 
 def test_gradcheck_toy(capsys):
-    assert main(["gradcheck", "--scale", "toy"]) == 0
+    assert main(["gradcheck"]) == 0
     assert "PASS" in capsys.readouterr().out
 
 
@@ -342,7 +368,7 @@ def test_gradcheck_toy(capsys):
 def test_gradcheck_toy_seeds(capsys, seed):
     # seeds 2 and 4 have filter.w1 gradients of 4e-10 to 6e-9, below
     # what the central difference resolves at the 1e-4 tolerance
-    assert main(["gradcheck", "--scale", "toy", "--seed", str(seed)]) == 0
+    assert main(["gradcheck", "--seed", str(seed)]) == 0
     assert "PASS" in capsys.readouterr().out
 
 
@@ -355,6 +381,45 @@ def test_config_file_parsing(tmp_path):
     bad.write_text("dims = 16\n")
     with pytest.raises(ValueError, match="unknown config key"):
         read_config_file(bad)
+
+
+def test_train_removed_config_key_is_usage_error(trained_run, tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("dim = 8\nleaky_slope = 0.2\n")
+    code = main(["train", "--manifest",
+                 str(trained_run.parent / "corpus" / "manifest.csv"),
+                 "--out", str(tmp_path / "t"), "--config", str(cfg)])
+    assert code == 2
+    assert f"{cfg}:2: unknown config key 'leaky_slope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lr", ["-1", "0", "nan"])
+def test_train_bad_lr_is_usage_error(trained_run, tmp_path, capsys, lr):
+    code = main(["train", "--manifest",
+                 str(trained_run.parent / "corpus" / "manifest.csv"),
+                 "--out", str(tmp_path / "t"), "--patch-size", "4",
+                 "--lr", lr])
+    assert code == 2
+    assert "lr must be finite and positive" in capsys.readouterr().err
+
+
+def test_train_non_finite_loss_is_one_error_line(trained_run, tmp_path, capsys,
+                                                 monkeypatch):
+    cross_entropy = ad.cross_entropy
+
+    def nan_loss(logits, labels):
+        out = cross_entropy(logits, labels)
+        out.data = np.array(np.nan)
+        return out
+
+    monkeypatch.setattr(ad, "cross_entropy", nan_loss)
+    code = main(["train", "--manifest",
+                 str(trained_run.parent / "corpus" / "manifest.csv"),
+                 "--out", str(tmp_path / "t"), "--patch-size", "4",
+                 "--epochs", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: epoch 0, batch start 0: non-finite loss\n"
 
 
 def test_flags_override_config_file(tmp_path):

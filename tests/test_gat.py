@@ -273,7 +273,7 @@ def masked_softmax(scores, support):
     return out
 
 
-def dense_gat(x, support, sign, params, slope=0.2):
+def dense_gat(x, support, sign, params):
     """The dense M x M composition the fused op replaced: scores over all
     node pairs, masked softmax, signs, one (M, M) @ (M, d) product."""
     d = params.weight.data.shape[0]
@@ -282,10 +282,10 @@ def dense_gat(x, support, sign, params, slope=0.2):
     a_peer = ad.reshape(params.attention[d:], (d, 1))
     scores = ad.add(ad.matmul(h, a_self),
                     ad.reshape(ad.matmul(h, a_peer), (1, -1)))
-    scores = ad.leaky_relu(scores, slope)
+    scores = ad.leaky_relu(scores)
     alpha = masked_softmax(scores, support)
     signed = ad.mul(alpha, ad.constant(sign))
-    return ad.leaky_relu(ad.matmul(signed, h), slope)
+    return ad.leaky_relu(ad.matmul(signed, h))
 
 
 def old_dense_adjacency(graph, neg):

@@ -68,10 +68,6 @@ class TestRowNormalize:
         out = graphs.row_normalize(np.array([[1.0, 0.0]]))
         assert np.linalg.norm(out) == pytest.approx(1 / 1.0001, rel=1e-12)
 
-    def test_bad_eps(self):
-        with pytest.raises(ValueError, match="eps"):
-            graphs.row_normalize(np.ones((1, 2)), eps=0.0)
-
 
 class TestIntraFrameAdjacency:
     def test_identical_rows_kept_at_default_tau(self):

@@ -103,12 +103,6 @@ class TestAccuracy:
     def test_three_of_four(self):
         assert metrics.accuracy([0.1, 0.6, 0.7, 0.2], [0, 1, 1, 1]) == 0.75
 
-    def test_threshold_zero_equals_prevalence(self):
-        scores = np.array([0.2, 0.4, 0.9])
-        labels = np.array([1, 0, 1])
-        assert metrics.accuracy(scores, labels, threshold=0.0) == \
-            pytest.approx(labels.mean())
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             metrics.accuracy([], [])

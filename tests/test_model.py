@@ -1,7 +1,9 @@
 """Detector: encoder, forward contract, training loop, checkpoints."""
 
+import hashlib
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -57,6 +59,18 @@ class TestEncoder:
         pre = patches.reshape(4, 16) @ params["encoder.weight"].data + 0.1
         np.testing.assert_allclose(out.data, np.where(pre > 0, pre, 0.2 * pre),
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("patch,channels,dim,digest", [
+        (3, 1, 8, "9124be5089867ad1ca5508c8f09bb9a49859d97913dfe309a578afc28a941138"),
+        (5, 3, 16, "46234677832210f36ec5ad3520e6fab94b3fd666c6124058e6628e23803125ac"),
+        (32, 3, 256, "5473277c99c58d163329433fee6e0c2866611540d57386a1d90a93980744d02c"),
+    ])
+    def test_init_weight_bytes_pinned(self, patch, channels, dim, digest):
+        # odd patches leave a row and column no 2x2 window covers, and
+        # C = 3 interleaves channels; the oracle covers neither
+        cfg = model.TrainConfig(patch_size=patch, channels=channels, dim=dim)
+        weight = model.init_params(cfg)["encoder.weight"].data
+        assert hashlib.sha256(weight.tobytes()).hexdigest() == digest
 
 
 class TestForward:
@@ -272,20 +286,24 @@ class TestBatch:
                           model.init_params(cfg), cfg)
 
 
-def tape_nodes(clips):
-    """Nodes a backward pass from the desk loss visits: the root and
+def desk_tape(clips):
+    """The nodes a backward pass from the desk loss visits: the root and
     every ancestor that needs a gradient."""
     cfg = model.preset_config("desk")
     params = model.init_params(cfg, random_head=True)
     logits, _ = model.forward([item.clip for item in clips], params, cfg)
     root = ad.cross_entropy(logits, [item.label for item in clips])
-    seen, stack = {id(root)}, [root]
+    seen, stack = {id(root): root}, [root]
     while stack:
         for parent in stack.pop().parents:
             if parent.requires_grad and id(parent) not in seen:
-                seen.add(id(parent))
+                seen[id(parent)] = parent
                 stack.append(parent)
-    return len(seen)
+    return list(seen.values())
+
+
+def tape_nodes(clips):
+    return len(desk_tape(clips))
 
 
 class TestTape:
@@ -426,15 +444,20 @@ class TestGoldenForward:
             logits.data, [[0.2135088795, 0.0047150562]], rtol=1e-7)
 
 
-class TestTraining:
-    def test_zero_lr_keeps_params(self):
-        clips = tiny_corpus(n=2)
-        cfg = toy_config(lr=0.0, epochs=2)
-        params, _ = model.train_clips(clips, cfg)
-        fresh = model.init_params(cfg)
-        for name, t in params.named().items():
-            np.testing.assert_array_equal(t.data, fresh[name].data)
+# every op a training tape records, by its name in autodiff
+TAPE_OPS = ("_getitem", "add", "block_matmul", "concat", "cross_entropy",
+            "frame_attention", "leaky_relu", "matmul", "mean", "mul", "reshape")
 
+
+def adam_snapshot(params, state):
+    """The bytes of every parameter and Adam moment, and the step count."""
+    return ({name: p.data.tobytes() for name, p in params.items()},
+            state.t,
+            {name: a.tobytes() for name, a in state.m.items()},
+            {name: a.tobytes() for name, a in state.v.items()})
+
+
+class TestTraining:
     def test_loss_drops_below_ln2(self):
         clips = tiny_corpus(n=4)
         cfg = toy_config(epochs=6, lr=1e-2)
@@ -478,14 +501,8 @@ class TestTraining:
         seen = []
         adam_step = ad.adam_step
 
-        def snapshot(params, state):
-            return ({name: p.data.tobytes() for name, p in params.items()},
-                    state.t,
-                    {name: a.tobytes() for name, a in state.m.items()},
-                    {name: a.tobytes() for name, a in state.v.items()})
-
         def recorded(params, grads, state):
-            seen.append((params, state, snapshot(params, state)))
+            seen.append((params, state, adam_snapshot(params, state)))
             return adam_step(params, grads, state)
 
         monkeypatch.setattr(ad, "adam_step", recorded)
@@ -494,7 +511,7 @@ class TestTraining:
                               model.preset_config("toy", lr=1e300))
         params, state, before = seen[-1]
         assert len(seen) == 2 and before[1] == 1
-        assert snapshot(params, state) == before
+        assert adam_snapshot(params, state) == before
 
     def test_history_holds_mean_per_clip_loss(self, monkeypatch):
         steps = []
@@ -518,6 +535,40 @@ class TestTraining:
             assert split == "train" and len(rows) == 6
             assert loss == pytest.approx(np.mean(rows), rel=1e-12, abs=0)
             assert acc == np.mean(hits)
+
+    def test_desk_tape_records_the_checked_ops(self, desk_batch):
+        ops = {node._backward.__qualname__.split(".")[0]
+               for node in desk_tape(desk_batch[:1]) if node._backward}
+        assert ops == set(TAPE_OPS)
+
+    @pytest.mark.parametrize("op", TAPE_OPS)
+    def test_nan_from_any_op_stops_the_step_before_adam(self, op, monkeypatch):
+        # from the fourth step (epoch 1, batch start 4) on, every output
+        # of ``op`` holds a NaN: the step must fail naming its epoch and
+        # batch, with every parameter and Adam moment as the third step
+        # left them
+        steps = []
+        adam_step, original = ad.adam_step, getattr(ad, op)
+
+        def recorded(params, grads, state):
+            adam_step(params, grads, state)
+            steps.append((params, state, adam_snapshot(params, state)))
+
+        def poisoned(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if len(steps) == 3:
+                out.data = out.data.copy()    # it may view an input
+                out.data.flat[0] = np.nan
+            return out
+
+        monkeypatch.setattr(ad, "adam_step", recorded)
+        monkeypatch.setattr(ad, op, poisoned)
+        with pytest.raises(ValueError,
+                           match=r"^epoch 1, batch start 4: .*non-finite"):
+            model.train_clips(tiny_corpus(n=3), toy_config(epochs=3))
+        params, state, after = steps[-1]
+        assert len(steps) == 3
+        assert adam_snapshot(params, state) == after
 
     def test_mixed_clip_shapes_rejected(self):
         clips = tiny_corpus(n=2) + tiny_corpus(n=1, size=16)
@@ -561,6 +612,22 @@ class TestCheckpoint:
         bad.write_bytes(blob + b"j")
         with pytest.raises(ValueError, match="1 trailing bytes"):
             model.load_checkpoint(bad)
+
+    def test_removed_config_keys_rejected(self, tmp_path):
+        # a checkpoint written while eps and leaky_slope were settable
+        cfg = toy_config()
+        path = tmp_path / "model.sstg"
+        model.save_checkpoint(path, model.init_params(cfg), cfg)
+        echo = json.dumps(cfg.to_dict(), sort_keys=True,
+                          separators=(",", ":")).encode()
+        params = path.read_bytes()[len(model.CHECKPOINT_MAGIC) + 4 + len(echo):]
+        old = json.dumps({**cfg.to_dict(), "eps": 1e-4, "leaky_slope": 0.2},
+                         sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(model.CHECKPOINT_MAGIC + struct.pack("<I", len(old))
+                         + old + params)
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown config keys: ['eps', 'leaky_slope']")):
+            model.load_checkpoint(path)
 
     def test_unknown_config_echo_rejected(self, tmp_path):
         # an echo carrying a field TrainConfig no longer has (tie_gat)
@@ -622,6 +689,11 @@ class TestConfig:
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match="thresholds"):
             model.TrainConfig(tau_s=1.5)
+
+    @pytest.mark.parametrize("lr", [0.0, -0.5, math.nan, math.inf])
+    def test_lr_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="lr must be finite and positive"):
+            model.TrainConfig(lr=lr)
 
     def test_hash_stability_and_sensitivity(self):
         a = model.TrainConfig()

@@ -351,7 +351,7 @@ class TestFilterGains:
         np.testing.assert_array_equal(g, [1.0, 1.0, 1.0])
 
     def test_low_pass_closed_interval(self):
-        g = FilterPreset("low_pass", low_edge=1.0).gains([0.0, 1.0, 2.0])
+        g = FilterPreset("low_pass").gains([0.0, spectral.LOW_EDGE, 2.0])
         np.testing.assert_array_equal(g, [1.0, 1.0, 0.0])
 
     def test_bands_partition_unity(self):
@@ -639,9 +639,9 @@ class TestPooledMatchesDenseFilter:
 # Lanczos from the all-ones vector: the model path's basis
 
 
-def numpy_gains(mlp, slope=0.2):
+def numpy_gains(mlp):
     """The plain gain values the stop rule reads, as the model passes them."""
-    return lambda lam: mlp.gains(lam, slope).data
+    return lambda lam: mlp.gains(lam).data
 
 
 def block_graph(rng, coupled, clips, frames, grid, isolated=0.2):
@@ -684,7 +684,7 @@ def pooled_with_grads(pool, basis, mlp, encoder, patches, weights, clips):
     return [out.data, grads[encoder], *(grads[t] for t in mlp.values())]
 
 
-def assert_matches_eigh(graph, mlp_init, seed=0, d=3, slope=0.2):
+def assert_matches_eigh(graph, mlp_init, seed=0, d=3):
     """Lanczos pooled rows and encoder and filter-MLP gradients equal the
     eigh reference within 1e-12 x max(1, |ref|), entry by entry."""
     rng = np.random.default_rng(seed)
@@ -701,7 +701,7 @@ def assert_matches_eigh(graph, mlp_init, seed=0, d=3, slope=0.2):
                                  graph.clips)
 
     got = run(lambda mlp: spectral.lanczos_basis(
-        graph, numpy_gains(spectral.FilterMlp(**mlp), slope)),
+        graph, numpy_gains(spectral.FilterMlp(**mlp))),
         spectral.pool_spectral)
     ref = run(lambda _: eigh_basis(graph), pool_per_clip)
     for name, a, b in zip(["pooled", "encoder", *mlp_init], got, ref):
@@ -909,5 +909,4 @@ class TestImageDemo:
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            spectral.filter_image_demo(np.zeros((80, 80)), FilterPreset("all_pass"),
-                                       cap=4096)
+            spectral.filter_image_demo(np.zeros((80, 80)), FilterPreset("all_pass"))
