@@ -9,13 +9,13 @@ propagation over it reproduces the pixel-level NPR exactly on
 non-anchor nodes, which `theorem1_check` verifies. The temporal
 differential concatenates each node with its next-frame twin through an
 affine map and adds -1 edges between the pair, overwriting any positive
-bridge edge at the same slot. Both stay inside one clip when a
-minibatch's clips share one frame-stacked graph.
+bridge edge at the same slot. Both stay inside one clip of a batch
+graph: the tile block acts per frame, and twins are held per clip.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,19 +25,19 @@ from .graphs import VideoGraph
 
 @dataclass(frozen=True)
 class NegativeSpatialAdjacency:
-    """Per-tile +-1 blocks: one (N, N) ``block``, the same in each of
-    ``frames`` frames; zero outside complete tiles."""
+    """Per-tile +-1 blocks: one (N, N) ``block``, the same in every
+    frame; zero outside complete tiles."""
 
     tile: int
     block: np.ndarray     # (N, N) entries in {-1, 0, 1}
     anchors: np.ndarray   # node indices of the tile anchors in one frame
-    frames: int = 1
 
     @property
     def anchor_mask(self):
+        """One frame's (N,) mask of its tile anchors."""
         mask = np.zeros(self.block.shape[0], dtype=bool)
         mask[self.anchors] = True
-        return np.tile(mask, self.frames)
+        return mask
 
 
 def npr_reference(grid, tile) -> np.ndarray:
@@ -87,14 +87,14 @@ def build_spatial_negative(graph: VideoGraph, tile) -> NegativeSpatialAdjacency:
     if tile < 1:
         raise ValueError("tile size must be >= 1")
     block, anchors = negative_spatial_matrix(graph.grid_h, graph.grid_w, tile)
-    return NegativeSpatialAdjacency(tile, block, anchors, graph.frames)
+    return NegativeSpatialAdjacency(tile, block, anchors)
 
 
 def sgc_aggregate(x, neg: NegativeSpatialAdjacency) -> np.ndarray:
     """Single linear propagation X' = A_ns X (no attention, no
-    activation), applied as the tile block to each frame's rows."""
+    activation), applied as the tile block to each N-row frame of x."""
     x = np.asarray(x, dtype=np.float64)
-    frames = x.reshape(neg.frames, neg.block.shape[0], -1)
+    frames = x.reshape(-1, len(neg.block), x[0].size)
     return (neg.block @ frames).reshape(x.shape)
 
 
@@ -122,16 +122,16 @@ def theorem1_check(image, tile):
     return non_anchor_dev == 0.0, non_anchor_dev, anchor_dev
 
 
-def temporal_concat(x, graph: VideoGraph, weight, bias, clips=1):
+def temporal_concat(x, graph: VideoGraph, weight, bias):
     """Affine map over [x_t ; x_{t+1}] per node; last frame self-pairs.
 
-    ``x`` is an (M, d) Tensor over ``clips`` equal clips stacked along
-    the frame axis; output has the same shape. Only frames t and t+1 of
+    ``x`` is an (M, d) Tensor over the graph's clips stacked along the
+    frame axis; output has the same shape. Only frames t and t+1 of
     one clip feed node t: the next-frame half is each clip shifted up
     one frame, with that clip's own last frame repeated.
     """
     n, d = graph.patches_per_frame, x.shape[1]
-    frames = ad.reshape(x, (clips, -1, n * d))
+    frames = ad.reshape(x, (graph.clips, -1, n * d))
     nxt = ad.concat([frames[:, 1:], frames[:, -1:]], axis=1)
     nxt = ad.reshape(nxt, x.shape)
     return ad.add(ad.matmul(ad.concat([x, nxt], axis=1), weight), bias)
@@ -140,10 +140,7 @@ def temporal_concat(x, graph: VideoGraph, weight, bias, clips=1):
 def add_temporal_negative(graph: VideoGraph) -> VideoGraph:
     """Set the twin edge of every coordinate pair inside a clip to -1.
 
-    Overwrites coincident positive bridge edges; spatial entries and the
-    rows between two clips of a batch graph are untouched. Returns a new
-    graph.
+    Overwrites coincident positive bridge edges; spatial entries are
+    untouched. Returns a new graph.
     """
-    twins = np.full(graph.twins.shape, -1.0)
-    twins[graph.clip_boundaries] = 0.0
-    return graph.with_twins(twins)
+    return replace(graph, twins=np.full(graph.twins.shape, -1.0))

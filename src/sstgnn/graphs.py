@@ -8,20 +8,21 @@ frames are bridged at matching coordinates when the sum of structural
 VideoGraph is immutable and keeps the frame layout: per-frame blocks and
 one twin edge per node and frame pair; the differential module later
 writes its -1 temporal edges into the twins and holds its tile pattern
-as one block for every frame. A minibatch of equal clips is one graph
-of their stacked frames (a disjoint union): no twin edge joins the last
-frame of one clip to the first of the next.
+as one block for every frame. A minibatch of B equal clips of F frames
+is one graph of their T = B F stacked frames (a disjoint union): its
+twins are held per clip, as (B, F - 1, N), so no twin row joins the
+last frame of one clip to the first of the next.
 
 The frame layout is the only graph format: `to_layout` packs blocks
-and twins into the (T, N, N + 2) rows attention and the Lanczos matvec
-read, and `dump_edges` writes straight from it. `dense_from_layout` and
+and twins into the (T, N, N + 2) rows attention reads, and the Lanczos
+matvec and `dump_edges` read them as they are. `dense_from_layout` and
 the (M, M) `VideoGraph.spatial`/`.temporal` it builds remain only for
 the benchmark's graph counts and the dense Laplacian reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,37 +51,38 @@ class PatchTensor:
 
 @dataclass(frozen=True)
 class VideoGraph:
-    """The clip graph in its frame layout.
+    """The graph of B equal clips of F frames in its frame layout.
 
-    ``blocks`` holds each frame's intra-frame adjacency. ``twins[t, v]``
-    is the temporal edge between node v of frame t and node v of frame
-    t + 1: a positive bridge similarity, or -1 once the temporal
-    differential is applied (negatives overwrite coincident positives),
-    or 0. No edge of the clip graph lies elsewhere; the (M, M)
+    ``blocks`` holds the intra-frame adjacency of each of the T = B F
+    frames, clip after clip. ``twins[b, f, v]`` is the temporal edge
+    between node v of frame f of clip b and node v of its frame f + 1: a
+    positive bridge similarity, or -1 once the temporal differential is
+    applied (negatives overwrite coincident positives), or 0. No edge of
+    the graph lies elsewhere, so none joins two clips; the (M, M)
     ``spatial`` and ``temporal`` matrices are built on demand, off the
     model path.
-
-    ``clips`` equal clips may share the graph, stacked along the frame
-    axis; the twin rows at their boundaries (``clip_boundaries``) are 0.
     """
 
-    frames: int
     grid_h: int
     grid_w: int
-    blocks: np.ndarray     # (T, N, N)
-    twins: np.ndarray      # (T - 1, N)
-    clips: int = 1
+    blocks: np.ndarray     # (B F, N, N)
+    twins: np.ndarray      # (B, F - 1, N)
 
     def __post_init__(self):
-        t, n = self.frames, self.patches_per_frame
-        if self.blocks.shape != (t, n, n) or self.twins.shape != (t - 1, n):
-            raise ValueError(f"blocks {self.blocks.shape} and twins "
-                             f"{self.twins.shape} do not fit {t} frames of "
-                             f"{n} nodes")
-        if self.clips < 1 or t % self.clips:
-            raise ValueError(f"{t} frames do not split into {self.clips} clips")
-        if self.twins[self.clip_boundaries].any():
-            raise ValueError("a twin edge joins two clips")
+        n = self.patches_per_frame
+        clips, pairs = self.twins.shape[:2] if self.twins.ndim == 3 else (0, 0)
+        if (clips < 1 or self.twins.shape[2] != n
+                or self.blocks.shape != (clips * (pairs + 1), n, n)):
+            raise ValueError(f"blocks {self.blocks.shape} and twins {self.twins.shape}"
+                             f" do not fit clips of {n}-node frames")
+
+    @property
+    def frames(self):
+        return len(self.blocks)
+
+    @property
+    def clips(self):
+        return len(self.twins)
 
     @property
     def patches_per_frame(self):
@@ -89,10 +91,6 @@ class VideoGraph:
     @property
     def node_count(self):
         return self.frames * self.patches_per_frame
-
-    @property
-    def clip_boundaries(self):
-        return clip_boundaries(self.frames, self.clips)
 
     @property
     def spatial(self):
@@ -104,9 +102,6 @@ class VideoGraph:
         """(M, M) temporal edges: the twins on the +-N diagonals."""
         return dense_from_layout(to_layout(np.zeros(self.blocks.shape[1:]),
                                           self.twins))
-
-    def with_twins(self, twins):
-        return replace(self, twins=twins)
 
 
 def patchify(pixels, patch_size) -> PatchTensor:
@@ -181,43 +176,39 @@ def temporal_bridge(a_t, a_next, x_t, x_next, tau_t):
     return scores, scores / 2 >= tau_t
 
 
-def clip_boundaries(frames, clips):
-    """The rows of a (frames - 1, N) twin array that would join the last
-    frame of one of ``clips`` equal clips to the first of the next; an
-    empty slice for one clip."""
-    per_clip = frames // clips
-    return slice(per_clip - 1, None, per_clip)
-
-
 def unified_graph(embeddings, grid_h, grid_w, tau_s, tau_t, clips=1,
                   bridges=True) -> VideoGraph:
-    """Full pipeline from per-frame embeddings (T, N, d) to a VideoGraph;
-    ``clips`` equal clips stacked along T get no bridge between them.
-    ``bridges=False`` scores none and leaves every twin 0, for a caller
-    that overwrites them all (the temporal differential)."""
+    """Full pipeline from the per-frame embeddings (T, N, d) of ``clips``
+    equal clips stacked along T to a VideoGraph, bridged within each
+    clip. ``bridges=False`` scores no bridge and leaves every twin 0, for
+    a caller that overwrites them all (the temporal differential)."""
     emb = np.asarray(embeddings, dtype=np.float64)
+    if clips < 1 or len(emb) % clips:
+        raise ValueError(f"{len(emb)} frames do not split into {clips} clips")
     adjs = intra_frame_adjacency(row_normalize(emb), tau_s)
-    twins = np.zeros((len(emb) - 1, emb.shape[1]))
+    twins = np.zeros((clips, len(emb) // clips - 1, emb.shape[1]))
     if bridges:
-        scores, keep = temporal_bridge(adjs[:-1], adjs[1:], emb[:-1], emb[1:],
-                                       tau_t)
+        a, x = (v.reshape(clips, -1, *v.shape[1:]) for v in (adjs, emb))
+        scores, keep = temporal_bridge(a[:, :-1], a[:, 1:], x[:, :-1], x[:, 1:], tau_t)
         twins = np.where(keep, scores, 0.0)
-        twins[clip_boundaries(len(adjs), clips)] = 0.0
-    return VideoGraph(len(adjs), grid_h, grid_w, adjs, twins, clips)
+    return VideoGraph(grid_h, grid_w, adjs, twins)
 
 
 def to_layout(blocks, twins):
     """The (T, N, N + 2) frame layout of per-frame blocks and twin edges.
 
-    ``blocks`` is (T, N, N), or one (N, N) block shared by every frame;
-    ``twins`` is (T - 1, N), the edge between node v of frames t and
-    t + 1, written into both of its rows.
+    ``twins`` is (B, F - 1, N) for B clips of F frames, T = B F: the edge
+    between node v of frames f and f + 1 of one clip, written into both
+    of its rows. ``blocks`` is (T, N, N), or one (N, N) block shared by
+    every frame.
     """
-    frames, n = twins.shape[0] + 1, twins.shape[1]
-    layout = np.zeros((frames, n, n + 2), dtype=np.result_type(blocks, twins))
+    clips, pairs, n = twins.shape
+    layout = np.zeros((clips * (pairs + 1), n, n + 2),
+                      dtype=np.result_type(blocks, twins))
     layout[:, :, :n] = blocks
-    layout[1:, :, n] = twins
-    layout[:-1, :, n + 1] = twins
+    per_clip = layout.reshape(clips, pairs + 1, n, n + 2)
+    per_clip[:, 1:, :, n] = twins
+    per_clip[:, :-1, :, n + 1] = twins
     return layout
 
 
@@ -250,8 +241,9 @@ def dump_edges(path, graph: VideoGraph, negative=None):
     n = graph.patches_per_frame
     t, i, j = np.nonzero(np.triu(graph.blocks))
     edges = [(t * n + i, t * n + j, graph.blocks[t, i, j], 0)]
-    t, v = np.nonzero(graph.twins)
-    w = graph.twins[t, v]
+    c, f, v = np.nonzero(graph.twins)
+    w = graph.twins[c, f, v]
+    t = c * (graph.twins.shape[1] + 1) + f
     edges.append((t * n + v, (t + 1) * n + v, w, np.where(w > 0, 1, 2)))
     if negative is not None:
         i, j = np.nonzero(np.triu(negative.block, 1))

@@ -1,10 +1,11 @@
 """Detection metrics and the in-/cross-domain experiment protocols.
 
 AUC is the rank-based Mann-Whitney statistic (exact ties credit 0.5);
-accuracy thresholds scores at 0.5 with >= inclusive. Protocols train on
-one seed range and test on a disjoint one; fake clips reuse the real
-seeds of their split so each fake is the manipulated twin of a real clip
-(content-matched pairs, so only the artifact separates the classes).
+accuracy thresholds scores at `model.THRESHOLD` (0.5), >= inclusive.
+Protocols train on one seed range and test on a disjoint one; fake
+clips reuse the real seeds of their split so each fake is the
+manipulated twin of a real clip (content-matched pairs, so only the
+artifact separates the classes).
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import numpy as np
 from . import model as model_mod
 from .model import TrainConfig, config_hash, train_clips
 from .synth import FAKE_FAMILIES, make_corpus
-
-THRESHOLD = 0.5
 
 
 def auc(scores, labels) -> float:
@@ -47,7 +46,7 @@ def accuracy(scores, labels) -> float:
     y = np.asarray(labels, dtype=np.intp)
     if len(s) == 0:
         raise ValueError("accuracy needs at least one sample")
-    return float(np.mean((s >= THRESHOLD) == (y == 1)))
+    return float(np.mean((s >= model_mod.THRESHOLD) == (y == 1)))
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,8 @@ class ProtocolConfig:
 
     Train clips take seeds [seed, seed + n_train); test clips take
     [seed + n_train, seed + n_train + n_test). The ranges must never
-    intersect, which generate-time assertions enforce.
+    intersect, which generate-time assertions enforce. Clips have the
+    channel count the model takes, ``train.channels``.
     """
 
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -102,7 +102,6 @@ class ProtocolConfig:
     frames: int = 8
     height: int = 64
     width: int = 64
-    channels: int = 1
 
     def train_seeds(self):
         return range(self.seed, self.seed + self.n_train)
@@ -113,7 +112,7 @@ class ProtocolConfig:
 
     def clip_kw(self):
         return dict(frames=self.frames, height=self.height,
-                    width=self.width, channels=self.channels)
+                    width=self.width, channels=self.train.channels)
 
     def corpus(self, families, seeds):
         return make_corpus(families, seeds, **self.clip_kw())

@@ -39,6 +39,9 @@ from .synth import LabeledClip
 
 CHECKPOINT_MAGIC = b"SSTG0001"
 
+# a clip is called fake when its fake probability is at least this
+THRESHOLD = 0.5
+
 
 # accepted Python types per field annotation; bool, an int subclass,
 # passes only where the annotation says bool
@@ -332,7 +335,7 @@ def _pooled_features(structure: ClipStructure, x: ad.Tensor,
     if config.use_temporal_mlp:
         xp = differential.temporal_concat(x, structure.graph,
                                           params["temporal.weight"],
-                                          params["temporal.bias"], clips)
+                                          params["temporal.bias"])
     else:
         xp = x
     h = gat.gat_forward(xp, (structure.consistency, structure.inconsistency),
@@ -387,8 +390,10 @@ def train_clips(clips, config: TrainConfig, threads=1, log=None):
     History rows: (epoch, split, mean per-clip loss, accuracy).
     Deterministic given (seed, config, corpus): shuffling comes from a
     named stream. ``threads`` is unused, kept because perfbench passes it.
-    A step that meets a non-finite embedding, loss, gradient or update
-    raises ValueError naming its epoch and batch, and Adam moves nothing.
+    Clips whose channel count differs from the config's are refused
+    before the first step. A step that meets a non-finite embedding,
+    loss, gradient or update raises ValueError naming its epoch and
+    batch, and Adam moves nothing.
     """
     labels = np.array([c.label for c in clips], dtype=np.intp)
     if len(set(labels.tolist())) < 2:
@@ -399,6 +404,9 @@ def train_clips(clips, config: TrainConfig, threads=1, log=None):
         raise ValueError(f"training clips must share one shape: clip {odd} "
                          f"({clips[odd].family}) is {shapes[odd]}, clip 0 "
                          f"({clips[0].family}) is {shapes[0]}")
+    if shapes[0][-1] != config.channels:
+        raise ValueError(f"training clips have {shapes[0][-1]} channel(s), the "
+                         f"config takes {config.channels}")
     params = init_params(config)
     state = ad.AdamState(lr=config.lr)
     history = []
@@ -418,7 +426,7 @@ def train_clips(clips, config: TrainConfig, threads=1, log=None):
                 raise ValueError(f"epoch {epoch}, batch start {start}: {err}") from err
             loss_sum += float(loss.data) * len(batch)
             scores[start:start + len(batch)] = ad.softmax_probs(logits.data)[:, 1]
-        acc = float(np.mean((scores >= 0.5) == (labels[order] == 1)))
+        acc = float(np.mean((scores >= THRESHOLD) == (labels[order] == 1)))
         mean_loss = loss_sum / n
         history.append((epoch, "train", mean_loss, acc))
         if log:

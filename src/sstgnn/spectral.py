@@ -7,10 +7,11 @@ the filtered signal g(L) X, so it needs w = g(L) 1 per diagonal block of
 L: a frame when no positive bridge joins the frames (the default: the
 temporal differential turns every bridge into a -1 edge), else a clip.
 `lanczos_basis` runs one batched Lanczos iteration from the all-ones
-vector over those blocks, applying L straight from the frame layout,
-and returns Ritz pairs from which w follows to rounding; `pool_spectral`
-computes each clip's pooled row as w^T X with w = U (g * U^T 1) / M,
-one diagonal block of U at a time, and never forms the filtered signal.
+vector over those blocks, applying L straight from the frame blocks and
+the per-clip twins, and returns Ritz pairs from which w follows to
+rounding; `pool_spectral` computes each clip's pooled row as w^T X
+with w = U (g * U^T 1) / M, one diagonal block of U at a time, and
+never forms the filtered signal.
 The basis is a constant to backpropagation.
 
 The dense path stays for the identities and the image demo:
@@ -116,6 +117,12 @@ def _inv_sqrt(deg):
     return np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
 
 
+def _check_weights(w):
+    """Raise unless every weight is finite and >= 0 (a NaN fails both)."""
+    if not (w.min(initial=0.0) >= 0 and w.max(initial=0.0) < np.inf):
+        raise ValueError("adjacency weights must be finite and nonnegative")
+
+
 def laplacian_from_adjacency(weights) -> np.ndarray:
     """Normalized Laplacian I - D^{-1/2} W D^{-1/2} of a symmetric W.
 
@@ -123,14 +130,13 @@ def laplacian_from_adjacency(weights) -> np.ndarray:
     blocks, each taken on its own. W is scaled by the outer product of
     D^{-1/2} with itself, w_ij * (s_i * s_j), so a symmetric W gives an
     exactly symmetric Laplacian. Isolated nodes (zero degree) get a
-    diagonal entry of exactly 1. Raises on negative weights: callers
-    select the nonnegative part.
+    diagonal entry of exactly 1. Raises on a negative or non-finite
+    weight: callers select the nonnegative part.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim not in (2, 3) or w.shape[-1] != w.shape[-2]:
         raise ValueError("adjacency must be square")
-    if (w < 0).any():
-        raise ValueError("adjacency for the Laplacian must be nonnegative")
+    _check_weights(w)
     inv_sqrt = _inv_sqrt(w.sum(axis=-1))
     lap = inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
     lap *= w
@@ -151,21 +157,10 @@ def graph_laplacian(graph: VideoGraph):
     if not (graph.twins > 0).any():
         return laplacian_from_adjacency(graph.blocks)
     n = graph.patches_per_frame
-    blocks = graph.blocks.reshape(graph.clips, -1, n, n)
+    layout = to_layout(graph.blocks, np.where(graph.twins > 0, graph.twins, 0.0))
     laps = laplacian_from_adjacency(np.stack([
-        dense_from_layout(to_layout(b, t))
-        for b, t in zip(blocks, _positive_twins(graph))]))
+        dense_from_layout(clip) for clip in layout.reshape(graph.clips, -1, n, n + 2)]))
     return laps if graph.clips > 1 else laps[0]
-
-
-def _positive_twins(graph: VideoGraph):
-    """The positive bridges as (B, F - 1, N), one row per frame pair of
-    each of the graph's B clips of F frames (clips never share one)."""
-    n = graph.patches_per_frame
-    # pad one row so each clip owns F rows, the last its boundary row
-    bridges = np.where(graph.twins > 0, graph.twins, 0.0)
-    bridges = np.concatenate([bridges, np.zeros((1, n))])
-    return bridges.reshape(graph.clips, -1, n)[:, :-1]
 
 
 # The Lanczos stop rule, per block. A residual norm below BREAKDOWN
@@ -216,13 +211,14 @@ def lanczos_basis(graph: VideoGraph, gains) -> SpectralBasis:
     approximates g(L) 1 to the stop rule's tolerance, for any gauge of S.
     """
     n_frame = graph.patches_per_frame
-    frames = graph.frames // graph.clips if (graph.twins > 0).any() else 1
+    frames = graph.twins.shape[1] + 1 if (graph.twins > 0).any() else 1
     weights = graph.blocks.reshape(-1, frames, n_frame, n_frame)
-    if weights.min() < 0:
-        raise ValueError("adjacency for the Laplacian must be nonnegative")
-    twins = _positive_twins(graph) if frames > 1 else None
+    _check_weights(weights)
     deg = weights.sum(axis=-1)
-    if twins is not None:
+    twins = None    # the positive bridges inside each block of F > 1 frames
+    if frames > 1:
+        twins = np.where(graph.twins > 0, graph.twins, 0.0)
+        _check_weights(twins)
         deg[:, 1:] += twins
         deg[:, :-1] += twins
     scale = _inv_sqrt(deg)

@@ -255,7 +255,9 @@ MANIFEST_COLUMNS = ("path", "label", "family")
 
 
 def load_manifest(manifest_path):
-    """Load a corpus manifest into LabeledClips (paths relative to it)."""
+    """Load a corpus manifest into LabeledClips (paths relative to it).
+    A row's label must fit its family and, when the clip file carries a
+    label trailer, that label too."""
     base = Path(manifest_path).parent
     clips = []
     with open(manifest_path, newline="") as fh:
@@ -275,6 +277,9 @@ def load_manifest(manifest_path):
             if label != int(row["family"] != "real"):
                 raise ValueError(f"{where}: label {label} does not fit family "
                                  f"{row['family']!r} (0 iff real, else 1)")
-            clip = load_clip(base / row["path"])
+            clip, own = load_labeled_clip(base / row["path"])
+            if own is not None and own != label:
+                raise ValueError(f"{where}: label {label} disagrees with "
+                                 f"{row['path']!r}, labelled {own}")
             clips.append(LabeledClip(clip, label, row["family"]))
     return clips

@@ -11,10 +11,16 @@ behaviour" is measured against the code that wrote the file.
 Regenerate only on purpose (the file is the reference):
 
     PYTHONPATH=src python tests/make_oracle.py
+
+Given a path, it writes there instead, which makes a bit-identity check
+of a refactor one `cmp` of the dumps at the two commits:
+
+    PYTHONPATH=src python tests/make_oracle.py /tmp/after.json
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -71,10 +77,15 @@ def case_id(scale, differential, family, seed):
     return f"{scale}/{'diff' if differential else 'nodiff'}/{family}/{seed}"
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Write the frozen oracle.")
+    parser.add_argument("out", nargs="?", type=Path, default=ORACLE_PATH,
+                        help=f"output path (default {ORACLE_PATH.name} beside "
+                             f"this script)")
+    out = parser.parse_args(argv).out
     cases = {case_id(*key): compute_case(*key) for key in case_keys()}
-    ORACLE_PATH.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(cases)} cases to {ORACLE_PATH}")
+    out.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(cases)} cases to {out}")
     return 0
 
 

@@ -212,7 +212,7 @@ def test_a7_gat_properties():
         support[np.arange(n), np.arange(n)] = True
         sign = np.where(support,
                         np.where(rng.random((n, n)) < 0.3, -1.0, 1.0), 0.0)
-        no_twins = np.zeros((0, n))
+        no_twins = np.zeros((1, 0, n))
         adj = gat.SignedAdjacency(graphs.to_layout(sign, no_twins))
         perm = rng.permutation(n)
         base = gat.gat_forward(ad.constant(x), [adj], params).data

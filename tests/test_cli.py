@@ -345,6 +345,20 @@ def test_train_mixed_clip_shapes_is_usage_error(tmp_path, capsys):
     assert "clip 2 (real) is (2, 16, 16, 1)" in capsys.readouterr().err
 
 
+def test_train_channel_mismatch_is_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    main(["synth", "--out", str(corpus), "--families", "real,spectral_noise",
+          "--count", "1", "--seed", "0", "--frames", "2", "--height", "8",
+          "--width", "8", "--channels", "3"])
+    code = main(["train", "--manifest", str(corpus / "manifest.csv"),
+                 "--out", str(tmp_path / "train"), "--patch-size", "4",
+                 "--epochs", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: training clips have 3 channel(s), "
+                                       "the config takes 1\n")
+    assert not (tmp_path / "train" / "checkpoint.sstg").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_train_has_no_threads_flag(trained_run, tmp_path, command):
     # training runs one tape per minibatch and eval one clip per forward;

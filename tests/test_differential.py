@@ -1,5 +1,7 @@
 """Negative differential edges: tile blocks, aggregation, temporal side."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,7 @@ class TestSpatialNegative:
         g = small_graph(grid=4)
         neg = diff.build_spatial_negative(g, 2)
         sums = diff.sgc_aggregate(np.ones(g.node_count), neg)
-        anchor = neg.anchor_mask
+        anchor = np.tile(neg.anchor_mask, g.frames)
         assert np.all(sums[anchor] == 1 - (2 * 2 - 1))
         assert np.all(sums[~anchor] == 0)
 
@@ -187,10 +189,12 @@ class TestTemporalConcat:
         # three clips stacked on the frame axis: each clip's last frame
         # pairs with itself, never with the next clip's first frame
         g = small_graph(t=3, grid=2)
+        emb = np.random.default_rng(14).random((9, 4, 5))
+        batch = graphs.unified_graph(emb, 2, 2, 0.3, 0.3, clips=3)
         rng = np.random.default_rng(13)
         x = rng.normal(size=(3 * 12, 3))
         w, b = ad.constant(rng.normal(size=(6, 3))), ad.constant(rng.normal(size=3))
-        out = diff.temporal_concat(ad.constant(x), g, w, b, clips=3)
+        out = diff.temporal_concat(ad.constant(x), batch, w, b)
         alone = [diff.temporal_concat(ad.constant(x[12 * k:12 * (k + 1)]), g, w, b)
                  for k in range(3)]
         np.testing.assert_array_equal(out.data, np.vstack([a.data for a in alone]))
@@ -221,8 +225,8 @@ class TestAddTemporalNegative:
     def test_overwrites_positive_edge(self):
         g = small_graph(t=2, grid=2, seed=13)
         pos = g.twins.copy()
-        pos[0, 0] = 1.8
-        g = g.with_twins(pos)
+        pos[0, 0, 0] = 1.8
+        g = replace(g, twins=pos)
         assert g.temporal[0, 4] == 1.8 and g.temporal[4, 0] == 1.8
         g2 = diff.add_temporal_negative(g)
         assert g2.temporal[0, 4] == -1.0 and g2.temporal[4, 0] == -1.0
@@ -268,7 +272,7 @@ class TestMatchesLoopReference:
     """T=3 frames on a 5x4 grid with tile 2: the last tile row is partial."""
 
     def test_spatial_matrix_bit_identical(self):
-        g = graphs.VideoGraph(3, 5, 4, np.zeros((3, 20, 20)), np.zeros((2, 20)))
+        g = graphs.VideoGraph(5, 4, np.zeros((3, 20, 20)), np.zeros((1, 2, 20)))
         for tile in (1, 2, 3, 5):
             mat, anchors = diff.negative_spatial_matrix(5, 4, tile)
             ref_mat, ref_anchors = loop_negative_spatial_matrix(1, 5, 4, tile)
@@ -280,8 +284,8 @@ class TestMatchesLoopReference:
             clip_mat, clip_anchors = loop_negative_spatial_matrix(3, 5, 4, tile)
             np.testing.assert_array_equal(diff.sgc_aggregate(np.eye(60), neg),
                                           clip_mat)
-            np.testing.assert_array_equal(np.nonzero(neg.anchor_mask)[0],
-                                          clip_anchors)
+            np.testing.assert_array_equal(
+                np.nonzero(np.tile(neg.anchor_mask, g.frames))[0], clip_anchors)
 
     def test_temporal_negative_bit_identical(self):
         emb = np.random.default_rng(3).random((3, 20, 5))

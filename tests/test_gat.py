@@ -25,7 +25,7 @@ def adjacency(support, sign=None):
     """One frame with no twins: an (n, n) sign, +1 on the support when
     not given."""
     sign = np.asarray(support if sign is None else sign, dtype=float)
-    return gat.SignedAdjacency(graphs.to_layout(sign, np.zeros((0, len(sign)))))
+    return gat.SignedAdjacency(graphs.to_layout(sign, np.zeros((1, 0, len(sign)))))
 
 
 def dense_pair(adj):
@@ -417,7 +417,7 @@ class TestSignedAdjacencyLayout:
 
     def test_construction_adds_missing_self_loops(self):
         support = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 0]], dtype=bool)
-        sign = graphs.to_layout(np.where(support, -1.0, 0.0), np.zeros((0, 3)))
+        sign = graphs.to_layout(np.where(support, -1.0, 0.0), np.zeros((1, 0, 3)))
         adj = gat.SignedAdjacency(sign)
         np.testing.assert_array_equal(adj.support, adj.sign != 0)
         dense_support, dense_sign = dense_pair(adj)
@@ -458,4 +458,4 @@ class TestSignedAdjacencyLayout:
         temporal = g.temporal.copy()
         temporal[0, 8] = temporal[8, 0] = -1.0   # frame 0 to frame 2
         with pytest.raises(ValueError, match="do not fit"):
-            g.with_twins(temporal)
+            replace(g, twins=temporal)

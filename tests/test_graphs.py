@@ -1,11 +1,13 @@
 """Graph construction: patchify, normalization, adjacency, assembly."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sstgnn import differential, graphs
+from sstgnn import differential, graphs, model
 from sstgnn.synth import SynthSpec, generate
 
 
@@ -182,23 +184,28 @@ class TestAssemble:
             assert abs(tu - tv) == 1 and pu == pv
 
     def test_stacked_clips_share_no_bridge(self):
-        # tau_t = 0 keeps bridges, so the cut boundary row is not empty
-        # by chance
+        # tau_t = 0 keeps every bridge, so a bridge between the clips
+        # would not be 0 by chance
         emb = np.random.default_rng(8).random((2, 3, 4, 5))
         alone = [graphs.unified_graph(e, 2, 2, 0.3, 0.0) for e in emb]
         g = graphs.unified_graph(emb.reshape(6, 4, 5), 2, 2, 0.3, 0.0, clips=2)
-        assert g.clips == 2 and alone[0].twins.all()
+        assert g.clips == 2 and g.frames == 6 and alone[0].twins.all()
         np.testing.assert_array_equal(g.blocks, np.concatenate(
             [a.blocks for a in alone]))
+        assert g.twins.shape == (2, 2, 4)
         np.testing.assert_array_equal(g.twins, np.concatenate(
-            [alone[0].twins, np.zeros((1, 4)), alone[1].twins]))
+            [a.twins for a in alone]))
 
     def test_clip_count_must_fit_the_frames(self):
-        blocks = np.zeros((4, 4, 4))
-        with pytest.raises(ValueError, match="do not split into 3 clips"):
-            graphs.VideoGraph(4, 2, 2, blocks, np.zeros((3, 4)), clips=3)
-        with pytest.raises(ValueError, match="joins two clips"):
-            graphs.VideoGraph(4, 2, 2, blocks, np.ones((3, 4)), clips=2)
+        emb = np.zeros((4, 4, 5))
+        for clips in (0, 3):
+            with pytest.raises(ValueError, match=f"do not split into {clips} clips"):
+                graphs.unified_graph(emb, 2, 2, 0.3, 0.3, clips=clips)
+
+    @pytest.mark.parametrize("twins", [(4, 1, 4), (3, 4), (1, 3, 5), (0, 3, 4)])
+    def test_twins_must_fit_the_blocks(self, twins):
+        with pytest.raises(ValueError, match="do not fit"):
+            graphs.VideoGraph(2, 2, np.zeros((4, 4, 4)), np.zeros(twins))
 
     def test_dump_edges(self, tmp_path):
         g = self.build(seed=4, t=2)
@@ -216,8 +223,7 @@ def reference_dump_edges(path, graph, negative=None):
     diagonal for the negative spatial edges."""
     spatial, temporal = graph.spatial, graph.temporal
     tiles = None if negative is None else graphs.dense_from_layout(
-        graphs.to_layout(negative.block,
-                         np.zeros((graph.frames - 1, graph.patches_per_frame))))
+        graphs.to_layout(negative.block, np.zeros(graph.twins.shape)))
     with open(path, "w") as fh:
         m = graph.node_count
         for u in range(m):
@@ -271,9 +277,8 @@ class TestDumpEdges:
         # and no twin line between the clips
         clips = [differential.add_temporal_negative(clip_graph(s))
                  for s in (4, 5)]
-        g = graphs.VideoGraph(6, 8, 8, np.concatenate([c.blocks for c in clips]),
-                              np.concatenate([clips[0].twins, np.zeros((1, 64)),
-                                              clips[1].twins]), clips=2)
+        g = graphs.VideoGraph(8, 8, np.concatenate([c.blocks for c in clips]),
+                              np.concatenate([c.twins for c in clips]))
         neg = differential.build_spatial_negative(g, 2)
         graphs.dump_edges(tmp_path / "new.txt", g, neg)
         reference_dump_edges(tmp_path / "ref.txt", g, neg)
@@ -285,9 +290,66 @@ class TestDumpEdges:
         assert kinds.count("neg_temporal") == 2 * 2 * 64
 
     def test_empty_graph_writes_nothing(self, tmp_path):
-        g = graphs.VideoGraph(2, 2, 2, np.zeros((2, 4, 4)), np.zeros((1, 4)))
+        g = graphs.VideoGraph(2, 2, np.zeros((2, 4, 4)), np.zeros((1, 1, 4)))
         graphs.dump_edges(tmp_path / "e.txt", g)
         assert (tmp_path / "e.txt").read_bytes() == b""
+
+
+# sha256 of the `dump_edges` bytes and of the consistency and
+# inconsistency sign layouts of batch graphs of 1-3 clips (4 frames of
+# 4 x 4 patches each; tau_t = 0.95 keeps some bridges), with bridges
+# (differential off) and with the differential. Taken from the code
+# that still stored one (T - 1, N) twin array across the whole batch.
+BATCH_DIGESTS = {
+    "bridges/1": (
+        "6b4a75383a7ad4f96cabb400929fe01b29ab75005fedfdf7a8581fc6f84c2b81",
+        "e58f3c557762b920f84a41dc98eab1df71ad3a345b01e670522d726aeace2380",
+        "5a6221ab484c723b9f7bb03fb4e88366c21d92e292ab987731a402229be02716"),
+    "bridges/2": (
+        "46c669968e5cbec3165da9aa0e58b70e0878ecafe1f2b5cf83dd00c933831d81",
+        "eb3f06c50735b83a66bb31e0db8fc3c848918f4ad2d9bf872f807f798965d428",
+        "d540bcefc755ff50c045a49201b69fa6f6053aff8756a90d7c075e20801b31a6"),
+    "bridges/3": (
+        "34160c004e016d68b4331ae7f2801e917f41f4058cb3637187e7ac8cba285a51",
+        "5b8f376b42037289f284c029ae4512b071b5a9b8a0ef0680f13dbd9b1e48bfa7",
+        "efb8c8acd8871e72acc4d40e68748f7ad16d09df60b044278e2a27c6716925e0"),
+    "diff/1": (
+        "e9092d29c540ee9297e70d64b61d5d66a3f483af0e5c2c593743ab19e935955e",
+        "fd816c50971eb68abf12d7df019bd6916edc0671a69257d41f5598bcd379dfbd",
+        "98490da0f59ee175279077c27b989670a72d4c46c0e7c891701f2133f2baa718"),
+    "diff/2": (
+        "ddc1a0a12b3bdbc240d4556cf190cb6a724fc562e9599ccd99aaed93250265f5",
+        "a7ae5619afdd90011e4bd810a4e45bbd3942998d80da7b42951bc0c3a0d0caae",
+        "c7b97e22e903e9af94548498a3d47255b34e211da31562deee2a7ca9517850ab"),
+    "diff/3": (
+        "55435ad7108e62ea5de362ae966791bd49b8a3838ac7f3b3db979e875e88599d",
+        "31dac016d0b4fadcae5c80c71f977a7377c0c6c0fdc4b3ef6eb2522dc2c01806",
+        "3a3c655526b2ed359562037e6f760a4de6f364f3bb8a168c872090c4f1abd8af"),
+}
+BATCH_FAMILIES = ("real", "upsample_artifact", "spectral_noise")
+
+
+@pytest.mark.parametrize("key", sorted(BATCH_DIGESTS))
+def test_batch_graph_bytes_pinned(tmp_path, key):
+    kind, clips = key.split("/")
+    cfg = model.preset_config("desk", patch_size=16, dim=8, filter_hidden=4,
+                              tau_t=0.95, use_differential=kind == "diff")
+    params = model.init_params(cfg, seed=3)
+    batch = [generate(SynthSpec(BATCH_FAMILIES[k], seed=k, frames=4)).clip
+             for k in range(int(clips))]
+    _, structure = model.forward(batch, params, cfg)
+    pairs = int(clips) * 3 * 16
+    twins = structure.graph.twins
+    if kind == "diff":
+        assert (twins == -1).sum() == pairs
+    else:   # some bridges kept, some not
+        assert 0 < (twins > 0).sum() < pairs
+    graphs.dump_edges(tmp_path / "edges.txt", structure.graph, structure.negative)
+    got = tuple(hashlib.sha256(blob).hexdigest() for blob in (
+        (tmp_path / "edges.txt").read_bytes(),
+        structure.consistency.sign.tobytes(),
+        structure.inconsistency.sign.tobytes()))
+    assert got == BATCH_DIGESTS[key]
 
 
 class TestFrameLayout:
@@ -296,7 +358,7 @@ class TestFrameLayout:
         m = t * n
         rng = np.random.default_rng(0)
         blocks, twins = rng.random((t, n, n)), rng.random((t - 1, n))
-        layout = graphs.to_layout(blocks, twins)
+        layout = graphs.to_layout(blocks, twins[None])
         assert layout.shape == (t, n, n + 2)
         dense = graphs.dense_from_layout(layout)
         for f in range(t):
@@ -318,8 +380,22 @@ class TestFrameLayout:
 
     def test_one_frame_is_the_matrix_plus_empty_twins(self):
         a = np.random.default_rng(0).random((5, 5))
-        layout = graphs.to_layout(a, np.zeros((0, 5)))
+        layout = graphs.to_layout(a, np.zeros((1, 0, 5)))
         assert layout.shape == (1, 5, 7)
         np.testing.assert_array_equal(layout[0, :, :5], a)
         assert not layout[0, :, 5:].any()
         np.testing.assert_array_equal(graphs.dense_from_layout(layout), a)
+
+    def test_each_clip_writes_its_twins_into_its_own_frames(self):
+        # two clips of two frames: no twin cell joins frames 1 and 2
+        n = 3
+        twins = np.random.default_rng(1).random((2, 1, n)) + 1.0
+        layout = graphs.to_layout(np.zeros((n, n)), twins)
+        assert layout.shape == (4, n, n + 2)
+        for clip in range(2):
+            first, second = layout[2 * clip], layout[2 * clip + 1]
+            np.testing.assert_array_equal(first[:, n + 1], twins[clip, 0])
+            np.testing.assert_array_equal(second[:, n], twins[clip, 0])
+            assert not first[:, n].any() and not second[:, n + 1].any()
+        dense = graphs.dense_from_layout(layout)
+        assert not dense[n:2 * n, 2 * n:].any() and not dense[2 * n:, :2 * n].any()

@@ -119,6 +119,16 @@ def tiny_protocol(**kw):
 
 
 class TestProtocols:
+    def test_corpus_takes_the_model_channels(self):
+        pcfg = tiny_protocol(train=model.TrainConfig(
+            patch_size=4, dim=8, filter_hidden=4, batch_size=4, epochs=1,
+            channels=3))
+        assert pcfg.clip_kw()["channels"] == 3
+        clips = pcfg.corpus(("real",), pcfg.train_seeds())
+        assert {c.clip.pixels.shape[-1] for c in clips} == {3}
+        params, _ = metrics.train_on_families(pcfg, ["upsample_artifact"])
+        assert params["encoder.weight"].data.shape == (4 * 4 * 3, 8)
+
     def test_untrained_model_gives_exactly_half_auc(self):
         pcfg = tiny_protocol()
         params = model.init_params(pcfg.train)  # zero head: constant scores

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sstgnn import autodiff as ad
-from sstgnn import differential, gat, graphs, model, spectral, synth
+from sstgnn import differential, gat, graphs, metrics, model, spectral, synth
 
 
 def toy_clip(seed=0, family="real", frames=2, size=8):
@@ -220,17 +220,15 @@ class TestBatch:
                                      params, cfg)
         twins = structure.graph.twins
         frames, n = structure.graph.frames // 16, structure.graph.patches_per_frame
-        assert twins.shape == (16 * frames - 1, n)
-        boundary = twins[frames - 1::frames]
-        assert boundary.shape[0] == 15 and not boundary.any()
+        assert twins.shape == (16, frames - 1, n)
         assert (twins == -1).sum() == 16 * (frames - 1) * n
         for adjacency in (structure.consistency, structure.inconsistency):
             assert not adjacency.support[frames::frames, :, n].any()
             assert not adjacency.support[frames - 1::frames, :, n + 1].any()
 
     def test_bridges_cut_between_clips(self, desk_batch):
-        # differential off, tau_t = 0: the B - 1 rows between two clips
-        # score bridges that clear the threshold, and must be masked
+        # differential off, tau_t = 0: a bridge between two clips would
+        # clear the threshold, and the graph holds none
         cfg = model.TrainConfig(use_differential=False, tau_t=0.0)
         params = model.init_params(cfg)
         clips = [item.clip for item in desk_batch]
@@ -241,12 +239,12 @@ class TestBatch:
         emb = x.data.reshape(graph.frames, n, -1)
         _, keep = graphs.temporal_bridge(graph.blocks[last], graph.blocks[last + 1],
                                          emb[last], emb[last + 1], cfg.tau_t)
-        assert keep.any() and not graph.twins[last].any()
-        inside = np.delete(graph.twins, last, axis=0)
+        assert keep.any() and graph.twins.shape == (16, frames - 1, n)
+        assert not structure.consistency.support[last + 1, :, n].any()
         alone = [model.forward([clip], params, cfg)[1].graph.twins
                  for clip in clips]
-        assert (inside > 0).any()
-        np.testing.assert_array_equal(inside, np.concatenate(alone))
+        assert (graph.twins > 0).any()
+        np.testing.assert_array_equal(graph.twins, np.concatenate(alone))
 
     @pytest.mark.parametrize("batch", [1, 16])
     def test_build_structure_once_per_forward(self, desk_batch, monkeypatch,
@@ -512,6 +510,30 @@ class TestTraining:
         params, state, before = seen[-1]
         assert len(seen) == 2 and before[1] == 1
         assert adam_snapshot(params, state) == before
+
+    def test_channel_count_checked_before_the_first_step(self, monkeypatch):
+        forwards = []
+        monkeypatch.setattr(model, "forward", lambda *args: forwards.append(args))
+        corpus = [synth.generate(synth.SynthSpec(fam, seed=0, frames=2, height=8,
+                                                 width=8, channels=3))
+                  for fam in ("real", "upsample_artifact")]
+        with pytest.raises(ValueError, match=re.escape(
+                "training clips have 3 channel(s), the config takes 1")):
+            model.train_clips(corpus, toy_config())
+        assert forwards == []
+        with pytest.raises(ValueError, match=re.escape(
+                "training clips have 1 channel(s), the config takes 3")):
+            model.train_clips(tiny_corpus(), toy_config(channels=3))
+
+    def test_one_threshold_for_training_and_metrics(self, monkeypatch):
+        # 1 real and 2 fake clips: every score is >= 0 and < 1.1, so the
+        # threshold alone decides both accuracies
+        corpus = tiny_corpus(n=2)[1:]
+        for threshold, acc in ((0.0, 2 / 3), (1.1, 1 / 3)):
+            monkeypatch.setattr(model, "THRESHOLD", threshold)
+            _, history = model.train_clips(corpus, toy_config(epochs=1))
+            assert history[0][3] == acc
+            assert metrics.accuracy([0.2, 0.7, 0.9], [0, 1, 1]) == acc
 
     def test_history_holds_mean_per_clip_loss(self, monkeypatch):
         steps = []

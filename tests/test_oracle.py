@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import make_oracle
 from make_oracle import ORACLE_PATH, case_id, case_keys, compute_case
 
 ORACLE = json.loads(ORACLE_PATH.read_text())
@@ -33,3 +34,11 @@ def test_matches_frozen_oracle(key):
                 if not close(got[field][name], r)]
     assert not bad, bad
     assert np.isfinite(got["logits"]).all()
+
+
+def test_dump_goes_to_a_given_path(tmp_path, monkeypatch):
+    key = next(case_keys())
+    monkeypatch.setattr(make_oracle, "case_keys", lambda: iter([key]))
+    assert make_oracle.main([str(tmp_path / "dump.json")]) == 0
+    assert json.loads((tmp_path / "dump.json").read_text()) == {
+        case_id(*key): compute_case(*key)}

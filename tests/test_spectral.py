@@ -1,6 +1,7 @@
 """Spectral engine: Laplacian, eigenbasis, Lanczos basis, gains, filters, demo."""
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,6 +63,14 @@ class TestLaplacian:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             spectral.laplacian_from_adjacency([[0.0, -0.5], [-0.5, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        stack = np.ones((2, 3, 3))
+        stack[1, 0, 2] = stack[1, 2, 0] = bad
+        for weights in (stack[1], stack):
+            with pytest.raises(ValueError, match="must be finite and nonnegative"):
+                spectral.laplacian_from_adjacency(weights)
 
     def test_graph_scope_selection(self):
         # the clip Laplacian spans the intra-frame edges and the positive
@@ -129,7 +138,7 @@ def block_diagonal_of(stack):
     """The (M, M) matrix whose diagonal blocks are ``stack``."""
     frames, n, _ = stack.shape
     return graphs.dense_from_layout(
-        graphs.to_layout(stack, np.zeros((frames - 1, n))))
+        graphs.to_layout(stack, np.zeros((1, frames - 1, n))))
 
 
 def block_diagonal(sizes, seed=0):
@@ -170,7 +179,7 @@ def bridged_graph(twins, t=3, grid=2):
     """A clip graph whose twin vector is ``twins`` (one frame pair per
     row); the frames' own edges come from random embeddings."""
     g = random_video_graph(5, t=t, grid=grid)
-    return g.with_twins(np.asarray(twins, dtype=float))
+    return replace(g, twins=np.asarray(twins, dtype=float)[None])
 
 
 class TestDiagonalBlocks:
@@ -658,8 +667,9 @@ def block_graph(rng, coupled, clips, frames, grid, isolated=0.2):
     keep = rng.random((t - 1, n)) < 0.7
     twins = rng.random((t - 1, n)) * keep if coupled else -1.0 * keep
     twins[:, cut] = 0.0
-    twins[graphs.clip_boundaries(t, clips)] = 0.0
-    return graphs.VideoGraph(t, grid, grid, blocks, twins, clips)
+    # drop the rows that would join two clips
+    twins = np.delete(twins, np.arange(frames - 1, t - 1, frames), axis=0)
+    return graphs.VideoGraph(grid, grid, blocks, twins.reshape(clips, frames - 1, n))
 
 
 def eigh_basis(graph):
@@ -744,6 +754,27 @@ class TestLanczosMatchesEigh:
         assert_matches_eigh(graph, mlp)
 
 
+class TestLanczosInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_non_finite_weight_rejected(self, bad, coupled):
+        g = random_video_graph(2, t=3)
+        if not coupled:
+            g = differential.add_temporal_negative(g)
+        assert (g.twins > 0).any() == coupled
+        blocks = g.blocks.copy()
+        blocks[1, 0, 1] = blocks[1, 1, 0] = bad
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            spectral.lanczos_basis(replace(g, blocks=blocks), np.ones_like)
+
+    def test_infinite_bridge_rejected(self):
+        g = random_video_graph(2, t=3)
+        twins = g.twins.copy()
+        twins[0, 1, 2] = np.inf
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            spectral.lanczos_basis(replace(g, twins=twins), np.ones_like)
+
+
 class TestLanczosBreakdown:
     """Blocks whose all-ones vector is an eigenvector of L stop after one
     step with the exact pooled rows; padded columns weigh nothing."""
@@ -752,7 +783,7 @@ class TestLanczosBreakdown:
     def frames_graph(blocks):
         t, n, _ = blocks.shape
         grid = int(np.sqrt(n))
-        return graphs.VideoGraph(t, grid, grid, blocks, -np.ones((t - 1, n)))
+        return graphs.VideoGraph(grid, grid, blocks, -np.ones((1, t - 1, n)))
 
     @staticmethod
     def regular_frame(n):

@@ -1,6 +1,7 @@
 """Synthetic corpus: family contracts, determinism, VGF1 container."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,24 @@ class TestCorpus:
         assert len(clips) == 4
         assert {c.family for c in clips} == {"real", "temporal_jitter"}
         assert all((c.label == 1) == (c.family != "real") for c in clips)
+
+    def test_manifest_label_must_match_the_clip_trailer(self, tmp_path):
+        manifest = synth.write_corpus(tmp_path, ["real", "upsample_artifact"],
+                                      range(1), frames=2, height=8, width=8)
+        text = manifest.read_text()
+        assert "real_0.vgf,0,real," in text
+        # a real row pointing at a fake clip, whose trailer says 1
+        manifest.write_text(text.replace("real_0.vgf,0,real,",
+                                         "upsample_artifact_0.vgf,0,real,"))
+        with pytest.raises(ValueError, match=re.escape(
+                "manifest.csv:2: label 0 disagrees with "
+                "'upsample_artifact_0.vgf', labelled 1")):
+            synth.load_manifest(manifest)
+        # a clip file without a trailer takes the row's label
+        synth.save_clip(tmp_path / "bare.vgf", synth.load_clip(
+            tmp_path / "upsample_artifact_0.vgf"))
+        manifest.write_text(text.replace("real_0.vgf,0,real,", "bare.vgf,0,real,"))
+        assert synth.load_manifest(manifest)[0].label == 0
 
     @pytest.mark.parametrize("line, label, error", [
         pytest.param(3, "2", "label '2' is not 0 or 1", id="2"),
