@@ -5,7 +5,7 @@ block-diagonal matrix: the spectral pool w^T x applies it to one column
 w and never forms the filtered signal), add, mul (both broadcasting),
 concat, basic slicing, reshape, leaky_relu, mean, cross_entropy, plus
 frame_attention, one fused op for every pass of graph attention over a
-clip's signed frame layout. Each op records a backward rule on a
+clip's signed slot tables. Each op records a backward rule on a
 per-forward tape; `backward()` walks the tape once in reverse
 topological order and returns the gradient of every leaf parameter, the
 dict the optimizer consumes. A minibatch is one tape: its clips share
@@ -297,60 +297,51 @@ def block_matmul(blocks, x) -> Tensor:
 _OFF_SUPPORT = np.finfo(np.float64).max
 
 
-def frame_attention(h, attention, sign) -> Tensor:
-    """Signed attention aggregation of P passes over one (T, N, N + 2)
-    frame layout.
+def _slot_values(blocks, index):
+    """The (..., N, k) values of (..., N, N) frame blocks at the columns
+    ``index`` (N, k) names for each row; the blocks themselves when
+    ``index`` is None."""
+    if index is None:
+        return blocks
+    return blocks[..., np.arange(len(index))[:, None], index]
 
-    ``h`` is (M, d) with M = T * N, ``attention`` is (2d,). ``sign``
-    holds one signed layout per pass, as a (P, T, N, N + 2) array or a
-    sequence of P (T, N, N + 2) arrays (read in place, never stacked);
-    a pass's support is where its sign is nonzero. Row (t, i) of a
-    layout covers frame t's nodes, then the twins (t - 1, i) and
-    (t + 1, i). Scores e = LeakyReLU(a_self . h_i + a_peer . h_j),
-    computed once for all passes; each pass takes the softmax over its
-    row's support, times its sign, and sums the neighbour rows of h with
-    those weights. Returns (M, P d): row (t, i) is the P passes' outputs
-    side by side. A row with no support raises ValueError. One tape
-    node with a hand-written backward replaces the scores, softmax,
-    sign, aggregation and concat ops a dense composition would record.
-    """
-    h, attention = as_tensor(h), as_tensor(attention)
-    passes = len(sign)
-    m, d = h.data.shape
-    layout = np.shape(sign[0]) if passes else ()
-    if (len(layout) != 3 or layout[2] != layout[1] + 2
-            or any(np.shape(s) != layout for s in sign)):
-        raise ValueError(f"frame_attention: sign must hold P >= 1 equal "
-                         f"(T, N, N + 2) layouts, got "
-                         f"{[np.shape(s) for s in sign]}")
-    frames, n, _ = layout
-    if m != frames * n or attention.data.shape != (2 * d,):
-        raise ValueError(f"frame_attention: h {h.data.shape} and attention "
-                         f"{attention.data.shape} do not fit a "
-                         f"{layout} layout")
-    a_self, a_peer = attention.data[:d, None], attention.data[d:, None]
-    hf = h.data.reshape(frames, n, d)
-    s_self = (h.data @ a_self).reshape(frames, n, 1)
-    s_peer = (h.data @ a_peer).reshape(frames, n)
-    raw = np.empty(layout)
-    np.add(s_self, s_peer[:, None, :], out=raw[:, :, :n])
-    raw[:, :, n:] = s_self    # frames 0 and T - 1 lack one twin each
-    raw[1:, :, n] += s_peer[:-1]
-    raw[:-1, :, n + 1] += s_peer[1:]
+
+def _frame_blocks(values, index):
+    """(..., N, k) slot values scattered into zero (..., N, N) frame
+    blocks, the inverse of `_slot_values`. The columns of a row are
+    distinct, so no value is lost."""
+    if index is None:
+        return values
+    n = len(index)
+    blocks = np.zeros(values.shape[:-1] + (n,))
+    blocks[..., np.arange(n)[:, None], index] = values
+    return blocks
+
+
+def _attend(p, sign, index, hf, s_self, s_peer, out):
+    """Pass ``p`` of `frame_attention`: the masked softmax over the
+    support of its (T, N, K) slot table, times the sign, aggregated over
+    the rows of ``hf`` into ``out`` (T, N, d). Returns what its backward
+    reads: the raw scores, the softmax and the signed weights."""
+    k = sign.shape[2] - 2
+    raw = np.empty(sign.shape)
+    peers = s_peer[:, None, :] if index is None else s_peer[:, index]
+    np.add(s_self, peers, out=raw[:, :, :k])
+    raw[:, :, k:] = s_self    # frames 0 and T - 1 lack one twin each
+    raw[1:, :, k] += s_peer[:-1]
+    raw[:-1, :, k + 1] += s_peer[1:]
     # LeakyReLU as the max of raw and LEAKY_SLOPE * raw: the same values
     # as raw * gate, with no branch
     scores = np.multiply(raw, LEAKY_SLOPE)
     np.maximum(raw, scores, out=scores)
-    support = [s != 0 for s in sign]
-    alpha = np.empty((passes, *layout))
-    for p in range(passes):
-        np.multiply(support[p], _OFF_SUPPORT, out=alpha[p])
-        alpha[p] -= _OFF_SUPPORT
-        alpha[p] += scores
+    support = sign != 0
+    alpha = np.multiply(support, _OFF_SUPPORT)
+    alpha -= _OFF_SUPPORT
+    alpha += scores
     rowmax = alpha.max(axis=-1, keepdims=True)
     empty = rowmax[..., 0] < -_OFF_SUPPORT / 2
     if empty.any():
-        p, t, i = np.argwhere(empty)[0]
+        t, i = np.argwhere(empty)[0]
         raise ValueError(f"frame_attention: pass {p}, frame {t}, node {i} "
                          f"has no support, so its softmax is 0/0, non-finite")
     np.subtract(scores, rowmax, out=alpha)
@@ -358,43 +349,111 @@ def frame_attention(h, attention, sign) -> Tensor:
     # and then zeroed, it neither overflows nor leaves the fast exp path
     np.minimum(alpha, 0.0, out=alpha)
     np.exp(alpha, out=alpha)
-    weights = np.empty_like(alpha)
-    for p in range(passes):
-        alpha[p] *= support[p]
+    alpha *= support
     alpha /= alpha.sum(axis=-1, keepdims=True)
-    for p in range(passes):
-        np.multiply(alpha[p], sign[p], out=weights[p])
-    out = np.empty((frames, n, passes, d))
-    per_pass = out.transpose(2, 0, 1, 3)
-    np.matmul(weights[..., :n], hf, out=per_pass)
-    per_pass[:, 1:] += weights[:, 1:, :, n, None] * hf[:-1]
-    per_pass[:, :-1] += weights[:, :-1, :, n + 1, None] * hf[1:]
-    out = Tensor(out.reshape(m, passes * d),
+    weights = alpha * sign
+    if index is None:
+        np.matmul(weights[:, :, :k], hf, out=out)
+    else:
+        np.matmul(weights[:, :, None, :k], np.take(hf, index, axis=1),
+                  out=out[:, :, None])
+    out[1:] += weights[1:, :, k, None] * hf[:-1]
+    out[:-1] += weights[:-1, :, k + 1, None] * hf[1:]
+    return raw, alpha, weights
+
+
+def _attend_backward(gp, hf, sign, index, raw, alpha, weights, want_dh):
+    """The gradients of one `_attend` pass given ``gp``, the gradient
+    of its (T, N, d) output: those of s_self and s_peer, and the
+    aggregation's part of dh (None unless ``want_dh``). Slot values are
+    scattered into frame blocks, so each product is one matmul."""
+    k = sign.shape[2] - 2
+    dalpha = np.zeros(alpha.shape)
+    dalpha[:, :, :k] = _slot_values(gp @ hf.transpose(0, 2, 1), index)
+    dalpha[1:, :, k] = (gp[1:] * hf[:-1]).sum(axis=-1)
+    dalpha[:-1, :, k + 1] = (gp[:-1] * hf[1:]).sum(axis=-1)
+    dalpha *= sign
+    dalpha -= (dalpha * alpha).sum(axis=-1, keepdims=True)
+    dalpha *= alpha
+    de = dalpha * np.where(raw > 0, 1.0, LEAKY_SLOPE)   # of the raw scores
+    ds_self = de.sum(axis=-1)
+    ds_peer = _frame_blocks(de[:, :, :k], index).sum(axis=1)
+    ds_peer[:-1] += de[1:, :, k]
+    ds_peer[1:] += de[:-1, :, k + 1]
+    dh = None
+    if want_dh:
+        dh = _frame_blocks(weights[:, :, :k], index).transpose(0, 2, 1) @ gp
+        dh[:-1] += weights[1:, :, k, None] * gp[1:]
+        dh[1:] += weights[:-1, :, k + 1, None] * gp[:-1]
+    return ds_self, ds_peer, dh
+
+
+def frame_attention(h, attention, sign, index=None) -> Tensor:
+    """Signed attention aggregation of P passes, each over its own
+    (T, N, K) slot table.
+
+    ``h`` is (M, d) with M = T * N, ``attention`` is (2d,). ``sign``
+    holds one table per pass, as a (P, T, N, K) array or a sequence of
+    P arrays (read in place, never stacked); a pass's support is where
+    its sign is nonzero. Slot k < K - 2 of row (t, i) is node
+    ``index[p][i, k]`` of frame t, one (N, K - 2) table of distinct
+    columns per row shared by every frame; ``index`` None, or a None
+    entry, is the dense frame layout, K = N + 2, whose slot k is node k.
+    The last two slots are the twins (t - 1, i) and (t + 1, i). Scores
+    e = LeakyReLU(a_self . h_i + a_peer . h_j) over each pass's own
+    slots; each pass takes the softmax over its row's support, times
+    its sign, and sums the neighbour rows of h with those weights: one
+    matmul per frame for a dense layout, a gather of each row's K - 2
+    rows for an index. Returns (M, P d): row (t, i) is the P passes'
+    outputs side by side. A row with no support raises ValueError. One
+    tape node with a hand-written backward replaces the scores, softmax,
+    sign, aggregation and concat ops a dense composition would record.
+    """
+    h, attention = as_tensor(h), as_tensor(attention)
+    passes = len(sign)
+    index = [None] * passes if index is None else list(index)
+    layout = np.shape(sign[0]) if passes else ()
+    frames, n = layout[:2] if len(layout) == 3 else (0, 0)
+    columns = [(n, n) if i is None else np.shape(i) for i in index]
+    if (not frames or len(index) != passes or any(
+            len(c) != 2 or c[0] != n or np.shape(s) != (frames, n, c[1] + 2)
+            for s, c in zip(sign, columns))):
+        raise ValueError(f"frame_attention: sign must hold P >= 1 (T, N, K) "
+                         f"slot tables, K - 2 the columns of each pass's "
+                         f"index (N for the dense layouts), got "
+                         f"{[np.shape(s) for s in sign]} and index {columns}")
+    m, d = h.data.shape
+    if m != frames * n or attention.data.shape != (2 * d,):
+        raise ValueError(f"frame_attention: h {h.data.shape} and attention "
+                         f"{attention.data.shape} do not fit {frames} frames "
+                         f"of {n} nodes")
+    a_self, a_peer = attention.data[:d, None], attention.data[d:, None]
+    hf = h.data.reshape(frames, n, d)
+    s_self = (h.data @ a_self).reshape(frames, n, 1)
+    s_peer = (h.data @ a_peer).reshape(frames, n)
+    # each pass writes a contiguous block: strided in-place adds cost
+    # several times as much as the one transposing copy below
+    out = np.empty((passes, frames, n, d))
+    kept = [_attend(p, sign[p], index[p], hf, s_self, s_peer, out[p])
+            for p in range(passes)]
+    out = Tensor(out.transpose(1, 2, 0, 3).reshape(m, passes * d),
                  requires_grad=h.requires_grad or attention.requires_grad,
                  parents=(h, attention))
 
     def _backward(g, acc):
-        gp = g.reshape(frames, n, passes, d).transpose(2, 0, 1, 3)
-        dalpha = np.zeros(alpha.shape)
-        dalpha[..., :n] = gp @ hf.transpose(0, 2, 1)
-        dalpha[:, 1:, :, n] = (gp[:, 1:] * hf[:-1]).sum(axis=-1)
-        dalpha[:, :-1, :, n + 1] = (gp[:, :-1] * hf[1:]).sum(axis=-1)
+        gp = np.ascontiguousarray(
+            g.reshape(frames, n, passes, d).transpose(2, 0, 1, 3))
+        ds_self, ds_peer = np.zeros((frames, n)), np.zeros((frames, n))
+        dh = np.zeros((frames, n, d))
         for p in range(passes):
-            dalpha[p] *= sign[p]
-        dalpha -= (dalpha * alpha).sum(axis=-1, keepdims=True)
-        dalpha *= alpha
-        # the passes share their scores: one gate and one score gradient
-        de = dalpha.sum(axis=0)
-        de *= np.where(raw > 0, 1.0, LEAKY_SLOPE)
-        ds_self = de.sum(axis=-1)
-        ds_peer = de[:, :, :n].sum(axis=1)
-        ds_peer[:-1] += de[1:, :, n]
-        ds_peer[1:] += de[:-1, :, n + 1]
+            self_p, peer_p, dh_p = _attend_backward(
+                gp[p], hf, sign[p], index[p], *kept[p], h.requires_grad)
+            ds_self += self_p
+            ds_peer += peer_p
+            if h.requires_grad:
+                dh += dh_p
         ds_self, ds_peer = ds_self.reshape(m, 1), ds_peer.reshape(m, 1)
         if h.requires_grad:
-            dh = (weights[..., :n].transpose(0, 1, 3, 2) @ gp).sum(axis=0)
-            dh[:-1] += (weights[:, 1:, :, n, None] * gp[:, 1:]).sum(axis=0)
-            dh[1:] += (weights[:, :-1, :, n + 1, None] * gp[:, :-1]).sum(axis=0)
             dh = dh.reshape(m, d) + ds_self @ a_self.T + ds_peer @ a_peer.T
             _accum(acc, h, dh)
         if attention.requires_grad:

@@ -4,7 +4,8 @@ The spatial differential generalizes per-tile anchor subtraction (NPR)
 to graph nodes: within every l0 x l0 tile of the patch grid, the anchor
 (top-left) node gets -1 edges to the rest of the tile and every node a
 +1 self edge. That pattern is one (N, N) block, the same in every
-frame and never widened to the (M, M) clip matrix. One linear
+frame and never widened to the (M, M) clip matrix; attention reads it
+as tile² slots per node (`tile_slots`). One linear
 propagation over it reproduces the pixel-level NPR exactly on
 non-anchor nodes, which `theorem1_check` verifies. The temporal
 differential concatenates each node with its next-frame twin through an
@@ -15,6 +16,7 @@ graph: the tile block acts per frame, and twins are held per clip.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,25 +64,56 @@ def npr_reference(grid, tile) -> np.ndarray:
     return (blocks - anchors).reshape(gh * tile, gw * tile)
 
 
-def negative_spatial_matrix(grid_h, grid_w, tile):
-    """One frame's (N, N) tile-block matrix and its anchors; trailing
-    partial tiles skipped.
-
-    Assignment order inside each block: zero, anchor row = -1, anchor
-    column = -1, then diagonal = 1 (last, so the anchor diagonal is 1).
-    """
-    n = grid_h * grid_w
+@functools.lru_cache(maxsize=16)
+def tile_ids(grid_h, grid_w, tile):
+    """The (tiles, tile²) node ids of one frame's complete tiles: one row
+    per tile in (tile row, tile column) order, the tile's nodes
+    row-major, so the anchor comes first. Trailing partial tiles are
+    skipped. Read-only: the value is cached per grid and tile."""
     ti, tj, a, b = np.ix_(np.arange(grid_h // tile), np.arange(grid_w // tile),
                           np.arange(tile), np.arange(tile))
-    # one row per tile in (tile row, tile column) order; the tile's
-    # nodes row-major, the anchor first
     ids = ((ti * tile + a) * grid_w + tj * tile + b).reshape(-1, tile * tile)
-    anchors = ids[:, 0]
+    ids.flags.writeable = False
+    return ids
+
+
+@functools.lru_cache(maxsize=16)
+def tile_slots(grid_h, grid_w, tile):
+    """One frame's tile block as (N, k) column and sign tables, k =
+    tile² (1 when no tile is complete): row i holds the block's entries
+    of row i at the distinct columns ``index[i]``, its own first.
+
+    A tile node's row lists its tile, from itself on in cyclic order.
+    The anchor's signs are +1 on itself and -1 on its tile mates; a
+    mate's are +1 on itself, -1 on the anchor and 0 on the other mates.
+    A node outside every complete tile has an all-zero row over itself
+    and the next k - 1 columns (mod N). Read-only: the tables are cached
+    per grid and tile.
+    """
+    n = grid_h * grid_w
+    ids = tile_ids(grid_h, grid_w, tile)
+    k = ids.shape[1] if len(ids) else 1
+    index = (np.arange(n)[:, None] + np.arange(k)) % n
+    sign = np.zeros((n, k))
+    if len(ids):
+        # row a of the rotation starts on tile position a
+        rotate = (np.arange(k)[:, None] + np.arange(k)) % k
+        pattern = np.eye(k)
+        pattern[0, 1:] = pattern[1:, 0] = -1.0
+        index[ids] = ids[:, rotate]
+        sign[ids] = pattern[np.arange(k)[:, None], rotate]
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
+
+
+def negative_spatial_matrix(grid_h, grid_w, tile):
+    """One frame's (N, N) tile-block matrix, `tile_slots` scattered into
+    their columns, and its anchors."""
+    index, sign = tile_slots(grid_h, grid_w, tile)
+    n = len(index)
     mat = np.zeros((n, n))
-    mat[anchors[:, None], ids] = -1.0
-    mat[ids, anchors[:, None]] = -1.0
-    mat[ids, ids] = 1.0
-    return mat, anchors
+    mat[np.arange(n)[:, None], index] = sign
+    return mat, tile_ids(grid_h, grid_w, tile)[:, 0]
 
 
 def build_spatial_negative(graph: VideoGraph, tile) -> NegativeSpatialAdjacency:

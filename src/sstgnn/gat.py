@@ -1,21 +1,22 @@
 """Graph attention over signed adjacency: consistency and inconsistency.
 
 One single-head GAT layer, shared by both passes and run as one fused
-op: h = Wx and the concatenation attention scores are computed once,
-then each pass masks them to its edge support, takes the softmax and
-aggregates. The softmax is undefined over negative weights, so attention
-runs on the support (the nonzero signs) and each message is multiplied
-by the edge sign. The consistency pass uses the positive spatial +
-temporal edges (+1 signs); the inconsistency pass uses the tile blocks
-and the -1 temporal entries. `SignedAdjacency` adds any missing
-self-loop (+1), so no softmax row is empty. The layer returns both
-passes' rows side by side, [h_c || h_ic], which `spatial_fuse` maps
-without a concat.
+op: h = Wx is computed once, then each pass scores its own edge slots,
+masks them to its support, takes the softmax and aggregates. The
+softmax is undefined over negative weights, so attention runs on the
+support (the nonzero signs) and each message is multiplied by the edge
+sign. The consistency pass uses the positive spatial + temporal edges
+(+1 signs); the inconsistency pass uses the tile blocks and the -1
+temporal entries. `SignedAdjacency` adds any missing self-loop (+1), so
+no softmax row is empty. The layer returns both passes' rows side by
+side, [h_c || h_ic], which `spatial_fuse` maps without a concat.
 
-Each adjacency is one signed (T, N, N + 2) frame layout (see
-`graphs.to_layout`), built straight from the graph's frame blocks, twin
-edges and tile block: node (t, i) attends over frame t's nodes and its
-twins in frames t - 1 and t + 1, never over a dense M x M mask.
+An adjacency is a (T, N, K) slot table: node (t, i) attends over K - 2
+nodes of frame t and its twins in frames t - 1 and t + 1, never over a
+dense M x M mask. The consistency pass, mostly supported, is the dense
+frame layout (see `graphs.to_layout`), whose K - 2 = N slots are frame
+t's nodes. The inconsistency pass reads only its tile: one (N, tile²)
+column table shared by every frame, so K = tile² + 2.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .differential import NegativeSpatialAdjacency
+from .differential import NegativeSpatialAdjacency, tile_slots
 from .graphs import VideoGraph, to_layout
 
 
@@ -37,28 +38,49 @@ class GatParams:
 
 @dataclass(frozen=True)
 class SignedAdjacency:
-    """A {-1, 0, +1} sign per edge, held as one (T, N, N + 2) frame
-    layout; the edge support is where the sign is nonzero. Every node
-    gets a self-loop: a missing one is added with sign +1, an existing
-    one keeps its sign.
+    """A {-1, 0, +1} sign per edge slot, held as a (T, N, K) table; the
+    edge support is where the sign is nonzero. Slot k < K - 2 of row
+    (t, i) is node ``index[i, k]`` of frame t, the same (N, K - 2)
+    columns in every frame, distinct within a row and starting on node
+    i itself; ``index`` None is the dense frame layout, K = N + 2, whose
+    slot k is node k. The last two slots are the twins in frames t - 1
+    and t + 1. Every node gets a self-loop: a missing one is added with
+    sign +1, an existing one keeps its sign.
     """
 
     sign: np.ndarray
+    index: np.ndarray | None = None
 
     def __post_init__(self):
         sign = np.asarray(self.sign, dtype=float)
-        if sign.ndim != 3 or sign.shape[2] != sign.shape[1] + 2:
-            raise ValueError(f"sign {sign.shape} is not a (T, N, N + 2) "
-                             f"frame layout")
+        index = None if self.index is None else np.asarray(self.index)
+        if index is None:
+            if sign.ndim != 3 or sign.shape[2] != sign.shape[1] + 2:
+                raise ValueError(f"sign {sign.shape} is not a (T, N, N + 2) "
+                                 f"frame layout")
+        elif (sign.ndim != 3 or sign.shape[2] < 3 or index.dtype.kind not in "iu"
+                or index.shape != (sign.shape[1], sign.shape[2] - 2)):
+            raise ValueError(f"sign {sign.shape} is not a (T, N, K) slot table "
+                             f"of the (N, K - 2) integer index, {index.dtype} "
+                             f"{index.shape}")
         n = sign.shape[1]
-        if sign[0, :, n].any() or sign[-1, :, n + 1].any():
+        rows = np.arange(n)
+        loop = rows    # the self slot of each row
+        if index is not None:
+            ordered = np.sort(index, axis=1)
+            if ((index[:, 0] != rows).any() or index.min() < 0 or index.max() >= n
+                    or (ordered[:, 1:] == ordered[:, :-1]).any()):
+                raise ValueError(f"each row of index must start on its own "
+                                 f"node and hold distinct columns in [0, {n})")
+            loop = 0
+        if sign[0, :, -2].any() or sign[-1, :, -1].any():
             raise ValueError("twin entry beyond the first or last frame")
-        diag = np.arange(n)
-        missing = sign[:, diag, diag] == 0
+        missing = sign[:, rows, loop] == 0
         if missing.any():
             sign = sign.copy()
-            sign[:, diag, diag] += missing   # an absent loop's sign is 0
+            sign[:, rows, loop] += missing   # an absent loop's sign is 0
         object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "index", index)
 
     @property
     def support(self):
@@ -71,17 +93,21 @@ def consistency_adjacency(graph: VideoGraph) -> SignedAdjacency:
 
 def inconsistency_adjacency(graph: VideoGraph,
                             neg: NegativeSpatialAdjacency | None) -> SignedAdjacency:
-    block = np.zeros(graph.blocks.shape[1:]) if neg is None else neg.block
-    return SignedAdjacency(to_layout(np.sign(block),
-                                     np.minimum(np.sign(graph.twins), 0.0)))
+    """The tile block's slots (only the self slot when the differential
+    is off) and the -1 twins."""
+    n = graph.patches_per_frame
+    index, sign = ((np.arange(n)[:, None], np.zeros((n, 1))) if neg is None
+                   else tile_slots(graph.grid_h, graph.grid_w, neg.tile))
+    return SignedAdjacency(to_layout(sign, np.minimum(np.sign(graph.twins), 0.0)),
+                           index)
 
 
 def gat_forward(x, adjacencies, params: GatParams):
     """Signed single-head attention layer, one pass per adjacency.
 
-    h = xW and the scores e_ij = LeakyReLU(a . [h_i || h_j]) are
-    computed once for every pass (`autodiff.frame_attention`); each
-    pass takes the masked softmax over its own support (sign != 0), node
+    h = xW is computed once for every pass (`autodiff.frame_attention`);
+    each pass scores its own slots, e_ij = LeakyReLU(a . [h_i || h_j]),
+    and takes the masked softmax over its own support (sign != 0), node
     i aggregates sum_j alpha_ij s_ij h_j, and the result passes through
     LeakyReLU. Returns (M, P d): row i holds the P passes' outputs side
     by side, in the order of ``adjacencies``. `SignedAdjacency` holds
@@ -93,12 +119,17 @@ def gat_forward(x, adjacencies, params: GatParams):
         raise ValueError(f"feature dim {x.data.shape[1]} != layer dim {d}")
     h = ad.matmul(x, params.weight)
     return ad.leaky_relu(ad.frame_attention(
-        h, params.attention, [adj.sign for adj in adjacencies]))
+        h, params.attention, [adj.sign for adj in adjacencies],
+        [adj.index for adj in adjacencies]))
 
 
-def spatial_fuse(h, weight, bias, clips=1):
+def spatial_fuse(h, weight, bias, graph: VideoGraph | None = None):
     """Affine-map each node's fused row [h_c || h_ic] to d and mean-pool
-    the nodes of each of ``clips`` equal clips: one (clips, d) row per
-    clip."""
+    the nodes of each of the graph's equal clips (one clip without a
+    graph): one (clips, d) row per clip."""
+    clips = 1 if graph is None else graph.clips
+    if graph is not None and h.shape[0] != graph.node_count:
+        raise ValueError(f"{h.shape[0]} node rows do not split into the graph's "
+                         f"{clips} clips of {graph.node_count // clips} nodes")
     fused = ad.add(ad.matmul(h, weight), bias)
     return ad.mean(ad.reshape(fused, (clips, -1, fused.shape[1])), axis=1)

@@ -14,7 +14,8 @@ twins are held per clip, as (B, F - 1, N), so no twin row joins the
 last frame of one clip to the first of the next.
 
 The frame layout is the only graph format: `to_layout` packs blocks
-and twins into the (T, N, N + 2) rows attention reads, and the Lanczos
+and twins into the (T, N, N + 2) rows attention reads (or, given
+narrower per-node slot tables, (T, N, K) rows), and the Lanczos
 matvec and `dump_edges` read them as they are. `dense_from_layout` and
 the (M, M) `VideoGraph.spatial`/`.temporal` it builds remain only for
 the benchmark's graph counts and the dense Laplacian reference.
@@ -75,6 +76,11 @@ class VideoGraph:
                 or self.blocks.shape != (clips * (pairs + 1), n, n)):
             raise ValueError(f"blocks {self.blocks.shape} and twins {self.twins.shape}"
                              f" do not fit clips of {n}-node frames")
+        # a NaN twin would read as no edge to the Laplacian (twins > 0)
+        # and as an edge to attention (sign != 0)
+        if not np.isfinite(self.twins).all():
+            raise ValueError("twin edge weights must be finite and nonnegative "
+                             "bridges or negative differential edges")
 
     @property
     def frames(self):
@@ -195,20 +201,22 @@ def unified_graph(embeddings, grid_h, grid_w, tau_s, tau_t, clips=1,
 
 
 def to_layout(blocks, twins):
-    """The (T, N, N + 2) frame layout of per-frame blocks and twin edges.
+    """The (T, N, K) slot table of per-frame blocks and twin edges: the
+    (T, N, N + 2) frame layout when the blocks are (N, N).
 
     ``twins`` is (B, F - 1, N) for B clips of F frames, T = B F: the edge
     between node v of frames f and f + 1 of one clip, written into both
-    of its rows. ``blocks`` is (T, N, N), or one (N, N) block shared by
-    every frame.
+    of its rows, in slots K - 2 and K - 1. ``blocks`` is (T, N, K - 2),
+    or one (N, K - 2) table shared by every frame.
     """
     clips, pairs, n = twins.shape
-    layout = np.zeros((clips * (pairs + 1), n, n + 2),
+    k = np.shape(blocks)[-1]
+    layout = np.zeros((clips * (pairs + 1), n, k + 2),
                       dtype=np.result_type(blocks, twins))
-    layout[:, :, :n] = blocks
-    per_clip = layout.reshape(clips, pairs + 1, n, n + 2)
-    per_clip[:, 1:, :, n] = twins
-    per_clip[:, :-1, :, n + 1] = twins
+    layout[:, :, :k] = blocks
+    per_clip = layout.reshape(clips, pairs + 1, n, k + 2)
+    per_clip[:, 1:, :, k] = twins
+    per_clip[:, :-1, :, k + 1] = twins
     return layout
 
 

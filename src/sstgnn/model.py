@@ -323,17 +323,17 @@ def _prepare(clips, params: ModelParams, config: TrainConfig):
 def _pooled_features(structure: ClipStructure, x: ad.Tensor,
                      params: ModelParams, config: TrainConfig) -> ad.Tensor:
     """The (B, 2d) pre-head feature rows Z = [spatial || spectral]."""
-    clips = structure.clips
+    graph = structure.graph
 
     if config.use_spectral:
         basis = structure.basis
         z_spectral = spectral.pool_spectral(
-            x, basis, params.filter_mlp.gains(basis.eigenvalues), clips)
+            x, basis, params.filter_mlp.gains(basis.eigenvalues), graph)
     else:
-        z_spectral = ad.constant(np.zeros((clips, config.dim)))
+        z_spectral = ad.constant(np.zeros((graph.clips, config.dim)))
 
     if config.use_temporal_mlp:
-        xp = differential.temporal_concat(x, structure.graph,
+        xp = differential.temporal_concat(x, graph,
                                           params["temporal.weight"],
                                           params["temporal.bias"])
     else:
@@ -341,7 +341,7 @@ def _pooled_features(structure: ClipStructure, x: ad.Tensor,
     h = gat.gat_forward(xp, (structure.consistency, structure.inconsistency),
                         params.gat)
     z_spatial = gat.spatial_fuse(h, params["fusion.weight"],
-                                 params["fusion.bias"], clips)
+                                 params["fusion.bias"], graph)
     return ad.concat([z_spatial, z_spectral], axis=1)
 
 

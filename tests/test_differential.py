@@ -74,6 +74,25 @@ class TestSpatialNegative:
         np.testing.assert_array_equal(out[:n], diff.sgc_aggregate(
             x[:n], diff.NegativeSpatialAdjacency(2, neg.block, neg.anchors)))
 
+    @pytest.mark.parametrize("grid_h, grid_w, tile", [
+        (2, 2, 2), (3, 5, 2), (4, 4, 2), (6, 6, 3), (1, 4, 2), (2, 2, 3), (3, 3, 1)])
+    def test_slot_rows_start_on_themselves_and_are_distinct(self, grid_h, grid_w,
+                                                            tile):
+        index, sign = diff.tile_slots(grid_h, grid_w, tile)
+        n = grid_h * grid_w
+        complete = (grid_h // tile) * (grid_w // tile)
+        assert index.shape == sign.shape == (n, tile * tile if complete else 1)
+        np.testing.assert_array_equal(index[:, 0], np.arange(n))
+        assert all(len(set(row)) == len(row) for row in index.tolist())
+        # the slots hold every nonzero of the block, each once
+        mat, anchors = diff.negative_spatial_matrix(grid_h, grid_w, tile)
+        assert np.count_nonzero(sign) == np.count_nonzero(mat)
+        np.testing.assert_array_equal(mat[np.arange(n)[:, None], index], sign)
+        # an anchor row is +1 then -1 over its tile mates
+        for a in anchors:
+            np.testing.assert_array_equal(sign[a], [1.0] + [-1.0] * (tile * tile - 1))
+        assert not index.flags.writeable and not sign.flags.writeable
+
     def test_partial_tiles_skipped(self):
         mat, anchors = diff.negative_spatial_matrix(3, 3, 2)
         # only the top-left 2x2 tile is complete on a 3x3 grid

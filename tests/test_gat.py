@@ -4,10 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sstgnn import autodiff as ad
 from sstgnn import differential as diff
 from sstgnn import gat, graphs, model, synth
+
+from layouts import frame_layout
 
 
 def lrelu(v, slope=0.2):
@@ -29,8 +33,9 @@ def adjacency(support, sign=None):
 
 
 def dense_pair(adj):
-    """The (M, M) support and sign an adjacency's layout stands for."""
-    return graphs.dense_from_layout(adj.support), graphs.dense_from_layout(adj.sign)
+    """The (M, M) support and sign an adjacency's slots stand for."""
+    layout = frame_layout(adj)
+    return graphs.dense_from_layout(layout != 0), graphs.dense_from_layout(layout)
 
 
 def attention_weights(h, attention, adj):
@@ -40,7 +45,8 @@ def attention_weights(h, attention, adj):
     m, d = h.shape
     probe = np.hstack([h, np.eye(m)])
     a = np.concatenate([attention[:d], np.zeros(m), attention[d:], np.zeros(m)])
-    out = ad.frame_attention(ad.constant(probe), ad.constant(a), [adj.sign]).data
+    out = ad.frame_attention(ad.constant(probe), ad.constant(a), [adj.sign],
+                             [adj.index]).data
     return out[:, d:]
 
 
@@ -250,10 +256,26 @@ class TestFusion:
         rng = np.random.default_rng(31)
         h = rng.normal(size=(12, 6))
         w, b = ad.constant(rng.normal(size=(6, 3))), ad.constant(rng.normal(size=3))
-        out = gat.spatial_fuse(ad.constant(h), w, b, clips=3)
+        out = gat.spatial_fuse(ad.constant(h), w, b, three_clips())
         alone = [gat.spatial_fuse(ad.constant(h[4 * k:4 * k + 4]), w, b)
                  for k in range(3)]
         np.testing.assert_array_equal(out.data, np.vstack([a.data for a in alone]))
+
+    def test_rows_must_split_into_the_clips(self):
+        # the 6 rows of one 3-frame clip pooled against a 3-clip graph
+        h = ad.constant(np.ones((6, 6)))
+        w, b = ad.constant(np.ones((6, 3))), ad.constant(np.zeros(3))
+        with pytest.raises(ValueError, match="6 node rows do not split into "
+                                             "the graph's 3 clips of 4 nodes"):
+            gat.spatial_fuse(h, w, b, three_clips())
+        # the graph's count holds: 3 clips of 2 nodes
+        graph = graphs.VideoGraph(2, 1, np.zeros((3, 2, 2)), np.zeros((3, 0, 2)))
+        assert gat.spatial_fuse(h, w, b, graph).shape == (3, 3)
+
+
+def three_clips():
+    """A graph of 3 one-frame clips of 4 nodes."""
+    return graphs.VideoGraph(2, 2, np.zeros((3, 4, 4)), np.zeros((3, 0, 4)))
 
 
 def masked_softmax(scores, support):
@@ -459,3 +481,149 @@ class TestSignedAdjacencyLayout:
         temporal[0, 8] = temporal[8, 0] = -1.0   # frame 0 to frame 2
         with pytest.raises(ValueError, match="do not fit"):
             replace(g, twins=temporal)
+
+
+def batch_graph(rng, grid_h, grid_w, clips, frames, differential, tile):
+    """A graph of ``clips`` clips of ``frames`` frames over random
+    embeddings, bridged at tau_t 0.1 so the differential off keeps
+    positive twins, and its tile adjacency (None when off)."""
+    emb = rng.random((clips * frames, grid_h * grid_w, 3))
+    g = graphs.unified_graph(emb, grid_h, grid_w, 0.3, 0.1, clips)
+    if not differential:
+        return g, None
+    return diff.add_temporal_negative(g), diff.build_spatial_negative(g, tile)
+
+
+def gathered_and_dense(seed, grid_h, grid_w, tile, clips, frames, differential,
+                       d=3):
+    """Output and h, attention gradients of the gathered inconsistency
+    pass and of the dense P = 1 pass over its expanded layout."""
+    rng = np.random.default_rng(seed)
+    g, neg = batch_graph(rng, grid_h, grid_w, clips, frames, differential, tile)
+    adj = gat.inconsistency_adjacency(g, neg)
+    m = g.node_count
+    h = ad.parameter(rng.normal(size=(m, d)) * 2.0)
+    a = ad.parameter(rng.normal(size=2 * d))
+    probe = ad.constant(rng.normal(size=(m, d)))
+    runs = []
+    for sign, index in ((adj.sign, adj.index), (frame_layout(adj), None)):
+        out = ad.frame_attention(h, a, [sign], [index])
+        grads = ad.mul(ad.mean(ad.mul(out, probe)), float(m * d)).backward()
+        runs.append((out.data, grads[h], grads[a]))
+    return adj, runs
+
+
+class TestGatheredPass:
+    """The inconsistency pass over its (T, N, tile² + 2) slot table
+    against the dense pass over the (T, N, N + 2) layout it stands for.
+    Row sums run over other slots, so agreement is to rounding."""
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(1, 5),
+           st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    @example(0, 3, 5, 2, 3, 2, True)    # tiles do not divide the grid
+    @example(1, 3, 5, 2, 1, 3, False)   # the differential off
+    @example(2, 2, 2, 3, 2, 2, True)    # no complete tile
+    def test_matches_dense_pass(self, seed, grid_h, grid_w, tile, clips, frames,
+                                differential):
+        adj, (gathered, dense) = gathered_and_dense(
+            seed, grid_h, grid_w, tile, clips, frames, differential)
+        n = grid_h * grid_w
+        complete = (grid_h // tile) * (grid_w // tile) > 0
+        k = tile * tile if differential and complete else 1
+        assert adj.sign.shape == (clips * frames, n, k + 2)
+        for got, want in zip(gathered, dense):
+            scale = max(1.0, np.abs(want).max())
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    def test_boundary_twins_are_empty(self):
+        adj, _ = gathered_and_dense(3, 3, 5, 2, clips=3, frames=2,
+                                    differential=True)
+        # twin slots: frame 0 of each clip has no previous frame, frame 1
+        # no next one; every other twin is -1
+        np.testing.assert_array_equal(adj.sign[0::2, :, -2], 0.0)
+        np.testing.assert_array_equal(adj.sign[1::2, :, -1], 0.0)
+        np.testing.assert_array_equal(adj.sign[1::2, :, -2], -1.0)
+        np.testing.assert_array_equal(adj.sign[0::2, :, -1], -1.0)
+
+    def test_backward_fd(self):
+        rng = np.random.default_rng(41)
+        g, neg = batch_graph(rng, 3, 5, clips=2, frames=2, differential=True, tile=2)
+        adj = gat.inconsistency_adjacency(g, neg)
+        cons = gat.consistency_adjacency(g)
+        h = ad.parameter(rng.normal(size=(g.node_count, 3)) * 2.0)
+        a = ad.parameter(rng.normal(size=6))
+        w = ad.constant(rng.normal(size=(6, 1)))
+
+        def f():
+            out = ad.frame_attention(h, a, [cons.sign, adj.sign],
+                                     [cons.index, adj.index])
+            return ad.mean(ad.matmul(out, w))
+
+        grads = f().backward()
+        assert min(np.abs(grads[t]).min() for t in (h, a)) > 1e-6
+        # central differences over 60 nodes resolve these gradients to
+        # about 1e-6; the dense property above pins them to 1e-12
+        assert ad.finite_diff_check(f, {"h": h, "a": a}) < 1e-5
+
+    def test_passes_are_independent(self):
+        # a dense and a gathered pass in one call: each pass's columns
+        # are those it gives alone, byte for byte
+        rng = np.random.default_rng(43)
+        g, neg = batch_graph(rng, 3, 5, clips=2, frames=3, differential=True, tile=2)
+        adjs = (gat.consistency_adjacency(g), gat.inconsistency_adjacency(g, neg))
+        h = ad.constant(rng.normal(size=(g.node_count, 4)))
+        a = ad.constant(rng.normal(size=8))
+        both = ad.frame_attention(h, a, [j.sign for j in adjs], [j.index for j in adjs])
+        alone = [ad.frame_attention(h, a, [j.sign], [j.index]) for j in adjs]
+        assert both.data.tobytes() == np.hstack([o.data for o in alone]).tobytes()
+
+    def test_index_must_fit_the_table(self):
+        h, a = ad.constant(np.ones((8, 2))), ad.constant(np.ones(4))
+        sign = np.ones((2, 4, 4))
+        with pytest.raises(ValueError, match="slot tables"):
+            ad.frame_attention(h, a, [sign], [np.zeros((4, 3), dtype=int)])
+        with pytest.raises(ValueError, match="slot tables"):
+            ad.frame_attention(h, a, [sign], [None])
+
+    @pytest.mark.parametrize("patch", [16, 8])
+    @pytest.mark.parametrize("use_differential", [True, False])
+    def test_support_count_matches_the_layout(self, patch, use_differential):
+        # the benchmark counts supported entries per clip from `.support`
+        structure, _, _ = clip_structure(patch, use_differential)
+        adj = structure.inconsistency
+        layout = frame_layout(adj)
+        assert adj.support.dtype == bool
+        assert np.count_nonzero(adj.support) == np.count_nonzero(layout != 0)
+        assert adj.support.size < layout.size
+
+
+class TestSlotTableChecks:
+    def table(self):
+        index, sign = diff.tile_slots(2, 2, 2)
+        return np.array(index), graphs.to_layout(sign, np.zeros((1, 1, 4)))
+
+    def test_builder_table_accepted(self):
+        index, sign = self.table()
+        adj = gat.SignedAdjacency(sign, index)
+        np.testing.assert_array_equal(adj.index, index)
+
+    @pytest.mark.parametrize("row", [[1, 0, 2, 3], [0, 1, 1, 3], [0, 1, 2, 4],
+                                     [0, 1, 2, -1]])
+    def test_bad_row_rejected(self, row):
+        index, sign = self.table()
+        index[0] = row
+        with pytest.raises(ValueError, match="own node and hold distinct"):
+            gat.SignedAdjacency(sign, index)
+
+    def test_shape_and_dtype_checked(self):
+        index, sign = self.table()
+        for bad in (index[:, :3], index.astype(float), index[:3]):
+            with pytest.raises(ValueError, match="slot table"):
+                gat.SignedAdjacency(sign, bad)
+
+    def test_missing_loop_added_in_slot_zero(self):
+        index, sign = self.table()
+        sign[:, :, 0] = 0.0
+        adj = gat.SignedAdjacency(sign, index)
+        np.testing.assert_array_equal(adj.sign[:, :, 0], 1.0)

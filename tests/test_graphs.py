@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from sstgnn import differential, graphs, model
 from sstgnn.synth import SynthSpec, generate
 
+from layouts import frame_layout
+
 
 def random_pixels(seed, t=2, h=8, w=8, c=1):
     return np.random.default_rng(seed).random((t, h, w, c))
@@ -207,6 +209,14 @@ class TestAssemble:
         with pytest.raises(ValueError, match="do not fit"):
             graphs.VideoGraph(2, 2, np.zeros((4, 4, 4)), np.zeros(twins))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_twin_rejected(self, bad):
+        g = self.build(seed=5, t=3)
+        twins = g.twins.copy()
+        twins[0, 1, 2] = bad
+        with pytest.raises(ValueError, match="twin edge weights must be finite"):
+            graphs.VideoGraph(g.grid_h, g.grid_w, g.blocks, twins)
+
     def test_dump_edges(self, tmp_path):
         g = self.build(seed=4, t=2)
         path = tmp_path / "edges.txt"
@@ -348,7 +358,7 @@ def test_batch_graph_bytes_pinned(tmp_path, key):
     got = tuple(hashlib.sha256(blob).hexdigest() for blob in (
         (tmp_path / "edges.txt").read_bytes(),
         structure.consistency.sign.tobytes(),
-        structure.inconsistency.sign.tobytes()))
+        frame_layout(structure.inconsistency).tobytes()))
     assert got == BATCH_DIGESTS[key]
 
 

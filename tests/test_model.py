@@ -12,6 +12,8 @@ import pytest
 from sstgnn import autodiff as ad
 from sstgnn import differential, gat, graphs, metrics, model, spectral, synth
 
+from layouts import frame_layout
+
 
 def toy_clip(seed=0, family="real", frames=2, size=8):
     return synth.generate(synth.SynthSpec(family, seed=seed, frames=frames,
@@ -152,7 +154,7 @@ class TestForward:
         params = model.init_params(cfg)
         _, structure = model.forward([clip], params, cfg)
         assert structure.negative is None
-        support = graphs.dense_from_layout(structure.inconsistency.support)
+        support = graphs.dense_from_layout(frame_layout(structure.inconsistency) != 0)
         np.testing.assert_array_equal(support, np.eye(8, dtype=bool))
         assert not (structure.graph.temporal < 0).any()
 
@@ -223,8 +225,9 @@ class TestBatch:
         assert twins.shape == (16, frames - 1, n)
         assert (twins == -1).sum() == 16 * (frames - 1) * n
         for adjacency in (structure.consistency, structure.inconsistency):
-            assert not adjacency.support[frames::frames, :, n].any()
-            assert not adjacency.support[frames - 1::frames, :, n + 1].any()
+            # the twin slots: (t - 1, i) and (t + 1, i)
+            assert not adjacency.support[frames::frames, :, -2].any()
+            assert not adjacency.support[frames - 1::frames, :, -1].any()
 
     def test_bridges_cut_between_clips(self, desk_batch):
         # differential off, tau_t = 0: a bridge between two clips would

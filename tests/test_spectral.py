@@ -515,18 +515,34 @@ class TestPool:
 
     def test_one_row_per_clip(self):
         # two clips: their frame bases stacked, one pooled row each
-        a, b = (spectral.eigendecompose(clip_laplacian(16, family, 0))
-                for family in ("real", "upsample_artifact"))
+        pair = [clip_graph(16, family, 0) for family in ("real", "upsample_artifact")]
+        a, b = (spectral.eigendecompose(spectral.graph_laplacian(g)) for g in pair)
         basis = spectral.SpectralBasis(np.vstack([a.eigenvalues, b.eigenvalues]),
                                        np.vstack([a.vectors, b.vectors]))
+        both = graphs.VideoGraph(pair[0].grid_h, pair[0].grid_w,
+                                 np.concatenate([g.blocks for g in pair]),
+                                 np.concatenate([g.twins for g in pair]))
         rng = np.random.default_rng(6)
         x, gains = rng.normal(size=(basis.size, 5)), rng.random((basis.size, 1))
-        out = spectral.pool_spectral(x, basis, gains, clips=2)
+        out = spectral.pool_spectral(x, basis, gains, both)
         m = a.size
         alone = [spectral.pool_spectral(x[:m], a, gains[:m]),
                  spectral.pool_spectral(x[m:], b, gains[m:])]
         np.testing.assert_allclose(out.data, np.vstack([r.data for r in alone]),
                                    rtol=0, atol=1e-15)
+
+    def test_clip_count_comes_from_the_graph(self):
+        # 8 basis nodes pooled against 4 one-frame clips of 4 nodes, or 3
+        # clips of 1 node
+        for grid, clips in ((2, 4), (1, 3)):
+            graph = graphs.VideoGraph(grid, grid, np.zeros((clips, grid**2, grid**2)),
+                                      np.zeros((clips, 0, grid**2)))
+            with pytest.raises(ValueError, match=f"8 basis nodes do not split into "
+                                                 f"the graph's {clips} clips"):
+                spectral.pool_spectral(self.x, self.basis, np.ones((8, 1)), graph)
+        graph = graphs.VideoGraph(1, 1, np.zeros((8, 1, 1)), np.zeros((4, 1, 1)))
+        assert spectral.pool_spectral(self.x, self.basis, np.ones((8, 1)),
+                                      graph).shape == (4, self.x.shape[1])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -676,20 +692,21 @@ def eigh_basis(graph):
     return spectral.eigendecompose(spectral.graph_laplacian(graph))
 
 
-def pool_per_clip(x, basis, gains, clips):
+def pool_per_clip(x, basis, gains, graph):
     """The `dense_filter` reference pooled per clip: each clip's node
     mean of U diag(gains) U^T x."""
+    clips = graph.clips
     m = basis.nodes // clips
     select = np.repeat(np.eye(clips), m, axis=1) / m
     return ad.matmul(ad.constant(select), dense_filter(x, basis, gains))
 
 
-def pooled_with_grads(pool, basis, mlp, encoder, patches, weights, clips):
+def pooled_with_grads(pool, basis, mlp, encoder, patches, weights, graph):
     """Pooled rows of an encoded signal x = patches @ encoder and the
     gradients of a fixed projection of them."""
     x = ad.matmul(ad.constant(patches), encoder)
     out = pool(x, basis, spectral.FilterMlp(**mlp).gains(basis.eigenvalues),
-               clips)
+               graph)
     grads = ad.mean(ad.mul(out, ad.constant(weights))).backward()
     return [out.data, grads[encoder], *(grads[t] for t in mlp.values())]
 
@@ -708,7 +725,7 @@ def assert_matches_eigh(graph, mlp_init, seed=0, d=3):
         encoder = ad.parameter(encoder_init.copy())
         basis = basis_of(mlp)
         return pooled_with_grads(pool, basis, mlp, encoder, patches, weights,
-                                 graph.clips)
+                                 graph)
 
     got = run(lambda mlp: spectral.lanczos_basis(
         graph, numpy_gains(spectral.FilterMlp(**mlp))),
