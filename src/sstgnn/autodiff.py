@@ -18,6 +18,7 @@ Float64 throughout: the finite-difference checker needs the headroom.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -297,97 +298,6 @@ def block_matmul(blocks, x) -> Tensor:
 _OFF_SUPPORT = np.finfo(np.float64).max
 
 
-def _slot_values(blocks, index):
-    """The (..., N, k) values of (..., N, N) frame blocks at the columns
-    ``index`` (N, k) names for each row; the blocks themselves when
-    ``index`` is None."""
-    if index is None:
-        return blocks
-    return blocks[..., np.arange(len(index))[:, None], index]
-
-
-def _frame_blocks(values, index):
-    """(..., N, k) slot values scattered into zero (..., N, N) frame
-    blocks, the inverse of `_slot_values`. The columns of a row are
-    distinct, so no value is lost."""
-    if index is None:
-        return values
-    n = len(index)
-    blocks = np.zeros(values.shape[:-1] + (n,))
-    blocks[..., np.arange(n)[:, None], index] = values
-    return blocks
-
-
-def _attend(p, sign, index, hf, s_self, s_peer, out):
-    """Pass ``p`` of `frame_attention`: the masked softmax over the
-    support of its (T, N, K) slot table, times the sign, aggregated over
-    the rows of ``hf`` into ``out`` (T, N, d). Returns what its backward
-    reads: the raw scores, the softmax and the signed weights."""
-    k = sign.shape[2] - 2
-    raw = np.empty(sign.shape)
-    peers = s_peer[:, None, :] if index is None else s_peer[:, index]
-    np.add(s_self, peers, out=raw[:, :, :k])
-    raw[:, :, k:] = s_self    # frames 0 and T - 1 lack one twin each
-    raw[1:, :, k] += s_peer[:-1]
-    raw[:-1, :, k + 1] += s_peer[1:]
-    # LeakyReLU as the max of raw and LEAKY_SLOPE * raw: the same values
-    # as raw * gate, with no branch
-    scores = np.multiply(raw, LEAKY_SLOPE)
-    np.maximum(raw, scores, out=scores)
-    support = sign != 0
-    alpha = np.multiply(support, _OFF_SUPPORT)
-    alpha -= _OFF_SUPPORT
-    alpha += scores
-    rowmax = alpha.max(axis=-1, keepdims=True)
-    empty = rowmax[..., 0] < -_OFF_SUPPORT / 2
-    if empty.any():
-        t, i = np.argwhere(empty)[0]
-        raise ValueError(f"frame_attention: pass {p}, frame {t}, node {i} "
-                         f"has no support, so its softmax is 0/0, non-finite")
-    np.subtract(scores, rowmax, out=alpha)
-    # an off-support slot may score above its row's max; clipped to 0
-    # and then zeroed, it neither overflows nor leaves the fast exp path
-    np.minimum(alpha, 0.0, out=alpha)
-    np.exp(alpha, out=alpha)
-    alpha *= support
-    alpha /= alpha.sum(axis=-1, keepdims=True)
-    weights = alpha * sign
-    if index is None:
-        np.matmul(weights[:, :, :k], hf, out=out)
-    else:
-        np.matmul(weights[:, :, None, :k], np.take(hf, index, axis=1),
-                  out=out[:, :, None])
-    out[1:] += weights[1:, :, k, None] * hf[:-1]
-    out[:-1] += weights[:-1, :, k + 1, None] * hf[1:]
-    return raw, alpha, weights
-
-
-def _attend_backward(gp, hf, sign, index, raw, alpha, weights, want_dh):
-    """The gradients of one `_attend` pass given ``gp``, the gradient
-    of its (T, N, d) output: those of s_self and s_peer, and the
-    aggregation's part of dh (None unless ``want_dh``). Slot values are
-    scattered into frame blocks, so each product is one matmul."""
-    k = sign.shape[2] - 2
-    dalpha = np.zeros(alpha.shape)
-    dalpha[:, :, :k] = _slot_values(gp @ hf.transpose(0, 2, 1), index)
-    dalpha[1:, :, k] = (gp[1:] * hf[:-1]).sum(axis=-1)
-    dalpha[:-1, :, k + 1] = (gp[:-1] * hf[1:]).sum(axis=-1)
-    dalpha *= sign
-    dalpha -= (dalpha * alpha).sum(axis=-1, keepdims=True)
-    dalpha *= alpha
-    de = dalpha * np.where(raw > 0, 1.0, LEAKY_SLOPE)   # of the raw scores
-    ds_self = de.sum(axis=-1)
-    ds_peer = _frame_blocks(de[:, :, :k], index).sum(axis=1)
-    ds_peer[:-1] += de[1:, :, k]
-    ds_peer[1:] += de[:-1, :, k + 1]
-    dh = None
-    if want_dh:
-        dh = _frame_blocks(weights[:, :, :k], index).transpose(0, 2, 1) @ gp
-        dh[:-1] += weights[1:, :, k, None] * gp[1:]
-        dh[1:] += weights[:-1, :, k + 1, None] * gp[:-1]
-    return ds_self, ds_peer, dh
-
-
 def frame_attention(h, attention, sign, index=None) -> Tensor:
     """Signed attention aggregation of P passes, each over its own
     (T, N, K) slot table.
@@ -395,70 +305,143 @@ def frame_attention(h, attention, sign, index=None) -> Tensor:
     ``h`` is (M, d) with M = T * N, ``attention`` is (2d,). ``sign``
     holds one table per pass, as a (P, T, N, K) array or a sequence of
     P arrays (read in place, never stacked); a pass's support is where
-    its sign is nonzero. Slot k < K - 2 of row (t, i) is node
-    ``index[p][i, k]`` of frame t, one (N, K - 2) table of distinct
-    columns per row shared by every frame; ``index`` None, or a None
-    entry, is the dense frame layout, K = N + 2, whose slot k is node k.
-    The last two slots are the twins (t - 1, i) and (t + 1, i). Scores
-    e = LeakyReLU(a_self . h_i + a_peer . h_j) over each pass's own
-    slots; each pass takes the softmax over its row's support, times
-    its sign, and sums the neighbour rows of h with those weights: one
-    matmul per frame for a dense layout, a gather of each row's K - 2
-    rows for an index. Returns (M, P d): row (t, i) is the P passes'
-    outputs side by side. A row with no support raises ValueError. One
-    tape node with a hand-written backward replaces the scores, softmax,
-    sign, aggregation and concat ops a dense composition would record.
+    its sign is nonzero. Slot k of row (t, i) stands for column
+    ``index[p][i, k]`` of row (t, i) of the (T, N, N + 2) frame layout:
+    node ``index[p][i, k]`` of frame t for k < K - 2, then the twins
+    (t - 1, i) and (t + 1, i), columns N and N + 1. ``index[p]`` is one
+    (N, K) table shared by every frame, and each of its rows must hold
+    distinct columns: the weights are scattered by fancy index, so a
+    repeated column would lose a value. ``index`` None, or a None entry,
+    is the frame layout itself, K = N + 2. Scores e = LeakyReLU(a_self .
+    h_i + a_peer . h_j) are computed over the passes' own slots only,
+    laid side by side; each pass takes the softmax over its row's
+    support and times its sign. The weights are scattered into
+    (P, T, N, N + 2) frame layouts and aggregated for every pass at
+    once: one matmul per frame and pass, plus the twin rows. Returns
+    (M, P d): row (t, i) is the P passes' outputs side by side. A row
+    with no support raises ValueError. One tape node with a
+    hand-written backward replaces the scores, softmax, sign,
+    aggregation and concat ops a dense composition would record.
     """
     h, attention = as_tensor(h), as_tensor(attention)
     passes = len(sign)
     index = [None] * passes if index is None else list(index)
     layout = np.shape(sign[0]) if passes else ()
     frames, n = layout[:2] if len(layout) == 3 else (0, 0)
-    columns = [(n, n) if i is None else np.shape(i) for i in index]
+    columns = [(n, n + 2) if i is None else np.shape(i) for i in index]
     if (not frames or len(index) != passes or any(
-            len(c) != 2 or c[0] != n or np.shape(s) != (frames, n, c[1] + 2)
+            len(c) != 2 or c[0] != n or np.shape(s) != (frames, *c)
             for s, c in zip(sign, columns))):
         raise ValueError(f"frame_attention: sign must hold P >= 1 (T, N, K) "
-                         f"slot tables, K - 2 the columns of each pass's "
-                         f"index (N for the dense layouts), got "
+                         f"slot tables, (N, K) the shape of each pass's "
+                         f"index (N + 2 slots for the frame layouts), got "
                          f"{[np.shape(s) for s in sign]} and index {columns}")
     m, d = h.data.shape
     if m != frames * n or attention.data.shape != (2 * d,):
         raise ValueError(f"frame_attention: h {h.data.shape} and attention "
                          f"{attention.data.shape} do not fit {frames} frames "
                          f"of {n} nodes")
-    a_self, a_peer = attention.data[:d, None], attention.data[d:, None]
+    a = attention.data.reshape(2, d)    # rows a_self and a_peer
     hf = h.data.reshape(frames, n, d)
-    s_self = (h.data @ a_self).reshape(frames, n, 1)
-    s_peer = (h.data @ a_peer).reshape(frames, n)
+    s_pair = (h.data @ a.T).reshape(frames, n, 2)
+    s_self, s_peer = s_pair[:, :, :1], s_pair[:, :, 1]
+    rows = np.arange(n)[:, None]
+    # the passes' slots side by side: pass p owns starts[p]:starts[p + 1]
+    starts = [0, *accumulate(k for _, k in columns)]
+    own = [slice(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
+    # the twins' peer scores; frames 0 and T - 1 lack one twin each
+    twin_peers = np.zeros((frames, n, 2))
+    twin_peers[1:, :, 0] = s_peer[:-1]
+    twin_peers[:-1, :, 1] = s_peer[1:]
+    scores = np.empty((frames, n, starts[-1]))
+    support = np.empty(scores.shape, dtype=bool)
+    for p, slots in enumerate(own):
+        k = columns[p][1] - 2
+        r = scores[:, :, slots]
+        peers = (s_peer[:, None, :] if index[p] is None
+                 else np.take(s_peer, index[p][:, :k], axis=1))
+        np.add(s_self, peers, out=r[:, :, :k])
+        np.add(s_self, twin_peers, out=r[:, :, k:])
+        np.not_equal(sign[p], 0, out=support[:, :, slots])
+    # LeakyReLU in place, as the max of the raw scores and LEAKY_SLOPE
+    # times them: the same values as raw * gate, with no branch. It keeps
+    # each score's sign, so the backward reads the gate off the result
+    alpha = np.multiply(scores, LEAKY_SLOPE)
+    np.maximum(scores, alpha, out=scores)
+    np.multiply(support, _OFF_SUPPORT, out=alpha)
+    alpha -= _OFF_SUPPORT
+    alpha += scores
+    rowmax = np.maximum.reduceat(alpha, starts[:-1], axis=-1)    # (T, N, P)
+    if rowmax.min() < -_OFF_SUPPORT / 2:
+        t, i, p = np.argwhere(rowmax < -_OFF_SUPPORT / 2)[0]
+        raise ValueError(f"frame_attention: pass {p}, frame {t}, node {i} "
+                         f"has no support, so its softmax is 0/0, non-finite")
+    for p, slots in enumerate(own):
+        np.subtract(scores[:, :, slots], rowmax[:, :, p, None],
+                    out=alpha[:, :, slots])
+    # an off-support slot may score above its row's max; clipped to 0
+    # and then zeroed, it neither overflows nor leaves the fast exp path
+    np.minimum(alpha, 0.0, out=alpha)
+    np.exp(alpha, out=alpha)
+    alpha *= support
+    total = np.add.reduceat(alpha, starts[:-1], axis=-1)
+    weights = np.zeros((passes, frames, n, n + 2))
+    for p, slots in enumerate(own):
+        alpha[:, :, slots] /= total[:, :, p, None]
+        if index[p] is None:
+            np.multiply(alpha[:, :, slots], sign[p], out=weights[p])
+        else:
+            weights[p][:, rows, index[p]] = alpha[:, :, slots] * sign[p]
     # each pass writes a contiguous block: strided in-place adds cost
     # several times as much as the one transposing copy below
-    out = np.empty((passes, frames, n, d))
-    kept = [_attend(p, sign[p], index[p], hf, s_self, s_peer, out[p])
-            for p in range(passes)]
+    out = weights[..., :n] @ hf
+    out[:, 1:] += weights[:, 1:, :, n, None] * hf[:-1]
+    out[:, :-1] += weights[:, :-1, :, n + 1, None] * hf[1:]
     out = Tensor(out.transpose(1, 2, 0, 3).reshape(m, passes * d),
                  requires_grad=h.requires_grad or attention.requires_grad,
                  parents=(h, attention))
 
     def _backward(g, acc):
-        gp = np.ascontiguousarray(
-            g.reshape(frames, n, passes, d).transpose(2, 0, 1, 3))
-        ds_self, ds_peer = np.zeros((frames, n)), np.zeros((frames, n))
-        dh = np.zeros((frames, n, d))
-        for p in range(passes):
-            self_p, peer_p, dh_p = _attend_backward(
-                gp[p], hf, sign[p], index[p], *kept[p], h.requires_grad)
-            ds_self += self_p
-            ds_peer += peer_p
-            if h.requires_grad:
-                dh += dh_p
-        ds_self, ds_peer = ds_self.reshape(m, 1), ds_peer.reshape(m, 1)
+        gp = g.reshape(frames, n, passes, d).transpose(2, 0, 1, 3)
+        dweights = np.zeros(weights.shape)
+        dweights[..., :n] = gp @ hf.transpose(0, 2, 1)
+        # einsum keeps the twin products' sums out of a temporary, at a
+        # third of the time of multiply-then-sum
+        dweights[:, 1:, :, n] = np.einsum("ptid,tid->pti", gp[:, 1:], hf[:-1])
+        dweights[:, :-1, :, n + 1] = np.einsum("ptid,tid->pti", gp[:, :-1], hf[1:])
+        dalpha = np.empty(alpha.shape)
+        for p, slots in enumerate(own):
+            np.multiply(dweights[p] if index[p] is None
+                        else dweights[p][:, rows, index[p]],
+                        sign[p], out=dalpha[:, :, slots])
+        dot = np.add.reduceat(dalpha * alpha, starts[:-1], axis=-1)
+        for p, slots in enumerate(own):
+            dalpha[:, :, slots] -= dot[:, :, p, None]
+        dalpha *= alpha
+        dalpha *= np.where(scores > 0, 1.0, LEAKY_SLOPE)    # of the raw scores
+        # every pass's slots added into one frame layout: the passes
+        # share s_self and s_peer
+        de = np.zeros((frames, n, n + 2))
+        for p, slots in enumerate(own):
+            if index[p] is None:
+                de += dalpha[:, :, slots]
+            else:
+                de[:, rows, index[p]] += dalpha[:, :, slots]
+        ds = np.empty((frames, n, 2))    # of s_self and s_peer
+        de.sum(axis=-1, out=ds[:, :, 0])
+        de[:, :, :n].sum(axis=1, out=ds[:, :, 1])
+        ds[:-1, :, 1] += de[1:, :, n]
+        ds[1:, :, 1] += de[:-1, :, n + 1]
+        ds = ds.reshape(m, 2)
         if h.requires_grad:
-            dh = dh.reshape(m, d) + ds_self @ a_self.T + ds_peer @ a_peer.T
+            dh = (weights[..., :n].transpose(0, 1, 3, 2) @ gp).sum(axis=0)
+            dh[:-1] += np.einsum("pti,ptid->tid", weights[:, 1:, :, n], gp[:, 1:])
+            dh[1:] += np.einsum("pti,ptid->tid", weights[:, :-1, :, n + 1], gp[:, :-1])
+            dh = dh.reshape(m, d)
+            dh += ds @ a
             _accum(acc, h, dh)
         if attention.requires_grad:
-            _accum(acc, attention, np.concatenate(
-                [(h.data.T @ ds_self)[:, 0], (h.data.T @ ds_peer)[:, 0]]))
+            _accum(acc, attention, (ds.T @ h.data).reshape(2 * d))
 
     out._backward = _backward
     return out

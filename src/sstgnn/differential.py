@@ -79,9 +79,11 @@ def tile_ids(grid_h, grid_w, tile):
 
 @functools.lru_cache(maxsize=16)
 def tile_slots(grid_h, grid_w, tile):
-    """One frame's tile block as (N, k) column and sign tables, k =
-    tile² (1 when no tile is complete): row i holds the block's entries
-    of row i at the distinct columns ``index[i]``, its own first.
+    """One frame's tile block as slot tables, k = tile² (1 when no tile
+    is complete): ``sign`` (N, k) holds row i's block entries at the
+    frame columns ``index[i, :k]``, and ``index`` (N, k + 2) ends on
+    N and N + 1, the twins' columns of the frame layout
+    (`graphs.to_layout`). A row's columns are distinct, its own first.
 
     A tile node's row lists its tile, from itself on in cyclic order.
     The anchor's signs are +1 on itself and -1 on its tile mates; a
@@ -93,15 +95,21 @@ def tile_slots(grid_h, grid_w, tile):
     n = grid_h * grid_w
     ids = tile_ids(grid_h, grid_w, tile)
     k = ids.shape[1] if len(ids) else 1
-    index = (np.arange(n)[:, None] + np.arange(k)) % n
+    index = np.empty((n, k + 2), dtype=int)
+    index[:, :k] = (np.arange(n)[:, None] + np.arange(k)) % n
+    index[:, k:] = n, n + 1
     sign = np.zeros((n, k))
     if len(ids):
         # row a of the rotation starts on tile position a
         rotate = (np.arange(k)[:, None] + np.arange(k)) % k
         pattern = np.eye(k)
         pattern[0, 1:] = pattern[1:, 0] = -1.0
-        index[ids] = ids[:, rotate]
+        index[ids, :k] = ids[:, rotate]
         sign[ids] = pattern[np.arange(k)[:, None], rotate]
+    # what gat.SignedAdjacency and autodiff.frame_attention rely on
+    ordered = np.sort(index, axis=1)
+    assert (index[:, 0] == np.arange(n)).all()
+    assert (ordered[:, 1:] > ordered[:, :-1]).all()
     index.flags.writeable = sign.flags.writeable = False
     return index, sign
 
@@ -112,7 +120,7 @@ def negative_spatial_matrix(grid_h, grid_w, tile):
     index, sign = tile_slots(grid_h, grid_w, tile)
     n = len(index)
     mat = np.zeros((n, n))
-    mat[np.arange(n)[:, None], index] = sign
+    mat[np.arange(n)[:, None], index[:, :-2]] = sign
     return mat, tile_ids(grid_h, grid_w, tile)[:, 0]
 
 

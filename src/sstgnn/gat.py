@@ -15,8 +15,9 @@ An adjacency is a (T, N, K) slot table: node (t, i) attends over K - 2
 nodes of frame t and its twins in frames t - 1 and t + 1, never over a
 dense M x M mask. The consistency pass, mostly supported, is the dense
 frame layout (see `graphs.to_layout`), whose K - 2 = N slots are frame
-t's nodes. The inconsistency pass reads only its tile: one (N, tile²)
-column table shared by every frame, so K = tile² + 2.
+t's nodes. The inconsistency pass reads only its tile: one
+(N, tile² + 2) table of frame-layout columns shared by every frame, so
+K = tile² + 2.
 """
 
 from __future__ import annotations
@@ -39,13 +40,15 @@ class GatParams:
 @dataclass(frozen=True)
 class SignedAdjacency:
     """A {-1, 0, +1} sign per edge slot, held as a (T, N, K) table; the
-    edge support is where the sign is nonzero. Slot k < K - 2 of row
-    (t, i) is node ``index[i, k]`` of frame t, the same (N, K - 2)
-    columns in every frame, distinct within a row and starting on node
-    i itself; ``index`` None is the dense frame layout, K = N + 2, whose
-    slot k is node k. The last two slots are the twins in frames t - 1
-    and t + 1. Every node gets a self-loop: a missing one is added with
-    sign +1, an existing one keeps its sign.
+    edge support is where the sign is nonzero. Slot k of row (t, i)
+    stands for column ``index[i, k]`` of row (t, i) of the (T, N, N + 2)
+    frame layout, one (N, K) table shared by every frame: node
+    ``index[i, k]`` of frame t for k < K - 2, then the twins in frames
+    t - 1 and t + 1 (columns N and N + 1). A row's columns must be
+    distinct and start on node i itself (`differential.tile_slots`
+    checks its tables once, when it builds them). ``index`` None is the
+    frame layout itself, K = N + 2. Every node gets a self-loop: a
+    missing one is added with sign +1, an existing one keeps its sign.
     """
 
     sign: np.ndarray
@@ -59,20 +62,12 @@ class SignedAdjacency:
                 raise ValueError(f"sign {sign.shape} is not a (T, N, N + 2) "
                                  f"frame layout")
         elif (sign.ndim != 3 or sign.shape[2] < 3 or index.dtype.kind not in "iu"
-                or index.shape != (sign.shape[1], sign.shape[2] - 2)):
+                or index.shape != sign.shape[1:]):
             raise ValueError(f"sign {sign.shape} is not a (T, N, K) slot table "
-                             f"of the (N, K - 2) integer index, {index.dtype} "
+                             f"of the (N, K) integer index, {index.dtype} "
                              f"{index.shape}")
-        n = sign.shape[1]
-        rows = np.arange(n)
-        loop = rows    # the self slot of each row
-        if index is not None:
-            ordered = np.sort(index, axis=1)
-            if ((index[:, 0] != rows).any() or index.min() < 0 or index.max() >= n
-                    or (ordered[:, 1:] == ordered[:, :-1]).any()):
-                raise ValueError(f"each row of index must start on its own "
-                                 f"node and hold distinct columns in [0, {n})")
-            loop = 0
+        rows = np.arange(sign.shape[1])
+        loop = rows if index is None else 0    # the self slot of each row
         if sign[0, :, -2].any() or sign[-1, :, -1].any():
             raise ValueError("twin entry beyond the first or last frame")
         missing = sign[:, rows, loop] == 0
@@ -96,8 +91,11 @@ def inconsistency_adjacency(graph: VideoGraph,
     """The tile block's slots (only the self slot when the differential
     is off) and the -1 twins."""
     n = graph.patches_per_frame
-    index, sign = ((np.arange(n)[:, None], np.zeros((n, 1))) if neg is None
-                   else tile_slots(graph.grid_h, graph.grid_w, neg.tile))
+    if neg is None:    # the self slot, then the twins' columns
+        index = np.column_stack((np.arange(n), np.full((n, 2), (n, n + 1))))
+        sign = np.zeros((n, 1))
+    else:
+        index, sign = tile_slots(graph.grid_h, graph.grid_w, neg.tile)
     return SignedAdjacency(to_layout(sign, np.minimum(np.sign(graph.twins), 0.0)),
                            index)
 
@@ -123,12 +121,12 @@ def gat_forward(x, adjacencies, params: GatParams):
         [adj.index for adj in adjacencies]))
 
 
-def spatial_fuse(h, weight, bias, graph: VideoGraph | None = None):
+def spatial_fuse(h, weight, bias, graph: VideoGraph):
     """Affine-map each node's fused row [h_c || h_ic] to d and mean-pool
-    the nodes of each of the graph's equal clips (one clip without a
-    graph): one (clips, d) row per clip."""
-    clips = 1 if graph is None else graph.clips
-    if graph is not None and h.shape[0] != graph.node_count:
+    the nodes of each of the graph's equal clips: one (clips, d) row per
+    clip."""
+    clips = graph.clips
+    if h.shape[0] != graph.node_count:
         raise ValueError(f"{h.shape[0]} node rows do not split into the graph's "
                          f"{clips} clips of {graph.node_count // clips} nodes")
     fused = ad.add(ad.matmul(h, weight), bias)

@@ -356,17 +356,16 @@ def apply_filter(x, basis: SpectralBasis, gains) -> np.ndarray:
     return (blocks @ scaled).reshape(x.shape)
 
 
-def pool_spectral(x, basis: SpectralBasis, gains, graph: VideoGraph | None = None):
+def pool_spectral(x, basis: SpectralBasis, gains, graph: VideoGraph):
     """(1/M) 1^T U diag(gains) U^T x, the node mean of the filtered
-    signal of each of the graph's equal clips of M nodes (one clip
-    without a graph), as the (clips, d) rows w^T x with
-    w = U (gains * U^T 1) / M per diagonal block of U. ``gains`` is a
-    column over the flattened values, ``x`` in node order; the basis is
-    constant to autodiff."""
+    signal of each of the graph's equal clips of M nodes, as the
+    (clips, d) rows w^T x with w = U (gains * U^T 1) / M per diagonal
+    block of U. ``gains`` is a column over the flattened values, ``x``
+    in node order; the basis is constant to autodiff."""
     if np.shape(gains) != (basis.size, 1):
         raise ValueError(f"gains {np.shape(gains)} must be a ({basis.size}, 1) column")
-    clips = 1 if graph is None else graph.clips
-    if graph is not None and basis.nodes != graph.node_count:
+    clips = graph.clips
+    if basis.nodes != graph.node_count:
         raise ValueError(f"{basis.nodes} basis nodes do not split into the graph's "
                          f"{clips} clips of {graph.node_count // clips} nodes")
     n, k = basis.vectors.shape[-2:]

@@ -80,14 +80,17 @@ class TestSpatialNegative:
                                                             tile):
         index, sign = diff.tile_slots(grid_h, grid_w, tile)
         n = grid_h * grid_w
-        complete = (grid_h // tile) * (grid_w // tile)
-        assert index.shape == sign.shape == (n, tile * tile if complete else 1)
+        k = tile * tile if (grid_h // tile) * (grid_w // tile) else 1
+        assert sign.shape == (n, k) and index.shape == (n, k + 2)
         np.testing.assert_array_equal(index[:, 0], np.arange(n))
         assert all(len(set(row)) == len(row) for row in index.tolist())
+        # the node columns come first, the twins' two layout columns last
+        assert (index[:, :k] < n).all()
+        np.testing.assert_array_equal(index[:, k:], [[n, n + 1]] * n)
         # the slots hold every nonzero of the block, each once
         mat, anchors = diff.negative_spatial_matrix(grid_h, grid_w, tile)
         assert np.count_nonzero(sign) == np.count_nonzero(mat)
-        np.testing.assert_array_equal(mat[np.arange(n)[:, None], index], sign)
+        np.testing.assert_array_equal(mat[np.arange(n)[:, None], index[:, :k]], sign)
         # an anchor row is +1 then -1 over its tile mates
         for a in anchors:
             np.testing.assert_array_equal(sign[a], [1.0] + [-1.0] * (tile * tile - 1))

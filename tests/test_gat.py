@@ -11,7 +11,7 @@ from sstgnn import autodiff as ad
 from sstgnn import differential as diff
 from sstgnn import gat, graphs, model, synth
 
-from layouts import frame_layout
+from layouts import frame_layout, one_clip
 
 
 def lrelu(v, slope=0.2):
@@ -233,14 +233,14 @@ class TestFusion:
         hc, hic = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
         w = np.vstack([np.eye(3), np.zeros((3, 3))])
         out = gat.spatial_fuse(ad.constant(np.hstack([hc, hic])),
-                               ad.constant(w), ad.constant(np.zeros(3)))
+                               ad.constant(w), ad.constant(np.zeros(3)), one_clip(5))
         np.testing.assert_allclose(out.data[0], hc.mean(axis=0), rtol=1e-12)
 
     def test_equal_passes_cancel_under_difference(self):
         h = np.random.default_rng(29).normal(size=(5, 3))
         w = np.vstack([np.eye(3), -np.eye(3)])
         out = gat.spatial_fuse(ad.constant(np.hstack([h, h])),
-                               ad.constant(w), ad.constant(np.zeros(3)))
+                               ad.constant(w), ad.constant(np.zeros(3)), one_clip(5))
         np.testing.assert_allclose(out.data, np.zeros((1, 3)), atol=1e-14)
 
     def test_matches_concat_affine_mean_oracle(self):
@@ -248,7 +248,7 @@ class TestFusion:
         hc, hic = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         w, b = rng.normal(size=(6, 3)), rng.normal(size=3)
         out = gat.spatial_fuse(ad.constant(np.hstack([hc, hic])),
-                               ad.constant(w), ad.constant(b))
+                               ad.constant(w), ad.constant(b), one_clip(4))
         expected = (np.hstack([hc, hic]) @ w + b).mean(axis=0)
         np.testing.assert_allclose(out.data[0], expected, rtol=1e-12)
 
@@ -257,7 +257,7 @@ class TestFusion:
         h = rng.normal(size=(12, 6))
         w, b = ad.constant(rng.normal(size=(6, 3))), ad.constant(rng.normal(size=3))
         out = gat.spatial_fuse(ad.constant(h), w, b, three_clips())
-        alone = [gat.spatial_fuse(ad.constant(h[4 * k:4 * k + 4]), w, b)
+        alone = [gat.spatial_fuse(ad.constant(h[4 * k:4 * k + 4]), w, b, one_clip(4))
                  for k in range(3)]
         np.testing.assert_array_equal(out.data, np.vstack([a.data for a in alone]))
 
@@ -607,14 +607,6 @@ class TestSlotTableChecks:
         index, sign = self.table()
         adj = gat.SignedAdjacency(sign, index)
         np.testing.assert_array_equal(adj.index, index)
-
-    @pytest.mark.parametrize("row", [[1, 0, 2, 3], [0, 1, 1, 3], [0, 1, 2, 4],
-                                     [0, 1, 2, -1]])
-    def test_bad_row_rejected(self, row):
-        index, sign = self.table()
-        index[0] = row
-        with pytest.raises(ValueError, match="own node and hold distinct"):
-            gat.SignedAdjacency(sign, index)
 
     def test_shape_and_dtype_checked(self):
         index, sign = self.table()

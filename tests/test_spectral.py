@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from layouts import one_clip
 from make_oracle import CLIP_SEEDS, PARAM_SEED, SCALES
 
 from sstgnn import autodiff as ad
@@ -30,7 +31,9 @@ def dense_filter(x, basis, gains):
     return ad.block_matmul(blocks, scaled)
 
 
-def dense_pool(x, basis, gains):
+def dense_pool(x, basis, gains, graph):
+    """The node mean of `dense_filter` over the graph's one clip."""
+    assert graph.clips == 1
     return ad.mean(dense_filter(x, basis, gains), axis=0, keepdims=True)
 
 
@@ -328,10 +331,11 @@ class TestBlockSolve:
             mlp = {k: ad.parameter(v.copy()) for k, v in mlp_init.items()}
             gains = ad.parameter(
                 spectral.FilterMlp(**mlp).gains(basis.eigenvalues).data)
-            out = spectral.pool_spectral(x, basis, gains)
+            out = spectral.pool_spectral(x, basis, gains, one_clip(m))
             grads = ad.mean(ad.mul(out, ad.constant(weights))).backward()
             through_mlp = spectral.pool_spectral(
-                x_value, basis, spectral.FilterMlp(**mlp).gains(basis.eigenvalues))
+                x_value, basis, spectral.FilterMlp(**mlp).gains(basis.eigenvalues),
+                one_clip(m))
             mlp_grads = ad.mean(ad.mul(through_mlp, ad.constant(weights))).backward()
             return (out.data, grads[x], grads[gains],
                     {k: mlp_grads[t] for k, t in mlp.items()})
@@ -474,41 +478,43 @@ class TestPool:
     """`pool_spectral` against the mean of the filtered signal."""
 
     def setup_method(self):
-        g = random_video_graph(3)
-        self.basis = spectral.eigendecompose(spectral.graph_laplacian(g))
+        self.graph = random_video_graph(3)
+        self.basis = spectral.eigendecompose(spectral.graph_laplacian(self.graph))
         self.x = np.random.default_rng(4).normal(size=(8, 5))
 
     def test_single_node(self):
         basis = spectral.SpectralBasis(np.zeros(1), np.ones((1, 1)))
         out = spectral.pool_spectral(np.array([[1.0, 2.0, 3.0]]), basis,
-                                     np.array([[0.5]]))
+                                     np.array([[0.5]]), one_clip(1))
         np.testing.assert_array_equal(out.data, [[0.5, 1.0, 1.5]])
 
     def test_opposite_rows_cancel(self):
         basis = spectral.eigendecompose(
             spectral.laplacian_from_adjacency([[0.0, 1.0], [1.0, 0.0]]))
         r = np.array([1.0, -2.0, 0.5])
-        out = spectral.pool_spectral(np.vstack([r, -r]), basis, np.ones((2, 1)))
+        out = spectral.pool_spectral(np.vstack([r, -r]), basis, np.ones((2, 1)),
+                                     one_clip(2))
         np.testing.assert_allclose(out.data, np.zeros((1, 3)), atol=1e-15)
 
     def test_matches_column_mean(self):
         # all-pass: the pooled row is the plain node mean
-        out = spectral.pool_spectral(self.x, self.basis, np.ones((8, 1)))
+        out = spectral.pool_spectral(self.x, self.basis, np.ones((8, 1)), self.graph)
         np.testing.assert_allclose(out.data[0], self.x.mean(axis=0),
                                    rtol=0, atol=1e-15)
 
     def test_zero_gains_give_zero(self):
-        out = spectral.pool_spectral(self.x, self.basis, np.zeros((8, 1)))
+        out = spectral.pool_spectral(self.x, self.basis, np.zeros((8, 1)), self.graph)
         np.testing.assert_array_equal(out.data, np.zeros((1, 5)))
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_equals_mean_of_filtered_signal(self, stacked):
-        basis = self.basis
+        basis, graph = self.basis, self.graph
         if stacked:
-            basis = spectral.eigendecompose(clip_laplacian(16, "real", 0))
+            graph = clip_graph(16, "real", 0)
+            basis = spectral.eigendecompose(spectral.graph_laplacian(graph))
         rng = np.random.default_rng(5)
         x, gains = rng.normal(size=(basis.size, 5)), rng.random((basis.size, 1))
-        out = spectral.pool_spectral(x, basis, gains)
+        out = spectral.pool_spectral(x, basis, gains, graph)
         np.testing.assert_allclose(
             out.data[0], spectral.apply_filter(x, basis, gains).mean(axis=0),
             rtol=0, atol=1e-15)
@@ -526,8 +532,8 @@ class TestPool:
         x, gains = rng.normal(size=(basis.size, 5)), rng.random((basis.size, 1))
         out = spectral.pool_spectral(x, basis, gains, both)
         m = a.size
-        alone = [spectral.pool_spectral(x[:m], a, gains[:m]),
-                 spectral.pool_spectral(x[m:], b, gains[m:])]
+        alone = [spectral.pool_spectral(x[:m], a, gains[:m], pair[0]),
+                 spectral.pool_spectral(x[m:], b, gains[m:], pair[1])]
         np.testing.assert_allclose(out.data, np.vstack([r.data for r in alone]),
                                    rtol=0, atol=1e-15)
 
@@ -546,9 +552,10 @@ class TestPool:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            spectral.pool_spectral(np.ones((3, 2)), self.basis, np.ones((8, 1)))
+            spectral.pool_spectral(np.ones((3, 2)), self.basis, np.ones((8, 1)),
+                                   self.graph)
         with pytest.raises(ValueError, match="column"):
-            spectral.pool_spectral(self.x, self.basis, np.ones((7, 1)))
+            spectral.pool_spectral(self.x, self.basis, np.ones((7, 1)), self.graph)
 
     def test_gain_vector_rejected(self):
         # a (K,) vector would broadcast against the (K, 1) coefficients
@@ -558,7 +565,7 @@ class TestPool:
         flat = ad.reshape(mlp.gains(self.basis.eigenvalues), (-1,))
         for gains in (np.ones(8), flat):
             with pytest.raises(ValueError, match=r"gains \(8,\) must be a"):
-                spectral.pool_spectral(self.x, self.basis, gains)
+                spectral.pool_spectral(self.x, self.basis, gains, self.graph)
 
     def test_gradient_through_gains(self):
         rng = np.random.default_rng(6)
@@ -569,7 +576,7 @@ class TestPool:
 
         def f(pool):
             gains = mlp.gains(self.basis.eigenvalues)
-            return ad.mean(ad.mul(pool(x, self.basis, gains), weights))
+            return ad.mean(ad.mul(pool(x, self.basis, gains, self.graph), weights))
 
         assert ad.finite_diff_check(lambda: f(spectral.pool_spectral),
                                     {**mlp_params, "x": x}) < 1e-4
@@ -586,9 +593,9 @@ class TestPool:
                                          self.basis.vectors * signs)
         x = ad.parameter(self.x.copy())
         gains = np.linspace(0.0, 1.0, 8)[:, None]
-        a = ad.mean(spectral.pool_spectral(x, self.basis, gains))
-        b = ad.mean(spectral.pool_spectral(x, flipped, gains))
-        ref = ad.mean(dense_pool(x, self.basis, gains))
+        a = ad.mean(spectral.pool_spectral(x, self.basis, gains, self.graph))
+        b = ad.mean(spectral.pool_spectral(x, flipped, gains, self.graph))
+        ref = ad.mean(dense_pool(x, self.basis, gains, self.graph))
         np.testing.assert_allclose(b.data, a.data, rtol=1e-12)
         np.testing.assert_allclose(a.data, ref.data, rtol=1e-12)
         np.testing.assert_allclose(b.backward()[x], a.backward()[x],
@@ -627,7 +634,7 @@ class TestPooledMatchesDenseFilter:
             x = ad.parameter(x_value.copy())
             mlp = {k: ad.parameter(v.copy()) for k, v in init.items()}
             gains = spectral.FilterMlp(**mlp).gains(basis.eigenvalues)
-            out = pool(x, basis, gains)
+            out = pool(x, basis, gains, one_clip(m))
             grads = ad.mean(ad.mul(out, weights)).backward()
             return out.data, grads[x], {k: grads[t] for k, t in mlp.items()}
 
@@ -654,7 +661,8 @@ class TestPooledMatchesDenseFilter:
 
         def f():
             gains = mlp.gains(basis.eigenvalues)
-            out = spectral.pool_spectral(params["x"], basis, gains)
+            out = spectral.pool_spectral(params["x"], basis, gains,
+                                         one_clip(basis.size))
             return ad.mean(ad.mul(out, weights))
 
         assert ad.finite_diff_check(f, params) < 1e-4
@@ -816,7 +824,8 @@ class TestLanczosBreakdown:
                                     mlp_values(rng, 4).items()})
         basis = spectral.lanczos_basis(graph, numpy_gains(mlp))
         x = rng.normal(size=(graph.node_count, 3))
-        got = spectral.pool_spectral(x, basis, mlp.gains(basis.eigenvalues)).data
+        got = spectral.pool_spectral(x, basis, mlp.gains(basis.eigenvalues),
+                                     graph).data
         # L 1 = value * 1 on every block: w = g(value) 1 / M
         exact = mlp.gains(np.array([value])).data[0, 0] * x.mean(axis=0)
         np.testing.assert_allclose(got[0], exact, rtol=1e-15, atol=1e-15)
@@ -878,7 +887,7 @@ class TestLanczosBreakdown:
             params = {k: ad.parameter(v.copy()) for k, v in mlp_init.items()}
             x = ad.parameter(x_value.copy())
             out = spectral.pool_spectral(
-                x, b, spectral.FilterMlp(**params).gains(b.eigenvalues))
+                x, b, spectral.FilterMlp(**params).gains(b.eigenvalues), graph)
             grads = ad.mean(ad.mul(out, ad.constant(weights))).backward()
             results.append([out.data, grads[x], *(grads[params[k]] for k in mlp_init)])
         for a, b in zip(*results):
