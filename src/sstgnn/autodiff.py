@@ -5,7 +5,7 @@ block-diagonal matrix: the spectral pool w^T x applies it to one column
 w and never forms the filtered signal), add, mul (both broadcasting),
 concat, basic slicing, reshape, leaky_relu, mean, cross_entropy, plus
 frame_attention, one fused op for every pass of graph attention over a
-clip's signed slot tables. Each op records a backward rule on a
+clip's joined signed slot table. Each op records a backward rule on a
 per-forward tape; `backward()` walks the tape once in reverse
 topological order and returns the gradient of every leaf parameter, the
 dict the optimizer consumes. A minibatch is one tape: its clips share
@@ -18,7 +18,6 @@ Float64 throughout: the finite-difference checker needs the headroom.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -35,6 +34,7 @@ __all__ = [
     "reshape",
     "leaky_relu",
     "frame_attention",
+    "slot_maps",
     "mean",
     "cross_entropy",
     "AdamState",
@@ -293,140 +293,165 @@ def block_matmul(blocks, x) -> Tensor:
     return out
 
 
+# maps of read-only column tables (`gat` caches one per grid, tile and
+# differential) by id; an entry holds its table, so the id stays its own
+_SLOT_MAPS = {}
+
+
+def slot_maps(index, starts):
+    """What `frame_attention` derives from an (N, ΣK) column table whose
+    P passes begin at ``starts``: each slot's pass (ΣK,), its place in a
+    frame's flattened (N, P, N + 2) layouts (N ΣK,), its peer score's in
+    a frame's (3N,) row of the nodes', previous and next twins' scores
+    (N, ΣK), and each row's self slot in each pass (N, P). A pass's
+    columns in a row must be distinct, hold the row's own node and end
+    on the twins, N and N + 1; ValueError otherwise. A read-only table's
+    maps are cached, read-only."""
+    key = id(index), tuple(starts)
+    if key in _SLOT_MAPS and _SLOT_MAPS[key][0] is index:
+        return _SLOT_MAPS[key][1]
+    table, starts = np.asarray(index), key[1]
+    n, width = table.shape if table.ndim == 2 else (0, 0)
+    passes, ends = len(starts), np.array([*starts[1:], width])
+    error = ValueError(f"slot table: index {table.dtype} {table.shape} from starts "
+                       f"{starts} must hold passes of distinct columns per row, "
+                       f"its own node and last the twins {n} and {n + 1}")
+    if (not n or not starts or starts[0] != 0 or table.dtype.kind not in "iu"
+            or min(ends - starts) < 3):
+        raise error
+    rows = np.arange(n)[:, None]
+    segment = np.repeat(np.arange(passes), ends - starts)
+    layout = table + segment * (n + 2)    # the column in a row's P layouts
+    ordered = np.sort(layout, axis=1)
+    loops = np.nonzero(table == rows)[1]
+    # one own node per pass, and no twin but the last two slots of each
+    if (table.min() < 0 or len(loops) != n * passes
+            or np.count_nonzero(table >= n) != 2 * n * passes
+            or (table[:, ends - 2] != n).any() or (table[:, ends - 1] != n + 1).any()
+            or (ordered[:, 1:] == ordered[:, :-1]).any()):
+        raise error
+    maps = (segment, (layout + rows * passes * (n + 2)).ravel(),
+            np.where(table < n, table, (table - n + 1) * n + rows),
+            loops.reshape(n, passes))
+    if not table.flags.writeable:
+        if len(_SLOT_MAPS) >= 16:
+            _SLOT_MAPS.clear()
+        for part in maps:
+            part.flags.writeable = False
+        _SLOT_MAPS[key] = index, maps
+    return maps
+
+
 # an additive mask: off-support slots sink below any finite score, so a
 # row's max is over its support, and no -inf reaches np.exp
 _OFF_SUPPORT = np.finfo(np.float64).max
 
 
-def frame_attention(h, attention, sign, index=None) -> Tensor:
-    """Signed attention aggregation of P passes, each over its own
-    (T, N, K) slot table.
+def frame_attention(h, attention, sign, index, starts) -> Tensor:
+    """Signed attention aggregation of P passes over one slot table.
 
-    ``h`` is (M, d) with M = T * N, ``attention`` is (2d,). ``sign``
-    holds one table per pass, as a (P, T, N, K) array or a sequence of
-    P arrays (read in place, never stacked); a pass's support is where
-    its sign is nonzero. Slot k of row (t, i) stands for column
-    ``index[p][i, k]`` of row (t, i) of the (T, N, N + 2) frame layout:
-    node ``index[p][i, k]`` of frame t for k < K - 2, then the twins
-    (t - 1, i) and (t + 1, i), columns N and N + 1. ``index[p]`` is one
-    (N, K) table shared by every frame, and each of its rows must hold
-    distinct columns: the weights are scattered by fancy index, so a
-    repeated column would lose a value. ``index`` None, or a None entry,
-    is the frame layout itself, K = N + 2. Scores e = LeakyReLU(a_self .
-    h_i + a_peer . h_j) are computed over the passes' own slots only,
-    laid side by side; each pass takes the softmax over its row's
-    support and times its sign. The weights are scattered into
-    (P, T, N, N + 2) frame layouts and aggregated for every pass at
-    once: one matmul per frame and pass, plus the twin rows. Returns
-    (M, P d): row (t, i) is the P passes' outputs side by side. A row
-    with no support raises ValueError. One tape node with a
-    hand-written backward replaces the scores, softmax, sign,
-    aggregation and concat ops a dense composition would record.
+    ``h`` is (M, d) with M = T * N, ``attention`` is (2d,). Slot k of
+    row (t, i) stands for column ``index[i, k]`` of row (t, i) of the
+    (T, N, N + 2) frame layout: node ``index[i, k]`` of frame t, or the
+    twin (t - 1, i) or (t + 1, i), columns N and N + 1. ``index`` is one
+    (N, ΣK) table for every frame; pass p owns the slots from
+    ``starts[p]`` to the next start (`slot_maps`). ``sign`` (T, N, ΣK)
+    holds each slot's sign, -1, 0 or +1; a pass's support is where its
+    sign is nonzero. Scores e = LeakyReLU(a_self . h_i + a_peer . h_j)
+    are gathered for every slot at once; each pass takes the softmax over
+    its segment of a row's support (`reduceat`) and times its sign. The
+    weights are scattered into one (T, N, P, N + 2) layout whose
+    (T, N P, N + 2) view aggregates every pass in one matmul per frame,
+    plus the twin rows. Returns (M, P d), row (t, i) holding the passes'
+    outputs side by side. A row with no support raises ValueError.
     """
-    h, attention = as_tensor(h), as_tensor(attention)
-    passes = len(sign)
-    index = [None] * passes if index is None else list(index)
-    layout = np.shape(sign[0]) if passes else ()
-    frames, n = layout[:2] if len(layout) == 3 else (0, 0)
-    columns = [(n, n + 2) if i is None else np.shape(i) for i in index]
-    if (not frames or len(index) != passes or any(
-            len(c) != 2 or c[0] != n or np.shape(s) != (frames, *c)
-            for s, c in zip(sign, columns))):
-        raise ValueError(f"frame_attention: sign must hold P >= 1 (T, N, K) "
-                         f"slot tables, (N, K) the shape of each pass's "
-                         f"index (N + 2 slots for the frame layouts), got "
-                         f"{[np.shape(s) for s in sign]} and index {columns}")
+    h, attention, sign = as_tensor(h), as_tensor(attention), np.asarray(sign)
+    segment, scatter, peer, loops = slot_maps(index, starts)
+    (n, width), passes = peer.shape, len(starts)
     m, d = h.data.shape
-    if m != frames * n or attention.data.shape != (2 * d,):
-        raise ValueError(f"frame_attention: h {h.data.shape} and attention "
-                         f"{attention.data.shape} do not fit {frames} frames "
-                         f"of {n} nodes")
+    frames = m // n
+    if (sign.shape != (frames, n, width) or m != frames * n or not frames
+            or attention.data.shape != (2 * d,)):
+        raise ValueError(f"frame_attention: h {h.data.shape}, attention "
+                         f"{attention.data.shape} and sign {sign.shape} do not "
+                         f"fit a slot table of {n} nodes and {width} slots")
     a = attention.data.reshape(2, d)    # rows a_self and a_peer
     hf = h.data.reshape(frames, n, d)
     s_pair = (h.data @ a.T).reshape(frames, n, 2)
-    s_self, s_peer = s_pair[:, :, :1], s_pair[:, :, 1]
-    rows = np.arange(n)[:, None]
-    # the passes' slots side by side: pass p owns starts[p]:starts[p + 1]
-    starts = [0, *accumulate(k for _, k in columns)]
-    own = [slice(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
-    # the twins' peer scores; frames 0 and T - 1 lack one twin each
-    twin_peers = np.zeros((frames, n, 2))
-    twin_peers[1:, :, 0] = s_peer[:-1]
-    twin_peers[:-1, :, 1] = s_peer[1:]
-    scores = np.empty((frames, n, starts[-1]))
-    support = np.empty(scores.shape, dtype=bool)
-    for p, slots in enumerate(own):
-        k = columns[p][1] - 2
-        r = scores[:, :, slots]
-        peers = (s_peer[:, None, :] if index[p] is None
-                 else np.take(s_peer, index[p][:, :k], axis=1))
-        np.add(s_self, peers, out=r[:, :, :k])
-        np.add(s_self, twin_peers, out=r[:, :, k:])
-        np.not_equal(sign[p], 0, out=support[:, :, slots])
-    # LeakyReLU in place, as the max of the raw scores and LEAKY_SLOPE
-    # times them: the same values as raw * gate, with no branch. It keeps
-    # each score's sign, so the backward reads the gate off the result
-    alpha = np.multiply(scores, LEAKY_SLOPE)
-    np.maximum(scores, alpha, out=scores)
-    np.multiply(support, _OFF_SUPPORT, out=alpha)
-    alpha -= _OFF_SUPPORT
-    alpha += scores
-    rowmax = np.maximum.reduceat(alpha, starts[:-1], axis=-1)    # (T, N, P)
+    # each frame's peer scores: its nodes', then the twins' in frames
+    # t - 1 and t + 1; frames 0 and T - 1 lack one twin each
+    peers = np.zeros((frames, 3, n))
+    peers[:, 0], peers[1:, 1], peers[:-1, 2] = (s_pair[:, :, 1], s_pair[:-1, :, 1],
+                                                s_pair[1:, :, 1])
+    raw = np.take(peers.reshape(frames, -1), peer, axis=1)
+    raw += s_pair[:, :, :1]
+    support = sign != 0
+    # LeakyReLU as the max of the raw scores and LEAKY_SLOPE times them:
+    # the same values as raw * gate, with no branch. It keeps each
+    # score's sign, so the gate the backward needs is read off the result
+    alpha = np.multiply(raw, LEAKY_SLOPE)
+    np.maximum(raw, alpha, out=alpha)
+    gate = alpha > 0
+    # the raw scores' buffer holds the masked scores, then each pass's
+    # row max spread over its slots (mode "clip" takes it unbuffered)
+    np.multiply(support, _OFF_SUPPORT, out=raw)
+    raw -= _OFF_SUPPORT
+    raw += alpha
+    rowmax = np.maximum.reduceat(raw, starts, axis=-1)    # (T, N, P)
     if rowmax.min() < -_OFF_SUPPORT / 2:
         t, i, p = np.argwhere(rowmax < -_OFF_SUPPORT / 2)[0]
         raise ValueError(f"frame_attention: pass {p}, frame {t}, node {i} "
                          f"has no support, so its softmax is 0/0, non-finite")
-    for p, slots in enumerate(own):
-        np.subtract(scores[:, :, slots], rowmax[:, :, p, None],
-                    out=alpha[:, :, slots])
+    alpha -= np.take(rowmax, segment, axis=-1, out=raw, mode="clip")
+    del raw    # freed before the layout is allocated
     # an off-support slot may score above its row's max; clipped to 0
     # and then zeroed, it neither overflows nor leaves the fast exp path
     np.minimum(alpha, 0.0, out=alpha)
     np.exp(alpha, out=alpha)
     alpha *= support
-    total = np.add.reduceat(alpha, starts[:-1], axis=-1)
-    weights = np.zeros((passes, frames, n, n + 2))
-    for p, slots in enumerate(own):
-        alpha[:, :, slots] /= total[:, :, p, None]
-        if index[p] is None:
-            np.multiply(alpha[:, :, slots], sign[p], out=weights[p])
-        else:
-            weights[p][:, rows, index[p]] = alpha[:, :, slots] * sign[p]
-    # each pass writes a contiguous block: strided in-place adds cost
-    # several times as much as the one transposing copy below
-    out = weights[..., :n] @ hf
-    out[:, 1:] += weights[:, 1:, :, n, None] * hf[:-1]
-    out[:, :-1] += weights[:, :-1, :, n + 1, None] * hf[1:]
-    out = Tensor(out.transpose(1, 2, 0, 3).reshape(m, passes * d),
+    total = np.add.reduceat(alpha, starts, axis=-1)
+    # signed, scattered, then normalised in the layout: (e s) / total is
+    # (e / total) s, bit for bit, as each sign is -1, 0 or +1
+    alpha *= sign
+    weights = np.zeros((frames, n, passes, n + 2))
+    weights.reshape(frames, -1)[:, scatter] = alpha.reshape(frames, -1)
+    del alpha
+    weights /= total[..., None]
+    # row (i, p) of the (T, N P, N + 2) view is node i's pass p: the
+    # outputs come out in [pass 0 || pass 1 ...] order
+    layout = weights.reshape(frames, n * passes, n + 2)[..., :n]
+    out = layout @ hf
+    side = out.reshape(frames, n, passes, d)
+    side[1:] += weights[1:, :, :, n, None] * hf[:-1, :, None]
+    side[:-1] += weights[:-1, :, :, n + 1, None] * hf[1:, :, None]
+    out = Tensor(out.reshape(m, passes * d),
                  requires_grad=h.requires_grad or attention.requires_grad,
                  parents=(h, attention))
 
+    def at_slots(layouts):
+        return layouts.reshape(frames, -1)[:, scatter].reshape(sign.shape)
+
     def _backward(g, acc):
-        gp = g.reshape(frames, n, passes, d).transpose(2, 0, 1, 3)
+        gp = g.reshape(frames, n * passes, d)
+        g4 = g.reshape(frames, n, passes, d)
         dweights = np.zeros(weights.shape)
-        dweights[..., :n] = gp @ hf.transpose(0, 2, 1)
+        dweights.reshape(frames, n * passes, n + 2)[..., :n] = \
+            gp @ hf.transpose(0, 2, 1)
         # einsum keeps the twin products' sums out of a temporary, at a
         # third of the time of multiply-then-sum
-        dweights[:, 1:, :, n] = np.einsum("ptid,tid->pti", gp[:, 1:], hf[:-1])
-        dweights[:, :-1, :, n + 1] = np.einsum("ptid,tid->pti", gp[:, :-1], hf[1:])
-        dalpha = np.empty(alpha.shape)
-        for p, slots in enumerate(own):
-            np.multiply(dweights[p] if index[p] is None
-                        else dweights[p][:, rows, index[p]],
-                        sign[p], out=dalpha[:, :, slots])
-        dot = np.add.reduceat(dalpha * alpha, starts[:-1], axis=-1)
-        for p, slots in enumerate(own):
-            dalpha[:, :, slots] -= dot[:, :, p, None]
-        dalpha *= alpha
-        dalpha *= np.where(scores > 0, 1.0, LEAKY_SLOPE)    # of the raw scores
-        # every pass's slots added into one frame layout: the passes
+        dweights[1:, :, :, n] = np.einsum("tipd,tid->tip", g4[1:], hf[:-1])
+        dweights[:-1, :, :, n + 1] = np.einsum("tipd,tid->tip", g4[:-1], hf[1:])
+        soft = at_slots(weights) * sign    # the softmax
+        dalpha = at_slots(dweights) * sign
+        dalpha -= np.take(np.add.reduceat(dalpha * soft, starts, axis=-1),
+                          segment, axis=-1)
+        dalpha *= soft
+        dalpha *= np.where(gate, 1.0, LEAKY_SLOPE)
+        # every pass's slots in its own layout, then summed: the passes
         # share s_self and s_peer
-        de = np.zeros((frames, n, n + 2))
-        for p, slots in enumerate(own):
-            if index[p] is None:
-                de += dalpha[:, :, slots]
-            else:
-                de[:, rows, index[p]] += dalpha[:, :, slots]
+        de = np.zeros(weights.shape)
+        de.reshape(frames, -1)[:, scatter] = dalpha.reshape(frames, -1)
+        de = de.sum(axis=2)
         ds = np.empty((frames, n, 2))    # of s_self and s_peer
         de.sum(axis=-1, out=ds[:, :, 0])
         de[:, :, :n].sum(axis=1, out=ds[:, :, 1])
@@ -434,9 +459,9 @@ def frame_attention(h, attention, sign, index=None) -> Tensor:
         ds[1:, :, 1] += de[:-1, :, n + 1]
         ds = ds.reshape(m, 2)
         if h.requires_grad:
-            dh = (weights[..., :n].transpose(0, 1, 3, 2) @ gp).sum(axis=0)
-            dh[:-1] += np.einsum("pti,ptid->tid", weights[:, 1:, :, n], gp[:, 1:])
-            dh[1:] += np.einsum("pti,ptid->tid", weights[:, :-1, :, n + 1], gp[:, :-1])
+            dh = layout.transpose(0, 2, 1) @ gp
+            dh[:-1] += np.einsum("tip,tipd->tid", weights[1:, :, :, n], g4[1:])
+            dh[1:] += np.einsum("tip,tipd->tid", weights[:-1, :, :, n + 1], g4[:-1])
             dh = dh.reshape(m, d)
             dh += ds @ a
             _accum(acc, h, dh)

@@ -79,11 +79,12 @@ def tile_ids(grid_h, grid_w, tile):
 
 @functools.lru_cache(maxsize=16)
 def tile_slots(grid_h, grid_w, tile):
-    """One frame's tile block as slot tables, k = tile² (1 when no tile
-    is complete): ``sign`` (N, k) holds row i's block entries at the
-    frame columns ``index[i, :k]``, and ``index`` (N, k + 2) ends on
-    N and N + 1, the twins' columns of the frame layout
-    (`graphs.to_layout`). A row's columns are distinct, its own first.
+    """One frame's tile block as the inconsistency pass's slots in the
+    attention's column table (`gat.slot_columns`), k = tile² (1 when no
+    tile is complete): ``sign`` (N, k) holds row i's block entries at the
+    frame columns ``index[i, :k]``, and ``index`` (N, k + 2) ends on the
+    twins' columns N and N + 1. A row's columns are distinct, its own
+    first.
 
     A tile node's row lists its tile, from itself on in cyclic order.
     The anchor's signs are +1 on itself and -1 on its tile mates; a
@@ -106,10 +107,6 @@ def tile_slots(grid_h, grid_w, tile):
         pattern[0, 1:] = pattern[1:, 0] = -1.0
         index[ids, :k] = ids[:, rotate]
         sign[ids] = pattern[np.arange(k)[:, None], rotate]
-    # what gat.SignedAdjacency and autodiff.frame_attention rely on
-    ordered = np.sort(index, axis=1)
-    assert (index[:, 0] == np.arange(n)).all()
-    assert (ordered[:, 1:] > ordered[:, :-1]).all()
     index.flags.writeable = sign.flags.writeable = False
     return index, sign
 

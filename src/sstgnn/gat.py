@@ -11,24 +11,24 @@ temporal entries. `SignedAdjacency` adds any missing self-loop (+1), so
 no softmax row is empty. The layer returns both passes' rows side by
 side, [h_c || h_ic], which `spatial_fuse` maps without a concat.
 
-An adjacency is a (T, N, K) slot table: node (t, i) attends over K - 2
-nodes of frame t and its twins in frames t - 1 and t + 1, never over a
-dense M x M mask. The consistency pass, mostly supported, is the dense
-frame layout (see `graphs.to_layout`), whose K - 2 = N slots are frame
-t's nodes. The inconsistency pass reads only its tile: one
-(N, tile² + 2) table of frame-layout columns shared by every frame, so
-K = tile² + 2.
+Both passes are one slot table, never a dense M x M mask: each slot of
+node (t, i) names a column of the (T, N, N + 2) frame layout
+(`graphs.to_layout`), a node of frame t or a twin in frame t - 1 or
+t + 1. The consistency pass, mostly supported, reads every column; the
+inconsistency pass reads its tile and the twins. The column table is
+cached per grid, tile and differential; a forward writes only the signs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .differential import NegativeSpatialAdjacency, tile_slots
-from .graphs import VideoGraph, to_layout
+from .graphs import VideoGraph
 
 
 @dataclass
@@ -39,77 +39,91 @@ class GatParams:
 
 @dataclass(frozen=True)
 class SignedAdjacency:
-    """A {-1, 0, +1} sign per edge slot, held as a (T, N, K) table; the
-    edge support is where the sign is nonzero. Slot k of row (t, i)
-    stands for column ``index[i, k]`` of row (t, i) of the (T, N, N + 2)
-    frame layout, one (N, K) table shared by every frame: node
-    ``index[i, k]`` of frame t for k < K - 2, then the twins in frames
-    t - 1 and t + 1 (columns N and N + 1). A row's columns must be
-    distinct and start on node i itself (`differential.tile_slots`
-    checks its tables once, when it builds them). ``index`` None is the
-    frame layout itself, K = N + 2. Every node gets a self-loop: a
-    missing one is added with sign +1, an existing one keeps its sign.
-    """
+    """A {-1, 0, +1} sign per edge slot of P passes, one (T, N, ΣK)
+    table, and the (N, ΣK) frame-layout ``index`` and ``starts`` (one
+    pass by default) that `autodiff.frame_attention` reads it by; a
+    pass's support is where its sign is nonzero. Every node gets a
+    self-loop in every pass: a missing one is added with sign +1, an
+    existing one keeps its sign."""
 
     sign: np.ndarray
-    index: np.ndarray | None = None
+    index: np.ndarray
+    starts: tuple = (0,)
 
     def __post_init__(self):
         sign = np.asarray(self.sign, dtype=float)
-        index = None if self.index is None else np.asarray(self.index)
-        if index is None:
-            if sign.ndim != 3 or sign.shape[2] != sign.shape[1] + 2:
-                raise ValueError(f"sign {sign.shape} is not a (T, N, N + 2) "
-                                 f"frame layout")
-        elif (sign.ndim != 3 or sign.shape[2] < 3 or index.dtype.kind not in "iu"
-                or index.shape != sign.shape[1:]):
-            raise ValueError(f"sign {sign.shape} is not a (T, N, K) slot table "
-                             f"of the (N, K) integer index, {index.dtype} "
-                             f"{index.shape}")
-        rows = np.arange(sign.shape[1])
-        loop = rows if index is None else 0    # the self slot of each row
-        if sign[0, :, -2].any() or sign[-1, :, -1].any():
+        starts = tuple(map(int, self.starts))
+        *_, peer, loops = ad.slot_maps(self.index, starts)
+        if sign.ndim != 3 or sign.shape[1:] != peer.shape:
+            raise ValueError(f"sign {sign.shape} is not a (T, N, ΣK) slot "
+                             f"table of the (N, ΣK) index {peer.shape}")
+        ends = np.array([*starts[1:], sign.shape[2]])
+        if sign[0, :, ends - 2].any() or sign[-1, :, ends - 1].any():
             raise ValueError("twin entry beyond the first or last frame")
-        missing = sign[:, rows, loop] == 0
+        rows = np.arange(sign.shape[1])[:, None]
+        missing = sign[:, rows, loops] == 0
         if missing.any():
             sign = sign.copy()
-            sign[:, rows, loop] += missing   # an absent loop's sign is 0
+            sign[:, rows, loops] += missing   # an absent loop's sign is 0
         object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "starts", starts)
 
     @property
     def support(self):
         return self.sign != 0
 
 
-def consistency_adjacency(graph: VideoGraph) -> SignedAdjacency:
-    return SignedAdjacency(to_layout(graph.blocks > 0, graph.twins > 0))
-
-
-def inconsistency_adjacency(graph: VideoGraph,
-                            neg: NegativeSpatialAdjacency | None) -> SignedAdjacency:
-    """The tile block's slots (only the self slot when the differential
-    is off) and the -1 twins."""
-    n = graph.patches_per_frame
-    if neg is None:    # the self slot, then the twins' columns
-        index = np.column_stack((np.arange(n), np.full((n, 2), (n, n + 1))))
-        sign = np.zeros((n, 1))
+@functools.lru_cache(maxsize=16)
+def slot_columns(grid_h, grid_w, tile):
+    """Both passes' (N, ΣK) column table, their starts and the
+    inconsistency pass's (N, k) node signs: the `differential.tile_slots`
+    with +1 in an empty self slot, or the self slot alone when ``tile``
+    is None (the differential off). Read-only, cached per grid and tile."""
+    n = grid_h * grid_w
+    if tile is None:
+        own = np.column_stack((np.arange(n), np.full((n, 2), (n, n + 1))))
+        sign = np.ones((n, 1))
     else:
-        index, sign = tile_slots(graph.grid_h, graph.grid_w, neg.tile)
-    return SignedAdjacency(to_layout(sign, np.minimum(np.sign(graph.twins), 0.0)),
-                           index)
+        own, sign = tile_slots(grid_h, grid_w, tile)
+        sign = sign.copy()
+        sign[:, 0] += sign[:, 0] == 0
+    index = np.hstack([np.tile(np.arange(n + 2), (n, 1)), own])
+    index.flags.writeable = sign.flags.writeable = False
+    return index, (0, n + 2), sign
 
 
-def gat_forward(x, adjacencies, params: GatParams):
-    """Signed single-head attention layer, one pass per adjacency.
+def build_adjacency(graph: VideoGraph,
+                    neg: NegativeSpatialAdjacency | None) -> SignedAdjacency:
+    """Both passes over ``graph`` in one sign table: the consistency
+    pass's positive frame edges and twins, then the inconsistency pass's
+    tile slots (the self slot when ``neg`` is None) and -1 twins, with
+    the +1 self-loops `SignedAdjacency` would add."""
+    n, (clips, pairs, _) = graph.patches_per_frame, graph.twins.shape
+    index, starts, tile_sign = slot_columns(graph.grid_h, graph.grid_w,
+                                            None if neg is None else neg.tile)
+    sign = np.zeros((graph.frames, n, index.shape[1]))
+    np.greater(graph.blocks, 0, out=sign[:, :, :n])
+    sign[:, np.arange(n), np.arange(n)] = 1.0
+    sign[:, :, n + 2:-2] = tile_sign
+    # a twin edge in both of its rows: frame f + 1's previous twin slot
+    # and frame f's next one
+    per_clip = sign.reshape(clips, pairs + 1, n, -1)
+    per_clip[:, 1:, :, n] = per_clip[:, :-1, :, n + 1] = graph.twins > 0
+    negative = np.where(graph.twins < 0, -1.0, 0.0)
+    per_clip[:, 1:, :, -2] = per_clip[:, :-1, :, -1] = negative
+    return SignedAdjacency(sign, index, starts)
+
+
+def gat_forward(x, adjacency: SignedAdjacency, params: GatParams):
+    """Signed single-head attention layer, one pass per segment of the
+    adjacency's slot table.
 
     h = xW is computed once for every pass (`autodiff.frame_attention`);
     each pass scores its own slots, e_ij = LeakyReLU(a . [h_i || h_j]),
     and takes the masked softmax over its own support (sign != 0), node
     i aggregates sum_j alpha_ij s_ij h_j, and the result passes through
-    LeakyReLU. Returns (M, P d): row i holds the P passes' outputs side
-    by side, in the order of ``adjacencies``. `SignedAdjacency` holds
-    every self-loop, so every softmax row has support.
+    LeakyReLU. Returns (M, P d): row i holds the passes' outputs side by
+    side. Every softmax row has support: each node has its self-loop.
     """
     x = ad.as_tensor(x)
     d = params.weight.data.shape[0]
@@ -117,8 +131,7 @@ def gat_forward(x, adjacencies, params: GatParams):
         raise ValueError(f"feature dim {x.data.shape[1]} != layer dim {d}")
     h = ad.matmul(x, params.weight)
     return ad.leaky_relu(ad.frame_attention(
-        h, params.attention, [adj.sign for adj in adjacencies],
-        [adj.index for adj in adjacencies]))
+        h, params.attention, adjacency.sign, adjacency.index, adjacency.starts))
 
 
 def spatial_fuse(h, weight, bias, graph: VideoGraph):

@@ -14,11 +14,11 @@ twins are held per clip, as (B, F - 1, N), so no twin row joins the
 last frame of one clip to the first of the next.
 
 The frame layout is the only graph format: `to_layout` packs blocks
-and twins into the (T, N, N + 2) rows attention reads (or, given
-narrower per-node slot tables, (T, N, K) rows), and the Lanczos
-matvec and `dump_edges` read them as they are. `dense_from_layout` and
-the (M, M) `VideoGraph.spatial`/`.temporal` it builds remain only for
-the benchmark's graph counts and the dense Laplacian reference.
+and twins into (T, N, N + 2) rows, whose columns attention's slots
+name, and the Lanczos matvec and `dump_edges` read them as they are.
+`dense_from_layout` and the (M, M) `VideoGraph.spatial`/`.temporal` it
+builds remain only for the benchmark's graph counts and the dense
+Laplacian reference.
 """
 
 from __future__ import annotations
@@ -201,22 +201,19 @@ def unified_graph(embeddings, grid_h, grid_w, tau_s, tau_t, clips=1,
 
 
 def to_layout(blocks, twins):
-    """The (T, N, K) slot table of per-frame blocks and twin edges: the
-    (T, N, N + 2) frame layout when the blocks are (N, N).
+    """The (T, N, N + 2) frame layout of per-frame blocks and twin edges.
 
     ``twins`` is (B, F - 1, N) for B clips of F frames, T = B F: the edge
     between node v of frames f and f + 1 of one clip, written into both
-    of its rows, in slots K - 2 and K - 1. ``blocks`` is (T, N, K - 2),
-    or one (N, K - 2) table shared by every frame.
+    of its rows, in columns N and N + 1. ``blocks`` is (T, N, N), or one
+    (N, N) block shared by every frame.
     """
     clips, pairs, n = twins.shape
-    k = np.shape(blocks)[-1]
-    layout = np.zeros((clips * (pairs + 1), n, k + 2),
+    layout = np.zeros((clips * (pairs + 1), n, n + 2),
                       dtype=np.result_type(blocks, twins))
-    layout[:, :, :k] = blocks
-    per_clip = layout.reshape(clips, pairs + 1, n, k + 2)
-    per_clip[:, 1:, :, k] = twins
-    per_clip[:, :-1, :, k + 1] = twins
+    layout[:, :, :n] = blocks
+    per_clip = layout.reshape(clips, pairs + 1, n, n + 2)
+    per_clip[:, 1:, :, n] = per_clip[:, :-1, :, n + 1] = twins
     return layout
 
 

@@ -86,6 +86,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got "
+                             f"{type(d).__name__} {d!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -271,8 +274,7 @@ class ClipStructure:
     graph: VideoGraph
     negative: differential.NegativeSpatialAdjacency | None
     basis: spectral.SpectralBasis | None
-    consistency: gat.SignedAdjacency
-    inconsistency: gat.SignedAdjacency
+    adjacency: gat.SignedAdjacency    # the consistency, then the inconsistency pass
 
     @property
     def clips(self):
@@ -304,8 +306,7 @@ def build_structure(pt: PatchTensor, embedding: np.ndarray,
         graph=graph,
         negative=neg,
         basis=basis,
-        consistency=gat.consistency_adjacency(graph),
-        inconsistency=gat.inconsistency_adjacency(graph, neg),
+        adjacency=gat.build_adjacency(graph, neg),
     )
 
 
@@ -338,8 +339,7 @@ def _pooled_features(structure: ClipStructure, x: ad.Tensor,
                                           params["temporal.bias"])
     else:
         xp = x
-    h = gat.gat_forward(xp, (structure.consistency, structure.inconsistency),
-                        params.gat)
+    h = gat.gat_forward(xp, structure.adjacency, params.gat)
     z_spatial = gat.spatial_fuse(h, params["fusion.weight"],
                                  params["fusion.bias"], graph)
     return ad.concat([z_spatial, z_spectral], axis=1)

@@ -391,8 +391,11 @@ def filter_image_demo(image, preset: FilterPreset, patch_size=1, tau_s=0.6):
 
     Nodes are patches (pixels when patch_size is 1); the raw intensities
     of each patch position form the graph signals. Returns the filtered
-    image over the cropped region, plus (eigenvalues, gains).
+    image over the cropped region, plus (eigenvalues, gains). ``tau_s``
+    must lie in [0, 1], as in `model.TrainConfig`.
     """
+    if not 0.0 <= tau_s <= 1.0:
+        raise ValueError(f"tau_s must lie in [0, 1], got {tau_s!r}")
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValueError("expected a single-channel 2-D image")

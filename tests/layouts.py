@@ -1,6 +1,7 @@
-"""Graph shapes for tests: the dense frame layout a slot table stands
-for, to compare a gathered attention pass against the dense one or pin
-its bytes, and a one-clip graph for the ops that pool per clip."""
+"""Graph shapes for tests: the dense frame layouts a slot table stands
+for, to compare a pass over its own slots against the dense one or pin
+its bytes; the column table of dense passes; and a one-clip graph for
+the ops that pool per clip."""
 
 import numpy as np
 
@@ -8,15 +9,22 @@ from sstgnn import graphs
 
 
 def frame_layout(adj):
-    """The (T, N, N + 2) sign layout of a `gat.SignedAdjacency`: each
-    slot's sign written into its column, the twins into the last two.
-    A dense layout comes back as it is."""
-    if adj.index is None:
-        return adj.sign
-    frames, n, _ = adj.sign.shape
-    layout = np.zeros((frames, n, n + 2))
-    layout[:, np.arange(n)[:, None], adj.index] = adj.sign
-    return layout
+    """The (P, T, N, N + 2) sign layouts of a `gat.SignedAdjacency`, one
+    per pass: each slot's sign written into its column, the twins into
+    the last two."""
+    frames, n, width = adj.sign.shape
+    ends = (*adj.starts[1:], width)
+    layouts = np.zeros((len(adj.starts), frames, n, n + 2))
+    for layout, lo, hi in zip(layouts, adj.starts, ends):
+        layout[:, np.arange(n)[:, None], adj.index[:, lo:hi]] = adj.sign[:, :, lo:hi]
+    return layouts
+
+
+def dense_columns(n, passes=1):
+    """The column table and starts of ``passes`` passes that each read
+    the whole (N + 2)-column frame layout, as signs side by side."""
+    index = np.tile(np.arange(n + 2), (n, passes))
+    return index, tuple(range(0, passes * (n + 2), n + 2))
 
 
 def one_clip(nodes):

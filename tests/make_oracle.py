@@ -12,10 +12,14 @@ Regenerate only on purpose (the file is the reference):
 
     PYTHONPATH=src python tests/make_oracle.py
 
-Given a path, it writes there instead, which makes a bit-identity check
-of a refactor one `cmp` of the dumps at the two commits:
+Given a path, it writes there instead. To check a refactor, dump the
+oracle at both commits and compare the dumps: ``--compare`` prints
+whether the logits are bit-identical and the largest relative
+difference of every value against the oracle's tolerance, TOL, and
+exits 1 when a value is outside it:
 
     PYTHONPATH=src python tests/make_oracle.py /tmp/after.json
+    PYTHONPATH=src python tests/make_oracle.py --compare /tmp/before.json /tmp/after.json
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from sstgnn import model, synth
 ORACLE_PATH = Path(__file__).with_name("oracle.json")
 CLIP_SEEDS = (0, 1)
 PARAM_SEED = 7
+# the relative difference, |a - b| / max(1, |b|), the oracle allows
+TOL = 1e-12
 
 # scale -> (config overrides, clip geometry overrides)
 SCALES = {
@@ -77,12 +83,47 @@ def case_id(scale, differential, family, seed):
     return f"{scale}/{'diff' if differential else 'nodiff'}/{family}/{seed}"
 
 
+def relative_difference(got, ref):
+    return abs(got - ref) / max(1.0, abs(ref))
+
+
+def compare(before, after):
+    """Print how the dump ``after`` differs from ``before``; 0 when every
+    value is within TOL, else 1."""
+    ref, got = (json.loads(Path(p).read_text()) for p in (before, after))
+    if ref.keys() != got.keys():
+        print(f"the dumps hold different cases: {sorted(ref.keys() ^ got.keys())}")
+        return 1
+    logits = [(relative_difference(g, r), case, "logit", i)
+              for case in sorted(ref)
+              for i, (g, r) in enumerate(zip(got[case]["logits"], ref[case]["logits"]))]
+    grads = [(relative_difference(got[case][field][name], r), case, field, name)
+             for case in sorted(ref) for field in ("grad_norm", "grad_dot")
+             for name, r in ref[case][field].items()]
+    same = sum(g == r for case in ref
+               for g, r in zip(got[case]["logits"], ref[case]["logits"]))
+    print(f"logits: {same} of {len(logits)} bit-identical over {len(ref)} cases")
+    worst = 0.0
+    for what, rows in (("logits", logits), ("gradient fingerprints", grads)):
+        diff, case, field, name = max(rows)
+        worst = max(worst, diff)
+        print(f"{what}: largest relative difference {diff:.3g} "
+              f"({field} {name} of {case}) against TOL {TOL:g}")
+    return 0 if worst <= TOL else 1
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(description="Write the frozen oracle.")
+    parser = argparse.ArgumentParser(description="Write the frozen oracle, or "
+                                                 "compare two dumps of it.")
     parser.add_argument("out", nargs="?", type=Path, default=ORACLE_PATH,
                         help=f"output path (default {ORACLE_PATH.name} beside "
                              f"this script)")
-    out = parser.parse_args(argv).out
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"),
+                        help="compare two dumps instead of writing one")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    out = args.out
     cases = {case_id(*key): compute_case(*key) for key in case_keys()}
     out.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(cases)} cases to {out}")

@@ -15,6 +15,8 @@ from sstgnn import differential, gat, graphs, metrics, model, spectral, synth
 from sstgnn.cli import main as cli_main
 from sstgnn.rng import stream
 
+from layouts import dense_columns
+
 CROSS_FAMILIES = ("spectral_noise", "temporal_jitter")
 
 
@@ -203,7 +205,7 @@ def test_a7_gat_properties():
         out = ad.frame_attention(
             ad.constant(np.hstack([h, np.ones((m, 1)), np.eye(m)])),
             ad.constant(np.concatenate([a[:d], zeros, a[d:], zeros])),
-            [layout.astype(float)]).data
+            layout.astype(float), *dense_columns(n)).data
         worst_row = max(worst_row, np.abs(out[:, d] - 1.0).max())
         assert np.all(out[:, d + 1:][~graphs.dense_from_layout(layout)] == 0.0)
 
@@ -213,13 +215,13 @@ def test_a7_gat_properties():
         sign = np.where(support,
                         np.where(rng.random((n, n)) < 0.3, -1.0, 1.0), 0.0)
         no_twins = np.zeros((1, 0, n))
-        adj = gat.SignedAdjacency(graphs.to_layout(sign, no_twins))
+        adj = gat.SignedAdjacency(graphs.to_layout(sign, no_twins), *dense_columns(n))
         perm = rng.permutation(n)
-        base = gat.gat_forward(ad.constant(x), [adj], params).data
+        base = gat.gat_forward(ad.constant(x), adj, params).data
         permuted = gat.gat_forward(
             ad.constant(x[perm]),
-            [gat.SignedAdjacency(graphs.to_layout(sign[np.ix_(perm, perm)],
-                                                  no_twins))],
+            gat.SignedAdjacency(graphs.to_layout(sign[np.ix_(perm, perm)], no_twins),
+                                *dense_columns(n)),
             params).data
         denom = max(np.abs(base).max(), 1.0)
         worst_perm = max(worst_perm, np.abs(permuted - base[perm]).max() / denom)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from sstgnn import autodiff as ad
 from sstgnn import graphs
 
+from layouts import dense_columns
+
 
 def naive_matmul(a, b):
     m, k = a.shape
@@ -72,12 +74,13 @@ def attention_weights(support, peer_scores, sign=None):
     LeakyReLU(peer_scores[j]), which is peer_scores[j] where it is
     positive. Column 0 of h carries the scores; one-hot columns, which
     the scores ignore, read row i's weight on node j."""
-    m = support.shape[0] * support.shape[1]
+    frames, n, _ = support.shape
+    m = frames * n
     sign = support.astype(float) if sign is None else sign
     h = np.hstack([np.asarray(peer_scores, dtype=float)[:, None], np.eye(m)])
     a = np.zeros(2 * (m + 1))
     a[m + 1] = 1.0
-    out = ad.frame_attention(ad.constant(h), ad.constant(a), [sign])
+    out = ad.frame_attention(ad.constant(h), ad.constant(a), sign, *dense_columns(n))
     return out.data[:, 1:]
 
 
@@ -142,7 +145,8 @@ class TestMaskedSoftmax:
         w = ad.constant(rng.normal(size=(3, 1)))
 
         def f():
-            return ad.mean(ad.matmul(ad.frame_attention(h, a, [sign]), w))
+            return ad.mean(ad.matmul(
+                ad.frame_attention(h, a, sign, *dense_columns(3)), w))
 
         assert ad.finite_diff_check(f, {"h": h, "a": a}) < 1e-7
 
@@ -152,8 +156,8 @@ def signed(rng, support):
 
 
 class TestAttentionPasses:
-    """P passes in one `frame_attention` call: one shared score layout,
-    one softmax per pass, the outputs side by side."""
+    """P passes in one `frame_attention` call over their signs side by
+    side: one softmax per pass, the outputs side by side."""
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -168,11 +172,11 @@ class TestAttentionPasses:
         h = ad.parameter(rng.normal(size=(frames * n, d)) * 2.0)
         a = ad.parameter(rng.normal(size=2 * d))
         probe = ad.constant(rng.normal(size=(frames * n, 2 * d)))
-        both = ad.frame_attention(h, a, sign)
-        stacked = ad.frame_attention(h, a, np.stack(sign))
-        single = [ad.frame_attention(h, a, [g]) for g in sign]
+        both = ad.frame_attention(h, a, np.concatenate(sign, axis=2),
+                                  *dense_columns(n, passes=2))
+        single = [ad.frame_attention(h, a, g, *dense_columns(n)) for g in sign]
         joined = np.hstack([out.data for out in single])
-        assert both.data.tobytes() == joined.tobytes() == stacked.data.tobytes()
+        assert both.data.tobytes() == joined.tobytes()
         fused = ad.mean(ad.mul(both, probe)).backward()
         apart = ad.mean(ad.mul(ad.concat(single, axis=1), probe)).backward()
         for t in (h, a):
@@ -190,7 +194,8 @@ class TestAttentionPasses:
         w = ad.constant(rng.normal(size=(6, 1)))
 
         def f():
-            return ad.mean(ad.matmul(ad.frame_attention(h, a, sign), w))
+            return ad.mean(ad.matmul(ad.frame_attention(
+                h, a, np.concatenate(sign, axis=2), *dense_columns(3, passes=2)), w))
 
         grads = f().backward()
         assert min(np.abs(grads[t]).min() for t in (h, a)) > 1e-6
@@ -200,16 +205,19 @@ class TestAttentionPasses:
         rng = np.random.default_rng(6)
         support = [random_layout(rng, frames=3, n=4) for _ in range(2)]
         support[1][1, 2] = False
-        sign = [s.astype(float) for s in support]
+        sign = np.concatenate(support, axis=2).astype(float)
         with pytest.raises(ValueError, match="pass 1, frame 1, node 2 has no support"):
             ad.frame_attention(ad.constant(np.ones((12, 2))),
-                               ad.constant(np.ones(4)), sign)
+                               ad.constant(np.ones(4)), sign,
+                               *dense_columns(4, passes=2))
 
     def test_layout_without_pass_axis_rejected(self):
+        # one pass's layout where the table holds two
         support = random_layout(np.random.default_rng(7), frames=3, n=4)
-        with pytest.raises(ValueError, match="layouts"):
+        with pytest.raises(ValueError, match="do not fit"):
             ad.frame_attention(ad.constant(np.ones((12, 2))),
-                               ad.constant(np.ones(4)), support.astype(float))
+                               ad.constant(np.ones(4)), support.astype(float),
+                               *dense_columns(4, passes=2))
 
 
 def dense_blocks(blocks):

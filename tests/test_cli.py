@@ -13,7 +13,7 @@ import pytest
 
 import sstgnn
 from sstgnn import autodiff as ad
-from sstgnn import model, pgm, synth
+from sstgnn import model, pgm, spectral, synth
 from sstgnn.cli import main, read_config_file
 
 
@@ -171,6 +171,22 @@ def test_eval_removed_config_keys_are_usage_error(trained_run, tmp_path, capsys)
     assert "unknown config keys: ['eps', 'leaky_slope']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("echo", [b"[]", b"1", b"null"])
+def test_config_echo_not_an_object_is_usage_error(trained_run, tmp_path, capsys,
+                                                  echo):
+    # valid JSON, but no config: the loader and the CLI refuse it alike
+    blob = (trained_run / "checkpoint.sstg").read_bytes()
+    start = len(model.CHECKPOINT_MAGIC)
+    (length,) = struct.unpack_from("<I", blob, start)
+    bad = tmp_path / "bad.sstg"
+    bad.write_bytes(blob[:start] + struct.pack("<I", len(echo)) + echo
+                    + blob[start + 4 + length:])
+    with pytest.raises(ValueError, match="config must be a JSON object"):
+        model.load_checkpoint(bad)
+    assert eval_exit_code(bad, tmp_path / "e") == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("geometry", [
     ["--channels", "3"], ["--height", "2"], ["--width", "3"]],
     ids=["channels", "height", "width"])
@@ -213,6 +229,22 @@ def test_filter_image_all_pass_roundtrip(tmp_path):
     gains = (tmp_path / "g.csv").read_text().splitlines()
     assert gains[0] == "eigenvalue,gain"
     assert len(gains) == 101
+
+
+@pytest.mark.parametrize("tau_s", ["nan", "-0.1", "1.5"])
+def test_filter_image_tau_s_out_of_range_is_usage_error(tmp_path, capsys, tau_s):
+    # a NaN threshold would prune every edge; TrainConfig's rule applies
+    img = 0.2 + 0.6 * np.random.default_rng(0).random((4, 4))
+    with pytest.raises(ValueError, match=r"tau_s must lie in \[0, 1\]"):
+        spectral.filter_image_demo(img, spectral.FilterPreset("all_pass"),
+                                   tau_s=float(tau_s))
+    src, dst = tmp_path / "in.pgm", tmp_path / "out.pgm"
+    pgm.write_pgm(src, img)
+    code = main(["filter-image", "--in", str(src), "--preset", "all_pass",
+                 "--out", str(dst), "--tau-s", tau_s])
+    assert code == 2
+    assert "tau_s must lie in [0, 1]" in capsys.readouterr().err
+    assert not dst.exists()
 
 
 @pytest.mark.parametrize("header, message", [

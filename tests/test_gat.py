@@ -11,7 +11,7 @@ from sstgnn import autodiff as ad
 from sstgnn import differential as diff
 from sstgnn import gat, graphs, model, synth
 
-from layouts import frame_layout, one_clip
+from layouts import dense_columns, frame_layout, one_clip
 
 
 def lrelu(v, slope=0.2):
@@ -26,15 +26,23 @@ def make_params(d, seed=0, zero_attention=False):
 
 
 def adjacency(support, sign=None):
-    """One frame with no twins: an (n, n) sign, +1 on the support when
-    not given."""
+    """One frame with no twins, as a one-pass table over the whole frame
+    layout: an (n, n) sign, +1 on the support when not given."""
     sign = np.asarray(support if sign is None else sign, dtype=float)
-    return gat.SignedAdjacency(graphs.to_layout(sign, np.zeros((1, 0, len(sign)))))
+    return gat.SignedAdjacency(graphs.to_layout(sign, np.zeros((1, 0, len(sign)))),
+                               *dense_columns(len(sign)))
+
+
+def one_pass(adj, p):
+    """Pass p of a joined adjacency as a one-pass table."""
+    lo, hi = (*adj.starts, adj.index.shape[1])[p:p + 2]
+    return gat.SignedAdjacency(adj.sign[:, :, lo:hi], adj.index[:, lo:hi])
 
 
 def dense_pair(adj):
-    """The (M, M) support and sign an adjacency's slots stand for."""
-    layout = frame_layout(adj)
+    """The (M, M) support and sign a one-pass adjacency's slots stand
+    for."""
+    (layout,) = frame_layout(adj)
     return graphs.dense_from_layout(layout != 0), graphs.dense_from_layout(layout)
 
 
@@ -45,8 +53,8 @@ def attention_weights(h, attention, adj):
     m, d = h.shape
     probe = np.hstack([h, np.eye(m)])
     a = np.concatenate([attention[:d], np.zeros(m), attention[d:], np.zeros(m)])
-    out = ad.frame_attention(ad.constant(probe), ad.constant(a), [adj.sign],
-                             [adj.index]).data
+    out = ad.frame_attention(ad.constant(probe), ad.constant(a), adj.sign,
+                             adj.index, adj.starts).data
     return out[:, d:]
 
 
@@ -68,7 +76,7 @@ class TestGatForward:
     def test_single_node_self_loop(self):
         params = make_params(3, seed=1)
         x = np.random.default_rng(2).normal(size=(1, 3))
-        out = gat.gat_forward(ad.constant(x), [adjacency([[True]])], params)
+        out = gat.gat_forward(ad.constant(x), adjacency([[True]]), params)
         np.testing.assert_allclose(out.data, lrelu(x @ params.weight.data),
                                    rtol=1e-12)
 
@@ -84,7 +92,7 @@ class TestGatForward:
         params = make_params(4, seed=5)
         x = np.random.default_rng(6).normal(size=(3, 4))
         support = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)
-        out = gat.gat_forward(ad.constant(x), [adjacency(support)], params)
+        out = gat.gat_forward(ad.constant(x), adjacency(support), params)
         expected = brute_force(x, support, support.astype(float),
                                params.weight.data, params.attention.data)
         np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
@@ -96,7 +104,7 @@ class TestGatForward:
         support = rng.random((5, 5)) < 0.5
         support[np.arange(5), np.arange(5)] = True
         sign = np.where(support, np.where(rng.random((5, 5)) < 0.4, -1.0, 1.0), 0.0)
-        out = gat.gat_forward(ad.constant(x), [adjacency(support, sign)], params)
+        out = gat.gat_forward(ad.constant(x), adjacency(support, sign), params)
         expected = brute_force(x, support, sign, params.weight.data,
                                params.attention.data)
         np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
@@ -107,7 +115,7 @@ class TestGatForward:
         x = rng.normal(size=(4, 4))
         support = rng.random((4, 4)) < 0.6
         support[np.arange(4), np.arange(4)] = True
-        out = gat.gat_forward(ad.constant(x), [adjacency(support)], params)
+        out = gat.gat_forward(ad.constant(x), adjacency(support), params)
         h = x @ params.weight.data
         expected = lrelu(np.vstack([
             h[support[i]].mean(axis=0) for i in range(4)]))
@@ -133,10 +141,10 @@ class TestGatForward:
         support[np.arange(6), np.arange(6)] = True
         sign = np.where(support, np.where(rng.random((6, 6)) < 0.3, -1.0, 1.0), 0.0)
         perm = rng.permutation(6)
-        base = gat.gat_forward(ad.constant(x), [adjacency(support, sign)], params)
+        base = gat.gat_forward(ad.constant(x), adjacency(support, sign), params)
         permuted = gat.gat_forward(
             ad.constant(x[perm]),
-            [adjacency(support[np.ix_(perm, perm)], sign[np.ix_(perm, perm)])],
+            adjacency(support[np.ix_(perm, perm)], sign[np.ix_(perm, perm)]),
             params)
         # summation order inside the row reductions shifts, so agreement
         # is to rounding, not bitwise
@@ -152,7 +160,7 @@ class TestGatForward:
         support = np.ones((4, 4), dtype=bool)
 
         def f():
-            return ad.mean(gat.gat_forward(x, [adjacency(support)], params))
+            return ad.mean(gat.gat_forward(x, adjacency(support), params))
 
         grads = f().backward()
         assert min(np.abs(g).min() for g in grads.values()) > 1e-6
@@ -164,7 +172,7 @@ class TestGatForward:
         params = make_params(3)
         with pytest.raises(ValueError, match="dim"):
             gat.gat_forward(ad.constant(np.ones((2, 4))),
-                            [adjacency(np.ones((2, 2), dtype=bool))], params)
+                            adjacency(np.ones((2, 2), dtype=bool)), params)
 
 
 def clip_graph(t=2, grid=2, d=4, seed=0, tau=0.3):
@@ -177,16 +185,16 @@ class TestPasses:
         g = clip_graph(t=1)
         params = make_params(4, seed=17)
         x = ad.constant(np.random.default_rng(18).normal(size=(4, 4)))
-        out = gat.gat_forward(x, [gat.consistency_adjacency(g)], params)
-        direct = gat.gat_forward(x, [adjacency(g.spatial > 0)], params)
+        out = gat.gat_forward(x, one_pass(gat.build_adjacency(g, None), 0), params)
+        direct = gat.gat_forward(x, adjacency(g.spatial > 0), params)
         np.testing.assert_array_equal(out.data, direct.data)
 
     def test_disconnected_node_keeps_self_message(self):
         g = replace(clip_graph(t=1), blocks=np.zeros((1, 4, 4)))
         params = make_params(4, seed=19)
         x = np.random.default_rng(20).normal(size=(4, 4))
-        out = gat.gat_forward(ad.constant(x), [gat.consistency_adjacency(g)],
-                              params)
+        adj = one_pass(gat.build_adjacency(g, None), 0)
+        out = gat.gat_forward(ad.constant(x), adj, params)
         np.testing.assert_allclose(out.data, lrelu(x @ params.weight.data),
                                    rtol=1e-12)
 
@@ -196,8 +204,8 @@ class TestPasses:
         neg = diff.build_spatial_negative(g, 1)
         params = make_params(4, seed=21)
         x = np.random.default_rng(22).normal(size=(4, 4))
-        out = gat.gat_forward(ad.constant(x),
-                              [gat.inconsistency_adjacency(g, neg)], params)
+        adj = one_pass(gat.build_adjacency(g, neg), 1)
+        out = gat.gat_forward(ad.constant(x), adj, params)
         np.testing.assert_allclose(out.data, lrelu(x @ params.weight.data),
                                    rtol=1e-12)
 
@@ -207,7 +215,8 @@ class TestPasses:
         params = make_params(4, seed=23)
         row = np.random.default_rng(24).normal(size=4)
         x = ad.constant(np.tile(row, (4, 1)))
-        out = gat.gat_forward(x, [gat.inconsistency_adjacency(g, neg)], params)
+        adj = one_pass(gat.build_adjacency(g, neg), 1)
+        out = gat.gat_forward(x, adj, params)
         # non-anchor nodes see {self +1, anchor -1} with equal attention
         np.testing.assert_allclose(out.data[1:], np.zeros((3, 4)), atol=1e-12)
         h = row @ params.weight.data
@@ -219,8 +228,8 @@ class TestPasses:
         neg = diff.build_spatial_negative(g, 2)
         params = make_params(4, seed=26)
         x = np.random.default_rng(27).normal(size=(8, 4))
-        adj = gat.inconsistency_adjacency(g, neg)
-        out = gat.gat_forward(ad.constant(x), [adj], params)
+        adj = one_pass(gat.build_adjacency(g, neg), 1)
+        out = gat.gat_forward(ad.constant(x), adj, params)
         support, sign = dense_pair(adj)
         expected = brute_force(x, support, sign, params.weight.data,
                                params.attention.data)
@@ -341,11 +350,12 @@ def clip_structure(patch, use_differential, seed=0, family="real"):
 
 
 def bridged_layout(seed=31):
-    """T=3 layout with positive bridges, then some twins and some
-    in-frame edges flipped to -1: every kind of cell carries a sign."""
+    """T=3 one-pass table with positive bridges, then some twins and
+    some in-frame edges flipped to -1: every kind of cell carries a
+    sign."""
     g = graphs.unified_graph(
         np.random.default_rng(seed).random((3, 4, 4)), 2, 2, 0.3, 0.1)
-    adj = gat.consistency_adjacency(g)
+    adj = one_pass(gat.build_adjacency(g, None), 0)
     n = adj.support.shape[1]
     assert adj.support[1:, :, n].any() and adj.support[:-1, :, n + 1].any()
     sign = adj.sign.copy()
@@ -353,7 +363,7 @@ def bridged_layout(seed=31):
     sign[flip] *= -1.0
     twins = sign[:, :, n:][adj.support[:, :, n:]]
     assert (twins > 0).any() and (twins < 0).any()
-    return gat.SignedAdjacency(sign)
+    return gat.SignedAdjacency(sign, adj.index)
 
 
 class TestFrameLayoutAttention:
@@ -363,7 +373,7 @@ class TestFrameLayoutAttention:
         x = ad.parameter(np.random.default_rng(34).normal(size=(12, 4)) * 2.0)
 
         def f():
-            return ad.mean(gat.gat_forward(x, [adj], params))
+            return ad.mean(gat.gat_forward(x, adj, params))
 
         grads = f().backward()
         assert min(np.abs(grads[t]).min()
@@ -376,7 +386,7 @@ class TestFrameLayoutAttention:
         adj = bridged_layout()
         params = make_params(4, seed=35)
         x = np.random.default_rng(36).normal(size=(12, 4))
-        out = gat.gat_forward(ad.constant(x), [adj], params)
+        out = gat.gat_forward(ad.constant(x), adj, params)
         support, sign = dense_pair(adj)
         expected = brute_force(x, support, sign, params.weight.data,
                                params.attention.data)
@@ -391,9 +401,9 @@ class TestFrameLayoutAttention:
         m, d = x.data.shape
         assert m == 8 * (64 // patch) ** 2
         probe = ad.constant(np.random.default_rng(patch).normal(size=(m, d)))
-        for adj in (structure.consistency, structure.inconsistency):
+        for adj in (one_pass(structure.adjacency, p) for p in (0, 1)):
             runs = []
-            for run in (lambda: gat.gat_forward(x, [adj], params.gat),
+            for run in (lambda: gat.gat_forward(x, adj, params.gat),
                         lambda: dense_gat(x, *dense_pair(adj), params.gat)):
                 out = run()
                 # a summed probe keeps the gradients O(1) or larger, so
@@ -407,9 +417,10 @@ class TestFrameLayoutAttention:
 
     def test_one_tape_node_for_attention(self):
         adj = bridged_layout()
+        both = gat.SignedAdjacency(np.concatenate([adj.sign, adj.sign], axis=2),
+                                   *dense_columns(4, passes=2))
         params = make_params(4, seed=37)
-        out = gat.gat_forward(ad.parameter(np.ones((12, 4))), [adj, adj],
-                              params)
+        out = gat.gat_forward(ad.parameter(np.ones((12, 4))), both, params)
         assert out.shape == (12, 8)
         nodes = ad._toposort(ad.mean(out))
         # mean, leaky_relu, frame_attention, matmul and the three leaves:
@@ -422,9 +433,8 @@ class TestSignedAdjacencyLayout:
     def test_dense_gives_back_the_old_matrices(self, use_differential):
         structure, _, _ = clip_structure(16, use_differential, family="temporal_jitter")
         old = old_dense_adjacency(structure.graph, structure.negative)
-        for adj, (support, sign) in zip(
-                (structure.consistency, structure.inconsistency), old):
-            dense_support, dense_sign = dense_pair(adj)
+        for p, (support, sign) in enumerate(old):
+            dense_support, dense_sign = dense_pair(one_pass(structure.adjacency, p))
             assert dense_support.dtype == support.dtype
             assert dense_support.tobytes() == support.tobytes()
             assert dense_sign.tobytes() == sign.tobytes()
@@ -440,7 +450,7 @@ class TestSignedAdjacencyLayout:
     def test_construction_adds_missing_self_loops(self):
         support = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 0]], dtype=bool)
         sign = graphs.to_layout(np.where(support, -1.0, 0.0), np.zeros((1, 0, 3)))
-        adj = gat.SignedAdjacency(sign)
+        adj = gat.SignedAdjacency(sign, *dense_columns(3))
         np.testing.assert_array_equal(adj.support, adj.sign != 0)
         dense_support, dense_sign = dense_pair(adj)
         np.testing.assert_array_equal(dense_support, support | np.eye(3, dtype=bool))
@@ -451,22 +461,22 @@ class TestSignedAdjacencyLayout:
         assert sign[0, 0, 0] == 0.0 and sign[0, 1, 1] == -1.0
 
     def test_twin_beyond_the_clip_rejected(self):
-        sign = np.zeros((2, 2, 4))
-        sign[0, 0, 2] = 1.0   # frame 0 has no previous frame
+        sign = np.zeros((2, 2, 8))
+        sign[0, 0, 6] = 1.0   # frame 0 has no previous frame
         with pytest.raises(ValueError, match="twin"):
-            gat.SignedAdjacency(sign)
-        sign[0, 0, 2], sign[1, 1, 3] = 0.0, -1.0   # nor frame 1 a next one
+            gat.SignedAdjacency(sign, *dense_columns(2, passes=2))
+        sign[0, 0, 6], sign[1, 1, 3] = 0.0, -1.0   # nor frame 1 a next one
         with pytest.raises(ValueError, match="twin"):
-            gat.SignedAdjacency(sign)
+            gat.SignedAdjacency(sign, *dense_columns(2, passes=2))
 
     def test_layout_shape_checked(self):
-        with pytest.raises(ValueError, match="frame layout"):
-            gat.SignedAdjacency(np.ones((2, 2, 2)))
-        with pytest.raises(ValueError, match="frame layout"):
-            gat.SignedAdjacency(np.ones((4, 4)))
+        with pytest.raises(ValueError, match="slot table"):
+            gat.SignedAdjacency(np.ones((2, 2, 2)), *dense_columns(2))
+        with pytest.raises(ValueError, match="slot table"):
+            gat.SignedAdjacency(np.ones((4, 4)), *dense_columns(4))
 
     # a graph holds only frame blocks and twins, so such entries cannot
-    # reach the adjacency builders: a graph given (M, M) arrays in place
+    # reach the adjacency builder: a graph given (M, M) arrays in place
     # of the layout raises
     def test_cross_frame_spatial_entry_raises(self):
         g = clip_graph(t=2, grid=2)
@@ -494,29 +504,34 @@ def batch_graph(rng, grid_h, grid_w, clips, frames, differential, tile):
     return diff.add_temporal_negative(g), diff.build_spatial_negative(g, tile)
 
 
-def gathered_and_dense(seed, grid_h, grid_w, tile, clips, frames, differential,
-                       d=3):
-    """Output and h, attention gradients of the gathered inconsistency
-    pass and of the dense P = 1 pass over its expanded layout."""
+def joined_and_dense(seed, grid_h, grid_w, tile, clips, frames, differential,
+                     d=3):
+    """Per pass: the output and h, attention gradients of its columns of
+    the joined call, and of the dense one-pass call over its expanded
+    layout."""
     rng = np.random.default_rng(seed)
     g, neg = batch_graph(rng, grid_h, grid_w, clips, frames, differential, tile)
-    adj = gat.inconsistency_adjacency(g, neg)
-    m = g.node_count
+    adj = gat.build_adjacency(g, neg)
+    m, n = g.node_count, g.patches_per_frame
     h = ad.parameter(rng.normal(size=(m, d)) * 2.0)
     a = ad.parameter(rng.normal(size=2 * d))
     probe = ad.constant(rng.normal(size=(m, d)))
-    runs = []
-    for sign, index in ((adj.sign, adj.index), (frame_layout(adj), None)):
-        out = ad.frame_attention(h, a, [sign], [index])
+
+    def run(out):
         grads = ad.mul(ad.mean(ad.mul(out, probe)), float(m * d)).backward()
-        runs.append((out.data, grads[h], grads[a]))
-    return adj, runs
+        return out.data, grads[h], grads[a]
+
+    joined = ad.frame_attention(h, a, adj.sign, adj.index, adj.starts)
+    return adj, [(run(joined[:, p * d:(p + 1) * d]),
+                  run(ad.frame_attention(h, a, layout, *dense_columns(n))))
+                 for p, layout in enumerate(frame_layout(adj))]
 
 
 class TestGatheredPass:
-    """The inconsistency pass over its (T, N, tile² + 2) slot table
-    against the dense pass over the (T, N, N + 2) layout it stands for.
-    Row sums run over other slots, so agreement is to rounding."""
+    """Both passes in one call over the joined table, each against the
+    dense one-pass call over the (T, N, N + 2) layout it stands for. The
+    inconsistency pass reads only its tile² + 2 slots; row sums run over
+    other slots, so agreement is to rounding."""
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(1, 5),
            st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.booleans())
@@ -526,38 +541,42 @@ class TestGatheredPass:
     @example(2, 2, 2, 3, 2, 2, True)    # no complete tile
     def test_matches_dense_pass(self, seed, grid_h, grid_w, tile, clips, frames,
                                 differential):
-        adj, (gathered, dense) = gathered_and_dense(
+        adj, passes = joined_and_dense(
             seed, grid_h, grid_w, tile, clips, frames, differential)
         n = grid_h * grid_w
         complete = (grid_h // tile) * (grid_w // tile) > 0
         k = tile * tile if differential and complete else 1
-        assert adj.sign.shape == (clips * frames, n, k + 2)
-        for got, want in zip(gathered, dense):
-            scale = max(1.0, np.abs(want).max())
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+        assert adj.sign.shape == (clips * frames, n, n + 2 + k + 2)
+        assert adj.starts == (0, n + 2)
+        for joined, dense in passes:
+            for got, want in zip(joined, dense):
+                scale = max(1.0, np.abs(want).max())
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
     def test_boundary_twins_are_empty(self):
-        adj, _ = gathered_and_dense(3, 3, 5, 2, clips=3, frames=2,
-                                    differential=True)
-        # twin slots: frame 0 of each clip has no previous frame, frame 1
-        # no next one; every other twin is -1
-        np.testing.assert_array_equal(adj.sign[0::2, :, -2], 0.0)
-        np.testing.assert_array_equal(adj.sign[1::2, :, -1], 0.0)
-        np.testing.assert_array_equal(adj.sign[1::2, :, -2], -1.0)
-        np.testing.assert_array_equal(adj.sign[0::2, :, -1], -1.0)
+        adj, _ = joined_and_dense(3, 3, 5, 2, clips=3, frames=2,
+                                  differential=True)
+        consistency, inconsistency = frame_layout(adj)
+        # twin columns: frame 0 of each clip has no previous frame, frame
+        # 1 no next one; every other twin is -1, so none is a consistency
+        # edge
+        n = 15
+        np.testing.assert_array_equal(inconsistency[0::2, :, n], 0.0)
+        np.testing.assert_array_equal(inconsistency[1::2, :, n + 1], 0.0)
+        np.testing.assert_array_equal(inconsistency[1::2, :, n], -1.0)
+        np.testing.assert_array_equal(inconsistency[0::2, :, n + 1], -1.0)
+        assert not consistency[:, :, n:].any()
 
     def test_backward_fd(self):
         rng = np.random.default_rng(41)
         g, neg = batch_graph(rng, 3, 5, clips=2, frames=2, differential=True, tile=2)
-        adj = gat.inconsistency_adjacency(g, neg)
-        cons = gat.consistency_adjacency(g)
+        adj = gat.build_adjacency(g, neg)
         h = ad.parameter(rng.normal(size=(g.node_count, 3)) * 2.0)
         a = ad.parameter(rng.normal(size=6))
         w = ad.constant(rng.normal(size=(6, 1)))
 
         def f():
-            out = ad.frame_attention(h, a, [cons.sign, adj.sign],
-                                     [cons.index, adj.index])
+            out = ad.frame_attention(h, a, adj.sign, adj.index, adj.starts)
             return ad.mean(ad.matmul(out, w))
 
         grads = f().backward()
@@ -567,55 +586,86 @@ class TestGatheredPass:
         assert ad.finite_diff_check(f, {"h": h, "a": a}) < 1e-5
 
     def test_passes_are_independent(self):
-        # a dense and a gathered pass in one call: each pass's columns
+        # the dense and the tile pass in one call: each pass's columns
         # are those it gives alone, byte for byte
         rng = np.random.default_rng(43)
         g, neg = batch_graph(rng, 3, 5, clips=2, frames=3, differential=True, tile=2)
-        adjs = (gat.consistency_adjacency(g), gat.inconsistency_adjacency(g, neg))
+        adj = gat.build_adjacency(g, neg)
         h = ad.constant(rng.normal(size=(g.node_count, 4)))
         a = ad.constant(rng.normal(size=8))
-        both = ad.frame_attention(h, a, [j.sign for j in adjs], [j.index for j in adjs])
-        alone = [ad.frame_attention(h, a, [j.sign], [j.index]) for j in adjs]
+        both = ad.frame_attention(h, a, adj.sign, adj.index, adj.starts)
+        alone = [ad.frame_attention(h, a, j.sign, j.index, j.starts)
+                 for j in (one_pass(adj, 0), one_pass(adj, 1))]
         assert both.data.tobytes() == np.hstack([o.data for o in alone]).tobytes()
 
     def test_index_must_fit_the_table(self):
         h, a = ad.constant(np.ones((8, 2))), ad.constant(np.ones(4))
-        sign = np.ones((2, 4, 4))
-        with pytest.raises(ValueError, match="slot tables"):
-            ad.frame_attention(h, a, [sign], [np.zeros((4, 3), dtype=int)])
-        with pytest.raises(ValueError, match="slot tables"):
-            ad.frame_attention(h, a, [sign], [None])
+        sign = np.ones((2, 4, 6))
+        index, starts = dense_columns(4)
+        with pytest.raises(ValueError, match="do not fit"):
+            ad.frame_attention(h, a, sign[:, :, 1:], index, starts)
+        with pytest.raises(ValueError, match="do not fit"):
+            ad.frame_attention(h, a, sign[:, :3], index, starts)
+        for bad_index, bad_starts in (
+                (index[:, :5], starts),             # no next twin
+                (index.astype(float), starts),
+                (index, (1,)),                      # a slot before the first pass
+                (np.tile(index, 2), (0, 3)),        # a pass of 3 node slots, no twins
+                (np.roll(index, 1, axis=1), starts)):    # the twins not last
+            with pytest.raises(ValueError, match="slot table"):
+                ad.frame_attention(h, a, np.ones((2, 4, bad_index.shape[1])),
+                                   bad_index, bad_starts)
 
     @pytest.mark.parametrize("patch", [16, 8])
     @pytest.mark.parametrize("use_differential", [True, False])
     def test_support_count_matches_the_layout(self, patch, use_differential):
         # the benchmark counts supported entries per clip from `.support`
         structure, _, _ = clip_structure(patch, use_differential)
-        adj = structure.inconsistency
-        layout = frame_layout(adj)
+        adj = structure.adjacency
+        layouts = frame_layout(adj)
         assert adj.support.dtype == bool
-        assert np.count_nonzero(adj.support) == np.count_nonzero(layout != 0)
-        assert adj.support.size < layout.size
+        assert np.count_nonzero(adj.support) == np.count_nonzero(layouts != 0)
+        assert adj.support.size < layouts.size
 
 
 class TestSlotTableChecks:
     def table(self):
-        index, sign = diff.tile_slots(2, 2, 2)
-        return np.array(index), graphs.to_layout(sign, np.zeros((1, 1, 4)))
+        """A differential clip graph of 2 frames of a 2 x 2 grid, and its
+        adjacency's sign and column table."""
+        g = diff.add_temporal_negative(clip_graph(t=2, grid=2))
+        adj = gat.build_adjacency(g, diff.build_spatial_negative(g, 2))
+        return adj, adj.sign.copy(), np.array(adj.index)
 
     def test_builder_table_accepted(self):
-        index, sign = self.table()
-        adj = gat.SignedAdjacency(sign, index)
-        np.testing.assert_array_equal(adj.index, index)
+        adj, sign, index = self.table()
+        assert adj.index is gat.slot_columns(2, 2, 2)[0] and adj.starts == (0, 6)
+        again = gat.SignedAdjacency(sign, index, adj.starts)
+        np.testing.assert_array_equal(again.sign, adj.sign)
 
     def test_shape_and_dtype_checked(self):
-        index, sign = self.table()
-        for bad in (index[:, :3], index.astype(float), index[:3]):
+        adj, sign, index = self.table()
+        for bad in (index[:, :9], index.astype(float), index[:3]):
             with pytest.raises(ValueError, match="slot table"):
-                gat.SignedAdjacency(sign, bad)
+                gat.SignedAdjacency(sign, bad, adj.starts)
+
+    def test_rows_must_hold_distinct_columns_and_their_node(self):
+        adj, sign, index = self.table()
+        repeated, foreign = index.copy(), index.copy()
+        repeated[1, 7] = repeated[1, 6]    # the tile pass's row 1 reads node 1 twice
+        foreign[2, 6] = 3                  # row 2 reads node 3 in place of itself
+        for bad in (repeated, foreign):
+            with pytest.raises(ValueError, match="distinct"):
+                gat.SignedAdjacency(sign, bad, adj.starts)
 
     def test_missing_loop_added_in_slot_zero(self):
-        index, sign = self.table()
-        sign[:, :, 0] = 0.0
-        adj = gat.SignedAdjacency(sign, index)
-        np.testing.assert_array_equal(adj.sign[:, :, 0], 1.0)
+        # slot zero of each pass's own columns: node i's column i in the
+        # consistency pass, the first slot of the tile pass
+        adj, sign, index = self.table()
+        rows = np.arange(4)
+        sign[:, rows, rows] = sign[:, :, 6] = 0.0
+        again = gat.SignedAdjacency(sign, index, adj.starts)
+        np.testing.assert_array_equal(again.sign[:, rows, rows], 1.0)
+        np.testing.assert_array_equal(again.sign[:, :, 6], 1.0)
+        # every other slot keeps its sign
+        again.sign[:, rows, rows] = again.sign[:, :, 6] = 0.0
+        np.testing.assert_array_equal(again.sign, sign)

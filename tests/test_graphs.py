@@ -355,10 +355,10 @@ def test_batch_graph_bytes_pinned(tmp_path, key):
     else:   # some bridges kept, some not
         assert 0 < (twins > 0).sum() < pairs
     graphs.dump_edges(tmp_path / "edges.txt", structure.graph, structure.negative)
+    consistency, inconsistency = frame_layout(structure.adjacency)
     got = tuple(hashlib.sha256(blob).hexdigest() for blob in (
-        (tmp_path / "edges.txt").read_bytes(),
-        structure.consistency.sign.tobytes(),
-        frame_layout(structure.inconsistency).tobytes()))
+        (tmp_path / "edges.txt").read_bytes(), consistency.tobytes(),
+        inconsistency.tobytes()))
     assert got == BATCH_DIGESTS[key]
 
 

@@ -154,7 +154,7 @@ class TestForward:
         params = model.init_params(cfg)
         _, structure = model.forward([clip], params, cfg)
         assert structure.negative is None
-        support = graphs.dense_from_layout(frame_layout(structure.inconsistency) != 0)
+        support = graphs.dense_from_layout(frame_layout(structure.adjacency)[1] != 0)
         np.testing.assert_array_equal(support, np.eye(8, dtype=bool))
         assert not (structure.graph.temporal < 0).any()
 
@@ -224,10 +224,10 @@ class TestBatch:
         frames, n = structure.graph.frames // 16, structure.graph.patches_per_frame
         assert twins.shape == (16, frames - 1, n)
         assert (twins == -1).sum() == 16 * (frames - 1) * n
-        for adjacency in (structure.consistency, structure.inconsistency):
-            # the twin slots: (t - 1, i) and (t + 1, i)
-            assert not adjacency.support[frames::frames, :, -2].any()
-            assert not adjacency.support[frames - 1::frames, :, -1].any()
+        # each pass's twin columns: (t - 1, i) and (t + 1, i)
+        layouts = frame_layout(structure.adjacency)
+        assert not layouts[:, frames::frames, :, n].any()
+        assert not layouts[:, frames - 1::frames, :, n + 1].any()
 
     def test_bridges_cut_between_clips(self, desk_batch):
         # differential off, tau_t = 0: a bridge between two clips would
@@ -243,7 +243,7 @@ class TestBatch:
         _, keep = graphs.temporal_bridge(graph.blocks[last], graph.blocks[last + 1],
                                          emb[last], emb[last + 1], cfg.tau_t)
         assert keep.any() and graph.twins.shape == (16, frames - 1, n)
-        assert not structure.consistency.support[last + 1, :, n].any()
+        assert not frame_layout(structure.adjacency)[0, last + 1, :, n].any()
         alone = [model.forward([clip], params, cfg)[1].graph.twins
                  for clip in clips]
         assert (graph.twins > 0).any()

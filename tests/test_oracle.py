@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 import make_oracle
-from make_oracle import ORACLE_PATH, case_id, case_keys, compute_case
+from make_oracle import (ORACLE_PATH, TOL, case_id, case_keys, compute_case,
+                         relative_difference)
 
 ORACLE = json.loads(ORACLE_PATH.read_text())
-TOL = 1e-12
 
 
 def close(got, ref):
-    return abs(got - ref) <= TOL * max(1.0, abs(ref))
+    return relative_difference(got, ref) <= TOL
 
 
 def test_oracle_covers_every_case():
