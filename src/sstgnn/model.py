@@ -467,9 +467,9 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig):
 
 def load_checkpoint(path):
     """Inverse of `save_checkpoint`. A truncated or extended file, an
-    echoed config with unknown keys or mistyped values, tensors whose
-    names or shapes differ from `param_shapes` of that config, or a
-    NaN/Inf in a tensor raise ValueError."""
+    echoed config with unknown keys or mistyped values, a tensor named
+    twice, tensors whose names or shapes differ from `param_shapes` of
+    that config, or a NaN/Inf in a tensor raise ValueError."""
     blob = Path(path).read_bytes()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {blob[:8]!r}")
@@ -495,6 +495,8 @@ def load_checkpoint(path):
         (name_len,) = unpack("<H", "tensor name length")
         start = take(name_len, "tensor name")
         name = blob[start:off].decode()
+        if name in tensors:
+            raise ValueError(f"{path}: tensor {name} appears twice")
         (ndim,) = unpack("<B", f"rank of {name}")
         shape = unpack(f"<{ndim}I", f"shape of {name}")
         size = math.prod(shape)

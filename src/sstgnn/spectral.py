@@ -9,12 +9,14 @@ temporal differential turns every bridge into a -1 edge), else a clip.
 `lanczos_basis` runs one batched Lanczos iteration from the all-ones
 vector over those blocks, applying L straight from the frame blocks and
 the per-clip twins, and returns Ritz pairs from which w follows to
-rounding; `pool_spectral` computes each clip's pooled row as w^T X
-with w = U (g * U^T 1) / M, one diagonal block of U at a time, and
-never forms the filtered signal.
+rounding. Frames of at most 2 * CHECK_EVERY nodes are too small for its
+stop rule to end a run before k = n, so it solves them exactly instead,
+with one stacked eigh of their (T, N, N) Laplacians. `pool_spectral`
+computes each clip's pooled row as w^T X with w = U (g * U^T 1) / M,
+one diagonal block of U at a time, and never forms the filtered signal.
 The basis is a constant to backpropagation.
 
-The dense path stays for the identities and the image demo:
+The dense path also serves the identities and the image demo:
 `graph_laplacian` forms the blocks of L, `eigendecompose` solves them
 with a stacked eigh, and `apply_filter` forms the filtered signal in
 numpy, with fixed preset gains for the demo.
@@ -50,7 +52,8 @@ class SpectralBasis:
     columns (values ascending); the rest are zero vectors with value 0,
     which every pooled row ignores. ``breakdowns[b]`` says that block
     b's run stopped because its Krylov space of 1 was invariant before
-    k reached n. Both are None for an eigensolve.
+    k reached n. Both are None for an eigensolve, which is what
+    `lanczos_basis` returns for frames of at most 2 * CHECK_EVERY nodes.
     """
 
     eigenvalues: np.ndarray
@@ -174,6 +177,14 @@ CHECK_EVERY = 8
 CONVERGED = 1e-13
 
 
+def _eigh(a):
+    """``np.linalg.eigh(a)``, raising RuntimeError if it does not converge."""
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as err:
+        raise RuntimeError(f"eigendecomposition did not converge: {err}") from err
+
+
 def _ritz(alpha, beta):
     """Eigenpairs of the (b, k, k) Lanczos tridiagonals with diagonals
     ``alpha`` (b, k) and off-diagonals ``beta`` (b, k - 1)."""
@@ -183,10 +194,7 @@ def _ritz(alpha, beta):
     flat[:, ::k + 1] = alpha
     flat[:, 1::k + 1] = beta    # entries (i, i + 1)
     flat[:, k::k + 1] = beta    # entries (i + 1, i)
-    try:
-        return np.linalg.eigh(tri)
-    except np.linalg.LinAlgError as err:
-        raise RuntimeError(f"eigendecomposition did not converge: {err}") from err
+    return _eigh(tri)
 
 
 def lanczos_basis(graph: VideoGraph, gains) -> SpectralBasis:
@@ -209,9 +217,17 @@ def lanczos_basis(graph: VideoGraph, gains) -> SpectralBasis:
     T_k = S Θ S^T, form the first k columns of its block; the rest are
     zero padding. Then V_k S g(Θ) S^T V_k^T 1 = |1| V_k S g(Θ) S^T e_1
     approximates g(L) 1 to the stop rule's tolerance, for any gauge of S.
+
+    The first w check comes at k = 2 * CHECK_EVERY, so a block of no
+    more nodes always runs to k = n or breaks down, and both give the
+    exact g(L) 1. Uncoupled frames that small are therefore solved
+    exactly, with one stacked eigh of their Laplacians, and returned
+    as an eigensolve: (T, N) values, (T, N, N) vectors, no ``steps``.
     """
     n_frame = graph.patches_per_frame
     frames = graph.twins.shape[1] + 1 if (graph.twins > 0).any() else 1
+    if frames == 1 and n_frame <= 2 * CHECK_EVERY:
+        return SpectralBasis(*_eigh(laplacian_from_adjacency(graph.blocks)))
     weights = graph.blocks.reshape(-1, frames, n_frame, n_frame)
     _check_weights(weights)
     deg = weights.sum(axis=-1)
@@ -335,10 +351,7 @@ def eigendecompose(lap) -> SpectralBasis:
     """
     lap = np.asarray(lap, dtype=np.float64)
     _check_symmetric(lap)
-    try:
-        lam, vec = np.linalg.eigh(lap)
-    except np.linalg.LinAlgError as err:
-        raise RuntimeError(f"eigendecomposition did not converge: {err}") from err
+    lam, vec = _eigh(lap)
     return SpectralBasis(lam, _fix_signs(vec))
 
 

@@ -257,29 +257,41 @@ MANIFEST_COLUMNS = ("path", "label", "family")
 def load_manifest(manifest_path):
     """Load a corpus manifest into LabeledClips (paths relative to it).
     A row's label must fit its family and, when the clip file carries a
-    label trailer, that label too."""
+    label trailer, that label too. A line csv cannot parse (a field
+    over its size limit, say) is a ValueError naming the file and line."""
     base = Path(manifest_path).parent
     clips = []
     with open(manifest_path, newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{manifest_path}: manifest lacks column(s) "
-                             f"{', '.join(missing)}")
-        for row in reader:
-            where = f"{manifest_path}:{reader.line_num}"
-            short = [c for c in MANIFEST_COLUMNS if row[c] is None]
-            if short:
-                raise ValueError(f"{where}: row lacks {', '.join(short)}")
-            if row["label"].strip() not in ("0", "1"):
-                raise ValueError(f"{where}: label {row['label']!r} is not 0 or 1")
-            label = int(row["label"])
-            if label != int(row["family"] != "real"):
-                raise ValueError(f"{where}: label {label} does not fit family "
-                                 f"{row['family']!r} (0 iff real, else 1)")
-            clip, own = load_labeled_clip(base / row["path"])
-            if own is not None and own != label:
-                raise ValueError(f"{where}: label {label} disagrees with "
-                                 f"{row['path']!r}, labelled {own}")
-            clips.append(LabeledClip(clip, label, row["family"]))
+        try:
+            missing = [c for c in MANIFEST_COLUMNS
+                       if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"{manifest_path}: manifest lacks column(s) "
+                                 f"{', '.join(missing)}")
+            for row in reader:
+                clips.append(_manifest_clip(row, base,
+                                            f"{manifest_path}:{reader.line_num}"))
+        except csv.Error as err:
+            # the DictReader counts only the lines of rows it returned
+            raise ValueError(f"{manifest_path}:{reader.reader.line_num}: "
+                             f"{err}") from err
     return clips
+
+
+def _manifest_clip(row, base, where):
+    """The LabeledClip of one manifest row; ``where`` names its line."""
+    short = [c for c in MANIFEST_COLUMNS if row[c] is None]
+    if short:
+        raise ValueError(f"{where}: row lacks {', '.join(short)}")
+    if row["label"].strip() not in ("0", "1"):
+        raise ValueError(f"{where}: label {row['label']!r} is not 0 or 1")
+    label = int(row["label"])
+    if label != int(row["family"] != "real"):
+        raise ValueError(f"{where}: label {label} does not fit family "
+                         f"{row['family']!r} (0 iff real, else 1)")
+    clip, own = load_labeled_clip(base / row["path"])
+    if own is not None and own != label:
+        raise ValueError(f"{where}: label {label} disagrees with "
+                         f"{row['path']!r}, labelled {own}")
+    return LabeledClip(clip, label, row["family"])

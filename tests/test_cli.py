@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, artifacts on disk."""
 
+import csv
 import json
 import os
 import re
@@ -359,6 +360,23 @@ def test_train_manifest_bad_label_is_usage_error(tmp_path, capsys, row,
     assert f"{manifest}:{error}" in capsys.readouterr().err
 
 
+def test_train_manifest_oversized_field_is_usage_error(tmp_path, capsys):
+    # a field over csv's size limit is a usage error naming the line, not
+    # a traceback from the csv module
+    corpus = tmp_path / "corpus"
+    main(["synth", "--out", str(corpus), "--families", "real",
+          "--count", "1", "--seed", "0", "--frames", "2", "--height", "8",
+          "--width", "8"])
+    manifest = corpus / "manifest.csv"
+    manifest.write_text(manifest.read_text()
+                        + "x" * (csv.field_size_limit() + 1) + ",0,real,0\n")
+    code = main(["train", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "train"), "--patch-size", "4",
+                 "--epochs", "1"])
+    assert code == 2
+    assert f"{manifest}:3: field larger than field limit" in capsys.readouterr().err
+
+
 def test_train_mixed_clip_shapes_is_usage_error(tmp_path, capsys):
     # a minibatch is one stacked graph, so a training corpus has one shape
     corpus = tmp_path / "corpus"
@@ -486,22 +504,25 @@ def test_flags_override_config_file(tmp_path):
 
 
 def test_training_bytes_independent_of_thread_counts(tmp_path):
-    """Checkpoints match byte for byte across BLAS thread counts."""
+    """Checkpoints match byte for byte across BLAS thread counts, with
+    64-node frames (patch 4: Lanczos) and with 4-node frames (patch 16:
+    one stacked eigh)."""
     corpus = tmp_path / "corpus"
     assert main(["synth", "--out", str(corpus), "--families",
                  "real,upsample_artifact", "--count", "4", "--seed", "40",
                  "--frames", "4", "--height", "32", "--width", "32"]) == 0
     src = Path(sstgnn.__file__).resolve().parent.parent
-    blobs = {}
-    for blas in ("1", "2"):
-        out = tmp_path / f"blas{blas}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
-                   PYTHONPATH=os.pathsep.join(
-                       [str(src), os.environ.get("PYTHONPATH", "")]))
-        subprocess.run(
-            [sys.executable, "-m", "sstgnn.cli", "train",
-             "--manifest", str(corpus / "manifest.csv"), "--out", str(out),
-             "--patch-size", "4", "--epochs", "2", "--batch-size", "4"],
-            env=env, check=True, capture_output=True, timeout=300)
-        blobs[blas] = (out / "checkpoint.sstg").read_bytes()
-    assert blobs["1"] == blobs["2"]
+    for patch_size in ("4", "16"):
+        blobs = {}
+        for blas in ("1", "2"):
+            out = tmp_path / f"patch{patch_size}-blas{blas}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                       PYTHONPATH=os.pathsep.join(
+                           [str(src), os.environ.get("PYTHONPATH", "")]))
+            subprocess.run(
+                [sys.executable, "-m", "sstgnn.cli", "train",
+                 "--manifest", str(corpus / "manifest.csv"), "--out", str(out),
+                 "--patch-size", patch_size, "--epochs", "2", "--batch-size", "4"],
+                env=env, check=True, capture_output=True, timeout=300)
+            blobs[blas] = (out / "checkpoint.sstg").read_bytes()
+        assert blobs["1"] == blobs["2"], patch_size

@@ -364,11 +364,13 @@ class TestBridges:
 
 class TestFrameLayoutPath:
     def test_model_path_never_densifies(self, monkeypatch):
-        # at M=512, with the differential on (frame blocks) and off (one
-        # coupled block per clip), building the structure and the
-        # forward pass read the graph, the tile pattern and the attention
-        # supports only in their frame layouts; the spectral branch runs
-        # Lanczos on the layout, forms no Laplacian and pools without
+        # with the differential on (frame blocks) and off (one coupled
+        # block per clip), at M=512 (Lanczos on every block) and at desk
+        # M=32 (4-node frames, solved by one stacked eigh), building the
+        # structure and the forward pass form no (M, M) or (B, M, M)
+        # array: the graph, the tile pattern and the attention supports
+        # are read only in their frame layouts, a Laplacian is formed
+        # only of frame blocks, and the spectral branch pools without
         # forming the filtered signal
         def dense(*_):
             raise AssertionError("an (M, M) array was built on the model path")
@@ -376,13 +378,18 @@ class TestFrameLayoutPath:
         def filtered(*_):
             raise AssertionError("the filtered (M, d) signal was formed")
 
-        def dense_solve(*_):
-            raise AssertionError("a dense Laplacian was formed or solved")
+        solved = []
+
+        def per_frame(fn):
+            def wrapper(a):
+                solved.append(np.shape(a))
+                return fn(a)
+            return wrapper
 
         monkeypatch.setattr(spectral, "apply_filter", filtered)
         for name in ("graph_laplacian", "laplacian_from_adjacency",
                      "eigendecompose"):
-            monkeypatch.setattr(spectral, name, dense_solve)
+            monkeypatch.setattr(spectral, name, per_frame(getattr(spectral, name)))
         for name in ("spatial", "temporal"):
             monkeypatch.setattr(graphs.VideoGraph, name, property(dense))
         # graphs and spectral are the only modules that hold the converter
@@ -391,16 +398,22 @@ class TestFrameLayoutPath:
         for module in (graphs, spectral):
             monkeypatch.setattr(module, "dense_from_layout", dense)
         clip = synth.generate(synth.SynthSpec("spectral_noise", seed=3)).clip
-        for use_differential, blocks in ((True, 8), (False, 1)):
-            cfg = model.preset_config("desk", patch_size=8,
+        for patch_size, use_differential, blocks in (
+                (8, True, 8), (8, False, 1), (32, True, 8), (32, False, 1)):
+            cfg = model.preset_config("desk", patch_size=patch_size,
                                       use_differential=use_differential)
             params = model.init_params(cfg, random_head=True)
             pt = graphs.patchify(clip.pixels, cfg.patch_size)
             x = model.encode_patches(pt.vectors, params, cfg)
+            solved.clear()
             structure = model.build_structure(pt, x.data, params.filter_mlp, cfg)
-            assert structure.graph.node_count == 512
+            m = structure.graph.node_count
+            assert m == 8 * pt.patches_per_frame
             b, n, k = structure.basis.vectors.shape
-            assert (b, n) == (blocks, 512 // blocks) and k <= n
+            assert (b, n) == (blocks, m // blocks) and k <= n
+            eigensolve = use_differential and n <= 2 * spectral.CHECK_EVERY
+            assert (structure.basis.steps is None) == eigensolve
+            assert solved == ([(8, n, n)] if eigensolve else [])
             logits = model.forward_with_structure(structure, x, params, cfg)
             ad.cross_entropy(logits, [1]).backward()
 
@@ -666,6 +679,27 @@ class TestCheckpoint:
         path.write_bytes(model.CHECKPOINT_MAGIC + struct.pack("<I", len(echo))
                          + echo + params)
         with pytest.raises(ValueError, match="unknown config keys.*tie_gat"):
+            model.load_checkpoint(path)
+
+    def test_tensor_named_twice_rejected(self, tmp_path):
+        # one block more than saved, repeating encoder.weight as 5.0s: the
+        # later block must not silently replace the earlier one
+        cfg = toy_config()
+        params = model.init_params(cfg)
+        path = tmp_path / "model.sstg"
+        model.save_checkpoint(path, params, cfg)
+        blob = path.read_bytes()
+        start = len(model.CHECKPOINT_MAGIC)
+        (length,) = struct.unpack_from("<I", blob, start)
+        at = start + 4 + length
+        (count,) = struct.unpack_from("<I", blob, at)
+        name, weight = b"encoder.weight", np.full(params["encoder.weight"].data.shape, 5.0)
+        again = (struct.pack("<H", len(name)) + name
+                 + struct.pack(f"<B{weight.ndim}I", weight.ndim, *weight.shape)
+                 + weight.astype("<f8").tobytes())
+        path.write_bytes(blob[:at] + struct.pack("<I", count + 1) + blob[at + 4:]
+                         + again)
+        with pytest.raises(ValueError, match="tensor encoder.weight appears twice"):
             model.load_checkpoint(path)
 
     @pytest.mark.parametrize("cfg", [toy_config(), model.TrainConfig(),

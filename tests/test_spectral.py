@@ -677,12 +677,14 @@ def numpy_gains(mlp):
     return lambda lam: mlp.gains(lam).data
 
 
-def block_graph(rng, coupled, clips, frames, grid, isolated=0.2):
-    """``clips`` clips of ``frames`` grid x grid frames: random nonnegative
-    symmetric frame blocks, and twins that are positive bridges (some 0)
-    when ``coupled``, else -1 or 0 like the differential's. A share
-    ``isolated`` of node positions has no edge at all."""
-    n, t = grid * grid, clips * frames
+def block_graph(rng, coupled, clips, frames, grid, isolated=0.2, width=None):
+    """``clips`` clips of ``frames`` grid x width frames (width defaults
+    to grid): random nonnegative symmetric frame blocks, and twins that
+    are positive bridges (some 0) when ``coupled``, else -1 or 0 like the
+    differential's. A share ``isolated`` of node positions has no edge
+    at all."""
+    width = grid if width is None else width
+    n, t = grid * width, clips * frames
     blocks = rng.random((t, n, n)) * (rng.random((t, n, n)) < 0.5)
     blocks = (blocks + blocks.swapaxes(1, 2)) / 2
     cut = rng.random(n) < isolated
@@ -693,7 +695,7 @@ def block_graph(rng, coupled, clips, frames, grid, isolated=0.2):
     twins[:, cut] = 0.0
     # drop the rows that would join two clips
     twins = np.delete(twins, np.arange(frames - 1, t - 1, frames), axis=0)
-    return graphs.VideoGraph(grid, grid, blocks, twins.reshape(clips, frames - 1, n))
+    return graphs.VideoGraph(grid, width, blocks, twins.reshape(clips, frames - 1, n))
 
 
 def eigh_basis(graph):
@@ -779,6 +781,55 @@ class TestLanczosMatchesEigh:
         assert_matches_eigh(graph, mlp)
 
 
+class TestSmallFrameEigensolve:
+    """Uncoupled frames of at most 2 * CHECK_EVERY nodes cannot reach the
+    first stop check before k = n: `lanczos_basis` solves them with one
+    stacked eigh instead. Coupled blocks and larger frames keep Lanczos."""
+
+    @staticmethod
+    def basis(graph, mlp):
+        return spectral.lanczos_basis(graph, numpy_gains(spectral.FilterMlp(
+            **{k: ad.constant(v) for k, v in mlp.items()})))
+
+    @pytest.mark.parametrize("grid,width,eigensolve", [
+        (4, 4, True), (2, 8, True), (1, 17, False)], ids=["16", "2x8", "17"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_path_switches_above_two_checks(self, grid, width, eigensolve, seed):
+        assert 2 * spectral.CHECK_EVERY == 16
+        rng = np.random.default_rng(seed)
+        graph = block_graph(rng, False, 2, 3, grid, width=width)
+        mlp = mlp_values(rng, 4)
+        basis = self.basis(graph, mlp)
+        n = grid * width
+        if eigensolve:
+            assert basis.steps is None and basis.breakdowns is None
+            assert basis.eigenvalues.shape == (6, n)
+            assert basis.vectors.shape == (6, n, n)
+            assert (np.diff(basis.eigenvalues, axis=1) >= 0).all()
+        else:
+            assert basis.steps.shape == (6,)
+            assert basis.vectors.shape[:2] == (6, n)
+        assert_matches_eigh(graph, mlp, seed)
+
+    def test_small_coupled_blocks_keep_lanczos(self):
+        # two clips of 3 coupled 2 x 2 frames: blocks of 12 nodes
+        rng = np.random.default_rng(4)
+        graph = block_graph(rng, True, 2, 3, 2, isolated=0.0)
+        assert (graph.twins > 0).any()
+        mlp = mlp_values(rng, 4)
+        basis = self.basis(graph, mlp)
+        assert basis.steps.shape == (2,) and basis.vectors.shape[:2] == (2, 12)
+        assert_matches_eigh(graph, mlp)
+
+    def test_unconverged_solve_is_runtime_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("no convergence")
+        graph = block_graph(np.random.default_rng(0), False, 1, 2, 2)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            spectral.lanczos_basis(graph, np.ones_like)
+
+
 class TestLanczosInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("coupled", [False, True])
@@ -802,7 +853,9 @@ class TestLanczosInput:
 
 class TestLanczosBreakdown:
     """Blocks whose all-ones vector is an eigenvector of L stop after one
-    step with the exact pooled rows; padded columns weigh nothing."""
+    step with the exact pooled rows; padded columns weigh nothing. The
+    frames have 25 nodes, above the eigensolve's 2 * CHECK_EVERY, so
+    Lanczos runs on them."""
 
     @staticmethod
     def frames_graph(blocks):
@@ -833,14 +886,14 @@ class TestLanczosBreakdown:
 
     def test_isolated_nodes(self):
         # no edge at all: L = I on every frame
-        basis = self.one_step(self.frames_graph(np.zeros((3, 4, 4))), 1.0)
+        basis = self.one_step(self.frames_graph(np.zeros((3, 25, 25))), 1.0)
         np.testing.assert_array_equal(basis.steps, [1, 1, 1])
         assert basis.breakdowns.all()
         np.testing.assert_allclose(basis.eigenvalues, np.ones((3, 1)), rtol=1e-15)
 
     def test_regular_frames(self):
         basis = self.one_step(self.frames_graph(
-            np.stack([self.regular_frame(9)] * 2)), 0.0)
+            np.stack([self.regular_frame(25)] * 2)), 0.0)
         np.testing.assert_array_equal(basis.steps, [1, 1])
         assert basis.breakdowns.all()
         assert np.abs(basis.eigenvalues).max() <= 1e-15
@@ -860,28 +913,29 @@ class TestLanczosBreakdown:
         assert (basis.steps[[0, *range(3, 8)]] > 1).all()
 
     def test_padded_columns_weigh_nothing(self):
-        # blocks that stop at k = 1 sit beside blocks run to k = n, so
-        # their columns 1.. are padding: moving the padded values (and
+        # blocks that stop at k = 1 sit beside blocks whose w converges
+        # at k = 24, so their columns 1.. are padding: moving the padded
+        # values (and
         # with them the padded gains) leaves the pooled row and every
         # gradient bit for bit the same
         rng = np.random.default_rng(2)
-        random = rng.random((2, 9, 9))
-        blocks = np.stack([np.zeros((9, 9)), self.regular_frame(9),
+        random = rng.random((2, 25, 25))
+        blocks = np.stack([np.zeros((25, 25)), self.regular_frame(25),
                            *(random + random.swapaxes(1, 2))])
         graph = self.frames_graph(blocks)
         mlp_init = mlp_values(rng, 4)
         mlp = spectral.FilterMlp(**{k: ad.constant(v) for k, v in mlp_init.items()})
         basis = spectral.lanczos_basis(graph, numpy_gains(mlp))
-        np.testing.assert_array_equal(basis.steps, [1, 1, 9, 9])
+        np.testing.assert_array_equal(basis.steps, [1, 1, 24, 24])
         np.testing.assert_array_equal(basis.breakdowns, [True, True, False, False])
-        assert basis.vectors.shape == (4, 9, 9)
-        pad = np.arange(9) >= basis.steps[:, None]
+        assert basis.vectors.shape == (4, 25, 24)
+        pad = np.arange(24) >= basis.steps[:, None]
         assert not basis.vectors.swapaxes(1, 2)[pad].any()
         assert not basis.eigenvalues[pad].any()
         moved = spectral.SpectralBasis(np.where(pad, rng.random(pad.shape), 0.0)
                                        + np.where(pad, 0.0, basis.eigenvalues),
                                        basis.vectors)
-        x_value, weights = rng.normal(size=(36, 3)), rng.normal(size=(1, 3))
+        x_value, weights = rng.normal(size=(100, 3)), rng.normal(size=(1, 3))
         results = []
         for b in (basis, moved):
             params = {k: ad.parameter(v.copy()) for k, v in mlp_init.items()}
@@ -896,12 +950,13 @@ class TestLanczosBreakdown:
 
 class TestLanczosTrace:
     # k per block, '*' where the block broke down, for the oracle's clips
-    # (seeds 0 and 1) at init parameters
+    # (seeds 0 and 1) at init parameters; "eigh" where the blocks are
+    # frames of at most 2 * CHECK_EVERY nodes, solved exactly
     PINNED = {
-        "desk/diff/real": ("4 4 4 4 4 4 4 4", "4 4 4 4 3* 4 4 4"),
-        "desk/diff/upsample_artifact": ("4 4 4 4 4 4 4 4", "4 4 4 4 4 4 4 4"),
-        "desk/diff/temporal_jitter": ("4 1* 1* 4 4 4 4 4", "4 4 1* 1* 3* 4 4 4"),
-        "desk/diff/spectral_noise": ("4 4 4 4 4 4 4 4", "4 4 4 4 4 4 4 4"),
+        "desk/diff/real": ("eigh", "eigh"),
+        "desk/diff/upsample_artifact": ("eigh", "eigh"),
+        "desk/diff/temporal_jitter": ("eigh", "eigh"),
+        "desk/diff/spectral_noise": ("eigh", "eigh"),
         "desk/nodiff/real": ("32", "32"),
         "desk/nodiff/upsample_artifact": ("32", "32"),
         "desk/nodiff/temporal_jitter": ("25*", "29*"),
@@ -930,6 +985,11 @@ class TestLanczosTrace:
             clip = synth.generate(synth.SynthSpec(family, seed=seed, **geometry))
             _, structure = model.forward([clip.clip], params, config)
             basis = structure.basis
+            if pinned == "eigh":
+                assert basis.steps is None and basis.breakdowns is None
+                n = structure.graph.patches_per_frame
+                assert basis.vectors.shape == (structure.graph.frames, n, n)
+                continue
             assert isinstance(basis.steps, np.ndarray)
             assert isinstance(basis.breakdowns, np.ndarray)
             got = " ".join(f"{k}{'*' if broke else ''}"
