@@ -34,7 +34,7 @@ __all__ = [
     "reshape",
     "leaky_relu",
     "frame_attention",
-    "slot_maps",
+    "SlotTable",
     "mean",
     "cross_entropy",
     "AdamState",
@@ -293,53 +293,58 @@ def block_matmul(blocks, x) -> Tensor:
     return out
 
 
-# maps of read-only column tables (`gat` caches one per grid, tile and
-# differential) by id; an entry holds its table, so the id stays its own
-_SLOT_MAPS = {}
+@dataclass(frozen=True, eq=False)
+class SlotTable:
+    """An (N, ΣK) column table of P attention passes, checked once.
 
+    Slot k of row i names column ``index[i, k]`` of a frame's (N, N + 2)
+    layout: a node of the frame, or the previous or next twin, N and
+    N + 1. Pass p owns the slots from ``starts[p]`` to the next start; its
+    columns in a row must be distinct, hold the row's node and end on the
+    twins, ValueError otherwise. Holds read-only copies of ``index`` and
+    of what `frame_attention` derives from it: each slot's pass
+    ``segment`` (ΣK,), its place ``scatter`` (N ΣK,) in a frame's
+    flattened (N, P, N + 2) layouts, its peer score's ``peer`` (N, ΣK) in
+    a frame's (3N,) row of node, previous and next twin scores, and each
+    row's self slot ``loops`` (N, P) in each pass.
+    """
 
-def slot_maps(index, starts):
-    """What `frame_attention` derives from an (N, ΣK) column table whose
-    P passes begin at ``starts``: each slot's pass (ΣK,), its place in a
-    frame's flattened (N, P, N + 2) layouts (N ΣK,), its peer score's in
-    a frame's (3N,) row of the nodes', previous and next twins' scores
-    (N, ΣK), and each row's self slot in each pass (N, P). A pass's
-    columns in a row must be distinct, hold the row's own node and end
-    on the twins, N and N + 1; ValueError otherwise. A read-only table's
-    maps are cached, read-only."""
-    key = id(index), tuple(starts)
-    if key in _SLOT_MAPS and _SLOT_MAPS[key][0] is index:
-        return _SLOT_MAPS[key][1]
-    table, starts = np.asarray(index), key[1]
-    n, width = table.shape if table.ndim == 2 else (0, 0)
-    passes, ends = len(starts), np.array([*starts[1:], width])
-    error = ValueError(f"slot table: index {table.dtype} {table.shape} from starts "
-                       f"{starts} must hold passes of distinct columns per row, "
-                       f"its own node and last the twins {n} and {n + 1}")
-    if (not n or not starts or starts[0] != 0 or table.dtype.kind not in "iu"
-            or min(ends - starts) < 3):
-        raise error
-    rows = np.arange(n)[:, None]
-    segment = np.repeat(np.arange(passes), ends - starts)
-    layout = table + segment * (n + 2)    # the column in a row's P layouts
-    ordered = np.sort(layout, axis=1)
-    loops = np.nonzero(table == rows)[1]
-    # one own node per pass, and no twin but the last two slots of each
-    if (table.min() < 0 or len(loops) != n * passes
-            or np.count_nonzero(table >= n) != 2 * n * passes
-            or (table[:, ends - 2] != n).any() or (table[:, ends - 1] != n + 1).any()
-            or (ordered[:, 1:] == ordered[:, :-1]).any()):
-        raise error
-    maps = (segment, (layout + rows * passes * (n + 2)).ravel(),
-            np.where(table < n, table, (table - n + 1) * n + rows),
-            loops.reshape(n, passes))
-    if not table.flags.writeable:
-        if len(_SLOT_MAPS) >= 16:
-            _SLOT_MAPS.clear()
-        for part in maps:
+    index: np.ndarray
+    starts: tuple = (0,)
+    segment: np.ndarray = field(init=False, repr=False)
+    scatter: np.ndarray = field(init=False, repr=False)
+    peer: np.ndarray = field(init=False, repr=False)
+    loops: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        table, starts = np.array(self.index), tuple(map(int, self.starts))
+        n, width = table.shape if table.ndim == 2 else (0, 0)
+        passes, ends = len(starts), np.array([*starts[1:], width])
+        error = ValueError(f"slot table: index {table.dtype} {table.shape} from starts "
+                           f"{starts} must hold passes of distinct columns per row, "
+                           f"its own node and last the twins {n} and {n + 1}")
+        if (not n or not starts or starts[0] != 0 or table.dtype.kind not in "iu"
+                or min(ends - starts) < 3):
+            raise error
+        rows = np.arange(n)[:, None]
+        segment = np.repeat(np.arange(passes), ends - starts)
+        layout = table + segment * (n + 2)    # the column in a row's P layouts
+        ordered = np.sort(layout, axis=1)
+        loops = np.nonzero(table == rows)[1]
+        # one own node per pass, and no twin but the last two slots of each
+        if (table.min() < 0 or len(loops) != n * passes
+                or np.count_nonzero(table >= n) != 2 * n * passes
+                or (table[:, ends - 2] != n).any()
+                or (table[:, ends - 1] != n + 1).any()
+                or (ordered[:, 1:] == ordered[:, :-1]).any()):
+            raise error
+        object.__setattr__(self, "starts", starts)
+        peer = np.where(table < n, table, (table - n + 1) * n + rows)
+        for name, part in (("index", table), ("segment", segment), ("peer", peer),
+                           ("scatter", (layout + rows * passes * (n + 2)).ravel()),
+                           ("loops", loops.reshape(n, passes))):
             part.flags.writeable = False
-        _SLOT_MAPS[key] = index, maps
-    return maps
+            object.__setattr__(self, name, part)
 
 
 # an additive mask: off-support slots sink below any finite score, so a
@@ -347,27 +352,27 @@ def slot_maps(index, starts):
 _OFF_SUPPORT = np.finfo(np.float64).max
 
 
-def frame_attention(h, attention, sign, index, starts) -> Tensor:
+def frame_attention(h, attention, sign, table: SlotTable) -> Tensor:
     """Signed attention aggregation of P passes over one slot table.
 
     ``h`` is (M, d) with M = T * N, ``attention`` is (2d,). Slot k of
-    row (t, i) stands for column ``index[i, k]`` of row (t, i) of the
-    (T, N, N + 2) frame layout: node ``index[i, k]`` of frame t, or the
-    twin (t - 1, i) or (t + 1, i), columns N and N + 1. ``index`` is one
-    (N, ΣK) table for every frame; pass p owns the slots from
-    ``starts[p]`` to the next start (`slot_maps`). ``sign`` (T, N, ΣK)
-    holds each slot's sign, -1, 0 or +1; a pass's support is where its
-    sign is nonzero. Scores e = LeakyReLU(a_self . h_i + a_peer . h_j)
-    are gathered for every slot at once; each pass takes the softmax over
-    its segment of a row's support (`reduceat`) and times its sign. The
-    weights are scattered into one (T, N, P, N + 2) layout whose
-    (T, N P, N + 2) view aggregates every pass in one matmul per frame,
-    plus the twin rows. Returns (M, P d), row (t, i) holding the passes'
-    outputs side by side. A row with no support raises ValueError.
+    row (t, i) stands for column ``table.index[i, k]`` of row (t, i) of
+    the (T, N, N + 2) frame layout: node ``table.index[i, k]`` of frame
+    t, or the twin (t - 1, i) or (t + 1, i), columns N and N + 1. One
+    `SlotTable` serves every frame and says which slots each pass owns.
+    ``sign`` (T, N, ΣK) holds each slot's sign, -1, 0 or +1; a pass's
+    support is where its sign is nonzero. The scores,
+    e = LeakyReLU(a_self . h_i + a_peer . h_j), are gathered for every
+    slot at once; each pass takes the softmax over its segment of a row's
+    support (`reduceat`) and times its sign. The weights are scattered
+    into one (T, N, P, N + 2) layout whose (T, N P, N + 2) view
+    aggregates every pass in one matmul per frame, plus the twin rows.
+    Returns (M, P d), row (t, i) holding the passes' outputs side by
+    side. A row with no support raises ValueError.
     """
     h, attention, sign = as_tensor(h), as_tensor(attention), np.asarray(sign)
-    segment, scatter, peer, loops = slot_maps(index, starts)
-    (n, width), passes = peer.shape, len(starts)
+    starts, scatter = table.starts, table.scatter
+    (n, width), passes = table.peer.shape, len(starts)
     m, d = h.data.shape
     frames = m // n
     if (sign.shape != (frames, n, width) or m != frames * n or not frames
@@ -383,7 +388,7 @@ def frame_attention(h, attention, sign, index, starts) -> Tensor:
     peers = np.zeros((frames, 3, n))
     peers[:, 0], peers[1:, 1], peers[:-1, 2] = (s_pair[:, :, 1], s_pair[:-1, :, 1],
                                                 s_pair[1:, :, 1])
-    raw = np.take(peers.reshape(frames, -1), peer, axis=1)
+    raw = np.take(peers.reshape(frames, -1), table.peer, axis=1)
     raw += s_pair[:, :, :1]
     support = sign != 0
     # LeakyReLU as the max of the raw scores and LEAKY_SLOPE times them:
@@ -402,7 +407,7 @@ def frame_attention(h, attention, sign, index, starts) -> Tensor:
         t, i, p = np.argwhere(rowmax < -_OFF_SUPPORT / 2)[0]
         raise ValueError(f"frame_attention: pass {p}, frame {t}, node {i} "
                          f"has no support, so its softmax is 0/0, non-finite")
-    alpha -= np.take(rowmax, segment, axis=-1, out=raw, mode="clip")
+    alpha -= np.take(rowmax, table.segment, axis=-1, out=raw, mode="clip")
     del raw    # freed before the layout is allocated
     # an off-support slot may score above its row's max; clipped to 0
     # and then zeroed, it neither overflows nor leaves the fast exp path
@@ -444,7 +449,7 @@ def frame_attention(h, attention, sign, index, starts) -> Tensor:
         soft = at_slots(weights) * sign    # the softmax
         dalpha = at_slots(dweights) * sign
         dalpha -= np.take(np.add.reduceat(dalpha * soft, starts, axis=-1),
-                          segment, axis=-1)
+                          table.segment, axis=-1)
         dalpha *= soft
         dalpha *= np.where(gate, 1.0, LEAKY_SLOPE)
         # every pass's slots in its own layout, then summed: the passes

@@ -32,22 +32,21 @@ _CONFIG_FLAGS = {
 }
 
 
-def _parse_value(text, kind):
-    if kind is bool:
-        if text.lower() in ("1", "true", "yes", "on"):
-            return True
-        if text.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {text!r}")
-    return kind(text)
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 def read_config_file(path):
-    """key = value lines; # comments; keys must be TrainConfig fields."""
+    """key = value lines; # comments; keys must be TrainConfig fields. A
+    ValueError names the file and the line or, when not UTF-8, the byte."""
     kinds = {f.name: type(getattr(model.TrainConfig(), f.name))
              for f in fields(model.TrainConfig)}
+    try:
+        text = Path(path).read_bytes().decode()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: byte {err.start} is not UTF-8 text") from err
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -57,7 +56,12 @@ def read_config_file(path):
         key, value = key.strip(), value.strip()
         if key not in kinds:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = _parse_value(value, kinds[key])
+        kind = kinds[key]
+        try:
+            out[key] = _BOOLS[value.lower()] if kind is bool else kind(value)
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}:{lineno}: {key} = {value!r} is not "
+                             f"{kind.__name__}") from None
     return out
 
 

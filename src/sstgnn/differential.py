@@ -4,10 +4,11 @@ The spatial differential generalizes per-tile anchor subtraction (NPR)
 to graph nodes: within every l0 x l0 tile of the patch grid, the anchor
 (top-left) node gets -1 edges to the rest of the tile and every node a
 +1 self edge. That pattern is one (N, N) block, the same in every
-frame and never widened to the (M, M) clip matrix; attention reads it
-as tile² slots per node (`tile_slots`). One linear
-propagation over it reproduces the pixel-level NPR exactly on
-non-anchor nodes, which `theorem1_check` verifies. The temporal
+frame; the model path reads it only as tile² slots per node
+(`tile_slots`). The dense block (`build_spatial_negative`) is the
+reference form: one linear propagation over it reproduces the
+pixel-level NPR exactly on non-anchor nodes, which `theorem1_check`
+verifies. The temporal
 differential concatenates each node with its next-frame twin through an
 affine map and adds -1 edges between the pair, overwriting any positive
 bridge edge at the same slot. Both stay inside one clip of a batch
@@ -16,7 +17,6 @@ graph: the tile block acts per frame, and twins are held per clip.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,20 +64,18 @@ def npr_reference(grid, tile) -> np.ndarray:
     return (blocks - anchors).reshape(gh * tile, gw * tile)
 
 
-@functools.lru_cache(maxsize=16)
 def tile_ids(grid_h, grid_w, tile):
     """The (tiles, tile²) node ids of one frame's complete tiles: one row
     per tile in (tile row, tile column) order, the tile's nodes
     row-major, so the anchor comes first. Trailing partial tiles are
-    skipped. Read-only: the value is cached per grid and tile."""
+    skipped."""
+    if tile < 1:
+        raise ValueError("tile size must be >= 1")
     ti, tj, a, b = np.ix_(np.arange(grid_h // tile), np.arange(grid_w // tile),
                           np.arange(tile), np.arange(tile))
-    ids = ((ti * tile + a) * grid_w + tj * tile + b).reshape(-1, tile * tile)
-    ids.flags.writeable = False
-    return ids
+    return ((ti * tile + a) * grid_w + tj * tile + b).reshape(-1, tile * tile)
 
 
-@functools.lru_cache(maxsize=16)
 def tile_slots(grid_h, grid_w, tile):
     """One frame's tile block as the inconsistency pass's slots in the
     attention's column table (`gat.slot_columns`), k = tile² (1 when no
@@ -90,8 +88,7 @@ def tile_slots(grid_h, grid_w, tile):
     The anchor's signs are +1 on itself and -1 on its tile mates; a
     mate's are +1 on itself, -1 on the anchor and 0 on the other mates.
     A node outside every complete tile has an all-zero row over itself
-    and the next k - 1 columns (mod N). Read-only: the tables are cached
-    per grid and tile.
+    and the next k - 1 columns (mod N).
     """
     n = grid_h * grid_w
     ids = tile_ids(grid_h, grid_w, tile)
@@ -107,7 +104,6 @@ def tile_slots(grid_h, grid_w, tile):
         pattern[0, 1:] = pattern[1:, 0] = -1.0
         index[ids, :k] = ids[:, rotate]
         sign[ids] = pattern[np.arange(k)[:, None], rotate]
-    index.flags.writeable = sign.flags.writeable = False
     return index, sign
 
 
@@ -122,10 +118,8 @@ def negative_spatial_matrix(grid_h, grid_w, tile):
 
 
 def build_spatial_negative(graph: VideoGraph, tile) -> NegativeSpatialAdjacency:
-    if tile < 1:
-        raise ValueError("tile size must be >= 1")
-    block, anchors = negative_spatial_matrix(graph.grid_h, graph.grid_w, tile)
-    return NegativeSpatialAdjacency(tile, block, anchors)
+    return NegativeSpatialAdjacency(
+        tile, *negative_spatial_matrix(graph.grid_h, graph.grid_w, tile))
 
 
 def sgc_aggregate(x, neg: NegativeSpatialAdjacency) -> np.ndarray:
@@ -148,8 +142,9 @@ def theorem1_check(image, tile):
     """
     image = np.asarray(image, dtype=np.float64)
     h, w = image.shape
-    if h % tile or w % tile:
-        raise ValueError("image dims must be divisible by the tile size")
+    if tile < 1 or h % tile or w % tile:
+        raise ValueError(f"image dims {h} x {w} must be divisible by the tile "
+                         f"size, a positive integer, got {tile}")
     neg = NegativeSpatialAdjacency(tile, *negative_spatial_matrix(h, w, tile))
     propagated = sgc_aggregate(image.reshape(-1, 1), neg).reshape(h, w)
     reference = npr_reference(image, tile)

@@ -16,7 +16,8 @@ node (t, i) names a column of the (T, N, N + 2) frame layout
 (`graphs.to_layout`), a node of frame t or a twin in frame t - 1 or
 t + 1. The consistency pass, mostly supported, reads every column; the
 inconsistency pass reads its tile and the twins. The column table is
-cached per grid, tile and differential; a forward writes only the signs.
+one `autodiff.SlotTable`, checked once and cached per grid and tile
+(`slot_columns`); a forward writes only the signs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .differential import NegativeSpatialAdjacency, tile_slots
+from .differential import tile_slots
 from .graphs import VideoGraph
 
 
@@ -40,33 +41,28 @@ class GatParams:
 @dataclass(frozen=True)
 class SignedAdjacency:
     """A {-1, 0, +1} sign per edge slot of P passes, one (T, N, ΣK)
-    table, and the (N, ΣK) frame-layout ``index`` and ``starts`` (one
-    pass by default) that `autodiff.frame_attention` reads it by; a
-    pass's support is where its sign is nonzero. Every node gets a
-    self-loop in every pass: a missing one is added with sign +1, an
-    existing one keeps its sign."""
+    array over the `autodiff.SlotTable` that `autodiff.frame_attention`
+    reads it by; a pass's support is where its sign is nonzero. Every
+    node gets a self-loop in every pass: a missing one is added with sign
+    +1, an existing one keeps its sign."""
 
     sign: np.ndarray
-    index: np.ndarray
-    starts: tuple = (0,)
+    table: ad.SlotTable
 
     def __post_init__(self):
-        sign = np.asarray(self.sign, dtype=float)
-        starts = tuple(map(int, self.starts))
-        *_, peer, loops = ad.slot_maps(self.index, starts)
-        if sign.ndim != 3 or sign.shape[1:] != peer.shape:
+        sign, table = np.asarray(self.sign, dtype=float), self.table
+        if sign.ndim != 3 or sign.shape[1:] != table.index.shape:
             raise ValueError(f"sign {sign.shape} is not a (T, N, ΣK) slot "
-                             f"table of the (N, ΣK) index {peer.shape}")
-        ends = np.array([*starts[1:], sign.shape[2]])
+                             f"table of the (N, ΣK) index {table.index.shape}")
+        ends = np.array([*table.starts[1:], sign.shape[2]])
         if sign[0, :, ends - 2].any() or sign[-1, :, ends - 1].any():
             raise ValueError("twin entry beyond the first or last frame")
         rows = np.arange(sign.shape[1])[:, None]
-        missing = sign[:, rows, loops] == 0
+        missing = sign[:, rows, table.loops] == 0
         if missing.any():
             sign = sign.copy()
-            sign[:, rows, loops] += missing   # an absent loop's sign is 0
+            sign[:, rows, table.loops] += missing   # an absent loop's sign is 0
         object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "starts", starts)
 
     @property
     def support(self):
@@ -75,33 +71,27 @@ class SignedAdjacency:
 
 @functools.lru_cache(maxsize=16)
 def slot_columns(grid_h, grid_w, tile):
-    """Both passes' (N, ΣK) column table, their starts and the
-    inconsistency pass's (N, k) node signs: the `differential.tile_slots`
-    with +1 in an empty self slot, or the self slot alone when ``tile``
-    is None (the differential off). Read-only, cached per grid and tile."""
+    """Both passes' `autodiff.SlotTable` and the inconsistency pass's
+    (N, k) node signs: the `differential.tile_slots` with +1 in an empty
+    self slot; those of tile 1, the self slot alone, when ``tile`` is
+    None (the differential off). Cached per grid and tile, the signs
+    read-only."""
     n = grid_h * grid_w
-    if tile is None:
-        own = np.column_stack((np.arange(n), np.full((n, 2), (n, n + 1))))
-        sign = np.ones((n, 1))
-    else:
-        own, sign = tile_slots(grid_h, grid_w, tile)
-        sign = sign.copy()
-        sign[:, 0] += sign[:, 0] == 0
+    own, sign = tile_slots(grid_h, grid_w, 1 if tile is None else tile)
+    sign[:, 0] += sign[:, 0] == 0
+    sign.flags.writeable = False
     index = np.hstack([np.tile(np.arange(n + 2), (n, 1)), own])
-    index.flags.writeable = sign.flags.writeable = False
-    return index, (0, n + 2), sign
+    return ad.SlotTable(index, (0, n + 2)), sign
 
 
-def build_adjacency(graph: VideoGraph,
-                    neg: NegativeSpatialAdjacency | None) -> SignedAdjacency:
+def build_adjacency(graph: VideoGraph, tile) -> SignedAdjacency:
     """Both passes over ``graph`` in one sign table: the consistency
     pass's positive frame edges and twins, then the inconsistency pass's
-    tile slots (the self slot when ``neg`` is None) and -1 twins, with
-    the +1 self-loops `SignedAdjacency` would add."""
+    slots of ``tile`` (None: the differential off, the self slot alone)
+    and -1 twins, with the +1 self-loops `SignedAdjacency` would add."""
     n, (clips, pairs, _) = graph.patches_per_frame, graph.twins.shape
-    index, starts, tile_sign = slot_columns(graph.grid_h, graph.grid_w,
-                                            None if neg is None else neg.tile)
-    sign = np.zeros((graph.frames, n, index.shape[1]))
+    table, tile_sign = slot_columns(graph.grid_h, graph.grid_w, tile)
+    sign = np.zeros((graph.frames, n, table.index.shape[1]))
     np.greater(graph.blocks, 0, out=sign[:, :, :n])
     sign[:, np.arange(n), np.arange(n)] = 1.0
     sign[:, :, n + 2:-2] = tile_sign
@@ -111,7 +101,7 @@ def build_adjacency(graph: VideoGraph,
     per_clip[:, 1:, :, n] = per_clip[:, :-1, :, n + 1] = graph.twins > 0
     negative = np.where(graph.twins < 0, -1.0, 0.0)
     per_clip[:, 1:, :, -2] = per_clip[:, :-1, :, -1] = negative
-    return SignedAdjacency(sign, index, starts)
+    return SignedAdjacency(sign, table)
 
 
 def gat_forward(x, adjacency: SignedAdjacency, params: GatParams):
@@ -130,8 +120,8 @@ def gat_forward(x, adjacency: SignedAdjacency, params: GatParams):
     if x.data.shape[1] != d:
         raise ValueError(f"feature dim {x.data.shape[1]} != layer dim {d}")
     h = ad.matmul(x, params.weight)
-    return ad.leaky_relu(ad.frame_attention(
-        h, params.attention, adjacency.sign, adjacency.index, adjacency.starts))
+    return ad.leaky_relu(ad.frame_attention(h, params.attention, adjacency.sign,
+                                            adjacency.table))
 
 
 def spatial_fuse(h, weight, bias, graph: VideoGraph):

@@ -101,11 +101,9 @@ def config_hash(config: TrainConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-# "parity" scales d toward the published model size while staying well
-# under it; "toy" is the finite-difference check scale.
+# "toy" is the finite-difference check scale.
 PRESETS = {
     "desk": {},
-    "parity": {"dim": 256},
     "toy": {"patch_size": 2, "dim": 8, "filter_hidden": 4, "batch_size": 2,
             "epochs": 2},
 }
@@ -266,13 +264,12 @@ def encode_patches(patch_vectors, params: ModelParams, config: TrainConfig):
 
 @dataclass
 class ClipStructure:
-    """Everything a forward pass treats as constant: the raw patches,
-    the graph (with differential edges), and the Ritz basis, of
-    ``clips`` equal clips stacked along the frame axis."""
+    """Everything a forward pass treats as constant, of ``clips`` equal
+    clips stacked along the frame axis: the raw patches, the graph (-1
+    twins with the differential), the Ritz basis and both passes' signs."""
 
     patches: np.ndarray
     graph: VideoGraph
-    negative: differential.NegativeSpatialAdjacency | None
     basis: spectral.SpectralBasis | None
     adjacency: gat.SignedAdjacency    # the consistency, then the inconsistency pass
 
@@ -294,20 +291,14 @@ def build_structure(pt: PatchTensor, embedding: np.ndarray,
     # the temporal differential overwrites every bridge: score none
     graph = unified_graph(emb, pt.grid_h, pt.grid_w, config.tau_s,
                           config.tau_t, clips, bridges=not config.use_differential)
-    neg = None
     if config.use_differential:
-        neg = differential.build_spatial_negative(graph, config.tile)
         graph = differential.add_temporal_negative(graph)
     basis = None
     if config.use_spectral:
         basis = spectral.lanczos_basis(graph, lambda lam: filter_mlp.gains(lam).data)
-    return ClipStructure(
-        patches=pt.vectors,
-        graph=graph,
-        negative=neg,
-        basis=basis,
-        adjacency=gat.build_adjacency(graph, neg),
-    )
+    tile = config.tile if config.use_differential else None
+    return ClipStructure(patches=pt.vectors, graph=graph, basis=basis,
+                         adjacency=gat.build_adjacency(graph, tile))
 
 
 def _prepare(clips, params: ModelParams, config: TrainConfig):
@@ -466,10 +457,11 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig):
 
 
 def load_checkpoint(path):
-    """Inverse of `save_checkpoint`. A truncated or extended file, an
-    echoed config with unknown keys or mistyped values, a tensor named
-    twice, tensors whose names or shapes differ from `param_shapes` of
-    that config, or a NaN/Inf in a tensor raise ValueError."""
+    """Inverse of `save_checkpoint`. A truncated or extended file, a
+    config echo that is not JSON or has unknown keys or mistyped values,
+    a tensor name that is not UTF-8 or named twice, tensors whose names
+    or shapes differ from `param_shapes` of that config, or a NaN/Inf in
+    a tensor raise ValueError naming the file."""
     blob = Path(path).read_bytes()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {blob[:8]!r}")
@@ -488,13 +480,20 @@ def load_checkpoint(path):
 
     (cfg_len,) = unpack("<I", "config length")
     start = take(cfg_len, "config")
-    config = TrainConfig.from_dict(json.loads(blob[start:off]))
+    try:
+        config = TrainConfig.from_dict(json.loads(blob[start:off]))
+    except ValueError as err:   # a JSON or UTF-8 decoding error among them
+        raise ValueError(f"{path}: config echo at byte {start}: {err}") from err
     (count,) = unpack("<I", "tensor count")
     tensors = {}
-    for _ in range(count):
+    for k in range(count):
         (name_len,) = unpack("<H", "tensor name length")
         start = take(name_len, "tensor name")
-        name = blob[start:off].decode()
+        try:
+            name = blob[start:off].decode()
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: tensor {k} name at byte {start} is not "
+                             f"UTF-8") from err
         if name in tensors:
             raise ValueError(f"{path}: tensor {name} appears twice")
         (ndim,) = unpack("<B", f"rank of {name}")

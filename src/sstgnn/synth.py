@@ -196,7 +196,8 @@ def save_clip(path, clip: FrameSequence, label=None):
 
 
 def load_labeled_clip(path):
-    """Return (FrameSequence, label-or-None)."""
+    """Return (FrameSequence, label-or-None); a ClipFormatError names the
+    file, and the byte of the first NaN, Inf or out-of-range pixel."""
     blob = Path(path).read_bytes()
     if blob[:8] != _MAGIC:
         raise ClipFormatError(f"{path}: bad magic {blob[:8]!r}")
@@ -211,8 +212,12 @@ def load_labeled_clip(path):
     if len(trailer) > 1:
         raise ClipFormatError(f"{path}: {len(trailer)} trailing bytes")
     pixels = np.frombuffer(payload[:body], dtype="<f4").reshape(t, h, w, c)
-    label = trailer[0] if trailer else None
-    return FrameSequence(pixels.copy()), label
+    try:
+        return FrameSequence(pixels.copy()), trailer[0] if trailer else None
+    except ValueError as err:
+        bad = np.flatnonzero(~((pixels >= 0.0) & (pixels <= 1.0)))
+        at = f" (pixel at byte {8 + _HEADER.size + 4 * bad[0]})" if len(bad) else ""
+        raise ClipFormatError(f"{path}: {err}{at}") from err
 
 
 def load_clip(path) -> FrameSequence:

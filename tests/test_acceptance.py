@@ -205,7 +205,7 @@ def test_a7_gat_properties():
         out = ad.frame_attention(
             ad.constant(np.hstack([h, np.ones((m, 1)), np.eye(m)])),
             ad.constant(np.concatenate([a[:d], zeros, a[d:], zeros])),
-            layout.astype(float), *dense_columns(n)).data
+            layout.astype(float), dense_columns(n)).data
         worst_row = max(worst_row, np.abs(out[:, d] - 1.0).max())
         assert np.all(out[:, d + 1:][~graphs.dense_from_layout(layout)] == 0.0)
 
@@ -215,13 +215,13 @@ def test_a7_gat_properties():
         sign = np.where(support,
                         np.where(rng.random((n, n)) < 0.3, -1.0, 1.0), 0.0)
         no_twins = np.zeros((1, 0, n))
-        adj = gat.SignedAdjacency(graphs.to_layout(sign, no_twins), *dense_columns(n))
+        adj = gat.SignedAdjacency(graphs.to_layout(sign, no_twins), dense_columns(n))
         perm = rng.permutation(n)
         base = gat.gat_forward(ad.constant(x), adj, params).data
         permuted = gat.gat_forward(
             ad.constant(x[perm]),
             gat.SignedAdjacency(graphs.to_layout(sign[np.ix_(perm, perm)], no_twins),
-                                *dense_columns(n)),
+                                dense_columns(n)),
             params).data
         denom = max(np.abs(base).max(), 1.0)
         worst_perm = max(worst_perm, np.abs(permuted - base[perm]).max() / denom)
@@ -261,8 +261,8 @@ def test_a8_train_determinism(tmp_path):
 
 def test_a9_parameter_budget():
     desk = model.init_params(model.TrainConfig()).count()
-    parity = model.init_params(model.preset_config("parity")).count()
+    parity = model.init_params(model.TrainConfig(dim=256)).count()
     ok = desk < 100_000 and parity < 2_050_000
     report("A9", ok,
            f"desk config {desk:,} params (< 100,000); "
-           f"parity preset {parity:,} (< 2,050,000)")
+           f"parity config d = 256 {parity:,} (< 2,050,000)")

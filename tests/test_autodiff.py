@@ -80,7 +80,7 @@ def attention_weights(support, peer_scores, sign=None):
     h = np.hstack([np.asarray(peer_scores, dtype=float)[:, None], np.eye(m)])
     a = np.zeros(2 * (m + 1))
     a[m + 1] = 1.0
-    out = ad.frame_attention(ad.constant(h), ad.constant(a), sign, *dense_columns(n))
+    out = ad.frame_attention(ad.constant(h), ad.constant(a), sign, dense_columns(n))
     return out.data[:, 1:]
 
 
@@ -146,7 +146,7 @@ class TestMaskedSoftmax:
 
         def f():
             return ad.mean(ad.matmul(
-                ad.frame_attention(h, a, sign, *dense_columns(3)), w))
+                ad.frame_attention(h, a, sign, dense_columns(3)), w))
 
         assert ad.finite_diff_check(f, {"h": h, "a": a}) < 1e-7
 
@@ -173,8 +173,8 @@ class TestAttentionPasses:
         a = ad.parameter(rng.normal(size=2 * d))
         probe = ad.constant(rng.normal(size=(frames * n, 2 * d)))
         both = ad.frame_attention(h, a, np.concatenate(sign, axis=2),
-                                  *dense_columns(n, passes=2))
-        single = [ad.frame_attention(h, a, g, *dense_columns(n)) for g in sign]
+                                  dense_columns(n, passes=2))
+        single = [ad.frame_attention(h, a, g, dense_columns(n)) for g in sign]
         joined = np.hstack([out.data for out in single])
         assert both.data.tobytes() == joined.tobytes()
         fused = ad.mean(ad.mul(both, probe)).backward()
@@ -195,7 +195,7 @@ class TestAttentionPasses:
 
         def f():
             return ad.mean(ad.matmul(ad.frame_attention(
-                h, a, np.concatenate(sign, axis=2), *dense_columns(3, passes=2)), w))
+                h, a, np.concatenate(sign, axis=2), dense_columns(3, passes=2)), w))
 
         grads = f().backward()
         assert min(np.abs(grads[t]).min() for t in (h, a)) > 1e-6
@@ -209,7 +209,7 @@ class TestAttentionPasses:
         with pytest.raises(ValueError, match="pass 1, frame 1, node 2 has no support"):
             ad.frame_attention(ad.constant(np.ones((12, 2))),
                                ad.constant(np.ones(4)), sign,
-                               *dense_columns(4, passes=2))
+                               dense_columns(4, passes=2))
 
     def test_layout_without_pass_axis_rejected(self):
         # one pass's layout where the table holds two
@@ -217,7 +217,7 @@ class TestAttentionPasses:
         with pytest.raises(ValueError, match="do not fit"):
             ad.frame_attention(ad.constant(np.ones((12, 2))),
                                ad.constant(np.ones(4)), support.astype(float),
-                               *dense_columns(4, passes=2))
+                               dense_columns(4, passes=2))
 
 
 def dense_blocks(blocks):

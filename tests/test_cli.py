@@ -33,6 +33,14 @@ def test_npr_check_passes(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("l0", ["0", "-1", "3"])
+def test_npr_check_bad_tile_is_usage_error(capsys, l0):
+    assert main(["npr-check", "--size", "8", "--l0", l0]) == 2
+    assert capsys.readouterr().err == (
+        f"error: image dims 8 x 8 must be divisible by the tile size, a "
+        f"positive integer, got {l0}\n")
+
+
 def test_synth_writes_corpus_and_manifest(tmp_path):
     out = tmp_path / "corpus"
     code = main(["synth", "--out", str(out), "--families",
@@ -186,6 +194,27 @@ def test_config_echo_not_an_object_is_usage_error(trained_run, tmp_path, capsys,
         model.load_checkpoint(bad)
     assert eval_exit_code(bad, tmp_path / "e") == 2
     assert "config must be a JSON object" in capsys.readouterr().err
+
+
+def test_eval_config_echo_not_json_names_its_byte(trained_run, tmp_path, capsys):
+    blob = (trained_run / "checkpoint.sstg").read_bytes()
+    at = len(model.CHECKPOINT_MAGIC) + 4
+    assert blob[at:at + 1] == b"{"
+    bad = tmp_path / "bad.sstg"
+    bad.write_bytes(blob[:at] + b"#" + blob[at + 1:])
+    assert eval_exit_code(bad, tmp_path / "e") == 2
+    assert capsys.readouterr().err == (f"error: {bad}: config echo at byte {at}: "
+                                       f"Expecting value: line 1 column 1 (char 0)\n")
+
+
+def test_eval_tensor_name_not_utf8_names_its_byte(trained_run, tmp_path, capsys):
+    blob = (trained_run / "checkpoint.sstg").read_bytes()
+    at = blob.index(b"encoder.weight")    # tensor 0
+    bad = tmp_path / "bad.sstg"
+    bad.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+    assert eval_exit_code(bad, tmp_path / "e") == 2
+    assert capsys.readouterr().err == \
+        f"error: {bad}: tensor 0 name at byte {at} is not UTF-8\n"
 
 
 @pytest.mark.parametrize("geometry", [
@@ -377,6 +406,25 @@ def test_train_manifest_oversized_field_is_usage_error(tmp_path, capsys):
     assert f"{manifest}:3: field larger than field limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -0.5])
+def test_train_bad_clip_pixel_names_file_and_byte(tmp_path, capsys, value):
+    corpus = tmp_path / "corpus"
+    main(["synth", "--out", str(corpus), "--families", "real,spectral_noise",
+          "--count", "1", "--seed", "0", "--frames", "2", "--height", "8",
+          "--width", "8"])
+    clip = corpus / "real_0.vgf"
+    blob = clip.read_bytes()
+    at = len(blob) - 1 - 4 * (2 * 8 * 8) + 4 * 5   # pixel 5; a label byte ends it
+    clip.write_bytes(blob[:at] + struct.pack("<f", value) + blob[at + 4:])
+    code = main(["train", "--manifest", str(corpus / "manifest.csv"),
+                 "--out", str(tmp_path / "train"), "--patch-size", "4",
+                 "--epochs", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {clip}: pixels must be finite and lie in [0, 1] "
+        f"(pixel at byte {at})\n")
+
+
 def test_train_mixed_clip_shapes_is_usage_error(tmp_path, capsys):
     # a minibatch is one stacked graph, so a training corpus has one shape
     corpus = tmp_path / "corpus"
@@ -455,6 +503,32 @@ def test_train_removed_config_key_is_usage_error(trained_run, tmp_path, capsys):
                  "--out", str(tmp_path / "t"), "--config", str(cfg)])
     assert code == 2
     assert f"{cfg}:2: unknown config key 'leaky_slope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("dim = abc", "dim = 'abc' is not int"),
+    ("use_spectral = maybe", "use_spectral = 'maybe' is not bool"),
+    ("lr = fast", "lr = 'fast' is not float"),
+], ids=["int", "bool", "float"])
+def test_train_bad_config_value_names_its_line(trained_run, tmp_path, capsys,
+                                               line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"epochs = 1\n{line}\n")
+    code = main(["train", "--manifest",
+                 str(trained_run.parent / "corpus" / "manifest.csv"),
+                 "--out", str(tmp_path / "t"), "--config", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
+
+
+def test_train_config_not_utf8_names_its_byte(trained_run, tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"dim = 8\n# caf\xe9\n")
+    code = main(["train", "--manifest",
+                 str(trained_run.parent / "corpus" / "manifest.csv"),
+                 "--out", str(tmp_path / "t"), "--config", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {cfg}: byte 13 is not UTF-8 text\n"
 
 
 @pytest.mark.parametrize("lr", ["-1", "0", "nan"])

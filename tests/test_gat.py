@@ -30,13 +30,14 @@ def adjacency(support, sign=None):
     layout: an (n, n) sign, +1 on the support when not given."""
     sign = np.asarray(support if sign is None else sign, dtype=float)
     return gat.SignedAdjacency(graphs.to_layout(sign, np.zeros((1, 0, len(sign)))),
-                               *dense_columns(len(sign)))
+                               dense_columns(len(sign)))
 
 
 def one_pass(adj, p):
     """Pass p of a joined adjacency as a one-pass table."""
-    lo, hi = (*adj.starts, adj.index.shape[1])[p:p + 2]
-    return gat.SignedAdjacency(adj.sign[:, :, lo:hi], adj.index[:, lo:hi])
+    index = adj.table.index
+    lo, hi = (*adj.table.starts, index.shape[1])[p:p + 2]
+    return gat.SignedAdjacency(adj.sign[:, :, lo:hi], ad.SlotTable(index[:, lo:hi]))
 
 
 def dense_pair(adj):
@@ -54,7 +55,7 @@ def attention_weights(h, attention, adj):
     probe = np.hstack([h, np.eye(m)])
     a = np.concatenate([attention[:d], np.zeros(m), attention[d:], np.zeros(m)])
     out = ad.frame_attention(ad.constant(probe), ad.constant(a), adj.sign,
-                             adj.index, adj.starts).data
+                             adj.table).data
     return out[:, d:]
 
 
@@ -201,21 +202,19 @@ class TestPasses:
     def test_inconsistency_degenerate_graph_is_pointwise(self):
         # tile 1 and one frame: the differential adjacency is the identity
         g = clip_graph(t=1)
-        neg = diff.build_spatial_negative(g, 1)
         params = make_params(4, seed=21)
         x = np.random.default_rng(22).normal(size=(4, 4))
-        adj = one_pass(gat.build_adjacency(g, neg), 1)
+        adj = one_pass(gat.build_adjacency(g, 1), 1)
         out = gat.gat_forward(ad.constant(x), adj, params)
         np.testing.assert_allclose(out.data, lrelu(x @ params.weight.data),
                                    rtol=1e-12)
 
     def test_constant_tile_non_anchor_messages_cancel(self):
         g = clip_graph(t=1, grid=2)
-        neg = diff.build_spatial_negative(g, 2)
         params = make_params(4, seed=23)
         row = np.random.default_rng(24).normal(size=4)
         x = ad.constant(np.tile(row, (4, 1)))
-        adj = one_pass(gat.build_adjacency(g, neg), 1)
+        adj = one_pass(gat.build_adjacency(g, 2), 1)
         out = gat.gat_forward(x, adj, params)
         # non-anchor nodes see {self +1, anchor -1} with equal attention
         np.testing.assert_allclose(out.data[1:], np.zeros((3, 4)), atol=1e-12)
@@ -225,10 +224,9 @@ class TestPasses:
     def test_inconsistency_matches_signed_oracle(self):
         g = clip_graph(t=2, grid=2, seed=25)
         g = diff.add_temporal_negative(g)
-        neg = diff.build_spatial_negative(g, 2)
         params = make_params(4, seed=26)
         x = np.random.default_rng(27).normal(size=(8, 4))
-        adj = one_pass(gat.build_adjacency(g, neg), 1)
+        adj = one_pass(gat.build_adjacency(g, 2), 1)
         out = gat.gat_forward(ad.constant(x), adj, params)
         support, sign = dense_pair(adj)
         expected = brute_force(x, support, sign, params.weight.data,
@@ -363,7 +361,7 @@ def bridged_layout(seed=31):
     sign[flip] *= -1.0
     twins = sign[:, :, n:][adj.support[:, :, n:]]
     assert (twins > 0).any() and (twins < 0).any()
-    return gat.SignedAdjacency(sign, adj.index)
+    return gat.SignedAdjacency(sign, adj.table)
 
 
 class TestFrameLayoutAttention:
@@ -418,7 +416,7 @@ class TestFrameLayoutAttention:
     def test_one_tape_node_for_attention(self):
         adj = bridged_layout()
         both = gat.SignedAdjacency(np.concatenate([adj.sign, adj.sign], axis=2),
-                                   *dense_columns(4, passes=2))
+                                   dense_columns(4, passes=2))
         params = make_params(4, seed=37)
         out = gat.gat_forward(ad.parameter(np.ones((12, 4))), both, params)
         assert out.shape == (12, 8)
@@ -431,8 +429,10 @@ class TestFrameLayoutAttention:
 class TestSignedAdjacencyLayout:
     @pytest.mark.parametrize("use_differential", [True, False])
     def test_dense_gives_back_the_old_matrices(self, use_differential):
-        structure, _, _ = clip_structure(16, use_differential, family="temporal_jitter")
-        old = old_dense_adjacency(structure.graph, structure.negative)
+        structure, _, cfg = clip_structure(16, use_differential, family="temporal_jitter")
+        neg = (diff.build_spatial_negative(structure.graph, cfg.tile)
+               if use_differential else None)
+        old = old_dense_adjacency(structure.graph, neg)
         for p, (support, sign) in enumerate(old):
             dense_support, dense_sign = dense_pair(one_pass(structure.adjacency, p))
             assert dense_support.dtype == support.dtype
@@ -450,7 +450,7 @@ class TestSignedAdjacencyLayout:
     def test_construction_adds_missing_self_loops(self):
         support = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 0]], dtype=bool)
         sign = graphs.to_layout(np.where(support, -1.0, 0.0), np.zeros((1, 0, 3)))
-        adj = gat.SignedAdjacency(sign, *dense_columns(3))
+        adj = gat.SignedAdjacency(sign, dense_columns(3))
         np.testing.assert_array_equal(adj.support, adj.sign != 0)
         dense_support, dense_sign = dense_pair(adj)
         np.testing.assert_array_equal(dense_support, support | np.eye(3, dtype=bool))
@@ -464,16 +464,16 @@ class TestSignedAdjacencyLayout:
         sign = np.zeros((2, 2, 8))
         sign[0, 0, 6] = 1.0   # frame 0 has no previous frame
         with pytest.raises(ValueError, match="twin"):
-            gat.SignedAdjacency(sign, *dense_columns(2, passes=2))
+            gat.SignedAdjacency(sign, dense_columns(2, passes=2))
         sign[0, 0, 6], sign[1, 1, 3] = 0.0, -1.0   # nor frame 1 a next one
         with pytest.raises(ValueError, match="twin"):
-            gat.SignedAdjacency(sign, *dense_columns(2, passes=2))
+            gat.SignedAdjacency(sign, dense_columns(2, passes=2))
 
     def test_layout_shape_checked(self):
         with pytest.raises(ValueError, match="slot table"):
-            gat.SignedAdjacency(np.ones((2, 2, 2)), *dense_columns(2))
+            gat.SignedAdjacency(np.ones((2, 2, 2)), dense_columns(2))
         with pytest.raises(ValueError, match="slot table"):
-            gat.SignedAdjacency(np.ones((4, 4)), *dense_columns(4))
+            gat.SignedAdjacency(np.ones((4, 4)), dense_columns(4))
 
     # a graph holds only frame blocks and twins, so such entries cannot
     # reach the adjacency builder: a graph given (M, M) arrays in place
@@ -496,12 +496,12 @@ class TestSignedAdjacencyLayout:
 def batch_graph(rng, grid_h, grid_w, clips, frames, differential, tile):
     """A graph of ``clips`` clips of ``frames`` frames over random
     embeddings, bridged at tau_t 0.1 so the differential off keeps
-    positive twins, and its tile adjacency (None when off)."""
+    positive twins, and its tile (None when off)."""
     emb = rng.random((clips * frames, grid_h * grid_w, 3))
     g = graphs.unified_graph(emb, grid_h, grid_w, 0.3, 0.1, clips)
     if not differential:
         return g, None
-    return diff.add_temporal_negative(g), diff.build_spatial_negative(g, tile)
+    return diff.add_temporal_negative(g), tile
 
 
 def joined_and_dense(seed, grid_h, grid_w, tile, clips, frames, differential,
@@ -510,8 +510,8 @@ def joined_and_dense(seed, grid_h, grid_w, tile, clips, frames, differential,
     the joined call, and of the dense one-pass call over its expanded
     layout."""
     rng = np.random.default_rng(seed)
-    g, neg = batch_graph(rng, grid_h, grid_w, clips, frames, differential, tile)
-    adj = gat.build_adjacency(g, neg)
+    g, tile = batch_graph(rng, grid_h, grid_w, clips, frames, differential, tile)
+    adj = gat.build_adjacency(g, tile)
     m, n = g.node_count, g.patches_per_frame
     h = ad.parameter(rng.normal(size=(m, d)) * 2.0)
     a = ad.parameter(rng.normal(size=2 * d))
@@ -521,9 +521,9 @@ def joined_and_dense(seed, grid_h, grid_w, tile, clips, frames, differential,
         grads = ad.mul(ad.mean(ad.mul(out, probe)), float(m * d)).backward()
         return out.data, grads[h], grads[a]
 
-    joined = ad.frame_attention(h, a, adj.sign, adj.index, adj.starts)
+    joined = ad.frame_attention(h, a, adj.sign, adj.table)
     return adj, [(run(joined[:, p * d:(p + 1) * d]),
-                  run(ad.frame_attention(h, a, layout, *dense_columns(n))))
+                  run(ad.frame_attention(h, a, layout, dense_columns(n))))
                  for p, layout in enumerate(frame_layout(adj))]
 
 
@@ -547,7 +547,7 @@ class TestGatheredPass:
         complete = (grid_h // tile) * (grid_w // tile) > 0
         k = tile * tile if differential and complete else 1
         assert adj.sign.shape == (clips * frames, n, n + 2 + k + 2)
-        assert adj.starts == (0, n + 2)
+        assert adj.table.starts == (0, n + 2)
         for joined, dense in passes:
             for got, want in zip(joined, dense):
                 scale = max(1.0, np.abs(want).max())
@@ -569,14 +569,14 @@ class TestGatheredPass:
 
     def test_backward_fd(self):
         rng = np.random.default_rng(41)
-        g, neg = batch_graph(rng, 3, 5, clips=2, frames=2, differential=True, tile=2)
-        adj = gat.build_adjacency(g, neg)
+        g, tile = batch_graph(rng, 3, 5, clips=2, frames=2, differential=True, tile=2)
+        adj = gat.build_adjacency(g, tile)
         h = ad.parameter(rng.normal(size=(g.node_count, 3)) * 2.0)
         a = ad.parameter(rng.normal(size=6))
         w = ad.constant(rng.normal(size=(6, 1)))
 
         def f():
-            out = ad.frame_attention(h, a, adj.sign, adj.index, adj.starts)
+            out = ad.frame_attention(h, a, adj.sign, adj.table)
             return ad.mean(ad.matmul(out, w))
 
         grads = f().backward()
@@ -589,23 +589,24 @@ class TestGatheredPass:
         # the dense and the tile pass in one call: each pass's columns
         # are those it gives alone, byte for byte
         rng = np.random.default_rng(43)
-        g, neg = batch_graph(rng, 3, 5, clips=2, frames=3, differential=True, tile=2)
-        adj = gat.build_adjacency(g, neg)
+        g, tile = batch_graph(rng, 3, 5, clips=2, frames=3, differential=True, tile=2)
+        adj = gat.build_adjacency(g, tile)
         h = ad.constant(rng.normal(size=(g.node_count, 4)))
         a = ad.constant(rng.normal(size=8))
-        both = ad.frame_attention(h, a, adj.sign, adj.index, adj.starts)
-        alone = [ad.frame_attention(h, a, j.sign, j.index, j.starts)
+        both = ad.frame_attention(h, a, adj.sign, adj.table)
+        alone = [ad.frame_attention(h, a, j.sign, j.table)
                  for j in (one_pass(adj, 0), one_pass(adj, 1))]
         assert both.data.tobytes() == np.hstack([o.data for o in alone]).tobytes()
 
     def test_index_must_fit_the_table(self):
         h, a = ad.constant(np.ones((8, 2))), ad.constant(np.ones(4))
         sign = np.ones((2, 4, 6))
-        index, starts = dense_columns(4)
+        table = dense_columns(4)
         with pytest.raises(ValueError, match="do not fit"):
-            ad.frame_attention(h, a, sign[:, :, 1:], index, starts)
+            ad.frame_attention(h, a, sign[:, :, 1:], table)
         with pytest.raises(ValueError, match="do not fit"):
-            ad.frame_attention(h, a, sign[:, :3], index, starts)
+            ad.frame_attention(h, a, sign[:, :3], table)
+        index, starts = table.index, table.starts
         for bad_index, bad_starts in (
                 (index[:, :5], starts),             # no next twin
                 (index.astype(float), starts),
@@ -613,8 +614,7 @@ class TestGatheredPass:
                 (np.tile(index, 2), (0, 3)),        # a pass of 3 node slots, no twins
                 (np.roll(index, 1, axis=1), starts)):    # the twins not last
             with pytest.raises(ValueError, match="slot table"):
-                ad.frame_attention(h, a, np.ones((2, 4, bad_index.shape[1])),
-                                   bad_index, bad_starts)
+                ad.SlotTable(bad_index, bad_starts)
 
     @pytest.mark.parametrize("patch", [16, 8])
     @pytest.mark.parametrize("use_differential", [True, False])
@@ -633,20 +633,21 @@ class TestSlotTableChecks:
         """A differential clip graph of 2 frames of a 2 x 2 grid, and its
         adjacency's sign and column table."""
         g = diff.add_temporal_negative(clip_graph(t=2, grid=2))
-        adj = gat.build_adjacency(g, diff.build_spatial_negative(g, 2))
-        return adj, adj.sign.copy(), np.array(adj.index)
+        adj = gat.build_adjacency(g, 2)
+        return adj, adj.sign.copy(), np.array(adj.table.index)
 
     def test_builder_table_accepted(self):
         adj, sign, index = self.table()
-        assert adj.index is gat.slot_columns(2, 2, 2)[0] and adj.starts == (0, 6)
-        again = gat.SignedAdjacency(sign, index, adj.starts)
+        assert adj.table is gat.slot_columns(2, 2, 2)[0]
+        assert adj.table.starts == (0, 6)
+        again = gat.SignedAdjacency(sign, ad.SlotTable(index, adj.table.starts))
         np.testing.assert_array_equal(again.sign, adj.sign)
 
     def test_shape_and_dtype_checked(self):
         adj, sign, index = self.table()
         for bad in (index[:, :9], index.astype(float), index[:3]):
             with pytest.raises(ValueError, match="slot table"):
-                gat.SignedAdjacency(sign, bad, adj.starts)
+                ad.SlotTable(bad, adj.table.starts)
 
     def test_rows_must_hold_distinct_columns_and_their_node(self):
         adj, sign, index = self.table()
@@ -655,7 +656,7 @@ class TestSlotTableChecks:
         foreign[2, 6] = 3                  # row 2 reads node 3 in place of itself
         for bad in (repeated, foreign):
             with pytest.raises(ValueError, match="distinct"):
-                gat.SignedAdjacency(sign, bad, adj.starts)
+                ad.SlotTable(bad, adj.table.starts)
 
     def test_missing_loop_added_in_slot_zero(self):
         # slot zero of each pass's own columns: node i's column i in the
@@ -663,9 +664,25 @@ class TestSlotTableChecks:
         adj, sign, index = self.table()
         rows = np.arange(4)
         sign[:, rows, rows] = sign[:, :, 6] = 0.0
-        again = gat.SignedAdjacency(sign, index, adj.starts)
+        again = gat.SignedAdjacency(sign, adj.table)
         np.testing.assert_array_equal(again.sign[:, rows, rows], 1.0)
         np.testing.assert_array_equal(again.sign[:, :, 6], 1.0)
         # every other slot keeps its sign
         again.sign[:, rows, rows] = again.sign[:, :, 6] = 0.0
         np.testing.assert_array_equal(again.sign, sign)
+
+    def test_caller_index_is_copied(self):
+        # the table keeps read-only copies: a later write to the caller's
+        # array changes nothing that frame_attention reads
+        adj, sign, index = self.table()
+        table = ad.SlotTable(index, adj.table.starts)
+        rng = np.random.default_rng(45)
+        h, a = ad.constant(rng.normal(size=(8, 3))), ad.constant(rng.normal(size=6))
+        before = ad.frame_attention(h, a, sign, table).data
+        index[:, [0, 1]] = index[:, [1, 0]]    # still a valid table
+        ad.SlotTable(index, adj.table.starts)
+        assert table.index.tobytes() == adj.table.index.tobytes()
+        assert ad.frame_attention(h, a, sign, table).data.tobytes() == before.tobytes()
+        for part in (table.index, table.segment, table.scatter, table.peer,
+                     table.loops):
+            assert not part.flags.writeable

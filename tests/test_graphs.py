@@ -354,7 +354,9 @@ def test_batch_graph_bytes_pinned(tmp_path, key):
         assert (twins == -1).sum() == pairs
     else:   # some bridges kept, some not
         assert 0 < (twins > 0).sum() < pairs
-    graphs.dump_edges(tmp_path / "edges.txt", structure.graph, structure.negative)
+    neg = differential.build_spatial_negative(structure.graph, cfg.tile)
+    graphs.dump_edges(tmp_path / "edges.txt", structure.graph,
+                      neg if kind == "diff" else None)
     consistency, inconsistency = frame_layout(structure.adjacency)
     got = tuple(hashlib.sha256(blob).hexdigest() for blob in (
         (tmp_path / "edges.txt").read_bytes(), consistency.tobytes(),

@@ -153,7 +153,7 @@ class TestForward:
         cfg = toy_config(use_differential=False)
         params = model.init_params(cfg)
         _, structure = model.forward([clip], params, cfg)
-        assert structure.negative is None
+        assert structure.adjacency.table is gat.slot_columns(2, 2, None)[0]
         support = graphs.dense_from_layout(frame_layout(structure.adjacency)[1] != 0)
         np.testing.assert_array_equal(support, np.eye(8, dtype=bool))
         assert not (structure.graph.temporal < 0).any()
@@ -446,6 +446,26 @@ class TestFrameLayoutPath:
         assert structure.basis.steps.shape == (16,)
         assert not calls
 
+    def test_forward_builds_no_tile_block(self, monkeypatch):
+        # attention reads the tile pattern as its slots, also when the
+        # table cache is cold; the (N, N) block is a reference form only
+        calls = []
+        block = differential.negative_spatial_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return block(*args)
+
+        monkeypatch.setattr(differential, "negative_spatial_matrix", counted)
+        gat.slot_columns.cache_clear()
+        cfg = toy_config()
+        params = model.init_params(cfg, random_head=True)
+        for _ in range(2):
+            logits, structure = model.forward([toy_clip()], params, cfg)
+            ad.cross_entropy(logits, [0]).backward()
+        assert calls == []
+        assert (frame_layout(structure.adjacency)[1] < 0).any()
+
 
 class TestGoldenForward:
     def test_fixed_seed_logits_frozen(self):
@@ -703,7 +723,7 @@ class TestCheckpoint:
             model.load_checkpoint(path)
 
     @pytest.mark.parametrize("cfg", [toy_config(), model.TrainConfig(),
-                                     model.preset_config("parity", channels=3)])
+                                     model.TrainConfig(dim=256, channels=3)])
     def test_init_follows_the_shape_table(self, cfg):
         params = model.init_params(cfg, random_head=True)
         assert {k: t.data.shape for k, t in params.named().items()} == \
@@ -739,8 +759,8 @@ class TestBudget:
         assert model.init_params(model.TrainConfig()).count() < 100_000
 
     def test_parity_preset_under_published_size(self):
-        cfg = model.preset_config("parity")
-        n = model.init_params(cfg).count()
+        # d = 256 scales the model toward the published size
+        n = model.init_params(model.TrainConfig(dim=256)).count()
         assert 100_000 < n < 2_050_000
 
 
