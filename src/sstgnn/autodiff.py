@@ -1,8 +1,9 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
-A deliberately small, closed op set: matmul, block_matmul (a constant
-block-diagonal matrix: the spectral pool w^T x applies it to one column
-w and never forms the filtered signal), add, mul (both broadcasting),
+A deliberately small, closed op set: matmul (its left operand may be a
+stack of matrices), block_matmul (a constant block-diagonal matrix: the
+spectral pool w^T x applies it to one column w and never forms the
+filtered signal), add, mul (both broadcasting),
 concat, basic slicing, reshape, leaky_relu, mean, cross_entropy, plus
 frame_attention, one fused op for every pass of graph attention over a
 clip's joined signed slot table. Each op records a backward rule on a
@@ -177,10 +178,14 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """``a`` (n, k) or a stack (B, n, k) times ``b`` (k, m). A stack is B
+    products of (n, k) by (k, m), each with the bits it has alone."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.data.shape[1] != b.data.shape[0]:
+    if a.data.ndim not in (2, 3) or b.data.ndim != 2:
+        raise ValueError(f"matmul expects a 2-D or stacked 3-D left operand and "
+                         f"a 2-D right one, got {a.data.shape} @ {b.data.shape}")
+    k, m = b.data.shape
+    if a.data.shape[-1] != k:
         raise ValueError(
             f"matmul dimension mismatch: {a.data.shape} @ {b.data.shape}")
     out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad,
@@ -190,7 +195,8 @@ def matmul(a, b) -> Tensor:
         if a.requires_grad:
             _accum(acc, a, g @ b.data.T)
         if b.requires_grad:
-            _accum(acc, b, a.data.T @ g)
+            # every stacked product's share, summed by one product
+            _accum(acc, b, a.data.reshape(-1, k).T @ g.reshape(-1, m))
 
     out._backward = _backward
     return out

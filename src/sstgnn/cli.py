@@ -37,8 +37,9 @@ _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
 
 
 def read_config_file(path):
-    """key = value lines; # comments; keys must be TrainConfig fields. A
-    ValueError names the file and the line or, when not UTF-8, the byte."""
+    """key = value lines; # comments; keys must be TrainConfig fields,
+    each value of its field's type and range on its own. A ValueError
+    names the file and the line or, when not UTF-8, the byte."""
     kinds = {f.name: type(getattr(model.TrainConfig(), f.name))
              for f in fields(model.TrainConfig)}
     try:
@@ -62,6 +63,10 @@ def read_config_file(path):
         except (KeyError, ValueError):
             raise ValueError(f"{path}:{lineno}: {key} = {value!r} is not "
                              f"{kind.__name__}") from None
+        try:
+            model.TrainConfig(**{key: out[key]})
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
     return out
 
 

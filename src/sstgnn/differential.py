@@ -142,6 +142,8 @@ def theorem1_check(image, tile):
     """
     image = np.asarray(image, dtype=np.float64)
     h, w = image.shape
+    if not image.size:
+        raise ValueError(f"image dims {h} x {w} hold no pixel")
     if tile < 1 or h % tile or w % tile:
         raise ValueError(f"image dims {h} x {w} must be divisible by the tile "
                          f"size, a positive integer, got {tile}")

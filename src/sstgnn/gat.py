@@ -9,7 +9,8 @@ sign. The consistency pass uses the positive spatial + temporal edges
 (+1 signs); the inconsistency pass uses the tile blocks and the -1
 temporal entries. `SignedAdjacency` adds any missing self-loop (+1), so
 no softmax row is empty. The layer returns both passes' rows side by
-side, [h_c || h_ic], which `spatial_fuse` maps without a concat.
+side, [h_c || h_ic], which `spatial_fuse` pools per clip and maps
+without a concat.
 
 Both passes are one slot table, never a dense M x M mask: each slot of
 node (t, i) names a column of the (T, N, N + 2) frame layout
@@ -125,12 +126,15 @@ def gat_forward(x, adjacency: SignedAdjacency, params: GatParams):
 
 
 def spatial_fuse(h, weight, bias, graph: VideoGraph):
-    """Affine-map each node's fused row [h_c || h_ic] to d and mean-pool
-    the nodes of each of the graph's equal clips: one (clips, d) row per
-    clip."""
+    """Mean-pool the fused rows [h_c || h_ic] of each of the graph's equal
+    clips, then affine-map each clip's pooled row to d: one (clips, d)
+    row per clip. The map is affine, so this is map-then-pool up to
+    rounding; each clip's row is its own (1, 2d) x (2d, d) product, so a
+    batch gives each clip the bits it gets alone."""
     clips = graph.clips
     if h.shape[0] != graph.node_count:
         raise ValueError(f"{h.shape[0]} node rows do not split into the graph's "
                          f"{clips} clips of {graph.node_count // clips} nodes")
-    fused = ad.add(ad.matmul(h, weight), bias)
-    return ad.mean(ad.reshape(fused, (clips, -1, fused.shape[1])), axis=1)
+    pooled = ad.mean(ad.reshape(h, (clips, -1, h.shape[1])), axis=1, keepdims=True)
+    fused = ad.add(ad.matmul(pooled, weight), bias)
+    return ad.reshape(fused, (clips, fused.shape[2]))

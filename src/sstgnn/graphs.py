@@ -111,21 +111,38 @@ class VideoGraph:
 
 
 def patchify(pixels, patch_size) -> PatchTensor:
-    """Cut (T, H, W, C) pixels into patch vectors; center-crop remainders."""
-    pixels = np.asarray(pixels, dtype=np.float64)
-    if pixels.ndim != 4:
+    """Cut (T, H, W, C) pixels, or a list of B clips of that one shape,
+    into one (B T, N, patch*patch*C) float64 array of patch vectors, clip
+    after clip; center-crop remainders.
+
+    Each clip is converted and tiled by one copy into its own frames of
+    the array, so a clip's patches have the same bytes in a list as
+    alone, and no per-clip array is concatenated.
+    """
+    clips = [np.asarray(clip) for clip in
+             (pixels if isinstance(pixels, (list, tuple)) else [pixels])]
+    if not clips:
+        raise ValueError("no clips to patchify")
+    shape = clips[0].shape
+    if any(clip.shape != shape for clip in clips):
+        raise ValueError(f"clips of one forward must share one shape: "
+                         f"{sorted({clip.shape for clip in clips})}")
+    if len(shape) != 4:
         raise ValueError("expected (T, H, W, C) pixels")
-    t, h, w, c = pixels.shape
+    t, h, w, c = shape
     if patch_size < 1:
         raise ValueError("patch size must be >= 1")
     if patch_size > min(h, w):
         raise ValueError(f"patch size {patch_size} exceeds frame {h}x{w}")
     gh, gw = h // patch_size, w // patch_size
     top, left = (h - gh * patch_size) // 2, (w - gw * patch_size) // 2
-    crop = pixels[:, top:top + gh * patch_size, left:left + gw * patch_size]
-    tiles = crop.reshape(t, gh, patch_size, gw, patch_size, c)
-    tiles = tiles.transpose(0, 1, 3, 2, 4, 5)
-    vectors = tiles.reshape(t, gh * gw, patch_size * patch_size * c)
+    vectors = np.empty((len(clips) * t, gh * gw, patch_size * patch_size * c))
+    # clip k's frames as (T, gh, gw, patch, patch, C) tiles
+    tiles = vectors.reshape(len(clips), t, gh, gw, patch_size, patch_size, c)
+    for k, clip in enumerate(clips):
+        crop = clip[:, top:top + gh * patch_size, left:left + gw * patch_size]
+        tiles[k] = crop.reshape(t, gh, patch_size, gw, patch_size, c).transpose(
+            0, 1, 3, 2, 4, 5)
     return PatchTensor(vectors, gh, gw, patch_size, c)
 
 

@@ -1,15 +1,16 @@
 """End-to-end detector: encoder, graph assembly, both branches, training.
 
-A forward pass takes clips of one shape, stacks their patches along the
-frame axis, encodes them once to d-dim embeddings, and builds one graph
-of all their frames from the detached values in a single pass, with no
-edge between two clips, then adds the negative differential edges. Two
-branches run on that embedding: spectral (Lanczos Ritz basis of the
-nonnegative graph's Laplacian from the all-ones vector, learned
-per-eigenvalue gains, pooled without forming the filtered signal) and
-spatial (temporal concat, consistency + inconsistency GAT, fusion). Each
-pools per clip; the pooled rows concatenate into Z, and a head maps Z to
-2 logits per clip. A training step records one tape.
+A forward pass takes clips of one shape, tiles their pixels by one copy
+into one patch array along the frame axis, encodes it once to d-dim
+embeddings, and builds one graph of all their frames from the detached
+values in a single pass, with no edge between two clips, then adds the
+negative differential edges. Two branches run on that embedding:
+spectral (Lanczos Ritz basis of the nonnegative graph's Laplacian from
+the all-ones vector, learned per-eigenvalue gains, pooled without
+forming the filtered signal) and spatial (temporal concat, consistency +
+inconsistency GAT, mean-pool, fusion map). Each pools per clip; the
+pooled rows concatenate into Z, and a head maps Z to 2 logits per clip.
+A training step records one tape.
 
 Graph topology and the Ritz basis are constant to backpropagation:
 `build_structure` is a pure function of the clips' patches, their
@@ -26,7 +27,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -250,7 +251,8 @@ def init_params(config: TrainConfig, seed=None, random_head=False) -> ModelParam
 
 
 def encode_patches(patch_vectors, params: ModelParams, config: TrainConfig):
-    """Map raw patch vectors (T, N, p) to an (M, d) embedding Tensor."""
+    """Map raw patch vectors (T, N, p) to an (M, d) embedding Tensor; a
+    float64 array, as `patchify` makes it, is read without a copy."""
     t, n, p = patch_vectors.shape
     flat = np.asarray(patch_vectors, dtype=np.float64).reshape(t * n, p)
     out = ad.add(ad.matmul(ad.constant(flat), params["encoder.weight"]),
@@ -302,14 +304,12 @@ def build_structure(pt: PatchTensor, embedding: np.ndarray,
 
 
 def _prepare(clips, params: ModelParams, config: TrainConfig):
-    """Stack the patches of clips of one shape along the frame axis,
-    encode them in one matmul and build their structure in one pass."""
-    pts = [patchify(clip.pixels, config.patch_size) for clip in clips]
-    if len({pt.vectors.shape for pt in pts}) > 1:
-        raise ValueError("clips of one forward must share one shape")
-    pt = replace(pts[0], vectors=np.concatenate([p.vectors for p in pts]))
+    """Tile the patches of clips of one shape into one array along the
+    frame axis, encode them in one matmul and build their structure in
+    one pass."""
+    pt = patchify([clip.pixels for clip in clips], config.patch_size)
     x = encode_patches(pt.vectors, params, config)
-    return build_structure(pt, x.data, params.filter_mlp, config, len(pts)), x
+    return build_structure(pt, x.data, params.filter_mlp, config, len(clips)), x
 
 
 def _pooled_features(structure: ClipStructure, x: ad.Tensor,

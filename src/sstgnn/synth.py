@@ -20,6 +20,7 @@ bit-reproducible.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +40,11 @@ _N_WAVES = 6
 _MAX_CYCLES = 3.0        # highest sinusoid frequency, cycles per image
 _NOISE_AMP = 0.06        # +- amplitude of the per-pixel noise
 _BASE, _SPAN = 0.5, 0.40  # sinusoid sum mapped to _BASE +- _SPAN
+
+# the largest artifact strength: temporal_jitter makes about strength *
+# frames / 4 frame swaps or duplicates, one per frame at this cap; its
+# brightness jumps and the checkerboard saturate [0, 1] from strength 1
+MAX_STRENGTH = 4.0
 
 
 class ClipFormatError(ValueError):
@@ -79,6 +85,15 @@ class SynthSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.frames < 2:
             raise ValueError("frames must be >= 2")
+        for name in ("height", "width", "channels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("motion", "strength"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.strength > MAX_STRENGTH:
+            raise ValueError(f"strength must be at most {MAX_STRENGTH}, "
+                             f"got {self.strength}")
         if self.family != "real" and not self.strength > 0:
             raise ValueError("fake families require strength > 0")
         if self.family == "upsample_artifact" and (

@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the benchmark, and their verdict.
+
+    python3 tests/bench_pairs.py PARENT CHANGE --workload train_desk --pairs 10 --seed 0
+
+PARENT and CHANGE are two checkouts of the repository. Each pair runs
+``perfbench/run.py`` once in each, for the run length ``BENCHMARK.json``
+of CHANGE sets, with tracing off; even pairs run the parent first, odd
+pairs the change. It prints each run's end-to-end metrics as it ends,
+then, per metric the run reports, each side's median and quartiles, and
+for every end-to-end metric of ``BENCHMARK.json`` the pairs each side
+won and the verdict:
+
+- ``gain``: the change wins at least nine tenths of the pairs (ties
+  count for neither) and the medians differ by more than the parent's
+  interquartile range;
+- ``worse``: the change's median is worse than the parent's by more
+  than the metric's bound;
+- ``unresolved``: neither, and the parent's interquartile range is
+  wider than the bound, unless every change run beats every parent run;
+- ``within bound``: otherwise.
+
+Last come each side's failed operations and runs whose checks failed.
+Nothing is written; the benchmark's files are only read and run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(checkout, workload, seed, seconds):
+    """One untraced benchmark run: its report metrics (name -> value)
+    and its result JSON, the last line of its output."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+         str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        raise SystemExit(f"{checkout}: perfbench exited {proc.returncode}\n"
+                         f"{proc.stderr[-2000:]}")
+    reported = {}
+    for line in lines:
+        if line.startswith("metric ") and " = " in line:
+            name, _, rest = line[len("metric "):].partition(" = ")
+            reported[name] = float(rest.split()[0])
+    return reported, json.loads(lines[-1])
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile)."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def verdict(parent, change, better, bound):
+    """(wins of the change, wins of the parent, verdict) over paired runs."""
+    flip = -1.0 if better == "lower" else 1.0    # larger is better below
+    parent, change = [flip * v for v in parent], [flip * v for v in change]
+    wins = sum(c > p for p, c in zip(parent, change))
+    losses = sum(c < p for p, c in zip(parent, change))
+    p1, pm, p3 = quartiles(parent)
+    cm = statistics.median(change)
+    if wins >= 0.9 * len(parent) and cm - pm > p3 - p1:
+        return wins, losses, "gain"
+    if pm - cm > bound * abs(pm):
+        return wins, losses, "worse"
+    if p3 - p1 > bound * abs(pm) and not min(change) > max(parent):
+        return wins, losses, "unresolved"
+    return wins, losses, "within bound"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    checkouts = dict(zip(SIDES, (args.parent, args.change)))
+    runs = {side: [] for side in SIDES}
+    results = {side: [] for side in SIDES}
+    end_to_end = [m["name"] for m in bench["end_to_end"]]
+    for pair in range(args.pairs):
+        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+            reported, result = run_once(checkouts[side], args.workload, args.seed,
+                                        bench["run_seconds"])
+            runs[side].append(reported)
+            results[side].append(result)
+            shown = " ".join(f"{name}={reported[name]:.6g}" for name in end_to_end)
+            print(f"pair {pair} {side}: {shown} correct={result['correct']}",
+                  flush=True)
+
+    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of "
+          f"{bench['run_seconds']} s runs: median [q1, q3]")
+    names = [n for n in runs["parent"][0] if all(n in r for rs in runs.values()
+                                                  for r in rs)]
+    for name in names:
+        cells = []
+        for side in SIDES:
+            q1, q2, q3 = quartiles([r[name] for r in runs[side]])
+            cells.append(f"{side} {q2:.6g} [{q1:.6g}, {q3:.6g}]")
+        print(f"  {name}: " + "; ".join(cells))
+
+    print("\nend-to-end verdicts (wins: change / parent)")
+    for metric in bench["end_to_end"]:
+        name = metric["name"]
+        parent = [r[name] for r in runs["parent"]]
+        change = [r[name] for r in runs["change"]]
+        pm, cm = statistics.median(parent), statistics.median(change)
+        wins, losses, word = verdict(parent, change, metric["better"], metric["bound"])
+        print(f"  {name}: {pm:.6g} -> {cm:.6g} ({(cm - pm) / pm:+.1%}), wins "
+              f"{wins}/{losses} of {args.pairs}, parent IQR "
+              f"{quartiles(parent)[2] - quartiles(parent)[0]:.4g}, "
+              f"bound {metric['bound']:.0%}: {word}")
+    for side in SIDES:
+        failed = sum(r["failed"] for r in results[side])
+        attempted = sum(r["attempted"] for r in results[side])
+        incorrect = sum(not r["correct"] for r in results[side])
+        print(f"  {side}: {failed} of {attempted} operations failed, "
+              f"{incorrect} of {args.pairs} runs with failed checks")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

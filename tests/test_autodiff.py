@@ -56,6 +56,36 @@ class TestMatmul:
         np.testing.assert_allclose(grads[a], g @ b.data.T, rtol=1e-12)
         np.testing.assert_allclose(grads[b], a.data.T @ g, rtol=1e-12)
 
+    def test_stacked_left_operand_is_each_product_alone(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(4, 1, 6)), ad.constant(rng.normal(size=(6, 3)))
+        out = ad.matmul(ad.constant(a), b)
+        assert out.shape == (4, 1, 3)
+        for k in range(4):
+            np.testing.assert_array_equal(out.data[k],
+                                          ad.matmul(ad.constant(a[k]), b).data)
+
+    @pytest.mark.parametrize("left, right, message", [
+        ((2, 1, 3), (2, 3), "mismatch"),
+        ((2, 2, 1, 3), (3, 2), "2-D or stacked 3-D left operand"),
+        ((3,), (3, 2), "2-D or stacked 3-D left operand"),
+        ((2, 1, 3), (2, 3, 2), "2-D right one"),
+    ])
+    def test_stacked_shape_errors(self, left, right, message):
+        with pytest.raises(ValueError, match=message):
+            ad.matmul(ad.constant(np.ones(left)), ad.constant(np.ones(right)))
+
+    def test_stacked_left_operand_gradients(self):
+        rng = np.random.default_rng(4)
+        a = ad.parameter(rng.normal(size=(3, 2, 4)))
+        b = ad.parameter(rng.normal(size=(4, 2)))
+        probe = rng.normal(size=(3, 2, 2))
+
+        def f():
+            return ad.mean(ad.mul(ad.matmul(a, b), probe))
+
+        assert ad.finite_diff_check(f, {"a": a, "b": b}) < 1e-7
+
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_associativity(self, seed):

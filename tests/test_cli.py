@@ -41,6 +41,31 @@ def test_npr_check_bad_tile_is_usage_error(capsys, l0):
         f"positive integer, got {l0}\n")
 
 
+def test_npr_check_empty_grid_is_usage_error(capsys):
+    assert main(["npr-check", "--size", "0"]) == 2
+    assert capsys.readouterr().err == "error: image dims 0 x 0 hold no pixel\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--families", "temporal_jitter", "--strength", "inf"],
+     "strength must be finite, got inf"),
+    (["--families", "temporal_jitter", "--strength", "5"],
+     "strength must be at most 4.0, got 5.0"),
+    (["--motion", "nan"], "motion must be finite, got nan"),
+    (["--height", "0"], "height must be >= 1, got 0"),
+    (["--width", "-2"], "width must be >= 1, got -2"),
+    (["--channels", "0"], "channels must be >= 1, got 0"),
+], ids=["strength-inf", "strength-above-cap", "motion-nan", "height", "width",
+        "channels"])
+def test_synth_bad_spec_is_usage_error(tmp_path, capsys, flags, message):
+    code = main(["synth", "--out", str(tmp_path / "c"), "--count", "1",
+                 "--frames", "2", "--height", "8", "--width", "8", *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not list((tmp_path / "c").glob("*.vgf"))
+
+
 def test_synth_writes_corpus_and_manifest(tmp_path):
     out = tmp_path / "corpus"
     code = main(["synth", "--out", str(out), "--families",
@@ -513,6 +538,23 @@ def test_train_removed_config_key_is_usage_error(trained_run, tmp_path, capsys):
 def test_train_bad_config_value_names_its_line(trained_run, tmp_path, capsys,
                                                line, message):
     cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"epochs = 1\n{line}\n")
+    code = main(["train", "--manifest",
+                 str(trained_run.parent / "corpus" / "manifest.csv"),
+                 "--out", str(tmp_path / "t"), "--config", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("tile = 0", "tile must be positive"),
+    ("dim = -1", "dim must be positive"),
+    ("tau_s = 1.5", "thresholds must lie in [0, 1]"),
+    ("lr = nan", "lr must be finite and positive, got nan"),
+], ids=["tile", "dim", "tau_s", "lr"])
+def test_train_config_value_out_of_range_names_its_line(trained_run, tmp_path,
+                                                        capsys, line, message):
+    cfg = tmp_path / "range.cfg"
     cfg.write_text(f"epochs = 1\n{line}\n")
     code = main(["train", "--manifest",
                  str(trained_run.parent / "corpus" / "manifest.csv"),

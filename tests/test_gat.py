@@ -280,6 +280,43 @@ class TestFusion:
         assert gat.spatial_fuse(h, w, b, graph).shape == (3, 3)
 
 
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_pooling_first_is_map_then_pool(self, seed, clips, frames):
+        rng = np.random.default_rng(seed)
+        n, d = 4, 3
+        graph = graphs.VideoGraph(2, 2, np.zeros((clips * frames, n, n)),
+                                  np.zeros((clips, frames - 1, n)))
+        h = ad.parameter(rng.normal(size=(clips * frames * n, 2 * d)))
+        w = ad.parameter(rng.normal(size=(2 * d, d)))
+        b = ad.parameter(rng.normal(size=d))
+        probe = rng.normal(size=(clips, d))
+        out = gat.spatial_fuse(h, w, b, graph)
+        fused = ad.add(ad.matmul(h, w), b)
+        reference = ad.mean(ad.reshape(fused, (clips, -1, d)), axis=1)
+        np.testing.assert_allclose(out.data, reference.data, rtol=1e-12, atol=1e-12)
+        grads = ad.mean(ad.mul(out, probe)).backward()
+        expected = ad.mean(ad.mul(reference, probe)).backward()
+        for leaf in (h, w, b):
+            np.testing.assert_allclose(grads[leaf], expected[leaf],
+                                       rtol=1e-12, atol=1e-12)
+
+
+    def test_map_runs_on_one_row_per_clip(self, monkeypatch):
+        shapes, matmul = [], ad.matmul
+
+        def recorded(a, b):
+            shapes.append(a.shape)
+            return matmul(a, b)
+
+        monkeypatch.setattr(ad, "matmul", recorded)
+        rng = np.random.default_rng(32)
+        gat.spatial_fuse(ad.constant(rng.normal(size=(12, 6))),
+                         ad.constant(rng.normal(size=(6, 3))),
+                         ad.constant(np.zeros(3)), three_clips())
+        assert shapes == [(3, 1, 6)]
+
+
 def three_clips():
     """A graph of 3 one-frame clips of 4 nodes."""
     return graphs.VideoGraph(2, 2, np.zeros((3, 4, 4)), np.zeros((3, 0, 4)))

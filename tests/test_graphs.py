@@ -58,6 +58,36 @@ class TestPatchify:
         pt = graphs.patchify(pix, 4)
         np.testing.assert_array_equal(graphs.unpatchify(pt), pix[:, 1:9, 1:9])
 
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(1, 4),
+           st.integers(1, 3), st.integers(0, 3), st.integers(0, 3),
+           st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_clips_are_each_clip_stacked(self, seed, clips, patch,
+                                                 channels, extra_h, extra_w, dtype):
+        # H and W leave a remainder of up to patch - 1 pixels to the crop
+        extra_h, extra_w = extra_h % patch, extra_w % patch
+        rng = np.random.default_rng(seed)
+        shape = (2, 2 * patch + extra_h, 3 * patch + extra_w, channels)
+        pixels = [rng.random(shape).astype(dtype) for _ in range(clips)]
+        stacked = graphs.patchify(pixels, patch)
+        alone = [graphs.patchify(pix, patch) for pix in pixels]
+        assert stacked.vectors.dtype == np.float64
+        assert stacked.vectors.tobytes() == np.concatenate(
+            [pt.vectors for pt in alone]).tobytes()
+        assert (stacked.grid_h, stacked.grid_w, stacked.channels) == (2, 3, channels)
+        # each clip alone: the float64 crop cut by reshape and transpose
+        for pix, pt in zip(pixels, alone):
+            top, left = extra_h // 2, extra_w // 2
+            crop = np.asarray(pix, dtype=np.float64)[
+                :, top:top + 2 * patch, left:left + 3 * patch]
+            tiles = crop.reshape(2, 2, patch, 3, patch, channels)
+            expected = tiles.transpose(0, 1, 3, 2, 4, 5).reshape(2, 6, -1)
+            assert pt.vectors.tobytes() == expected.tobytes()
+
+    def test_clips_of_two_shapes_rejected(self):
+        with pytest.raises(ValueError, match="one shape"):
+            graphs.patchify([random_pixels(3), random_pixels(4, h=9)], 4)
+
 
 class TestRowNormalize:
     def test_three_four_row(self):

@@ -309,8 +309,10 @@ def tape_nodes(clips):
 
 class TestTape:
     def test_desk_tape_node_count(self, desk_batch):
-        # no op is recorded per frame
-        assert tape_nodes(desk_batch[:1]) == 51
+        # no op is recorded per frame; the fusion map runs on each clip's
+        # pooled row, which the pool keeps as a (clips, 1, 2d) stack for
+        # the map and one reshape returns to (clips, d)
+        assert tape_nodes(desk_batch[:1]) == 52
 
     def test_tape_size_independent_of_batch(self, desk_batch):
         # nor per clip

@@ -72,6 +72,29 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="strength"):
             synth.SynthSpec("spectral_noise", seed=0, strength=0.0)
 
+    @pytest.mark.parametrize("field", ["strength", "motion"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            synth.SynthSpec("temporal_jitter", seed=0, **{field: value})
+
+    @pytest.mark.parametrize("strength", [4.5, 1e300])
+    def test_strength_above_cap_rejected(self, strength):
+        # the cap bounds temporal_jitter's swap loop; no clip is made
+        with pytest.raises(ValueError, match="strength must be at most"):
+            synth.SynthSpec("temporal_jitter", seed=0, strength=strength)
+
+    def test_strength_at_cap_makes_a_clip(self):
+        spec = synth.SynthSpec("temporal_jitter", seed=0, frames=4, height=4,
+                               width=4, strength=synth.MAX_STRENGTH)
+        assert synth.generate(spec).clip.pixels.shape == (4, 4, 4, 1)
+
+    @pytest.mark.parametrize("field", ["height", "width", "channels"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_empty_frame_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            synth.SynthSpec("real", seed=0, **{field: value})
+
     def test_label_family_consistency(self):
         clip = synth.generate(synth.SynthSpec("real", seed=0)).clip
         with pytest.raises(ValueError, match="label 0 iff"):
