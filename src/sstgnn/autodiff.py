@@ -5,8 +5,8 @@ stack of matrices), block_matmul (a constant block-diagonal matrix: the
 spectral pool w^T x applies it to one column w and never forms the
 filtered signal), add, mul (both broadcasting),
 concat, basic slicing, reshape, leaky_relu, mean, cross_entropy, plus
-frame_attention, one fused op for every pass of graph attention over a
-clip's joined signed slot table. Each op records a backward rule on a
+frame_attention, one fused op for every pass of graph attention over
+dense blocks of each pass's own support. Each op records a backward rule on a
 per-forward tape; `backward()` walks the tape once in reverse
 topological order and returns the gradient of every leaf parameter, the
 dict the optimizer consumes. A minibatch is one tape: its clips share
@@ -19,6 +19,7 @@ Float64 throughout: the finite-difference checker needs the headroom.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ __all__ = [
     "reshape",
     "leaky_relu",
     "frame_attention",
-    "SlotTable",
+    "BlockLayout",
     "mean",
     "cross_entropy",
     "AdamState",
@@ -299,180 +300,166 @@ def block_matmul(blocks, x) -> Tensor:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class SlotTable:
-    """An (N, ΣK) column table of P attention passes, checked once.
+class BlockLayout(NamedTuple):
+    """Stacked attention passes over dense blocks of one node order.
 
-    Slot k of row i names column ``index[i, k]`` of a frame's (N, N + 2)
-    layout: a node of the frame, or the previous or next twin, N and
-    N + 1. Pass p owns the slots from ``starts[p]`` to the next start; its
-    columns in a row must be distinct, hold the row's node and end on the
-    twins, ValueError otherwise. Holds read-only copies of ``index`` and
-    of what `frame_attention` derives from it: each slot's pass
-    ``segment`` (ΣK,), its place ``scatter`` (N ΣK,) in a frame's
-    flattened (N, P, N + 2) layouts, its peer score's ``peer`` (N, ΣK) in
-    a frame's (3N,) row of node, previous and next twin scores, and each
-    row's self slot ``loops`` (N, P) in each pass.
+    ``order`` lists one frame's node ids block by block, G b of them
+    (None: the identity order over all of a frame's N nodes). ``sign``
+    (T, G, b, P, b + 2) holds, for each stacked pass, row a of block g
+    against the block's b nodes, then the row's previous and next twin:
+    -1, 0 or +1, the pass's support where nonzero. ``passes`` names the
+    output pass each of the P stacked signs feeds.
     """
 
-    index: np.ndarray
-    starts: tuple = (0,)
-    segment: np.ndarray = field(init=False, repr=False)
-    scatter: np.ndarray = field(init=False, repr=False)
-    peer: np.ndarray = field(init=False, repr=False)
-    loops: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        table, starts = np.array(self.index), tuple(map(int, self.starts))
-        n, width = table.shape if table.ndim == 2 else (0, 0)
-        passes, ends = len(starts), np.array([*starts[1:], width])
-        error = ValueError(f"slot table: index {table.dtype} {table.shape} from starts "
-                           f"{starts} must hold passes of distinct columns per row, "
-                           f"its own node and last the twins {n} and {n + 1}")
-        if (not n or not starts or starts[0] != 0 or table.dtype.kind not in "iu"
-                or min(ends - starts) < 3):
-            raise error
-        rows = np.arange(n)[:, None]
-        segment = np.repeat(np.arange(passes), ends - starts)
-        layout = table + segment * (n + 2)    # the column in a row's P layouts
-        ordered = np.sort(layout, axis=1)
-        loops = np.nonzero(table == rows)[1]
-        # one own node per pass, and no twin but the last two slots of each
-        if (table.min() < 0 or len(loops) != n * passes
-                or np.count_nonzero(table >= n) != 2 * n * passes
-                or (table[:, ends - 2] != n).any()
-                or (table[:, ends - 1] != n + 1).any()
-                or (ordered[:, 1:] == ordered[:, :-1]).any()):
-            raise error
-        object.__setattr__(self, "starts", starts)
-        peer = np.where(table < n, table, (table - n + 1) * n + rows)
-        for name, part in (("index", table), ("segment", segment), ("peer", peer),
-                           ("scatter", (layout + rows * passes * (n + 2)).ravel()),
-                           ("loops", loops.reshape(n, passes))):
-            part.flags.writeable = False
-            object.__setattr__(self, name, part)
+    order: np.ndarray | None
+    sign: np.ndarray
+    passes: tuple = (0,)
 
 
-# an additive mask: off-support slots sink below any finite score, so a
-# row's max is over its support, and no -inf reaches np.exp
-_OFF_SUPPORT = np.finfo(np.float64).max
+# a row whose exps, shifted by its max, sum below this has no support, or
+# its support scores sit more than ~575 below its other cells: it is
+# shifted again by its support's own max
+_UNDERFLOW = 1e-250
+
+# the cells (about 0.5 MB of float64) of the frames whose scores one
+# step of the forward holds: the scores' temporaries stay this small
+_CHUNK_CELLS = 1 << 16
 
 
-def frame_attention(h, attention, sign, table: SlotTable) -> Tensor:
-    """Signed attention aggregation of P passes over one slot table.
+def _scores(sb, twin):
+    """The scores LeakyReLU(s_self + s_peer) of each row of (t, G, b)
+    blocks from their nodes' (t, G, b, 1, 2) score pairs: against the
+    row's block, then its twins, whose peer scores are ``twin`` frames f
+    and f + 2 of (t + 2, G, b, 1). (t, G, b, 1, b + 2). The LeakyReLU is
+    the max of the raw scores and LEAKY_SLOPE times them: the same values
+    as raw * gate, with no branch, and each score keeps its raw sign."""
+    frames, groups, b = sb.shape[:3]
+    raw = np.empty((frames, groups, b, 1, b + 2))
+    np.add(sb[..., :1], sb[:, :, None, None, :, 0, 1], out=raw[..., :b])
+    np.add(sb[..., 0], twin[:-2], out=raw[..., b])
+    np.add(sb[..., 0], twin[2:], out=raw[..., b + 1])
+    return np.maximum(raw, np.multiply(raw, LEAKY_SLOPE), out=raw)
 
-    ``h`` is (M, d) with M = T * N, ``attention`` is (2d,). Slot k of
-    row (t, i) stands for column ``table.index[i, k]`` of row (t, i) of
-    the (T, N, N + 2) frame layout: node ``table.index[i, k]`` of frame
-    t, or the twin (t - 1, i) or (t + 1, i), columns N and N + 1. One
-    `SlotTable` serves every frame and says which slots each pass owns.
-    ``sign`` (T, N, ΣK) holds each slot's sign, -1, 0 or +1; a pass's
-    support is where its sign is nonzero. The scores,
-    e = LeakyReLU(a_self . h_i + a_peer . h_j), are gathered for every
-    slot at once; each pass takes the softmax over its segment of a row's
-    support (`reduceat`) and times its sign. The weights are scattered
-    into one (T, N, P, N + 2) layout whose (T, N P, N + 2) view
-    aggregates every pass in one matmul per frame, plus the twin rows.
-    Returns (M, P d), row (t, i) holding the passes' outputs side by
-    side. A row with no support raises ValueError.
+
+def frame_attention(h, attention, layouts) -> Tensor:
+    """Signed attention aggregation of P passes over their block layouts.
+
+    ``h`` is (M, d) with M = T * N, ``attention`` is (2d,), ``layouts``
+    a sequence of `BlockLayout`s; each pass's blocks hold every node of a
+    frame once. Row a of block g of frame t is node order[g b + a]: its
+    block's nodes are its neighbours in frame t, and its twins the same
+    node in frames t - 1 and t + 1. The scores,
+    e = LeakyReLU(a_self . h_i + a_peer . h_j), are formed once per
+    block layout, a few frames at a time (`_CHUNK_CELLS`), and shared by
+    its stacked passes; each pass takes the softmax over a row's support
+    and times its sign, which may be of any numeric dtype. A layout's
+    (T, G, b P, b) view of the weights aggregates its passes in one
+    batched matmul per block, plus the twin rows. Returns (M, P d), row
+    (t, i) holding the passes' outputs side by side. A row with no
+    support raises ValueError.
     """
-    h, attention, sign = as_tensor(h), as_tensor(attention), np.asarray(sign)
-    starts, scatter = table.starts, table.scatter
-    (n, width), passes = table.peer.shape, len(starts)
+    h, attention = as_tensor(h), as_tensor(attention)
     m, d = h.data.shape
-    frames = m // n
-    if (sign.shape != (frames, n, width) or m != frames * n or not frames
-            or attention.data.shape != (2 * d,)):
-        raise ValueError(f"frame_attention: h {h.data.shape}, attention "
-                         f"{attention.data.shape} and sign {sign.shape} do not "
-                         f"fit a slot table of {n} nodes and {width} slots")
+    frames = layouts[0].sign.shape[0] if layouts else 0
+    n = m // frames if frames else 0
+    passes = 1 + max(p for lay in layouts for p in lay.passes) if layouts else 0
+    if not frames or m != frames * n or attention.data.shape != (2 * d,) or any(
+            len(t) != 5 or t[0] != frames or t[3:] != (len(lay.passes), t[2] + 2)
+            or t[1] * t[2] != (n if lay.order is None else len(lay.order))
+            for lay, t in ((lay, lay.sign.shape) for lay in layouts)):
+        raise ValueError(f"frame_attention: h {h.shape}, attention {attention.shape} "
+                         f"and signs {[lay.sign.shape for lay in layouts]} do not fit "
+                         f"(T, G, b, P, b + 2) blocks of one frame's nodes")
     a = attention.data.reshape(2, d)    # rows a_self and a_peer
     hf = h.data.reshape(frames, n, d)
     s_pair = (h.data @ a.T).reshape(frames, n, 2)
-    # each frame's peer scores: its nodes', then the twins' in frames
-    # t - 1 and t + 1; frames 0 and T - 1 lack one twin each
-    peers = np.zeros((frames, 3, n))
-    peers[:, 0], peers[1:, 1], peers[:-1, 2] = (s_pair[:, :, 1], s_pair[:-1, :, 1],
-                                                s_pair[1:, :, 1])
-    raw = np.take(peers.reshape(frames, -1), table.peer, axis=1)
-    raw += s_pair[:, :, :1]
-    support = sign != 0
-    # LeakyReLU as the max of the raw scores and LEAKY_SLOPE times them:
-    # the same values as raw * gate, with no branch. It keeps each
-    # score's sign, so the gate the backward needs is read off the result
-    alpha = np.multiply(raw, LEAKY_SLOPE)
-    np.maximum(raw, alpha, out=alpha)
-    gate = alpha > 0
-    # the raw scores' buffer holds the masked scores, then each pass's
-    # row max spread over its slots (mode "clip" takes it unbuffered)
-    np.multiply(support, _OFF_SUPPORT, out=raw)
-    raw -= _OFF_SUPPORT
-    raw += alpha
-    rowmax = np.maximum.reduceat(raw, starts, axis=-1)    # (T, N, P)
-    if rowmax.min() < -_OFF_SUPPORT / 2:
-        t, i, p = np.argwhere(rowmax < -_OFF_SUPPORT / 2)[0]
-        raise ValueError(f"frame_attention: pass {p}, frame {t}, node {i} "
-                         f"has no support, so its softmax is 0/0, non-finite")
-    alpha -= np.take(rowmax, table.segment, axis=-1, out=raw, mode="clip")
-    del raw    # freed before the layout is allocated
-    # an off-support slot may score above its row's max; clipped to 0
-    # and then zeroed, it neither overflows nor leaves the fast exp path
-    np.minimum(alpha, 0.0, out=alpha)
-    np.exp(alpha, out=alpha)
-    alpha *= support
-    total = np.add.reduceat(alpha, starts, axis=-1)
-    # signed, scattered, then normalised in the layout: (e s) / total is
-    # (e / total) s, bit for bit, as each sign is -1, 0 or +1
-    alpha *= sign
-    weights = np.zeros((frames, n, passes, n + 2))
-    weights.reshape(frames, -1)[:, scatter] = alpha.reshape(frames, -1)
-    del alpha
-    weights /= total[..., None]
-    # row (i, p) of the (T, N P, N + 2) view is node i's pass p: the
-    # outputs come out in [pass 0 || pass 1 ...] order
-    layout = weights.reshape(frames, n * passes, n + 2)[..., :n]
-    out = layout @ hf
-    side = out.reshape(frames, n, passes, d)
-    side[1:] += weights[1:, :, :, n, None] * hf[:-1, :, None]
-    side[:-1] += weights[:-1, :, :, n + 1, None] * hf[1:, :, None]
+    whole = (len(layouts) == 1 and layouts[0].order is None
+             and layouts[0].passes == tuple(range(passes)))
+    out = None if whole else np.zeros((frames, n, passes, d))
+    saved = []
+    for order, sign, owned in layouts:
+        _, groups, b, stacked, _ = sign.shape
+        nodes = slice(None) if order is None else order
+        hb = hf[:, nodes].reshape(frames, groups, b, d)
+        sb = s_pair[:, nodes].reshape(frames, groups, b, 1, 2)
+        # the twins' peer scores, frame t's previous at t and next at
+        # t + 2; frames 0 and T - 1 lack one twin each
+        twin = np.zeros((frames + 2, groups, b, 1))
+        twin[1:-1] = sb[..., 1]
+        weights = np.empty(sign.shape)
+        step = max(1, _CHUNK_CELLS // sign[0].size)
+        for t0 in range(0, frames, step):
+            w, s = weights[t0:t0 + step], sign[t0:t0 + step].astype(np.float64)
+            # each row shifted by its max, at or above its support's: the
+            # stacked passes share one exp, and their signs zero the cells
+            # off their support. A row whose exps then sum below
+            # _UNDERFLOW is shifted again, by its support's own max
+            raw = _scores(sb[t0:t0 + step], twin[t0:t0 + step + 2])
+            for own in (False, True):
+                shift = (np.where(s, raw, -np.inf) if own else raw).max(-1, keepdims=True)
+                if np.isneginf(shift).any():
+                    t, g, row, p = np.argwhere(np.isneginf(shift[..., 0]))[0]
+                    node = g * b + row if order is None else order[g * b + row]
+                    raise ValueError(f"frame_attention: pass {owned[p]}, frame {t0 + t}, "
+                                     f"node {node} has no support: 0/0, non-finite")
+                # an off-support cell may score above its support's max;
+                # clipped to 0 and zeroed by its sign, it cannot overflow
+                np.multiply(np.exp(np.minimum(raw - shift, 0.0)), s, out=w)
+                # the row sums of e |s|, as s s = |s| for a sign
+                total = np.einsum("...k,...k->...", w, s)[..., None]
+                if total.min() >= _UNDERFLOW:
+                    break
+            w /= total
+        # row (a, p) of a block's (b P, b + 2) view is node a's pass p
+        flat = weights.reshape(frames, groups, b * stacked, b + 2)[..., :b]
+        side = (flat @ hb).reshape(frames, groups, b, stacked, d)
+        side[1:] += np.einsum("tgap,tgad->tgapd", weights[1:, ..., b], hb[:-1])
+        side[:-1] += np.einsum("tgap,tgad->tgapd", weights[:-1, ..., b + 1], hb[1:])
+        if whole:
+            out = side
+        else:
+            out[:, np.arange(n)[nodes, None], owned] = side.reshape(
+                frames, groups * b, stacked, d)
+        saved.append((nodes, owned, sign, hb, sb, twin, weights, flat))
     out = Tensor(out.reshape(m, passes * d),
                  requires_grad=h.requires_grad or attention.requires_grad,
                  parents=(h, attention))
 
-    def at_slots(layouts):
-        return layouts.reshape(frames, -1)[:, scatter].reshape(sign.shape)
-
     def _backward(g, acc):
-        gp = g.reshape(frames, n * passes, d)
         g4 = g.reshape(frames, n, passes, d)
-        dweights = np.zeros(weights.shape)
-        dweights.reshape(frames, n * passes, n + 2)[..., :n] = \
-            gp @ hf.transpose(0, 2, 1)
-        # einsum keeps the twin products' sums out of a temporary, at a
-        # third of the time of multiply-then-sum
-        dweights[1:, :, :, n] = np.einsum("tipd,tid->tip", g4[1:], hf[:-1])
-        dweights[:-1, :, :, n + 1] = np.einsum("tipd,tid->tip", g4[:-1], hf[1:])
-        soft = at_slots(weights) * sign    # the softmax
-        dalpha = at_slots(dweights) * sign
-        dalpha -= np.take(np.add.reduceat(dalpha * soft, starts, axis=-1),
-                          table.segment, axis=-1)
-        dalpha *= soft
-        dalpha *= np.where(gate, 1.0, LEAKY_SLOPE)
-        # every pass's slots in its own layout, then summed: the passes
-        # share s_self and s_peer
-        de = np.zeros(weights.shape)
-        de.reshape(frames, -1)[:, scatter] = dalpha.reshape(frames, -1)
-        de = de.sum(axis=2)
-        ds = np.empty((frames, n, 2))    # of s_self and s_peer
-        de.sum(axis=-1, out=ds[:, :, 0])
-        de[:, :, :n].sum(axis=1, out=ds[:, :, 1])
-        ds[:-1, :, 1] += de[1:, :, n]
-        ds[1:, :, 1] += de[:-1, :, n + 1]
+        ds = np.zeros((frames, n, 2))    # of s_self and s_peer
+        dh = np.zeros((frames, n, d))
+        for nodes, owned, sign, hb, sb, twin, weights, flat in saved:
+            _, groups, b, stacked, _ = sign.shape
+            gs = (g4 if whole else g4[:, np.arange(n)[nodes, None], owned]).reshape(
+                frames, groups, b, stacked, d)
+            gp = gs.reshape(frames, groups, b * stacked, d)
+            dweights = np.empty(weights.shape)
+            np.matmul(gp, hb.swapaxes(-1, -2),
+                      out=dweights.reshape(frames, groups, b * stacked, b + 2)[..., :b])
+            # einsum keeps the twin products' sums out of a temporary, at a
+            # third of the time of multiply-then-sum
+            dweights[0, ..., b] = dweights[-1, ..., b + 1] = 0.0
+            np.einsum("tgapd,tgad->tgap", gs[1:], hb[:-1], out=dweights[1:, ..., b])
+            np.einsum("tgapd,tgad->tgap", gs[:-1], hb[1:], out=dweights[:-1, ..., b + 1])
+            # through the sign to the softmax, then through the softmax
+            dweights *= sign
+            soft = np.abs(weights)
+            dweights -= np.einsum("...k,...k->...", dweights, soft)[..., None]
+            dweights *= soft
+            # the passes share the scores, so their gradients add
+            de = dweights.sum(axis=3)
+            de *= np.where(_scores(sb, twin)[..., 0, :] > 0, 1.0, LEAKY_SLOPE)
+            peer = de[..., :b].sum(axis=2)
+            peer[:-1] += de[1:, ..., b]
+            peer[1:] += de[:-1, ..., b + 1]
+            ds[:, nodes] += np.stack([de.sum(axis=-1), peer], axis=-1).reshape(frames, -1, 2)
+            dhb = flat.swapaxes(-1, -2) @ gp
+            dhb[:-1] += np.einsum("tgap,tgapd->tgad", weights[1:, ..., b], gs[1:])
+            dhb[1:] += np.einsum("tgap,tgapd->tgad", weights[:-1, ..., b + 1], gs[:-1])
+            dh[:, nodes] += dhb.reshape(frames, -1, d)
         ds = ds.reshape(m, 2)
         if h.requires_grad:
-            dh = layout.transpose(0, 2, 1) @ gp
-            dh[:-1] += np.einsum("tip,tipd->tid", weights[1:, :, :, n], g4[1:])
-            dh[1:] += np.einsum("tip,tipd->tid", weights[:-1, :, :, n + 1], g4[:-1])
             dh = dh.reshape(m, d)
             dh += ds @ a
             _accum(acc, h, dh)

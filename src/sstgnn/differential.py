@@ -4,11 +4,11 @@ The spatial differential generalizes per-tile anchor subtraction (NPR)
 to graph nodes: within every l0 x l0 tile of the patch grid, the anchor
 (top-left) node gets -1 edges to the rest of the tile and every node a
 +1 self edge. That pattern is one (N, N) block, the same in every
-frame; the model path reads it only as tile² slots per node
-(`tile_slots`). The dense block (`build_spatial_negative`) is the
-reference form: one linear propagation over it reproduces the
-pixel-level NPR exactly on non-anchor nodes, which `theorem1_check`
-verifies. The temporal
+frame; the attention reads it only as one (tile², tile²) block per tile
+(`tile_pattern` over the nodes of `tile_ids`). The dense block
+(`build_spatial_negative`) is the reference form: one linear
+propagation over it reproduces the pixel-level NPR exactly on
+non-anchor nodes, which `theorem1_check` verifies. The temporal
 differential concatenates each node with its next-frame twin through an
 affine map and adds -1 edges between the pair, overwriting any positive
 bridge edge at the same slot. Both stay inside one clip of a batch
@@ -76,45 +76,21 @@ def tile_ids(grid_h, grid_w, tile):
     return ((ti * tile + a) * grid_w + tj * tile + b).reshape(-1, tile * tile)
 
 
-def tile_slots(grid_h, grid_w, tile):
-    """One frame's tile block as the inconsistency pass's slots in the
-    attention's column table (`gat.slot_columns`), k = tile² (1 when no
-    tile is complete): ``sign`` (N, k) holds row i's block entries at the
-    frame columns ``index[i, :k]``, and ``index`` (N, k + 2) ends on the
-    twins' columns N and N + 1. A row's columns are distinct, its own
-    first.
-
-    A tile node's row lists its tile, from itself on in cyclic order.
-    The anchor's signs are +1 on itself and -1 on its tile mates; a
-    mate's are +1 on itself, -1 on the anchor and 0 on the other mates.
-    A node outside every complete tile has an all-zero row over itself
-    and the next k - 1 columns (mod N).
-    """
-    n = grid_h * grid_w
-    ids = tile_ids(grid_h, grid_w, tile)
-    k = ids.shape[1] if len(ids) else 1
-    index = np.empty((n, k + 2), dtype=int)
-    index[:, :k] = (np.arange(n)[:, None] + np.arange(k)) % n
-    index[:, k:] = n, n + 1
-    sign = np.zeros((n, k))
-    if len(ids):
-        # row a of the rotation starts on tile position a
-        rotate = (np.arange(k)[:, None] + np.arange(k)) % k
-        pattern = np.eye(k)
-        pattern[0, 1:] = pattern[1:, 0] = -1.0
-        index[ids, :k] = ids[:, rotate]
-        sign[ids] = pattern[np.arange(k)[:, None], rotate]
-    return index, sign
+def tile_pattern(k):
+    """The (k, k) block of one tile of k nodes, anchor first: +1 on the
+    diagonal, -1 between the anchor and each tile mate."""
+    pattern = np.eye(k)
+    pattern[0, 1:] = pattern[1:, 0] = -1.0
+    return pattern
 
 
 def negative_spatial_matrix(grid_h, grid_w, tile):
-    """One frame's (N, N) tile-block matrix, `tile_slots` scattered into
-    their columns, and its anchors."""
-    index, sign = tile_slots(grid_h, grid_w, tile)
-    n = len(index)
-    mat = np.zeros((n, n))
-    mat[np.arange(n)[:, None], index[:, :-2]] = sign
-    return mat, tile_ids(grid_h, grid_w, tile)[:, 0]
+    """One frame's (N, N) tile-block matrix, `tile_pattern` at each
+    complete tile's nodes, and its anchors."""
+    ids = tile_ids(grid_h, grid_w, tile)
+    mat = np.zeros((grid_h * grid_w,) * 2)
+    mat[ids[:, :, None], ids[:, None, :]] = tile_pattern(ids.shape[1] if len(ids) else 1)
+    return mat, ids[:, 0]
 
 
 def build_spatial_negative(graph: VideoGraph, tile) -> NegativeSpatialAdjacency:

@@ -1,24 +1,26 @@
 """Graph attention over signed adjacency: consistency and inconsistency.
 
 One single-head GAT layer, shared by both passes and run as one fused
-op: h = Wx is computed once, then each pass scores its own edge slots,
-masks them to its support, takes the softmax and aggregates. The
-softmax is undefined over negative weights, so attention runs on the
-support (the nonzero signs) and each message is multiplied by the edge
-sign. The consistency pass uses the positive spatial + temporal edges
-(+1 signs); the inconsistency pass uses the tile blocks and the -1
-temporal entries. `SignedAdjacency` adds any missing self-loop (+1), so
-no softmax row is empty. The layer returns both passes' rows side by
-side, [h_c || h_ic], which `spatial_fuse` pools per clip and maps
-without a concat.
+op: h = Wx is computed once, then each pass scores its own edges, masks
+them to its support, takes the softmax and aggregates. The softmax is
+undefined over negative weights, so attention runs on the support (the
+nonzero signs) and each message is multiplied by the edge sign. The
+consistency pass uses the positive spatial + temporal edges (+1 signs);
+the inconsistency pass uses the tile blocks and the -1 temporal entries.
+`SignedAdjacency` adds any missing self-loop (+1), so no softmax row is
+empty. The layer returns both passes' rows side by side, [h_c || h_ic],
+which `spatial_fuse` pools per clip and maps without a concat.
 
-Both passes are one slot table, never a dense M x M mask: each slot of
-node (t, i) names a column of the (T, N, N + 2) frame layout
-(`graphs.to_layout`), a node of frame t or a twin in frame t - 1 or
-t + 1. The consistency pass, mostly supported, reads every column; the
-inconsistency pass reads its tile and the twins. The column table is
-one `autodiff.SlotTable`, checked once and cached per grid and tile
-(`slot_columns`); a forward writes only the signs.
+Each pass runs over dense blocks of its own support, never a dense
+M x M mask: a block of b nodes of one frame holds each row's signs
+against the block's nodes and the row's twins in frames t - 1 and
+t + 1, a (b, b + 2) array per frame (`autodiff.BlockLayout`). The
+consistency pass is one block of a frame's N nodes in their own order;
+the inconsistency pass is one block per complete tile, in the
+tile-major order of `differential.tile_ids`, plus a block of one node
+(its self-loop and twins) for each node outside every complete tile,
+or every node with the differential off. Passes of one block shape and
+one order run stacked in one batched matmul.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .differential import tile_slots
+from .differential import tile_ids, tile_pattern
 from .graphs import VideoGraph
 
 
@@ -41,76 +43,105 @@ class GatParams:
 
 @dataclass(frozen=True)
 class SignedAdjacency:
-    """A {-1, 0, +1} sign per edge slot of P passes, one (T, N, ΣK)
-    array over the `autodiff.SlotTable` that `autodiff.frame_attention`
-    reads it by; a pass's support is where its sign is nonzero. Every
-    node gets a self-loop in every pass: a missing one is added with sign
-    +1, an existing one keeps its sign."""
+    """A {-1, 0, +1} sign per edge of P passes, held as int8 in the
+    `autodiff.BlockLayout`s that `autodiff.frame_attention` reads; a
+    pass's support is where its sign is nonzero. Each pass's blocks must
+    hold every node of a frame once, and no twin may reach beyond the
+    first or last frame, ValueError otherwise. Every node gets a
+    self-loop in every pass: a missing one is added with sign +1, an
+    existing one keeps its sign."""
 
-    sign: np.ndarray
-    table: ad.SlotTable
+    layouts: tuple
 
     def __post_init__(self):
-        sign, table = np.asarray(self.sign, dtype=float), self.table
-        if sign.ndim != 3 or sign.shape[1:] != table.index.shape:
-            raise ValueError(f"sign {sign.shape} is not a (T, N, ΣK) slot "
-                             f"table of the (N, ΣK) index {table.index.shape}")
-        ends = np.array([*table.starts[1:], sign.shape[2]])
-        if sign[0, :, ends - 2].any() or sign[-1, :, ends - 1].any():
-            raise ValueError("twin entry beyond the first or last frame")
-        rows = np.arange(sign.shape[1])[:, None]
-        missing = sign[:, rows, table.loops] == 0
-        if missing.any():
-            sign = sign.copy()
-            sign[:, rows, table.loops] += missing   # an absent loop's sign is 0
-        object.__setattr__(self, "sign", sign)
-
-    @property
-    def support(self):
-        return self.sign != 0
+        layouts, sizes, held = [], {}, {}
+        for order, given, passes in self.layouts:
+            given, passes = np.asarray(given), tuple(passes)
+            sign = given.astype(np.int8, copy=False)
+            frames, groups, b = (*sign.shape, 0, 0, 0)[:3]
+            if (sign.ndim != 5 or sign.shape[3:] != (len(passes), b + 2)
+                    or frames != (layouts[0].sign.shape[0] if layouts else frames)
+                    or order is not None and (np.asarray(order).dtype.kind not in "iu"
+                                              or np.shape(order) != (groups * b,))
+                    or sign is not given and ((sign != given) | (abs(sign) > 1)).any()):
+                raise ValueError(f"sign {sign.shape} of passes {passes} is not a (T, G, "
+                                 f"b, P, b + 2) block layout of -1, 0 and +1 over its order")
+            if sign[0, ..., b].any() or sign[-1, ..., b + 1].any():
+                raise ValueError("twin entry beyond the first or last frame")
+            if not np.diagonal(sign, axis1=2, axis2=4).all():
+                diagonal, sign = np.arange(b), sign.copy()
+                # an absent loop's sign is 0
+                sign[:, :, diagonal, :, diagonal] += sign[:, :, diagonal, :, diagonal] == 0
+            for p in passes:
+                sizes[p] = sizes.get(p, 0) + groups * b
+                if order is not None:
+                    held.setdefault(p, []).append(order)
+            layouts.append(ad.BlockLayout(order, sign, passes))
+        # every pass the same node count, and its ordered blocks each node once
+        n = sizes.get(0, 0)
+        if not n or set(sizes.items()) != {(p, n) for p in range(len(sizes))} or any(
+                not np.array_equal(np.sort(np.concatenate(parts)), np.arange(n))
+                for parts in held.values()):
+            raise ValueError("each pass's blocks must hold every node of a frame once")
+        object.__setattr__(self, "layouts", tuple(layouts))
 
 
 @functools.lru_cache(maxsize=16)
-def slot_columns(grid_h, grid_w, tile):
-    """Both passes' `autodiff.SlotTable` and the inconsistency pass's
-    (N, k) node signs: the `differential.tile_slots` with +1 in an empty
-    self slot; those of tile 1, the self slot alone, when ``tile`` is
-    None (the differential off). Cached per grid and tile, the signs
-    read-only."""
+def _inconsistency_blocks(grid_h, grid_w, tile):
+    """The inconsistency pass's blocks of one frame, as (order, (b, b)
+    `tile_pattern`): the complete tiles of ``tile`` in tile-major order,
+    b = tile², then the nodes outside every complete tile, b = 1; every
+    node alone when ``tile`` is None (the differential off). An order
+    that is the frame's own is None; the arrays are cached read-only."""
     n = grid_h * grid_w
-    own, sign = tile_slots(grid_h, grid_w, 1 if tile is None else tile)
-    sign[:, 0] += sign[:, 0] == 0
-    sign.flags.writeable = False
-    index = np.hstack([np.tile(np.arange(n + 2), (n, 1)), own])
-    return ad.SlotTable(index, (0, n + 2)), sign
+    ids = tile_ids(grid_h, grid_w, tile) if tile else np.empty((0, 1), dtype=int)
+    blocks = []
+    for order, b in ((ids.ravel(), ids.shape[1]), (np.setdiff1d(np.arange(n), ids), 1)):
+        if len(order):
+            pattern = tile_pattern(b).astype(np.int8)
+            order.flags.writeable = pattern.flags.writeable = False
+            blocks.append((None if np.array_equal(order, np.arange(n)) else order, pattern))
+    return tuple(blocks)
 
 
 def build_adjacency(graph: VideoGraph, tile) -> SignedAdjacency:
-    """Both passes over ``graph`` in one sign table: the consistency
-    pass's positive frame edges and twins, then the inconsistency pass's
-    slots of ``tile`` (None: the differential off, the self slot alone)
-    and -1 twins, with the +1 self-loops `SignedAdjacency` would add."""
-    n, (clips, pairs, _) = graph.patches_per_frame, graph.twins.shape
-    table, tile_sign = slot_columns(graph.grid_h, graph.grid_w, tile)
-    sign = np.zeros((graph.frames, n, table.index.shape[1]))
-    np.greater(graph.blocks, 0, out=sign[:, :, :n])
-    sign[:, np.arange(n), np.arange(n)] = 1.0
-    sign[:, :, n + 2:-2] = tile_sign
-    # a twin edge in both of its rows: frame f + 1's previous twin slot
-    # and frame f's next one
-    per_clip = sign.reshape(clips, pairs + 1, n, -1)
-    per_clip[:, 1:, :, n] = per_clip[:, :-1, :, n + 1] = graph.twins > 0
-    negative = np.where(graph.twins < 0, -1.0, 0.0)
-    per_clip[:, 1:, :, -2] = per_clip[:, :-1, :, -1] = negative
-    return SignedAdjacency(sign, table)
+    """Both passes over ``graph``: the consistency pass's positive frame
+    edges and twins, one block of the frame, then the inconsistency
+    pass's blocks of ``tile`` (None: the differential off, every node
+    alone) and -1 twins, with the +1 self-loops `SignedAdjacency` would
+    add. When both are one block of the frame, they are stacked."""
+    n, frames, (clips, pairs, _) = graph.patches_per_frame, graph.frames, graph.twins.shape
+    consistency = np.zeros((frames, 1, n, 1, n + 2), dtype=np.int8)
+    np.greater(graph.blocks, 0, out=consistency[:, 0, :, 0, :n])
+    consistency[:, 0, np.arange(n), 0, np.arange(n)] = 1
+    passes = [(None, consistency, graph.twins > 0, 0)]
+    for order, pattern in _inconsistency_blocks(graph.grid_h, graph.grid_w, tile):
+        b = len(pattern)
+        sign = np.zeros((frames, (n if order is None else len(order)) // b, b, 1, b + 2),
+                        dtype=np.int8)
+        sign[..., 0, :b] = pattern
+        passes.append((order, sign, -(graph.twins < 0).astype(np.int8), 1))
+    layouts = []
+    for order, sign, twins, p in passes:
+        _, groups, b, _, _ = sign.shape
+        # a twin edge in both of its rows: frame f + 1's previous twin
+        # and frame f's next one
+        per_clip = sign.reshape(clips, pairs + 1, groups, b, b + 2)
+        per_clip[:, 1:, ..., b] = per_clip[:, :-1, ..., b + 1] = (
+            twins if order is None else twins[..., order]).reshape(clips, pairs, groups, b)
+        layouts.append(ad.BlockLayout(order, sign, (p,)))
+    if len(layouts) == 2 and layouts[1].order is None and layouts[1].sign.shape[1] == 1:
+        layouts = [ad.BlockLayout(None, np.concatenate([lay.sign for lay in layouts],
+                                                       axis=3), (0, 1))]
+    return SignedAdjacency(tuple(layouts))
 
 
 def gat_forward(x, adjacency: SignedAdjacency, params: GatParams):
-    """Signed single-head attention layer, one pass per segment of the
-    adjacency's slot table.
+    """Signed single-head attention layer, one pass per output of the
+    adjacency's block layouts.
 
     h = xW is computed once for every pass (`autodiff.frame_attention`);
-    each pass scores its own slots, e_ij = LeakyReLU(a . [h_i || h_j]),
+    each pass scores its own edges, e_ij = LeakyReLU(a . [h_i || h_j]),
     and takes the masked softmax over its own support (sign != 0), node
     i aggregates sum_j alpha_ij s_ij h_j, and the result passes through
     LeakyReLU. Returns (M, P d): row i holds the passes' outputs side by
@@ -121,8 +152,7 @@ def gat_forward(x, adjacency: SignedAdjacency, params: GatParams):
     if x.data.shape[1] != d:
         raise ValueError(f"feature dim {x.data.shape[1]} != layer dim {d}")
     h = ad.matmul(x, params.weight)
-    return ad.leaky_relu(ad.frame_attention(h, params.attention, adjacency.sign,
-                                            adjacency.table))
+    return ad.leaky_relu(ad.frame_attention(h, params.attention, adjacency.layouts))
 
 
 def spatial_fuse(h, weight, bias, graph: VideoGraph):

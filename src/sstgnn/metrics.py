@@ -21,14 +21,21 @@ from .model import TrainConfig, config_hash, train_clips
 from .synth import FAKE_FAMILIES, make_corpus
 
 
-def auc(scores, labels) -> float:
-    """Mann-Whitney AUC via average ranks; needs both classes present."""
+def _scored(scores, labels, metric):
+    """Scores and labels as equal-length float and int vectors, every
+    score finite; ValueError otherwise."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.intp)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be equal-length vectors")
     if not np.isfinite(s).all():
-        raise ValueError("AUC undefined: scores must be finite")
+        raise ValueError(f"{metric} undefined: scores must be finite")
+    return s, y
+
+
+def auc(scores, labels) -> float:
+    """Mann-Whitney AUC via average ranks; needs both classes present."""
+    s, y = _scored(scores, labels, "AUC")
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -42,8 +49,7 @@ def auc(scores, labels) -> float:
 
 
 def accuracy(scores, labels) -> float:
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.intp)
+    s, y = _scored(scores, labels, "accuracy")
     if len(s) == 0:
         raise ValueError("accuracy needs at least one sample")
     return float(np.mean((s >= model_mod.THRESHOLD) == (y == 1)))

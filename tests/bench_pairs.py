@@ -20,8 +20,14 @@ won and the verdict:
   wider than the bound, unless every change run beats every parent run;
 - ``within bound``: otherwise.
 
-Last come each side's failed operations and runs whose checks failed.
-Nothing is written; the benchmark's files are only read and run.
+A ``reference kernel moved`` line follows for each in-process
+reference kernel (``train_reference_ms``, ``eval_reference_ms``) whose
+median moved by more than the parent's interquartile range, with the
+program's own CPU rate on both sides (``train_clip_steps_per_cpu_s``,
+``eval_clips_per_cpu_s``): the ref-ms metrics divide by that kernel, so
+part of such a verdict is the kernel's. Last come each side's failed
+operations and runs whose checks failed. Nothing is written; the
+benchmark's files are only read and run.
 """
 
 from __future__ import annotations
@@ -34,6 +40,11 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+# each in-process reference kernel, and the program's own CPU rate of the
+# work whose ref-ms metric it scales
+KERNELS = (("train_reference_ms", "train_clip_steps_per_cpu_s"),
+           ("eval_reference_ms", "eval_clips_per_cpu_s"))
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -78,6 +89,27 @@ def verdict(parent, change, better, bound):
     if p3 - p1 > bound * abs(pm) and not min(change) > max(parent):
         return wins, losses, "unresolved"
     return wins, losses, "within bound"
+
+
+def kernel_moved(runs):
+    """One line per reference kernel whose change median lies further
+    from the parent median than the parent's interquartile range, with
+    both sides' median of the program's own rate. ``runs`` maps each side
+    to its runs' reported metrics."""
+    lines = []
+    for kernel, rate in KERNELS:
+        if not all(kernel in r for side in SIDES for r in runs[side]):
+            continue
+        p1, pm, p3 = quartiles([r[kernel] for r in runs["parent"]])
+        cm = statistics.median(r[kernel] for r in runs["change"])
+        if abs(cm - pm) <= p3 - p1:
+            continue
+        own = "; ".join(f"{side} {statistics.median(r[rate] for r in runs[side]):.6g}"
+                        for side in SIDES if all(rate in r for r in runs[side]))
+        lines.append(f"  reference kernel moved: {kernel} {pm:.6g} -> {cm:.6g} "
+                     f"({(cm - pm) / pm:+.1%}), beyond the parent IQR "
+                     f"{p3 - p1:.4g}; {rate}: {own}")
+    return lines
 
 
 def main(argv=None):
@@ -127,6 +159,8 @@ def main(argv=None):
               f"{wins}/{losses} of {args.pairs}, parent IQR "
               f"{quartiles(parent)[2] - quartiles(parent)[0]:.4g}, "
               f"bound {metric['bound']:.0%}: {word}")
+    for line in kernel_moved(runs):
+        print(line)
     for side in SIDES:
         failed = sum(r["failed"] for r in results[side])
         attempted = sum(r["attempted"] for r in results[side])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sstgnn import autodiff as ad
 from sstgnn import graphs
 
-from layouts import dense_columns
+from layouts import whole_frames
 
 
 def naive_matmul(a, b):
@@ -110,7 +110,7 @@ def attention_weights(support, peer_scores, sign=None):
     h = np.hstack([np.asarray(peer_scores, dtype=float)[:, None], np.eye(m)])
     a = np.zeros(2 * (m + 1))
     a[m + 1] = 1.0
-    out = ad.frame_attention(ad.constant(h), ad.constant(a), sign, dense_columns(n))
+    out = ad.frame_attention(ad.constant(h), ad.constant(a), whole_frames(sign))
     return out.data[:, 1:]
 
 
@@ -151,6 +151,15 @@ class TestMaskedSoftmax:
                 pytest.raises(ValueError, match="non-finite"):
             attention_weights(one_frame([[1, 1], [0, 0]]), [1.0, 1.0])
 
+    def test_support_far_below_its_row(self):
+        # node 2 scores 2000 above nodes 0 and 1 but lies off row 0's
+        # support: shifted by the whole row's max, row 0's exps would all
+        # underflow, and it still splits evenly over its own two cells
+        alpha = attention_weights(one_frame([[1, 1, 0], [1, 1, 1], [0, 1, 1]]),
+                                  [0.0, 0.0, 2000.0])
+        np.testing.assert_array_equal(alpha[0], [0.5, 0.5, 0.0])
+        np.testing.assert_array_equal(alpha[1:, 2], [1.0, 1.0])
+
     def test_stability_at_large_scores(self):
         alpha = attention_weights(one_frame(np.ones((2, 2))), [1000.0, 999.0])
         assert np.all(np.isfinite(alpha))
@@ -176,7 +185,7 @@ class TestMaskedSoftmax:
 
         def f():
             return ad.mean(ad.matmul(
-                ad.frame_attention(h, a, sign, dense_columns(3)), w))
+                ad.frame_attention(h, a, whole_frames(sign)), w))
 
         assert ad.finite_diff_check(f, {"h": h, "a": a}) < 1e-7
 
@@ -186,8 +195,8 @@ def signed(rng, support):
 
 
 class TestAttentionPasses:
-    """P passes in one `frame_attention` call over their signs side by
-    side: one softmax per pass, the outputs side by side."""
+    """P passes in one `frame_attention` call over their signs stacked:
+    one softmax per pass, the outputs side by side."""
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -202,9 +211,8 @@ class TestAttentionPasses:
         h = ad.parameter(rng.normal(size=(frames * n, d)) * 2.0)
         a = ad.parameter(rng.normal(size=2 * d))
         probe = ad.constant(rng.normal(size=(frames * n, 2 * d)))
-        both = ad.frame_attention(h, a, np.concatenate(sign, axis=2),
-                                  dense_columns(n, passes=2))
-        single = [ad.frame_attention(h, a, g, dense_columns(n)) for g in sign]
+        both = ad.frame_attention(h, a, whole_frames(*sign))
+        single = [ad.frame_attention(h, a, whole_frames(g)) for g in sign]
         joined = np.hstack([out.data for out in single])
         assert both.data.tobytes() == joined.tobytes()
         fused = ad.mean(ad.mul(both, probe)).backward()
@@ -225,7 +233,7 @@ class TestAttentionPasses:
 
         def f():
             return ad.mean(ad.matmul(ad.frame_attention(
-                h, a, np.concatenate(sign, axis=2), dense_columns(3, passes=2)), w))
+                h, a, whole_frames(*sign)), w))
 
         grads = f().backward()
         assert min(np.abs(grads[t]).min() for t in (h, a)) > 1e-6
@@ -235,19 +243,18 @@ class TestAttentionPasses:
         rng = np.random.default_rng(6)
         support = [random_layout(rng, frames=3, n=4) for _ in range(2)]
         support[1][1, 2] = False
-        sign = np.concatenate(support, axis=2).astype(float)
+        sign = [s.astype(float) for s in support]
         with pytest.raises(ValueError, match="pass 1, frame 1, node 2 has no support"):
             ad.frame_attention(ad.constant(np.ones((12, 2))),
-                               ad.constant(np.ones(4)), sign,
-                               dense_columns(4, passes=2))
+                               ad.constant(np.ones(4)), whole_frames(*sign))
 
     def test_layout_without_pass_axis_rejected(self):
-        # one pass's layout where the table holds two
-        support = random_layout(np.random.default_rng(7), frames=3, n=4)
+        # one pass's signs where the layout stacks two
+        sign = random_layout(np.random.default_rng(7), frames=3, n=4).astype(float)
+        (layout,) = whole_frames(sign)
         with pytest.raises(ValueError, match="do not fit"):
-            ad.frame_attention(ad.constant(np.ones((12, 2))),
-                               ad.constant(np.ones(4)), support.astype(float),
-                               dense_columns(4, passes=2))
+            ad.frame_attention(ad.constant(np.ones((12, 2))), ad.constant(np.ones(4)),
+                               [layout._replace(passes=(0, 1))])
 
 
 def dense_blocks(blocks):

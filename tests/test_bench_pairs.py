@@ -1,0 +1,112 @@
+"""The pair tool's verdicts and its reference-kernel line, on synthetic
+numbers (no benchmark run)."""
+
+import pytest
+
+import bench_pairs
+from bench_pairs import kernel_moved, verdict
+
+# ten parent runs with an interquartile range of 0.5 around 10
+PARENT = [9.5, 9.7, 9.8, 9.9, 10.0, 10.0, 10.1, 10.2, 10.3, 10.5]
+
+
+def shifted(values, by):
+    return [v + by for v in values]
+
+
+class TestVerdict:
+    def test_gain_needs_nine_of_ten_wins(self):
+        # every change run 1.0 lower: 10/10 wins, a gap above the IQR
+        assert verdict(PARENT, shifted(PARENT, -1.0), "lower", 0.2) == (10, 0, "gain")
+        # nine wins still gain; eight do not
+        nine = shifted(PARENT, -1.0)
+        nine[0] = PARENT[0] + 1.0
+        assert verdict(PARENT, nine, "lower", 0.2) == (9, 1, "gain")
+        eight = list(nine)
+        eight[1] = PARENT[1] + 1.0
+        assert verdict(PARENT, eight, "lower", 0.2)[2] != "gain"
+
+    def test_gain_needs_the_median_gap_above_the_parent_iqr(self):
+        # 10/10 wins by 0.3 each, below the parent's IQR of about 0.5
+        wins, losses, word = verdict(PARENT, shifted(PARENT, -0.3), "lower", 0.2)
+        assert (wins, losses) == (10, 0) and word != "gain"
+
+    def test_higher_is_better(self):
+        assert verdict(PARENT, shifted(PARENT, 1.0), "higher", 0.2) == (10, 0, "gain")
+        assert verdict(PARENT, shifted(PARENT, -1.0), "higher", 0.2)[:2] == (0, 10)
+
+    def test_ties_count_for_neither_side(self):
+        change = list(PARENT)
+        change[0] -= 1.0     # one win, one loss, eight ties
+        change[1] += 1.0
+        wins, losses, _ = verdict(PARENT, change, "lower", 0.2)
+        assert (wins, losses) == (1, 1)
+
+    @pytest.mark.parametrize("better, by", [("lower", 2.5), ("higher", -2.5)])
+    def test_worse_beyond_the_bound(self, better, by):
+        # the median moves 25% the wrong way against a 20% bound
+        assert verdict(PARENT, shifted(PARENT, by), better, 0.2)[2] == "worse"
+        # 10% the wrong way is within it
+        assert verdict(PARENT, shifted(PARENT, by / 2.5), better, 0.2)[2] == "within bound"
+
+    def test_unresolved_when_the_parent_spreads_wider_than_the_bound(self):
+        wide = [5.0, 7.0, 9.0, 10.0, 10.0, 10.0, 11.0, 13.0, 15.0, 17.0]
+        # the parent's IQR is 40% of its median, the bound 20%
+        assert verdict(wide, list(wide), "lower", 0.2) == (0, 0, "unresolved")
+        # unless every change run beats every parent run: ten wins by a
+        # median gap below the parent's IQR are within the bound
+        skewed = [8.0, 8.0, 8.0, 10.0, 10.0, 10.0, 10.0, 14.0, 14.0, 14.0]
+        assert verdict(skewed, [7.9] * 10, "lower", 0.2) == (10, 0, "within bound")
+
+    def test_within_bound(self):
+        assert verdict(PARENT, list(PARENT), "lower", 0.2) == (0, 0, "within bound")
+
+
+def runs(parent_ref, change_ref, name="eval_reference_ms", rate="eval_clips_per_cpu_s"):
+    return {"parent": [{name: v, rate: 19.5} for v in parent_ref],
+            "change": [{name: v, rate: 20.6} for v in change_ref]}
+
+
+class TestKernelMoved:
+    def test_line_when_the_kernel_moves_beyond_the_parent_iqr(self):
+        (line,) = kernel_moved(runs([11.9, 12.0, 12.1], [14.6, 14.7, 14.8]))
+        assert line == ("  reference kernel moved: eval_reference_ms 12 -> 14.7 "
+                        "(+22.5%), beyond the parent IQR 0.1; eval_clips_per_cpu_s: "
+                        "parent 19.5; change 20.6")
+
+    def test_train_kernel_names_the_train_rate(self):
+        (line,) = kernel_moved(runs([2.0, 2.0, 2.0], [1.0, 1.0, 1.0],
+                                    "train_reference_ms", "train_clip_steps_per_cpu_s"))
+        assert "train_reference_ms 2 -> 1 (-50.0%)" in line
+        assert line.endswith("train_clip_steps_per_cpu_s: parent 19.5; change 20.6")
+
+    def test_no_line_within_the_parent_iqr(self):
+        assert kernel_moved(runs([11.0, 12.0, 13.0], [12.5, 12.5, 12.5])) == []
+
+    def test_no_line_without_a_kernel_metric(self):
+        assert kernel_moved({"parent": [{"x": 1.0}], "change": [{"x": 2.0}]}) == []
+
+    def test_printed_after_the_verdicts(self, monkeypatch, capsys, tmp_path):
+        # a two-pair run whose runs are canned: the line sits next to the
+        # end-to-end verdicts, before the failed-operation counts
+        (tmp_path / "BENCHMARK.json").write_text(
+            '{"run_seconds": 1, "end_to_end": [{"name": "eval_clip_ref_ms", '
+            '"unit": "ms", "better": "lower", "bound": 0.2}]}')
+        canned = {"parent": (50.0, 12.0), "change": (40.0, 15.0)}
+
+        def run_once(checkout, workload, seed, seconds):
+            ref_ms, kernel = canned["parent" if checkout.name == "p" else "change"]
+            return ({"eval_clip_ref_ms": ref_ms, "eval_reference_ms": kernel,
+                     "eval_clips_per_cpu_s": 20.0},
+                    {"correct": True, "failed": 0, "attempted": 5})
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        parent = tmp_path / "p"
+        assert bench_pairs.main([str(parent), str(tmp_path), "--workload", "eval_m2048",
+                                 "--pairs", "2", "--seed", "0"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        moved = [i for i, line in enumerate(out) if "reference kernel moved" in line]
+        verdicts = [i for i, line in enumerate(out) if "eval_clip_ref_ms: 50" in line]
+        failed = [i for i, line in enumerate(out) if "operations failed" in line]
+        assert len(moved) == 1 and verdicts[0] < moved[0] < failed[0]
+        assert "eval_clips_per_cpu_s: parent 20; change 20" in out[moved[0]]

@@ -10,6 +10,8 @@ from sstgnn import differential as diff
 from sstgnn import graphs
 from sstgnn.synth import SynthSpec, generate
 
+from layouts import tile_slots
+
 
 def small_graph(t=2, grid=4, seed=0, d=5):
     emb = np.random.default_rng(seed).random((t, grid * grid, d))
@@ -54,6 +56,9 @@ class TestSpatialNegative:
             [-1, 0, 0, 1],
         ])
         np.testing.assert_array_equal(anchors, [0])
+        # the same block, as the attention reads it per tile
+        np.testing.assert_array_equal(diff.tile_pattern(4), mat)
+        np.testing.assert_array_equal(diff.tile_pattern(1), [[1.0]])
 
     def test_tile1_is_identity(self):
         g = small_graph()
@@ -78,7 +83,9 @@ class TestSpatialNegative:
         (2, 2, 2), (3, 5, 2), (4, 4, 2), (6, 6, 3), (1, 4, 2), (2, 2, 3), (3, 3, 1)])
     def test_slot_rows_start_on_themselves_and_are_distinct(self, grid_h, grid_w,
                                                             tile):
-        index, sign = diff.tile_slots(grid_h, grid_w, tile)
+        # the reference attention's slots: built apart from the (N, N)
+        # block, which comes straight from `tile_ids`, and equal to it
+        index, sign = tile_slots(grid_h, grid_w, tile)
         n = grid_h * grid_w
         k = tile * tile if (grid_h // tile) * (grid_w // tile) else 1
         assert sign.shape == (n, k) and index.shape == (n, k + 2)
@@ -94,11 +101,10 @@ class TestSpatialNegative:
         # an anchor row is +1 then -1 over its tile mates
         for a in anchors:
             np.testing.assert_array_equal(sign[a], [1.0] + [-1.0] * (tile * tile - 1))
-        # built per call, as only `gat.slot_columns` caches: a write to
-        # one call's tables reaches no other
+        # built per call: a write to one call's tables reaches no other
         expected = index.copy()
         index[:] = 0
-        np.testing.assert_array_equal(diff.tile_slots(grid_h, grid_w, tile)[0], expected)
+        np.testing.assert_array_equal(tile_slots(grid_h, grid_w, tile)[0], expected)
 
     def test_partial_tiles_skipped(self):
         mat, anchors = diff.negative_spatial_matrix(3, 3, 2)
@@ -106,6 +112,10 @@ class TestSpatialNegative:
         assert len(anchors) == 1
         covered = np.nonzero(mat.any(axis=1))[0]
         np.testing.assert_array_equal(covered, [0, 1, 3, 4])
+        # a tile larger than the grid: no block, and no (tile², tile²)
+        # pattern built for it
+        mat, anchors = diff.negative_spatial_matrix(3, 3, 10 ** 4)
+        assert not mat.any() and anchors.size == 0
 
     def test_row_sums(self):
         g = small_graph(grid=4)

@@ -11,7 +11,8 @@ from sstgnn import autodiff as ad
 from sstgnn import differential as diff
 from sstgnn import gat, graphs, model, synth
 
-from layouts import dense_columns, frame_layout, one_clip
+from layouts import (SlotTable, frame_layout, joined_adjacency, joined_attention, one_clip,
+                     whole_frames)
 
 
 def lrelu(v, slope=0.2):
@@ -26,18 +27,18 @@ def make_params(d, seed=0, zero_attention=False):
 
 
 def adjacency(support, sign=None):
-    """One frame with no twins, as a one-pass table over the whole frame
-    layout: an (n, n) sign, +1 on the support when not given."""
+    """One frame with no twins, as one pass over one block of the whole
+    frame: an (n, n) sign, +1 on the support when not given."""
     sign = np.asarray(support if sign is None else sign, dtype=float)
-    return gat.SignedAdjacency(graphs.to_layout(sign, np.zeros((1, 0, len(sign)))),
-                               dense_columns(len(sign)))
+    return gat.SignedAdjacency(whole_frames(graphs.to_layout(
+        sign, np.zeros((1, 0, len(sign))))))
 
 
 def one_pass(adj, p):
-    """Pass p of a joined adjacency as a one-pass table."""
-    index = adj.table.index
-    lo, hi = (*adj.table.starts, index.shape[1])[p:p + 2]
-    return gat.SignedAdjacency(adj.sign[:, :, lo:hi], ad.SlotTable(index[:, lo:hi]))
+    """Pass p of an adjacency as a one-pass adjacency over its blocks."""
+    return gat.SignedAdjacency(tuple(
+        lay._replace(sign=lay.sign[:, :, :, [k]], passes=(0,))
+        for lay in adj.layouts for k, q in enumerate(lay.passes) if q == p))
 
 
 def dense_pair(adj):
@@ -54,8 +55,7 @@ def attention_weights(h, attention, adj):
     m, d = h.shape
     probe = np.hstack([h, np.eye(m)])
     a = np.concatenate([attention[:d], np.zeros(m), attention[d:], np.zeros(m)])
-    out = ad.frame_attention(ad.constant(probe), ad.constant(a), adj.sign,
-                             adj.table).data
+    out = ad.frame_attention(ad.constant(probe), ad.constant(a), adj.layouts).data
     return out[:, d:]
 
 
@@ -385,20 +385,20 @@ def clip_structure(patch, use_differential, seed=0, family="real"):
 
 
 def bridged_layout(seed=31):
-    """T=3 one-pass table with positive bridges, then some twins and
+    """T=3 one-pass adjacency with positive bridges, then some twins and
     some in-frame edges flipped to -1: every kind of cell carries a
     sign."""
     g = graphs.unified_graph(
         np.random.default_rng(seed).random((3, 4, 4)), 2, 2, 0.3, 0.1)
-    adj = one_pass(gat.build_adjacency(g, None), 0)
-    n = adj.support.shape[1]
-    assert adj.support[1:, :, n].any() and adj.support[:-1, :, n + 1].any()
-    sign = adj.sign.copy()
+    (layout,) = one_pass(gat.build_adjacency(g, None), 0).layouts
+    sign, n = layout.sign.copy(), 4
+    support = sign != 0
+    assert support[1:, ..., n].any() and support[:-1, ..., n + 1].any()
     flip = np.random.default_rng(seed + 1).random(sign.shape) < 0.4
-    sign[flip] *= -1.0
-    twins = sign[:, :, n:][adj.support[:, :, n:]]
+    sign[flip] *= -1
+    twins = sign[..., n:][support[..., n:]]
     assert (twins > 0).any() and (twins < 0).any()
-    return gat.SignedAdjacency(sign, adj.table)
+    return gat.SignedAdjacency((layout._replace(sign=sign),))
 
 
 class TestFrameLayoutAttention:
@@ -451,9 +451,9 @@ class TestFrameLayoutAttention:
                 np.testing.assert_allclose(fused, dense, rtol=0, atol=1e-12)
 
     def test_one_tape_node_for_attention(self):
-        adj = bridged_layout()
-        both = gat.SignedAdjacency(np.concatenate([adj.sign, adj.sign], axis=2),
-                                   dense_columns(4, passes=2))
+        (layout,) = bridged_layout().layouts
+        both = gat.SignedAdjacency((ad.BlockLayout(
+            None, np.concatenate([layout.sign, layout.sign], axis=3), (0, 1)),))
         params = make_params(4, seed=37)
         out = gat.gat_forward(ad.parameter(np.ones((12, 4))), both, params)
         assert out.shape == (12, 8)
@@ -479,7 +479,8 @@ class TestSignedAdjacencyLayout:
     def test_two_dimensional_pair_is_one_frame(self):
         support = np.array([[1, 1], [0, 1]], dtype=bool)
         adj = adjacency(support)
-        assert adj.support.shape == (1, 2, 4)
+        (layout,) = adj.layouts
+        assert layout.order is None and layout.sign.shape == (1, 1, 2, 1, 4)
         dense_support, dense_sign = dense_pair(adj)
         np.testing.assert_array_equal(dense_support, support)
         np.testing.assert_array_equal(dense_sign, support.astype(float))
@@ -487,8 +488,7 @@ class TestSignedAdjacencyLayout:
     def test_construction_adds_missing_self_loops(self):
         support = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 0]], dtype=bool)
         sign = graphs.to_layout(np.where(support, -1.0, 0.0), np.zeros((1, 0, 3)))
-        adj = gat.SignedAdjacency(sign, dense_columns(3))
-        np.testing.assert_array_equal(adj.support, adj.sign != 0)
+        adj = gat.SignedAdjacency((ad.BlockLayout(None, sign[:, None, :, None]),))
         dense_support, dense_sign = dense_pair(adj)
         np.testing.assert_array_equal(dense_support, support | np.eye(3, dtype=bool))
         # the absent loops of nodes 0 and 2 come back +1; node 1's -1 stays
@@ -498,19 +498,30 @@ class TestSignedAdjacencyLayout:
         assert sign[0, 0, 0] == 0.0 and sign[0, 1, 1] == -1.0
 
     def test_twin_beyond_the_clip_rejected(self):
-        sign = np.zeros((2, 2, 8))
-        sign[0, 0, 6] = 1.0   # frame 0 has no previous frame
+        sign = np.zeros((2, 1, 2, 2, 4))
+        sign[0, 0, 0, 1, 2] = 1.0   # frame 0 has no previous frame
         with pytest.raises(ValueError, match="twin"):
-            gat.SignedAdjacency(sign, dense_columns(2, passes=2))
-        sign[0, 0, 6], sign[1, 1, 3] = 0.0, -1.0   # nor frame 1 a next one
+            gat.SignedAdjacency((ad.BlockLayout(None, sign, (0, 1)),))
+        sign[0, 0, 0, 1, 2], sign[1, 0, 1, 0, 3] = 0.0, -1.0   # nor frame 1 a next one
         with pytest.raises(ValueError, match="twin"):
-            gat.SignedAdjacency(sign, dense_columns(2, passes=2))
+            gat.SignedAdjacency((ad.BlockLayout(None, sign, (0, 1)),))
 
     def test_layout_shape_checked(self):
-        with pytest.raises(ValueError, match="slot table"):
-            gat.SignedAdjacency(np.ones((2, 2, 2)), dense_columns(2))
-        with pytest.raises(ValueError, match="slot table"):
-            gat.SignedAdjacency(np.ones((4, 4)), dense_columns(4))
+        for sign in (np.ones((2, 2, 2)), np.ones((4, 4)), np.ones((2, 1, 2, 1, 3)),
+                     np.full((2, 1, 2, 1, 4), 0.5), np.full((2, 1, 2, 1, 4), 2.0)):
+            with pytest.raises(ValueError, match="block layout"):
+                gat.SignedAdjacency((ad.BlockLayout(None, sign),))
+        order = np.array([0, 2])    # a block of nodes 0 and 2 of a 3-node frame
+        with pytest.raises(ValueError, match="block layout"):
+            gat.SignedAdjacency((ad.BlockLayout(order, np.ones((2, 1, 3, 1, 5))),))
+        # each pass holds every node of a frame once
+        whole = ad.BlockLayout(None, np.ones((2, 1, 3, 1, 5)) * [1, 1, 1, 0, 0])
+        for part in ((ad.BlockLayout(order, np.ones((2, 2, 1, 1, 3)) * [1, 0, 0],
+                                     (1,)),),
+                     (ad.BlockLayout(np.array([0, 1, 1]),
+                                     np.ones((2, 3, 1, 1, 3)) * [1, 0, 0], (1,)),)):
+            with pytest.raises(ValueError, match="must hold every node of a frame once"):
+                gat.SignedAdjacency((whole, *part))
 
     # a graph holds only frame blocks and twins, so such entries cannot
     # reach the adjacency builder: a graph given (M, M) arrays in place
@@ -541,15 +552,15 @@ def batch_graph(rng, grid_h, grid_w, clips, frames, differential, tile):
     return diff.add_temporal_negative(g), tile
 
 
-def joined_and_dense(seed, grid_h, grid_w, tile, clips, frames, differential,
-                     d=3):
+def block_and_dense(seed, grid_h, grid_w, tile, clips, frames, differential,
+                    d=3):
     """Per pass: the output and h, attention gradients of its columns of
-    the joined call, and of the dense one-pass call over its expanded
-    layout."""
+    the block-layout call, and of the dense one-pass call over its
+    expanded frame layout."""
     rng = np.random.default_rng(seed)
     g, tile = batch_graph(rng, grid_h, grid_w, clips, frames, differential, tile)
     adj = gat.build_adjacency(g, tile)
-    m, n = g.node_count, g.patches_per_frame
+    m = g.node_count
     h = ad.parameter(rng.normal(size=(m, d)) * 2.0)
     a = ad.parameter(rng.normal(size=2 * d))
     probe = ad.constant(rng.normal(size=(m, d)))
@@ -558,17 +569,24 @@ def joined_and_dense(seed, grid_h, grid_w, tile, clips, frames, differential,
         grads = ad.mul(ad.mean(ad.mul(out, probe)), float(m * d)).backward()
         return out.data, grads[h], grads[a]
 
-    joined = ad.frame_attention(h, a, adj.sign, adj.table)
-    return adj, [(run(joined[:, p * d:(p + 1) * d]),
-                  run(ad.frame_attention(h, a, layout, dense_columns(n))))
+    blocks = ad.frame_attention(h, a, adj.layouts)
+    return adj, [(run(blocks[:, p * d:(p + 1) * d]),
+                  run(ad.frame_attention(h, a, whole_frames(layout))))
                  for p, layout in enumerate(frame_layout(adj))]
 
 
+def assert_close_each(got, want):
+    for g, w in zip(got, want):
+        scale = max(1.0, np.abs(w).max())
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * scale)
+
+
 class TestGatheredPass:
-    """Both passes in one call over the joined table, each against the
-    dense one-pass call over the (T, N, N + 2) layout it stands for. The
-    inconsistency pass reads only its tile² + 2 slots; row sums run over
-    other slots, so agreement is to rounding."""
+    """Both passes in one call over their block layouts, each against the
+    dense one-pass call over the (T, N, N + 2) layout it stands for, and
+    both against the joined slot-table reference. The inconsistency pass
+    reads only its tile blocks and the blocks of one node; row sums run
+    over other cells, so agreement is to rounding."""
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(1, 5),
            st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.booleans())
@@ -578,21 +596,50 @@ class TestGatheredPass:
     @example(2, 2, 2, 3, 2, 2, True)    # no complete tile
     def test_matches_dense_pass(self, seed, grid_h, grid_w, tile, clips, frames,
                                 differential):
-        adj, passes = joined_and_dense(
+        adj, passes = block_and_dense(
             seed, grid_h, grid_w, tile, clips, frames, differential)
         n = grid_h * grid_w
-        complete = (grid_h // tile) * (grid_w // tile) > 0
-        k = tile * tile if differential and complete else 1
-        assert adj.sign.shape == (clips * frames, n, n + 2 + k + 2)
-        assert adj.table.starts == (0, n + 2)
-        for joined, dense in passes:
-            for got, want in zip(joined, dense):
-                scale = max(1.0, np.abs(want).max())
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+        tiles = (grid_h // tile) * (grid_w // tile) if differential else 0
+        k = tile * tile
+        # the inconsistency pass: a block per tile, one per node outside
+        shapes = sorted((lay.sign.shape[1:3], lay.passes) for lay in adj.layouts)
+        inconsistency = sorted(shape for shape, owned in shapes if 1 in owned)
+        expected = [(g, b) for g, b in ((n - tiles * k, 1), (tiles, k)) if g]
+        assert inconsistency == sorted(expected)
+        assert ((1, n), (0,)) in shapes or ((1, n), (0, 1)) in shapes
+        for blocks, dense in passes:
+            assert_close_each(blocks, dense)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 5), st.integers(1, 5),
+           st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    @example(0, 5, 3, 2, 2, 2, True)    # no tile divides the grid
+    @example(1, 2, 3, 4, 3, 2, True)    # the tile larger than the grid
+    @example(2, 3, 3, 2, 1, 3, False)   # the differential off: blocks of one
+    @example(3, 2, 2, 2, 3, 3, True)    # the desk shape: both passes stacked
+    def test_matches_joined_reference(self, seed, grid_h, grid_w, tile, clips, frames,
+                                      differential):
+        # the joined slot-table op the block layouts replaced, over the
+        # same graph: values and h, attention gradients within 1e-12
+        rng = np.random.default_rng(seed)
+        g, tile = batch_graph(rng, grid_h, grid_w, clips, frames, differential, tile)
+        adj = gat.build_adjacency(g, tile)
+        m = g.node_count
+        h = ad.parameter(rng.normal(size=(m, 3)) * 2.0)
+        a = ad.parameter(rng.normal(size=6))
+        probe = ad.constant(rng.normal(size=(m, 6)))
+        runs = []
+        for out in (ad.frame_attention(h, a, adj.layouts),
+                    joined_attention(h, a, *joined_adjacency(g, tile))):
+            grads = ad.mul(ad.mean(ad.mul(out, probe)), float(m * 6)).backward()
+            runs.append((out.data, grads[h], grads[a]))
+        assert_close_each(*runs)
+        if grid_h == grid_w == tile == 2 and differential:
+            (layout,) = adj.layouts
+            assert layout.order is None and layout.passes == (0, 1)
 
     def test_boundary_twins_are_empty(self):
-        adj, _ = joined_and_dense(3, 3, 5, 2, clips=3, frames=2,
-                                  differential=True)
+        adj, _ = block_and_dense(3, 3, 5, 2, clips=3, frames=2, differential=True)
         consistency, inconsistency = frame_layout(adj)
         # twin columns: frame 0 of each clip has no previous frame, frame
         # 1 no next one; every other twin is -1, so none is a consistency
@@ -613,7 +660,7 @@ class TestGatheredPass:
         w = ad.constant(rng.normal(size=(6, 1)))
 
         def f():
-            out = ad.frame_attention(h, a, adj.sign, adj.table)
+            out = ad.frame_attention(h, a, adj.layouts)
             return ad.mean(ad.matmul(out, w))
 
         grads = f().backward()
@@ -630,19 +677,24 @@ class TestGatheredPass:
         adj = gat.build_adjacency(g, tile)
         h = ad.constant(rng.normal(size=(g.node_count, 4)))
         a = ad.constant(rng.normal(size=8))
-        both = ad.frame_attention(h, a, adj.sign, adj.table)
-        alone = [ad.frame_attention(h, a, j.sign, j.table)
+        both = ad.frame_attention(h, a, adj.layouts)
+        alone = [ad.frame_attention(h, a, j.layouts)
                  for j in (one_pass(adj, 0), one_pass(adj, 1))]
         assert both.data.tobytes() == np.hstack([o.data for o in alone]).tobytes()
 
     def test_index_must_fit_the_table(self):
         h, a = ad.constant(np.ones((8, 2))), ad.constant(np.ones(4))
-        sign = np.ones((2, 4, 6))
-        table = dense_columns(4)
-        with pytest.raises(ValueError, match="do not fit"):
-            ad.frame_attention(h, a, sign[:, :, 1:], table)
-        with pytest.raises(ValueError, match="do not fit"):
-            ad.frame_attention(h, a, sign[:, :3], table)
+        (layout,) = whole_frames(np.ones((2, 4, 6)))
+        sign = layout.sign
+        for bad in (layout._replace(sign=sign[..., 1:]),    # no next twin
+                    layout._replace(sign=sign[:, :, :3]),   # 3 of the 4 nodes
+                    layout._replace(sign=sign[:1]),         # 1 of the 2 frames
+                    layout._replace(order=np.arange(3)),    # 3 ids for 4 rows
+                    layout._replace(passes=(0, 1))):        # 2 passes for 1 sign
+            with pytest.raises(ValueError, match="do not fit"):
+                ad.frame_attention(h, a, [bad])
+        # the reference's slot table checks its own columns
+        table = SlotTable(np.tile(np.arange(6), (4, 1)))
         index, starts = table.index, table.starts
         for bad_index, bad_starts in (
                 (index[:, :5], starts),             # no next twin
@@ -651,75 +703,81 @@ class TestGatheredPass:
                 (np.tile(index, 2), (0, 3)),        # a pass of 3 node slots, no twins
                 (np.roll(index, 1, axis=1), starts)):    # the twins not last
             with pytest.raises(ValueError, match="slot table"):
-                ad.SlotTable(bad_index, bad_starts)
+                SlotTable(bad_index, bad_starts)
 
     @pytest.mark.parametrize("patch", [16, 8])
     @pytest.mark.parametrize("use_differential", [True, False])
     def test_support_count_matches_the_layout(self, patch, use_differential):
-        # the benchmark counts supported entries per clip from `.support`
+        # the blocks hold every supported entry of the frame layouts, in
+        # fewer cells
         structure, _, _ = clip_structure(patch, use_differential)
-        adj = structure.adjacency
-        layouts = frame_layout(adj)
-        assert adj.support.dtype == bool
-        assert np.count_nonzero(adj.support) == np.count_nonzero(layouts != 0)
-        assert adj.support.size < layouts.size
+        layouts = frame_layout(structure.adjacency)
+        signs = [lay.sign for lay in structure.adjacency.layouts]
+        assert sum(np.count_nonzero(s) for s in signs) == np.count_nonzero(layouts)
+        assert sum(s.size for s in signs) < layouts.size
 
 
 class TestSlotTableChecks:
+    """The reference's slot table, and the self-loops `SignedAdjacency`
+    adds to the builder's block layouts."""
+
     def table(self):
-        """A differential clip graph of 2 frames of a 2 x 2 grid, and its
-        adjacency's sign and column table."""
+        """A differential clip graph of 2 frames of a 2 x 2 grid, and the
+        reference's sign and column table over it."""
         g = diff.add_temporal_negative(clip_graph(t=2, grid=2))
-        adj = gat.build_adjacency(g, 2)
-        return adj, adj.sign.copy(), np.array(adj.table.index)
+        sign, table = joined_adjacency(g, 2)
+        return g, sign, table, np.array(table.index)
 
     def test_builder_table_accepted(self):
-        adj, sign, index = self.table()
-        assert adj.table is gat.slot_columns(2, 2, 2)[0]
-        assert adj.table.starts == (0, 6)
-        again = gat.SignedAdjacency(sign, ad.SlotTable(index, adj.table.starts))
-        np.testing.assert_array_equal(again.sign, adj.sign)
+        _, sign, table, index = self.table()
+        assert table.starts == (0, 6)
+        again = SlotTable(index, table.starts)
+        np.testing.assert_array_equal(again.index, table.index)
+        np.testing.assert_array_equal(again.scatter, table.scatter)
 
     def test_shape_and_dtype_checked(self):
-        adj, sign, index = self.table()
+        _, sign, table, index = self.table()
         for bad in (index[:, :9], index.astype(float), index[:3]):
             with pytest.raises(ValueError, match="slot table"):
-                ad.SlotTable(bad, adj.table.starts)
+                SlotTable(bad, table.starts)
 
     def test_rows_must_hold_distinct_columns_and_their_node(self):
-        adj, sign, index = self.table()
+        _, sign, table, index = self.table()
         repeated, foreign = index.copy(), index.copy()
         repeated[1, 7] = repeated[1, 6]    # the tile pass's row 1 reads node 1 twice
         foreign[2, 6] = 3                  # row 2 reads node 3 in place of itself
         for bad in (repeated, foreign):
             with pytest.raises(ValueError, match="distinct"):
-                ad.SlotTable(bad, adj.table.starts)
+                SlotTable(bad, table.starts)
 
     def test_missing_loop_added_in_slot_zero(self):
-        # slot zero of each pass's own columns: node i's column i in the
-        # consistency pass, the first slot of the tile pass
-        adj, sign, index = self.table()
+        # the diagonal of each pass's blocks: at desk size both passes
+        # are one stacked block of the frame
+        g = self.table()[0]
+        (layout,) = gat.build_adjacency(g, 2).layouts
         rows = np.arange(4)
-        sign[:, rows, rows] = sign[:, :, 6] = 0.0
-        again = gat.SignedAdjacency(sign, adj.table)
-        np.testing.assert_array_equal(again.sign[:, rows, rows], 1.0)
-        np.testing.assert_array_equal(again.sign[:, :, 6], 1.0)
-        # every other slot keeps its sign
-        again.sign[:, rows, rows] = again.sign[:, :, 6] = 0.0
+        sign = layout.sign.copy()
+        sign[:, :, rows, :, rows] = 0.0
+        (again,) = gat.SignedAdjacency((layout._replace(sign=sign),)).layouts
+        np.testing.assert_array_equal(again.sign[:, :, rows, :, rows], 1.0)
+        # every other cell keeps its sign, and the caller's array is left
+        # as it was
+        assert (sign[:, :, rows, :, rows] == 0.0).all()
+        again.sign[:, :, rows, :, rows] = 0.0
         np.testing.assert_array_equal(again.sign, sign)
 
     def test_caller_index_is_copied(self):
-        # the table keeps read-only copies: a later write to the caller's
-        # array changes nothing that frame_attention reads
-        adj, sign, index = self.table()
-        table = ad.SlotTable(index, adj.table.starts)
+        # the reference's table keeps read-only copies: a later write to
+        # the caller's array changes nothing that joined_attention reads
+        _, sign, table, index = self.table()
+        again = SlotTable(index, table.starts)
         rng = np.random.default_rng(45)
         h, a = ad.constant(rng.normal(size=(8, 3))), ad.constant(rng.normal(size=6))
-        before = ad.frame_attention(h, a, sign, table).data
+        before = joined_attention(h, a, sign, again).data
         index[:, [0, 1]] = index[:, [1, 0]]    # still a valid table
-        ad.SlotTable(index, adj.table.starts)
-        assert table.index.tobytes() == adj.table.index.tobytes()
-        assert ad.frame_attention(h, a, sign, table).data.tobytes() == before.tobytes()
-        for part in (table.index, table.segment, table.scatter, table.peer,
-                     table.loops):
+        SlotTable(index, table.starts)
+        assert again.index.tobytes() == table.index.tobytes()
+        assert joined_attention(h, a, sign, again).data.tobytes() == before.tobytes()
+        for part in (again.index, again.segment, again.scatter, again.peer,
+                     again.loops):
             assert not part.flags.writeable

@@ -107,6 +107,23 @@ class TestAccuracy:
         with pytest.raises(ValueError, match="at least one"):
             metrics.accuracy([], [])
 
+    @pytest.mark.parametrize("scores, labels", [
+        ([0.6, 0.4], [1]),              # would broadcast to 0.5
+        ([0.6], [1, 0]),
+        ([[0.6, 0.4]], [[1, 0]]),       # not vectors
+        (0.6, 1),
+    ])
+    def test_shape_mismatch_rejected(self, scores, labels):
+        with pytest.raises(ValueError, match="equal-length vectors"):
+            metrics.accuracy(scores, labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        # a NaN compares false against the threshold, so it would count
+        # as "real": accuracy([nan], [0]) read 1.0
+        with pytest.raises(ValueError, match="accuracy undefined: scores must be finite"):
+            metrics.accuracy([bad, 0.9], [0, 1])
+
 
 def tiny_protocol(**kw):
     base = dict(

@@ -153,7 +153,10 @@ class TestForward:
         cfg = toy_config(use_differential=False)
         params = model.init_params(cfg)
         _, structure = model.forward([clip], params, cfg)
-        assert structure.adjacency.table is gat.slot_columns(2, 2, None)[0]
+        # the inconsistency pass: every node a block of one, its self-loop
+        assert [(lay.sign.shape[1:3], lay.passes)
+                for lay in structure.adjacency.layouts] == [((1, 4), (0,)),
+                                                            ((4, 1), (1,))]
         support = graphs.dense_from_layout(frame_layout(structure.adjacency)[1] != 0)
         np.testing.assert_array_equal(support, np.eye(8, dtype=bool))
         assert not (structure.graph.temporal < 0).any()
@@ -449,8 +452,9 @@ class TestFrameLayoutPath:
         assert not calls
 
     def test_forward_builds_no_tile_block(self, monkeypatch):
-        # attention reads the tile pattern as its slots, also when the
-        # table cache is cold; the (N, N) block is a reference form only
+        # attention reads the tile pattern as one block per tile, also
+        # when the block cache is cold; the (N, N) block is a reference
+        # form only
         calls = []
         block = differential.negative_spatial_matrix
 
@@ -459,7 +463,7 @@ class TestFrameLayoutPath:
             return block(*args)
 
         monkeypatch.setattr(differential, "negative_spatial_matrix", counted)
-        gat.slot_columns.cache_clear()
+        gat._inconsistency_blocks.cache_clear()
         cfg = toy_config()
         params = model.init_params(cfg, random_head=True)
         for _ in range(2):
