@@ -100,9 +100,16 @@ def write_run_record(out_dir, command, config, extra=None):
 # subcommands
 
 
+def clip_seeds(args):
+    """The ``--count`` seeds from ``--seed`` on; ValueError below 1."""
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
+    return range(args.seed, args.seed + args.count)
+
+
 def cmd_synth(args):
     families = args.families.split(",")
-    seeds = range(args.seed, args.seed + args.count)
+    seeds = clip_seeds(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = synth.write_corpus(
@@ -136,6 +143,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    seeds = clip_seeds(args)
     params, config = model.load_checkpoint(args.checkpoint)
     if (args.channels != config.channels
             or min(args.height, args.width) < config.patch_size):
@@ -148,7 +156,6 @@ def cmd_eval(args):
     families = args.families.split(",")
     chash = model.config_hash(config)
     report = metrics.MetricReport()
-    seeds = range(args.seed, args.seed + args.count)
     all_clips = []
     for fam in families:
         clips = synth.make_corpus(("real", fam), seeds, frames=args.frames,

@@ -3,43 +3,27 @@
 The spatial differential generalizes per-tile anchor subtraction (NPR)
 to graph nodes: within every l0 x l0 tile of the patch grid, the anchor
 (top-left) node gets -1 edges to the rest of the tile and every node a
-+1 self edge. That pattern is one (N, N) block, the same in every
-frame; the attention reads it only as one (tile², tile²) block per tile
-(`tile_pattern` over the nodes of `tile_ids`). The dense block
-(`build_spatial_negative`) is the reference form: one linear
-propagation over it reproduces the pixel-level NPR exactly on
-non-anchor nodes, which `theorem1_check` verifies. The temporal
-differential concatenates each node with its next-frame twin through an
-affine map and adds -1 edges between the pair, overwriting any positive
-bridge edge at the same slot. Both stay inside one clip of a batch
-graph: the tile block acts per frame, and twins are held per clip.
++1 self edge. Its one form is the (tile², tile²) `tile_pattern` block
+over each row of `tile_ids`, the same in every frame, as the attention
+reads it; one linear propagation through those blocks reproduces the
+pixel-level NPR exactly on non-anchor nodes (`theorem1_check`). The
+temporal differential concatenates each node with its next-frame twin
+through an affine map and adds -1 edges between the pair, overwriting
+any positive bridge edge at the same slot. Both stay inside one clip of
+a batch graph: the tile blocks act per frame, twins are held per clip.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
-from .graphs import VideoGraph
 
-
-@dataclass(frozen=True)
-class NegativeSpatialAdjacency:
-    """Per-tile +-1 blocks: one (N, N) ``block``, the same in every
-    frame; zero outside complete tiles."""
-
-    tile: int
-    block: np.ndarray     # (N, N) entries in {-1, 0, 1}
-    anchors: np.ndarray   # node indices of the tile anchors in one frame
-
-    @property
-    def anchor_mask(self):
-        """One frame's (N,) mask of its tile anchors."""
-        mask = np.zeros(self.block.shape[0], dtype=bool)
-        mask[self.anchors] = True
-        return mask
+if TYPE_CHECKING:
+    from .graphs import VideoGraph
 
 
 def npr_reference(grid, tile) -> np.ndarray:
@@ -84,35 +68,13 @@ def tile_pattern(k):
     return pattern
 
 
-def negative_spatial_matrix(grid_h, grid_w, tile):
-    """One frame's (N, N) tile-block matrix, `tile_pattern` at each
-    complete tile's nodes, and its anchors."""
-    ids = tile_ids(grid_h, grid_w, tile)
-    mat = np.zeros((grid_h * grid_w,) * 2)
-    mat[ids[:, :, None], ids[:, None, :]] = tile_pattern(ids.shape[1] if len(ids) else 1)
-    return mat, ids[:, 0]
-
-
-def build_spatial_negative(graph: VideoGraph, tile) -> NegativeSpatialAdjacency:
-    return NegativeSpatialAdjacency(
-        tile, *negative_spatial_matrix(graph.grid_h, graph.grid_w, tile))
-
-
-def sgc_aggregate(x, neg: NegativeSpatialAdjacency) -> np.ndarray:
-    """Single linear propagation X' = A_ns X (no attention, no
-    activation), applied as the tile block to each N-row frame of x."""
-    x = np.asarray(x, dtype=np.float64)
-    frames = x.reshape(-1, len(neg.block), x[0].size)
-    return (neg.block @ frames).reshape(x.shape)
-
-
 def theorem1_check(image, tile):
     """Compare graph-side aggregation against pixel NPR at one pixel/node.
 
-    Builds the tile matrix for a single frame whose nodes are the pixels
-    themselves, propagates once, and measures deviation from the
-    reference. Non-anchor positions must agree exactly; the anchor rows
-    aggregate to (anchor - sum of tile mates) and are reported apart.
+    Gathers each tile's pixels (one node each) by `tile_ids`, propagates
+    them once through `tile_pattern`, scatters them back and measures the
+    deviation from the reference. Non-anchor positions must agree exactly;
+    the anchor rows aggregate to (anchor - sum of tile mates), reported apart.
 
     Returns (passed, max_nonanchor_deviation, max_anchor_deviation).
     """
@@ -123,13 +85,12 @@ def theorem1_check(image, tile):
     if tile < 1 or h % tile or w % tile:
         raise ValueError(f"image dims {h} x {w} must be divisible by the tile "
                          f"size, a positive integer, got {tile}")
-    neg = NegativeSpatialAdjacency(tile, *negative_spatial_matrix(h, w, tile))
-    propagated = sgc_aggregate(image.reshape(-1, 1), neg).reshape(h, w)
-    reference = npr_reference(image, tile)
-    dev = np.abs(propagated - reference)
-    anchor = neg.anchor_mask.reshape(h, w)
-    non_anchor_dev = float(dev[~anchor].max()) if (~anchor).any() else 0.0
-    anchor_dev = float(dev[anchor].max()) if anchor.any() else 0.0
+    ids = tile_ids(h, w, tile)
+    propagated = np.empty(h * w)
+    propagated[ids] = image.reshape(-1)[ids] @ tile_pattern(ids.shape[1])
+    dev = np.abs(propagated - npr_reference(image, tile).reshape(-1))
+    non_anchor_dev = float(dev[ids[:, 1:]].max(initial=0.0))
+    anchor_dev = float(dev[ids[:, 0]].max())
     return non_anchor_dev == 0.0, non_anchor_dev, anchor_dev
 
 

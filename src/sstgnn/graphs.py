@@ -7,18 +7,18 @@ frames are bridged at matching coordinates when the sum of structural
 (adjacency-row) and feature similarity clears tau_t. The assembled
 VideoGraph is immutable and keeps the frame layout: per-frame blocks and
 one twin edge per node and frame pair; the differential module later
-writes its -1 temporal edges into the twins and holds its tile pattern
-as one block for every frame. A minibatch of B equal clips of F frames
-is one graph of their T = B F stacked frames (a disjoint union): its
-twins are held per clip, as (B, F - 1, N), so no twin row joins the
-last frame of one clip to the first of the next.
+writes its -1 temporal edges into the twins, and its tile pattern is
+read per tile of `tile_ids`, never stored in the graph. A minibatch of
+B equal clips of F frames is one graph of their T = B F stacked frames
+(a disjoint union): its twins are held per clip, as (B, F - 1, N), so
+no twin row joins the last frame of one clip to the first of the next.
 
-The frame layout is the only graph format: `to_layout` packs blocks
-and twins into (T, N, N + 2) rows, whose columns attention's slots
-name, and the Lanczos matvec and `dump_edges` read them as they are.
-`dense_from_layout` and the (M, M) `VideoGraph.spatial`/`.temporal` it
-builds remain only for the benchmark's graph counts and the dense
-Laplacian reference.
+The frame layout is the only graph format: `gat.build_adjacency` writes
+attention's block layouts from the blocks and twins, and the Lanczos
+matvec and `dump_edges` read them as they are. `to_layout` packs them
+into (T, N, N + 2) rows only for `dense_from_layout`, whose (M, M)
+`VideoGraph.spatial`/`.temporal` remain for the benchmark's graph
+counts and the dense Laplacian reference.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .differential import tile_ids
 
 # added to every L2 norm a cosine similarity divides by: zero rows stay 0
 EPS_NORM = 1e-4
@@ -250,15 +252,15 @@ def dense_from_layout(layout):
 _EDGE_KINDS = ("spatial", "temporal", "neg_temporal", "neg_spatial")
 
 
-def dump_edges(path, graph: VideoGraph, negative=None):
+def dump_edges(path, graph: VideoGraph, tile=None):
     """Write the edge list as `u v w kind` lines for inspection.
 
     One line per edge of the clip graph, read from its frame layout: the
     upper triangle of each frame block, each nonzero twin (temporal when
-    positive, else neg_temporal) and, given a `NegativeSpatialAdjacency`,
-    the strict upper triangle of its tile ``block`` in every frame. Lines
-    run in (u, v) order and, within a pair, in the order of
-    ``_EDGE_KINDS``.
+    positive, else neg_temporal) and, given the differential's ``tile``
+    size, a -1 neg_spatial edge from each complete tile's anchor to each
+    of its tile mates (`tile_ids`) in every frame. Lines run in (u, v)
+    order and, within a pair, in the order of ``_EDGE_KINDS``.
     """
     n = graph.patches_per_frame
     t, i, j = np.nonzero(np.triu(graph.blocks))
@@ -267,11 +269,11 @@ def dump_edges(path, graph: VideoGraph, negative=None):
     w = graph.twins[c, f, v]
     t = c * (graph.twins.shape[1] + 1) + f
     edges.append((t * n + v, (t + 1) * n + v, w, np.where(w > 0, 1, 2)))
-    if negative is not None:
-        i, j = np.nonzero(np.triu(negative.block, 1))
-        base = np.arange(graph.frames)[:, None] * n
-        edges.append(((base + i).ravel(), (base + j).ravel(),
-                      np.tile(negative.block[i, j], graph.frames), 3))
+    if tile is not None:
+        ids = (np.arange(graph.frames)[:, None, None] * n + tile_ids(
+            graph.grid_h, graph.grid_w, tile)).reshape(-1, tile * tile)
+        mates = ids[:, 1:].ravel()
+        edges.append((ids[:, 0].repeat(tile * tile - 1), mates, np.full(mates.shape, -1.0), 3))
     u, v, w = (np.concatenate([e[k] for e in edges]) for k in range(3))
     kind = np.concatenate([np.broadcast_to(e[3], e[0].shape) for e in edges])
     order = np.lexsort((kind, v, u))

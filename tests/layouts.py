@@ -1,8 +1,9 @@
 """Graph shapes for tests: the dense frame layouts a block adjacency
 stands for, to compare a pass over its own blocks against the dense one
 or pin its bytes; the block layout of dense passes; a one-clip graph
-for the ops that pool per clip; and the joined slot-table attention the
-block layouts replaced, kept as the reference implementation."""
+for the ops that pool per clip; the loop-built dense tile matrix of the
+spatial differential; and the joined slot-table attention the block
+layouts replaced, kept as the reference implementation."""
 
 from dataclasses import dataclass, field
 
@@ -46,6 +47,25 @@ def one_clip(nodes):
     `spectral.pool_spectral` read of a graph."""
     return graphs.VideoGraph(nodes, 1, np.zeros((1, nodes, nodes)),
                              np.zeros((1, 0, nodes)))
+
+
+def loop_negative_spatial_matrix(frames, grid_h, grid_w, tile):
+    """Per-tile loop reference for the (M, M) tile matrix of ``frames``
+    frames, the dense form of the spatial differential: each complete
+    tile's `tile_pattern` at its nodes in every frame; and its anchors."""
+    m = frames * grid_h * grid_w
+    mat = np.zeros((m, m))
+    anchors = []
+    for t in range(frames):
+        for ti in range(grid_h // tile):
+            for tj in range(grid_w // tile):
+                ids = [(t * grid_h + ti * tile + a) * grid_w + tj * tile + b
+                       for a in range(tile) for b in range(tile)]
+                mat[ids[0], ids] = -1.0
+                mat[ids, ids[0]] = -1.0
+                mat[ids, ids] = 1.0
+                anchors.append(ids[0])
+    return mat, np.array(anchors, dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,14 @@ def test_synth_bad_spec_is_usage_error(tmp_path, capsys, flags, message):
     assert not list((tmp_path / "c").glob("*.vgf"))
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_synth_count_below_one_is_usage_error(tmp_path, capsys, count):
+    out = tmp_path / "c"
+    assert main(["synth", "--out", str(out), "--count", count]) == 2
+    assert capsys.readouterr().err == f"error: --count must be at least 1, got {count}\n"
+    assert not out.exists()
+
+
 def test_synth_writes_corpus_and_manifest(tmp_path):
     out = tmp_path / "corpus"
     code = main(["synth", "--out", str(out), "--families",
@@ -124,6 +132,16 @@ def test_eval_checkpoint(trained_run, tmp_path):
     report = (out / "report.csv").read_text().splitlines()
     assert len(report) == 3
     assert (out / "embeddings.csv").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-4"])
+def test_eval_count_below_one_is_usage_error(trained_run, tmp_path, capsys, count):
+    out = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", str(trained_run / "checkpoint.sstg"),
+                 "--out", str(out), "--count", count, "--frames", "2",
+                 "--height", "8", "--width", "8"]) == 2
+    assert capsys.readouterr().err == f"error: --count must be at least 1, got {count}\n"
+    assert not out.exists()
 
 
 def test_eval_truncated_checkpoint_is_usage_error(trained_run, tmp_path, capsys):

@@ -1,16 +1,20 @@
-"""Negative differential edges: tile blocks, aggregation, temporal side."""
+"""Negative differential edges: tile blocks, Theorem 1, temporal side."""
 
 from dataclasses import replace
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sstgnn import autodiff as ad
 from sstgnn import differential as diff
 from sstgnn import graphs
 from sstgnn.synth import SynthSpec, generate
 
-from layouts import tile_slots
+from layouts import loop_negative_spatial_matrix, tile_slots
 
 
 def small_graph(t=2, grid=4, seed=0, d=5):
@@ -48,7 +52,7 @@ class TestNprReference:
 class TestSpatialNegative:
     def test_hand_built_tile_block(self):
         # 2x2 grid, one frame, tile 2: nodes a(anchor), b, c, d
-        mat, anchors = diff.negative_spatial_matrix(2, 2, 2)
+        mat, anchors = loop_negative_spatial_matrix(1, 2, 2, 2)
         np.testing.assert_array_equal(mat, [
             [1, -1, -1, -1],
             [-1, 1, 0, 0],
@@ -56,35 +60,26 @@ class TestSpatialNegative:
             [-1, 0, 0, 1],
         ])
         np.testing.assert_array_equal(anchors, [0])
-        # the same block, as the attention reads it per tile
+        # the same block, as the attention reads it: one tile, anchor first
+        np.testing.assert_array_equal(diff.tile_ids(2, 2, 2), [[0, 1, 2, 3]])
         np.testing.assert_array_equal(diff.tile_pattern(4), mat)
         np.testing.assert_array_equal(diff.tile_pattern(1), [[1.0]])
 
     def test_tile1_is_identity(self):
-        g = small_graph()
-        neg = diff.build_spatial_negative(g, 1)
-        np.testing.assert_array_equal(neg.block, np.eye(g.patches_per_frame))
-        x = np.random.default_rng(1).random((g.node_count, 3))
-        np.testing.assert_array_equal(diff.sgc_aggregate(x, neg), x)
-
-    def test_no_cross_frame_coupling(self):
-        g = small_graph(t=2, grid=4)
-        neg = diff.build_spatial_negative(g, 2)
-        n = g.patches_per_frame
-        x = np.zeros((g.node_count, 2))
-        x[:n] = np.random.default_rng(2).random((n, 2))
-        out = diff.sgc_aggregate(x, neg)
-        # frame 0's features reach no node of frame 1, and back
-        assert np.all(out[n:] == 0.0)
-        np.testing.assert_array_equal(out[:n], diff.sgc_aggregate(
-            x[:n], diff.NegativeSpatialAdjacency(2, neg.block, neg.anchors)))
+        # every node is a tile of its own, its block a +1 self edge, so
+        # one propagation gives each pixel back
+        np.testing.assert_array_equal(diff.tile_ids(4, 4, 1), np.arange(16)[:, None])
+        np.testing.assert_array_equal(loop_negative_spatial_matrix(1, 4, 4, 1)[0],
+                                      np.eye(16))
+        img = np.random.default_rng(1).random((4, 4))
+        assert diff.theorem1_check(img, 1) == (True, 0.0, img.max())
 
     @pytest.mark.parametrize("grid_h, grid_w, tile", [
         (2, 2, 2), (3, 5, 2), (4, 4, 2), (6, 6, 3), (1, 4, 2), (2, 2, 3), (3, 3, 1)])
     def test_slot_rows_start_on_themselves_and_are_distinct(self, grid_h, grid_w,
                                                             tile):
-        # the reference attention's slots: built apart from the (N, N)
-        # block, which comes straight from `tile_ids`, and equal to it
+        # the reference attention's slots: built apart from the loop
+        # reference's (N, N) block, and equal to it
         index, sign = tile_slots(grid_h, grid_w, tile)
         n = grid_h * grid_w
         k = tile * tile if (grid_h // tile) * (grid_w // tile) else 1
@@ -95,7 +90,7 @@ class TestSpatialNegative:
         assert (index[:, :k] < n).all()
         np.testing.assert_array_equal(index[:, k:], [[n, n + 1]] * n)
         # the slots hold every nonzero of the block, each once
-        mat, anchors = diff.negative_spatial_matrix(grid_h, grid_w, tile)
+        mat, anchors = loop_negative_spatial_matrix(1, grid_h, grid_w, tile)
         assert np.count_nonzero(sign) == np.count_nonzero(mat)
         np.testing.assert_array_equal(mat[np.arange(n)[:, None], index[:, :k]], sign)
         # an anchor row is +1 then -1 over its tile mates
@@ -107,46 +102,17 @@ class TestSpatialNegative:
         np.testing.assert_array_equal(tile_slots(grid_h, grid_w, tile)[0], expected)
 
     def test_partial_tiles_skipped(self):
-        mat, anchors = diff.negative_spatial_matrix(3, 3, 2)
         # only the top-left 2x2 tile is complete on a 3x3 grid
-        assert len(anchors) == 1
-        covered = np.nonzero(mat.any(axis=1))[0]
-        np.testing.assert_array_equal(covered, [0, 1, 3, 4])
-        # a tile larger than the grid: no block, and no (tile², tile²)
-        # pattern built for it
-        mat, anchors = diff.negative_spatial_matrix(3, 3, 10 ** 4)
-        assert not mat.any() and anchors.size == 0
+        np.testing.assert_array_equal(diff.tile_ids(3, 3, 2), [[0, 1, 3, 4]])
+        # a tile larger than the grid: no tile, and no (tile², tile²)
+        # id array built for it
+        assert diff.tile_ids(3, 3, 10 ** 4).size == 0
 
     def test_row_sums(self):
-        g = small_graph(grid=4)
-        neg = diff.build_spatial_negative(g, 2)
-        sums = diff.sgc_aggregate(np.ones(g.node_count), neg)
-        anchor = np.tile(neg.anchor_mask, g.frames)
-        assert np.all(sums[anchor] == 1 - (2 * 2 - 1))
-        assert np.all(sums[~anchor] == 0)
-
-
-class TestSgcAggregate:
-    def test_non_anchor_is_difference_from_anchor(self):
-        g = small_graph(t=1, grid=2)
-        neg = diff.build_spatial_negative(g, 2)
-        x = np.random.default_rng(3).random((4, 3))
-        out = diff.sgc_aggregate(x, neg)
-        for u in (1, 2, 3):
-            np.testing.assert_allclose(out[u], x[u] - x[0], rtol=1e-15)
-
-    def test_anchor_subtracts_tile_mates(self):
-        g = small_graph(t=1, grid=2)
-        neg = diff.build_spatial_negative(g, 2)
-        x = np.random.default_rng(4).random((4, 3))
-        out = diff.sgc_aggregate(x, neg)
-        np.testing.assert_allclose(out[0], x[0] - x[1] - x[2] - x[3], rtol=1e-14)
-
-    def test_constant_tile_features_cancel(self):
-        g = small_graph(t=1, grid=2)
-        neg = diff.build_spatial_negative(g, 2)
-        out = diff.sgc_aggregate(np.tile([2.0, -1.0], (4, 1)), neg)
-        np.testing.assert_array_equal(out[1:], np.zeros((3, 2)))
+        # a ones image propagates to the row sums: 1 - (tile² - 1) at
+        # each anchor, 0 elsewhere, where the pixel NPR is 0 throughout
+        assert diff.theorem1_check(np.ones((8, 8)), 2) == (True, 0.0, 2.0)
+        assert diff.theorem1_check(np.ones((6, 9)), 3) == (True, 0.0, 7.0)
 
 
 class TestEquivalence:
@@ -167,6 +133,32 @@ class TestEquivalence:
         passed, non_anchor, _ = diff.theorem1_check(frame, 2)
         assert passed
         assert np.abs(diff.npr_reference(frame, 2)).max() == 0.0
+
+    @given(st.integers(1, 5), st.tuples(st.integers(1, 6), st.integers(1, 6)).filter(
+        lambda tiles: tiles[0] != tiles[1]), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rectangular_grids_any_tile(self, tile, tiles, seed):
+        h, w = tiles[0] * tile, tiles[1] * tile
+        img = np.random.default_rng(seed).normal(size=(h, w))
+        passed, non_anchor, anchor = diff.theorem1_check(img, tile)
+        assert passed and non_anchor == 0.0
+        # the pixel NPR is 0 at an anchor, so the anchor deviation is the
+        # largest |x_anchor - sum of its tile mates|
+        rows = [img[i, j] - (img[i:i + tile, j:j + tile].sum() - img[i, j])
+                for i in range(0, h, tile) for j in range(0, w, tile)]
+        assert abs(anchor - max(map(abs, rows))) < 1e-12
+
+    def test_peak_memory_is_the_grid_not_its_square(self):
+        # the check reads the tile blocks: a 64 x 64 grid (32 KB) must not
+        # build the (4096, 4096) tile matrix (128 MB)
+        img = np.random.default_rng(15).random((64, 64))
+        tracemalloc.start()
+        try:
+            passed, _, _ = diff.theorem1_check(img, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert passed and peak < 4 * 2 ** 20
 
 
 class TestTemporalConcat:
@@ -274,25 +266,6 @@ class TestAddTemporalNegative:
         np.testing.assert_array_equal(g.temporal, before)
 
 
-def loop_negative_spatial_matrix(frames, grid_h, grid_w, tile):
-    """Per-tile loop reference for the (M, M) tile matrix of ``frames``
-    frames: `negative_spatial_matrix` at one frame, the block per frame
-    beyond."""
-    m = frames * grid_h * grid_w
-    mat = np.zeros((m, m))
-    anchors = []
-    for t in range(frames):
-        for ti in range(grid_h // tile):
-            for tj in range(grid_w // tile):
-                ids = [(t * grid_h + ti * tile + a) * grid_w + tj * tile + b
-                       for a in range(tile) for b in range(tile)]
-                mat[ids[0], ids] = -1.0
-                mat[ids, ids[0]] = -1.0
-                mat[ids, ids] = 1.0
-                anchors.append(ids[0])
-    return mat, np.array(anchors, dtype=np.intp)
-
-
 def loop_temporal_negative(graph):
     """Per-node loop reference for `add_temporal_negative`."""
     temporal = graph.temporal.copy()
@@ -308,20 +281,17 @@ class TestMatchesLoopReference:
     """T=3 frames on a 5x4 grid with tile 2: the last tile row is partial."""
 
     def test_spatial_matrix_bit_identical(self):
-        g = graphs.VideoGraph(5, 4, np.zeros((3, 20, 20)), np.zeros((1, 2, 20)))
         for tile in (1, 2, 3, 5):
-            mat, anchors = diff.negative_spatial_matrix(5, 4, tile)
-            ref_mat, ref_anchors = loop_negative_spatial_matrix(1, 5, 4, tile)
+            # each tile's `tile_pattern` block, scattered at its
+            # `tile_ids` in every frame, is the clip's (M, M) tile matrix
+            ids = diff.tile_ids(5, 4, tile)
+            ids = (np.arange(3)[:, None, None] * 20 + ids).reshape(-1, ids.shape[1])
+            mat = np.zeros((60, 60))
+            mat[ids[:, :, None], ids[:, None, :]] = diff.tile_pattern(ids.shape[1])
+            ref_mat, ref_anchors = loop_negative_spatial_matrix(3, 5, 4, tile)
             assert mat.tobytes() == ref_mat.tobytes()
-            assert anchors.dtype == ref_anchors.dtype
-            np.testing.assert_array_equal(anchors, ref_anchors)
-            # the block in every frame is the clip's (M, M) tile matrix
-            neg = diff.build_spatial_negative(g, tile)
-            clip_mat, clip_anchors = loop_negative_spatial_matrix(3, 5, 4, tile)
-            np.testing.assert_array_equal(diff.sgc_aggregate(np.eye(60), neg),
-                                          clip_mat)
-            np.testing.assert_array_equal(
-                np.nonzero(np.tile(neg.anchor_mask, g.frames))[0], clip_anchors)
+            assert ids.dtype == ref_anchors.dtype
+            np.testing.assert_array_equal(ids[:, 0], ref_anchors)
 
     def test_temporal_negative_bit_identical(self):
         emb = np.random.default_rng(3).random((3, 20, 5))

@@ -11,8 +11,8 @@ from sstgnn import autodiff as ad
 from sstgnn import differential as diff
 from sstgnn import gat, graphs, model, synth
 
-from layouts import (SlotTable, frame_layout, joined_adjacency, joined_attention, one_clip,
-                     whole_frames)
+from layouts import (SlotTable, frame_layout, joined_adjacency, joined_attention,
+                     loop_negative_spatial_matrix, one_clip, whole_frames)
 
 
 def lrelu(v, slope=0.2):
@@ -354,9 +354,10 @@ def dense_gat(x, support, sign, params):
     return ad.leaky_relu(ad.matmul(signed, h))
 
 
-def old_dense_adjacency(graph, neg):
+def old_dense_adjacency(graph, tile):
     """(M, M) consistency and inconsistency support/sign, built the way
-    they were before the frame layout."""
+    they were before the frame layout; ``tile`` None leaves out the
+    spatial differential."""
     def loops(support, sign):
         support, sign = support.copy(), sign.copy()
         diag = np.arange(support.shape[0])
@@ -368,9 +369,9 @@ def old_dense_adjacency(graph, neg):
     support = (graph.spatial > 0) | (graph.temporal > 0)
     consistency = loops(support, support.astype(float))
     combined = np.where(graph.temporal < 0, graph.temporal, 0.0)
-    if neg is not None:
-        combined = combined + graphs.dense_from_layout(graphs.to_layout(
-            neg.block, np.zeros(graph.twins.shape)))
+    if tile is not None:
+        combined = combined + loop_negative_spatial_matrix(
+            graph.frames, graph.grid_h, graph.grid_w, tile)[0]
     return consistency, loops(combined != 0, np.sign(combined))
 
 
@@ -467,9 +468,8 @@ class TestSignedAdjacencyLayout:
     @pytest.mark.parametrize("use_differential", [True, False])
     def test_dense_gives_back_the_old_matrices(self, use_differential):
         structure, _, cfg = clip_structure(16, use_differential, family="temporal_jitter")
-        neg = (diff.build_spatial_negative(structure.graph, cfg.tile)
-               if use_differential else None)
-        old = old_dense_adjacency(structure.graph, neg)
+        old = old_dense_adjacency(structure.graph,
+                                  cfg.tile if use_differential else None)
         for p, (support, sign) in enumerate(old):
             dense_support, dense_sign = dense_pair(one_pass(structure.adjacency, p))
             assert dense_support.dtype == support.dtype

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sstgnn import differential, graphs, model
 from sstgnn.synth import SynthSpec, generate
 
-from layouts import frame_layout
+from layouts import frame_layout, loop_negative_spatial_matrix
 
 
 def random_pixels(seed, t=2, h=8, w=8, c=1):
@@ -257,13 +257,13 @@ class TestAssemble:
         assert "spatial" in kinds
 
 
-def reference_dump_edges(path, graph, negative=None):
+def reference_dump_edges(path, graph, tile=None):
     """The pair-by-pair loop `dump_edges` replaced, kept as its oracle:
-    it reads the (M, M) matrices, the tile block repeated down the
-    diagonal for the negative spatial edges."""
+    it reads the (M, M) matrices, the loop-built tile matrix for the
+    negative spatial edges."""
     spatial, temporal = graph.spatial, graph.temporal
-    tiles = None if negative is None else graphs.dense_from_layout(
-        graphs.to_layout(negative.block, np.zeros(graph.twins.shape)))
+    tiles = None if tile is None else loop_negative_spatial_matrix(
+        graph.frames, graph.grid_h, graph.grid_w, tile)[0]
     with open(path, "w") as fh:
         m = graph.node_count
         for u in range(m):
@@ -302,9 +302,8 @@ class TestDumpEdges:
     @pytest.mark.parametrize("tile", [1, 2, 3])
     def test_same_bytes_as_loop_with_differential(self, tmp_path, tile):
         g = differential.add_temporal_negative(clip_graph(2))
-        neg = differential.build_spatial_negative(g, tile)
-        graphs.dump_edges(tmp_path / "new.txt", g, neg)
-        reference_dump_edges(tmp_path / "ref.txt", g, neg)
+        graphs.dump_edges(tmp_path / "new.txt", g, tile=tile)
+        reference_dump_edges(tmp_path / "ref.txt", g, tile)
         new = (tmp_path / "new.txt").read_bytes()
         assert new == (tmp_path / "ref.txt").read_bytes()
         kinds = {line.split()[-1] for line in new.decode().splitlines()}
@@ -319,9 +318,8 @@ class TestDumpEdges:
                  for s in (4, 5)]
         g = graphs.VideoGraph(8, 8, np.concatenate([c.blocks for c in clips]),
                               np.concatenate([c.twins for c in clips]))
-        neg = differential.build_spatial_negative(g, 2)
-        graphs.dump_edges(tmp_path / "new.txt", g, neg)
-        reference_dump_edges(tmp_path / "ref.txt", g, neg)
+        graphs.dump_edges(tmp_path / "new.txt", g, tile=2)
+        reference_dump_edges(tmp_path / "ref.txt", g, 2)
         new = (tmp_path / "new.txt").read_text()
         assert new == (tmp_path / "ref.txt").read_text()
         kinds = [line.split()[-1] for line in new.splitlines()]
@@ -384,9 +382,8 @@ def test_batch_graph_bytes_pinned(tmp_path, key):
         assert (twins == -1).sum() == pairs
     else:   # some bridges kept, some not
         assert 0 < (twins > 0).sum() < pairs
-    neg = differential.build_spatial_negative(structure.graph, cfg.tile)
     graphs.dump_edges(tmp_path / "edges.txt", structure.graph,
-                      neg if kind == "diff" else None)
+                      tile=cfg.tile if kind == "diff" else None)
     consistency, inconsistency = frame_layout(structure.adjacency)
     got = tuple(hashlib.sha256(blob).hexdigest() for blob in (
         (tmp_path / "edges.txt").read_bytes(), consistency.tobytes(),

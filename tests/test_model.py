@@ -451,27 +451,6 @@ class TestFrameLayoutPath:
         assert structure.basis.steps.shape == (16,)
         assert not calls
 
-    def test_forward_builds_no_tile_block(self, monkeypatch):
-        # attention reads the tile pattern as one block per tile, also
-        # when the block cache is cold; the (N, N) block is a reference
-        # form only
-        calls = []
-        block = differential.negative_spatial_matrix
-
-        def counted(*args):
-            calls.append(args)
-            return block(*args)
-
-        monkeypatch.setattr(differential, "negative_spatial_matrix", counted)
-        gat._inconsistency_blocks.cache_clear()
-        cfg = toy_config()
-        params = model.init_params(cfg, random_head=True)
-        for _ in range(2):
-            logits, structure = model.forward([toy_clip()], params, cfg)
-            ad.cross_entropy(logits, [0]).backward()
-        assert calls == []
-        assert (frame_layout(structure.adjacency)[1] < 0).any()
-
 
 class TestGoldenForward:
     def test_fixed_seed_logits_frozen(self):
