@@ -303,12 +303,14 @@ def block_matmul(blocks, x) -> Tensor:
 class BlockLayout(NamedTuple):
     """Stacked attention passes over dense blocks of one node order.
 
-    ``order`` lists one frame's node ids block by block, G b of them
-    (None: the identity order over all of a frame's N nodes). ``sign``
+    ``order`` lists one frame's integer node ids block by block, G b of
+    them (None: the identity order over all of a frame's N nodes), and
+    each pass's blocks hold every node of a frame once. ``sign``
     (T, G, b, P, b + 2) holds, for each stacked pass, row a of block g
     against the block's b nodes, then the row's previous and next twin:
-    -1, 0 or +1, the pass's support where nonzero. ``passes`` names the
-    output pass each of the P stacked signs feeds.
+    an int8 -1, 0 or +1, the pass's support where nonzero, nonzero on
+    every self-loop and 0 on the twins beyond the first and last frame.
+    ``passes`` names the integer output pass each stacked sign feeds.
     """
 
     order: np.ndarray | None
@@ -316,9 +318,9 @@ class BlockLayout(NamedTuple):
     passes: tuple = (0,)
 
 
-# a row whose exps, shifted by its max, sum below this has no support, or
-# its support scores sit more than ~575 below its other cells: it is
-# shifted again by its support's own max
+# a row whose exps, shifted by its max, sum below this has its support
+# scores more than ~575 below its other cells: it is shifted again by its
+# support's own max
 _UNDERFLOW = 1e-250
 
 # the cells (about 0.5 MB of float64) of the frames whose scores one
@@ -341,22 +343,46 @@ def _scores(sb, twin):
     return np.maximum(raw, np.multiply(raw, LEAKY_SLOPE), out=raw)
 
 
+def _check_layouts(layouts, n):
+    """ValueError on a layout that breaks a rule of `BlockLayout` over
+    frames of ``n`` nodes."""
+    held = {}
+    for order, sign, owned in layouts:
+        b, ids = sign.shape[2], np.arange(n) if order is None else order
+        loops = np.diagonal(sign, axis1=2, axis2=4)    # (T, G, P, b)
+        if (sign.dtype != np.int8 or sign.min() < -1 or sign.max() > 1
+                or any(np.asarray(v).dtype.kind not in "iu" for v in (ids, owned))):
+            raise ValueError("frame_attention: signs must be int8 -1, 0 or +1, orders and "
+                             "passes integer")
+        if sign[0, ..., b].any() or sign[-1, ..., b + 1].any():
+            raise ValueError("frame_attention: a twin beyond the first or last frame")
+        if not loops.all():
+            t, g, p, a = np.argwhere(loops == 0)[0]
+            raise ValueError(f"frame_attention: pass {owned[p]}, frame {t}, node "
+                             f"{ids[g * b + a]} has no self-loop")
+        for p in owned:
+            held.setdefault(p, []).append(ids)
+    if sorted(held) != list(range(len(held))) or any(not np.array_equal(
+            np.sort(np.concatenate(parts)), np.arange(n)) for parts in held.values()):
+        raise ValueError("frame_attention: each pass's blocks must hold every node of "
+                         "a frame once")
+
+
 def frame_attention(h, attention, layouts) -> Tensor:
     """Signed attention aggregation of P passes over their block layouts.
 
     ``h`` is (M, d) with M = T * N, ``attention`` is (2d,), ``layouts``
-    a sequence of `BlockLayout`s; each pass's blocks hold every node of a
-    frame once. Row a of block g of frame t is node order[g b + a]: its
-    block's nodes are its neighbours in frame t, and its twins the same
-    node in frames t - 1 and t + 1. The scores,
+    a sequence of `BlockLayout`s. Row a of block g of frame t is node
+    order[g b + a]: its block's nodes are its neighbours in frame t, and
+    its twins the same node in frames t - 1 and t + 1. The scores,
     e = LeakyReLU(a_self . h_i + a_peer . h_j), are formed once per
     block layout, a few frames at a time (`_CHUNK_CELLS`), and shared by
     its stacked passes; each pass takes the softmax over a row's support
-    and times its sign, which may be of any numeric dtype. A layout's
-    (T, G, b P, b) view of the weights aggregates its passes in one
-    batched matmul per block, plus the twin rows. Returns (M, P d), row
-    (t, i) holding the passes' outputs side by side. A row with no
-    support raises ValueError.
+    and times its int8 sign. A layout's (T, G, b P, b) view of the
+    weights aggregates its passes in one batched matmul per block, plus
+    the twin rows. Returns (M, P d), row (t, i) holding the passes'
+    outputs side by side. A layout that does not fit h or breaks a rule
+    of `BlockLayout` raises ValueError, so no softmax row is empty.
     """
     h, attention = as_tensor(h), as_tensor(attention)
     m, d = h.data.shape
@@ -370,6 +396,7 @@ def frame_attention(h, attention, layouts) -> Tensor:
         raise ValueError(f"frame_attention: h {h.shape}, attention {attention.shape} "
                          f"and signs {[lay.sign.shape for lay in layouts]} do not fit "
                          f"(T, G, b, P, b + 2) blocks of one frame's nodes")
+    _check_layouts(layouts, n)
     a = attention.data.reshape(2, d)    # rows a_self and a_peer
     hf = h.data.reshape(frames, n, d)
     s_pair = (h.data @ a.T).reshape(frames, n, 2)
@@ -397,11 +424,6 @@ def frame_attention(h, attention, layouts) -> Tensor:
             raw = _scores(sb[t0:t0 + step], twin[t0:t0 + step + 2])
             for own in (False, True):
                 shift = (np.where(s, raw, -np.inf) if own else raw).max(-1, keepdims=True)
-                if np.isneginf(shift).any():
-                    t, g, row, p = np.argwhere(np.isneginf(shift[..., 0]))[0]
-                    node = g * b + row if order is None else order[g * b + row]
-                    raise ValueError(f"frame_attention: pass {owned[p]}, frame {t0 + t}, "
-                                     f"node {node} has no support: 0/0, non-finite")
                 # an off-support cell may score above its support's max;
                 # clipped to 0 and zeroed by its sign, it cannot overflow
                 np.multiply(np.exp(np.minimum(raw - shift, 0.0)), s, out=w)

@@ -18,8 +18,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import autodiff as ad
 from . import metrics, model, pgm, spectral, synth
 from .differential import theorem1_check
@@ -100,16 +98,20 @@ def write_run_record(out_dir, command, config, extra=None):
 # subcommands
 
 
-def clip_seeds(args):
-    """The ``--count`` seeds from ``--seed`` on; ValueError below 1."""
+def corpus_args(args, known):
+    """``--families`` and the ``--count`` seeds from ``--seed`` on; ValueError
+    on a family not in ``known`` or named twice, or a count below 1."""
+    families = args.families.split(",")
+    if not set(families) <= set(known) or len(set(families)) < len(families):
+        raise ValueError(f"--families takes distinct families of {', '.join(known)}; "
+                         f"got {args.families!r}")
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    return range(args.seed, args.seed + args.count)
+    return families, range(args.seed, args.seed + args.count)
 
 
 def cmd_synth(args):
-    families = args.families.split(",")
-    seeds = clip_seeds(args)
+    families, seeds = corpus_args(args, synth.FAMILIES)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = synth.write_corpus(
@@ -143,7 +145,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    seeds = clip_seeds(args)
+    families, seeds = corpus_args(args, synth.FAKE_FAMILIES)
     params, config = model.load_checkpoint(args.checkpoint)
     if (args.channels != config.channels
             or min(args.height, args.width) < config.patch_size):
@@ -153,23 +155,20 @@ def cmd_eval(args):
             f"{config.channels} channel(s) and patch size {config.patch_size}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    families = args.families.split(",")
     chash = model.config_hash(config)
     report = metrics.MetricReport()
-    all_clips = []
-    for fam in families:
-        clips = synth.make_corpus(("real", fam), seeds, frames=args.frames,
-                                  height=args.height, width=args.width,
-                                  channels=args.channels)
-        acc, area, _ = metrics.evaluate_model(params, config, clips)
-        report.rows.append(metrics.ReportRow(
-            args.protocol, "checkpoint", fam, len(clips), acc, area,
-            args.seed, chash))
-        all_clips.extend(clips)
+    clips = synth.make_corpus(("real", *families), seeds, frames=args.frames,
+                              height=args.height, width=args.width,
+                              channels=args.channels)
+    real = clips[:len(seeds)]    # scored against each family's fakes
+    for k, fam in enumerate(families, 1):
+        cell = real + clips[k * len(seeds):(k + 1) * len(seeds)]
+        acc, area, _ = metrics.evaluate_model(params, config, cell)
+        report.rows.append(metrics.ReportRow(args.protocol, "checkpoint", fam, len(cell),
+                                             acc, area, args.seed, chash))
     report.write_csv(out / "report.csv")
     if args.dump_embeddings:
-        metrics.dump_embeddings(out / "embeddings.csv", all_clips, params,
-                                config)
+        metrics.dump_embeddings(out / "embeddings.csv", clips, params, config)
     write_run_record(out, "eval", config,
                      {"protocol": args.protocol, "checkpoint": str(args.checkpoint),
                       "families": families, "mean_auc": report.mean_auc()})

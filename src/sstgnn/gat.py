@@ -7,7 +7,7 @@ undefined over negative weights, so attention runs on the support (the
 nonzero signs) and each message is multiplied by the edge sign. The
 consistency pass uses the positive spatial + temporal edges (+1 signs);
 the inconsistency pass uses the tile blocks and the -1 temporal entries.
-`SignedAdjacency` adds any missing self-loop (+1), so no softmax row is
+Every node has a +1 self-loop in both passes, so no softmax row is
 empty. The layer returns both passes' rows side by side, [h_c || h_ic],
 which `spatial_fuse` pools per clip and maps without a concat.
 
@@ -20,7 +20,9 @@ the inconsistency pass is one block per complete tile, in the
 tile-major order of `differential.tile_ids`, plus a block of one node
 (its self-loop and twins) for each node outside every complete tile,
 or every node with the differential off. Passes of one block shape and
-one order run stacked in one batched matmul.
+one order run stacked in one batched matmul. `build_adjacency` returns
+the passes as a tuple of int8 block layouts, which
+`autodiff.frame_attention` checks on every call.
 """
 
 from __future__ import annotations
@@ -41,51 +43,6 @@ class GatParams:
     attention: ad.Tensor  # (2d,) concatenation attention vector
 
 
-@dataclass(frozen=True)
-class SignedAdjacency:
-    """A {-1, 0, +1} sign per edge of P passes, held as int8 in the
-    `autodiff.BlockLayout`s that `autodiff.frame_attention` reads; a
-    pass's support is where its sign is nonzero. Each pass's blocks must
-    hold every node of a frame once, and no twin may reach beyond the
-    first or last frame, ValueError otherwise. Every node gets a
-    self-loop in every pass: a missing one is added with sign +1, an
-    existing one keeps its sign."""
-
-    layouts: tuple
-
-    def __post_init__(self):
-        layouts, sizes, held = [], {}, {}
-        for order, given, passes in self.layouts:
-            given, passes = np.asarray(given), tuple(passes)
-            sign = given.astype(np.int8, copy=False)
-            frames, groups, b = (*sign.shape, 0, 0, 0)[:3]
-            if (sign.ndim != 5 or sign.shape[3:] != (len(passes), b + 2)
-                    or frames != (layouts[0].sign.shape[0] if layouts else frames)
-                    or order is not None and (np.asarray(order).dtype.kind not in "iu"
-                                              or np.shape(order) != (groups * b,))
-                    or sign is not given and ((sign != given) | (abs(sign) > 1)).any()):
-                raise ValueError(f"sign {sign.shape} of passes {passes} is not a (T, G, "
-                                 f"b, P, b + 2) block layout of -1, 0 and +1 over its order")
-            if sign[0, ..., b].any() or sign[-1, ..., b + 1].any():
-                raise ValueError("twin entry beyond the first or last frame")
-            if not np.diagonal(sign, axis1=2, axis2=4).all():
-                diagonal, sign = np.arange(b), sign.copy()
-                # an absent loop's sign is 0
-                sign[:, :, diagonal, :, diagonal] += sign[:, :, diagonal, :, diagonal] == 0
-            for p in passes:
-                sizes[p] = sizes.get(p, 0) + groups * b
-                if order is not None:
-                    held.setdefault(p, []).append(order)
-            layouts.append(ad.BlockLayout(order, sign, passes))
-        # every pass the same node count, and its ordered blocks each node once
-        n = sizes.get(0, 0)
-        if not n or set(sizes.items()) != {(p, n) for p in range(len(sizes))} or any(
-                not np.array_equal(np.sort(np.concatenate(parts)), np.arange(n))
-                for parts in held.values()):
-            raise ValueError("each pass's blocks must hold every node of a frame once")
-        object.__setattr__(self, "layouts", tuple(layouts))
-
-
 @functools.lru_cache(maxsize=16)
 def _inconsistency_blocks(grid_h, grid_w, tile):
     """The inconsistency pass's blocks of one frame, as (order, (b, b)
@@ -104,12 +61,13 @@ def _inconsistency_blocks(grid_h, grid_w, tile):
     return tuple(blocks)
 
 
-def build_adjacency(graph: VideoGraph, tile) -> SignedAdjacency:
-    """Both passes over ``graph``: the consistency pass's positive frame
-    edges and twins, one block of the frame, then the inconsistency
-    pass's blocks of ``tile`` (None: the differential off, every node
-    alone) and -1 twins, with the +1 self-loops `SignedAdjacency` would
-    add. When both are one block of the frame, they are stacked."""
+def build_adjacency(graph: VideoGraph, tile) -> tuple:
+    """Both passes over ``graph`` as a tuple of int8 `autodiff.BlockLayout`s:
+    the consistency pass's positive frame edges and twins, one block of
+    the frame, then the inconsistency pass's blocks of ``tile`` (None:
+    the differential off, every node alone) and -1 twins, each pass with
+    a +1 self-loop on every node. When both are one block of the frame,
+    they are stacked."""
     n, frames, (clips, pairs, _) = graph.patches_per_frame, graph.frames, graph.twins.shape
     consistency = np.zeros((frames, 1, n, 1, n + 2), dtype=np.int8)
     np.greater(graph.blocks, 0, out=consistency[:, 0, :, 0, :n])
@@ -133,12 +91,11 @@ def build_adjacency(graph: VideoGraph, tile) -> SignedAdjacency:
     if len(layouts) == 2 and layouts[1].order is None and layouts[1].sign.shape[1] == 1:
         layouts = [ad.BlockLayout(None, np.concatenate([lay.sign for lay in layouts],
                                                        axis=3), (0, 1))]
-    return SignedAdjacency(tuple(layouts))
+    return tuple(layouts)
 
 
-def gat_forward(x, adjacency: SignedAdjacency, params: GatParams):
-    """Signed single-head attention layer, one pass per output of the
-    adjacency's block layouts.
+def gat_forward(x, layouts, params: GatParams):
+    """Signed single-head attention layer over `build_adjacency`'s ``layouts``.
 
     h = xW is computed once for every pass (`autodiff.frame_attention`);
     each pass scores its own edges, e_ij = LeakyReLU(a . [h_i || h_j]),
@@ -152,7 +109,7 @@ def gat_forward(x, adjacency: SignedAdjacency, params: GatParams):
     if x.data.shape[1] != d:
         raise ValueError(f"feature dim {x.data.shape[1]} != layer dim {d}")
     h = ad.matmul(x, params.weight)
-    return ad.leaky_relu(ad.frame_attention(h, params.attention, adjacency.layouts))
+    return ad.leaky_relu(ad.frame_attention(h, params.attention, layouts))
 
 
 def spatial_fuse(h, weight, bias, graph: VideoGraph):

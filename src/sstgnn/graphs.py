@@ -15,10 +15,9 @@ no twin row joins the last frame of one clip to the first of the next.
 
 The frame layout is the only graph format: `gat.build_adjacency` writes
 attention's block layouts from the blocks and twins, and the Lanczos
-matvec and `dump_edges` read them as they are. `to_layout` packs them
-into (T, N, N + 2) rows only for `dense_from_layout`, whose (M, M)
-`VideoGraph.spatial`/`.temporal` remain for the benchmark's graph
-counts and the dense Laplacian reference.
+matvec and `dump_edges` read them as they are. The (M, M)
+`VideoGraph.spatial`/`.temporal` are written from them on demand, for
+the benchmark's graph counts and the dense Laplacian reference.
 """
 
 from __future__ import annotations
@@ -102,14 +101,21 @@ class VideoGraph:
 
     @property
     def spatial(self):
-        """(M, M) block-diagonal intra-frame adjacency."""
-        return dense_from_layout(to_layout(self.blocks, np.zeros(self.twins.shape)))
+        """(M, M) intra-frame adjacency: the frame blocks on its diagonal."""
+        t = np.arange(self.frames)
+        dense = np.zeros((self.frames, self.patches_per_frame) * 2)
+        dense[t, :, t] = self.blocks
+        return dense.reshape(self.node_count, self.node_count)
 
     @property
     def temporal(self):
-        """(M, M) temporal edges: the twins on the +-N diagonals."""
-        return dense_from_layout(to_layout(np.zeros(self.blocks.shape[1:]),
-                                          self.twins))
+        """(M, M) temporal edges: each twin at its node pair, both ways."""
+        n = self.patches_per_frame
+        dense = np.zeros((self.node_count, self.node_count))
+        # the nodes of each clip's frames but its last; node u's twin is u + n
+        u = np.arange(self.node_count).reshape(self.clips, -1, n)[:, :-1]
+        dense[u, u + n] = dense[u + n, u] = self.twins
+        return dense
 
 
 def patchify(pixels, patch_size) -> PatchTensor:
@@ -217,36 +223,6 @@ def unified_graph(embeddings, grid_h, grid_w, tau_s, tau_t, clips=1,
         scores, keep = temporal_bridge(a[:, :-1], a[:, 1:], x[:, :-1], x[:, 1:], tau_t)
         twins = np.where(keep, scores, 0.0)
     return VideoGraph(grid_h, grid_w, adjs, twins)
-
-
-def to_layout(blocks, twins):
-    """The (T, N, N + 2) frame layout of per-frame blocks and twin edges.
-
-    ``twins`` is (B, F - 1, N) for B clips of F frames, T = B F: the edge
-    between node v of frames f and f + 1 of one clip, written into both
-    of its rows, in columns N and N + 1. ``blocks`` is (T, N, N), or one
-    (N, N) block shared by every frame.
-    """
-    clips, pairs, n = twins.shape
-    layout = np.zeros((clips * (pairs + 1), n, n + 2),
-                      dtype=np.result_type(blocks, twins))
-    layout[:, :, :n] = blocks
-    per_clip = layout.reshape(clips, pairs + 1, n, n + 2)
-    per_clip[:, 1:, :, n] = per_clip[:, :-1, :, n + 1] = twins
-    return layout
-
-
-def dense_from_layout(layout):
-    """The (M, M) matrix a (T, N, N + 2) frame layout stands for."""
-    frames, n, _ = layout.shape
-    m = frames * n
-    dense = np.zeros((m, m), dtype=layout.dtype)
-    t = np.arange(frames)
-    dense.reshape(frames, n, frames, n)[t, :, t, :] = layout[:, :, :n]
-    rows = np.arange(n, m)
-    dense[rows, rows - n] = layout[1:, :, n].reshape(-1)
-    dense[rows - n, rows] = layout[:-1, :, n + 1].reshape(-1)
-    return dense
 
 
 _EDGE_KINDS = ("spatial", "temporal", "neg_temporal", "neg_spatial")

@@ -273,7 +273,7 @@ class ClipStructure:
     patches: np.ndarray
     graph: VideoGraph
     basis: spectral.SpectralBasis | None
-    adjacency: gat.SignedAdjacency    # the consistency, then the inconsistency pass
+    adjacency: tuple    # `gat.build_adjacency`'s block layouts of both passes
 
     @property
     def clips(self):

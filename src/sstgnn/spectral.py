@@ -29,8 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .graphs import (VideoGraph, dense_from_layout, intra_frame_adjacency, patchify,
-                     row_normalize, to_layout, unpatchify)
+from .graphs import VideoGraph, intra_frame_adjacency, patchify, row_normalize, unpatchify
 
 PRESET_KINDS = ("all_pass", "low_pass", "high_pass", "band_pass", "band_reject", "comb")
 LOW_EDGE = 0.7
@@ -153,16 +152,17 @@ def graph_laplacian(graph: VideoGraph):
     Without a positive bridge the frames are its diagonal blocks, and it
     is returned as the (T, N, N) stack of frame Laplacians. Any positive
     bridge couples the frames, but never two clips: the clips are then
-    its diagonal blocks, each read from its own frame layout, and it is
-    returned as the (B, M, M) stack of clip Laplacians, or the one
+    its diagonal blocks, each clip's `VideoGraph.spatial` + max(`.temporal`,
+    0), returned as the (B, M, M) stack of clip Laplacians, or the one
     (M, M) matrix of a single clip.
     """
     if not (graph.twins > 0).any():
         return laplacian_from_adjacency(graph.blocks)
     n = graph.patches_per_frame
-    layout = to_layout(graph.blocks, np.where(graph.twins > 0, graph.twins, 0.0))
+    clips = (VideoGraph(graph.grid_h, graph.grid_w, blocks, twins[None]) for blocks, twins
+             in zip(graph.blocks.reshape(graph.clips, -1, n, n), graph.twins))
     laps = laplacian_from_adjacency(np.stack([
-        dense_from_layout(clip) for clip in layout.reshape(graph.clips, -1, n, n + 2)]))
+        clip.spatial + np.maximum(clip.temporal, 0) for clip in clips]))
     return laps if graph.clips > 1 else laps[0]
 
 

@@ -1,9 +1,12 @@
-"""Graph shapes for tests: the dense frame layouts a block adjacency
-stands for, to compare a pass over its own blocks against the dense one
-or pin its bytes; the block layout of dense passes; a one-clip graph
-for the ops that pool per clip; the loop-built dense tile matrix of the
-spatial differential; and the joined slot-table attention the block
-layouts replaced, kept as the reference implementation."""
+"""Graph shapes for tests: the (T, N, N + 2) frame layout of frame blocks
+and twins and the (M, M) matrix it stands for, the dense reference of
+`VideoGraph.spatial`/`.temporal`; the dense frame layouts a block
+adjacency stands for, to compare a pass over its own blocks against the
+dense one or pin its bytes; the block layout of dense passes; a
+one-clip graph for the ops that pool per clip; the loop-built dense
+tile matrix of the spatial differential; and the joined slot-table
+attention the block layouts replaced, kept as the reference
+implementation."""
 
 from dataclasses import dataclass, field
 
@@ -14,31 +17,64 @@ from sstgnn import graphs
 from sstgnn.differential import tile_ids
 
 
-def frame_layout(adj):
-    """The (P, T, N, N + 2) sign layouts of a `gat.SignedAdjacency`, one
-    per pass: each block's signs written into its nodes' columns, the
-    twins into the last two."""
-    frames = adj.layouts[0].sign.shape[0]
+def to_layout(blocks, twins):
+    """The (T, N, N + 2) frame layout of per-frame blocks and twin edges.
+
+    ``twins`` is (B, F - 1, N) for B clips of F frames, T = B F: the edge
+    between node v of frames f and f + 1 of one clip, written into both
+    of its rows, in columns N and N + 1. ``blocks`` is (T, N, N), or one
+    (N, N) block shared by every frame.
+    """
+    clips, pairs, n = twins.shape
+    layout = np.zeros((clips * (pairs + 1), n, n + 2),
+                      dtype=np.result_type(blocks, twins))
+    layout[:, :, :n] = blocks
+    per_clip = layout.reshape(clips, pairs + 1, n, n + 2)
+    per_clip[:, 1:, :, n] = per_clip[:, :-1, :, n + 1] = twins
+    return layout
+
+
+def dense_from_layout(layout):
+    """The (M, M) matrix a (T, N, N + 2) frame layout stands for."""
+    frames, n, _ = layout.shape
+    m = frames * n
+    dense = np.zeros((m, m), dtype=layout.dtype)
+    t = np.arange(frames)
+    dense.reshape(frames, n, frames, n)[t, :, t, :] = layout[:, :, :n]
+    rows = np.arange(n, m)
+    dense[rows, rows - n] = layout[1:, :, n].reshape(-1)
+    dense[rows - n, rows] = layout[:-1, :, n + 1].reshape(-1)
+    return dense
+
+
+def frame_layout(layouts):
+    """The (P, T, N, N + 2) sign layouts of `gat.build_adjacency`'s block
+    layouts, one per pass: each block's signs written into its nodes'
+    columns, the twins into the last two."""
+    frames = layouts[0].sign.shape[0]
     n = sum(lay.sign.shape[1] * lay.sign.shape[2]
-            for lay in adj.layouts if 0 in lay.passes)
-    passes = 1 + max(p for lay in adj.layouts for p in lay.passes)
-    layouts = np.zeros((passes, frames, n, n + 2))
-    for order, sign, owned in adj.layouts:
+            for lay in layouts if 0 in lay.passes)
+    passes = 1 + max(p for lay in layouts for p in lay.passes)
+    out = np.zeros((passes, frames, n, n + 2))
+    for order, sign, owned in layouts:
         _, groups, b, _, _ = sign.shape
         ids = (np.arange(n) if order is None else order).reshape(groups, b)
         columns = np.concatenate([ids[:, None, :].repeat(b, axis=1),
                                   np.broadcast_to([n, n + 1], (groups, b, 2))], axis=2)
         for k, p in enumerate(owned):
-            layouts[p][:, ids[:, :, None], columns] = sign[..., k, :]
-    return layouts
+            out[p][:, ids[:, :, None], columns] = sign[..., k, :]
+    return out
 
 
 def whole_frames(*signs):
     """The block layouts of passes that each read the whole frame: one
     block of a frame's N nodes in their own order, the passes' (T, N,
-    N + 2) signs stacked."""
-    return (ad.BlockLayout(None, np.stack(signs, axis=2)[:, None],
-                           tuple(range(len(signs)))),)
+    N + 2) signs stacked as int8, with a +1 self-loop written into each
+    row that lacks one (an existing loop keeps its sign)."""
+    sign = np.stack(signs, axis=2)[:, None].astype(np.int8)
+    loops = np.arange(sign.shape[2])
+    sign[:, :, loops, :, loops] += sign[:, :, loops, :, loops] == 0
+    return (ad.BlockLayout(None, sign, tuple(range(len(signs)))),)
 
 
 def one_clip(nodes):

@@ -15,7 +15,7 @@ from sstgnn import differential, gat, graphs, metrics, model, spectral, synth
 from sstgnn.cli import main as cli_main
 from sstgnn.rng import stream
 
-from layouts import whole_frames
+from layouts import dense_from_layout, to_layout, whole_frames
 
 CROSS_FAMILIES = ("spectral_noise", "temporal_jitter")
 
@@ -207,7 +207,7 @@ def test_a7_gat_properties():
             ad.constant(np.concatenate([a[:d], zeros, a[d:], zeros])),
             whole_frames(layout.astype(float))).data
         worst_row = max(worst_row, np.abs(out[:, d] - 1.0).max())
-        assert np.all(out[:, d + 1:][~graphs.dense_from_layout(layout)] == 0.0)
+        assert np.all(out[:, d + 1:][~dense_from_layout(layout)] == 0.0)
 
         x = rng.normal(size=(n, d))
         support = rng.random((n, n)) < 0.5
@@ -215,13 +215,12 @@ def test_a7_gat_properties():
         sign = np.where(support,
                         np.where(rng.random((n, n)) < 0.3, -1.0, 1.0), 0.0)
         no_twins = np.zeros((1, 0, n))
-        adj = gat.SignedAdjacency(whole_frames(graphs.to_layout(sign, no_twins)))
+        adj = whole_frames(to_layout(sign, no_twins))
         perm = rng.permutation(n)
         base = gat.gat_forward(ad.constant(x), adj, params).data
         permuted = gat.gat_forward(
             ad.constant(x[perm]),
-            gat.SignedAdjacency(whole_frames(graphs.to_layout(sign[np.ix_(perm, perm)],
-                                                              no_twins))),
+            whole_frames(to_layout(sign[np.ix_(perm, perm)], no_twins)),
             params).data
         denom = max(np.abs(base).max(), 1.0)
         worst_perm = max(worst_perm, np.abs(permuted - base[perm]).max() / denom)

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sstgnn import autodiff as ad
-from sstgnn import graphs
 
-from layouts import whole_frames
+from layouts import dense_from_layout, whole_frames
 
 
 def naive_matmul(a, b):
@@ -147,9 +146,11 @@ class TestMaskedSoftmax:
             alpha[0], [math.exp(1.0) / z, 0.0, math.exp(3.0) / z], rtol=1e-14)
 
     def test_empty_row_rejected(self):
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(ValueError, match="non-finite"):
-            attention_weights(one_frame([[1, 1], [0, 0]]), [1.0, 1.0])
+        # `whole_frames` would write the missing loop
+        sign = one_frame([[1, 1], [0, 0]]).astype(np.int8)[:, None, :, None]
+        with pytest.raises(ValueError, match="has no self-loop"):
+            ad.frame_attention(ad.constant(np.ones((2, 2))), ad.constant(np.ones(4)),
+                               [ad.BlockLayout(None, sign)])
 
     def test_support_far_below_its_row(self):
         # node 2 scores 2000 above nodes 0 and 1 but lies off row 0's
@@ -171,7 +172,7 @@ class TestMaskedSoftmax:
         rng = np.random.default_rng(seed)
         support = random_layout(rng)
         alpha = attention_weights(support, rng.normal(size=12))
-        dense = graphs.dense_from_layout(support)
+        dense = dense_from_layout(support)
         np.testing.assert_allclose(alpha.sum(axis=1), np.ones(12), atol=1e-12)
         assert np.all(alpha[~dense] == 0.0)
 
@@ -243,10 +244,11 @@ class TestAttentionPasses:
         rng = np.random.default_rng(6)
         support = [random_layout(rng, frames=3, n=4) for _ in range(2)]
         support[1][1, 2] = False
-        sign = [s.astype(float) for s in support]
-        with pytest.raises(ValueError, match="pass 1, frame 1, node 2 has no support"):
-            ad.frame_attention(ad.constant(np.ones((12, 2))),
-                               ad.constant(np.ones(4)), whole_frames(*sign))
+        # `whole_frames` would write the missing loop
+        sign = np.stack(support, axis=2)[:, None].astype(np.int8)
+        with pytest.raises(ValueError, match="pass 1, frame 1, node 2 has no self-loop"):
+            ad.frame_attention(ad.constant(np.ones((12, 2))), ad.constant(np.ones(4)),
+                               [ad.BlockLayout(None, sign, (0, 1))])
 
     def test_layout_without_pass_axis_rejected(self):
         # one pass's signs where the layout stacks two

@@ -14,7 +14,7 @@ import pytest
 
 import sstgnn
 from sstgnn import autodiff as ad
-from sstgnn import model, pgm, spectral, synth
+from sstgnn import metrics, model, pgm, spectral, synth
 from sstgnn.cli import main, read_config_file
 
 
@@ -71,6 +71,18 @@ def test_synth_count_below_one_is_usage_error(tmp_path, capsys, count):
     out = tmp_path / "c"
     assert main(["synth", "--out", str(out), "--count", count]) == 2
     assert capsys.readouterr().err == f"error: --count must be at least 1, got {count}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("families", ["real,real", "bogus", "real,,spectral_noise", ""])
+def test_synth_bad_families_is_usage_error(tmp_path, capsys, families):
+    # checked before anything is written: no directory, no manifest
+    out = tmp_path / "c"
+    assert main(["synth", "--out", str(out), "--families", families, "--count", "1",
+                 "--frames", "2", "--height", "8", "--width", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --families takes distinct families of real, ")
+    assert err.endswith(f"got {families!r}\n") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -132,6 +144,37 @@ def test_eval_checkpoint(trained_run, tmp_path):
     report = (out / "report.csv").read_text().splitlines()
     assert len(report) == 3
     assert (out / "embeddings.csv").exists()
+
+
+def test_eval_dumps_each_clip_once(trained_run, tmp_path):
+    # the real clips once, then each fake family's, with the rows a direct
+    # dump of those clips writes
+    checkpoint = trained_run / "checkpoint.sstg"
+    out = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", str(checkpoint), "--out", str(out),
+                 "--count", "2", "--seed", "900", "--frames", "2", "--height", "8",
+                 "--width", "8", "--dump-embeddings"]) == 0
+    clips = synth.make_corpus(synth.FAMILIES, range(900, 902), frames=2, height=8,
+                              width=8, channels=1)
+    params, config = model.load_checkpoint(checkpoint)
+    metrics.dump_embeddings(tmp_path / "want.csv", clips, params, config)
+    got = (out / "embeddings.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert len(got.splitlines()) == 1 + 2 * len(synth.FAMILIES)
+
+
+@pytest.mark.parametrize("families", ["real", "upsample_artifact,upsample_artifact",
+                                      "bogus", "spectral_noise,real"])
+def test_eval_bad_families_is_usage_error(trained_run, tmp_path, capsys, families):
+    # only fake families, each once, checked before --out is made
+    out = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", str(trained_run / "checkpoint.sstg"),
+                 "--out", str(out), "--families", families, "--count", "1",
+                 "--frames", "2", "--height", "8", "--width", "8"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --families takes distinct families of "
+        f"{', '.join(synth.FAKE_FAMILIES)}; got {families!r}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("count", ["0", "-4"])

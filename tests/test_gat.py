@@ -11,8 +11,9 @@ from sstgnn import autodiff as ad
 from sstgnn import differential as diff
 from sstgnn import gat, graphs, model, synth
 
-from layouts import (SlotTable, frame_layout, joined_adjacency, joined_attention,
-                     loop_negative_spatial_matrix, one_clip, whole_frames)
+from layouts import (SlotTable, dense_from_layout, frame_layout, joined_adjacency,
+                     joined_attention, loop_negative_spatial_matrix, one_clip, to_layout,
+                     whole_frames)
 
 
 def lrelu(v, slope=0.2):
@@ -28,24 +29,22 @@ def make_params(d, seed=0, zero_attention=False):
 
 def adjacency(support, sign=None):
     """One frame with no twins, as one pass over one block of the whole
-    frame: an (n, n) sign, +1 on the support when not given."""
+    frame: an (n, n) sign, +1 on the support when not given, and +1 on
+    each missing self-loop."""
     sign = np.asarray(support if sign is None else sign, dtype=float)
-    return gat.SignedAdjacency(whole_frames(graphs.to_layout(
-        sign, np.zeros((1, 0, len(sign))))))
+    return whole_frames(to_layout(sign, np.zeros((1, 0, len(sign)))))
 
 
-def one_pass(adj, p):
-    """Pass p of an adjacency as a one-pass adjacency over its blocks."""
-    return gat.SignedAdjacency(tuple(
-        lay._replace(sign=lay.sign[:, :, :, [k]], passes=(0,))
-        for lay in adj.layouts for k, q in enumerate(lay.passes) if q == p))
+def one_pass(layouts, p):
+    """Pass p of an adjacency's block layouts as one-pass layouts."""
+    return tuple(lay._replace(sign=lay.sign[:, :, :, [k]], passes=(0,))
+                 for lay in layouts for k, q in enumerate(lay.passes) if q == p)
 
 
-def dense_pair(adj):
-    """The (M, M) support and sign a one-pass adjacency's slots stand
-    for."""
-    (layout,) = frame_layout(adj)
-    return graphs.dense_from_layout(layout != 0), graphs.dense_from_layout(layout)
+def dense_pair(layouts):
+    """The (M, M) support and sign one-pass block layouts stand for."""
+    (layout,) = frame_layout(layouts)
+    return dense_from_layout(layout != 0), dense_from_layout(layout)
 
 
 def attention_weights(h, attention, adj):
@@ -55,7 +54,7 @@ def attention_weights(h, attention, adj):
     m, d = h.shape
     probe = np.hstack([h, np.eye(m)])
     a = np.concatenate([attention[:d], np.zeros(m), attention[d:], np.zeros(m)])
-    out = ad.frame_attention(ad.constant(probe), ad.constant(a), adj.layouts).data
+    out = ad.frame_attention(ad.constant(probe), ad.constant(a), adj).data
     return out[:, d:]
 
 
@@ -391,7 +390,7 @@ def bridged_layout(seed=31):
     sign."""
     g = graphs.unified_graph(
         np.random.default_rng(seed).random((3, 4, 4)), 2, 2, 0.3, 0.1)
-    (layout,) = one_pass(gat.build_adjacency(g, None), 0).layouts
+    (layout,) = one_pass(gat.build_adjacency(g, None), 0)
     sign, n = layout.sign.copy(), 4
     support = sign != 0
     assert support[1:, ..., n].any() and support[:-1, ..., n + 1].any()
@@ -399,7 +398,7 @@ def bridged_layout(seed=31):
     sign[flip] *= -1
     twins = sign[..., n:][support[..., n:]]
     assert (twins > 0).any() and (twins < 0).any()
-    return gat.SignedAdjacency((layout._replace(sign=sign),))
+    return (layout._replace(sign=sign),)
 
 
 class TestFrameLayoutAttention:
@@ -452,9 +451,9 @@ class TestFrameLayoutAttention:
                 np.testing.assert_allclose(fused, dense, rtol=0, atol=1e-12)
 
     def test_one_tape_node_for_attention(self):
-        (layout,) = bridged_layout().layouts
-        both = gat.SignedAdjacency((ad.BlockLayout(
-            None, np.concatenate([layout.sign, layout.sign], axis=3), (0, 1)),))
+        (layout,) = bridged_layout()
+        both = (ad.BlockLayout(None, np.concatenate([layout.sign, layout.sign], axis=3),
+                               (0, 1)),)
         params = make_params(4, seed=37)
         out = gat.gat_forward(ad.parameter(np.ones((12, 4))), both, params)
         assert out.shape == (12, 8)
@@ -464,7 +463,26 @@ class TestFrameLayoutAttention:
         assert len(nodes) == 7
 
 
+def loops_only(frames=2, groups=1, b=3, passes=1):
+    """Int8 signs of ``passes`` stacked passes over ``groups`` blocks of
+    ``b`` nodes per frame, +1 on every self-loop and 0 elsewhere."""
+    sign = np.zeros((frames, groups, b, passes, b + 2), dtype=np.int8)
+    sign[:, :, np.arange(b), :, np.arange(b)] = 1
+    return sign
+
+
+def attend(*layouts, nodes=3):
+    """`autodiff.frame_attention` over ``layouts`` of 2 frames of
+    ``nodes`` nodes."""
+    return ad.frame_attention(ad.constant(np.ones((2 * nodes, 2))),
+                              ad.constant(np.ones(4)), layouts)
+
+
 class TestSignedAdjacencyLayout:
+    """The builder's block layouts of both passes, and the hand-built
+    layouts `autodiff.frame_attention` refuses: each raises ValueError,
+    never an IndexError or silently wrong rows."""
+
     @pytest.mark.parametrize("use_differential", [True, False])
     def test_dense_gives_back_the_old_matrices(self, use_differential):
         structure, _, cfg = clip_structure(16, use_differential, family="temporal_jitter")
@@ -475,53 +493,77 @@ class TestSignedAdjacencyLayout:
             assert dense_support.dtype == support.dtype
             assert dense_support.tobytes() == support.tobytes()
             assert dense_sign.tobytes() == sign.tobytes()
+        assert all(lay.sign.dtype == np.int8 for lay in structure.adjacency)
 
     def test_two_dimensional_pair_is_one_frame(self):
         support = np.array([[1, 1], [0, 1]], dtype=bool)
         adj = adjacency(support)
-        (layout,) = adj.layouts
+        (layout,) = adj
         assert layout.order is None and layout.sign.shape == (1, 1, 2, 1, 4)
         dense_support, dense_sign = dense_pair(adj)
         np.testing.assert_array_equal(dense_support, support)
         np.testing.assert_array_equal(dense_sign, support.astype(float))
 
-    def test_construction_adds_missing_self_loops(self):
-        support = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 0]], dtype=bool)
-        sign = graphs.to_layout(np.where(support, -1.0, 0.0), np.zeros((1, 0, 3)))
-        adj = gat.SignedAdjacency((ad.BlockLayout(None, sign[:, None, :, None]),))
-        dense_support, dense_sign = dense_pair(adj)
-        np.testing.assert_array_equal(dense_support, support | np.eye(3, dtype=bool))
-        # the absent loops of nodes 0 and 2 come back +1; node 1's -1 stays
-        np.testing.assert_array_equal(dense_sign.diagonal(), [1.0, -1.0, 1.0])
-        assert dense_sign[0, 1] == dense_sign[1, 0] == -1.0
-        # the caller's array is left as it was
-        assert sign[0, 0, 0] == 0.0 and sign[0, 1, 1] == -1.0
+    def test_missing_self_loop_raises(self):
+        sign = loops_only()
+        sign[1, 0, 2, 0, :3] = [-1, 0, -1]    # a -1 loop is support
+        attend(ad.BlockLayout(None, sign))
+        sign[1, 0, 2, 0, 2] = 0    # node 2 of frame 1 keeps its edge to node 0
+        with pytest.raises(ValueError, match="pass 0, frame 1, node 2 has no self-loop"):
+            attend(ad.BlockLayout(None, sign))
+        # a builder's tile block with one loop cleared names the node
+        # through the block's order
+        rng = np.random.default_rng(47)
+        g, tile = batch_graph(rng, 3, 5, clips=1, frames=2, differential=True, tile=2)
+        layouts = gat.build_adjacency(g, tile)
+        order, sign, owned = next(lay for lay in layouts if lay.sign.shape[2] == 4)
+        assert order is not None and owned == (1,)
+        sign[1, 1, 3, 0, 3] = 0    # frame 1, row 3 of the second tile
+        h = ad.constant(rng.normal(size=(g.node_count, 2)))
+        with pytest.raises(ValueError, match=f"pass 1, frame 1, node {order[7]} has no "
+                                             f"self-loop"):
+            ad.frame_attention(h, ad.constant(np.ones(4)), layouts)
 
     def test_twin_beyond_the_clip_rejected(self):
-        sign = np.zeros((2, 1, 2, 2, 4))
-        sign[0, 0, 0, 1, 2] = 1.0   # frame 0 has no previous frame
-        with pytest.raises(ValueError, match="twin"):
-            gat.SignedAdjacency((ad.BlockLayout(None, sign, (0, 1)),))
-        sign[0, 0, 0, 1, 2], sign[1, 0, 1, 0, 3] = 0.0, -1.0   # nor frame 1 a next one
-        with pytest.raises(ValueError, match="twin"):
-            gat.SignedAdjacency((ad.BlockLayout(None, sign, (0, 1)),))
+        sign = loops_only(passes=2)
+        sign[0, 0, 0, 1, 3] = 1    # frame 0 has no previous frame
+        with pytest.raises(ValueError, match="twin beyond the first or last frame"):
+            attend(ad.BlockLayout(None, sign, (0, 1)))
+        sign[0, 0, 0, 1, 3], sign[1, 0, 1, 0, 4] = 0, -1    # nor frame 1 a next one
+        with pytest.raises(ValueError, match="twin beyond the first or last frame"):
+            attend(ad.BlockLayout(None, sign, (0, 1)))
+        sign[1, 0, 1, 0, 3] = -1    # frame 1's previous twin is one
+        sign[1, 0, 1, 0, 4] = 0
+        assert attend(ad.BlockLayout(None, sign, (0, 1))).shape == (6, 4)
 
     def test_layout_shape_checked(self):
-        for sign in (np.ones((2, 2, 2)), np.ones((4, 4)), np.ones((2, 1, 2, 1, 3)),
-                     np.full((2, 1, 2, 1, 4), 0.5), np.full((2, 1, 2, 1, 4), 2.0)):
-            with pytest.raises(ValueError, match="block layout"):
-                gat.SignedAdjacency((ad.BlockLayout(None, sign),))
+        for sign in (np.ones((2, 2, 2)), np.ones((4, 4)), np.ones((2, 1, 2, 1, 3))):
+            with pytest.raises(ValueError, match="do not fit"):
+                attend(ad.BlockLayout(None, sign.astype(np.int8)))
         order = np.array([0, 2])    # a block of nodes 0 and 2 of a 3-node frame
-        with pytest.raises(ValueError, match="block layout"):
-            gat.SignedAdjacency((ad.BlockLayout(order, np.ones((2, 1, 3, 1, 5))),))
+        with pytest.raises(ValueError, match="do not fit"):
+            attend(ad.BlockLayout(order, loops_only()))
+        # int8 signs of -1, 0 and +1 over an integer order
+        two = loops_only()
+        two[1, 0, 0, 0, 0] = 2
+        for bad in (ad.BlockLayout(None, loops_only().astype(float)),
+                    ad.BlockLayout(None, loops_only() * 0.5),
+                    ad.BlockLayout(None, two),
+                    ad.BlockLayout(np.arange(3.0), loops_only()),
+                    ad.BlockLayout(None, loops_only(), (0.0,))):
+            with pytest.raises(ValueError, match="int8 -1, 0 or \\+1"):
+                attend(bad)
         # each pass holds every node of a frame once
-        whole = ad.BlockLayout(None, np.ones((2, 1, 3, 1, 5)) * [1, 1, 1, 0, 0])
-        for part in ((ad.BlockLayout(order, np.ones((2, 2, 1, 1, 3)) * [1, 0, 0],
+        whole = ad.BlockLayout(None, loops_only())
+        for part in ((ad.BlockLayout(order, loops_only(groups=2, b=1), (1,)),),
+                     (ad.BlockLayout(np.array([0, 1, 1]), loops_only(groups=3, b=1),
                                      (1,)),),
-                     (ad.BlockLayout(np.array([0, 1, 1]),
-                                     np.ones((2, 3, 1, 1, 3)) * [1, 0, 0], (1,)),)):
+                     (ad.BlockLayout(np.array([0, 1, 5]), loops_only(groups=3, b=1),
+                                     (1,)),),
+                     (whole,),
+                     (ad.BlockLayout(None, loops_only(), (2,)),)):
             with pytest.raises(ValueError, match="must hold every node of a frame once"):
-                gat.SignedAdjacency((whole, *part))
+                attend(whole, *part)
 
     # a graph holds only frame blocks and twins, so such entries cannot
     # reach the adjacency builder: a graph given (M, M) arrays in place
@@ -569,7 +611,7 @@ def block_and_dense(seed, grid_h, grid_w, tile, clips, frames, differential,
         grads = ad.mul(ad.mean(ad.mul(out, probe)), float(m * d)).backward()
         return out.data, grads[h], grads[a]
 
-    blocks = ad.frame_attention(h, a, adj.layouts)
+    blocks = ad.frame_attention(h, a, adj)
     return adj, [(run(blocks[:, p * d:(p + 1) * d]),
                   run(ad.frame_attention(h, a, whole_frames(layout))))
                  for p, layout in enumerate(frame_layout(adj))]
@@ -602,7 +644,7 @@ class TestGatheredPass:
         tiles = (grid_h // tile) * (grid_w // tile) if differential else 0
         k = tile * tile
         # the inconsistency pass: a block per tile, one per node outside
-        shapes = sorted((lay.sign.shape[1:3], lay.passes) for lay in adj.layouts)
+        shapes = sorted((lay.sign.shape[1:3], lay.passes) for lay in adj)
         inconsistency = sorted(shape for shape, owned in shapes if 1 in owned)
         expected = [(g, b) for g, b in ((n - tiles * k, 1), (tiles, k)) if g]
         assert inconsistency == sorted(expected)
@@ -629,13 +671,13 @@ class TestGatheredPass:
         a = ad.parameter(rng.normal(size=6))
         probe = ad.constant(rng.normal(size=(m, 6)))
         runs = []
-        for out in (ad.frame_attention(h, a, adj.layouts),
+        for out in (ad.frame_attention(h, a, adj),
                     joined_attention(h, a, *joined_adjacency(g, tile))):
             grads = ad.mul(ad.mean(ad.mul(out, probe)), float(m * 6)).backward()
             runs.append((out.data, grads[h], grads[a]))
         assert_close_each(*runs)
         if grid_h == grid_w == tile == 2 and differential:
-            (layout,) = adj.layouts
+            (layout,) = adj
             assert layout.order is None and layout.passes == (0, 1)
 
     def test_boundary_twins_are_empty(self):
@@ -660,7 +702,7 @@ class TestGatheredPass:
         w = ad.constant(rng.normal(size=(6, 1)))
 
         def f():
-            out = ad.frame_attention(h, a, adj.layouts)
+            out = ad.frame_attention(h, a, adj)
             return ad.mean(ad.matmul(out, w))
 
         grads = f().backward()
@@ -677,8 +719,8 @@ class TestGatheredPass:
         adj = gat.build_adjacency(g, tile)
         h = ad.constant(rng.normal(size=(g.node_count, 4)))
         a = ad.constant(rng.normal(size=8))
-        both = ad.frame_attention(h, a, adj.layouts)
-        alone = [ad.frame_attention(h, a, j.layouts)
+        both = ad.frame_attention(h, a, adj)
+        alone = [ad.frame_attention(h, a, j)
                  for j in (one_pass(adj, 0), one_pass(adj, 1))]
         assert both.data.tobytes() == np.hstack([o.data for o in alone]).tobytes()
 
@@ -712,14 +754,13 @@ class TestGatheredPass:
         # fewer cells
         structure, _, _ = clip_structure(patch, use_differential)
         layouts = frame_layout(structure.adjacency)
-        signs = [lay.sign for lay in structure.adjacency.layouts]
+        signs = [lay.sign for lay in structure.adjacency]
         assert sum(np.count_nonzero(s) for s in signs) == np.count_nonzero(layouts)
         assert sum(s.size for s in signs) < layouts.size
 
 
 class TestSlotTableChecks:
-    """The reference's slot table, and the self-loops `SignedAdjacency`
-    adds to the builder's block layouts."""
+    """The reference's slot table."""
 
     def table(self):
         """A differential clip graph of 2 frames of a 2 x 2 grid, and the
@@ -749,22 +790,6 @@ class TestSlotTableChecks:
         for bad in (repeated, foreign):
             with pytest.raises(ValueError, match="distinct"):
                 SlotTable(bad, table.starts)
-
-    def test_missing_loop_added_in_slot_zero(self):
-        # the diagonal of each pass's blocks: at desk size both passes
-        # are one stacked block of the frame
-        g = self.table()[0]
-        (layout,) = gat.build_adjacency(g, 2).layouts
-        rows = np.arange(4)
-        sign = layout.sign.copy()
-        sign[:, :, rows, :, rows] = 0.0
-        (again,) = gat.SignedAdjacency((layout._replace(sign=sign),)).layouts
-        np.testing.assert_array_equal(again.sign[:, :, rows, :, rows], 1.0)
-        # every other cell keeps its sign, and the caller's array is left
-        # as it was
-        assert (sign[:, :, rows, :, rows] == 0.0).all()
-        again.sign[:, :, rows, :, rows] = 0.0
-        np.testing.assert_array_equal(again.sign, sign)
 
     def test_caller_index_is_copied(self):
         # the reference's table keeps read-only copies: a later write to

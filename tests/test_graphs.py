@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from sstgnn import differential, graphs, model
 from sstgnn.synth import SynthSpec, generate
 
-from layouts import frame_layout, loop_negative_spatial_matrix
+from layouts import (dense_from_layout, frame_layout, loop_negative_spatial_matrix,
+                     to_layout)
 
 
 def random_pixels(seed, t=2, h=8, w=8, c=1):
@@ -392,49 +393,76 @@ def test_batch_graph_bytes_pinned(tmp_path, key):
 
 
 class TestFrameLayout:
+    """`VideoGraph.spatial` and `.temporal` against the test-side frame
+    layout reference, `dense_from_layout(to_layout(...))`: same bytes."""
+
     def test_cells_hold_block_and_twins(self):
         t, n = 3, 2
         m = t * n
         rng = np.random.default_rng(0)
         blocks, twins = rng.random((t, n, n)), rng.random((t - 1, n))
-        layout = graphs.to_layout(blocks, twins[None])
+        graph = graphs.VideoGraph(n, 1, blocks, twins[None])
+        spatial, temporal = graph.spatial, graph.temporal
+        layout = to_layout(blocks, twins[None])
         assert layout.shape == (t, n, n + 2)
-        dense = graphs.dense_from_layout(layout)
+        np.testing.assert_array_equal(spatial + temporal, dense_from_layout(layout))
         for f in range(t):
             np.testing.assert_array_equal(layout[f, :, :n], blocks[f])
             for i in range(n):
                 u = f * n + i
-                np.testing.assert_array_equal(dense[u, f * n:(f + 1) * n],
+                np.testing.assert_array_equal(spatial[u, f * n:(f + 1) * n],
                                               blocks[f, i])
                 assert layout[f, i, n] == (twins[f - 1, i] if f else 0.0)
                 assert layout[f, i, n + 1] == (twins[f, i] if f < t - 1
                                                else 0.0)
                 if f:
-                    assert dense[u, u - n] == twins[f - 1, i]
+                    assert temporal[u, u - n] == twins[f - 1, i]
                 if f < t - 1:
-                    assert dense[u, u + n] == twins[f, i]
+                    assert temporal[u, u + n] == twins[f, i]
         # nothing lands off the frame blocks and the twin diagonals
-        assert dense.shape == (m, m)
-        assert np.count_nonzero(dense) == blocks.size + 2 * twins.size
+        assert spatial.shape == temporal.shape == (m, m)
+        assert np.count_nonzero(spatial) == blocks.size
+        assert np.count_nonzero(temporal) == 2 * twins.size
 
     def test_one_frame_is_the_matrix_plus_empty_twins(self):
         a = np.random.default_rng(0).random((5, 5))
-        layout = graphs.to_layout(a, np.zeros((1, 0, 5)))
+        layout = to_layout(a, np.zeros((1, 0, 5)))
         assert layout.shape == (1, 5, 7)
         np.testing.assert_array_equal(layout[0, :, :5], a)
         assert not layout[0, :, 5:].any()
-        np.testing.assert_array_equal(graphs.dense_from_layout(layout), a)
+        np.testing.assert_array_equal(dense_from_layout(layout), a)
+        graph = graphs.VideoGraph(5, 1, a[None], np.zeros((1, 0, 5)))
+        assert graph.spatial.tobytes() == a.tobytes()
+        assert graph.temporal.tobytes() == np.zeros((5, 5)).tobytes()
 
     def test_each_clip_writes_its_twins_into_its_own_frames(self):
         # two clips of two frames: no twin cell joins frames 1 and 2
         n = 3
         twins = np.random.default_rng(1).random((2, 1, n)) + 1.0
-        layout = graphs.to_layout(np.zeros((n, n)), twins)
+        layout = to_layout(np.zeros((n, n)), twins)
         assert layout.shape == (4, n, n + 2)
         for clip in range(2):
             first, second = layout[2 * clip], layout[2 * clip + 1]
             np.testing.assert_array_equal(first[:, n + 1], twins[clip, 0])
             np.testing.assert_array_equal(second[:, n], twins[clip, 0])
             assert not first[:, n].any() and not second[:, n + 1].any()
-        dense = graphs.dense_from_layout(layout)
+        dense = graphs.VideoGraph(n, 1, np.zeros((4, n, n)), twins).temporal
+        assert dense.tobytes() == dense_from_layout(layout).tobytes()
         assert not dense[n:2 * n, 2 * n:].any() and not dense[2 * n:, :2 * n].any()
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 3), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_dense_views_match_the_reference_bytes(self, seed, clips, frames, grid_h,
+                                                   grid_w):
+        # cosine blocks with pruned -0.0 cells, bridges and -1 twins
+        rng = np.random.default_rng(seed)
+        emb = rng.normal(size=(clips * frames, grid_h * grid_w, 3))
+        graph = graphs.unified_graph(emb, grid_h, grid_w, 0.3, 0.5, clips)
+        if rng.random() < 0.5:
+            graph = differential.add_temporal_negative(graph)
+        n = graph.patches_per_frame
+        spatial = dense_from_layout(to_layout(graph.blocks, np.zeros(graph.twins.shape)))
+        temporal = dense_from_layout(to_layout(np.zeros((n, n)), graph.twins))
+        for got, want in ((graph.spatial, spatial), (graph.temporal, temporal)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

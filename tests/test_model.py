@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from sstgnn import autodiff as ad
-from sstgnn import differential, gat, graphs, metrics, model, spectral, synth
+from sstgnn import graphs, metrics, model, spectral, synth
 
-from layouts import frame_layout
+from layouts import dense_from_layout, frame_layout
 
 
 def toy_clip(seed=0, family="real", frames=2, size=8):
@@ -155,9 +155,8 @@ class TestForward:
         _, structure = model.forward([clip], params, cfg)
         # the inconsistency pass: every node a block of one, its self-loop
         assert [(lay.sign.shape[1:3], lay.passes)
-                for lay in structure.adjacency.layouts] == [((1, 4), (0,)),
-                                                            ((4, 1), (1,))]
-        support = graphs.dense_from_layout(frame_layout(structure.adjacency)[1] != 0)
+                for lay in structure.adjacency] == [((1, 4), (0,)), ((4, 1), (1,))]
+        support = dense_from_layout(frame_layout(structure.adjacency)[1] != 0)
         np.testing.assert_array_equal(support, np.eye(8, dtype=bool))
         assert not (structure.graph.temporal < 0).any()
 
@@ -395,13 +394,9 @@ class TestFrameLayoutPath:
         for name in ("graph_laplacian", "laplacian_from_adjacency",
                      "eigendecompose"):
             monkeypatch.setattr(spectral, name, per_frame(getattr(spectral, name)))
+        # the graph's only (M, M) views
         for name in ("spatial", "temporal"):
             monkeypatch.setattr(graphs.VideoGraph, name, property(dense))
-        # graphs and spectral are the only modules that hold the converter
-        assert [module for module in (graphs, differential, gat, model, spectral)
-                if hasattr(module, "dense_from_layout")] == [graphs, spectral]
-        for module in (graphs, spectral):
-            monkeypatch.setattr(module, "dense_from_layout", dense)
         clip = synth.generate(synth.SynthSpec("spectral_noise", seed=3)).clip
         for patch_size, use_differential, blocks in (
                 (8, True, 8), (8, False, 1), (32, True, 8), (32, False, 1)):
@@ -434,9 +429,9 @@ class TestFrameLayoutPath:
                 return fn(*args)
             return wrapper
 
-        for module in (graphs, spectral):
-            monkeypatch.setattr(module, "dense_from_layout",
-                                recorded(graphs.dense_from_layout))
+        for name in ("spatial", "temporal"):
+            monkeypatch.setattr(graphs.VideoGraph, name,
+                                property(recorded(getattr(graphs.VideoGraph, name).fget)))
         for name in ("graph_laplacian", "laplacian_from_adjacency",
                      "eigendecompose"):
             monkeypatch.setattr(spectral, name, recorded(getattr(spectral, name)))

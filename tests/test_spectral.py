@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from layouts import one_clip
+from layouts import dense_from_layout, one_clip, to_layout
 from make_oracle import CLIP_SEEDS, PARAM_SEED, SCALES
 
 from sstgnn import autodiff as ad
@@ -140,8 +140,7 @@ class TestEigendecompose:
 def block_diagonal_of(stack):
     """The (M, M) matrix whose diagonal blocks are ``stack``."""
     frames, n, _ = stack.shape
-    return graphs.dense_from_layout(
-        graphs.to_layout(stack, np.zeros((1, frames - 1, n))))
+    return dense_from_layout(to_layout(stack, np.zeros((1, frames - 1, n))))
 
 
 def block_diagonal(sizes, seed=0):
