@@ -12,8 +12,8 @@ from sstgnn import differential as diff
 from sstgnn import gat, graphs, model, synth
 
 from layouts import (SlotTable, dense_from_layout, frame_layout, joined_adjacency,
-                     joined_attention, loop_negative_spatial_matrix, one_clip, to_layout,
-                     whole_frames)
+                     joined_attention, loop_negative_spatial_matrix, one_clip, tile_slots,
+                     to_layout, whole_frames)
 
 
 def lrelu(v, slope=0.2):
@@ -504,6 +504,24 @@ class TestSignedAdjacencyLayout:
         np.testing.assert_array_equal(dense_support, support)
         np.testing.assert_array_equal(dense_sign, support.astype(float))
 
+    def test_construction_adds_missing_self_loops(self):
+        # the test-side construction writes the +1 loops the builder
+        # writes, so a hand-built frame passes frame_attention's check
+        support = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 0]], dtype=bool)
+        sign = np.where(support, -1.0, 0.0)
+        adj = adjacency(support, sign)
+        assert adj[0].sign.dtype == np.int8
+        dense_support, dense_sign = dense_pair(adj)
+        np.testing.assert_array_equal(dense_support, support | np.eye(3, dtype=bool))
+        # the absent loops of nodes 0 and 2 come back +1; node 1's -1 stays
+        np.testing.assert_array_equal(dense_sign.diagonal(), [1.0, -1.0, 1.0])
+        assert dense_sign[0, 1] == dense_sign[1, 0] == -1.0
+        # the caller's array is left as it was
+        assert sign[0, 0] == 0.0 and sign[1, 1] == -1.0
+        out = ad.frame_attention(ad.constant(np.ones((3, 2))), ad.constant(np.ones(4)),
+                                 adj)
+        assert out.shape == (3, 2) and np.isfinite(out.data).all()
+
     def test_missing_self_loop_raises(self):
         sign = loops_only()
         sign[1, 0, 2, 0, :3] = [-1, 0, -1]    # a -1 loop is support
@@ -790,6 +808,20 @@ class TestSlotTableChecks:
         for bad in (repeated, foreign):
             with pytest.raises(ValueError, match="distinct"):
                 SlotTable(bad, table.starts)
+
+    def test_missing_loop_added_in_slot_zero(self):
+        # the reference's inconsistency pass starts each row on its own
+        # node; a node outside every complete tile has no tile entry there
+        # and gets a +1 loop, and every other slot keeps the tile's sign
+        g = diff.add_temporal_negative(clip_graph(t=2, grid=3))
+        sign, table = joined_adjacency(g, 2)
+        _, tile_sign = tile_slots(3, 3, 2)
+        start = table.starts[1]
+        assert (tile_sign[:, 0] == 0).sum() == 5    # a 3 x 3 grid holds one 2 x 2 tile
+        np.testing.assert_array_equal(table.loops[:, 1], start)
+        np.testing.assert_array_equal(sign[:, :, start], 1.0)
+        np.testing.assert_array_equal(sign[:, :, start + 1:-2],
+                                      np.broadcast_to(tile_sign[:, 1:], (2, 9, 3)))
 
     def test_caller_index_is_copied(self):
         # the reference's table keeps read-only copies: a later write to
