@@ -6,12 +6,13 @@ spectral pool w^T x applies it to one column w and never forms the
 filtered signal), add, mul (both broadcasting),
 concat, basic slicing, reshape, leaky_relu, mean, cross_entropy, plus
 frame_attention, one fused op for every pass of graph attention over
-dense blocks of each pass's own support. Each op records a backward rule on a
-per-forward tape; `backward()` walks the tape once in reverse
-topological order and returns the gradient of every leaf parameter, the
-dict the optimizer consumes. A minibatch is one tape: its clips share
-one graph, so the batch mean of the loss is the only gradient
-reduction.
+dense blocks of each pass's own support. Only an op whose output needs a
+gradient records its parents and backward rule on the per-forward tape,
+so a forward over constants frees each intermediate after its last use.
+`backward()` walks the tape once in reverse topological order and
+returns the gradient of every leaf parameter, the dict the optimizer
+consumes. A minibatch is one tape: its clips share one graph, so the
+batch mean of the loss is the only gradient reduction.
 
 Float64 throughout: the finite-difference checker needs the headroom.
 """
@@ -46,7 +47,8 @@ __all__ = [
 
 
 class Tensor:
-    """A value plus its tape node: data and parent links.
+    """A value plus, only if it requires a gradient, its tape node: parent
+    links and a backward rule.
 
     Tensors are immutable after construction (the optimizer mutates
     parameter `.data` in place between tapes, never during one). Data is
@@ -58,7 +60,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.parents = tuple(parents)
+        self.parents = tuple(parents) if self.requires_grad else ()
         self._backward = None
 
     @property
@@ -125,6 +127,13 @@ def _accum(acc, node, g):
         acc[key] = g
 
 
+def _record(out, backward):
+    """``out``, with ``backward`` as its rule when it needs a gradient."""
+    if out.requires_grad:
+        out._backward = backward
+    return out
+
+
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
@@ -158,8 +167,7 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             _accum(acc, b, _unbroadcast(g, b.data.shape))
 
-    out._backward = _backward
-    return out
+    return _record(out, _backward)
 
 
 def mul(a, b) -> Tensor:
@@ -174,8 +182,7 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             _accum(acc, b, _unbroadcast(g * a.data, b.data.shape))
 
-    out._backward = _backward
-    return out
+    return _record(out, _backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -199,8 +206,7 @@ def matmul(a, b) -> Tensor:
             # every stacked product's share, summed by one product
             _accum(acc, b, a.data.reshape(-1, k).T @ g.reshape(-1, m))
 
-    out._backward = _backward
-    return out
+    return _record(out, _backward)
 
 
 def concat(parts, axis=0) -> Tensor:
@@ -218,8 +224,7 @@ def concat(parts, axis=0) -> Tensor:
                 idx[axis] = slice(lo, hi)
                 _accum(acc, p, g[tuple(idx)])
 
-    out._backward = _backward
-    return out
+    return _record(out, _backward)
 
 
 _BASIC_KEYS = (int, np.integer, slice, type(Ellipsis), type(None))
@@ -240,8 +245,7 @@ def _getitem(t, key) -> Tensor:
             gi[key] = g
             _accum(acc, t, gi)
 
-    out._backward = _backward
-    return out
+    return _record(out, _backward)
 
 
 def reshape(t, shape) -> Tensor:
@@ -252,8 +256,7 @@ def reshape(t, shape) -> Tensor:
         if t.requires_grad:
             _accum(acc, t, g.reshape(t.data.shape))
 
-    out._backward = _backward
-    return out
+    return _record(out, _backward)
 
 
 # the negative-side slope of every LeakyReLU in the detector
@@ -272,8 +275,7 @@ def leaky_relu(t) -> Tensor:
         if t.requires_grad:
             _accum(acc, t, g * np.where(t.data > 0, 1.0, LEAKY_SLOPE))
 
-    out._backward = _backward
-    return out
+    return _record(out, _backward)
 
 
 def block_matmul(blocks, x) -> Tensor:
@@ -296,8 +298,7 @@ def block_matmul(blocks, x) -> Tensor:
             _accum(acc, x, (blocks.swapaxes(1, 2) @ g.reshape(b, n, d))
                    .reshape(b * k, d))
 
-    out._backward = _backward
-    return out
+    return _record(out, _backward)
 
 
 class BlockLayout(NamedTuple):
@@ -346,7 +347,7 @@ def _scores(sb, twin):
 def _check_layouts(layouts, n):
     """ValueError on a layout that breaks a rule of `BlockLayout` over
     frames of ``n`` nodes."""
-    held = {}
+    held = {}    # pass -> the orders of its layouts, None for the identity
     for order, sign, owned in layouts:
         b, ids = sign.shape[2], np.arange(n) if order is None else order
         loops = np.diagonal(sign, axis1=2, axis2=4)    # (T, G, P, b)
@@ -361,11 +362,20 @@ def _check_layouts(layouts, n):
             raise ValueError(f"frame_attention: pass {owned[p]}, frame {t}, node "
                              f"{ids[g * b + a]} has no self-loop")
         for p in owned:
-            held.setdefault(p, []).append(ids)
-    if sorted(held) != list(range(len(held))) or any(not np.array_equal(
-            np.sort(np.concatenate(parts)), np.arange(n)) for parts in held.values()):
+            held.setdefault(p, []).append(order)
+    if sorted(held) != list(range(len(held))) or not all(
+            _holds_each_node_once(parts, n) for parts in held.values()):
         raise ValueError("frame_attention: each pass's blocks must hold every node of "
                          "a frame once")
+
+
+def _holds_each_node_once(orders, n):
+    """Whether one pass's layout ``orders`` list ids 0..n-1 once each."""
+    if len(orders) == 1 and orders[0] is None:    # the frame's own order, by its shape
+        return True
+    ids = np.concatenate([np.arange(n) if o is None else o for o in orders])
+    return (ids.size == n and ids.min(initial=0) >= 0 and ids.max(initial=0) < n
+            and np.bincount(ids.astype(np.intp), minlength=n).max(initial=1) == 1)
 
 
 def frame_attention(h, attention, layouts) -> Tensor:
@@ -488,8 +498,7 @@ def frame_attention(h, attention, layouts) -> Tensor:
         if attention.requires_grad:
             _accum(acc, attention, (ds.T @ h.data).reshape(2 * d))
 
-    out._backward = _backward
-    return out
+    return _record(out, _backward)
 
 
 def mean(t, axis=None, keepdims=False) -> Tensor:
@@ -504,8 +513,7 @@ def mean(t, axis=None, keepdims=False) -> Tensor:
                 g = np.expand_dims(g, axis)
             _accum(acc, t, np.broadcast_to(g, t.data.shape) / count)
 
-    out._backward = _backward
-    return out
+    return _record(out, _backward)
 
 
 def cross_entropy(logits, labels) -> Tensor:
@@ -535,8 +543,7 @@ def cross_entropy(logits, labels) -> Tensor:
             soft[np.arange(len(y)), y] -= 1.0
             _accum(acc, logits, float(g) * soft / len(y))
 
-    out._backward = _backward
-    return out
+    return _record(out, _backward)
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:

@@ -10,7 +10,9 @@ the all-ones vector, learned per-eigenvalue gains, pooled without
 forming the filtered signal) and spatial (temporal concat, consistency +
 inconsistency GAT, mean-pool, fusion map). Each pools per clip; the
 pooled rows concatenate into Z, and a head maps Z to 2 logits per clip.
-A training step records one tape.
+A training step records one tape. Scoring (`predict`, `clip_embedding`)
+runs the same forward over constant views of the parameters, so it
+records none.
 
 Graph topology and the Ritz basis are constant to backpropagation:
 `build_structure` is a pure function of the clips' patches, their
@@ -130,6 +132,11 @@ class ModelParams:
 
     def count(self):
         return sum(t.data.size for t in self.tensors.values())
+
+    def frozen(self) -> ModelParams:
+        """The same arrays, uncopied, as constants: a forward over them
+        records no tape."""
+        return ModelParams({k: ad.constant(t.data) for k, t in self.tensors.items()})
 
     @property
     def filter_mlp(self):
@@ -352,20 +359,24 @@ def forward(clips, params: ModelParams, config: TrainConfig):
 
 
 def clip_embedding(clip, params, config) -> np.ndarray:
-    """The pooled pre-head feature vector Z (for external analysis)."""
+    """The pooled pre-head feature vector Z (for external analysis), from
+    `_pooled_features` over `ModelParams.frozen` parameters: no tape."""
+    params = params.frozen()
     structure, x = _prepare([clip], params, config)
     return _pooled_features(structure, x, params, config).data[0].copy()
 
 
 def predict(clip, params, config) -> float:
-    """Probability the clip is fake (softmax of the second logit)."""
-    logits, _ = forward([clip], params, config)
+    """Probability the clip is fake (softmax of the second logit), from a
+    `forward` over `ModelParams.frozen` parameters: no tape, and logits
+    bit for bit the trainable forward's."""
+    logits, _ = forward([clip], params.frozen(), config)
     return float(ad.softmax_probs(logits.data)[0, 1])
 
 
 def score_clips(clips, params, config, threads=1):
-    """`predict` for each clip or LabeledClip. ``threads`` is unused,
-    kept because perfbench passes it."""
+    """`predict` for each clip or LabeledClip, each scored without a tape.
+    ``threads`` is unused, kept because perfbench passes it."""
     return np.array([predict(item.clip if isinstance(item, LabeledClip)
                              else item, params, config) for item in clips])
 

@@ -7,9 +7,11 @@ PARENT and CHANGE are two checkouts of the repository. Each pair runs
 ``perfbench/run.py`` once in each, for the run length ``BENCHMARK.json``
 of CHANGE sets, with tracing off; even pairs run the parent first, odd
 pairs the change. It prints each run's end-to-end metrics as it ends,
-then, per metric the run reports, each side's median and quartiles, and
-for every end-to-end metric of ``BENCHMARK.json`` the pairs each side
-won and the verdict:
+then, per metric the run reports, each side's median and quartiles (two
+rows, ``run_minor_faults_per_op`` and ``run_sys_cpu_share``, come from
+``getrusage`` around the run and get no verdict), and for every
+end-to-end metric of ``BENCHMARK.json`` the pairs each side won and the
+verdict:
 
 - ``gain``: the change wins at least nine tenths of the pairs (ties
   count for neither) and the medians differ by more than the parent's
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -49,11 +52,16 @@ KERNELS = (("train_reference_ms", "train_clip_steps_per_cpu_s"),
 
 def run_once(checkout, workload, seed, seconds):
     """One untraced benchmark run: its report metrics (name -> value)
-    and its result JSON, the last line of its output."""
+    and its result JSON, the last line of its output. Two rows come from
+    ``getrusage`` of the run's process: ``run_minor_faults_per_op``, its
+    minor page faults over the result's ``attempted`` operations, and
+    ``run_sys_cpu_share``, its system CPU over its total CPU."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=False)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         raise SystemExit(f"{checkout}: perfbench exited {proc.returncode}\n"
@@ -63,7 +71,12 @@ def run_once(checkout, workload, seed, seconds):
         if line.startswith("metric ") and " = " in line:
             name, _, rest = line[len("metric "):].partition(" = ")
             reported[name] = float(rest.split()[0])
-    return reported, json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    user, system = (getattr(after, f) - getattr(before, f) for f in ("ru_utime", "ru_stime"))
+    reported["run_minor_faults_per_op"] = (
+        (after.ru_minflt - before.ru_minflt) / max(1, result["attempted"]))
+    reported["run_sys_cpu_share"] = system / (user + system) if user + system else 0.0
+    return reported, result
 
 
 def quartiles(values):

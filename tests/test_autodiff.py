@@ -1,6 +1,7 @@
 """Tensor core: op semantics, backward rules, Adam, FD checker."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -513,3 +514,74 @@ class TestFiniteDiff:
         x = ad.parameter(np.array([1.0]))
         with pytest.raises(ValueError, match="step h"):
             ad.finite_diff_check(lambda: ad.mean(x), {"x": x}, h=1e-2)
+
+
+def _attention_sign():
+    """Two passes over 2 frames of 3 nodes: all +1, and random signs."""
+    signs = np.ones((2, 3, 5)), np.random.default_rng(9).integers(-1, 2, (2, 3, 5))
+    for sign in signs:
+        sign[0, :, 3] = sign[-1, :, 4] = 0
+    return whole_frames(*signs)
+
+
+# each op the tape knows, as a function of its tensor operands and their shapes
+OPS = {
+    "add": (ad.add, [(3, 2), (2,)]),
+    "mul": (ad.mul, [(3, 2), (3, 2)]),
+    "matmul": (ad.matmul, [(2, 3, 4), (4, 2)]),
+    "block_matmul": (lambda x: ad.block_matmul(
+        np.arange(12.0).reshape(2, 3, 2) / 10, x), [(4, 2)]),
+    "concat": (lambda a, b: ad.concat([a, b], axis=1), [(3, 2), (3, 1)]),
+    "getitem": (lambda a: a[1:, ::2], [(3, 4)]),
+    "reshape": (lambda a: ad.reshape(a, (6, 2)), [(3, 4)]),
+    "leaky_relu": (ad.leaky_relu, [(3, 4)]),
+    "frame_attention": (lambda h, att: ad.frame_attention(h, att, _attention_sign()),
+                        [(6, 2), (4,)]),
+    "mean": (lambda a: ad.mean(a, axis=0), [(3, 4)]),
+    "cross_entropy": (lambda z: ad.cross_entropy(z, [0, 1, 1]), [(3, 2)]),
+}
+
+
+def operands(name, trainable=None):
+    """Random operands of op ``name``; the one at index ``trainable``, if
+    any, requires a gradient."""
+    rng = np.random.default_rng(sorted(OPS).index(name))
+    return [ad.parameter(rng.normal(size=shape)) if k == trainable
+            else ad.constant(rng.normal(size=shape))
+            for k, shape in enumerate(OPS[name][1])]
+
+
+class TestTapeOnlyWhereGradientFlows:
+    """An op records its parents and backward rule only when its output
+    requires a gradient: a forward over constants keeps nothing alive."""
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_op_over_constants_records_nothing(self, name):
+        out = OPS[name][0](*operands(name))
+        assert not out.requires_grad
+        assert out.parents == () and out._backward is None
+
+    @pytest.mark.parametrize("name, trainable", [
+        (name, k) for name in sorted(OPS) for k in range(len(OPS[name][1]))])
+    def test_one_parameter_operand_records_every_parent(self, name, trainable):
+        args = operands(name, trainable)
+        out = OPS[name][0](*args)
+        assert out.requires_grad and out._backward is not None
+        assert len(out.parents) == len(args)
+        assert all(p is a for p, a in zip(out.parents, args))
+        probe = np.random.default_rng(1).normal(size=out.shape)
+
+        def f():
+            return ad.mean(ad.mul(OPS[name][0](*args), probe))
+
+        grads = f().backward()
+        assert list(grads) == [args[trainable]]
+        assert ad.finite_diff_check(f, {"x": args[trainable]}) < 1e-6
+
+    def test_chain_over_constants_frees_its_intermediates(self):
+        x = ad.constant(np.random.default_rng(2).normal(size=(4, 4)))
+        mid = ad.leaky_relu(ad.matmul(x, x))
+        alive = weakref.ref(mid.data)
+        out = ad.mean(mid)
+        del mid
+        assert alive() is None and out.parents == ()

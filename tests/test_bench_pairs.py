@@ -1,5 +1,7 @@
-"""The pair tool's verdicts and its reference-kernel line, on synthetic
-numbers (no benchmark run)."""
+"""The pair tool's verdicts, its reference-kernel line and its getrusage
+rows, on synthetic numbers and a stub checkout (no benchmark run)."""
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -110,3 +112,33 @@ class TestKernelMoved:
         failed = [i for i, line in enumerate(out) if "operations failed" in line]
         assert len(moved) == 1 and verdicts[0] < moved[0] < failed[0]
         assert "eval_clips_per_cpu_s: parent 20; change 20" in out[moved[0]]
+
+
+
+def stub_checkout(root):
+    """A checkout whose benchmark run prints one result line, for 4
+    operations."""
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "print(json.dumps({'correct': True, 'failed': 0, 'attempted': 4}))\n")
+    return root
+
+
+class TestRunOnce:
+    def test_fault_and_sys_cpu_rows(self, tmp_path):
+        reported, result = bench_pairs.run_once(stub_checkout(tmp_path), "eval_m2048", 0, 1)
+        assert result == {"correct": True, "failed": 0, "attempted": 4}
+        assert sorted(reported) == ["run_minor_faults_per_op", "run_sys_cpu_share"]
+        # starting an interpreter alone faults in pages
+        assert reported["run_minor_faults_per_op"] > 0
+        assert 0.0 <= reported["run_sys_cpu_share"] <= 1.0
+
+    def test_rows_are_the_run_deltas(self, tmp_path, monkeypatch):
+        # the children's usage before and after the run, canned
+        usage = iter([SimpleNamespace(ru_minflt=1000, ru_utime=2.0, ru_stime=0.5),
+                      SimpleNamespace(ru_minflt=9000, ru_utime=5.0, ru_stime=1.5)])
+        monkeypatch.setattr(bench_pairs.resource, "getrusage", lambda who: next(usage))
+        reported, _ = bench_pairs.run_once(stub_checkout(tmp_path), "eval_m2048", 0, 1)
+        # 8000 faults over 4 operations; 1.0 s of system CPU in 4.0 s
+        assert reported == {"run_minor_faults_per_op": 2000.0, "run_sys_cpu_share": 0.25}

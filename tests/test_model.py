@@ -5,6 +5,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,75 @@ class TestTape:
     def test_tape_size_independent_of_batch(self, desk_batch):
         # nor per clip
         assert tape_nodes(desk_batch) == tape_nodes(desk_batch[:1])
+
+
+# scale -> (config, clip geometry): the oracle's toy and desk scales, and M=512
+SCORING_SCALES = {
+    "toy": (model.preset_config("toy"), {"frames": 2, "height": 4, "width": 4}),
+    "desk": (model.preset_config("desk"), {}),
+    "m512": (model.preset_config("desk", patch_size=8), {}),
+}
+
+
+class TestScoringTape:
+    """Scoring runs the training forward over constant parameters: it
+    records no tape and gives the same bits."""
+
+    @pytest.mark.parametrize("family", synth.FAMILIES)
+    @pytest.mark.parametrize("scale", sorted(SCORING_SCALES))
+    def test_predict_is_the_trainable_forward(self, scale, family):
+        cfg, geometry = SCORING_SCALES[scale]
+        params = model.init_params(cfg, seed=7, random_head=True)
+        clip = synth.generate(synth.SynthSpec(family, seed=1, **geometry)).clip
+        logits, _ = model.forward([clip], params, cfg)
+        assert logits.requires_grad
+        expected = ad.softmax_probs(logits.data)[:, 1]
+        assert np.array([model.predict(clip, params, cfg)]).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("scale", sorted(SCORING_SCALES))
+    def test_clip_embedding_is_the_pooled_row(self, scale):
+        cfg, geometry = SCORING_SCALES[scale]
+        params = model.init_params(cfg, seed=7, random_head=True)
+        clip = synth.generate(synth.SynthSpec("temporal_jitter", seed=2, **geometry)).clip
+        structure, x = model._prepare([clip], params, cfg)
+        pooled = model._pooled_features(structure, x, params, cfg)
+        assert pooled.requires_grad
+        assert model.clip_embedding(clip, params, cfg).tobytes() == pooled.data[0].tobytes()
+
+    @pytest.mark.parametrize("entry, traced", [
+        (model.predict, "forward"), (model.clip_embedding, "_pooled_features")])
+    def test_scoring_records_no_tape(self, monkeypatch, entry, traced):
+        outputs = []
+        inner = getattr(model, traced)
+
+        def kept(*args):
+            outputs.append(inner(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(model, traced, kept)
+        cfg = toy_config()
+        params = model.init_params(cfg, random_head=True)
+        entry(toy_clip(seed=3), params, cfg)
+        out = outputs[0][0] if traced == "forward" else outputs[0]
+        assert not out.requires_grad and out.parents == () and out._backward is None
+        # the caller's parameters still require gradients
+        assert all(t.requires_grad for t in params.named().values())
+
+    def test_m2048_predict_transient_peak(self):
+        # with a tape, the backward closures hold every intermediate of
+        # the forward until the logits die: 24.7 MiB; without, 18.2 MiB
+        cfg = model.TrainConfig(patch_size=4, seed=7)
+        params = model.init_params(cfg, random_head=True)
+        clip = synth.generate(synth.SynthSpec("spectral_noise", seed=0)).clip
+        model.predict(clip, params, cfg)    # warm the layout caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model.predict(clip, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
 class TestBridges:
