@@ -18,17 +18,19 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from . import autodiff as ad
 from . import metrics, model, pgm, spectral, synth
 from .differential import theorem1_check
 from .rng import stream
 
-_CONFIG_FLAGS = {
-    "patch_size": int, "tau_s": float, "tau_t": float, "tile": int,
-    "dim": int, "filter_hidden": int, "lr": float, "batch_size": int,
-    "epochs": int, "seed": int,
-}
-
+# Each setting is declared once, in TrainConfig or SynthSpec: its flag, its
+# config-file key, its type and its default are read off the dataclass.
+CONFIG_KINDS = {f.name: type(f.default) for f in fields(model.TrainConfig)}
+SYNTH_GEOMETRY = tuple(f.name for f in fields(synth.SynthSpec)
+                       if f.name not in ("family", "seed"))
+EVAL_GEOMETRY = ("frames", "height", "width", "channels")
 
 _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
           **dict.fromkeys(("0", "false", "no", "off"), False)}
@@ -38,8 +40,6 @@ def read_config_file(path):
     """key = value lines; # comments; keys must be TrainConfig fields,
     each value of its field's type and range on its own. A ValueError
     names the file and the line or, when not UTF-8, the byte."""
-    kinds = {f.name: type(getattr(model.TrainConfig(), f.name))
-             for f in fields(model.TrainConfig)}
     try:
         text = Path(path).read_bytes().decode()
     except UnicodeDecodeError as err:
@@ -53,9 +53,9 @@ def read_config_file(path):
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in kinds:
+        if key not in CONFIG_KINDS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        kind = kinds[key]
+        kind = CONFIG_KINDS[key]
         try:
             out[key] = _BOOLS[value.lower()] if kind is bool else kind(value)
         except (KeyError, ValueError):
@@ -69,18 +69,9 @@ def read_config_file(path):
 
 
 def build_train_config(args) -> model.TrainConfig:
-    merged = {}
-    if getattr(args, "config", None):
-        merged.update(read_config_file(args.config))
-    for name in _CONFIG_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
-    for flag, key in (("no_spectral", "use_spectral"),
-                      ("no_differential", "use_differential"),
-                      ("no_temporal_mlp", "use_temporal_mlp")):
-        if getattr(args, flag, False):
-            merged[key] = False
+    merged = read_config_file(args.config) if args.config else {}
+    merged.update({name: getattr(args, name) for name in CONFIG_KINDS
+                   if getattr(args, name) is not None})
     return model.TrainConfig(**merged)
 
 
@@ -113,11 +104,8 @@ def corpus_args(args, known):
 def cmd_synth(args):
     families, seeds = corpus_args(args, synth.FAMILIES)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = synth.write_corpus(
-        out, families, seeds, frames=args.frames, height=args.height,
-        width=args.width, channels=args.channels, motion=args.motion,
-        strength=args.strength)
+        out, families, seeds, **{name: getattr(args, name) for name in SYNTH_GEOMETRY})
     record = {"command": "synth", "families": families,
               "seeds": [args.seed, args.seed + args.count],
               "manifest": manifest.name}
@@ -128,9 +116,9 @@ def cmd_synth(args):
 
 def cmd_train(args):
     config = build_train_config(args)
+    clips = synth.load_manifest(args.manifest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    clips = synth.load_manifest(args.manifest)
     params, history = model.train_clips(clips, config,
                                         log=print if args.verbose else None)
     ckpt = out / "checkpoint.sstg"
@@ -153,19 +141,21 @@ def cmd_eval(args):
             f"clips of {args.channels} channel(s) and {args.height}x"
             f"{args.width} pixels do not fit the checkpoint, which takes "
             f"{config.channels} channel(s) and patch size {config.patch_size}")
+    clips = synth.make_corpus(("real", *families), seeds,
+                              **{name: getattr(args, name) for name in EVAL_GEOMETRY})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     chash = model.config_hash(config)
     report = metrics.MetricReport()
-    clips = synth.make_corpus(("real", *families), seeds, frames=args.frames,
-                              height=args.height, width=args.width,
-                              channels=args.channels)
-    real = clips[:len(seeds)]    # scored against each family's fakes
+    n = len(seeds)
+    scores = model.score_clips(clips, params, config)    # each clip once
+    labels = np.repeat([0, 1], n)
     for k, fam in enumerate(families, 1):
-        cell = real + clips[k * len(seeds):(k + 1) * len(seeds)]
-        acc, area, _ = metrics.evaluate_model(params, config, cell)
-        report.rows.append(metrics.ReportRow(args.protocol, "checkpoint", fam, len(cell),
-                                             acc, area, args.seed, chash))
+        # the real clips count against each family's fakes
+        cell = np.concatenate([scores[:n], scores[k * n:(k + 1) * n]])
+        report.rows.append(metrics.ReportRow(
+            args.protocol, "checkpoint", fam, 2 * n, metrics.accuracy(cell, labels),
+            metrics.auc(cell, labels), args.seed, chash))
     report.write_csv(out / "report.csv")
     if args.dump_embeddings:
         metrics.dump_embeddings(out / "embeddings.csv", clips, params, config)
@@ -225,6 +215,17 @@ def cmd_gradcheck(args):
 # ---------------------------------------------------------------------------
 
 
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _add_geometry_flags(parser, names):
+    """One flag per SynthSpec field in ``names``, with its type and default."""
+    for f in fields(synth.SynthSpec):
+        if f.name in names:
+            parser.add_argument(_flag(f.name), type=type(f.default), default=f.default)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sstgnn",
@@ -236,24 +237,20 @@ def build_parser():
     p.add_argument("--families", default=",".join(synth.FAMILIES))
     p.add_argument("--count", type=int, default=8, help="clips per family")
     p.add_argument("--seed", type=int, default=0, help="first clip seed")
-    p.add_argument("--frames", type=int, default=8)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--channels", type=int, default=1)
-    p.add_argument("--motion", type=float, default=0.3)
-    p.add_argument("--strength", type=float, default=0.5)
+    _add_geometry_flags(p, SYNTH_GEOMETRY)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a detector on a corpus manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="key = value config file")
-    for name, kind in _CONFIG_FLAGS.items():
-        p.add_argument(f"--{name.replace('_', '-')}", type=kind,
-                       dest=name, default=None)
-    p.add_argument("--no-spectral", action="store_true")
-    p.add_argument("--no-differential", action="store_true")
-    p.add_argument("--no-temporal-mlp", action="store_true")
+    # unset flags stay None, so the --config file and then the defaults apply
+    for name, kind in CONFIG_KINDS.items():
+        if kind is bool:
+            p.add_argument(_flag("no_" + name.removeprefix("use_")), dest=name,
+                           action="store_false", default=None)
+        else:
+            p.add_argument(_flag(name), dest=name, type=kind, default=None)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_train)
 
@@ -265,10 +262,7 @@ def build_parser():
     p.add_argument("--families", default=",".join(synth.FAKE_FAMILIES))
     p.add_argument("--count", type=int, default=32, help="clips per class")
     p.add_argument("--seed", type=int, default=9000, help="first test seed")
-    p.add_argument("--frames", type=int, default=8)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--channels", type=int, default=1)
+    _add_geometry_flags(p, EVAL_GEOMETRY)
     p.add_argument("--dump-embeddings", action="store_true")
     p.set_defaults(func=cmd_eval)
 

@@ -66,7 +66,6 @@ class TrainConfig:
     seed: int = 0
     use_spectral: bool = True
     use_differential: bool = True
-    use_temporal_mlp: bool = True
 
     def __post_init__(self):
         for f in fields(self):
@@ -331,12 +330,8 @@ def _pooled_features(structure: ClipStructure, x: ad.Tensor,
     else:
         z_spectral = ad.constant(np.zeros((graph.clips, config.dim)))
 
-    if config.use_temporal_mlp:
-        xp = differential.temporal_concat(x, graph,
-                                          params["temporal.weight"],
-                                          params["temporal.bias"])
-    else:
-        xp = x
+    xp = differential.temporal_concat(x, graph, params["temporal.weight"],
+                                      params["temporal.bias"])
     h = gat.gat_forward(xp, structure.adjacency, params.gat)
     z_spatial = gat.spatial_fuse(h, params["fusion.weight"],
                                  params["fusion.bias"], graph)

@@ -253,16 +253,18 @@ def write_corpus(out_dir, families, seeds, **spec_kw):
     """Render clips to ``out_dir`` and write the manifest CSV.
 
     Returns the manifest path. Manifest columns: path,label,family,seed.
+    Every spec is checked before ``out_dir`` is made: a bad one leaves
+    no directory.
     """
+    specs = [SynthSpec(family=f, seed=s, **spec_kw) for f in families for s in seeds]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for family in families:
-        for seed in seeds:
-            labeled = generate(SynthSpec(family=family, seed=seed, **spec_kw))
-            name = f"{family}_{seed}.vgf"
-            save_clip(out / name, labeled.clip, label=labeled.label)
-            rows.append((name, labeled.label, family, seed))
+    for spec in specs:
+        labeled = generate(spec)
+        name = f"{spec.family}_{spec.seed}.vgf"
+        save_clip(out / name, labeled.clip, label=labeled.label)
+        rows.append((name, labeled.label, spec.family, spec.seed))
     manifest = out / "manifest.csv"
     with open(manifest, "w", newline="") as fh:
         writer = csv.writer(fh)

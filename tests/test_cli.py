@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, artifacts on disk."""
 
+import argparse
 import csv
 import json
 import os
@@ -7,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 import sstgnn
 from sstgnn import autodiff as ad
 from sstgnn import metrics, model, pgm, spectral, synth
-from sstgnn.cli import main, read_config_file
+from sstgnn.cli import build_parser, build_train_config, main, read_config_file
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -252,18 +254,20 @@ def test_eval_non_finite_checkpoint_tensor_is_usage_error(trained_run, tmp_path,
 
 
 def test_eval_removed_config_keys_are_usage_error(trained_run, tmp_path, capsys):
-    # eps and leaky_slope were config fields; they are module constants now
+    # eps and leaky_slope were config fields; they are module constants now,
+    # and the temporal concat always runs
     blob = (trained_run / "checkpoint.sstg").read_bytes()
     start = len(model.CHECKPOINT_MAGIC)
     (length,) = struct.unpack_from("<I", blob, start)
     echo = json.loads(blob[start + 4:start + 4 + length])
-    old = json.dumps({**echo, "eps": 1e-4, "leaky_slope": 0.2}, sort_keys=True,
-                     separators=(",", ":")).encode()
+    old = json.dumps({**echo, "eps": 1e-4, "leaky_slope": 0.2, "use_temporal_mlp": True},
+                     sort_keys=True, separators=(",", ":")).encode()
     bad = tmp_path / "old.sstg"
     bad.write_bytes(blob[:start] + struct.pack("<I", len(old)) + old
                     + blob[start + 4 + length:])
     assert eval_exit_code(bad, tmp_path / "e") == 2
-    assert "unknown config keys: ['eps', 'leaky_slope']" in capsys.readouterr().err
+    assert "unknown config keys: ['eps', 'leaky_slope', 'use_temporal_mlp']" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("echo", [b"[]", b"1", b"null"])
@@ -555,6 +559,84 @@ def test_train_has_no_threads_flag(trained_run, tmp_path, command):
                      "--width", "8"]}[command]
     assert main([command, "--out", str(tmp_path / "t"), "--threads", "2"]
                 + args) == 2
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("synth", ["--frames", "1"]),
+    ("synth", ["--height", "0"]),
+    ("synth", ["--families", "spectral_noise", "--strength", "nan"]),
+    ("synth", ["--families", "real,upsample_artifact", "--height", "7"]),
+    ("eval", ["--frames", "1"]),
+    ("train", ["--manifest", "missing.csv"]),
+], ids=["synth-frames", "synth-height", "synth-strength", "synth-odd-upsample",
+        "eval-frames", "train-manifest"])
+def test_refused_command_makes_no_out_dir(trained_run, tmp_path, capsys, command, flags):
+    base = {"synth": ["--count", "2", "--frames", "2", "--height", "8", "--width", "8"],
+            "eval": ["--checkpoint", str(trained_run / "checkpoint.sstg"), "--count", "1",
+                     "--frames", "2", "--height", "8", "--width", "8"],
+            "train": ["--patch-size", "4", "--epochs", "1"]}[command]
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), *base, *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_eval_scores_each_clip_once(trained_run, tmp_path, monkeypatch):
+    # the real clips are scored once, not once per fake family
+    scored = []
+    predict = model.predict
+
+    def counting_predict(clip, params, config):
+        scored.append(hash(clip.pixels.tobytes()))
+        return predict(clip, params, config)
+
+    monkeypatch.setattr(model, "predict", counting_predict)
+    assert main(["eval", "--checkpoint", str(trained_run / "checkpoint.sstg"),
+                 "--out", str(tmp_path / "e"), "--count", "2", "--frames", "2",
+                 "--height", "8", "--width", "8"]) == 0
+    assert len(scored) == len(set(scored)) == 2 * len(synth.FAMILIES)
+
+
+def subcommand_options():
+    """Per subcommand, each option string mapped to its dest."""
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {command: {option: action.dest for action in sub._actions
+                      for option in action.option_strings}
+            for command, sub in subparsers.choices.items()}
+
+
+def test_each_train_config_field_has_one_flag_and_one_config_key(tmp_path):
+    options = subcommand_options()["train"]
+    for f in fields(model.TrainConfig):
+        flags = [option for option, dest in options.items() if dest == f.name]
+        assert len(flags) == 1, (f.name, flags)
+        # a valid value other than the default
+        value = {bool: False, int: f.default + 1, float: f.default / 2}[type(f.default)]
+        argv = [flags[0]] if value is False else [flags[0], str(value)]
+        args = build_parser().parse_args(["train", "--manifest", "m", "--out", "o", *argv])
+        assert build_train_config(args) == model.TrainConfig(**{f.name: value}), f.name
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{f.name} = {value}\n")
+        assert read_config_file(cfg) == {f.name: value}, f.name
+
+
+@pytest.mark.parametrize("command, geometry", [
+    ("synth", ("frames", "height", "width", "channels", "motion", "strength")),
+    ("eval", ("frames", "height", "width", "channels")),
+])
+def test_clip_flags_take_synth_spec_defaults(command, geometry):
+    options = subcommand_options()[command]
+    required = {"synth": [], "eval": ["--checkpoint", "c"]}[command]
+    args = build_parser().parse_args([command, "--out", "o", *required])
+    spec_fields = {f.name: f.default for f in fields(synth.SynthSpec)
+                   if f.name not in ("family", "seed")}
+    assert {dest for dest in options.values() if dest in spec_fields} == set(geometry)
+    for name in geometry:
+        assert [option for option, dest in options.items() if dest == name] == \
+            [f"--{name}"]
+        assert getattr(args, name) == spec_fields[name]
+        assert type(getattr(args, name)) is type(spec_fields[name])
 
 
 def test_gradcheck_toy(capsys):

@@ -1,5 +1,5 @@
 """Doc drift: every name README.md and the package's docstrings cite
-exists."""
+exists, and every command-line flag README.md names."""
 
 import ast
 import builtins
@@ -9,6 +9,7 @@ import re
 from pathlib import Path
 
 import sstgnn
+from test_cli import subcommand_options
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = {info.name for info in pkgutil.iter_modules(sstgnn.__path__)}
@@ -17,6 +18,9 @@ MODULES = {info.name for info in pkgutil.iter_modules(sstgnn.__path__)}
 REFERENCE = re.compile(r"`(?:sstgnn\.)?([a-z_]+)\.([A-Za-z_]\w*)")
 # `VideoGraph` or `ValueError`: a code span of one capitalised name
 CLASS_NAME = re.compile(r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)`")
+FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+# flags README.md names of other programs: tests/make_oracle.py and pip
+OTHER_FLAGS = {"--compare", "--no-build-isolation"}
 
 
 def docstrings():
@@ -47,6 +51,12 @@ def missing_class_names(text):
                    and not any(hasattr(module, name) for module in modules)})
 
 
+def missing_flags(text):
+    """The flags of ``text`` that no ``sstgnn`` subcommand takes."""
+    known = {option for options in subcommand_options().values() for option in options}
+    return sorted(set(FLAG.findall(text)) - known - OTHER_FLAGS)
+
+
 def test_readme_references_resolve():
     text = README.read_text()
     assert len(references(text)) >= 20, "the README should cite the modules it describes"
@@ -72,3 +82,15 @@ def test_a_deleted_name_is_caught():
     text = "`gat.SignedAdjacency` and `SignedAdjacency`, not `ValueError` or `VideoGraph`"
     assert missing_references(text) == ["gat.SignedAdjacency"]
     assert missing_class_names(text) == ["SignedAdjacency"]
+
+
+def test_readme_flags_exist():
+    text = README.read_text()
+    assert len(FLAG.findall(text)) >= 20, "the README should document the CLI flags"
+    missing = missing_flags(text)
+    assert missing == [], f"README.md names flags no subcommand takes: {missing}"
+
+
+def test_a_deleted_flag_is_caught():
+    assert missing_flags("`--no-temporal-mlp`, not `--no-spectral` or `--dump-embeddings`") \
+        == ["--no-temporal-mlp"]

@@ -161,15 +161,6 @@ class TestForward:
         np.testing.assert_array_equal(support, np.eye(8, dtype=bool))
         assert not (structure.graph.temporal < 0).any()
 
-    def test_temporal_mlp_toggle(self):
-        clip = toy_clip(seed=8)
-        cfg = toy_config(use_temporal_mlp=False)
-        params = model.init_params(cfg, random_head=True)
-        base, _ = model.forward([clip], params, cfg)
-        params["temporal.weight"].data[:] += 5.0
-        after, _ = model.forward([clip], params, cfg)
-        np.testing.assert_array_equal(base.data, after.data)
-
     def test_predict_confident_logits(self):
         assert ad.softmax_probs(np.array([[-10.0, 10.0]]))[0, 1] == \
             pytest.approx(1.0, abs=1e-8)
@@ -195,13 +186,11 @@ class TestBatch:
 
     @pytest.mark.parametrize("overrides", [
         {}, {"use_differential": False}, {"use_spectral": False},
-        {"use_temporal_mlp": False},
         # some clips keep a positive bridge (one whole-clip block alone),
         # others none (per-frame blocks alone); batched, every clip is
         # one block
         {"use_differential": False, "tau_t": 0.95},
-    ], ids=["default", "no-differential", "no-spectral", "no-temporal-mlp",
-            "mixed-bases"])
+    ], ids=["default", "no-differential", "no-spectral", "mixed-bases"])
     def test_logits_match_each_clip_alone(self, desk_batch, overrides):
         cfg = model.TrainConfig(**overrides)
         params = model.init_params(cfg, random_head=True)
