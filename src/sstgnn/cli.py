@@ -18,8 +18,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import autodiff as ad
 from . import metrics, model, pgm, spectral, synth
 from .differential import theorem1_check
@@ -145,20 +143,13 @@ def cmd_eval(args):
                               **{name: getattr(args, name) for name in EVAL_GEOMETRY})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    chash = model.config_hash(config)
-    report = metrics.MetricReport()
-    n = len(seeds)
-    scores = model.score_clips(clips, params, config)    # each clip once
-    labels = np.repeat([0, 1], n)
-    for k, fam in enumerate(families, 1):
-        # the real clips count against each family's fakes
-        cell = np.concatenate([scores[:n], scores[k * n:(k + 1) * n]])
-        report.rows.append(metrics.ReportRow(
-            args.protocol, "checkpoint", fam, 2 * n, metrics.accuracy(cell, labels),
-            metrics.auc(cell, labels), args.seed, chash))
+    scores, rows = model.score_and_embed([c.clip for c in clips], params, config)
+    report = metrics.MetricReport(metrics.family_rows(
+        clips, scores, protocol=args.protocol, train_set="checkpoint",
+        seed=args.seed, config_hash=model.config_hash(config)))
     report.write_csv(out / "report.csv")
     if args.dump_embeddings:
-        metrics.dump_embeddings(out / "embeddings.csv", clips, params, config)
+        metrics.dump_embeddings(out / "embeddings.csv", clips, rows)
     write_run_record(out, "eval", config,
                      {"protocol": args.protocol, "checkpoint": str(args.checkpoint),
                       "families": families, "mean_auc": report.mean_auc()})
@@ -198,7 +189,7 @@ def cmd_gradcheck(args):
     _, structure = model.forward([clip], params, config)
 
     def loss():
-        x = model.encode_patches(structure.patches, params, config)
+        x = model.encode_patches(structure.patches, params)
         logits = model.forward_with_structure(structure, x, params, config)
         return ad.cross_entropy(logits, [1])
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import model as model_mod
 from .model import TrainConfig, config_hash, train_clips
-from .synth import FAKE_FAMILIES, make_corpus
+from .synth import FAKE_FAMILIES, SynthSpec, make_corpus
 
 
 def _scored(scores, labels, metric):
@@ -96,8 +96,9 @@ class ProtocolConfig:
 
     Train clips take seeds [seed, seed + n_train); test clips take
     [seed + n_train, seed + n_train + n_test). The ranges must never
-    intersect, which generate-time assertions enforce. Clips have the
-    channel count the model takes, ``train.channels``.
+    intersect, which generate-time assertions enforce. Clips have
+    `SynthSpec`'s default geometry and the channel count the model takes,
+    ``train.channels``.
     """
 
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -105,9 +106,9 @@ class ProtocolConfig:
     n_train: int = 64
     n_test: int = 32
     seed: int = 1000
-    frames: int = 8
-    height: int = 64
-    width: int = 64
+    frames: int = SynthSpec.frames
+    height: int = SynthSpec.height
+    width: int = SynthSpec.width
 
     def train_seeds(self):
         return range(self.seed, self.seed + self.n_train)
@@ -116,12 +117,9 @@ class ProtocolConfig:
         return range(self.seed + self.n_train,
                      self.seed + self.n_train + self.n_test)
 
-    def clip_kw(self):
-        return dict(frames=self.frames, height=self.height,
-                    width=self.width, channels=self.train.channels)
-
     def corpus(self, families, seeds):
-        return make_corpus(families, seeds, **self.clip_kw())
+        return make_corpus(families, seeds, frames=self.frames, height=self.height,
+                           width=self.width, channels=self.train.channels)
 
 
 def _check_disjoint(train_seeds, test_seeds):
@@ -145,60 +143,62 @@ def train_on_families(pcfg: ProtocolConfig, fake_families):
     return train_clips(corpus, pcfg.train)
 
 
-def test_cell(pcfg: ProtocolConfig, params, family):
-    """Evaluate on held-out real + held-out clips of one fake family."""
-    clips = pcfg.corpus(("real", family), pcfg.test_seeds())
-    acc, area, _ = evaluate_model(params, pcfg.train, clips)
-    return acc, area, len(clips)
+def family_rows(clips, scores, *, protocol, train_set, seed, config_hash):
+    """One ReportRow per fake family among the labeled ``clips``, in the
+    order the families first appear. ``scores`` holds one score per clip,
+    so every clip is scored once; each family's fakes count against all
+    the real clips."""
+    scores = np.asarray(scores)
+    real = scores[[c.label == 0 for c in clips]]
+    rows = []
+    for family in dict.fromkeys(c.family for c in clips if c.label == 1):
+        fake = scores[[c.family == family for c in clips]]
+        cell = np.concatenate([real, fake])
+        labels = np.repeat([0, 1], [len(real), len(fake)])
+        rows.append(ReportRow(protocol, train_set, family, len(cell), accuracy(cell, labels),
+                              auc(cell, labels), seed, config_hash))
+    return rows
 
 
 def run_protocol(kind, pcfg: ProtocolConfig, train_families=None,
                  out_csv=None) -> MetricReport:
     """in_domain trains/tests per family; one_to_many trains on one fake
     family and tests the held-out ones; many_to_many trains on a subset
-    and tests its complement."""
-    chash = config_hash(pcfg.train)
-    report = MetricReport()
-
-    def add(train_set, params, test_families):
-        for fam in test_families:
-            acc, area, n = test_cell(pcfg, params, fam)
-            report.rows.append(ReportRow(kind, train_set, fam, n, acc, area,
-                                         pcfg.seed, chash))
-
+    and tests its complement. Each trained model scores the held-out
+    real clips once."""
     if kind == "in_domain":
-        for fam in pcfg.families:
-            params, _ = train_on_families(pcfg, [fam])
-            add(fam, params, [fam])
-    elif kind == "one_to_many":
-        if not train_families or len(train_families) != 1:
+        cells = [((fam,), (fam,)) for fam in pcfg.families]
+    elif kind in ("one_to_many", "many_to_many"):
+        if kind == "one_to_many" and len(train_families or ()) != 1:
             raise ValueError("one_to_many needs exactly one train family")
-        fam0 = train_families[0]
-        params, _ = train_on_families(pcfg, [fam0])
-        add(fam0, params, [f for f in pcfg.families if f != fam0])
-    elif kind == "many_to_many":
         if not train_families:
             raise ValueError("many_to_many needs a train family subset")
-        held_out = [f for f in pcfg.families if f not in train_families]
+        held_out = tuple(f for f in pcfg.families if f not in train_families)
         if not held_out:
-            raise ValueError("many_to_many needs a nonempty held-out set")
-        params, _ = train_on_families(pcfg, list(train_families))
-        add("+".join(train_families), params, held_out)
+            raise ValueError(f"{kind} needs a nonempty held-out set")
+        cells = [(tuple(train_families), held_out)]
     else:
         raise ValueError(f"unknown protocol {kind!r}")
 
+    report = MetricReport()
+    for train_set, test_families in cells:
+        params, _ = train_on_families(pcfg, train_set)
+        clips = pcfg.corpus(("real", *test_families), pcfg.test_seeds())
+        report.rows.extend(family_rows(
+            clips, model_mod.score_clips(clips, params, pcfg.train), protocol=kind,
+            train_set="+".join(train_set), seed=pcfg.seed,
+            config_hash=config_hash(pcfg.train)))
     if out_csv:
         report.write_csv(out_csv)
     return report
 
 
-def dump_embeddings(path, clips, params, config):
-    """Write per-clip pooled features to CSV for external analysis."""
-    feats = [model_mod.clip_embedding(c.clip, params, config) for c in clips]
+def dump_embeddings(path, clips, rows):
+    """Write each labeled clip's pooled feature row (`model.score_and_embed`)
+    to CSV for external analysis."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        dim = len(feats[0])
-        writer.writerow(["family", "label"] + [f"z{i}" for i in range(dim)])
-        for clip, z in zip(clips, feats):
+        writer.writerow(["family", "label"] + [f"z{i}" for i in range(len(rows[0]))])
+        for clip, z in zip(clips, rows):
             writer.writerow([clip.family, clip.label] +
                             [f"{v:.8g}" for v in z])

@@ -10,7 +10,7 @@ the all-ones vector, learned per-eigenvalue gains, pooled without
 forming the filtered signal) and spatial (temporal concat, consistency +
 inconsistency GAT, mean-pool, fusion map). Each pools per clip; the
 pooled rows concatenate into Z, and a head maps Z to 2 logits per clip.
-A training step records one tape. Scoring (`predict`, `clip_embedding`)
+A training step records one tape. Scoring (`predict`, `score_and_embed`)
 runs the same forward over constant views of the parameters, so it
 records none.
 
@@ -256,7 +256,7 @@ def init_params(config: TrainConfig, seed=None, random_head=False) -> ModelParam
 # encoder
 
 
-def encode_patches(patch_vectors, params: ModelParams, config: TrainConfig):
+def encode_patches(patch_vectors, params: ModelParams):
     """Map raw patch vectors (T, N, p) to an (M, d) embedding Tensor; a
     float64 array, as `patchify` makes it, is read without a copy."""
     t, n, p = patch_vectors.shape
@@ -314,7 +314,7 @@ def _prepare(clips, params: ModelParams, config: TrainConfig):
     frame axis, encode them in one matmul and build their structure in
     one pass."""
     pt = patchify([clip.pixels for clip in clips], config.patch_size)
-    x = encode_patches(pt.vectors, params, config)
+    x = encode_patches(pt.vectors, params)
     return build_structure(pt, x.data, params.filter_mlp, config, len(clips)), x
 
 
@@ -338,12 +338,16 @@ def _pooled_features(structure: ClipStructure, x: ad.Tensor,
     return ad.concat([z_spatial, z_spectral], axis=1)
 
 
+def _head(z: ad.Tensor, params: ModelParams) -> ad.Tensor:
+    """(B, 2d) feature rows -> (B, 2) logits."""
+    return ad.add(ad.matmul(z, params["head.weight"]), params["head.bias"])
+
+
 def forward_with_structure(structure: ClipStructure, x: ad.Tensor,
                            params: ModelParams, config: TrainConfig) -> ad.Tensor:
     """Differentiable path; ``x`` is the embedding of structure.patches.
     Returns (B, 2) logits, one row per clip."""
-    z = _pooled_features(structure, x, params, config)
-    return ad.add(ad.matmul(z, params["head.weight"]), params["head.bias"])
+    return _head(_pooled_features(structure, x, params, config), params)
 
 
 def forward(clips, params: ModelParams, config: TrainConfig):
@@ -351,14 +355,6 @@ def forward(clips, params: ModelParams, config: TrainConfig):
     structure for reuse."""
     structure, x = _prepare(clips, params, config)
     return forward_with_structure(structure, x, params, config), structure
-
-
-def clip_embedding(clip, params, config) -> np.ndarray:
-    """The pooled pre-head feature vector Z (for external analysis), from
-    `_pooled_features` over `ModelParams.frozen` parameters: no tape."""
-    params = params.frozen()
-    structure, x = _prepare([clip], params, config)
-    return _pooled_features(structure, x, params, config).data[0].copy()
 
 
 def predict(clip, params, config) -> float:
@@ -374,6 +370,17 @@ def score_clips(clips, params, config, threads=1):
     ``threads`` is unused, kept because perfbench passes it."""
     return np.array([predict(item.clip if isinstance(item, LabeledClip)
                              else item, params, config) for item in clips])
+
+
+def score_and_embed(clips, params, config):
+    """Each clip's `predict` score and its pooled pre-head row Z (for
+    external analysis), bit for bit, from one tape-free forward per clip:
+    a (B,) and a (B, 2d) array."""
+    params = params.frozen()
+    pooled = [_pooled_features(*_prepare([clip], params, config), params, config)
+              for clip in clips]
+    scores = [ad.softmax_probs(_head(z, params).data)[0, 1] for z in pooled]
+    return np.array(scores), np.array([z.data[0] for z in pooled])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 
     python3 tests/bench_pairs.py PARENT CHANGE --workload train_desk --pairs 10 --seed 0
 
-PARENT and CHANGE are two checkouts of the repository. Each pair runs
+PARENT and CHANGE are two checkouts of the repository. ``--workload``
+may be given more than once, or as ``all`` for every workload
+``BENCHMARK.json`` of CHANGE lists; each workload gets its pairs and its
+own block of rows and verdicts, in the order named. Each pair runs
 ``perfbench/run.py`` once in each, for the run length ``BENCHMARK.json``
 of CHANGE sets, with tracing off; even pairs run the parent first, odd
 pairs the change. It prints each run's end-to-end metrics as it ends,
@@ -125,32 +128,56 @@ def kernel_moved(runs):
     return lines
 
 
+def workloads(named, bench):
+    """The workloads ``--workload`` named, in order, ``all`` standing for
+    every workload of ``bench``; ValueError on a name it does not list or
+    one named twice."""
+    known = [w["name"] for w in bench["workloads"]]
+    chosen = [w for name in named for w in (known if name == "all" else [name])]
+    unknown = [w for w in chosen if w not in known]
+    if unknown or len(set(chosen)) < len(chosen):
+        raise ValueError(f"--workload takes distinct workloads of {', '.join(known)} "
+                         f"or all; got {', '.join(named)}")
+    return chosen
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    try:
+        chosen = workloads(args.workload, bench)
+    except ValueError as err:
+        parser.error(str(err))
+    for workload in chosen:
+        compare(args, bench, workload)
+    return 0
+
+
+def compare(args, bench, workload):
+    """Run ``args.pairs`` pairs of one workload and print its block."""
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
     runs = {side: [] for side in SIDES}
     results = {side: [] for side in SIDES}
     end_to_end = [m["name"] for m in bench["end_to_end"]]
     for pair in range(args.pairs):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            reported, result = run_once(checkouts[side], args.workload, args.seed,
+            reported, result = run_once(checkouts[side], workload, args.seed,
                                         bench["run_seconds"])
             runs[side].append(reported)
             results[side].append(result)
             shown = " ".join(f"{name}={reported[name]:.6g}" for name in end_to_end)
-            print(f"pair {pair} {side}: {shown} correct={result['correct']}",
+            print(f"{workload} pair {pair} {side}: {shown} correct={result['correct']}",
                   flush=True)
 
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of "
+    print(f"\n{workload}, seed {args.seed}, {args.pairs} pairs of "
           f"{bench['run_seconds']} s runs: median [q1, q3]")
     names = [n for n in runs["parent"][0] if all(n in r for rs in runs.values()
                                                   for r in rs)]
@@ -180,7 +207,7 @@ def main(argv=None):
         incorrect = sum(not r["correct"] for r in results[side])
         print(f"  {side}: {failed} of {attempted} operations failed, "
               f"{incorrect} of {args.pairs} runs with failed checks")
-    return 0
+    print(flush=True)
 
 
 if __name__ == "__main__":

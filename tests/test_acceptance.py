@@ -131,7 +131,7 @@ def test_a4_end_to_end_gradients():
     _, structure = model.forward([clip], params, config)
 
     def loss():
-        x = model.encode_patches(structure.patches, params, config)
+        x = model.encode_patches(structure.patches, params)
         logits = model.forward_with_structure(structure, x, params, config)
         return ad.cross_entropy(logits, [1])
 
@@ -146,9 +146,20 @@ def test_a4_end_to_end_gradients():
            f"in {elapsed:.1f}s (< 60s)")
 
 
+def held_out_rows(pcfg, params, families):
+    """One report row per family: its held-out clips against the held-out
+    real clips, every clip scored once."""
+    clips = pcfg.corpus(("real", *families), pcfg.test_seeds())
+    return metrics.family_rows(
+        clips, model.score_clips(clips, params, pcfg.train), protocol="one_to_many",
+        train_set="upsample_artifact", seed=pcfg.seed,
+        config_hash=model.config_hash(pcfg.train))
+
+
 def test_a5_in_domain_detection(trained_detector):
     pcfg, params, history, elapsed = trained_detector
-    acc, auc, _ = metrics.test_cell(pcfg, params, "upsample_artifact")
+    (row,) = held_out_rows(pcfg, params, ["upsample_artifact"])
+    acc, auc = row.accuracy, row.auc
     ok = auc >= 0.90 and acc >= 0.85 and elapsed <= 600.0
     report("A5", ok,
            f"held-out 32+32 upsample_artifact: auc {auc:.3f} (>= 0.90), "
@@ -158,20 +169,15 @@ def test_a5_in_domain_detection(trained_detector):
 
 def test_a6_cross_domain_and_spectral_ablation(trained_detector):
     pcfg, params, _, _ = trained_detector
-    full = {}
-    for fam in CROSS_FAMILIES:
-        _, auc, _ = metrics.test_cell(pcfg, params, fam)
-        full[fam] = auc
+    full = {r.test_family: r.auc for r in held_out_rows(pcfg, params, CROSS_FAMILIES)}
 
     ablated_cfg = metrics.ProtocolConfig(
         train=model.TrainConfig(seed=7, use_spectral=False),
         families=pcfg.families, n_train=pcfg.n_train, n_test=pcfg.n_test,
         seed=pcfg.seed)
     abl_params, _ = metrics.train_on_families(ablated_cfg, ["upsample_artifact"])
-    ablated = {}
-    for fam in CROSS_FAMILIES:
-        _, auc, _ = metrics.test_cell(ablated_cfg, abl_params, fam)
-        ablated[fam] = auc
+    ablated = {r.test_family: r.auc
+               for r in held_out_rows(ablated_cfg, abl_params, CROSS_FAMILIES)}
 
     gap = (np.mean(list(full.values())) - np.mean(list(ablated.values())))
     ok = all(v >= 0.65 for v in full.values()) and gap >= 0.03

@@ -1,6 +1,7 @@
 """The pair tool's verdicts, its reference-kernel line and its getrusage
 rows, on synthetic numbers and a stub checkout (no benchmark run)."""
 
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -92,7 +93,8 @@ class TestKernelMoved:
         # a two-pair run whose runs are canned: the line sits next to the
         # end-to-end verdicts, before the failed-operation counts
         (tmp_path / "BENCHMARK.json").write_text(
-            '{"run_seconds": 1, "end_to_end": [{"name": "eval_clip_ref_ms", '
+            '{"run_seconds": 1, "workloads": [{"name": "eval_m2048"}], '
+            '"end_to_end": [{"name": "eval_clip_ref_ms", '
             '"unit": "ms", "better": "lower", "bound": 0.2}]}')
         canned = {"parent": (50.0, 12.0), "change": (40.0, 15.0)}
 
@@ -142,3 +144,50 @@ class TestRunOnce:
         reported, _ = bench_pairs.run_once(stub_checkout(tmp_path), "eval_m2048", 0, 1)
         # 8000 faults over 4 operations; 1.0 s of system CPU in 4.0 s
         assert reported == {"run_minor_faults_per_op": 2000.0, "run_sys_cpu_share": 0.25}
+
+
+BENCH = {"run_seconds": 1,
+         "workloads": [{"name": "train_desk"}, {"name": "eval_m512"}],
+         "end_to_end": [{"name": "eval_clip_ref_ms", "unit": "ms",
+                         "better": "lower", "bound": 0.2}]}
+
+
+class TestWorkloads:
+    def test_all_is_every_benchmark_workload(self):
+        assert bench_pairs.workloads(["all"], BENCH) == ["train_desk", "eval_m512"]
+
+    def test_named_in_the_order_given(self):
+        assert bench_pairs.workloads(["eval_m512", "train_desk"], BENCH) == \
+            ["eval_m512", "train_desk"]
+
+    @pytest.mark.parametrize("named", [["bogus"], ["eval_m512", "eval_m512"],
+                                       ["all", "train_desk"]])
+    def test_unknown_or_repeated_rejected(self, named):
+        with pytest.raises(ValueError, match="distinct workloads of train_desk, eval_m512"):
+            bench_pairs.workloads(named, BENCH)
+
+    def test_one_block_per_workload(self, tmp_path, capsys):
+        # a stub checkout whose run reports the workload's own metric value
+        root = stub_checkout(tmp_path)
+        (root / "BENCHMARK.json").write_text(json.dumps(BENCH))
+        (root / "perfbench" / "run.py").write_text(
+            "import json, sys\n"
+            "ms = {'train_desk': 1.0, 'eval_m512': 4.0}[sys.argv[2]]\n"
+            "print(f'metric eval_clip_ref_ms = {ms} ms')\n"
+            "print(json.dumps({'correct': True, 'failed': 0, 'attempted': 4}))\n")
+        assert bench_pairs.main([str(root), str(root), "--workload", "all",
+                                 "--pairs", "1", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        blocks = [line for line in out.splitlines() if ", seed 0, 1 pairs of 1 s runs" in line]
+        assert [line.split(",")[0] for line in blocks] == ["train_desk", "eval_m512"]
+        assert out.count("end-to-end verdicts") == 2
+        assert "eval_clip_ref_ms: 1 -> 1 (+0.0%)" in out
+        assert "eval_clip_ref_ms: 4 -> 4 (+0.0%)" in out
+
+    def test_unknown_workload_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(BENCH))
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "eval_m2048",
+                              "--pairs", "1", "--seed", "0"])
+        assert exc.value.code == 2
+        assert "--workload takes distinct workloads" in capsys.readouterr().err

@@ -159,7 +159,8 @@ def test_eval_dumps_each_clip_once(trained_run, tmp_path):
     clips = synth.make_corpus(synth.FAMILIES, range(900, 902), frames=2, height=8,
                               width=8, channels=1)
     params, config = model.load_checkpoint(checkpoint)
-    metrics.dump_embeddings(tmp_path / "want.csv", clips, params, config)
+    _, rows = model.score_and_embed([c.clip for c in clips], params, config)
+    metrics.dump_embeddings(tmp_path / "want.csv", clips, rows)
     got = (out / "embeddings.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
     assert len(got.splitlines()) == 1 + 2 * len(synth.FAMILIES)
@@ -581,20 +582,38 @@ def test_refused_command_makes_no_out_dir(trained_run, tmp_path, capsys, command
     assert not out.exists()
 
 
-def test_eval_scores_each_clip_once(trained_run, tmp_path, monkeypatch):
-    # the real clips are scored once, not once per fake family
-    scored = []
-    predict = model.predict
+def eval_forwards(trained_run, out, monkeypatch, *flags):
+    """The clips of each forward (`model._prepare` call) that a 2-seed
+    eval with the default families runs, each as a hash of its pixels."""
+    forwards = []
+    prepare = model._prepare
 
-    def counting_predict(clip, params, config):
-        scored.append(hash(clip.pixels.tobytes()))
-        return predict(clip, params, config)
+    def counting_prepare(clips, params, config):
+        forwards.append(tuple(hash(clip.pixels.tobytes()) for clip in clips))
+        return prepare(clips, params, config)
 
-    monkeypatch.setattr(model, "predict", counting_predict)
+    monkeypatch.setattr(model, "_prepare", counting_prepare)
     assert main(["eval", "--checkpoint", str(trained_run / "checkpoint.sstg"),
-                 "--out", str(tmp_path / "e"), "--count", "2", "--frames", "2",
-                 "--height", "8", "--width", "8"]) == 0
-    assert len(scored) == len(set(scored)) == 2 * len(synth.FAMILIES)
+                 "--out", str(out), "--count", "2", "--frames", "2",
+                 "--height", "8", "--width", "8", *flags]) == 0
+    return forwards
+
+
+def test_eval_scores_each_clip_once(trained_run, tmp_path, monkeypatch):
+    # the real clips are scored once, not once per fake family: one
+    # forward of one clip each (scoring takes its score and pooled row
+    # from one forward, so `predict` is not the call to count)
+    forwards = eval_forwards(trained_run, tmp_path / "e", monkeypatch)
+    assert all(len(clips) == 1 for clips in forwards)
+    assert len(forwards) == len(set(forwards)) == 2 * len(synth.FAMILIES)
+
+
+def test_eval_dump_embeddings_runs_one_forward_per_clip(trained_run, tmp_path,
+                                                        monkeypatch):
+    # the dumped rows come from the scoring forward, not a second one
+    forwards = eval_forwards(trained_run, tmp_path / "e", monkeypatch,
+                             "--dump-embeddings")
+    assert len(forwards) == len(set(forwards)) == 2 * len(synth.FAMILIES)
 
 
 def subcommand_options():

@@ -380,7 +380,7 @@ def clip_structure(patch, use_differential, seed=0, family="real"):
     params = model.init_params(cfg, random_head=True)
     clip = synth.generate(synth.SynthSpec(family=family, seed=seed)).clip
     pt = graphs.patchify(clip.pixels, cfg.patch_size)
-    emb = model.encode_patches(pt.vectors, params, cfg)
+    emb = model.encode_patches(pt.vectors, params)
     return model.build_structure(pt, emb.data, params.filter_mlp, cfg), params, cfg
 
 
@@ -431,8 +431,7 @@ class TestFrameLayoutAttention:
     @pytest.mark.parametrize("use_differential", [True, False])
     def test_agrees_with_dense_composition(self, patch, use_differential):
         structure, params, cfg = clip_structure(patch, use_differential)
-        x = ad.parameter(model.encode_patches(structure.patches, params,
-                                              cfg).data)
+        x = ad.parameter(model.encode_patches(structure.patches, params).data)
         m, d = x.data.shape
         assert m == 8 * (64 // patch) ** 2
         probe = ad.constant(np.random.default_rng(patch).normal(size=(m, d)))

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sstgnn import metrics, model
+from dataclasses import fields
+
+from sstgnn import metrics, model, synth
 
 
 def brute_force_auc(scores, labels):
@@ -125,6 +127,20 @@ class TestAccuracy:
             metrics.accuracy([bad, 0.9], [0, 1])
 
 
+@pytest.fixture
+def predicted(monkeypatch):
+    """Every clip `model.predict` is called on, in call order."""
+    clips = []
+    predict = model.predict
+
+    def counting_predict(clip, params, config):
+        clips.append(clip)
+        return predict(clip, params, config)
+
+    monkeypatch.setattr(model, "predict", counting_predict)
+    return clips
+
+
 def tiny_protocol(**kw):
     base = dict(
         train=model.TrainConfig(patch_size=4, dim=8, filter_hidden=4,
@@ -140,7 +156,6 @@ class TestProtocols:
         pcfg = tiny_protocol(train=model.TrainConfig(
             patch_size=4, dim=8, filter_hidden=4, batch_size=4, epochs=1,
             channels=3))
-        assert pcfg.clip_kw()["channels"] == 3
         clips = pcfg.corpus(("real",), pcfg.train_seeds())
         assert {c.clip.pixels.shape[-1] for c in clips} == {3}
         params, _ = metrics.train_on_families(pcfg, ["upsample_artifact"])
@@ -183,6 +198,14 @@ class TestProtocols:
             train_families=["upsample_artifact", "spectral_noise"])
         assert [r.test_family for r in report.rows] == ["temporal_jitter"]
 
+    @pytest.mark.parametrize("kind", ["one_to_many", "many_to_many"])
+    def test_cross_domain_needs_a_held_out_family(self, kind, monkeypatch):
+        # refused before any training
+        monkeypatch.setattr(metrics, "train_on_families", None)
+        with pytest.raises(ValueError, match=f"{kind} needs a nonempty held-out set"):
+            metrics.run_protocol(kind, tiny_protocol(),
+                                 train_families=["upsample_artifact"])
+
     def test_unknown_protocol(self):
         with pytest.raises(ValueError, match="protocol"):
             metrics.run_protocol("leave_one_out", tiny_protocol())
@@ -200,7 +223,72 @@ class TestProtocols:
         params = model.init_params(pcfg.train)
         clips = pcfg.corpus(("real",), range(60, 62)) + \
             pcfg.corpus(("spectral_noise",), range(60, 62))
-        metrics.dump_embeddings(tmp_path / "emb.csv", clips, params, pcfg.train)
+        _, rows = model.score_and_embed([c.clip for c in clips], params, pcfg.train)
+        metrics.dump_embeddings(tmp_path / "emb.csv", clips, rows)
         lines = (tmp_path / "emb.csv").read_text().splitlines()
         assert len(lines) == 5
         assert lines[0].startswith("family,label,z0")
+
+    def test_clip_geometry_defaults_are_synth_specs(self):
+        geometry = ("frames", "height", "width")
+        spec = {f.name: f.default for f in fields(synth.SynthSpec)}
+        pcfg = {f.name: f.default for f in fields(metrics.ProtocolConfig)}
+        assert {name: pcfg[name] for name in geometry} == \
+            {name: spec[name] for name in geometry}
+
+    def test_one_to_many_scores_each_held_out_clip_once(self, predicted):
+        # two test families of 3 seeds: 3 real + 2 x 3 fake clips, the
+        # real ones scored once rather than once per family
+        pcfg = tiny_protocol(
+            families=("upsample_artifact", "spectral_noise", "temporal_jitter"),
+            n_test=3)
+        report = metrics.run_protocol("one_to_many", pcfg,
+                                      train_families=["upsample_artifact"])
+        pixels = {c.pixels.tobytes() for c in predicted}
+        assert len(predicted) == len(pixels) == 9
+        assert [r.n for r in report.rows] == [6, 6]
+
+
+class TestFamilyRows:
+    def labeled(self, families, seeds=range(2)):
+        return synth.make_corpus(families, seeds, frames=2, height=8, width=8,
+                                 channels=1)
+
+    def test_each_family_against_all_real_clips(self):
+        clips = self.labeled(("real", "spectral_noise", "upsample_artifact"))
+        scores = np.array([0.1, 0.6, 0.7, 0.9, 0.2, 0.3])
+        rows = metrics.family_rows(clips, scores, protocol="one_to_many",
+                                   train_set="checkpoint", seed=5, config_hash="h")
+        assert [r.test_family for r in rows] == ["spectral_noise", "upsample_artifact"]
+        for row, fake in zip(rows, ([0.7, 0.9], [0.2, 0.3])):
+            cell, labels = [0.1, 0.6, *fake], [0, 0, 1, 1]
+            assert row == metrics.ReportRow(
+                "one_to_many", "checkpoint", row.test_family, 4,
+                metrics.accuracy(cell, labels), metrics.auc(cell, labels), 5, "h")
+
+    def test_families_in_order_of_first_appearance(self):
+        clips = self.labeled(("temporal_jitter", "real", "spectral_noise"))
+        rows = metrics.family_rows(clips, np.linspace(0.0, 1.0, len(clips)),
+                                   protocol="p", train_set="t", seed=0,
+                                   config_hash="h")
+        assert [r.test_family for r in rows] == ["temporal_jitter", "spectral_noise"]
+        assert rows[0].auc == 0.0 and rows[1].auc == 1.0
+
+
+def test_benchmark_surface(predicted):
+    """perfbench calls `metrics.evaluate_model(..., threads=1)`,
+    `model.score_clips(..., threads=1)` and `model.train_clips(...,
+    threads=1)`, and clocks held-out scoring per `model.predict` call.
+    A change that drops a keyword or stops calling `predict` once per
+    clip would leave a workload unmeasured. ROADMAP item 1a moves that
+    clock to `score_clips` and drops the keywords; it changes this test
+    together with the clock."""
+    pcfg = tiny_protocol()
+    clips = pcfg.corpus(("real", "upsample_artifact"), pcfg.test_seeds())
+    params, _ = model.train_clips(clips, pcfg.train, threads=1)
+    _, _, scores = metrics.evaluate_model(params, pcfg.train, clips, threads=1)
+    assert [id(c) for c in predicted] == [id(item.clip) for item in clips]
+    predicted.clear()
+    again = model.score_clips(clips, params, pcfg.train, threads=1)
+    assert [id(c) for c in predicted] == [id(item.clip) for item in clips]
+    assert again.tobytes() == scores.tobytes()

@@ -41,7 +41,7 @@ class TestEncoder:
     def test_zero_patches_zero_bias_give_zero(self):
         cfg = toy_config()
         params = model.init_params(cfg)
-        out = model.encode_patches(np.zeros((2, 4, 16)), params, cfg)
+        out = model.encode_patches(np.zeros((2, 4, 16)), params)
         np.testing.assert_array_equal(out.data, np.zeros((8, 8)))
 
     def test_identity_like_encoder_passes_pixels_through(self):
@@ -49,7 +49,7 @@ class TestEncoder:
         params = model.init_params(cfg)
         params["encoder.weight"].data[:] = np.eye(16)
         patches = np.random.default_rng(0).random((2, 4, 16))
-        out = model.encode_patches(patches, params, cfg)
+        out = model.encode_patches(patches, params)
         # pixels are nonnegative, so the LeakyReLU is the identity here
         np.testing.assert_allclose(out.data, patches.reshape(8, 16), rtol=1e-15)
 
@@ -58,7 +58,7 @@ class TestEncoder:
         params = model.init_params(cfg)
         params["encoder.bias"].data[:] = 0.1
         patches = np.random.default_rng(1).random((1, 4, 16))
-        out = model.encode_patches(patches, params, cfg)
+        out = model.encode_patches(patches, params)
         pre = patches.reshape(4, 16) @ params["encoder.weight"].data + 0.1
         np.testing.assert_allclose(out.data, np.where(pre > 0, pre, 0.2 * pre),
                                    rtol=1e-12)
@@ -96,7 +96,7 @@ class TestForward:
         params = model.init_params(cfg, random_head=True)
         clip = toy_clip(seed=3)
         logits, structure = model.forward([clip], params, cfg)
-        x = model.encode_patches(structure.patches, params, cfg)
+        x = model.encode_patches(structure.patches, params)
         again = model.forward_with_structure(structure, x, params, cfg)
         np.testing.assert_array_equal(logits.data, again.data)
 
@@ -116,7 +116,7 @@ class TestForward:
                 ("forward", lambda: model.forward([clip], params, cfg)),
                 ("forward of 16", lambda: model.forward([clip] * 16, params, cfg)),
                 ("predict", lambda: model.predict(clip, params, cfg)),
-                ("clip_embedding", lambda: model.clip_embedding(clip, params, cfg))):
+                ("score_and_embed", lambda: model.score_and_embed([clip], params, cfg))):
             calls.clear()
             entry()
             assert len(calls) == 1, name
@@ -129,9 +129,9 @@ class TestForward:
     def test_embedding_through_head_equals_logits(self, cfg, clip):
         params = model.init_params(cfg, random_head=True)
         logits, _ = model.forward([clip], params, cfg)
-        z = model.clip_embedding(clip, params, cfg)
-        assert z.shape == (2 * cfg.dim,)
-        head = z[None, :] @ params["head.weight"].data + params["head.bias"].data
+        _, rows = model.score_and_embed([clip], params, cfg)
+        assert rows.shape == (1, 2 * cfg.dim)
+        head = rows @ params["head.weight"].data + params["head.bias"].data
         assert head.tobytes() == logits.data.tobytes()
 
     def test_spectral_toggle_cuts_filter_dependence(self):
@@ -335,17 +335,23 @@ class TestScoringTape:
         assert np.array([model.predict(clip, params, cfg)]).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("scale", sorted(SCORING_SCALES))
-    def test_clip_embedding_is_the_pooled_row(self, scale):
+    def test_score_and_embed_is_predict_and_the_pooled_row(self, scale):
         cfg, geometry = SCORING_SCALES[scale]
         params = model.init_params(cfg, seed=7, random_head=True)
-        clip = synth.generate(synth.SynthSpec("temporal_jitter", seed=2, **geometry)).clip
-        structure, x = model._prepare([clip], params, cfg)
-        pooled = model._pooled_features(structure, x, params, cfg)
-        assert pooled.requires_grad
-        assert model.clip_embedding(clip, params, cfg).tobytes() == pooled.data[0].tobytes()
+        clips = [synth.generate(synth.SynthSpec(family, seed=2, **geometry)).clip
+                 for family in ("temporal_jitter", "real")]
+        scores, rows = model.score_and_embed(clips, params, cfg)
+        assert scores.tobytes() == model.score_clips(clips, params, cfg).tobytes()
+        for clip, row in zip(clips, rows):
+            structure, x = model._prepare([clip], params, cfg)
+            pooled = model._pooled_features(structure, x, params, cfg)
+            assert pooled.requires_grad
+            assert row.tobytes() == pooled.data[0].tobytes()
 
     @pytest.mark.parametrize("entry, traced", [
-        (model.predict, "forward"), (model.clip_embedding, "_pooled_features")])
+        (model.predict, "forward"),
+        (lambda clip, params, cfg: model.score_and_embed([clip], params, cfg),
+         "_pooled_features")], ids=["predict-forward", "score_and_embed-_pooled_features"])
     def test_scoring_records_no_tape(self, monkeypatch, entry, traced):
         outputs = []
         inner = getattr(model, traced)
@@ -463,7 +469,7 @@ class TestFrameLayoutPath:
                                       use_differential=use_differential)
             params = model.init_params(cfg, random_head=True)
             pt = graphs.patchify(clip.pixels, cfg.patch_size)
-            x = model.encode_patches(pt.vectors, params, cfg)
+            x = model.encode_patches(pt.vectors, params)
             solved.clear()
             structure = model.build_structure(pt, x.data, params.filter_mlp, cfg)
             m = structure.graph.node_count

@@ -165,7 +165,7 @@ def clip_graph(patch_size, family, seed, use_differential=True):
     clip = synth.generate(synth.SynthSpec(family, seed=seed)).clip
     pt = graphs.patchify(clip.pixels, config.patch_size)
     params = model.init_params(config)
-    emb = model.encode_patches(pt.vectors, params, config)
+    emb = model.encode_patches(pt.vectors, params)
     return model.build_structure(pt, emb.data, params.filter_mlp, config).graph
 
 
