@@ -136,13 +136,6 @@ def evaluate_model(params, config, clips, threads=1):
     return accuracy(scores, labels), auc(scores, labels), scores
 
 
-def train_on_families(pcfg: ProtocolConfig, fake_families):
-    """Train one model on real + the given fake families."""
-    _check_disjoint(pcfg.train_seeds(), pcfg.test_seeds())
-    corpus = pcfg.corpus(("real",) + tuple(fake_families), pcfg.train_seeds())
-    return train_clips(corpus, pcfg.train)
-
-
 def family_rows(clips, scores, *, protocol, train_set, seed, config_hash):
     """One ReportRow per fake family among the labeled ``clips``, in the
     order the families first appear. ``scores`` holds one score per clip,
@@ -164,8 +157,8 @@ def run_protocol(kind, pcfg: ProtocolConfig, train_families=None,
                  out_csv=None) -> MetricReport:
     """in_domain trains/tests per family; one_to_many trains on one fake
     family and tests the held-out ones; many_to_many trains on a subset
-    and tests its complement. Each trained model scores the held-out
-    real clips once."""
+    and tests its complement. Each (family, seed) clip is generated once
+    per run, and each trained model scores the held-out real clips once."""
     if kind == "in_domain":
         cells = [((fam,), (fam,)) for fam in pcfg.families]
     elif kind in ("one_to_many", "many_to_many"):
@@ -180,10 +173,14 @@ def run_protocol(kind, pcfg: ProtocolConfig, train_families=None,
     else:
         raise ValueError(f"unknown protocol {kind!r}")
 
+    _check_disjoint(pcfg.train_seeds(), pcfg.test_seeds())
+    real_train = pcfg.corpus(("real",), pcfg.train_seeds())
+    real_test = pcfg.corpus(("real",), pcfg.test_seeds())
     report = MetricReport()
     for train_set, test_families in cells:
-        params, _ = train_on_families(pcfg, train_set)
-        clips = pcfg.corpus(("real", *test_families), pcfg.test_seeds())
+        params, _ = train_clips(real_train + pcfg.corpus(train_set, pcfg.train_seeds()),
+                                pcfg.train)
+        clips = real_test + pcfg.corpus(test_families, pcfg.test_seeds())
         report.rows.extend(family_rows(
             clips, model_mod.score_clips(clips, params, pcfg.train), protocol=kind,
             train_set="+".join(train_set), seed=pcfg.seed,

@@ -391,14 +391,6 @@ def pool_spectral(x, basis: SpectralBasis, gains, graph: VideoGraph):
     return ad.matmul(ad.mul(ad.reshape(w, (1, -1)), select), x)
 
 
-def dirichlet_energy(x, lap):
-    """Per-column smoothness x^T L x (lower = smoother on the graph)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    return np.einsum("id,ij,jd->d", x, lap, x)
-
-
 def filter_image_demo(image, preset: FilterPreset, patch_size=1, tau_s=0.6):
     """Filter a single grayscale image through its own patch graph.
 

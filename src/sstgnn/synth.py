@@ -13,8 +13,11 @@ Four clip families stand in for real forgery corpora at desk scale:
   checkerboard at the given strength.
 
 Generation is a pure function of the spec: every draw comes from a
-counter-based stream keyed by (seed, role, frame), so clips are
-bit-reproducible.
+counter-based stream keyed by (seed, role, frame), so this code renders
+a spec to the same bytes every time. `_texture` reads the texture off
+per-axis sine tables, within about 5e-15 of the per-pixel sum of sines
+rendered before; one float32 pixel in 15,850 clips scanned rounds the
+other way (pixel (5, 39, 24) of default spectral_noise seed 2636).
 """
 
 from __future__ import annotations
@@ -117,7 +120,13 @@ def _texture(spec: SynthSpec, height, width, coarse=1):
     """Render the moving base texture on a (possibly half-res) grid.
 
     ``coarse`` scales pixel coordinates back to the full-resolution frame
-    so a half-res render samples the same continuous field.
+    so a half-res render samples the same continuous field. Each of the K
+    waves is amp sin(a + b) = amp (sin a cos b + cos a sin b), with
+    a = 2 pi fx u(t, x) and b = 2 pi fy v(t, y) + phase, so one batched
+    product of per-axis tables, (T, C, H, 2K) [cos b | sin b] by
+    (T, C, 2K, W) [amp sin a | amp cos a], sums the waves of every pixel
+    from 2K T C (H + W) sines rather than K T C H W, to about 5e-15 of
+    the direct sum (the module docstring names a pixel that moved).
     """
     rng = stream(spec.seed, "texture")
     fx = rng.uniform(0.4, _MAX_CYCLES, size=(_N_WAVES, spec.channels))
@@ -128,20 +137,22 @@ def _texture(spec: SynthSpec, height, width, coarse=1):
     angle = rng.uniform(0, 2 * np.pi)
     vx, vy = spec.motion * np.cos(angle), spec.motion * np.sin(angle)
 
+    # (T, 1, H or W, 1) coordinates against (1, C, 1, K) wave parameters
     t = np.arange(spec.frames)[:, None, None, None]
-    y = (np.arange(height) * coarse + 0.5 * coarse)[None, :, None, None]
-    x = (np.arange(width) * coarse + 0.5 * coarse)[None, None, :, None]
+    y = (np.arange(height) * coarse + 0.5 * coarse)[:, None]
+    x = (np.arange(width) * coarse + 0.5 * coarse)[:, None]
     u = (x + t * vx) / spec.width
     v = (y + t * vy) / spec.height
-    out = np.zeros((spec.frames, height, width, spec.channels))
-    for k in range(_N_WAVES):
-        arg = 2 * np.pi * (fx[k] * u + fy[k] * v) + phase[k]
-        out += amp[k] * np.sin(arg)
-    out = _BASE + _SPAN * out
-
-    noise = stream(spec.seed, "noise").uniform(
-        -_NOISE_AMP, _NOISE_AMP, size=out.shape)
-    return np.clip(out + noise, 0.0, 1.0)
+    fx, fy, phase, amp = (p.T[None, :, None, :] for p in (fx, fy, phase, amp))
+    a = 2 * np.pi * (fx * u)
+    b = 2 * np.pi * (fy * v) + phase
+    rows = np.concatenate([np.cos(b), np.sin(b)], axis=-1)
+    cols = np.concatenate([amp * np.sin(a), amp * np.cos(a)], axis=-1)
+    out = np.ascontiguousarray(np.moveaxis(rows @ cols.swapaxes(-1, -2), 1, -1))
+    out *= _SPAN
+    out += _BASE
+    out += stream(spec.seed, "noise").uniform(-_NOISE_AMP, _NOISE_AMP, size=out.shape)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def _upsample(spec: SynthSpec):

@@ -14,7 +14,10 @@ then, per metric the run reports, each side's median and quartiles (two
 rows, ``run_minor_faults_per_op`` and ``run_sys_cpu_share``, come from
 ``getrusage`` around the run and get no verdict), and for every
 end-to-end metric of ``BENCHMARK.json`` the pairs each side won and the
-verdict:
+verdict. Above the medians one line says whether both sides measured
+the same inputs: ``same inputs`` when every run's ``env`` line gave one
+``input_sha256``, else each side's hashes, so a pair over different
+clips says so. The verdicts:
 
 - ``gain``: the change wins at least nine tenths of the pairs (ties
   count for neither) and the medians differ by more than the parent's
@@ -54,11 +57,13 @@ KERNELS = (("train_reference_ms", "train_clip_steps_per_cpu_s"),
 
 
 def run_once(checkout, workload, seed, seconds):
-    """One untraced benchmark run: its report metrics (name -> value)
-    and its result JSON, the last line of its output. Two rows come from
-    ``getrusage`` of the run's process: ``run_minor_faults_per_op``, its
-    minor page faults over the result's ``attempted`` operations, and
-    ``run_sys_cpu_share``, its system CPU over its total CPU."""
+    """One untraced benchmark run: its report metrics (name -> value),
+    its result JSON, the last line of its output, and the
+    ``input_sha256`` of its ``env`` line (None if it has none). Two
+    rows come from ``getrusage`` of the run's process:
+    ``run_minor_faults_per_op``, its minor page faults over the result's
+    ``attempted`` operations, and ``run_sys_cpu_share``, its system CPU
+    over its total CPU."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
@@ -69,8 +74,10 @@ def run_once(checkout, workload, seed, seconds):
     if proc.returncode or not lines:
         raise SystemExit(f"{checkout}: perfbench exited {proc.returncode}\n"
                          f"{proc.stderr[-2000:]}")
-    reported = {}
+    reported, inputs = {}, None
     for line in lines:
+        if line.startswith("env "):
+            inputs = json.loads(line[len("env "):]).get("input_sha256")
         if line.startswith("metric ") and " = " in line:
             name, _, rest = line[len("metric "):].partition(" = ")
             reported[name] = float(rest.split()[0])
@@ -79,7 +86,7 @@ def run_once(checkout, workload, seed, seconds):
     reported["run_minor_faults_per_op"] = (
         (after.ru_minflt - before.ru_minflt) / max(1, result["attempted"]))
     reported["run_sys_cpu_share"] = system / (user + system) if user + system else 0.0
-    return reported, result
+    return reported, result, inputs
 
 
 def quartiles(values):
@@ -105,6 +112,19 @@ def verdict(parent, change, better, bound):
     if p3 - p1 > bound * abs(pm) and not min(change) > max(parent):
         return wins, losses, "unresolved"
     return wins, losses, "within bound"
+
+
+def inputs_line(inputs):
+    """``same inputs`` and the hash when every run of both sides reported
+    one ``input_sha256``; else each side's distinct hashes, ``none`` for
+    a run that reported none. ``inputs`` maps each side to its runs'
+    hashes."""
+    seen = {side: sorted({h or "none" for h in inputs[side]}) for side in SIDES}
+    first, *more = seen["parent"]
+    if seen["change"] == seen["parent"] and not more and first != "none":
+        return f"  same inputs: input_sha256 {first}"
+    return "  inputs: " + "; ".join(f"{side} input_sha256 {', '.join(seen[side])}"
+                                    for side in SIDES)
 
 
 def kernel_moved(runs):
@@ -166,19 +186,22 @@ def compare(args, bench, workload):
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
     runs = {side: [] for side in SIDES}
     results = {side: [] for side in SIDES}
+    inputs = {side: [] for side in SIDES}
     end_to_end = [m["name"] for m in bench["end_to_end"]]
     for pair in range(args.pairs):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            reported, result = run_once(checkouts[side], workload, args.seed,
-                                        bench["run_seconds"])
+            reported, result, hashed = run_once(checkouts[side], workload, args.seed,
+                                                bench["run_seconds"])
             runs[side].append(reported)
             results[side].append(result)
+            inputs[side].append(hashed)
             shown = " ".join(f"{name}={reported[name]:.6g}" for name in end_to_end)
             print(f"{workload} pair {pair} {side}: {shown} correct={result['correct']}",
                   flush=True)
 
     print(f"\n{workload}, seed {args.seed}, {args.pairs} pairs of "
           f"{bench['run_seconds']} s runs: median [q1, q3]")
+    print(inputs_line(inputs))
     names = [n for n in runs["parent"][0] if all(n in r for rs in runs.values()
                                                   for r in rs)]
     for name in names:

@@ -15,6 +15,7 @@ def trained_detector():
         train=model.TrainConfig(seed=7), families=("upsample_artifact",),
         n_train=64, n_test=32, seed=1000)
     t0 = time.perf_counter()
-    params, history = metrics.train_on_families(pcfg, ["upsample_artifact"])
+    params, history = model.train_clips(
+        pcfg.corpus(("real", "upsample_artifact"), pcfg.train_seeds()), pcfg.train)
     elapsed = time.perf_counter() - t0
     return pcfg, params, history, elapsed

@@ -16,6 +16,7 @@ from sstgnn.cli import main as cli_main
 from sstgnn.rng import stream
 
 from layouts import dense_from_layout, to_layout, whole_frames
+from references import dirichlet_energy
 
 CROSS_FAMILIES = ("spectral_noise", "temporal_jitter")
 
@@ -95,8 +96,8 @@ def test_a2_spectral_identities():
                                   basis.eigenvalues[n_comp - 1])
         gains = spectral.FilterPreset("low_pass").gains(basis.eigenvalues)
         filtered = spectral.apply_filter(x, basis, gains)
-        rise = (spectral.dirichlet_energy(filtered, lap)
-                - spectral.dirichlet_energy(x, lap)).max()
+        rise = (dirichlet_energy(filtered, lap)
+                - dirichlet_energy(x, lap)).max()
         checks["dirichlet"] = max(checks["dirichlet"], rise)
     elapsed = time.perf_counter() - t0
     ok = (checks["parseval"] <= 1e-9 and checks["allpass"] <= 1e-9
@@ -175,7 +176,8 @@ def test_a6_cross_domain_and_spectral_ablation(trained_detector):
         train=model.TrainConfig(seed=7, use_spectral=False),
         families=pcfg.families, n_train=pcfg.n_train, n_test=pcfg.n_test,
         seed=pcfg.seed)
-    abl_params, _ = metrics.train_on_families(ablated_cfg, ["upsample_artifact"])
+    abl_params, _ = model.train_clips(ablated_cfg.corpus(
+        ("real", "upsample_artifact"), ablated_cfg.train_seeds()), ablated_cfg.train)
     ablated = {r.test_family: r.auc
                for r in held_out_rows(ablated_cfg, abl_params, CROSS_FAMILIES)}
 

@@ -1,5 +1,6 @@
-"""The pair tool's verdicts, its reference-kernel line and its getrusage
-rows, on synthetic numbers and a stub checkout (no benchmark run)."""
+"""The pair tool's verdicts, its reference-kernel and inputs lines and
+its getrusage rows, on synthetic numbers and a stub checkout (no
+benchmark run)."""
 
 import json
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import bench_pairs
-from bench_pairs import kernel_moved, verdict
+from bench_pairs import inputs_line, kernel_moved, verdict
 
 # ten parent runs with an interquartile range of 0.5 around 10
 PARENT = [9.5, 9.7, 9.8, 9.9, 10.0, 10.0, 10.1, 10.2, 10.3, 10.5]
@@ -102,7 +103,7 @@ class TestKernelMoved:
             ref_ms, kernel = canned["parent" if checkout.name == "p" else "change"]
             return ({"eval_clip_ref_ms": ref_ms, "eval_reference_ms": kernel,
                      "eval_clips_per_cpu_s": 20.0},
-                    {"correct": True, "failed": 0, "attempted": 5})
+                    {"correct": True, "failed": 0, "attempted": 5}, "ab12")
 
         monkeypatch.setattr(bench_pairs, "run_once", run_once)
         parent = tmp_path / "p"
@@ -129,8 +130,10 @@ def stub_checkout(root):
 
 class TestRunOnce:
     def test_fault_and_sys_cpu_rows(self, tmp_path):
-        reported, result = bench_pairs.run_once(stub_checkout(tmp_path), "eval_m2048", 0, 1)
+        reported, result, inputs = bench_pairs.run_once(stub_checkout(tmp_path),
+                                                        "eval_m2048", 0, 1)
         assert result == {"correct": True, "failed": 0, "attempted": 4}
+        assert inputs is None     # the stub prints no env line
         assert sorted(reported) == ["run_minor_faults_per_op", "run_sys_cpu_share"]
         # starting an interpreter alone faults in pages
         assert reported["run_minor_faults_per_op"] > 0
@@ -141,9 +144,53 @@ class TestRunOnce:
         usage = iter([SimpleNamespace(ru_minflt=1000, ru_utime=2.0, ru_stime=0.5),
                       SimpleNamespace(ru_minflt=9000, ru_utime=5.0, ru_stime=1.5)])
         monkeypatch.setattr(bench_pairs.resource, "getrusage", lambda who: next(usage))
-        reported, _ = bench_pairs.run_once(stub_checkout(tmp_path), "eval_m2048", 0, 1)
+        reported, _, _ = bench_pairs.run_once(stub_checkout(tmp_path), "eval_m2048", 0, 1)
         # 8000 faults over 4 operations; 1.0 s of system CPU in 4.0 s
         assert reported == {"run_minor_faults_per_op": 2000.0, "run_sys_cpu_share": 0.25}
+
+
+def env_checkout(root, input_sha256):
+    """A stub checkout whose run prints an env line naming its inputs."""
+    stub_checkout(root)
+    (root / "perfbench" / "run.py").write_text(
+        "import json\n"
+        f"print('env ' + json.dumps({{'input_sha256': {input_sha256!r}, 'seed': 0}}))\n"
+        "print('metric eval_clip_ref_ms = 2.0 ms')\n"
+        "print(json.dumps({'correct': True, 'failed': 0, 'attempted': 4}))\n")
+    return root
+
+
+class TestInputs:
+    def test_run_once_reads_the_env_line(self, tmp_path):
+        _, _, inputs = bench_pairs.run_once(env_checkout(tmp_path, "c0ffee"),
+                                            "eval_m512", 0, 1)
+        assert inputs == "c0ffee"
+
+    def test_same_inputs(self):
+        assert inputs_line({"parent": ["ab", "ab"], "change": ["ab", "ab"]}) == \
+            "  same inputs: input_sha256 ab"
+
+    def test_different_inputs_name_both_hashes(self):
+        assert inputs_line({"parent": ["ab", "ab"], "change": ["cd", "cd"]}) == \
+            "  inputs: parent input_sha256 ab; change input_sha256 cd"
+
+    def test_a_side_that_moved_or_reported_none(self):
+        assert inputs_line({"parent": ["ab", "ef"], "change": ["ab", "ab"]}) == \
+            "  inputs: parent input_sha256 ab, ef; change input_sha256 ab"
+        assert inputs_line({"parent": [None], "change": [None]}) == \
+            "  inputs: parent input_sha256 none; change input_sha256 none"
+
+    def test_a_pair_over_different_clips_says_so(self, tmp_path, capsys):
+        (tmp_path / "p").mkdir()
+        (tmp_path / "c").mkdir()
+        parent = env_checkout(tmp_path / "p", "aaaa")
+        change = env_checkout(tmp_path / "c", "bbbb")
+        (change / "BENCHMARK.json").write_text(json.dumps(BENCH))
+        assert bench_pairs.main([str(parent), str(change), "--workload", "eval_m512",
+                                 "--pairs", "1", "--seed", "0"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        header = out.index("eval_m512, seed 0, 1 pairs of 1 s runs: median [q1, q3]")
+        assert out[header + 1] == "  inputs: parent input_sha256 aaaa; change input_sha256 bbbb"
 
 
 BENCH = {"run_seconds": 1,

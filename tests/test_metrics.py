@@ -1,5 +1,7 @@
 """Metrics and experiment protocols."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,7 +160,8 @@ class TestProtocols:
             channels=3))
         clips = pcfg.corpus(("real",), pcfg.train_seeds())
         assert {c.clip.pixels.shape[-1] for c in clips} == {3}
-        params, _ = metrics.train_on_families(pcfg, ["upsample_artifact"])
+        params, _ = model.train_clips(
+            pcfg.corpus(("real", "upsample_artifact"), pcfg.train_seeds()), pcfg.train)
         assert params["encoder.weight"].data.shape == (4 * 4 * 3, 8)
 
     def test_untrained_model_gives_exactly_half_auc(self):
@@ -200,8 +203,9 @@ class TestProtocols:
 
     @pytest.mark.parametrize("kind", ["one_to_many", "many_to_many"])
     def test_cross_domain_needs_a_held_out_family(self, kind, monkeypatch):
-        # refused before any training
-        monkeypatch.setattr(metrics, "train_on_families", None)
+        # refused before any clip is generated or model trained
+        monkeypatch.setattr(metrics, "make_corpus", None)
+        monkeypatch.setattr(metrics, "train_clips", None)
         with pytest.raises(ValueError, match=f"{kind} needs a nonempty held-out set"):
             metrics.run_protocol(kind, tiny_protocol(),
                                  train_families=["upsample_artifact"])
@@ -235,6 +239,33 @@ class TestProtocols:
         pcfg = {f.name: f.default for f in fields(metrics.ProtocolConfig)}
         assert {name: pcfg[name] for name in geometry} == \
             {name: spec[name] for name in geometry}
+
+    def test_in_domain_generates_each_clip_once(self, monkeypatch):
+        # the real train and test clips are shared by the three cells;
+        # the report is the one each cell made with clips of its own
+        made = Counter()
+        generate = synth.generate
+
+        def counting_generate(spec):
+            made[spec.family, spec.seed] += 1
+            return generate(spec)
+
+        monkeypatch.setattr(synth, "generate", counting_generate)
+        pcfg = tiny_protocol(
+            families=("upsample_artifact", "spectral_noise", "temporal_jitter"),
+            n_test=3)
+        report = metrics.run_protocol("in_domain", pcfg)
+        seeds = [*pcfg.train_seeds(), *pcfg.test_seeds()]
+        assert made == Counter({(f, s): 1 for f in ("real", *pcfg.families)
+                                for s in seeds})
+        assert report.to_csv_string().splitlines() == [
+            "protocol,train_set,test_family,n,accuracy,auc,seed,config_hash",
+            "in_domain,upsample_artifact,upsample_artifact,6,0.500000,1.000000,50,"
+            "1a02137a5c1b6845",
+            "in_domain,spectral_noise,spectral_noise,6,0.833333,1.000000,50,"
+            "1a02137a5c1b6845",
+            "in_domain,temporal_jitter,temporal_jitter,6,0.500000,0.666667,50,"
+            "1a02137a5c1b6845"]
 
     def test_one_to_many_scores_each_held_out_clip_once(self, predicted):
         # two test families of 3 seeds: 3 real + 2 x 3 fake clips, the

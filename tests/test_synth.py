@@ -5,6 +5,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from references import direct_texture
 
 from sstgnn import synth
 from sstgnn.differential import npr_reference
@@ -114,6 +117,74 @@ class TestDeterminism:
         a = synth.generate(synth.SynthSpec("real", seed=1)).clip
         b = synth.generate(synth.SynthSpec("real", seed=2)).clip
         assert pixel_hash(a) != pixel_hash(b)
+
+
+# clip geometries the pinned digests cover; SynthSpec refuses
+# upsample_artifact at the odd 9 x 7 x 9
+GEOMETRIES = {"default": {}, "two_frames": {"frames": 2},
+              "9x7x9": {"frames": 9, "height": 7, "width": 9}, "rgb": {"channels": 3},
+              "still": {"motion": 0.0}, "32x48": {"height": 32, "width": 48}}
+
+# SHA-256 of the pixel bytes of seeds 0, 1 and 2, one after another, as
+# the direct per-pixel sum of sines rendered them before the per-axis
+# tables; the tables give the same float32 bytes for these clips
+PINNED = {
+    ("default", "real"): "fbc0b190bc8dc8366e76da419e25791adec0b97bb525eb74551992dbb4cbac69",
+    ("default", "upsample_artifact"): "25a39a10819db85541042fc3160403093b1a0bc913de88201345e6a4b5ae2a41",
+    ("default", "temporal_jitter"): "c37c144944b1304253e400e587d9f58415dbd5a97b3c53ea323b8e7f721dd45c",
+    ("default", "spectral_noise"): "01b86cb69c024c117f2111073ca43d2e2357636e6b2b4679209704126c2f5245",
+    ("two_frames", "real"): "b523082fde5bbb53678c42e12a15ad5f1d177759dbcfed3b2c52ae03e0a1d6eb",
+    ("two_frames", "upsample_artifact"): "fc3a52c5b7568e8a53c968dda3d02d810a829c2a033b6753c77aa272d069cecc",
+    ("two_frames", "temporal_jitter"): "8ef1e806e7a4bf36cee56fbce1867eb37afefb092b020a2199941ee5a3e888f1",
+    ("two_frames", "spectral_noise"): "c2cf535c61e01a48324d5d6a2aae6500df9fea41d8c1aabd08f9198453128af0",
+    ("9x7x9", "real"): "9fabd51d22eac67f9dc6dad1f6f67f8ef84f87d73e0a4be225f83a563d412a29",
+    ("9x7x9", "temporal_jitter"): "a9e29979d1e676a655fc2ce1d87f9f67ac7eed4820832dee4135bda1ad58c913",
+    ("9x7x9", "spectral_noise"): "a3faf1cc842fe229eb9dd51122e86803f70e25dfd55fbe9ba857933f5cf27d23",
+    ("rgb", "real"): "cc103ed7319cda9c5443ea3423e5ad7acc712798065a4369eacc4f31ecfff003",
+    ("rgb", "upsample_artifact"): "806b257d0c9f50cf1c22bdbde01dc903b7b31c8aea29449fa8264cd2e1f820f7",
+    ("rgb", "temporal_jitter"): "f65e12054d2e5f31b0550ab56179abd162fe31d5b5a5752b237583625e19b919",
+    ("rgb", "spectral_noise"): "6d0ce89048e108e6a37e968e73ef676201c0d26e487908e68290107928729d25",
+    ("still", "real"): "1e770ef94e9e28f04ce3da783e6fbb4a86b3703bf55dc2755759dfee294b5930",
+    ("still", "upsample_artifact"): "00a159836bfa9243124b6439922e2c4ba90850cd3743297bf731c6508edd1fea",
+    ("still", "temporal_jitter"): "6f887a4af586f2ecb0a33918387c2560e56b1b353a04e5bedcd8e9f312e149fe",
+    ("still", "spectral_noise"): "eae5e363338ab5f067bdc077697697ed6c1eefec4b24b26e708ce66826563098",
+    ("32x48", "real"): "b661478deb4605822d2403e487d0059e0110006aad6f6aa55c373e6d71437224",
+    ("32x48", "upsample_artifact"): "cbea0ada090f3b71e2b23bc50a80be297d10694266481e113ecd507caba4b2de",
+    ("32x48", "temporal_jitter"): "a63e7aa7ea0fa3538813dde8d0eb51026d02af9567ffcd5f247144c1078558fd",
+    ("32x48", "spectral_noise"): "97aaaa90b4e14c65b97aff198637bf0da656dff7a466c264fff5c860d91d35aa",
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("geometry, family", sorted(PINNED))
+    def test_pixel_digest(self, geometry, family):
+        digest = hashlib.sha256()
+        for seed in range(3):
+            spec = synth.SynthSpec(family, seed=seed, **GEOMETRIES[geometry])
+            digest.update(synth.generate(spec).clip.pixels.tobytes())
+        assert digest.hexdigest() == PINNED[geometry, family]
+
+    def test_every_family_at_every_geometry(self):
+        assert set(PINNED) == {(g, f) for g in GEOMETRIES for f in synth.FAMILIES
+                               if (g, f) != ("9x7x9", "upsample_artifact")}
+
+
+class TestTexture:
+    @given(frames=st.integers(2, 6), height=st.integers(1, 24), width=st.integers(1, 24),
+           channels=st.integers(1, 3), motion=st.floats(-3.0, 3.0),
+           coarse=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 20))
+    @settings(max_examples=60, deadline=None)
+    def test_tables_match_the_direct_sum(self, frames, height, width, channels,
+                                         motion, coarse, seed):
+        # the grid is height x width at ``coarse``, inside a frame coarse
+        # times its size, as upsample_artifact renders it
+        spec = synth.SynthSpec("real", seed=seed, frames=frames, height=coarse * height,
+                               width=coarse * width, channels=channels, motion=motion)
+        got = synth._texture(spec, height, width, coarse)
+        assert got.shape == (frames, height, width, channels)
+        assert got.flags.c_contiguous
+        np.testing.assert_allclose(got, direct_texture(spec, height, width, coarse),
+                                   rtol=0, atol=1e-13)
 
 
 class TestContainer:
