@@ -9,9 +9,9 @@ temporal differential turns every bridge into a -1 edge), else a clip.
 `lanczos_basis` runs one batched Lanczos iteration from the all-ones
 vector over those blocks, applying L straight from the frame blocks and
 the per-clip twins, and returns Ritz pairs from which w follows to
-rounding. Frames of at most 2 * CHECK_EVERY nodes are too small for its
-stop rule to end a run before k = n, so it solves them exactly instead,
-with one stacked eigh of their (T, N, N) Laplacians. `pool_spectral`
+rounding. Uncoupled frames of at most EIGH_NODES nodes are solved
+exactly instead, with one stacked eigh of their (T, N, N) Laplacians,
+which is faster than Lanczos at that size. `pool_spectral`
 computes each clip's pooled row as w^T X with w = U (g * U^T 1) / M,
 one diagonal block of U at a time, and never forms the filtered signal.
 The basis is a constant to backpropagation.
@@ -52,7 +52,7 @@ class SpectralBasis:
     which every pooled row ignores. ``breakdowns[b]`` says that block
     b's run stopped because its Krylov space of 1 was invariant before
     k reached n. Both are None for an eigensolve, which is what
-    `lanczos_basis` returns for frames of at most 2 * CHECK_EVERY nodes.
+    `lanczos_basis` returns for frames of at most EIGH_NODES nodes.
     """
 
     eigenvalues: np.ndarray
@@ -171,10 +171,14 @@ def graph_laplacian(graph: VideoGraph):
 # exact. Otherwise, every CHECK_EVERY steps from 2 * CHECK_EVERY on,
 # the pooling direction w = g(L) 1 is compared with its value
 # CHECK_EVERY steps back, and the block stops once the two agree to
-# CONVERGED relative to |w|.
+# CONVERGED relative to |w|. A shorter interval pays for more checks
+# (an eigh of the (b, k, k) tridiagonals each), a longer one runs
+# converged blocks further.
 BREAKDOWN = 1e-12
-CHECK_EVERY = 8
+CHECK_EVERY = 4
 CONVERGED = 1e-13
+# uncoupled frames of at most this many nodes: one stacked eigh beats Lanczos
+EIGH_NODES = 16
 
 
 def _eigh(a):
@@ -218,15 +222,13 @@ def lanczos_basis(graph: VideoGraph, gains) -> SpectralBasis:
     zero padding. Then V_k S g(Θ) S^T V_k^T 1 = |1| V_k S g(Θ) S^T e_1
     approximates g(L) 1 to the stop rule's tolerance, for any gauge of S.
 
-    The first w check comes at k = 2 * CHECK_EVERY, so a block of no
-    more nodes always runs to k = n or breaks down, and both give the
-    exact g(L) 1. Uncoupled frames that small are therefore solved
-    exactly, with one stacked eigh of their Laplacians, and returned
-    as an eigensolve: (T, N) values, (T, N, N) vectors, no ``steps``.
+    Uncoupled frames of at most ``EIGH_NODES`` nodes are instead solved
+    exactly, with one stacked eigh of their Laplacians, and returned as
+    an eigensolve: (T, N) values, (T, N, N) vectors, no ``steps``.
     """
     n_frame = graph.patches_per_frame
     frames = graph.twins.shape[1] + 1 if (graph.twins > 0).any() else 1
-    if frames == 1 and n_frame <= 2 * CHECK_EVERY:
+    if frames == 1 and n_frame <= EIGH_NODES:
         return SpectralBasis(*_eigh(laplacian_from_adjacency(graph.blocks)))
     weights = graph.blocks.reshape(-1, frames, n_frame, n_frame)
     _check_weights(weights)
@@ -253,7 +255,7 @@ def lanczos_basis(graph: VideoGraph, gains) -> SpectralBasis:
     # the working set: arrays of the blocks still running, row b of each
     # belonging to block ids[b]
     ids = np.arange(blocks)
-    vecs = np.empty((blocks, min(n, 8 * CHECK_EVERY), n))
+    vecs = np.empty((blocks, min(n, 64), n))    # grown as k needs
     vecs[:, 0] = 1.0 / np.sqrt(n)
     alpha, beta = np.zeros((blocks, n)), np.zeros((blocks, n))
     previous = None

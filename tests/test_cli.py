@@ -48,6 +48,14 @@ def test_npr_check_empty_grid_is_usage_error(capsys):
     assert capsys.readouterr().err == "error: image dims 0 x 0 hold no pixel\n"
 
 
+def test_npr_check_impossible_size_is_one_error_line(capsys):
+    # a 1e8 x 1e8 grid asks for 71 PiB, which numpy refuses at once
+    assert main(["npr-check", "--size", "100000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 71.1 PiB")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--families", "temporal_jitter", "--strength", "inf"],
      "strength must be finite, got inf"),

@@ -476,7 +476,7 @@ class TestFrameLayoutPath:
             assert m == 8 * pt.patches_per_frame
             b, n, k = structure.basis.vectors.shape
             assert (b, n) == (blocks, m // blocks) and k <= n
-            eigensolve = use_differential and n <= 2 * spectral.CHECK_EVERY
+            eigensolve = use_differential and n <= spectral.EIGH_NODES
             assert (structure.basis.steps is None) == eigensolve
             assert solved == ([(8, n, n)] if eigensolve else [])
             logits = model.forward_with_structure(structure, x, params, cfg)

@@ -781,10 +781,44 @@ class TestLanczosMatchesEigh:
         assert_matches_eigh(graph, mlp)
 
 
+class TestEarlyStopOnBenchmarkClips:
+    """The benchmark's frozen clip pools, scored as the model scores them:
+    seeds 0-15 of every family at M=512 and seeds 0-2 at M=2048, under
+    `init_params(random_head=True)` at seed 7. Every clip's Lanczos
+    pooled row equals the eigh reference, so no block stops on w before
+    its pooling direction has converged."""
+
+    @pytest.mark.parametrize("patch_size,seeds", [(8, 16), (4, 3)],
+                             ids=["m512", "m2048"])
+    def test_pooled_rows_match_eigh(self, patch_size, seeds):
+        config = model.TrainConfig(patch_size=patch_size, seed=PARAM_SEED)
+        params = model.init_params(config, random_head=True).frozen()
+        mlp = params.filter_mlp
+        early = 0
+        for family in synth.FAMILIES:
+            for seed in range(seeds):
+                clip = synth.generate(synth.SynthSpec(family, seed=seed)).clip
+                pt = graphs.patchify(clip.pixels, config.patch_size)
+                x = model.encode_patches(pt.vectors, params)
+                structure = model.build_structure(pt, x.data, mlp, config)
+                basis, graph = structure.basis, structure.graph
+                got = spectral.pool_spectral(
+                    x, basis, mlp.gains(basis.eigenvalues), graph).data
+                exact = eigh_basis(graph)
+                ref = pool_per_clip(x, exact, mlp.gains(exact.eigenvalues),
+                                    graph).data
+                err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+                assert err.max() <= 1e-12, (family, seed, err.max())
+                early += np.count_nonzero(
+                    (basis.steps < graph.patches_per_frame) & ~basis.breakdowns)
+        # most frames stop on w, well before k = n
+        assert early > 0.9 * len(synth.FAMILIES) * seeds * 8
+
+
 class TestSmallFrameEigensolve:
-    """Uncoupled frames of at most 2 * CHECK_EVERY nodes cannot reach the
-    first stop check before k = n: `lanczos_basis` solves them with one
-    stacked eigh instead. Coupled blocks and larger frames keep Lanczos."""
+    """Uncoupled frames of at most EIGH_NODES nodes are solved with one
+    stacked eigh, which is faster than Lanczos at that size. Coupled
+    blocks and larger frames keep Lanczos."""
 
     @staticmethod
     def basis(graph, mlp):
@@ -794,8 +828,8 @@ class TestSmallFrameEigensolve:
     @pytest.mark.parametrize("grid,width,eigensolve", [
         (4, 4, True), (2, 8, True), (1, 17, False)], ids=["16", "2x8", "17"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_path_switches_above_two_checks(self, grid, width, eigensolve, seed):
-        assert 2 * spectral.CHECK_EVERY == 16
+    def test_path_switches_above_eigh_nodes(self, grid, width, eigensolve, seed):
+        assert spectral.EIGH_NODES == 16
         rng = np.random.default_rng(seed)
         graph = block_graph(rng, False, 2, 3, grid, width=width)
         mlp = mlp_values(rng, 4)
@@ -854,7 +888,7 @@ class TestLanczosInput:
 class TestLanczosBreakdown:
     """Blocks whose all-ones vector is an eigenvector of L stop after one
     step with the exact pooled rows; padded columns weigh nothing. The
-    frames have 25 nodes, above the eigensolve's 2 * CHECK_EVERY, so
+    frames have 25 nodes, above the eigensolve's EIGH_NODES, so
     Lanczos runs on them."""
 
     @staticmethod
@@ -914,7 +948,7 @@ class TestLanczosBreakdown:
 
     def test_padded_columns_weigh_nothing(self):
         # blocks that stop at k = 1 sit beside blocks whose w converges
-        # at k = 24, so their columns 1.. are padding: moving the padded
+        # at k = 16, so their columns 1.. are padding: moving the padded
         # values (and
         # with them the padded gains) leaves the pooled row and every
         # gradient bit for bit the same
@@ -926,10 +960,10 @@ class TestLanczosBreakdown:
         mlp_init = mlp_values(rng, 4)
         mlp = spectral.FilterMlp(**{k: ad.constant(v) for k, v in mlp_init.items()})
         basis = spectral.lanczos_basis(graph, numpy_gains(mlp))
-        np.testing.assert_array_equal(basis.steps, [1, 1, 24, 24])
+        np.testing.assert_array_equal(basis.steps, [1, 1, 16, 16])
         np.testing.assert_array_equal(basis.breakdowns, [True, True, False, False])
-        assert basis.vectors.shape == (4, 25, 24)
-        pad = np.arange(24) >= basis.steps[:, None]
+        assert basis.vectors.shape == (4, 25, 16)
+        pad = np.arange(16) >= basis.steps[:, None]
         assert not basis.vectors.swapaxes(1, 2)[pad].any()
         assert not basis.eigenvalues[pad].any()
         moved = spectral.SpectralBasis(np.where(pad, rng.random(pad.shape), 0.0)
@@ -951,7 +985,7 @@ class TestLanczosBreakdown:
 class TestLanczosTrace:
     # k per block, '*' where the block broke down, for the oracle's clips
     # (seeds 0 and 1) at init parameters; "eigh" where the blocks are
-    # frames of at most 2 * CHECK_EVERY nodes, solved exactly
+    # frames of at most EIGH_NODES nodes, solved exactly
     PINNED = {
         "desk/diff/real": ("eigh", "eigh"),
         "desk/diff/upsample_artifact": ("eigh", "eigh"),
@@ -961,17 +995,16 @@ class TestLanczosTrace:
         "desk/nodiff/upsample_artifact": ("32", "32"),
         "desk/nodiff/temporal_jitter": ("25*", "29*"),
         "desk/nodiff/spectral_noise": ("32", "32"),
-        "m512/diff/real": ("24 24 24 24 24 24 24 24", "24 24 24 24 24 24 24 24"),
-        "m512/diff/upsample_artifact": ("16 16 16 16 16 16 16 16",
-                                        "16 16 16 16 16 16 16 16"),
-        "m512/diff/temporal_jitter": ("24 1* 1* 24 24 24 24 24",
-                                      "24 24 1* 1* 24 24 24 24"),
-        "m512/diff/spectral_noise": ("16 16 16 16 16 16 16 16",
-                                     "16 16 16 16 16 16 16 16"),
-        "m512/nodiff/real": ("48", "48"),
-        "m512/nodiff/upsample_artifact": ("40", "32"),
-        "m512/nodiff/temporal_jitter": ("48", "48"),
-        "m512/nodiff/spectral_noise": ("32", "32"),
+        "m512/diff/real": ("16 16 16 16 16 16 16 16", "20 16 16 16 16 20 20 20"),
+        "m512/diff/upsample_artifact": ("12 12 12 12 12 12 12 12",
+                                        "12 12 12 12 12 12 12 12"),
+        "m512/diff/temporal_jitter": ("16 1* 1* 16 16 16 16 16",
+                                      "20 16 1* 1* 16 20 20 20"),
+        "m512/diff/spectral_noise": ("8 8 8 8 8 8 8 8", "8 8 8 8 8 8 8 8"),
+        "m512/nodiff/real": ("44", "44"),
+        "m512/nodiff/upsample_artifact": ("32", "28"),
+        "m512/nodiff/temporal_jitter": ("40", "40"),
+        "m512/nodiff/spectral_noise": ("24", "24"),
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
