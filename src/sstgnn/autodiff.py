@@ -1,14 +1,13 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
-A deliberately small, closed op set: matmul (its left operand may be a
-stack of matrices), block_matmul (a constant block-diagonal matrix: the
-spectral pool w^T x applies it to one column w and never forms the
-filtered signal), add, mul (both broadcasting),
-concat, basic slicing, reshape, leaky_relu, mean, cross_entropy, plus
-frame_attention, one fused op for every pass of graph attention over
-dense blocks of each pass's own support. Only an op whose output needs a
-gradient records its parents and backward rule on the per-forward tape,
-so a forward over constants frees each intermediate after its last use.
+A deliberately small, closed op set of nine: matmul (its left operand,
+or both, may be equal stacks of matrices, each product with the bits it
+has alone), add, mul (both broadcasting), concat, reshape, leaky_relu,
+mean, cross_entropy, plus frame_attention, one fused op for every pass
+of graph attention over dense blocks of each pass's own support. Only
+an op whose output needs a gradient records its parents and backward
+rule on the per-forward tape, so a forward over constants frees each
+intermediate after its last use.
 `backward()` walks the tape once in reverse topological order and
 returns the gradient of every leaf parameter, the dict the optimizer
 consumes. A minibatch is one tape: its clips share one graph, so the
@@ -32,7 +31,6 @@ __all__ = [
     "add",
     "mul",
     "matmul",
-    "block_matmul",
     "concat",
     "reshape",
     "leaky_relu",
@@ -69,9 +67,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __getitem__(self, key):
-        return _getitem(self, key)
 
     def item(self) -> float:
         return float(self.data)
@@ -186,13 +181,16 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """``a`` (n, k) or a stack (B, n, k) times ``b`` (k, m). A stack is B
-    products of (n, k) by (k, m), each with the bits it has alone."""
+    """``a`` (n, k) or a stack (B, n, k) times ``b`` (k, m), or two equal
+    stacks (B, n, k) @ (B, k, m). A stack is B products of (n, k) by
+    (k, m), each with the bits it has alone."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim not in (2, 3) or b.data.ndim != 2:
-        raise ValueError(f"matmul expects a 2-D or stacked 3-D left operand and "
-                         f"a 2-D right one, got {a.data.shape} @ {b.data.shape}")
-    k, m = b.data.shape
+    stacked = b.data.ndim == 3
+    if (a.data.ndim not in (2, 3) or b.data.ndim not in (2, a.data.ndim)
+            or stacked and a.data.shape[0] != b.data.shape[0]):
+        raise ValueError(f"matmul expects a 2-D or stacked 3-D left operand and a 2-D "
+                         f"right one or an equal stack, got {a.data.shape} @ {b.data.shape}")
+    k, m = b.data.shape[-2:]
     if a.data.shape[-1] != k:
         raise ValueError(
             f"matmul dimension mismatch: {a.data.shape} @ {b.data.shape}")
@@ -201,10 +199,13 @@ def matmul(a, b) -> Tensor:
 
     def _backward(g, acc):
         if a.requires_grad:
-            _accum(acc, a, g @ b.data.T)
+            _accum(acc, a, g @ b.data.swapaxes(-1, -2))
         if b.requires_grad:
-            # every stacked product's share, summed by one product
-            _accum(acc, b, a.data.reshape(-1, k).T @ g.reshape(-1, m))
+            if stacked:
+                _accum(acc, b, a.data.swapaxes(-1, -2) @ g)
+            else:
+                # every stacked product's share, summed by one product
+                _accum(acc, b, a.data.reshape(-1, k).T @ g.reshape(-1, m))
 
     return _record(out, _backward)
 
@@ -223,27 +224,6 @@ def concat(parts, axis=0) -> Tensor:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
                 _accum(acc, p, g[tuple(idx)])
-
-    return _record(out, _backward)
-
-
-_BASIC_KEYS = (int, np.integer, slice, type(Ellipsis), type(None))
-
-
-def _getitem(t, key) -> Tensor:
-    """Basic slicing only (array and bool keys raise), so no element is
-    read twice and the backward can write its gradient in place."""
-    t = as_tensor(t)
-    if any(isinstance(k, (bool, np.bool_)) or not isinstance(k, _BASIC_KEYS)
-           for k in (key if isinstance(key, tuple) else (key,))):
-        raise ValueError(f"Tensor indexing supports basic slicing only, got {key!r}")
-    out = Tensor(t.data[key], requires_grad=t.requires_grad, parents=(t,))
-
-    def _backward(g, acc):
-        if t.requires_grad:
-            gi = np.zeros_like(t.data)
-            gi[key] = g
-            _accum(acc, t, gi)
 
     return _record(out, _backward)
 
@@ -274,29 +254,6 @@ def leaky_relu(t) -> Tensor:
     def _backward(g, acc):
         if t.requires_grad:
             _accum(acc, t, g * np.where(t.data > 0, 1.0, LEAKY_SLOPE))
-
-    return _record(out, _backward)
-
-
-def block_matmul(blocks, x) -> Tensor:
-    """Constant block-diagonal matrix times ``x``, one block at a time.
-
-    ``blocks`` is a (B, n, k) array, the diagonal blocks of a (B n, B k)
-    matrix; ``x`` is (B k, d). Only ``x`` gets a gradient.
-    """
-    x = as_tensor(x)
-    b, n, k = blocks.shape
-    if x.data.shape[0] != b * k:
-        raise ValueError(f"block_matmul: {blocks.shape} blocks cannot "
-                         f"multiply {x.data.shape[0]} rows")
-    d = x.data.shape[1]
-    out = Tensor((blocks @ x.data.reshape(b, k, d)).reshape(b * n, d),
-                 requires_grad=x.requires_grad, parents=(x,))
-
-    def _backward(g, acc):
-        if x.requires_grad:
-            _accum(acc, x, (blocks.swapaxes(1, 2) @ g.reshape(b, n, d))
-                   .reshape(b * k, d))
 
     return _record(out, _backward)
 

@@ -99,14 +99,16 @@ def temporal_concat(x, graph: VideoGraph, weight, bias):
 
     ``x`` is an (M, d) Tensor over the graph's clips stacked along the
     frame axis; output has the same shape. Only frames t and t+1 of
-    one clip feed node t: the next-frame half is each clip shifted up
-    one frame, with that clip's own last frame repeated.
+    one clip feed node t: the next-frame half is a constant (F, F) shift
+    times each clip's own (F, N d) frames, one stacked product, where
+    row t picks frame t + 1 and the last row frame F - 1 again.
     """
-    n, d = graph.patches_per_frame, x.shape[1]
-    frames = ad.reshape(x, (graph.clips, -1, n * d))
-    nxt = ad.concat([frames[:, 1:], frames[:, -1:]], axis=1)
-    nxt = ad.reshape(nxt, x.shape)
-    return ad.add(ad.matmul(ad.concat([x, nxt], axis=1), weight), bias)
+    clips, count = graph.clips, graph.frames // graph.clips
+    shift = np.eye(count, k=1)
+    shift[-1, -1] = 1.0
+    nxt = ad.matmul(np.broadcast_to(shift, (clips, count, count)),
+                    ad.reshape(x, (clips, count, -1)))
+    return ad.add(ad.matmul(ad.concat([x, ad.reshape(nxt, x.shape)], axis=1), weight), bias)
 
 
 def add_temporal_negative(graph: VideoGraph) -> VideoGraph:

@@ -28,19 +28,12 @@ the passes as a tuple of int8 block layouts, which
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .differential import tile_ids, tile_pattern
 from .graphs import VideoGraph
-
-
-@dataclass
-class GatParams:
-    weight: ad.Tensor   # (d, d) shared linear map
-    attention: ad.Tensor  # (2d,) concatenation attention vector
 
 
 @functools.lru_cache(maxsize=16)
@@ -94,22 +87,24 @@ def build_adjacency(graph: VideoGraph, tile) -> tuple:
     return tuple(layouts)
 
 
-def gat_forward(x, layouts, params: GatParams):
+def gat_forward(x, layouts, weight, attention):
     """Signed single-head attention layer over `build_adjacency`'s ``layouts``.
 
-    h = xW is computed once for every pass (`autodiff.frame_attention`);
-    each pass scores its own edges, e_ij = LeakyReLU(a . [h_i || h_j]),
-    and takes the masked softmax over its own support (sign != 0), node
-    i aggregates sum_j alpha_ij s_ij h_j, and the result passes through
-    LeakyReLU. Returns (M, P d): row i holds the passes' outputs side by
-    side. Every softmax row has support: each node has its self-loop.
+    h = xW, with ``weight`` the (d, d) shared map, is computed once for
+    every pass (`autodiff.frame_attention`); each pass scores its own
+    edges, e_ij = LeakyReLU(a . [h_i || h_j]) with ``attention`` the
+    (2d,) vector a, and takes the masked softmax over its own support
+    (sign != 0), node i aggregates sum_j alpha_ij s_ij h_j, and the
+    result passes through LeakyReLU. Returns (M, P d): row i holds the
+    passes' outputs side by side. Every softmax row has support: each
+    node has its self-loop.
     """
     x = ad.as_tensor(x)
-    d = params.weight.data.shape[0]
+    d = weight.data.shape[0]
     if x.data.shape[1] != d:
         raise ValueError(f"feature dim {x.data.shape[1]} != layer dim {d}")
-    h = ad.matmul(x, params.weight)
-    return ad.leaky_relu(ad.frame_attention(h, params.attention, layouts))
+    h = ad.matmul(x, weight)
+    return ad.leaky_relu(ad.frame_attention(h, attention, layouts))
 
 
 def spatial_fuse(h, weight, bias, graph: VideoGraph):

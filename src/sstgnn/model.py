@@ -143,10 +143,6 @@ class ModelParams:
             "filter.w1", "filter.b1", "filter.w2", "filter.b2",
             "filter.w3", "filter.b3")))
 
-    @property
-    def gat(self):
-        return gat.GatParams(self.tensors["gat.weight"], self.tensors["gat.attention"])
-
 
 def _glorot(rng, shape):
     return rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
@@ -332,7 +328,8 @@ def _pooled_features(structure: ClipStructure, x: ad.Tensor,
 
     xp = differential.temporal_concat(x, graph, params["temporal.weight"],
                                       params["temporal.bias"])
-    h = gat.gat_forward(xp, structure.adjacency, params.gat)
+    h = gat.gat_forward(xp, structure.adjacency, params["gat.weight"],
+                        params["gat.attention"])
     z_spatial = gat.spatial_fuse(h, params["fusion.weight"],
                                  params["fusion.bias"], graph)
     return ad.concat([z_spatial, z_spectral], axis=1)

@@ -374,23 +374,30 @@ def apply_filter(x, basis: SpectralBasis, gains) -> np.ndarray:
 def pool_spectral(x, basis: SpectralBasis, gains, graph: VideoGraph):
     """(1/M) 1^T U diag(gains) U^T x, the node mean of the filtered
     signal of each of the graph's equal clips of M nodes, as the
-    (clips, d) rows w^T x with w = U (gains * U^T 1) / M per diagonal
-    block of U. ``gains`` is a column over the flattened values, ``x``
-    in node order; the basis is constant to autodiff."""
+    (clips, d) rows w^T x with w = U (gains * U^T 1) / M: one stacked
+    product of U's constant diagonal blocks by their (k, 1) columns of
+    gain-weighted coefficients. Each clip's row is its own (1, M) @
+    (M, d) product, so a batch gives each clip the bits it gets alone.
+    ``gains`` is a column over the flattened values, ``x`` in node
+    order."""
     if np.shape(gains) != (basis.size, 1):
         raise ValueError(f"gains {np.shape(gains)} must be a ({basis.size}, 1) column")
     clips = graph.clips
     if basis.nodes != graph.node_count:
         raise ValueError(f"{basis.nodes} basis nodes do not split into the graph's "
                          f"{clips} clips of {graph.node_count // clips} nodes")
-    n, k = basis.vectors.shape[-2:]
+    x = ad.as_tensor(x)
+    if x.shape[0] != basis.nodes:
+        raise ValueError(f"pool_spectral dimension mismatch: {x.shape[0]} signal "
+                         f"rows, {basis.nodes} basis nodes")
+    (n, k), d = basis.vectors.shape[-2:], x.shape[1]
     m = basis.nodes // clips
     blocks = basis.vectors.reshape(-1, n, k)
     ones_coeffs = blocks.sum(axis=1).reshape(-1, 1) / m
-    w = ad.block_matmul(blocks, ad.mul(gains, ones_coeffs))
-    # row k of the selector keeps clip k's nodes, so w^T x pools per clip
-    select = np.repeat(np.eye(clips), m, axis=1)
-    return ad.matmul(ad.mul(ad.reshape(w, (1, -1)), select), x)
+    scaled = ad.reshape(ad.mul(gains, ones_coeffs), (-1, k, 1))
+    w = ad.matmul(blocks, scaled)
+    pooled = ad.matmul(ad.reshape(w, (clips, 1, m)), ad.reshape(x, (clips, m, d)))
+    return ad.reshape(pooled, (clips, d))
 
 
 def filter_image_demo(image, preset: FilterPreset, patch_size=1, tau_s=0.6):

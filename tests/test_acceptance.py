@@ -195,8 +195,8 @@ def test_a7_gat_properties():
     worst_perm = 0.0
     for k in range(20):
         n, d = int(rng.integers(3, 9)), 4
-        params = gat.GatParams(ad.parameter(rng.normal(size=(d, d))),
-                               ad.parameter(rng.normal(size=2 * d)))
+        params = (ad.parameter(rng.normal(size=(d, d))),
+                  ad.parameter(rng.normal(size=2 * d)))
 
         # the attention the model runs, on a layout with twins: with
         # every sign +1, an all-ones column of h comes out as each row's
@@ -207,9 +207,9 @@ def test_a7_gat_properties():
         layout = rng.random((frames, n, n + 2)) < 0.5
         layout[:, np.arange(n), np.arange(n)] = True
         layout[0, :, n] = layout[-1, :, n + 1] = False
-        h = rng.normal(size=(m, d)) @ params.weight.data
+        h = rng.normal(size=(m, d)) @ params[0].data
         zeros = np.zeros(1 + m)
-        a = params.attention.data
+        a = params[1].data
         out = ad.frame_attention(
             ad.constant(np.hstack([h, np.ones((m, 1)), np.eye(m)])),
             ad.constant(np.concatenate([a[:d], zeros, a[d:], zeros])),
@@ -225,11 +225,11 @@ def test_a7_gat_properties():
         no_twins = np.zeros((1, 0, n))
         adj = whole_frames(to_layout(sign, no_twins))
         perm = rng.permutation(n)
-        base = gat.gat_forward(ad.constant(x), adj, params).data
+        base = gat.gat_forward(ad.constant(x), adj, *params).data
         permuted = gat.gat_forward(
             ad.constant(x[perm]),
             whole_frames(to_layout(sign[np.ix_(perm, perm)], no_twins)),
-            params).data
+            *params).data
         denom = max(np.abs(base).max(), 1.0)
         worst_perm = max(worst_perm, np.abs(permuted - base[perm]).max() / denom)
     ok = worst_row <= 1e-12 and worst_perm <= 1e-12

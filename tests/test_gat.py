@@ -1,6 +1,7 @@
 """Attention layer semantics over signed adjacency."""
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,11 +21,17 @@ def lrelu(v, slope=0.2):
     return np.where(v > 0, v, slope * v)
 
 
+class GatParams(NamedTuple):
+    """The layer's two tensors, in `gat.gat_forward`'s argument order."""
+
+    weight: ad.Tensor
+    attention: ad.Tensor
+
+
 def make_params(d, seed=0, zero_attention=False):
     rng = np.random.default_rng(seed)
     a = np.zeros(2 * d) if zero_attention else rng.normal(size=2 * d)
-    return gat.GatParams(ad.parameter(rng.normal(size=(d, d))),
-                         ad.parameter(a))
+    return GatParams(ad.parameter(rng.normal(size=(d, d))), ad.parameter(a))
 
 
 def adjacency(support, sign=None):
@@ -76,7 +83,7 @@ class TestGatForward:
     def test_single_node_self_loop(self):
         params = make_params(3, seed=1)
         x = np.random.default_rng(2).normal(size=(1, 3))
-        out = gat.gat_forward(ad.constant(x), adjacency([[True]]), params)
+        out = gat.gat_forward(ad.constant(x), adjacency([[True]]), *params)
         np.testing.assert_allclose(out.data, lrelu(x @ params.weight.data),
                                    rtol=1e-12)
 
@@ -92,7 +99,7 @@ class TestGatForward:
         params = make_params(4, seed=5)
         x = np.random.default_rng(6).normal(size=(3, 4))
         support = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)
-        out = gat.gat_forward(ad.constant(x), adjacency(support), params)
+        out = gat.gat_forward(ad.constant(x), adjacency(support), *params)
         expected = brute_force(x, support, support.astype(float),
                                params.weight.data, params.attention.data)
         np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
@@ -104,7 +111,7 @@ class TestGatForward:
         support = rng.random((5, 5)) < 0.5
         support[np.arange(5), np.arange(5)] = True
         sign = np.where(support, np.where(rng.random((5, 5)) < 0.4, -1.0, 1.0), 0.0)
-        out = gat.gat_forward(ad.constant(x), adjacency(support, sign), params)
+        out = gat.gat_forward(ad.constant(x), adjacency(support, sign), *params)
         expected = brute_force(x, support, sign, params.weight.data,
                                params.attention.data)
         np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
@@ -115,7 +122,7 @@ class TestGatForward:
         x = rng.normal(size=(4, 4))
         support = rng.random((4, 4)) < 0.6
         support[np.arange(4), np.arange(4)] = True
-        out = gat.gat_forward(ad.constant(x), adjacency(support), params)
+        out = gat.gat_forward(ad.constant(x), adjacency(support), *params)
         h = x @ params.weight.data
         expected = lrelu(np.vstack([
             h[support[i]].mean(axis=0) for i in range(4)]))
@@ -141,11 +148,11 @@ class TestGatForward:
         support[np.arange(6), np.arange(6)] = True
         sign = np.where(support, np.where(rng.random((6, 6)) < 0.3, -1.0, 1.0), 0.0)
         perm = rng.permutation(6)
-        base = gat.gat_forward(ad.constant(x), adjacency(support, sign), params)
+        base = gat.gat_forward(ad.constant(x), adjacency(support, sign), *params)
         permuted = gat.gat_forward(
             ad.constant(x[perm]),
             adjacency(support[np.ix_(perm, perm)], sign[np.ix_(perm, perm)]),
-            params)
+            *params)
         # summation order inside the row reductions shifts, so agreement
         # is to rounding, not bitwise
         np.testing.assert_allclose(permuted.data, base.data[perm],
@@ -160,7 +167,7 @@ class TestGatForward:
         support = np.ones((4, 4), dtype=bool)
 
         def f():
-            return ad.mean(gat.gat_forward(x, adjacency(support), params))
+            return ad.mean(gat.gat_forward(x, adjacency(support), *params))
 
         grads = f().backward()
         assert min(np.abs(g).min() for g in grads.values()) > 1e-6
@@ -172,7 +179,7 @@ class TestGatForward:
         params = make_params(3)
         with pytest.raises(ValueError, match="dim"):
             gat.gat_forward(ad.constant(np.ones((2, 4))),
-                            adjacency(np.ones((2, 2), dtype=bool)), params)
+                            adjacency(np.ones((2, 2), dtype=bool)), *params)
 
 
 def clip_graph(t=2, grid=2, d=4, seed=0, tau=0.3):
@@ -185,8 +192,8 @@ class TestPasses:
         g = clip_graph(t=1)
         params = make_params(4, seed=17)
         x = ad.constant(np.random.default_rng(18).normal(size=(4, 4)))
-        out = gat.gat_forward(x, one_pass(gat.build_adjacency(g, None), 0), params)
-        direct = gat.gat_forward(x, adjacency(g.spatial > 0), params)
+        out = gat.gat_forward(x, one_pass(gat.build_adjacency(g, None), 0), *params)
+        direct = gat.gat_forward(x, adjacency(g.spatial > 0), *params)
         np.testing.assert_array_equal(out.data, direct.data)
 
     def test_disconnected_node_keeps_self_message(self):
@@ -194,7 +201,7 @@ class TestPasses:
         params = make_params(4, seed=19)
         x = np.random.default_rng(20).normal(size=(4, 4))
         adj = one_pass(gat.build_adjacency(g, None), 0)
-        out = gat.gat_forward(ad.constant(x), adj, params)
+        out = gat.gat_forward(ad.constant(x), adj, *params)
         np.testing.assert_allclose(out.data, lrelu(x @ params.weight.data),
                                    rtol=1e-12)
 
@@ -204,7 +211,7 @@ class TestPasses:
         params = make_params(4, seed=21)
         x = np.random.default_rng(22).normal(size=(4, 4))
         adj = one_pass(gat.build_adjacency(g, 1), 1)
-        out = gat.gat_forward(ad.constant(x), adj, params)
+        out = gat.gat_forward(ad.constant(x), adj, *params)
         np.testing.assert_allclose(out.data, lrelu(x @ params.weight.data),
                                    rtol=1e-12)
 
@@ -214,7 +221,7 @@ class TestPasses:
         row = np.random.default_rng(24).normal(size=4)
         x = ad.constant(np.tile(row, (4, 1)))
         adj = one_pass(gat.build_adjacency(g, 2), 1)
-        out = gat.gat_forward(x, adj, params)
+        out = gat.gat_forward(x, adj, *params)
         # non-anchor nodes see {self +1, anchor -1} with equal attention
         np.testing.assert_allclose(out.data[1:], np.zeros((3, 4)), atol=1e-12)
         h = row @ params.weight.data
@@ -226,7 +233,7 @@ class TestPasses:
         params = make_params(4, seed=26)
         x = np.random.default_rng(27).normal(size=(8, 4))
         adj = one_pass(gat.build_adjacency(g, 2), 1)
-        out = gat.gat_forward(ad.constant(x), adj, params)
+        out = gat.gat_forward(ad.constant(x), adj, *params)
         support, sign = dense_pair(adj)
         expected = brute_force(x, support, sign, params.weight.data,
                                params.attention.data)
@@ -338,13 +345,15 @@ def masked_softmax(scores, support):
     return out
 
 
-def dense_gat(x, support, sign, params):
+def dense_gat(x, support, sign, weight, attention):
     """The dense M x M composition the fused op replaced: scores over all
     node pairs, masked softmax, signs, one (M, M) @ (M, d) product."""
-    d = params.weight.data.shape[0]
-    h = ad.matmul(x, params.weight)
-    a_self = ad.reshape(params.attention[:d], (d, 1))
-    a_peer = ad.reshape(params.attention[d:], (d, 1))
+    d = weight.data.shape[0]
+    h = ad.matmul(x, weight)
+    # the attention's halves, picked by constant (d, 2d) selectors
+    column = ad.reshape(attention, (2 * d, 1))
+    a_self = ad.matmul(ad.constant(np.eye(d, 2 * d)), column)
+    a_peer = ad.matmul(ad.constant(np.eye(d, 2 * d, k=d)), column)
     scores = ad.add(ad.matmul(h, a_self),
                     ad.reshape(ad.matmul(h, a_peer), (1, -1)))
     scores = ad.leaky_relu(scores)
@@ -408,7 +417,7 @@ class TestFrameLayoutAttention:
         x = ad.parameter(np.random.default_rng(34).normal(size=(12, 4)) * 2.0)
 
         def f():
-            return ad.mean(gat.gat_forward(x, adj, params))
+            return ad.mean(gat.gat_forward(x, adj, *params))
 
         grads = f().backward()
         assert min(np.abs(grads[t]).min()
@@ -421,7 +430,7 @@ class TestFrameLayoutAttention:
         adj = bridged_layout()
         params = make_params(4, seed=35)
         x = np.random.default_rng(36).normal(size=(12, 4))
-        out = gat.gat_forward(ad.constant(x), adj, params)
+        out = gat.gat_forward(ad.constant(x), adj, *params)
         support, sign = dense_pair(adj)
         expected = brute_force(x, support, sign, params.weight.data,
                                params.attention.data)
@@ -437,8 +446,9 @@ class TestFrameLayoutAttention:
         probe = ad.constant(np.random.default_rng(patch).normal(size=(m, d)))
         for adj in (one_pass(structure.adjacency, p) for p in (0, 1)):
             runs = []
-            for run in (lambda: gat.gat_forward(x, adj, params.gat),
-                        lambda: dense_gat(x, *dense_pair(adj), params.gat)):
+            layer = params["gat.weight"], params["gat.attention"]
+            for run in (lambda: gat.gat_forward(x, adj, *layer),
+                        lambda: dense_gat(x, *dense_pair(adj), *layer)):
                 out = run()
                 # a summed probe keeps the gradients O(1) or larger, so
                 # the absolute bound below is a tight one
@@ -454,7 +464,7 @@ class TestFrameLayoutAttention:
         both = (ad.BlockLayout(None, np.concatenate([layout.sign, layout.sign], axis=3),
                                (0, 1)),)
         params = make_params(4, seed=37)
-        out = gat.gat_forward(ad.parameter(np.ones((12, 4))), both, params)
+        out = gat.gat_forward(ad.parameter(np.ones((12, 4))), both, *params)
         assert out.shape == (12, 8)
         nodes = ad._toposort(ad.mean(out))
         # mean, leaky_relu, frame_attention, matmul and the three leaves:
@@ -629,7 +639,9 @@ def block_and_dense(seed, grid_h, grid_w, tile, clips, frames, differential,
         return out.data, grads[h], grads[a]
 
     blocks = ad.frame_attention(h, a, adj)
-    return adj, [(run(blocks[:, p * d:(p + 1) * d]),
+    # pass p's columns, picked by a constant (P d, d) selector
+    passes = np.eye(blocks.shape[1])
+    return adj, [(run(ad.matmul(blocks, ad.constant(passes[:, p * d:(p + 1) * d]))),
                   run(ad.frame_attention(h, a, whole_frames(layout))))
                  for p, layout in enumerate(frame_layout(adj))]
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sstgnn import autodiff as ad
-from sstgnn import graphs, metrics, model, spectral, synth
+from sstgnn import differential, graphs, metrics, model, spectral, synth
 
 from layouts import dense_from_layout, frame_layout
 
@@ -206,6 +206,31 @@ class TestBatch:
             assert {s.basis.vectors.shape[:2] for _, s in alone} == {
                 (1, m), (m // n, n)}
             assert structure.basis.vectors.shape[:2] == (16, m)
+
+    @pytest.mark.parametrize("patch, seeds", [(32, 4), (16, 2), (8, 2)],
+                             ids=["desk-16", "m128-8", "m512-8"])
+    def test_pool_and_shift_give_each_clip_its_alone_rows(self, patch, seeds):
+        # each clip's pooled spectral row sums over its own nodes, and its
+        # next-frame half shifts its own frames: a batch of every family
+        # changes no bit of either
+        cfg = model.TrainConfig(patch_size=patch)
+        params = model.init_params(cfg, seed=7, random_head=True)
+        clips = [synth.generate(synth.SynthSpec(family, seed=seed)).clip
+                 for family in synth.FAMILIES for seed in range(seeds)]
+
+        def rows(batch):
+            structure, x = model._prepare(batch, params, cfg)
+            basis, graph = structure.basis, structure.graph
+            pooled = spectral.pool_spectral(
+                x, basis, params.filter_mlp.gains(basis.eigenvalues), graph)
+            paired = differential.temporal_concat(
+                x, graph, params["temporal.weight"], params["temporal.bias"])
+            return pooled.data, paired.data
+
+        batched = rows(clips)
+        alone = [rows([clip]) for clip in clips]
+        for k, name in enumerate(("pooled", "paired")):
+            assert batched[k].tobytes() == np.vstack([a[k] for a in alone]).tobytes(), name
 
     def test_twins_cut_between_clips(self, desk_batch):
         cfg = model.TrainConfig()
@@ -524,8 +549,8 @@ class TestGoldenForward:
 
 
 # every op a training tape records, by its name in autodiff
-TAPE_OPS = ("_getitem", "add", "block_matmul", "concat", "cross_entropy",
-            "frame_attention", "leaky_relu", "matmul", "mean", "mul", "reshape")
+TAPE_OPS = ("add", "concat", "cross_entropy", "frame_attention", "leaky_relu",
+            "matmul", "mean", "mul", "reshape")
 
 
 def adam_snapshot(params, state):

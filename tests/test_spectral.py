@@ -23,13 +23,15 @@ def random_video_graph(seed, t=2, grid=2, d=6, tau=0.3):
 
 def dense_filter(x, basis, gains):
     """Reference for `pool_spectral`: U diag(gains) U^T x as an autodiff
-    composition of two constant block products, forming the filtered
-    (M, d) signal."""
+    composition of two stacked products by constant blocks, forming the
+    filtered (M, d) signal."""
     n = basis.vectors.shape[-1]
     blocks = basis.vectors.reshape(-1, n, n)
-    coeffs = ad.block_matmul(blocks.swapaxes(1, 2), x)
-    scaled = ad.mul(ad.reshape(gains, (-1, 1)), coeffs)
-    return ad.block_matmul(blocks, scaled)
+    x = ad.as_tensor(x)
+    coeffs = ad.matmul(ad.constant(blocks.swapaxes(1, 2)),
+                       ad.reshape(x, (len(blocks), n, x.shape[1])))
+    scaled = ad.mul(ad.reshape(gains, (len(blocks), n, 1)), coeffs)
+    return ad.reshape(ad.matmul(ad.constant(blocks), scaled), x.shape)
 
 
 def dense_pool(x, basis, gains, graph):
